@@ -4,7 +4,7 @@
 
 VETCACHE := .vetcache
 
-.PHONY: build test race vet vet-cold bench fmt
+.PHONY: build test race vet vet-cold bench bench-e2e bench-smoke fmt
 
 build:
 	go build ./...
@@ -27,6 +27,16 @@ vet-cold:
 
 bench:
 	go test -run '^$$' -bench 'BenchmarkReduceOnce$$' -benchmem -benchtime 20x .
+
+# The end-to-end benchmark BENCHMARK.json declares: five workloads,
+# untraced then traced (see bench/README.md). bench-smoke is the same
+# program at smoke sizes — seconds in total — and is what CI runs, so a
+# change that breaks an API bench/ imports fails there.
+bench-e2e:
+	bash bench/run.sh
+
+bench-smoke:
+	go run ./bench -quick
 
 fmt:
 	gofmt -w .

@@ -34,7 +34,7 @@ func (s *SparDL) runRSAG(ep comm.Endpoint, mine *sparse.Chunk) *sparse.Chunk {
 		merged := s.ar.MergeAdd(mine, got)
 		kept, dropped := s.ar.TopKChunk(merged, s.blockK)
 		sparsecoll.ChargeScan(ep, merged.Len())
-		addDrops(s.stepRes, dropped, share)
+		s.addDrops(dropped, share)
 		s.ar.Recycle(merged)
 		s.ar.Recycle(dropped)
 		mine = kept
@@ -59,7 +59,7 @@ func (s *SparDL) runBSAG(ep comm.Endpoint, mine *sparse.Chunk) *sparse.Chunk {
 	sparsecoll.ChargeScan(ep, mine.Len())
 	// This worker is the unique holder of its team's partial sums, so the
 	// pre-gather drops are collected in full.
-	addDrops(s.stepRes, dropped, 1)
+	s.addDrops(dropped, 1)
 	s.ar.Recycle(dropped)
 
 	own := s.tx.PackItem(sel)
@@ -80,7 +80,7 @@ func (s *SparDL) runBSAG(ep comm.Endpoint, mine *sparse.Chunk) *sparse.Chunk {
 	sparsecoll.ChargeScan(ep, nt)
 	// All d members of the position group hold the identical merged set and
 	// drop identically; each collects a 1/d share (Section III-D).
-	addDrops(s.stepRes, dropped2, 1/float32(s.d))
+	s.addDrops(dropped2, 1/float32(s.d))
 	s.ar.Recycle(merged)
 	s.ar.Recycle(dropped2)
 

@@ -37,20 +37,25 @@ type SparDL struct {
 	teamRanks  []int             // global ranks of my team, by position
 	groupRanks []int             // global ranks of my position-group, by team
 
+	// residual is the reducer's one length-n vector. Between calls it is
+	// the stored residual. During ReduceInto it is worked on in place: the
+	// prologue adds the gradient (it is then the G_copy of Algorithm 1,
+	// line 3), blocks absorb received contributions and are sparsified
+	// where they lie, and discarded values are collected into it, so that
+	// when the collective ends it holds ξ, everything discarded along the
+	// way. Each of those writes is preceded by save, which makes the
+	// vector restorable to G_copy in O(k); finishResidual does that.
 	residual []float32
-	stepRes  []float32 // ξ of Algorithm 1: all values discarded during the procedure
+	undo     []*sparse.Chunk // values overwritten since the prologue, oldest first
 	hctl     *HController
 	nts      []int // recorded N_t series (Fig. 7)
 
-	// Steady-state allocation machinery: every chunk, pointer slice and
-	// encode buffer built during a Reduce comes from the arena (epoch-reset
-	// at the top of each call), and the two dense work vectors are
-	// persistent per-reducer scratch — a steady-state ReduceInto performs
-	// no heap allocation of its own.
-	ar       *sparse.Arena
-	acc      []float32 // residual-augmented working gradient
-	snapshot []float32 // G_copy of Algorithm 1, line 3
-	selBuf   []int32   // LRES: indices this worker selected, reused across calls
+	// Steady-state allocation machinery: every chunk, pointer slice, undo
+	// record and encode buffer built during a Reduce comes from the arena
+	// (epoch-reset at the top of each call) — a steady-state ReduceInto
+	// performs no heap allocation of its own.
+	ar     *sparse.Arena
+	selBuf []int32 // LRES: indices this worker selected, reused across calls
 }
 
 // New builds the SparDL reducer for one worker of a P-worker cluster
@@ -88,10 +93,7 @@ func New(p, rank, n, k int, opts Options) (*SparDL, error) {
 		part:     sparse.NewPartition(n, m),
 		bags:     sendBags(m),
 		residual: make([]float32, n),
-		stepRes:  make([]float32, n),
 		ar:       sparse.NewArena(),
-		acc:      make([]float32, n),
-		snapshot: make([]float32, n),
 	}
 	s.ar.SetDensePolicy(opts.Dense)
 	s.tx = wire.Transport{Mode: opts.Wire, Arena: s.ar}
@@ -159,7 +161,11 @@ func (s *SparDL) Name() string {
 }
 
 // Residual implements sparsecoll.ResidualCarrier; the returned slice is
-// live internal state and must be treated as read-only.
+// live internal state and must be treated as read-only. It holds the
+// residual only between calls: ReduceInto works in place on this vector,
+// so a call that panics part-way leaves it mid-procedure and the caller
+// must RestoreResidual from its own copy (the elastic trainer's snapshot
+// ring) before reducing again.
 func (s *SparDL) Residual() []float32 { return s.residual }
 
 // BsagCounts returns the recorded N_t series — the number of gradients
@@ -189,8 +195,8 @@ func (s *SparDL) Reduce(ep comm.Endpoint, grad []float32) []float32 {
 
 // ReduceInto implements sparsecoll.InPlaceReducer: one full SparDL
 // synchronization whose result overwrites out (len n). At steady state the
-// call is allocation-free: chunks come from the reducer's arena (epoch-
-// reset here), dense scratch is persistent per-reducer state.
+// call is allocation-free: chunks and undo records come from the reducer's
+// arena (epoch-reset here), and the only dense vector is the residual.
 //
 //spardl:hotpath
 func (s *SparDL) ReduceInto(ep comm.Endpoint, grad, out []float32) {
@@ -201,21 +207,17 @@ func (s *SparDL) ReduceInto(ep comm.Endpoint, grad, out []float32) {
 	// reclaimed (one epoch of quarantine covers in-flight peer reads on
 	// reference-passing backends; see sparse.Arena).
 	s.ar.Reset()
-	// Plus the stored residuals onto the fresh gradients and snapshot the
-	// result (the G_copy of Algorithm 1, line 3). Both vectors are
-	// persistent scratch — nothing built inside Reduce aliases them. The
-	// residual add, snapshot copy and ξ clear fuse into a single pass: at
-	// paper-like n these four length-n vectors dominate the prologue, and
-	// one traversal keeps each cache line hot for all of them.
-	acc := s.acc
-	snapshot := s.snapshot
-	stepRes := s.stepRes
+	// An SRS step saves once per received chunk and once per sparsified
+	// block (at most m−1 and m over the whole phase), the SAG variants once
+	// per level; beyond this capacity the appends would only leave the
+	// arena for the heap.
+	s.undo = s.ar.Chunks(2*s.m + 32)
+	// Plus the fresh gradients onto the stored residuals. The vector now
+	// equals the G_copy of Algorithm 1, line 3, which is not stored
+	// anywhere: finishResidual reconstructs it from the undo records.
 	residual := s.residual
 	for i, g := range grad {
-		v := g + residual[i]
-		acc[i] = v
-		snapshot[i] = v
-		stepRes[i] = 0
+		residual[i] += g
 	}
 	sparsecoll.ChargeScan(ep, s.n)
 
@@ -226,11 +228,11 @@ func (s *SparDL) ReduceInto(ep comm.Endpoint, grad, out []float32) {
 	if s.m == 1 {
 		// Single-member teams (d = P): the "reserved block" is the whole
 		// vector; only the local top-k applies before team synchronization.
-		reserved = s.sparsifyDenseBlock(ep, acc, 0, s.n, &localSel)
+		reserved = s.sparsifyDenseBlock(ep, 0, s.n, &localSel)
 	} else if s.opts.Eager {
-		reserved = s.runSRSEager(ep, acc, &localSel)
+		reserved = s.runSRSEager(ep, &localSel)
 	} else {
-		reserved = s.runSRS(ep, acc, &localSel)
+		reserved = s.runSRS(ep, &localSel)
 	}
 
 	// Phase 2: Spar-All-Gather across teams.
@@ -268,21 +270,22 @@ func (s *SparDL) ReduceInto(ep comm.Endpoint, grad, out []float32) {
 		c.AddToDense(out)
 	}
 
-	s.finishResidual(ep, snapshot, finalChunks, localSel)
+	s.finishResidual(ep, finalChunks, localSel)
 	s.selBuf = localSel[:0]
 }
 
 // runSRS is the transmission-with-sparsification process of Section III-B
 // with the paper's lazy-sparsification optimization: a block stays dense in
-// acc, absorbing received contributions, until the step that transmits it.
-// At step i the worker sends bag l-i+1 to the team member 2^(l-i) positions
-// ahead and receives the mirror bag from 2^(l-i) behind; received chunks
-// are summed into acc (Theorem 1 guarantees they fall into still-held
-// blocks). After l steps only the preservation block remains, which is
+// the working vector, absorbing received contributions, until the step
+// that transmits it. At step i the worker sends bag l-i+1 to the team
+// member 2^(l-i) positions ahead and receives the mirror bag from 2^(l-i)
+// behind; received chunks are summed into the vector (Theorem 1 guarantees
+// they fall into still-held blocks, so a sparsified block is never written
+// again). After l steps only the preservation block remains, which is
 // sparsified last (Algorithm 1, line 9).
 //
 //spardl:hotpath
-func (s *SparDL) runSRS(ep comm.Endpoint, acc []float32, localSel *[]int32) *sparse.Chunk {
+func (s *SparDL) runSRS(ep comm.Endpoint, localSel *[]int32) *sparse.Chunk {
 	m, pos := s.m, s.pos
 	l := len(s.bags)
 	for i := 1; i <= l; i++ {
@@ -292,7 +295,7 @@ func (s *SparDL) runSRS(ep comm.Endpoint, acc []float32, localSel *[]int32) *spa
 		for _, r := range bag {
 			b := (pos + r) % m
 			lo, hi := s.part.Bounds(b)
-			kept := s.sparsifyDenseBlock(ep, acc, lo, hi, localSel)
+			kept := s.sparsifyDenseBlock(ep, lo, hi, localSel)
 			if kept.Len() > 0 {
 				payload = append(payload, kept)
 			}
@@ -304,11 +307,12 @@ func (s *SparDL) runSRS(ep comm.Endpoint, acc []float32, localSel *[]int32) *spa
 		in, _ := ep.Recv(source)
 		for _, c := range s.tx.UnpackSlice(in) {
 			sparsecoll.ChargeMerge(ep, c.Len())
-			c.AddToDense(acc)
+			s.save(c)
+			c.AddToDense(s.residual)
 		}
 	}
 	lo, hi := s.part.Bounds(pos)
-	return s.sparsifyDenseBlock(ep, acc, lo, hi, localSel)
+	return s.sparsifyDenseBlock(ep, lo, hi, localSel)
 }
 
 // runSRSEager is the unoptimized variant (the ablation baseline for the
@@ -316,12 +320,12 @@ func (s *SparDL) runSRS(ep comm.Endpoint, acc []float32, localSel *[]int32) *spa
 // re-sparsified immediately after each summation.
 //
 //spardl:hotpath
-func (s *SparDL) runSRSEager(ep comm.Endpoint, acc []float32, localSel *[]int32) *sparse.Chunk {
+func (s *SparDL) runSRSEager(ep comm.Endpoint, localSel *[]int32) *sparse.Chunk {
 	m, pos := s.m, s.pos
 	blocks := s.ar.Chunks(m)
 	for b := 0; b < m; b++ {
 		lo, hi := s.part.Bounds(b)
-		blocks = append(blocks, s.sparsifyDenseBlock(ep, acc, lo, hi, localSel))
+		blocks = append(blocks, s.sparsifyDenseBlock(ep, lo, hi, localSel))
 	}
 	l := len(s.bags)
 	for i := 1; i <= l; i++ {
@@ -349,7 +353,7 @@ func (s *SparDL) runSRSEager(ep comm.Endpoint, acc []float32, localSel *[]int32)
 			merged := s.ar.MergeAddInto(blocks[b], c)
 			kept, dropped := s.ar.TopKChunk(merged, s.blockK)
 			sparsecoll.ChargeScan(ep, merged.Len())
-			addDrops(s.stepRes, dropped, 1)
+			s.addDrops(dropped, 1)
 			s.ar.Recycle(merged)
 			s.ar.Recycle(dropped)
 			blocks[b] = kept
@@ -358,82 +362,85 @@ func (s *SparDL) runSRSEager(ep comm.Endpoint, acc []float32, localSel *[]int32)
 	return blocks[pos]
 }
 
-// sparsifyDenseBlock selects the top blockK entries of acc[lo:hi); every
-// unselected value in the range is accumulated into the step residual ξ.
+// sparsifyDenseBlock selects the top blockK entries of the working vector
+// over [lo, hi) and zeroes them there: they leave with the returned chunk,
+// and every value left behind in the range is this worker's discard ξ. A
+// kept entry's ξ is set to zero rather than computed as v − v, which is NaN
+// for a kept ±Inf and would poison the stored residual for good.
 //
 //spardl:hotpath
-func (s *SparDL) sparsifyDenseBlock(ep comm.Endpoint, acc []float32, lo, hi int, localSel *[]int32) *sparse.Chunk {
-	kept := s.ar.TopKDense(acc, lo, hi, s.blockK)
+func (s *SparDL) sparsifyDenseBlock(ep comm.Endpoint, lo, hi int, localSel *[]int32) *sparse.Chunk {
+	kept := s.ar.TopKDense(s.residual, lo, hi, s.blockK)
 	sparsecoll.ChargeScan(ep, hi-lo)
-	for i := lo; i < hi; i++ {
-		s.stepRes[i] += acc[i]
-	}
-	for j, idx := range kept.Idx {
-		s.stepRes[idx] -= kept.Val[j]
-	}
+	s.save(kept)
+	kept.ClearInDense(s.residual)
 	if s.opts.Residual == LRES {
 		*localSel = append(*localSel, kept.Idx...)
 	}
 	return kept
 }
 
-// addDrops accumulates a dropped chunk into the step residual with the
-// given share. The share is 1 when this worker is the unique holder of the
-// dropped partial sums, 1/2^(t+1) at R-SAG level t (2^(t+1) workers hold
-// identical data and drop identically), and 1/d after B-SAG's final
-// selection (all d members of the position group hold identical data).
+// save records the working vector's current values at c's entries. Every
+// write into the vector after the prologue is preceded by a save of the
+// entries it is about to touch, so replaying the records newest-first
+// restores G_copy exactly, however often an index was written.
 //
 //spardl:hotpath
-func addDrops(stepRes []float32, dropped *sparse.Chunk, share float32) {
+func (s *SparDL) save(c *sparse.Chunk) {
+	s.undo = append(s.undo, s.ar.Gather(c, s.residual))
+}
+
+// addDrops accumulates a dropped chunk into ξ with the given share. The
+// share is 1 when this worker is the unique holder of the dropped partial
+// sums, 1/2^(t+1) at R-SAG level t (2^(t+1) workers hold identical data
+// and drop identically), and 1/d after B-SAG's final selection (all d
+// members of the position group hold identical data).
+//
+//spardl:hotpath
+func (s *SparDL) addDrops(dropped *sparse.Chunk, share float32) {
+	s.save(dropped)
 	if dropped.IsDense() {
 		lo, _ := dropped.DenseRange()
 		for i, v := range dropped.Val {
-			stepRes[lo+int32(i)] += v * share
+			s.residual[lo+int32(i)] += v * share
 		}
 		return
 	}
 	for i, idx := range dropped.Idx {
-		stepRes[idx] += dropped.Val[i] * share
+		s.residual[idx] += dropped.Val[i] * share
 	}
 }
 
 // finishResidual is lines 11-13 of Algorithm 1 plus the PRES/LRES
-// ablations: start from the snapshot (G_copy), then at every index that
-// made the final global gradient substitute the collected in-procedure
-// residual (GRES), zero (PRES), or — for LRES — zero at exactly the indices
-// this worker itself selected for transmission.
+// ablations. On entry the working vector holds ξ. The stored residual is
+// G_copy, except that every index that made the final global gradient
+// takes its ξ value (GRES), zero (PRES), or — for LRES — zero at exactly the
+// indices this worker itself selected for transmission. So: lift ξ at the
+// final indices, replay the undo records newest-first to get G_copy back,
+// and write the substitutions — O(k) entries, no pass over the vector.
 //
 //spardl:hotpath
-func (s *SparDL) finishResidual(ep comm.Endpoint, snapshot []float32, finalChunks []*sparse.Chunk, localSel []int32) {
-	copy(s.residual, snapshot)
+func (s *SparDL) finishResidual(ep comm.Endpoint, finalChunks []*sparse.Chunk, localSel []int32) {
+	// Dense final chunks substitute over their whole block: every position
+	// of a densified stream is an entry of the final gradient.
+	xi := s.ar.Chunks(len(finalChunks))
+	if s.opts.Residual == GRES {
+		for _, c := range finalChunks {
+			xi = append(xi, s.ar.Gather(c, s.residual))
+		}
+	}
+	for i := len(s.undo) - 1; i >= 0; i-- {
+		s.undo[i].SetInDense(s.residual)
+	}
+	s.undo = nil
 	switch s.opts.Residual {
 	case GRES:
-		for _, c := range finalChunks {
-			// Densified streams substitute over their whole block: every
-			// position of a dense chunk is an entry of the final gradient.
-			if c.IsDense() {
-				lo, hi := c.DenseRange()
-				for idx := lo; idx < hi; idx++ {
-					s.residual[idx] = s.stepRes[idx]
-				}
-				continue
-			}
-			for _, idx := range c.Idx {
-				s.residual[idx] = s.stepRes[idx]
-			}
+		for _, c := range xi {
+			c.SetInDense(s.residual)
 		}
 	case PRES:
 		for _, c := range finalChunks {
-			if c.IsDense() {
-				lo, hi := c.DenseRange()
-				for idx := lo; idx < hi; idx++ {
-					s.residual[idx] = 0
-				}
-				continue
-			}
-			for _, idx := range c.Idx {
-				s.residual[idx] = 0
-			}
+			c.ClearInDense(s.residual)
 		}
 	case LRES:
 		for _, idx := range localSel {

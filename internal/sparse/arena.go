@@ -729,6 +729,26 @@ func (a *Arena) FromDense(dense []float32, lo, hi int) *Chunk {
 	return c
 }
 
+// Gather returns an arena-allocated chunk over c's entry set, in c's
+// representation, holding the values dense has there: the inverse of
+// SetInDense. Gathering before a scatter into dense and calling SetInDense
+// on the result afterwards restores the overwritten values bit for bit.
+//
+//spardl:hotpath
+func (a *Arena) Gather(c *Chunk, dense []float32) *Chunk {
+	if c.dense {
+		out := a.getDense(c.lo, len(c.Val))
+		copy(out.Val, dense[c.lo:int(c.lo)+len(c.Val)])
+		return out
+	}
+	out := a.Get(len(c.Idx))
+	out.Idx = append(out.Idx, c.Idx...)
+	for _, idx := range c.Idx {
+		out.Val = append(out.Val, dense[idx])
+	}
+	return out
+}
+
 // Split cuts a chunk into per-block sub-chunks according to the partition,
 // with headers (sharing c's storage) and the slice itself arena-allocated.
 //

@@ -199,6 +199,19 @@ func (c *Chunk) SetInDense(dense []float32) {
 	}
 }
 
+// ClearInDense zeroes the dense vector at every entry of the chunk.
+//
+//spardl:hotpath
+func (c *Chunk) ClearInDense(dense []float32) {
+	if c.dense {
+		clear(dense[c.lo : int(c.lo)+len(c.Val)])
+		return
+	}
+	for _, idx := range c.Idx {
+		dense[idx] = 0
+	}
+}
+
 // MergeAdd returns a new chunk containing the union of a's and b's indices;
 // values at indices present in both are summed. Both inputs are left
 // unmodified. Entries that sum to exactly zero are kept: dropping them would

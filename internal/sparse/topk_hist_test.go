@@ -1,0 +1,223 @@
+package sparse
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+func gaussBlock(n int, seed int64) []float32 {
+	rng := rand.New(rand.NewSource(seed))
+	dense := make([]float32, n)
+	for i := range dense {
+		dense[i] = float32(rng.NormFloat64())
+	}
+	return dense
+}
+
+// BenchmarkTopKDenseCutoff is the measurement behind histSelectMin: both
+// ways of finding the k-th key, at k = n/100, on Gaussian blocks either
+// side of the cutoff.
+func BenchmarkTopKDenseCutoff(b *testing.B) {
+	for _, n := range []int{128, 256, 512, 1 << 10, 1 << 11, 1 << 12, 1 << 14, 74899, 1 << 20} {
+		dense := gaussBlock(n, 1)
+		k := max(1, n/100)
+		ar := NewArena()
+		b.Run(fmt.Sprintf("select/n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ar.Reset()
+				ar.topKDenseSelect(dense, 0, n, k)
+			}
+		})
+		b.Run(fmt.Sprintf("hist/n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ar.Reset()
+				ar.topKDenseHist(dense, 0, n, k)
+			}
+		})
+	}
+}
+
+// BenchmarkTopKDenseAllEqual is the histogram select's worst case: every
+// magnitude equal, so the one occupied bucket is the whole block and the
+// histogram pass buys nothing. select is the parent commit's TopKDense.
+func BenchmarkTopKDenseAllEqual(b *testing.B) {
+	n := 1 << 20
+	dense := make([]float32, n)
+	for i := range dense {
+		dense[i] = 0.5
+		if i%3 == 0 {
+			dense[i] = -0.5
+		}
+	}
+	ar := NewArena()
+	b.Run("select", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ar.Reset()
+			ar.topKDenseSelect(dense, 0, n, n/100)
+		}
+	})
+	b.Run("hist", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ar.Reset()
+			ar.topKDenseHist(dense, 0, n, n/100)
+		}
+	})
+}
+
+func sameChunkBits(a, b *Chunk) bool {
+	if len(a.Idx) != len(b.Idx) || len(a.Val) != len(b.Val) {
+		return false
+	}
+	for i := range a.Idx {
+		if a.Idx[i] != b.Idx[i] || math.Float32bits(a.Val[i]) != math.Float32bits(b.Val[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// histBlocks are the input families the histogram select must agree with
+// quickselect on, each filling a block of the given length.
+var histBlocks = []struct {
+	name string
+	fill func(rng *rand.Rand, d []float32)
+}{
+	{"gaussian", func(rng *rand.Rand, d []float32) {
+		for i := range d {
+			d[i] = float32(rng.NormFloat64())
+		}
+	}},
+	{"all-equal", func(rng *rand.Rand, d []float32) { // the whole block in one bucket, every key tied
+		for i := range d {
+			d[i] = 0.75
+			if rng.Intn(2) == 0 {
+				d[i] = -0.75
+			}
+		}
+	}},
+	{"few-levels", func(rng *rand.Rand, d []float32) { // heavy ties at the threshold with whole buckets above it
+		for i := range d {
+			d[i] = float32(int(1)<<rng.Intn(5)) * float32(1-2*rng.Intn(2))
+		}
+	}},
+	{"one-bucket", func(rng *rand.Rand, d []float32) { // same top 12 bits, different low bits
+		for i := range d {
+			d[i] = math.Float32frombits(0x3f400000 | uint32(rng.Intn(1<<19)) | uint32(rng.Intn(2))<<31)
+		}
+	}},
+	{"mostly-zero", func(rng *rand.Rand, d []float32) {
+		for i := range d {
+			switch rng.Intn(40) {
+			case 0:
+				d[i] = float32(rng.NormFloat64())
+			case 1:
+				d[i] = float32(math.Copysign(0, -1))
+			}
+		}
+	}},
+	{"all-zero", func(rng *rand.Rand, d []float32) {
+		for i := range d {
+			if rng.Intn(2) == 0 {
+				d[i] = float32(math.Copysign(0, -1))
+			}
+		}
+	}},
+	{"denormals", func(rng *rand.Rand, d []float32) { // bucket 0 shared with the zeros
+		for i := range d {
+			if rng.Intn(3) > 0 {
+				d[i] = math.Float32frombits(uint32(rng.Intn(1<<21)) | uint32(rng.Intn(2))<<31)
+			}
+		}
+	}},
+	{"inf-nan", func(rng *rand.Rand, d []float32) {
+		for i := range d {
+			switch rng.Intn(8) {
+			case 0:
+				d[i] = float32(math.Inf(1 - 2*rng.Intn(2)))
+			case 1: // NaNs of either sign with random payloads, a few repeated
+				d[i] = math.Float32frombits(0x7f800001 + uint32(rng.Intn(64)) | uint32(rng.Intn(2))<<31)
+			case 2:
+				d[i] = math.Float32frombits(0x7f800001 + uint32(rng.Intn(1<<23-1)))
+			default:
+				d[i] = float32(rng.NormFloat64())
+			}
+		}
+	}},
+}
+
+// TestTopKDenseHistMatchesSelect is the differential test of the histogram
+// select against the quickselect it replaces above histSelectMin: the same
+// Idx and the same Val bits, at block lengths straddling the cutoff (through
+// the dispatching TopKDense) and below it (calling the histogram path
+// directly), inside a larger vector, for k at and around the non-zero count.
+func TestTopKDenseHistMatchesSelect(t *testing.T) {
+	ar := NewArena()
+	for _, fam := range histBlocks {
+		for _, n := range []int{1, 2, 97, histSelectMin - 1, histSelectMin, histSelectMin + 1, 3*histSelectMin + 17} {
+			rng := rand.New(rand.NewSource(int64(n)))
+			const lo = 5
+			vec := make([]float32, lo+n+3)
+			for i := range vec {
+				vec[i] = 1e30 // outside [lo, hi): must never be selected
+			}
+			fam.fill(rng, vec[lo:lo+n])
+			nz := 0
+			for _, v := range vec[lo : lo+n] {
+				if v != 0 {
+					nz++
+				}
+			}
+			for _, k := range []int{1, 2, n / 100, n / 2, nz - 1, nz, nz + 1, n + 5} {
+				if k < 1 {
+					continue
+				}
+				ar.Reset()
+				want := ar.topKDenseSelect(vec, lo, lo+n, k)
+				if got := ar.topKDenseHist(vec, lo, lo+n, k); !sameChunkBits(got, want) {
+					t.Fatalf("%s n=%d k=%d: histogram select kept %d entries, quickselect %d, or they differ", fam.name, n, k, got.Len(), want.Len())
+				}
+				if got := ar.TopKDense(vec, lo, lo+n, k); !sameChunkBits(got, want) {
+					t.Fatalf("%s n=%d k=%d: TopKDense differs from quickselect", fam.name, n, k)
+				}
+				if want.Len() != min(k, nz) {
+					t.Fatalf("%s n=%d k=%d: kept %d entries of %d non-zeros", fam.name, n, k, want.Len(), nz)
+				}
+			}
+		}
+	}
+}
+
+// FuzzTopKDense feeds arbitrary bit patterns (every NaN payload, both
+// zeros, denormals) to both selections and requires identical results.
+func FuzzTopKDense(f *testing.F) {
+	le := func(bits ...uint32) []byte {
+		var b []byte
+		for _, v := range bits {
+			b = binary.LittleEndian.AppendUint32(b, v)
+		}
+		return b
+	}
+	f.Add(le(0x3f800000, 0xbf800000, 0x3f800000, 0, 0x80000000), uint16(2))          // ties, both zeros
+	f.Add(le(0x7fc00000, 0xffc00001, 0x7f800000, 0xff800000, 0x40000000), uint16(3)) // NaNs and infinities
+	f.Add(le(1, 2, 0x80000003, 0x0007ffff, 0x00080000), uint16(4))                   // denormals across bucket 0/1
+	f.Add(le(0x3f400001, 0x3f400002, 0x3f47ffff, 0x3f480000), uint16(1))             // one bucket and its neighbour
+	f.Add(le(0, 0, 0), uint16(1))
+	f.Add([]byte{}, uint16(7))
+	f.Fuzz(func(t *testing.T, data []byte, k uint16) {
+		dense := make([]float32, len(data)/4)
+		for i := range dense {
+			dense[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
+		}
+		if len(dense) == 0 || k == 0 {
+			return
+		}
+		want := (*Arena)(nil).topKDenseSelect(dense, 0, len(dense), int(k))
+		got := (*Arena)(nil).topKDenseHist(dense, 0, len(dense), int(k))
+		if !sameChunkBits(got, want) {
+			t.Fatalf("k=%d over %x: histogram select %v/%x, quickselect %v/%x", k, data, got.Idx, got.Val, want.Idx, want.Val)
+		}
+	})
+}
