@@ -119,6 +119,7 @@ func emitReduceBaseline(path string) error {
 	}
 	grads := reduceGrads(p, n)
 	sim := spardl.SimBackend(spardl.Ethernet)
+	var sel spardl.SelectStats
 	res := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		rb, err := spardl.NewReduceBench(p, n, k, spardl.WireCOO)
@@ -129,7 +130,12 @@ func emitReduceBaseline(path string) error {
 		for i := 0; i < b.N; i++ {
 			rb.Iterate()
 		}
+		sel = rb.SelectStats()
 	})
+	// Not part of the record CI diffs: how the selections behind ns_per_op
+	// went, all workers, warm-up syncs included.
+	fmt.Fprintf(os.Stderr, "selections: %d cold, %d warm hits (%d tightened), %d fallbacks\n",
+		sel.Cold, sel.WarmHit, sel.Tightened, sel.Fallback)
 	rec := reduceBaseline{
 		Benchmark:           "ReduceOnce",
 		P:                   p,

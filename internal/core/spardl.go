@@ -173,6 +173,12 @@ func (s *SparDL) Residual() []float32 { return s.residual }
 // Fig. 7 and to drive Algorithm 2.
 func (s *SparDL) BsagCounts() []int { return s.nts }
 
+// SelectStats reports how this reducer's block selections found their
+// thresholds so far: cold, warm hit, tightened, fallback (see
+// sparse.SelectStats). The counts say where selection time went; the
+// selections themselves do not depend on them.
+func (s *SparDL) SelectStats() sparse.SelectStats { return s.ar.SelectStats() }
+
 // BlockK returns the per-block selection size L(k,d,P) = dk/P.
 func (s *SparDL) BlockK() int { return s.blockK }
 

@@ -39,8 +39,20 @@ package sparse
 // recycling a foreign, heap-allocated, or stale (pre-Reset) chunk is a
 // no-op, so call sites can recycle unconditionally.
 //
+// # What outlives Reset
+//
+// Besides its slabs the arena keeps, per (lo, hi, k) it has been asked to
+// TopKDense, the k-th key of the last such selection, and counts of how
+// its selections went (SelectStats). Reset clears neither: the remembered
+// keys are what lets next synchronization's selection read each block once
+// instead of three times (see topk_warm.go). They are hints about cost only
+// — a selection returns the same chunk whatever the arena remembers, so a
+// caller that rewinds the vector underneath (RestoreResidual) owes the
+// arena nothing.
+//
 // A nil *Arena is valid everywhere and falls back to plain heap
-// allocation, so arena-aware code needs no branching at call sites.
+// allocation, so arena-aware code needs no branching at call sites; it
+// remembers nothing.
 
 import (
 	"math/bits"
@@ -158,6 +170,13 @@ type Arena struct {
 	// dense selects when merge results switch into the dense-block
 	// representation; see SetDensePolicy.
 	dense DensePolicy
+
+	// hints remembers the k-th key of the last TopKDense per (lo, hi, k),
+	// hintNext where the next lookup starts, and sel how each selection
+	// went; see topk_warm.go. All three outlive Reset.
+	hints    []selHint
+	hintNext int
+	sel      SelectStats
 }
 
 // NewArena returns an empty arena. Slabs are allocated lazily on first

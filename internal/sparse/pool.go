@@ -50,12 +50,12 @@ func (p *SlicePool[T]) Put(s []T) {
 	p.vals.Put(b)
 }
 
-// densePool recycles transient dense float32 scratch. The quickselect
-// scratch that used to live here moved to the uint32 key pool in topk.go
-// (selection now compares bit keys, not values); longer-lived
-// per-iteration vectors (accumulator, snapshot, result) are persistent
-// per-reducer state, and chunk-shaped scratch comes from the Arena. The
-// pool remains the utility for any future call-scoped dense scratch.
+// densePool recycles call-scoped float32 scratch: the warm selection's
+// candidate values (topk_warm.go) and whatever callers take through
+// GetDense. Quickselect scratch is the uint32 key pool in topk.go
+// (selection compares bit keys, not values); longer-lived per-iteration
+// vectors are persistent per-reducer state, and chunk-shaped scratch comes
+// from the Arena.
 var densePool SlicePool[float32]
 
 // GetDense returns a length-n scratch vector with arbitrary contents; see

@@ -166,7 +166,9 @@ func (a *Arena) TopKChunk(c *Chunk, k int) (kept, dropped *Chunk) {
 // returns them as a chunk with absolute indices. Ties keep the lower index;
 // NaN/Inf values order deterministically (see absKey). Zeros are never
 // selected (they carry no gradient information), so the result may hold
-// fewer than k entries for very sparse inputs.
+// fewer than k entries for very sparse inputs. This package-level form
+// keeps no state between calls; the Arena method remembers each block's
+// threshold and starts the next selection from it.
 func TopKDense(dense []float32, lo, hi, k int) *Chunk {
 	return (*Arena)(nil).TopKDense(dense, lo, hi, k)
 }
@@ -193,7 +195,13 @@ const histSelectMin = 2048
 
 // TopKDense is the arena-allocating variant of the package-level TopKDense.
 // The selection is exact at every size; only the way the k-th key is found
-// depends on the block length (see histSelectMin).
+// varies. Blocks under histSelectMin quickselect all their keys. Longer
+// blocks on a nil arena, or ones this arena has not selected from before,
+// take the histogram select. Otherwise the arena remembers the k-th key of
+// its last selection with the same (lo, hi, k) and tries the one-pass warm
+// filter first (see topKDenseWarm), falling back to the histogram select
+// when the block's threshold fell by more than the filter's margin. The
+// remembered key decides which of these runs, never what they return.
 //
 //spardl:hotpath
 func (a *Arena) TopKDense(dense []float32, lo, hi, k int) *Chunk {
@@ -203,7 +211,30 @@ func (a *Arena) TopKDense(dense []float32, lo, hi, k int) *Chunk {
 	if hi-lo < histSelectMin {
 		return a.topKDenseSelect(dense, lo, hi, k)
 	}
-	return a.topKDenseHist(dense, lo, hi, k)
+	if a == nil {
+		out, _ := a.topKDenseHist(dense, lo, hi, k)
+		return out
+	}
+	h := a.hint(lo, hi, k)
+	if h.key == 0 {
+		a.sel.Cold++
+	} else {
+		out, thr, tightened := a.topKDenseWarm(dense, lo, hi, k, h.key)
+		if out != nil {
+			h.key = thr
+			a.sel.WarmHit++
+			if tightened {
+				a.sel.Tightened++
+			}
+			return out
+		}
+		a.sel.Fallback++
+	}
+	out, thr := a.topKDenseHist(dense, lo, hi, k)
+	if thr != 0 {
+		h.key = thr
+	}
+	return out
 }
 
 // topKDenseSelect is TopKDense by quickselect over every non-zero key of
@@ -250,16 +281,16 @@ func rankKey(keys []uint32, k int) (thr uint32, strict int) {
 	return thr, strict
 }
 
-// topKDenseHist is TopKDense in three reads of the block and no block-sized
-// scratch: a histogram of the keys' top histBits bits locates the bucket
-// holding the k-th largest key, quickselect runs over that bucket's keys
-// alone (a few percent of the block unless magnitudes cluster; all of it
-// when they are all equal, which costs what topKDenseSelect does), and the
-// entries at or above the resulting key are collected in index order.
+// histRank returns the k-th largest key among block's nz non-zero values
+// (1-based) and how many keys are strictly larger, in two reads of the block
+// and no block-sized scratch: a histogram of the keys' top histBits bits
+// locates the bucket holding rank k, and quickselect runs over that bucket's
+// keys alone (a few percent of the block unless magnitudes cluster; all of
+// it when they are all equal, which costs what a whole-block quickselect
+// does). When k > nz there is no such key and thr is 0.
 //
 //spardl:hotpath
-func (a *Arena) topKDenseHist(dense []float32, lo, hi, k int) *Chunk {
-	block := dense[lo:hi]
+func histRank(block []float32, k int) (thr uint32, strict, nz int) {
 	var hist [histBuckets]uint32
 	zeros := 0
 	for _, v := range block {
@@ -269,16 +300,13 @@ func (a *Arena) topKDenseHist(dense []float32, lo, hi, k int) *Chunk {
 			zeros++
 		}
 	}
-	nz := len(block) - zeros
-	if nz == 0 {
-		return a.Get(0)
-	}
-	if k >= nz {
-		return a.FromDense(dense, lo, hi)
+	nz = len(block) - zeros
+	if k > nz {
+		return 0, 0, nz
 	}
 	// Walk down from the largest bucket to the one holding rank k. Bucket 0
 	// also counts the zeros, but they rank below every non-zero key and
-	// k < nz, so they can neither stop the walk early nor displace rank k
+	// k <= nz, so they can neither stop the walk early nor displace rank k
 	// among the candidates.
 	b, above := histBuckets-1, 0
 	for above+int(hist[b]) < k {
@@ -291,9 +319,26 @@ func (a *Arena) topKDenseHist(dense []float32, lo, hi, k int) *Chunk {
 			cand = append(cand, key)
 		}
 	}
-	thr, strict := rankKey(cand, k-above)
+	thr, strict = rankKey(cand, k-above)
 	keyPool.Put(cand)
-	return a.collectTopK(dense, lo, hi, k, thr, k-above-strict)
+	return thr, above + strict, nz
+}
+
+// topKDenseHist is TopKDense in three reads of the block: histRank finds
+// the k-th key, and the entries at or above it are collected in index
+// order. It also returns that key, or 0 when the block has no more than k
+// non-zeros and every one of them is kept.
+//
+//spardl:hotpath
+func (a *Arena) topKDenseHist(dense []float32, lo, hi, k int) (*Chunk, uint32) {
+	thr, strict, nz := histRank(dense[lo:hi], k)
+	if nz == 0 {
+		return a.Get(0), 0
+	}
+	if k >= nz {
+		return a.FromDense(dense, lo, hi), 0
+	}
+	return a.collectTopK(dense, lo, hi, k, thr, k-strict), thr
 }
 
 // collectTopK gathers, in index order, every entry of dense[lo:hi) whose
@@ -392,18 +437,12 @@ func (a *Arena) ThresholdDense(dense []float32, lo, hi int, thr float32) *Chunk 
 // Ok-Topk uses this to calibrate its pruning threshold. The rank is taken
 // in the total key order (see absKey), so poisoned inputs still yield a
 // deterministic threshold; for finite inputs the result is exactly the
-// k-th largest absolute value, as before.
+// k-th largest absolute value. It is histRank — two reads of dense and
+// scratch for one histogram bucket's keys, not for all of them.
 func KthLargestAbs(dense []float32, k int) float32 {
-	keys := keyPool.Get(len(dense))[:0]
-	for _, v := range dense {
-		if v != 0 {
-			keys = append(keys, absKey(v))
-		}
+	if k < 1 {
+		return 0
 	}
-	var thr float32
-	if k >= 1 && len(keys) >= k {
-		thr = math.Float32frombits(kthLargestKey(keys, k))
-	}
-	keyPool.Put(keys)
-	return thr
+	thr, _, _ := histRank(dense, k)
+	return math.Float32frombits(thr)
 }

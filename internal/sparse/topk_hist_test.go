@@ -148,6 +148,64 @@ var histBlocks = []struct {
 	}},
 }
 
+func minKey(c *Chunk) uint32 {
+	thr := uint32(math.MaxUint32)
+	for _, v := range c.Val {
+		thr = min(thr, absKey(v))
+	}
+	return thr
+}
+
+func countKeysFrom(block []float32, low uint32) (c int) {
+	for _, v := range block {
+		if absKey(v) >= low {
+			c++
+		}
+	}
+	return c
+}
+
+// staleHints are the remembered keys a selection must be indifferent to:
+// the right one, ones off by a histogram bucket and by a factor of two
+// either way, and keys from every corner of the key space.
+func staleHints(exact uint32) []uint32 {
+	hints := []uint32{
+		absKey(1), 1, 0x7f800000, 0x7fc00001, 0x7fffffff,
+	}
+	if exact != 0 {
+		hints = append(hints, exact, exact+warmMargin, scaleKey(exact, 0.5), scaleKey(exact, 2))
+		if exact > warmMargin {
+			hints = append(hints, exact-warmMargin)
+		}
+	}
+	return hints
+}
+
+// checkWarm requires the selection of k from dense[lo:hi) to equal want
+// when the arena remembers hint: through TopKDense when the block is long
+// enough to take that path — which must leave exact, the block's k-th key,
+// behind if there is one — and at any length from the warm filter itself,
+// which may only decline when fewer than k entries pass it.
+func checkWarm(t *testing.T, ar *Arena, dense []float32, lo, hi, k int, hint, exact uint32, want *Chunk) {
+	t.Helper()
+	if hi-lo >= histSelectMin {
+		ar.hint(lo, hi, k).key = hint
+		if got := ar.TopKDense(dense, lo, hi, k); !sameChunkBits(got, want) {
+			t.Fatalf("n=%d k=%d remembered key %#x: TopKDense kept %d entries, quickselect %d, or they differ", hi-lo, k, hint, got.Len(), want.Len())
+		}
+		if key := ar.hint(lo, hi, k).key; exact != 0 && key != exact {
+			t.Fatalf("n=%d k=%d remembered key %#x: TopKDense left %#x behind, the k-th key is %#x", hi-lo, k, hint, key, exact)
+		}
+	}
+	got, _, _ := ar.topKDenseWarm(dense, lo, hi, k, hint)
+	switch {
+	case got != nil && !sameChunkBits(got, want):
+		t.Fatalf("n=%d k=%d remembered key %#x: warm filter kept %v, quickselect %v", hi-lo, k, hint, got.Idx, want.Idx)
+	case got == nil && countKeysFrom(dense[lo:hi], warmLow(hint)) >= k:
+		t.Fatalf("n=%d k=%d remembered key %#x: warm filter declined with k candidates in reach", hi-lo, k, hint)
+	}
+}
+
 // TestTopKDenseHistMatchesSelect is the differential test of the histogram
 // select against the quickselect it replaces above histSelectMin: the same
 // Idx and the same Val bits, at block lengths straddling the cutoff (through
@@ -155,6 +213,7 @@ var histBlocks = []struct {
 // directly), inside a larger vector, for k at and around the non-zero count.
 func TestTopKDenseHistMatchesSelect(t *testing.T) {
 	ar := NewArena()
+	onePass := map[string]bool{} // families that finished in one pass by tightening
 	for _, fam := range histBlocks {
 		for _, n := range []int{1, 2, 97, histSelectMin - 1, histSelectMin, histSelectMin + 1, 3*histSelectMin + 17} {
 			rng := rand.New(rand.NewSource(int64(n)))
@@ -176,7 +235,7 @@ func TestTopKDenseHistMatchesSelect(t *testing.T) {
 				}
 				ar.Reset()
 				want := ar.topKDenseSelect(vec, lo, lo+n, k)
-				if got := ar.topKDenseHist(vec, lo, lo+n, k); !sameChunkBits(got, want) {
+				if got, _ := ar.topKDenseHist(vec, lo, lo+n, k); !sameChunkBits(got, want) {
 					t.Fatalf("%s n=%d k=%d: histogram select kept %d entries, quickselect %d, or they differ", fam.name, n, k, got.Len(), want.Len())
 				}
 				if got := ar.TopKDense(vec, lo, lo+n, k); !sameChunkBits(got, want) {
@@ -185,13 +244,47 @@ func TestTopKDenseHistMatchesSelect(t *testing.T) {
 				if want.Len() != min(k, nz) {
 					t.Fatalf("%s n=%d k=%d: kept %d entries of %d non-zeros", fam.name, n, k, want.Len(), nz)
 				}
+				var kth uint32 // KthLargestAbs: rank k among the non-zeros, 0 if there are fewer
+				if k <= nz {
+					kth = minKey(want)
+				}
+				if got := math.Float32bits(KthLargestAbs(vec[lo:lo+n], k)); got != kth {
+					t.Fatalf("%s n=%d k=%d: KthLargestAbs = %#x, the k-th key is %#x", fam.name, n, k, got, kth)
+				}
+				exact := kth // the k-th key, if the selection leaves one to remember
+				if k == nz {
+					exact = 0
+				}
+				for _, hint := range staleHints(exact) {
+					checkWarm(t, ar, vec, lo, lo+n, k, hint, exact, want)
+				}
+				if exact == 0 {
+					continue
+				}
+				// Given the right key the filter must suffice, and where more
+				// entries pass it than its buffer holds, so must tightening,
+				// in the same pass.
+				got, thr, tightened := ar.topKDenseWarm(vec, lo, lo+n, k, exact)
+				if got == nil || thr != exact {
+					t.Fatalf("%s n=%d k=%d: warm filter given the k-th key %#x fell back or found %#x", fam.name, n, k, exact, thr)
+				}
+				if pass := countKeysFrom(vec[lo:lo+n], warmLow(exact)); tightened != (pass > warmScratch*k) {
+					t.Fatalf("%s n=%d k=%d: %d entries pass the filter, buffer %d, tightened=%v", fam.name, n, k, pass, warmScratch*k, tightened)
+				}
+				onePass[fam.name] = onePass[fam.name] || tightened
 			}
+		}
+	}
+	for _, name := range []string{"all-equal", "few-levels"} {
+		if !onePass[name] {
+			t.Errorf("%s: no selection overflowed the candidate buffer, tightening went untested", name)
 		}
 	}
 }
 
 // FuzzTopKDense feeds arbitrary bit patterns (every NaN payload, both
-// zeros, denormals) to both selections and requires identical results.
+// zeros, denormals) to all three selections, the warm one with an arbitrary
+// remembered key, and requires identical results.
 func FuzzTopKDense(f *testing.F) {
 	le := func(bits ...uint32) []byte {
 		var b []byte
@@ -200,13 +293,14 @@ func FuzzTopKDense(f *testing.F) {
 		}
 		return b
 	}
-	f.Add(le(0x3f800000, 0xbf800000, 0x3f800000, 0, 0x80000000), uint16(2))          // ties, both zeros
-	f.Add(le(0x7fc00000, 0xffc00001, 0x7f800000, 0xff800000, 0x40000000), uint16(3)) // NaNs and infinities
-	f.Add(le(1, 2, 0x80000003, 0x0007ffff, 0x00080000), uint16(4))                   // denormals across bucket 0/1
-	f.Add(le(0x3f400001, 0x3f400002, 0x3f47ffff, 0x3f480000), uint16(1))             // one bucket and its neighbour
-	f.Add(le(0, 0, 0), uint16(1))
-	f.Add([]byte{}, uint16(7))
-	f.Fuzz(func(t *testing.T, data []byte, k uint16) {
+	f.Add(le(0x3f800000, 0xbf800000, 0x3f800000, 0, 0x80000000), uint16(2), uint32(0x3f800000))          // ties, both zeros
+	f.Add(le(0x7fc00000, 0xffc00001, 0x7f800000, 0xff800000, 0x40000000), uint16(3), uint32(0x7fc00001)) // NaNs and infinities
+	f.Add(le(1, 2, 0x80000003, 0x0007ffff, 0x00080000), uint16(4), uint32(1))                            // denormals across bucket 0/1
+	f.Add(le(0x3f400001, 0x3f400002, 0x3f47ffff, 0x3f480000), uint16(1), uint32(0x3f480000))             // one bucket and its neighbour
+	f.Add(le(5, 4, 3, 2, 1, 1, 2, 3, 4, 5, 6, 7, 8, 9), uint16(2), uint32(1))                            // the buffer fills: tightening
+	f.Add(le(0, 0, 0), uint16(1), uint32(0x7fffffff))
+	f.Add([]byte{}, uint16(7), uint32(0))
+	f.Fuzz(func(t *testing.T, data []byte, k uint16, hint uint32) {
 		dense := make([]float32, len(data)/4)
 		for i := range dense {
 			dense[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
@@ -215,9 +309,12 @@ func FuzzTopKDense(f *testing.F) {
 			return
 		}
 		want := (*Arena)(nil).topKDenseSelect(dense, 0, len(dense), int(k))
-		got := (*Arena)(nil).topKDenseHist(dense, 0, len(dense), int(k))
+		got, _ := (*Arena)(nil).topKDenseHist(dense, 0, len(dense), int(k))
 		if !sameChunkBits(got, want) {
 			t.Fatalf("k=%d over %x: histogram select %v/%x, quickselect %v/%x", k, data, got.Idx, got.Val, want.Idx, want.Val)
 		}
+		// A remembered key is the key of a non-zero value.
+		hint = max(absKey(math.Float32frombits(hint)), 1)
+		checkWarm(t, NewArena(), dense, 0, len(dense), int(k), hint, 0, want)
 	})
 }

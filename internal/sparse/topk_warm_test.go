@@ -1,0 +1,195 @@
+package sparse
+
+import (
+	"math"
+	"testing"
+)
+
+// scaleKey returns the key of f times the magnitude key stands for.
+func scaleKey(key uint32, f float64) uint32 {
+	return absKey(float32(float64(math.Float32frombits(key)) * f))
+}
+
+// BenchmarkTopKDenseWarm is the measurement behind warmMargin and
+// warmScratch: one worker's selections in sync-sim-1m (n = 2²⁰ in 14 blocks,
+// 748 of each) by the histogram select (cold) and by the warm filter given
+// keys that are right, stale in either direction, or — fell-5pct — out of
+// reach, which costs the wasted pass on top of the histogram select. cliff is
+// a residual whose kept entries were zeroed for 20 synchronizations, as under
+// LRES: everything sits at or below the last threshold, about 5k entries
+// within a bucket of the next one. cand/k is how many entries passed the
+// filter at its initial setting.
+func BenchmarkTopKDenseWarm(b *testing.B) {
+	const n, m, k = 1 << 20, 14, 748
+	part := NewPartition(n, m)
+	ar := NewArena()
+	kthKeys := func(dense []float32) []uint32 {
+		keys := make([]uint32, m)
+		for blk := range keys {
+			lo, hi := part.Bounds(blk)
+			_, keys[blk] = ar.topKDenseHist(dense, lo, hi, k)
+		}
+		return keys
+	}
+	gauss := gaussBlock(n, 1)
+	gaussKeys := kthKeys(gauss)
+	equal := make([]float32, n)
+	for i := range equal {
+		equal[i] = 0.5 - float32(i%2)
+	}
+	cliff, cliffKeys := make([]float32, n), []uint32(nil)
+	for step := 0; step <= 20; step++ {
+		for i, g := range gauss {
+			cliff[i] += g
+		}
+		if step == 20 {
+			break
+		}
+		cliffKeys = kthKeys(cliff)
+		for blk := 0; blk < m; blk++ {
+			lo, hi := part.Bounds(blk)
+			sel, _ := ar.topKDenseHist(cliff, lo, hi, k)
+			sel.ClearInDense(cliff)
+		}
+		ar.Reset()
+	}
+	for _, c := range []struct {
+		name  string
+		dense []float32
+		keys  []uint32 // remembered per block; nil is the histogram select
+		scale float64  // applied to the remembered keys
+	}{
+		{"cold", gauss, nil, 0},
+		{"exact", gauss, gaussKeys, 1},
+		{"rose-5pct", gauss, gaussKeys, 1 / 1.05},
+		{"rose-2x", gauss, gaussKeys, 0.5}, // the second sync: the residual doubled
+		{"fell-3pct", gauss, gaussKeys, 1 / 0.97},
+		{"fell-5pct", gauss, gaussKeys, 1 / 0.95},
+		{"all-equal", equal, kthKeys(equal), 1},
+		{"cliff/cold", cliff, nil, 0},
+		{"cliff", cliff, cliffKeys, 1},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			hits, cand := 0, 0
+			for i := 0; i < b.N; i++ {
+				ar.Reset()
+				for blk := 0; blk < m; blk++ {
+					lo, hi := part.Bounds(blk)
+					if c.keys != nil {
+						hint := scaleKey(c.keys[blk], c.scale)
+						if i == 0 {
+							cand += countKeysFrom(c.dense[lo:hi], warmLow(hint))
+						}
+						if out, _, _ := ar.topKDenseWarm(c.dense, lo, hi, k, hint); out != nil {
+							hits++
+							continue
+						}
+					}
+					ar.topKDenseHist(c.dense, lo, hi, k)
+				}
+			}
+			if c.keys != nil {
+				b.ReportMetric(float64(hits)/float64(b.N*m), "hit")
+				b.ReportMetric(float64(cand)/float64(m*k), "cand/k")
+			}
+		})
+	}
+}
+
+// TestTopKDenseWarmResidualDynamics runs the sequence the warm start is
+// built for — a worker's residual takes a gradient, gives up the top k of
+// each of its blocks, and keeps the rest — and checks every selection
+// against quickselect. With a steady gradient nearly every selection after
+// the first few must be a warm hit; with one whose scale swings by 100× the
+// remembered keys are often useless and the results must not care. P = 14
+// blocks is the shape whose table entries must not evict each other: with
+// the steady gradient every block has to hit on its second selection.
+func TestTopKDenseWarmResidualDynamics(t *testing.T) {
+	const m, k, steps, warmup = 14, 41, 60, 10
+	n := m*4099 + 5
+	grad := gaussBlock(n, 3)
+	part := NewPartition(n, m)
+	for _, c := range []struct {
+		name    string
+		scale   func(step int) float32
+		minHits float64 // share of the selections after warmup
+		falls   bool    // whether some thresholds must fall out of the filter's reach
+	}{
+		{"steady", func(int) float32 { return 1 }, 0.9, false},
+		{"alternating", func(step int) float32 {
+			if step%2 == 0 {
+				return 10
+			}
+			return 0.1
+		}, 0, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ar := NewArena()
+			res := make([]float32, n)
+			var atWarmup SelectStats
+			for step := 0; step < steps; step++ {
+				ar.Reset()
+				for i, g := range grad {
+					res[i] += g * c.scale(step)
+				}
+				for b := 0; b < m; b++ {
+					lo, hi := part.Bounds(b)
+					want := (*Arena)(nil).topKDenseSelect(res, lo, hi, k)
+					got := ar.TopKDense(res, lo, hi, k)
+					if !sameChunkBits(got, want) {
+						t.Fatalf("step %d block %d: TopKDense differs from quickselect (%+v)", step, b, ar.SelectStats())
+					}
+					got.ClearInDense(res)
+				}
+				switch st := ar.SelectStats(); {
+				case step == 1 && !c.falls && (st.Cold != m || st.WarmHit != m):
+					t.Fatalf("after two selections of each block: %+v, want %d cold then %d warm hits", st, m, m)
+				case step == warmup-1:
+					atWarmup = st
+				}
+			}
+			st := ar.SelectStats()
+			if total := st.Cold + st.WarmHit + st.Fallback; total != m*steps || st.Tightened > st.WarmHit {
+				t.Fatalf("%+v does not add up to %d selections", st, m*steps)
+			}
+			hits := float64(st.WarmHit-atWarmup.WarmHit) / float64(m*(steps-warmup))
+			t.Logf("%+v, warm hits after step %d: %.3f", st, warmup, hits)
+			if hits < c.minHits {
+				t.Errorf("warm hits on %.3f of steady-state selections, want at least %.2f", hits, c.minHits)
+			}
+			if c.falls && st.Fallback == 0 {
+				t.Errorf("no selection fell back: the sequence does not exercise a falling threshold")
+			}
+		})
+	}
+}
+
+// TestSelectHintTable pins the table's contract: exact match on all of
+// (lo, hi, k), entries survive Reset, and past maxSelHints shapes it
+// replaces rather than grows.
+func TestSelectHintTable(t *testing.T) {
+	ar := NewArena()
+	ar.hint(0, 10, 3).key = 7
+	ar.hint(10, 20, 3).key = 8
+	ar.Reset()
+	if ar.hint(0, 10, 3).key != 7 || ar.hint(10, 20, 3).key != 8 {
+		t.Fatal("remembered keys lost over Reset or to each other")
+	}
+	for _, h := range []*selHint{ar.hint(0, 10, 4), ar.hint(0, 11, 3), ar.hint(1, 10, 3)} {
+		if h.key != 0 {
+			t.Fatalf("near-miss shape %+v matched a remembered key", *h)
+		}
+	}
+	for i := 0; i < 2*maxSelHints; i++ {
+		ar.hint(i, i+1, 1).key = 1
+	}
+	if len(ar.hints) != maxSelHints {
+		t.Fatalf("table holds %d entries, bound is %d", len(ar.hints), maxSelHints)
+	}
+	if ar.hint(2*maxSelHints-1, 2*maxSelHints, 1).key != 1 {
+		t.Fatal("the most recent shape was not kept")
+	}
+	if (*Arena)(nil).SelectStats() != (SelectStats{}) {
+		t.Fatal("nil arena reports selections")
+	}
+}

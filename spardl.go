@@ -113,6 +113,11 @@ func WireVariant(f Factory, mode WireMode) Factory { return sparsecoll.WireVaria
 // representation mid-collective (Options.Dense).
 type DensePolicy = sparse.DensePolicy
 
+// SelectStats counts how a reducer's top-k selections found their
+// thresholds: cold, warm hit, tightened, fallback. Observability only — the
+// selections are exact and identical whichever way they went.
+type SelectStats = sparse.SelectStats
+
 // Representation-switching policies.
 const (
 	// DenseAdaptive switches once merged entry counts reach half the union
@@ -508,6 +513,16 @@ func (rb *ReduceBench) Iterate() {
 		copy(rb.bufs[rank], rb.grads[rank])
 		rb.reducers[rank].ReduceInto(ep, rb.bufs[rank], rb.outs[rank])
 	})
+}
+
+// SelectStats sums the workers' selection counts (see SparDL.SelectStats)
+// over every synchronization so far, warm-up included.
+func (rb *ReduceBench) SelectStats() SelectStats {
+	var sum SelectStats
+	for _, r := range rb.reducers {
+		sum.Add(r.SelectStats())
+	}
+	return sum
 }
 
 // RunLive executes worker(rank, endpoint) on p goroutines over a fresh
