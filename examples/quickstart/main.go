@@ -66,7 +66,7 @@ func main() {
 	// wire codecs — timed on the wall clock. The result must match the
 	// simulator bit for bit; only the clock's meaning changes.
 	liveOuts := make([][]float32, p)
-	liveReport := spardl.RunLive(p, func(rank int, ep spardl.CommEndpoint) {
+	liveReport := spardl.LiveBackend().Run(p, func(rank int, ep spardl.CommEndpoint) {
 		reducer, err := spardl.New(p, rank, n, k, spardl.Options{})
 		if err != nil {
 			log.Fatal(err)

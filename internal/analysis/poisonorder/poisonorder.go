@@ -2,10 +2,10 @@
 // live backends (comm, livenet, tcpnet) rely on for root-cause reporting:
 //
 //  1. Record-before-hook: on any path where a failure cause reaches a
-//     backend poison hook (fabric.Poison/poisonWith, abortConns, Abort, a
-//     stream lane's onPanic-style function field), the cause must be
-//     recorded first — stored into a field, or passed to a callee that
-//     records its cause argument (peer.fail, poisonWith). Firing the hook
+//     backend poison hook (fabric.Poison, an endpoint's Abort, a stream
+//     lane's onPanic-style function field), the cause must be recorded
+//     first — stored into a field, or passed to a callee that records its
+//     cause argument (comm.Cause.Note, peer.fail). Firing the hook
 //     first lets the cascade of secondary errors (closed queues, dead
 //     sockets) overwrite the root cause, which is exactly the confusion
 //     deterministic chaos runs exist to avoid.
@@ -13,8 +13,8 @@
 //  2. No stream-waiting hooks: the function handed to comm.NewStreamLane
 //     runs on the stream goroutine itself, so it must never reach
 //     StreamLane.Shutdown or StreamLane.Join — those wait for the stream
-//     to drain and would deadlock from inside it (the PR 8 bug class:
-//     tcpnet's lane hook must be abortConns, never Abort).
+//     to drain and would deadlock from inside it (the PR 8 bug class: the
+//     runtime's lane hook must sever the link, never Abort the endpoint).
 //
 // Cause values are parameters named cause/reason/fault/msg (of string,
 // error or any type) and variables assigned from recover(). Analysis is
@@ -39,7 +39,7 @@ var Analyzer = &framework.Analyzer{
 	Name:      "poisonorder",
 	Doc:       "enforce record-cause-before-poison-hook ordering and forbid stream-lane hooks that wait for the stream (Abort from the lane goroutine deadlocks)",
 	Suppress:  "poisonorder-ok",
-	Version:   "1",
+	Version:   "2",
 	Requires:  []*framework.Analyzer{callgraph.Analyzer},
 	FactTypes: []framework.Fact{(*RecordsCauseFact)(nil), (*WaitsStreamFact)(nil), (*PoisonHookFact)(nil)},
 	Run:       run,
@@ -280,7 +280,7 @@ func checkRecordBeforeHook(pass *framework.Pass, records map[*types.Func]bool, s
 		return
 	}
 	// The hook itself records when its callee stores the cause it is
-	// handed (poisonWith(cause), abortConns(fmt.Sprintf(…, r))).
+	// handed (poisonWith(cause), Abort(fmt.Sprintf(…, r))).
 	if calleeRecords(pass, records, hook) && usesVar(info, hook, causes) {
 		return
 	}
@@ -443,7 +443,7 @@ func checkStreamHooks(pass *framework.Pass, waits map[*types.Func]bool, decl *as
 			case *ast.FuncLit:
 				if g := litReachesWait(pass, waits, a); g != "" {
 					pass.Reportf(arg.Pos(),
-						"stream-lane hook reaches %s, which waits for the stream goroutine that runs the hook — deadlock; close conns/queues instead (the abortConns pattern), never Abort", g)
+						"stream-lane hook reaches %s, which waits for the stream goroutine that runs the hook — deadlock; sever the link instead (comm.Link.Sever closes conns/queues without waiting), never Abort", g)
 				}
 			default:
 				var id *ast.Ident
@@ -459,7 +459,7 @@ func checkStreamHooks(pass *framework.Pass, waits map[*types.Func]bool, decl *as
 				if g, ok := info.Uses[id].(*types.Func); ok &&
 					(waits[g] || isStreamWait(g) || pass.ImportObjectFact(g, &WaitsStreamFact{})) {
 					pass.Reportf(arg.Pos(),
-						"stream-lane hook %s waits for the stream goroutine that runs it — deadlock; close conns/queues instead (the abortConns pattern), never Abort", g.Name())
+						"stream-lane hook %s waits for the stream goroutine that runs it — deadlock; sever the link instead (comm.Link.Sever closes conns/queues without waiting), never Abort", g.Name())
 				}
 			}
 		}

@@ -281,6 +281,17 @@ func (s *Schedule) Worker(id int) Injector {
 	return w
 }
 
+// Workers returns the injectors of workers 0..p-1 (see Worker), indexed by
+// generation-0 ID: what an elastic backend carries across generations so
+// one-shot faults never re-fire.
+func (s *Schedule) Workers(p int) []Injector {
+	injs := make([]Injector, p)
+	for id := range injs {
+		injs[id] = s.Worker(id)
+	}
+	return injs
+}
+
 // worker implements Injector for one rank.
 type worker struct {
 	id        int

@@ -1,47 +1,67 @@
-// Package comm defines the backend-neutral communication contract every
-// collective in this repository is written against: the Endpoint interface
-// (one worker's handle on a P-worker fabric) and the Backend interface
-// (a way to run P workers against some fabric implementation).
+// Package comm is the communication layer every collective in this
+// repository is written against, and the one runtime that implements it
+// for every wall-clock transport.
 //
-// Two backends implement the contract:
+// # Contract
 //
-//   - package simnet: the deterministic α-β (Hockney) simulator. Payloads
-//     travel by reference, time is virtual, and every cost the paper's
-//     model tracks is charged exactly.
-//   - package livenet: a real concurrent in-memory transport. P goroutines
-//     exchange messages over channels-of-bytes; every payload is actually
-//     serialized through the wire codecs at the sender and decoded at the
-//     receiver, and time is wall-clock.
+// Endpoint is one worker's handle on a P-worker fabric; Backend runs P
+// workers against one. ElasticBackend adds fabric generations: a poisoned
+// fabric is classified, departed workers leave, and the survivors re-form
+// (RunElastic — the one recovery policy, see elastic.go).
+//
+// # Runtime and Link
+//
+// Two things implement Endpoint. Package simnet keeps its own: its Recv
+// and Overlap *are* the α-β cost model (virtual clocks, payloads by
+// reference). Everything that runs on the wall clock shares the link
+// endpoint (NewLinkEndpoint), which owns statistics, Compute, Send/Recv marshalling through the
+// payload registry, the Overlap/Join communication stream (StreamLane and
+// the one nesting-rejecting stream view), and the SyncClock token barrier
+// with its scheduled-crash ordinal and storage rotation. It is written
+// against Link — deliver these bytes to rank r, hand me the next frame
+// from rank r and the storage to decode it into, sever with this cause —
+// so a transport is only its Link: livenet is P² in-memory byte queues
+// with a fault injector at the queue boundary, tcpnet is framed sockets
+// behind a rendezvous. RunWorkers is the one worker run loop (recover,
+// record the cause, poison, report) and serves simnet too.
 //
 // # Determinism contract
 //
 // The algorithms drive all ordering: every Recv names its source rank, and
-// per-(sender, receiver) pair delivery is FIFO on every backend. A reducer
-// therefore computes bit-identical gradients on simnet and livenet — the
-// cross-backend equivalence tests in package livenet pin this — while the
-// *meaning* of the clock and time statistics differs per backend (virtual
-// α-β seconds vs. measured wall seconds).
+// per-(sender, receiver) pair delivery is FIFO on every fabric. A reducer
+// therefore computes bit-identical gradients on simnet, livenet and tcpnet
+// — the cross-backend equivalence suites pin this — while the *meaning* of
+// the clock and time statistics differs (virtual α-β seconds vs. measured
+// wall seconds).
 //
 // # Concurrency contract
 //
 // An Endpoint belongs to exactly one worker goroutine. Overlap bodies run
 // on the worker's communication stream — a second logical (simnet) or real
-// (livenet) execution lane — and may not nest; all workers must issue their
-// Overlap bodies in the same relative order, exactly as they would order
-// blocking collectives. Between Overlap and Join the main goroutine must
-// not Send or Recv outside the stream.
+// (link endpoint) execution lane — and may not nest; all workers must issue
+// their Overlap bodies in the same relative order, exactly as they would
+// order blocking collectives. Between Overlap and Join the main goroutine
+// must not Send or Recv outside the stream.
+//
+// # Failure contract
+//
+// A fabric fails as a whole and names why: the first cause recorded in the
+// generation's Cause wins, and it is recorded before anything that could
+// provoke a secondary failure (closing queues, closing sockets) happens.
+// Every blocked or later Send, Recv and SyncClock then panics with that
+// cause instead of hanging.
 package comm
 
 // Stats accumulates one worker's traffic and time accounting. Field
-// semantics per backend:
+// semantics per implementation:
 //
 //   - simnet: BytesSent/BytesRecv are the α-β accounted sizes; CommTime,
 //     CompTime, ExposedComm and OverlapSaved are virtual seconds.
-//   - livenet: BytesSent/BytesRecv are the real serialized sizes on the
-//     channel; CommTime, ExposedComm and OverlapSaved are measured wall
+//   - link endpoint: BytesSent/BytesRecv are the real serialized sizes the
+//     link moved; CommTime, ExposedComm and OverlapSaved are measured wall
 //     seconds; CompTime still accumulates the modeled Compute charges
-//     (livenet does not sleep — the algorithms' real selection/merge work
-//     runs for real on the worker goroutine instead).
+//     (nothing sleeps — the algorithms' real selection/merge work runs for
+//     real on the worker goroutine instead).
 type Stats struct {
 	Rounds    int   // number of Recv operations (the "x" in xα + yβ)
 	BytesRecv int64 // total received volume (the "y", in bytes)
@@ -70,7 +90,7 @@ type Endpoint interface {
 	// P returns the number of workers on the fabric.
 	P() int
 	// Clock returns the worker's current time in seconds: virtual α-β
-	// time on simnet, wall-clock seconds since the run started on livenet.
+	// time on simnet, wall-clock seconds since the fabric came up otherwise.
 	Clock() float64
 	// Stats returns a copy of the worker's statistics.
 	Stats() Stats
@@ -80,8 +100,8 @@ type Endpoint interface {
 	Compute(d float64)
 	// Send transmits payload to worker `to`, accounting `bytes` on the
 	// wire. Sends never block the sender. On simnet the payload is handed
-	// over by reference (the sender must not mutate it afterwards); on
-	// livenet it is serialized into a fresh buffer at the call.
+	// over by reference (the sender must not mutate it afterwards); a
+	// link endpoint serializes it into a pooled buffer at the call.
 	Send(to int, payload any, bytes int)
 	// Recv blocks until a message from worker `from` arrives and returns
 	// the payload and the sender's accounted byte count.
@@ -90,7 +110,7 @@ type Endpoint interface {
 	// send to peer, then receive from the same peer.
 	SendRecv(peer int, payload any, bytes int) (got any, gotBytes int)
 	// Overlap runs body on the worker's communication stream so that
-	// subsequent main-lane Compute models (simnet) or is (livenet)
+	// subsequent main-lane Compute models (simnet) or is (link endpoint)
 	// computation proceeding concurrently with the communication.
 	// Overlap calls may not nest.
 	Overlap(body func(Endpoint))

@@ -5,13 +5,13 @@ import (
 	"time"
 )
 
-// Fifo is an unbounded FIFO with blocking Pop, shared by the real
-// concurrent backends (livenet, tcpnet). Message queues use it to mirror
-// eager sends — the transport never applies backpressure, exactly like
-// simnet, so every backend executes the identical schedule — and the
-// communication stream uses it for its task lane, so Overlap never blocks
-// the main goroutine no matter how many buckets launch before a Join. A
-// closed Fifo still drains its remaining items.
+// Fifo is an unbounded FIFO with blocking Pop, the one queue type every
+// fabric is built from. Message queues use it to mirror eager sends — no
+// transport ever applies backpressure, so every backend executes the
+// identical schedule — and the communication stream uses it for its task
+// lane, so Overlap never blocks the main goroutine no matter how many
+// buckets launch before a Join. A closed Fifo still drains its remaining
+// items.
 type Fifo[T any] struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -99,20 +99,19 @@ func (q *Fifo[T]) Close() {
 // serialization, transport traffic and decoding. The subtle parts — the
 // busy/exposed accounting split, and the panic→poison ordering that keeps
 // a dead stream from leaving the fleet blocked on queues that will never
-// be fed — exist only here; livenet and tcpnet differ solely in the
-// injected poison hook.
+// be fed — exist only here. The one user is the link endpoint
+// (NewLinkEndpoint), whose hook severs its Link.
 //
 // Concurrency contract: Launch, Join and Shutdown are called from the one
 // worker goroutine that owns the endpoint; the lane's own goroutine runs
 // the bodies. Bodies may call Launch-free endpoint operations (Send, Recv,
-// Compute); nesting is rejected by the backends' streamEndpoint views.
+// Compute); nesting is rejected by the streamEndpoint view.
 type StreamLane struct {
 	// onPanic runs ON the stream goroutine after a body panics, before the
 	// panic value is parked for Join. It must unblock the worker's main
-	// goroutine and its peers without waiting for the stream itself
-	// (livenet poisons the shared fabric; tcpnet closes the per-peer
-	// connections via abortConns, never Abort — Abort waits for the
-	// stream, and waiting for the stream from inside it would deadlock).
+	// goroutine and its peers without waiting for the stream itself:
+	// Link.Sever, never the endpoint's Abort — Abort waits for the
+	// stream, and waiting for the stream from inside it would deadlock.
 	onPanic func(r any)
 
 	tasks   *Fifo[func()]
@@ -133,7 +132,7 @@ func NewStreamLane(onPanic func(r any)) *StreamLane {
 
 // Launch enqueues body on the stream, starting the stream goroutine on
 // first use. It reports false after Shutdown instead of enqueuing (the
-// backends turn that into their "Overlap after shutdown" panic).
+// endpoint turns that into its "Overlap after shutdown" panic).
 func (l *StreamLane) Launch(body func()) bool {
 	if l.tasks == nil {
 		l.tasks = NewFifo[func()]()
@@ -185,8 +184,8 @@ func (l *StreamLane) run() {
 // Join blocks until the stream has drained and returns the measured wait
 // (the worker's exposed communication), the stream's total busy time since
 // the previous Join (its excess over the wait ran hidden under main-lane
-// work — the backends credit it to OverlapSaved), and the first body panic,
-// if any (cleared; the backends re-panic it on the worker goroutine). Join
+// work — the endpoint credits it to OverlapSaved), and the first body panic,
+// if any (cleared; the endpoint re-panics it on the worker goroutine). Join
 // with no pending work returns zeros, so serial schedules share the
 // pipelined code path.
 func (l *StreamLane) Join() (exposed, busy time.Duration, err any) {

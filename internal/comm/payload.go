@@ -9,7 +9,7 @@ import (
 	"spardl/internal/sparse"
 )
 
-// Payload serialization for byte-level backends (livenet).
+// Payload serialization for the byte-level transports (livenet, tcpnet).
 //
 // Every payload a collective in this repository sends is one of a small,
 // closed set of shapes: a scalar (int, float64), a dense vector
@@ -173,15 +173,9 @@ func UnmarshalPayloadArena(a *sparse.Arena, buf []byte) (any, error) {
 	return v, nil
 }
 
-// ReadPayload decodes the next payload from buf and returns the remainder.
-// Decoded values never alias buf, so callers may recycle it.
-func ReadPayload(buf []byte) (v any, rest []byte, err error) {
-	return ReadPayloadArena(nil, buf)
-}
-
 // ReadPayloadArena decodes the next payload from buf and returns the
-// remainder. With a nil arena it is exactly ReadPayload: decoded values
-// never alias buf. With a non-nil arena the contract inverts for zero-copy
+// remainder. With a nil arena decoded values never alias buf, so callers
+// may recycle it. With a non-nil arena the contract inverts for zero-copy
 // receive paths: buf must be storage the arena owns (alive through the
 // current epoch plus quarantine), decoded values MAY alias buf (raw []byte
 // payloads are returned in place rather than copied), and container and
@@ -313,16 +307,12 @@ func AppendPayloadList(dst []byte, count int, at func(int) any) []byte {
 	return dst
 }
 
-// ReadPayloadList reverses AppendPayloadList and returns the remainder.
-// The count is bounded by the bytes actually present before anything is
-// allocated, so corrupt buffers error out of the decode path cleanly.
-func ReadPayloadList(buf []byte) (items []any, rest []byte, err error) {
-	return ReadPayloadListArena(nil, buf)
-}
-
-// ReadPayloadListArena is the arena-aware ReadPayloadList: the item slice
-// comes from the arena's item slabs (heap on a nil arena) and nested
-// payloads decode under the ReadPayloadArena aliasing contract.
+// ReadPayloadListArena reverses AppendPayloadList and returns the
+// remainder. The count is bounded by the bytes actually present before
+// anything is allocated, so corrupt buffers error out of the decode path
+// cleanly. The item slice comes from the arena's item slabs (heap on a nil
+// arena) and nested payloads decode under the ReadPayloadArena aliasing
+// contract.
 func ReadPayloadListArena(a *sparse.Arena, buf []byte) (items []any, rest []byte, err error) {
 	count, rest, err := readCount(buf, "payload list")
 	if err != nil {

@@ -19,18 +19,18 @@
 // the receiver as Recv's second return value, so algorithms that feed it
 // back into their schedules (e.g. Ok-Topk's balancing) behave identically.
 //
-// # Concurrency
+// # What lives here
 //
-// Overlap bodies execute on a dedicated communication-stream goroutine per
-// worker, in launch order; Join blocks until the stream drains. The
-// overlap is therefore real: the main goroutine's computation proceeds
-// while the stream encodes, sends, blocks and decodes. Join's measured
-// wait is the exposed communication; the rest of the stream's busy time
-// ran hidden under main-lane work and is credited to OverlapSaved. The
-// whole package is validated under the race detector.
+// Only the transport: a comm.Link of P² byte queues, with the chaos fault
+// injector at the queue boundary. Statistics, marshalling, the Overlap/
+// Join communication stream, the SyncClock barrier, the worker run loop
+// and elastic recovery are the shared runtime in package comm
+// (comm.NewLinkEndpoint, comm.RunWorkers, comm.RunElastic), which tcpnet
+// runs on too.
 package livenet
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -40,75 +40,26 @@ import (
 	"spardl/internal/sparse"
 )
 
-// message is one serialized payload in flight. accounted carries the
-// sender's α-β byte accounting (returned by Recv); len(buf) is what the
-// transport really moved.
-type message struct {
-	buf       []byte
-	accounted int
-}
-
-// Fabric connects P endpoints with per-pair FIFO byte queues.
-type Fabric struct {
+// fabric connects the P workers of one generation with per-pair FIFO byte
+// queues. It fails as a whole: poisoning closes every queue.
+type fabric struct {
 	p      int
-	queues []*comm.Fifo[message] // from*p + to
-	start  time.Time
+	queues []*comm.Fifo[comm.Frame] // from*p + to
+	root   *comm.Cause              // the generation's root-cause record
 	poison sync.Once
-
-	// ids maps rank → generation-0 worker ID and injs maps rank → fault
-	// injector; both are set before any Endpoint is handed out (nil ids
-	// means identity, nil injectors mean a healthy worker). Chaos schedules
-	// name workers by ID, so replays stay aligned after an elastic shrink.
-	ids  []int
-	injs []chaos.Injector
-
-	faultMu sync.Mutex
-	fault   any // root cause of the first poisoning, if any
 }
 
-// New creates a fabric for p workers. It panics on p <= 0 (a configuration
-// bug, not a runtime condition).
-func New(p int) *Fabric {
-	if p <= 0 {
-		panic("livenet: need at least one worker")
-	}
-	f := &Fabric{p: p, queues: make([]*comm.Fifo[message], p*p), start: time.Now()}
+func newFabric(p int, root *comm.Cause) *fabric {
+	f := &fabric{p: p, queues: make([]*comm.Fifo[comm.Frame], p*p), root: root}
 	for i := range f.queues {
-		f.queues[i] = comm.NewFifo[message]()
+		f.queues[i] = comm.NewFifo[comm.Frame]()
 	}
 	return f
 }
 
-// P returns the number of workers on the fabric.
-func (f *Fabric) P() int { return f.p }
-
-// idOf maps a rank to its stable generation-0 worker ID.
-func (f *Fabric) idOf(rank int) int {
-	if f.ids == nil {
-		return rank
-	}
-	return f.ids[rank]
-}
-
-// Endpoint returns worker rank's endpoint. Each rank must be used by a
-// single goroutine (plus the endpoint's own communication stream).
-func (f *Fabric) Endpoint(rank int) *Endpoint {
-	if rank < 0 || rank >= f.p {
-		panic(fmt.Sprintf("livenet: rank %d out of range [0,%d)", rank, f.p))
-	}
-	e := &Endpoint{fabric: f, rank: rank, id: f.idOf(rank)}
-	if f.injs != nil {
-		e.inj = f.injs[rank]
-	}
-	e.lane = comm.NewStreamLane(func(r any) {
-		f.poisonWith(fmt.Sprintf("worker %d (comm stream): %v", rank, r))
-	})
-	return e
-}
-
-// Poison closes every queue so that any worker blocked in Recv panics
-// instead of deadlocking. Run uses it to propagate worker panics.
-func (f *Fabric) Poison() {
+// Poison closes every queue so that any worker blocked on one unwinds
+// instead of deadlocking.
+func (f *fabric) Poison() {
 	f.poison.Do(func() {
 		for _, q := range f.queues {
 			q.Close()
@@ -116,128 +67,35 @@ func (f *Fabric) Poison() {
 	})
 }
 
-// poisonWith records cause as the fabric's root fault — first writer wins,
-// so the panic that started a cascade is what Run reports, not the
-// poisoned-fabric panics it provokes in blocked peers — and poisons.
-func (f *Fabric) poisonWith(cause any) {
-	f.faultMu.Lock()
-	if f.fault == nil {
-		f.fault = cause
+// poisoned is the error every operation on a closed queue reports: the
+// fabric's root cause, not the queue that happened to notice.
+func (f *fabric) poisoned() error { return errors.New(f.root.String()) }
+
+// link is one rank's comm.Link view of the fabric.
+type link struct {
+	f    *fabric
+	rank int
+	// ids maps rank → generation-0 worker ID. Chaos schedules name workers
+	// by ID, so replays stay aligned after an elastic shrink.
+	ids []int
+	inj chaos.Injector // nil = healthy worker
+}
+
+// Deliver implements comm.Link: the frame's buffer moves through the queue
+// by ownership, and the receiver's runtime re-pools it after decoding.
+func (l *link) Deliver(to int, fr comm.Frame) error {
+	if l.inj != nil {
+		if err := l.inject(to, fr.Buf); err != nil {
+			return err
+		}
 	}
-	f.faultMu.Unlock()
-	f.Poison()
-}
-
-// Fault returns the recorded root cause of the poisoning, if any.
-func (f *Fabric) Fault() any {
-	f.faultMu.Lock()
-	defer f.faultMu.Unlock()
-	return f.fault
-}
-
-// push enqueues m for delivery, panicking on a poisoned fabric (the
-// cascade panic, not a root cause — poisonWith filters it).
-func (f *Fabric) push(from, to int, m message) {
-	if !f.queues[from*f.p+to].Push(m) {
-		panic("livenet: send on poisoned fabric")
+	if !l.f.queues[l.rank*l.f.p+to].Push(fr) {
+		return l.f.poisoned()
 	}
+	return nil
 }
 
-// pop dequeues the next message from the pair queue, panicking on a
-// poisoned fabric.
-func (f *Fabric) pop(from, to int) message {
-	m, ok := f.queues[from*f.p+to].Pop()
-	if !ok {
-		panic("livenet: recv on poisoned fabric")
-	}
-	return m
-}
-
-// bufPool recycles serialization buffers: Send marshals into a pooled
-// buffer and Recv returns it once the payload is decoded (decoders never
-// retain their input, per the comm.PayloadCodec contract).
-var bufPool sparse.SlicePool[byte]
-
-func getBuf() []byte  { return bufPool.Get(0) }
-func putBuf(b []byte) { bufPool.Put(b) }
-
-// Endpoint is one worker's handle on the fabric; it implements
-// comm.Endpoint with wall-clock time and real byte counts.
-type Endpoint struct {
-	fabric *Fabric
-	rank   int
-	id     int            // stable generation-0 worker ID
-	inj    chaos.Injector // nil = healthy worker
-	iters  int            // completed SyncClock barriers (crash ordinal)
-
-	mu    sync.Mutex // guards stats (main goroutine + stream goroutine)
-	stats comm.Stats
-
-	// lane is the communication stream behind Overlap/Join (shared
-	// implementation in internal/comm); its poison hook poisons the
-	// fabric with this worker's rank as the root cause.
-	lane *comm.StreamLane
-}
-
-var _ comm.Endpoint = (*Endpoint)(nil)
-
-// Rank returns this worker's rank in [0, P).
-func (e *Endpoint) Rank() int { return e.rank }
-
-// P returns the number of workers on the fabric.
-func (e *Endpoint) P() int { return e.fabric.p }
-
-// Clock returns wall-clock seconds elapsed since the fabric was created.
-func (e *Endpoint) Clock() float64 { return time.Since(e.fabric.start).Seconds() }
-
-// Stats returns a copy of the worker's statistics.
-func (e *Endpoint) Stats() comm.Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.stats
-}
-
-// ResetStats zeroes the statistics.
-func (e *Endpoint) ResetStats() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.stats = comm.Stats{}
-}
-
-// Compute books d seconds of modeled local work. livenet does not sleep:
-// the algorithms' real selection/merge work already runs for real on this
-// goroutine, so the charge is bookkeeping that keeps trainer statistics
-// comparable across backends.
-func (e *Endpoint) Compute(d float64) {
-	if d < 0 {
-		panic("livenet: negative compute time")
-	}
-	e.mu.Lock()
-	e.stats.CompTime += d
-	e.mu.Unlock()
-}
-
-// Send serializes payload through the comm payload registry and enqueues
-// the bytes for worker `to`. The accounted α-β size rides along for the
-// receiver; stats count the real serialized size.
-func (e *Endpoint) Send(to int, payload any, bytes int) {
-	if to == e.rank {
-		panic(fmt.Sprintf("livenet: worker %d sending to itself", e.rank))
-	}
-	// The pooled buffer's ownership moves into the message; the receiver
-	// re-pools it after decoding.
-	buf := comm.AppendPayload(getBuf(), payload)
-	e.mu.Lock()
-	e.stats.MsgsSent++
-	e.stats.BytesSent += int64(len(buf))
-	e.mu.Unlock()
-	if e.inj != nil {
-		e.chaosOutbound(to, buf)
-	}
-	e.fabric.push(e.rank, to, message{buf: buf, accounted: bytes})
-}
-
-// chaosOutbound consults the fault injector for one outbound frame on the
+// inject consults the fault injector for one outbound frame on the
 // rank→to link — livenet's queue boundary, the analogue of tcpnet's conn
 // wrapper, consulted for every frame including barrier tokens so the
 // per-link ordinals match across backends. Delays sleep in place (benign);
@@ -246,8 +104,8 @@ func (e *Endpoint) Send(to int, payload any, bytes int) {
 // fabric with the scheduled fault as the named root cause. Corrupting a
 // zero-length barrier token is treated as link death too, mirroring what a
 // flipped frame header does to a TCP stream.
-func (e *Endpoint) chaosOutbound(to int, buf []byte) {
-	act := e.inj.Outbound(e.fabric.idOf(to))
+func (l *link) inject(to int, buf []byte) error {
+	act := l.inj.Outbound(l.ids[to])
 	if act.Delay > 0 {
 		time.Sleep(act.Delay)
 	}
@@ -256,137 +114,33 @@ func (e *Endpoint) chaosOutbound(to int, buf []byte) {
 	}
 	if act.Drop || (act.Corrupt && len(buf) == 0) {
 		cause := fmt.Sprintf("worker %d: chaos: link to worker %d severed by schedule (%s)",
-			e.id, e.fabric.idOf(to), act.Fault)
-		e.fabric.poisonWith(cause)
-		panic(cause)
+			l.ids[l.rank], l.ids[to], act.Fault)
+		l.Sever(cause)
+		return errors.New(cause)
 	}
+	return nil
 }
 
-// Recv blocks until a message from worker `from` arrives, decodes it, and
-// returns the payload plus the sender's accounted byte count. The blocking
-// wait and the decode are both measured as communication wall time.
-func (e *Endpoint) Recv(from int) (payload any, bytes int) {
-	t0 := time.Now()
-	m := e.fabric.pop(from, e.rank)
-	v, err := comm.UnmarshalPayload(m.buf)
-	if err != nil {
-		panic(fmt.Sprintf("livenet: decode from worker %d failed: %v", from, err))
+// Next implements comm.Link. The nil arena says the buffer is pooled:
+// nothing decoded from it may alias it.
+func (l *link) Next(from int) (comm.Frame, *sparse.Arena, error) {
+	fr, ok := l.f.queues[from*l.f.p+l.rank].Pop()
+	if !ok {
+		return fr, nil, l.f.poisoned()
 	}
-	n := len(m.buf)
-	putBuf(m.buf)
-	elapsed := time.Since(t0).Seconds()
-	e.mu.Lock()
-	e.stats.Rounds++
-	e.stats.BytesRecv += int64(n)
-	e.stats.CommTime += elapsed
-	e.mu.Unlock()
-	return v, m.accounted
+	return fr, nil, nil
 }
 
-// SendRecv performs the paired exchange used by recursive doubling.
-func (e *Endpoint) SendRecv(peer int, payload any, bytes int) (got any, gotBytes int) {
-	e.Send(peer, payload, bytes)
-	return e.Recv(peer)
+// Sever implements comm.Link. One link failing fails the whole fabric —
+// first cause wins, so the panic that started a cascade is what the run
+// reports, not the poisoned-queue panics it provokes in blocked peers.
+func (l *link) Sever(cause string) {
+	l.f.root.Note(cause)
+	l.f.Poison()
 }
 
-// Overlap enqueues body on the worker's communication stream — a real
-// goroutine that executes overlap bodies in launch order — so the caller's
-// subsequent computation genuinely runs concurrently with the stream's
-// serialization, channel traffic and decoding. Overlap calls may not nest;
-// between Overlap and Join the main goroutine must not Send or Recv
-// outside the stream (the ordering contract all backends share).
-func (e *Endpoint) Overlap(body func(comm.Endpoint)) {
-	if !e.lane.Launch(func() { body(streamEndpoint{e}) }) {
-		panic("livenet: Overlap after shutdown")
-	}
-}
+// Rotate implements comm.Link; pooled buffers have no epochs.
+func (l *link) Rotate() {}
 
-// streamEndpoint is the view handed to Overlap bodies. It delegates every
-// operation to the owning endpoint; only nested stream control is a
-// contract violation. Detecting nesting through the type (rather than a
-// flag) keeps the main and stream goroutines free of shared mutable
-// state: the main lane may legally launch further Overlap bodies while an
-// earlier one is still executing.
-type streamEndpoint struct{ e *Endpoint }
-
-func (s streamEndpoint) Rank() int         { return s.e.Rank() }
-func (s streamEndpoint) P() int            { return s.e.P() }
-func (s streamEndpoint) Clock() float64    { return s.e.Clock() }
-func (s streamEndpoint) Stats() comm.Stats { return s.e.Stats() }
-func (s streamEndpoint) ResetStats()       { s.e.ResetStats() }
-func (s streamEndpoint) Compute(d float64) { s.e.Compute(d) }
-func (s streamEndpoint) SyncClock()        { s.e.SyncClock() }
-func (s streamEndpoint) Join()             { panic("livenet: Join inside Overlap") }
-func (s streamEndpoint) Send(to int, payload any, bytes int) {
-	s.e.Send(to, payload, bytes)
-}
-func (s streamEndpoint) Recv(from int) (any, int) { return s.e.Recv(from) }
-func (s streamEndpoint) SendRecv(peer int, payload any, bytes int) (any, int) {
-	return s.e.SendRecv(peer, payload, bytes)
-}
-func (s streamEndpoint) Overlap(func(comm.Endpoint)) {
-	panic("livenet: Overlap calls cannot nest")
-}
-
-// Join blocks until the communication stream has drained, then books the
-// measured wait as exposed communication and the remainder of the
-// stream's busy time as OverlapSaved. A stream-body panic resurfaces
-// here, on the worker's own goroutine. Join with no pending work is a
-// no-op, so serial schedules share the pipelined code path.
-func (e *Endpoint) Join() {
-	exposed, busy, err := e.lane.Join()
-	e.mu.Lock()
-	if busy > 0 {
-		saved := busy - exposed
-		if saved < 0 {
-			saved = 0
-		}
-		e.stats.ExposedComm += exposed.Seconds()
-		e.stats.OverlapSaved += saved.Seconds()
-	}
-	e.mu.Unlock()
-	if err != nil {
-		panic(err)
-	}
-}
-
-// shutdown stops the communication stream goroutine, if one was started.
-func (e *Endpoint) shutdown() {
-	e.lane.Shutdown()
-}
-
-// SyncClock barriers all workers: each sends an empty token to every peer
-// and waits for every peer's token, without touching statistics — the
-// live analogue of simnet's cost-free clock alignment between iterations.
-//
-// The barrier is also where scheduled crashes fire: a worker whose injector
-// names this iteration dies before sending any token, so no peer ever
-// passes this barrier — which is what makes the resume point of an elastic
-// recovery uniform across survivors (each one's own passed-barrier count is
-// provably the last globally completed iteration).
-func (e *Endpoint) SyncClock() {
-	if e.inj != nil {
-		if ci := e.inj.CrashIter(); ci >= 0 && e.iters == ci {
-			panic(chaos.Crashed{ID: e.id, Iter: e.iters})
-		}
-	}
-	p := e.fabric.p
-	if p == 1 {
-		e.iters++
-		return
-	}
-	for to := 0; to < p; to++ {
-		if to != e.rank {
-			if e.inj != nil {
-				e.chaosOutbound(to, nil)
-			}
-			e.fabric.push(e.rank, to, message{})
-		}
-	}
-	for from := 0; from < p; from++ {
-		if from != e.rank {
-			e.fabric.pop(from, e.rank)
-		}
-	}
-	e.iters++
-}
+// Close implements comm.Link; queues hold nothing to drain or release.
+func (l *link) Close() {}

@@ -1,7 +1,6 @@
 package livenet_test
 
 import (
-	"strings"
 	"testing"
 
 	"spardl/internal/comm"
@@ -15,7 +14,7 @@ import (
 func TestByteLevelTransport(t *testing.T) {
 	sent := &sparse.Chunk{Idx: []int32{3, 7, 1000}, Val: []float32{-1.5, 0.25, 3e-9}}
 	var got *sparse.Chunk
-	livenet.Run(2, func(rank int, ep comm.Endpoint) {
+	livenet.NewBackend().Run(2, func(rank int, ep comm.Endpoint) {
 		if rank == 0 {
 			c := sent.Clone()
 			ep.Send(1, c, c.WireBytes())
@@ -42,7 +41,7 @@ func TestByteLevelTransport(t *testing.T) {
 // TestStatsCountRealBytes: livenet's BytesRecv is the serialized size on
 // the channel (header + encoded body), not the α-β accounted size.
 func TestStatsCountRealBytes(t *testing.T) {
-	livenet.Run(2, func(rank int, ep comm.Endpoint) {
+	livenet.NewBackend().Run(2, func(rank int, ep comm.Endpoint) {
 		if rank == 0 {
 			ep.Send(1, []float32{1, 2, 3}, 12)
 			return
@@ -68,7 +67,7 @@ func TestStatsCountRealBytes(t *testing.T) {
 // against the stream's blocking exchange, and Join books the split.
 func TestOverlapRunsConcurrently(t *testing.T) {
 	const p = 4
-	rep := livenet.Run(p, func(rank int, ep comm.Endpoint) {
+	rep := livenet.NewBackend().Run(p, func(rank int, ep comm.Endpoint) {
 		got := make([]any, 0, 2)
 		// Two recursive-doubling style pairwise exchanges: both sides of
 		// each pair issue the exchange in the same overlap body, so the
@@ -111,65 +110,5 @@ func busyWork() {
 	}
 	if x < 0 {
 		panic("unreachable")
-	}
-}
-
-// TestNestedOverlapPanics pins the stream contract.
-func TestNestedOverlapPanics(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil || !strings.Contains(r.(string), "cannot nest") {
-			t.Fatalf("expected nesting panic, got %v", r)
-		}
-	}()
-	livenet.Run(1, func(rank int, ep comm.Endpoint) {
-		ep.Overlap(func(sep comm.Endpoint) {
-			sep.Overlap(func(comm.Endpoint) {})
-		})
-		ep.Join()
-	})
-}
-
-// TestWorkerPanicPoisonsFabric: a panicking worker must unwind its blocked
-// peers instead of deadlocking them, and Run must surface the first
-// failure.
-func TestWorkerPanicPoisonsFabric(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil || !strings.Contains(r.(string), "boom") {
-			t.Fatalf("expected worker panic to propagate, got %v", r)
-		}
-	}()
-	livenet.Run(3, func(rank int, ep comm.Endpoint) {
-		if rank == 0 {
-			panic("boom")
-		}
-		ep.Recv(0) // would block forever without poisoning
-	})
-}
-
-// TestJoinWithoutOverlapIsNoOp: serial code paths may call Join freely.
-func TestJoinWithoutOverlapIsNoOp(t *testing.T) {
-	livenet.Run(1, func(rank int, ep comm.Endpoint) {
-		ep.Compute(1)
-		ep.Join()
-		if s := ep.Stats(); s.ExposedComm != 0 || s.OverlapSaved != 0 {
-			t.Errorf("no-op Join changed stats: %+v", s)
-		}
-	})
-}
-
-// TestSyncClockBarrier smoke-tests the cost-free barrier: stats stay
-// untouched and nothing deadlocks across a few rounds.
-func TestSyncClockBarrier(t *testing.T) {
-	rep := livenet.Run(5, func(rank int, ep comm.Endpoint) {
-		for i := 0; i < 3; i++ {
-			ep.SyncClock()
-		}
-	})
-	for w, s := range rep.PerWorker {
-		if s.Rounds != 0 || s.BytesRecv != 0 || s.MsgsSent != 0 {
-			t.Errorf("worker %d: SyncClock charged stats %+v", w, s)
-		}
 	}
 }

@@ -1,109 +1,56 @@
 package livenet
 
 import (
-	"fmt"
-	"sync"
-
 	"spardl/internal/chaos"
 	"spardl/internal/comm"
 )
 
-// Backend adapts livenet to the backend-neutral comm.Backend contract. A
-// backend may carry a chaos schedule; every Run replays it from frame zero
-// on a fresh fabric.
+// backend adapts livenet to comm.ElasticBackend. It may carry a chaos
+// schedule; every Run and RunElastic replays it from frame zero.
 type backend struct {
 	sched *chaos.Schedule
 }
 
-// NewBackend returns the livenet backend. It is stateless: every Run
-// builds a fresh fabric.
+// NewBackend returns the livenet backend. It is stateless: every run
+// builds fresh fabrics.
 func NewBackend() comm.Backend { return backend{} }
 
 // NewChaosBackend returns a livenet backend that replays sched on every
-// run. A nil schedule is a healthy cluster. The returned backend also
-// implements comm.ElasticBackend.
+// run: link faults fire on the scheduled frame ordinals at the queue
+// boundary, crashes at the scheduled SyncClock barriers, and a poisoned
+// fabric names the schedule entry as its root cause. A nil schedule is a
+// healthy cluster. The returned backend also implements
+// comm.ElasticBackend.
 func NewChaosBackend(sched *chaos.Schedule) comm.Backend { return backend{sched: sched} }
+
+var _ comm.ElasticBackend = backend{}
 
 // Name implements comm.Backend.
 func (backend) Name() string { return "livenet" }
 
-// Run implements comm.Backend.
+// Run implements comm.Backend. Report.Time and Report.Clocks are
+// wall-clock seconds from endpoint creation to each worker's return.
 func (b backend) Run(p int, worker func(rank int, ep comm.Endpoint)) *comm.Report {
-	return RunWithSchedule(p, b.sched, worker)
+	return comm.Run(b.fleet(p), p, worker)
 }
 
-// Run executes worker(rank, endpoint) on p goroutines over a fresh fabric
-// and waits for all of them. If any worker panics, the fabric is poisoned
-// (so blocked peers unwind too) and Run re-panics with the first failure.
-// Report.Time and Report.Clocks are wall-clock seconds from fabric
-// creation to each worker's return.
-func Run(p int, worker func(rank int, ep comm.Endpoint)) *comm.Report {
-	return RunWithSchedule(p, nil, worker)
+// RunElastic implements comm.ElasticBackend.
+func (b backend) RunElastic(p int, opts comm.ElasticOptions, worker comm.ElasticWorker) (*comm.Report, []comm.Recovery, error) {
+	return comm.RunElastic(b.Name(), b.fleet(p), p, opts, worker)
 }
 
-// RunWithSchedule is Run with a chaos schedule replayed at the queue
-// boundary: link faults fire on the scheduled frame ordinals, crashes at
-// the scheduled SyncClock barriers. A poisoned fabric still panics with
-// the first recorded cause — for a scheduled fault, that cause names the
-// schedule entry.
-func RunWithSchedule(p int, sched *chaos.Schedule, worker func(rank int, ep comm.Endpoint)) *comm.Report {
-	f := New(p)
-	if sched != nil {
-		f.injs = make([]chaos.Injector, p)
-		for i := range f.injs {
-			f.injs[i] = sched.Worker(i)
+// fleet returns one run's membership source: a fresh fabric per
+// generation, with the per-worker injectors — and so their per-link frame
+// counters — carried across generations, so a one-shot fault never
+// re-fires after recovery.
+func (b backend) fleet(p int) comm.Fleet {
+	injs := b.sched.Workers(p)
+	return comm.InProcess(func(gen int, members []int, root *comm.Cause) func(rank int) comm.Node {
+		f := newFabric(len(members), root)
+		return func(rank int) comm.Node {
+			inj := injs[members[rank]]
+			return comm.NewLinkEndpoint("livenet", &link{f: f, rank: rank, ids: members, inj: inj},
+				comm.Membership{Gen: gen, P: f.p, Rank: rank, ID: members[rank]}, inj, nil)
 		}
-	}
-	rep, _ := runFabric(f, worker)
-	if fault := f.Fault(); fault != nil {
-		panic(fault)
-	}
-	return rep
-}
-
-// runFabric executes one fixed-membership generation over f and returns
-// the report plus each rank's recovered panic value (nil entries for clean
-// returns). It never re-panics: callers decide whether a fault is fatal
-// (Run) or the start of a recovery (RunElastic).
-func runFabric(f *Fabric, worker func(rank int, ep comm.Endpoint)) (*comm.Report, []any) {
-	p := f.p
-	eps := make([]*Endpoint, p)
-	for i := range eps {
-		eps[i] = f.Endpoint(i)
-	}
-	res := make([]any, p)
-	clocks := make([]float64, p)
-	var wg sync.WaitGroup
-	for i, ep := range eps {
-		wg.Add(1)
-		go func(rank int, ep *Endpoint) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					// poisonWith keeps the first cause: a worker dying on
-					// an already-poisoned queue never masks the panic that
-					// started the cascade (including stream-body panics,
-					// which record their cause before poisoning).
-					res[rank] = r
-					f.poisonWith(fmt.Sprintf("worker %d: %v", ep.id, r))
-				}
-			}()
-			worker(rank, ep)
-			clocks[rank] = ep.Clock()
-		}(i, ep)
-	}
-	wg.Wait()
-	// Streams are drained by the workers' Joins on the success path and
-	// unblocked by Poison on the panic path; either way shutdown returns.
-	for _, ep := range eps {
-		ep.shutdown()
-	}
-	rep := &comm.Report{PerWorker: make([]comm.Stats, p), Clocks: clocks}
-	for i, ep := range eps {
-		rep.PerWorker[i] = ep.Stats()
-		if clocks[i] > rep.Time {
-			rep.Time = clocks[i]
-		}
-	}
-	return rep, res
+	})
 }

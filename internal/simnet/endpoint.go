@@ -35,10 +35,21 @@ type Endpoint struct {
 	overlapping bool
 }
 
-var _ comm.Endpoint = (*Endpoint)(nil)
+var _ comm.Node = (*Endpoint)(nil)
 
 // Rank returns this worker's rank in [0, P).
 func (e *Endpoint) Rank() int { return e.rank }
+
+// ID implements comm.Node: simulated fleets never shrink, so a worker's
+// stable identity is its rank.
+func (e *Endpoint) ID() int { return e.rank }
+
+// Abort implements comm.Node by poisoning the fabric.
+func (e *Endpoint) Abort(cause string) { e.fabric.Poison(cause) }
+
+// Close implements comm.Node; a simulated endpoint holds nothing to
+// release, so fabrics and endpoints may be reused across runs.
+func (e *Endpoint) Close() {}
 
 // P returns the number of workers on the fabric.
 func (e *Endpoint) P() int { return e.fabric.p }
@@ -74,29 +85,23 @@ func (e *Endpoint) Send(to int, payload any, bytes int) {
 	}
 	e.stats.MsgsSent++
 	e.stats.BytesSent += int64(bytes)
-	e.fabric.queues[e.rank*e.fabric.p+to].push(Message{
-		From:    e.rank,
-		To:      to,
-		Payload: payload,
-		Bytes:   bytes,
-		sentAt:  e.clock,
-	})
+	e.fabric.push(message{from: e.rank, to: to, payload: payload, bytes: bytes, sentAt: e.clock})
 }
 
 // Recv blocks until a message from worker `from` arrives, then advances the
 // virtual clock: clock = max(clock, senderClockAtSend) + α + β·bytes.
 func (e *Endpoint) Recv(from int) (payload any, bytes int) {
-	m := e.fabric.queues[from*e.fabric.p+e.rank].pop()
+	m := e.fabric.pop(from, e.rank)
 	before := e.clock
 	if m.sentAt > e.clock {
 		e.clock = m.sentAt
 	}
 	prof := e.fabric.profile
-	e.clock += prof.Alpha + prof.Beta*float64(m.Bytes)
+	e.clock += prof.Alpha + prof.Beta*float64(m.bytes)
 	e.stats.Rounds++
-	e.stats.BytesRecv += int64(m.Bytes)
+	e.stats.BytesRecv += int64(m.bytes)
 	e.stats.CommTime += e.clock - before
-	return m.Payload, m.Bytes
+	return m.payload, m.bytes
 }
 
 // SendRecv performs the paired exchange used by recursive doubling: send to
@@ -173,15 +178,14 @@ func (e *Endpoint) SyncClock() {
 	}
 	for to := 0; to < p; to++ {
 		if to != e.rank {
-			e.fabric.queues[e.rank*p+to].push(Message{From: e.rank, To: to, Payload: e.clock, sentAt: e.clock})
+			e.fabric.push(message{from: e.rank, to: to, payload: e.clock, sentAt: e.clock})
 		}
 	}
 	for from := 0; from < p; from++ {
 		if from == e.rank {
 			continue
 		}
-		m := e.fabric.queues[from*p+e.rank].pop()
-		if t := m.Payload.(float64); t > e.clock {
+		if t := e.fabric.pop(from, e.rank).payload.(float64); t > e.clock {
 			e.clock = t
 		}
 	}

@@ -19,6 +19,8 @@ package simnet
 import (
 	"fmt"
 	"sync"
+
+	"spardl/internal/comm"
 )
 
 // Profile describes a network: per-message latency Alpha (seconds) and
@@ -39,20 +41,23 @@ var Ethernet = Profile{Name: "ethernet", Alpha: 300e-6, Beta: 8e-9}
 // 5µs latency, ~20 Gb/s effective bandwidth.
 var RDMA = Profile{Name: "rdma", Alpha: 5e-6, Beta: 0.4e-9}
 
-// Message is a point-to-point datagram with an accounted wire size.
-type Message struct {
-	From    int
-	To      int
-	Payload any
-	Bytes   int
-	sentAt  float64
+// message is a point-to-point datagram with an accounted wire size,
+// stamped with the sender's clock at the moment of sending.
+type message struct {
+	from, to int
+	payload  any
+	bytes    int
+	sentAt   float64
 }
 
-// Fabric connects P endpoints with per-pair FIFO queues.
+// Fabric connects P endpoints with per-pair FIFO queues. The queues are
+// unbounded, mirroring eager/nonblocking sends (MPI_Isend): the simulated
+// cost of a transfer is charged entirely at the receiver by the α-β model.
 type Fabric struct {
 	p       int
 	profile Profile
-	queues  []*queue // from*p + to
+	queues  []*comm.Fifo[message] // from*p + to
+	root    comm.Cause            // why the fabric was poisoned, if it was
 	poison  sync.Once
 }
 
@@ -62,9 +67,9 @@ func New(p int, profile Profile) *Fabric {
 	if p <= 0 {
 		panic("simnet: need at least one worker")
 	}
-	f := &Fabric{p: p, profile: profile, queues: make([]*queue, p*p)}
+	f := &Fabric{p: p, profile: profile, queues: make([]*comm.Fifo[message], p*p)}
 	for i := range f.queues {
-		f.queues[i] = newQueue()
+		f.queues[i] = comm.NewFifo[message]()
 	}
 	return f
 }
@@ -84,67 +89,31 @@ func (f *Fabric) Endpoint(rank int) *Endpoint {
 	return &Endpoint{fabric: f, rank: rank}
 }
 
-// Poison closes every queue so that any worker blocked in Recv panics
-// instead of deadlocking. Run uses it to propagate worker panics.
-func (f *Fabric) Poison() {
+// Poison records cause as the root cause (first one wins) and closes
+// every queue, so that any worker blocked in Recv panics with it instead
+// of deadlocking. The run loop uses it to propagate worker panics.
+func (f *Fabric) Poison(cause string) {
+	f.root.Note(cause)
 	f.poison.Do(func() {
 		for _, q := range f.queues {
-			q.close()
+			q.Close()
 		}
 	})
 }
 
-// queue is an unbounded FIFO with blocking pop. Unbounded capacity mirrors
-// eager/nonblocking sends (MPI_Isend): the simulated cost of transfer is
-// charged entirely at the receiver by the α-β model.
-type queue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	items  []Message
-	head   int // consumed prefix; compacted when the queue drains
-	closed bool
+// push enqueues m, panicking on a poisoned fabric.
+func (f *Fabric) push(m message) {
+	if !f.queues[m.from*f.p+m.to].Push(m) {
+		panic("simnet: send on poisoned fabric: " + f.root.String())
+	}
 }
 
-func newQueue() *queue {
-	q := &queue{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-func (q *queue) push(m Message) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		panic("simnet: send on poisoned fabric")
-	}
-	q.items = append(q.items, m)
-	q.cond.Signal()
-}
-
-func (q *queue) pop() Message {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for q.head == len(q.items) && !q.closed {
-		q.cond.Wait()
-	}
-	if q.head == len(q.items) {
-		panic("simnet: recv on poisoned fabric")
-	}
-	m := q.items[q.head]
-	q.items[q.head] = Message{} // drop the payload reference
-	q.head++
-	if q.head == len(q.items) {
-		// Drained: rewind so the backing array is reused forever instead
-		// of marching forward and reallocating on every refill.
-		q.items = q.items[:0]
-		q.head = 0
+// pop dequeues the next message of the from→to pair, panicking on a
+// poisoned fabric.
+func (f *Fabric) pop(from, to int) message {
+	m, ok := f.queues[from*f.p+to].Pop()
+	if !ok {
+		panic("simnet: recv on poisoned fabric: " + f.root.String())
 	}
 	return m
-}
-
-func (q *queue) close() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.closed = true
-	q.cond.Broadcast()
 }

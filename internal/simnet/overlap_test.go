@@ -142,17 +142,3 @@ func TestOverlapStreamWaitsForStragglerSender(t *testing.T) {
 			rep.Clocks[1], rep.PerWorker[1].ExposedComm)
 	}
 }
-
-// TestJoinWithoutOverlapIsNoOp: serial code paths may call Join freely.
-func TestJoinWithoutOverlapIsNoOp(t *testing.T) {
-	Run(1, Ethernet, func(rank int, ep *Endpoint) {
-		ep.Compute(1)
-		ep.Join()
-		if s := ep.Stats(); s.ExposedComm != 0 || s.OverlapSaved != 0 {
-			t.Errorf("no-op Join changed stats: %+v", s)
-		}
-		if ep.Clock() != 1 {
-			t.Errorf("no-op Join moved the clock: %g", ep.Clock())
-		}
-	})
-}

@@ -1,11 +1,6 @@
 package simnet
 
-import (
-	"fmt"
-	"sync"
-
-	"spardl/internal/comm"
-)
+import "spardl/internal/comm"
 
 // Report aggregates the outcome of a cluster run; Time and Clocks are
 // virtual α-β seconds.
@@ -30,50 +25,11 @@ func (b backend) Run(p int, worker func(rank int, ep comm.Endpoint)) *Report {
 // (so blocked peers unwind too) and Run re-panics with the first failure.
 func Run(p int, profile Profile, worker func(rank int, ep *Endpoint)) *Report {
 	f := New(p, profile)
-	eps := make([]*Endpoint, p)
-	for i := range eps {
-		eps[i] = f.Endpoint(i)
-	}
-	RunOn(eps, worker)
-	rep := &Report{PerWorker: make([]Stats, p), Clocks: make([]float64, p)}
-	for i, ep := range eps {
-		rep.PerWorker[i] = ep.Stats()
-		rep.Clocks[i] = ep.Clock()
-		if ep.Clock() > rep.Time {
-			rep.Time = ep.Clock()
-		}
+	rep, _ := comm.RunWorkers(p, nil, &f.root,
+		func(rank int) comm.Node { return f.Endpoint(rank) },
+		func(rank int, ep comm.Endpoint) { worker(rank, ep.(*Endpoint)) })
+	if cause := f.root.String(); cause != "" {
+		panic(cause)
 	}
 	return rep
-}
-
-// RunOn executes worker(rank, ep) concurrently on the provided endpoints
-// (which must all belong to the same fabric) and waits for completion.
-// Unlike Run it does not build a report, so callers can keep endpoints
-// alive across multiple phases (the trainer runs one RunOn per session with
-// a long-lived worker body instead).
-func RunOn(eps []*Endpoint, worker func(rank int, ep *Endpoint)) {
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstPanic any
-	for i, ep := range eps {
-		wg.Add(1)
-		go func(rank int, ep *Endpoint) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					mu.Lock()
-					if firstPanic == nil {
-						firstPanic = fmt.Sprintf("worker %d: %v", rank, r)
-					}
-					mu.Unlock()
-					ep.fabric.Poison()
-				}
-			}()
-			worker(rank, ep)
-		}(i, ep)
-	}
-	wg.Wait()
-	if firstPanic != nil {
-		panic(firstPanic)
-	}
 }

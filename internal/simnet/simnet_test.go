@@ -2,7 +2,6 @@ package simnet
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -68,26 +67,6 @@ func TestPairedExchangeIsFullDuplex(t *testing.T) {
 	}
 }
 
-func TestFIFOPerPair(t *testing.T) {
-	rep := Run(2, unit, func(rank int, ep *Endpoint) {
-		if rank == 0 {
-			for i := 0; i < 10; i++ {
-				ep.Send(1, i, 1)
-			}
-		} else {
-			for i := 0; i < 10; i++ {
-				got, _ := ep.Recv(0)
-				if got.(int) != i {
-					t.Errorf("out-of-order delivery: got %v want %d", got, i)
-				}
-			}
-		}
-	})
-	if rep.PerWorker[1].Rounds != 10 {
-		t.Fatalf("rounds = %d, want 10", rep.PerWorker[1].Rounds)
-	}
-}
-
 func TestStatsAccounting(t *testing.T) {
 	rep := Run(3, unit, func(rank int, ep *Endpoint) {
 		// Ring: send 100 bytes to next, receive from previous.
@@ -115,26 +94,6 @@ func TestSyncClock(t *testing.T) {
 			t.Fatal("SyncClock must not charge rounds")
 		}
 	}
-}
-
-func TestWorkerPanicPropagates(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("expected panic to propagate")
-		}
-		if !strings.Contains(r.(string), "boom") {
-			t.Fatalf("unexpected panic payload: %v", r)
-		}
-	}()
-	// Worker 1 blocks forever on a message that never comes; worker 0
-	// panics. Poisoning must unblock worker 1 rather than deadlocking.
-	Run(2, unit, func(rank int, ep *Endpoint) {
-		if rank == 0 {
-			panic("boom")
-		}
-		ep.Recv(0)
-	})
 }
 
 func TestProfilesSane(t *testing.T) {

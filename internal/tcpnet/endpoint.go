@@ -30,16 +30,13 @@ type message struct {
 // allocation.
 const maxFrameBytes = 1 << 30
 
-// bufPool recycles send-side serialization buffers: Send marshals into a
-// pooled buffer whose ownership rides the queue into the writer goroutine,
-// which returns it after the scatter/gather socket write consumes it. The
-// receive side does not pool: payload bytes land directly in the
-// endpoint's receive arena and are reclaimed wholesale by the per-
-// iteration rotation (see Endpoint.recvArena).
-var bufPool sparse.SlicePool[byte]
-
-func getBuf(n int) []byte { return bufPool.Get(n) }
-func putBuf(b []byte)     { bufPool.Put(b) }
+// putBuf returns a send-side serialization buffer to the runtime's pool:
+// the runtime's Send marshals into a pooled buffer whose ownership rides
+// the queue into the writer goroutine, which returns it here after the
+// scatter/gather socket write consumes it. The receive side does not pool:
+// payload bytes land directly in the peer's receive arena and are
+// reclaimed wholesale by the per-iteration rotation (see link.Rotate).
+func putBuf(b []byte) { comm.FrameBufs.Put(b) }
 
 // meshConn is the connection surface the per-peer socket goroutines need:
 // a byte stream with independent write-side shutdown. *net.TCPConn
@@ -59,7 +56,7 @@ type peer struct {
 	sendq *comm.Fifo[message]
 
 	// arena owns this peer's inbound payload bytes: the reader goroutine
-	// carves frame-body destinations out of it (alloc) and SyncClock
+	// carves frame-body destinations out of it (alloc) and the barrier
 	// rotates it once per iteration. Sharding the storage per peer keeps
 	// the lock a reader-vs-rotation affair — bump allocations measured in
 	// nanoseconds — so no reader ever stalls behind another peer's reader
@@ -73,7 +70,7 @@ type peer struct {
 
 // alloc carves an n-byte payload destination out of the peer's receive
 // arena for its reader goroutine; arenaMu serializes it against
-// SyncClock's rotation.
+// the barrier's rotation.
 func (pr *peer) alloc(n int) []byte {
 	pr.arenaMu.Lock()
 	b := pr.arena.Bytes(n)[:n]
@@ -102,86 +99,77 @@ func (pr *peer) why() string {
 	return fmt.Sprintf("worker %d disconnected", pr.rank)
 }
 
-// Endpoint is one worker's handle on the TCP fabric; it implements
-// comm.Endpoint with wall-clock time and real serialized byte counts.
-type Endpoint struct {
+// link is tcpnet's comm.Link: one framed TCP connection per peer, each
+// with an inbound and an outbound FIFO and a reader and a writer goroutine.
+type link struct {
 	p, rank int
 	timeout time.Duration
-	start   time.Time
 	peers   []*peer    // indexed by rank; peers[rank] == nil
-	regMu   sync.Mutex // serializes mesh registration against abortConns
+	regMu   sync.Mutex // serializes mesh registration against Sever
 	closed  atomic.Bool
 	readers sync.WaitGroup
 	writers sync.WaitGroup
 
-	mu    sync.Mutex // guards stats (main goroutine + stream goroutine)
-	stats comm.Stats
+	// ids maps every current rank to its stable generation-0 ID, which is
+	// what chaos schedules name workers by. inj, when non-nil, injects this
+	// worker's scheduled link faults: register wraps each mesh connection
+	// in a chaosConn.
+	ids []int
+	inj chaos.Injector
 
-	// lane is the communication stream behind Overlap/Join (shared
-	// implementation in internal/comm). Its poison hook is abortConns,
-	// never Abort: the hook runs ON the stream goroutine, and Abort waits
-	// for the stream to drain — from inside it, that would deadlock.
-	lane *comm.StreamLane
-
-	// Elastic/chaos identity: id is this worker's stable generation-0 rank,
-	// ids maps every current rank to its stable ID (nil = identity, correct
-	// for generation 0), and iters counts SyncClock barriers passed on this
-	// fabric — the ordinal scheduled crashes key on. inj, when non-nil,
-	// injects this worker's scheduled faults into its outbound streams
-	// (register wraps each mesh connection in a chaosConn); onCrash, when
-	// non-nil, overrides what a scheduled crash does after the outbound
-	// drain (forked workers exit; goroutine workers panic with
-	// chaos.Crashed).
-	id      int
-	ids     []int
-	inj     chaos.Injector
-	iters   int
-	onCrash func(iter int)
-
-	chaosMu    sync.Mutex
-	chaosCause string // first scheduled link fault fired on this endpoint
+	// root is the root-cause record of everything that fails together with
+	// this link: the whole generation for the in-process backend, this
+	// process for a forked worker. A scheduled fault notes itself here
+	// before it closes anything, so an elastic driver reports the schedule
+	// entry rather than one of the racy cascade panics it provokes.
+	root *comm.Cause
 
 	// decodeArena owns everything Recv decodes from inbound payload bytes
 	// (chunk headers, pointer slices, wrapper structs); the decoded values
 	// alias the per-peer arena slabs they were parsed from, and both arena
-	// families rotate together at SyncClock, so the aliased bytes outlive
-	// the values. It is deliberately unlocked: the Overlap contract keeps
-	// Recv and SyncClock on a single goroutine at a time (main, or the
-	// comm stream between Overlap and Join), so the decoder never races
-	// itself — sparse.Arena's single-owner design, applied literally.
+	// families rotate together, so the aliased bytes outlive the values.
+	// It is deliberately unlocked: the Overlap contract keeps Recv and
+	// SyncClock on a single goroutine at a time, so the decoder never
+	// races itself — sparse.Arena's single-owner design, applied literally.
 	decodeArena *sparse.Arena
 }
 
-var _ comm.Endpoint = (*Endpoint)(nil)
-
-func newEndpoint(p, rank int, timeout time.Duration) *Endpoint {
-	e := &Endpoint{p: p, rank: rank, id: rank, timeout: timeout, start: time.Now(),
-		peers: make([]*peer, p), decodeArena: sparse.NewArena()}
-	for r := 0; r < p; r++ {
+func newLink(cfg Config, rank int) *link {
+	l := &link{p: cfg.P, rank: rank, timeout: cfg.Timeout, peers: make([]*peer, cfg.P),
+		ids: cfg.IDs, inj: cfg.Injector, root: cfg.root, decodeArena: sparse.NewArena()}
+	if l.root == nil {
+		l.root = new(comm.Cause)
+	}
+	for r := 0; r < cfg.P; r++ {
 		if r != rank {
-			e.peers[r] = &peer{rank: r, recvq: comm.NewFifo[message](), sendq: comm.NewFifo[message](),
+			l.peers[r] = &peer{rank: r, recvq: comm.NewFifo[message](), sendq: comm.NewFifo[message](),
 				arena: sparse.NewArena()}
 		}
 	}
-	e.lane = comm.NewStreamLane(func(r any) {
-		e.abortConns(fmt.Sprintf("worker %d (comm stream): %v", e.rank, r))
-	})
-	return e
+	return l
+}
+
+// idOf maps a current rank to its stable generation-0 ID.
+func (l *link) idOf(rank int) int {
+	if l.ids == nil {
+		return rank
+	}
+	return l.ids[rank]
 }
 
 // register installs an established mesh connection for peer rank. It owns
-// conn: on a duplicate, an invalid slot, or an endpoint already closed
-// (mesh failed elsewhere and Abort ran while this side was still
-// connecting), the connection is closed and an error returned — no
-// established socket is ever left stranded to hang a peer.
-func (e *Endpoint) register(rank int, conn net.Conn) error {
-	e.regMu.Lock()
-	defer e.regMu.Unlock()
-	if e.closed.Load() {
+// conn: on a duplicate, an invalid slot, or a link already severed (mesh
+// failed elsewhere while this side was still connecting), the connection
+// is closed and an error returned — no established socket is ever left
+// stranded to hang a peer.
+func (l *link) register(rank int, conn net.Conn) error {
+	l.regMu.Lock()
+	defer l.regMu.Unlock()
+	if l.closed.Load() {
 		conn.Close()
 		return fmt.Errorf("tcpnet: endpoint closed during mesh establishment")
 	}
-	pr := e.peers[rank]
+	pr := l.peers[rank]
 	if pr == nil || pr.conn != nil {
 		conn.Close()
 		return fmt.Errorf("tcpnet: duplicate mesh connection for worker %d", rank)
@@ -189,94 +177,78 @@ func (e *Endpoint) register(rank int, conn net.Conn) error {
 	tc := conn.(*net.TCPConn)
 	tc.SetNoDelay(true)
 	var mc meshConn = tc
-	if e.inj != nil {
-		mc = &chaosConn{meshConn: tc, inj: e.inj, peerID: e.idOf(rank), note: e.noteChaos}
+	if l.inj != nil {
+		mc = &chaosConn{meshConn: tc, inj: l.inj, peerID: l.idOf(rank), note: l.root.Note}
 	}
 	pr.conn = mc
 	return nil
 }
 
-// configure applies the elastic/chaos half of a Config to the endpoint.
-// Must run before mesh establishment: register consults the injector when
-// wrapping connections.
-func (e *Endpoint) configure(cfg Config, rank int) {
-	e.ids = cfg.IDs
-	e.id = e.idOf(rank)
-	e.inj = cfg.Injector
-	e.onCrash = cfg.OnCrash
-}
-
-// idOf maps a current rank to its stable generation-0 ID.
-func (e *Endpoint) idOf(rank int) int {
-	if e.ids == nil {
-		return rank
+// run starts the per-peer socket goroutines.
+func (l *link) run() {
+	for _, pr := range l.peers {
+		if pr == nil {
+			continue
+		}
+		l.readers.Add(1)
+		l.writers.Add(1)
+		go l.reader(pr)
+		go l.writer(pr)
 	}
-	return e.ids[rank]
 }
 
-// ID returns this worker's stable identity — its generation-0 rank, which
-// elastic re-rendezvous preserves across membership changes.
-func (e *Endpoint) ID() int { return e.id }
-
-// noteChaos records the first scheduled link fault this endpoint's chaos
-// wrappers fired. The panics a severed link provokes are cascade symptoms
-// with racy messages; this is the named root cause an elastic driver
-// prefers when classifying the generation's failure.
-func (e *Endpoint) noteChaos(cause string) {
-	e.chaosMu.Lock()
-	if e.chaosCause == "" {
-		e.chaosCause = cause
-	}
-	e.chaosMu.Unlock()
-}
-
-// ChaosCause returns the first scheduled link fault fired on this
-// endpoint's connections, or "" when none fired.
-func (e *Endpoint) ChaosCause() string {
-	e.chaosMu.Lock()
-	defer e.chaosMu.Unlock()
-	return e.chaosCause
-}
-
-// crash executes a scheduled chaos crash at the current barrier. The
-// outbound queues close and the writers drain first — every frame of
-// completed iterations is flushed and the streams half-closed, so peers
-// see EOF only after all the crasher's data, exactly what a killed
-// process's kernel buffers deliver — and no barrier token for the crash
-// iteration is ever sent, which pins every survivor's resume point at this
-// iteration on every substrate. Then the worker dies: forked processes via
-// onCrash (exit), goroutine workers by panicking with chaos.Crashed.
-func (e *Endpoint) crash() {
-	for _, pr := range e.peers {
+// drain closes the outbound queues — the writers flush what is queued and
+// half-close their streams, so peers receive every queued frame, then EOF
+// — and waits, up to the timeout, for the writers and, when peers is set,
+// for the readers too (each exits when its peer half-closes in turn). The
+// returned channel closes once those goroutines have exited.
+func (l *link) drain(peers bool) <-chan struct{} {
+	for _, pr := range l.peers {
 		if pr != nil {
 			pr.sendq.Close()
 		}
 	}
 	done := make(chan struct{})
-	go func() { e.writers.Wait(); close(done) }()
+	go func() {
+		l.writers.Wait()
+		if peers {
+			l.readers.Wait()
+		}
+		close(done)
+	}()
 	select {
 	case <-done:
-	case <-time.After(e.timeout):
+	case <-time.After(l.timeout):
 	}
-	if e.onCrash != nil {
-		e.onCrash(e.iters)
-	}
-	panic(chaos.Crashed{ID: e.id, Iter: e.iters})
+	return done
 }
 
-// run starts the per-peer socket goroutines; the clock starts here, once
-// the mesh is fully established.
-func (e *Endpoint) run() {
-	e.start = time.Now()
-	for _, pr := range e.peers {
-		if pr == nil {
-			continue
-		}
-		e.readers.Add(1)
-		e.writers.Add(1)
-		go e.reader(pr)
-		go e.writer(pr)
+// Endpoint is one worker's handle on the TCP fabric: the shared runtime
+// (comm.NewLinkEndpoint — wall-clock time, real serialized byte counts)
+// over this worker's socket mesh.
+type Endpoint struct {
+	comm.Node
+	link *link
+}
+
+// newEndpoint puts the runtime on an established link; the clock starts
+// here, once the mesh is fully up.
+func newEndpoint(l *link, cfg Config) *Endpoint {
+	id := l.idOf(l.rank)
+	l.run()
+	// A scheduled crash drains first: every frame of completed iterations
+	// goes out and the streams half-close, so peers see EOF only after all
+	// the crasher's data, exactly what a killed process's kernel buffers
+	// deliver — and no barrier token for the crash iteration is ever sent,
+	// which pins every survivor's resume point at this iteration on every
+	// substrate. The crash is noted before the drain: the EOFs make the
+	// peers panic, and those panics must not be taken for the root cause.
+	onCrash := func(iter int) {
+		l.root.Note(fmt.Sprintf("worker %d: %v", id, chaos.Crashed{ID: id, Iter: iter}))
+		l.drain(false)
 	}
+	return &Endpoint{link: l, Node: comm.NewLinkEndpoint("tcpnet", l,
+		comm.Membership{Gen: cfg.Gen, P: l.p, Rank: l.rank, ID: id}, cfg.Injector, onCrash)}
 }
 
 // reader moves frames from the peer's socket into the inbound queue until
@@ -284,14 +256,14 @@ func (e *Endpoint) run() {
 // queue with a cause, so Recv surfaces a clean error rather than a hang;
 // on balanced schedules nobody Recvs from a gracefully-finished peer
 // again, so the cause is never observed in healthy runs.
-func (e *Endpoint) reader(pr *peer) {
-	defer e.readers.Done()
+func (l *link) reader(pr *peer) {
+	defer l.readers.Done()
 	fr := newFrameReader(pr.conn, pr.alloc)
 	for {
 		m, err := fr.next()
 		if err != nil {
 			switch {
-			case e.closed.Load():
+			case l.closed.Load():
 				pr.fail(fmt.Sprintf("worker %d: endpoint closed", pr.rank))
 			case err == io.EOF:
 				pr.fail(fmt.Sprintf("worker %d disconnected", pr.rank))
@@ -301,7 +273,7 @@ func (e *Endpoint) reader(pr *peer) {
 			return
 		}
 		if !pr.recvq.Push(m) {
-			return // inbound queue closed (Abort); the arena reclaims m.buf
+			return // inbound queue closed (Sever); the arena reclaims m.buf
 		}
 	}
 }
@@ -315,8 +287,8 @@ func (e *Endpoint) reader(pr *peer) {
 // half-closes the connection so the peer's reader sees EOF only after
 // every queued frame; the final flush and CloseWrite errors surface
 // through pr.fail rather than being dropped.
-func (e *Endpoint) writer(pr *peer) {
-	defer e.writers.Done()
+func (l *link) writer(pr *peer) {
+	defer l.writers.Done()
 	fw := newFrameWriter(pr.conn)
 	fail := func(err error) {
 		pr.fail(fmt.Sprintf("send to worker %d failed: %v", pr.rank, err))
@@ -601,272 +573,83 @@ func frameErr(err error) error {
 	return err
 }
 
-// Rank returns this worker's rank in [0, P).
-func (e *Endpoint) Rank() int { return e.rank }
-
-// P returns the number of workers on the fabric.
-func (e *Endpoint) P() int { return e.p }
-
-// Clock returns wall-clock seconds since the mesh came up.
-func (e *Endpoint) Clock() float64 { return time.Since(e.start).Seconds() }
-
-// Stats returns a copy of the worker's statistics.
-func (e *Endpoint) Stats() comm.Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.stats
-}
-
-// ResetStats zeroes the statistics (the clock keeps running).
-func (e *Endpoint) ResetStats() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.stats = comm.Stats{}
-}
-
-// Compute books d seconds of modeled local work; like livenet, tcpnet does
-// not sleep — the real work already runs on this goroutine.
-func (e *Endpoint) Compute(d float64) {
-	if d < 0 {
-		panic("tcpnet: negative compute time")
+// Deliver implements comm.Link: the frame joins the peer's outbound queue
+// and the writer goroutine moves it onto the socket, so it never blocks.
+func (l *link) Deliver(to int, f comm.Frame) error {
+	pr := l.peers[to]
+	m := message{kind: frameData, buf: f.Buf, accounted: f.Accounted}
+	if f.Token {
+		m = message{kind: frameSync}
 	}
-	e.mu.Lock()
-	e.stats.CompTime += d
-	e.mu.Unlock()
-}
-
-func (e *Endpoint) peerFor(op string, r int) *peer {
-	if r < 0 || r >= e.p || r == e.rank {
-		panic(fmt.Sprintf("tcpnet: worker %d cannot %s worker %d", e.rank, op, r))
+	if !pr.sendq.Push(m) {
+		return errors.New(pr.why())
 	}
-	return e.peers[r]
+	return nil
 }
 
-// Send serializes payload through the comm payload registry and enqueues
-// the frame for worker `to`; the per-peer writer goroutine moves it onto
-// the socket, so Send never blocks. The accounted α-β size rides in the
-// frame header; stats count the real serialized size.
-func (e *Endpoint) Send(to int, payload any, bytes int) {
-	pr := e.peerFor("send to", to)
-	buf := comm.AppendPayload(getBuf(0), payload)
-	e.mu.Lock()
-	e.stats.MsgsSent++
-	e.stats.BytesSent += int64(len(buf))
-	e.mu.Unlock()
-	if !pr.sendq.Push(message{kind: frameData, buf: buf, accounted: bytes}) {
-		putBuf(buf)
-		panic(fmt.Sprintf("tcpnet: send on poisoned fabric: %s", pr.why()))
-	}
-}
-
-// Recv blocks until a frame from worker `from` arrives, decodes it, and
-// returns the payload plus the sender's accounted byte count. The blocking
-// wait and the decode are both measured as communication wall time. A lost
-// peer surfaces here as a panic with the recorded cause — a poisoned
-// fabric, never a hang.
-func (e *Endpoint) Recv(from int) (payload any, bytes int) {
-	pr := e.peerFor("recv from", from)
-	t0 := time.Now()
+// Next implements comm.Link. Data frames come with the decode arena: their
+// bytes are arena-owned storage the reader filled straight off the socket,
+// so payloads decode in place instead of copying to pooled heap buffers.
+// Reading another goroutine's finished write to the buffer is ordered by
+// the queue handoff.
+func (l *link) Next(from int) (comm.Frame, *sparse.Arena, error) {
+	pr := l.peers[from]
 	m, ok := pr.recvq.Pop()
 	if !ok {
-		panic(fmt.Sprintf("tcpnet: recv on poisoned fabric: %s", pr.why()))
+		return comm.Frame{}, nil, errors.New(pr.why())
 	}
-	if m.kind != frameData {
-		panic(fmt.Sprintf("tcpnet: worker %d sent a barrier token where data was expected (schedule mismatch)", from))
-	}
-	// m.buf is arena-owned storage the reader filled straight off the
-	// socket; decoding under the decode arena lets chunk payloads alias it
-	// in place instead of copying to pooled heap buffers. The slab stays
-	// readable through the quarantine window — until the rotation after
-	// next — which outlives every use the reduction schedule can make of
-	// the decoded value (same argument as simnet's sender-arena refs). No
-	// lock: Recv runs on one goroutine at a time (Overlap contract), and
-	// reading another goroutine's finished write to m.buf is ordered by
-	// the recvq handoff.
-	v, err := comm.UnmarshalPayloadArena(e.decodeArena, m.buf)
-	if err != nil {
-		panic(fmt.Sprintf("tcpnet: decode from worker %d failed: %v", from, err))
-	}
-	n := len(m.buf)
-	elapsed := time.Since(t0).Seconds()
-	e.mu.Lock()
-	e.stats.Rounds++
-	e.stats.BytesRecv += int64(n)
-	e.stats.CommTime += elapsed
-	e.mu.Unlock()
-	return v, m.accounted
+	return comm.Frame{Buf: m.buf, Accounted: m.accounted, Token: m.kind == frameSync}, l.decodeArena, nil
 }
 
-// SendRecv performs the paired exchange used by recursive doubling.
-func (e *Endpoint) SendRecv(peer int, payload any, bytes int) (got any, gotBytes int) {
-	e.Send(peer, payload, bytes)
-	return e.Recv(peer)
-}
-
-// SyncClock barriers all workers: each sends an empty token to every peer
-// and waits for every peer's token, without touching statistics — the
-// distributed analogue of simnet's cost-free clock alignment.
-func (e *Endpoint) SyncClock() {
-	if e.inj != nil {
-		if ci := e.inj.CrashIter(); ci >= 0 && e.iters == ci {
-			e.crash()
-		}
-	}
-	for r := 0; r < e.p; r++ {
-		if r == e.rank {
-			continue
-		}
-		pr := e.peers[r]
-		if !pr.sendq.Push(message{kind: frameSync}) {
-			panic(fmt.Sprintf("tcpnet: barrier on poisoned fabric: %s", pr.why()))
-		}
-	}
-	for r := 0; r < e.p; r++ {
-		if r == e.rank {
-			continue
-		}
-		pr := e.peers[r]
-		m, ok := pr.recvq.Pop()
-		if !ok {
-			panic(fmt.Sprintf("tcpnet: barrier on poisoned fabric: %s", pr.why()))
-		}
-		if m.kind != frameSync {
-			panic(fmt.Sprintf("tcpnet: worker %d sent data where a barrier token was expected (schedule mismatch)", r))
-		}
-	}
-	// Every peer's token is in, and tokens are FIFO behind data frames, so
-	// every frame of the finished iteration has been received — and decoded,
-	// because an undecoded data frame in recvq would have panicked above as
-	// a schedule mismatch. Rotating here starts a fresh epoch in every
-	// receive arena; the one-epoch quarantine keeps this iteration's
-	// decoded payloads and any next-iteration frames that raced ahead of
-	// the barrier readable until the rotation after next, by which point
-	// the schedule has consumed them (the same lifetime argument simnet
-	// makes for sender-arena refs).
-	for r := 0; r < e.p; r++ {
-		if pr := e.peers[r]; pr != nil {
+// Rotate implements comm.Link: a fresh epoch in every receive arena. The
+// one-epoch quarantine keeps the finished iteration's decoded payloads,
+// and any next-iteration frames that raced ahead of the barrier, readable
+// until the rotation after next, by which point the schedule has consumed
+// them (the same lifetime argument simnet makes for sender-arena refs).
+func (l *link) Rotate() {
+	for _, pr := range l.peers {
+		if pr != nil {
 			pr.arenaMu.Lock()
 			pr.arena.Reset()
 			pr.arenaMu.Unlock()
 		}
 	}
-	e.decodeArena.Reset()
-	e.iters++
+	l.decodeArena.Reset()
 }
 
-// Overlap enqueues body on the worker's communication stream — a real
-// goroutine executing overlap bodies in launch order — so the caller's
-// subsequent computation genuinely runs concurrently with serialization,
-// socket traffic and decoding. Overlap calls may not nest; between Overlap
-// and Join the main goroutine must not Send or Recv outside the stream.
-//
-// The stream itself is comm.StreamLane, shared with livenet; the only
-// backend-specific part is the poison hook wired up in newEndpoint
-// (abortConns — see the lane field for why it must never be Abort).
-func (e *Endpoint) Overlap(body func(comm.Endpoint)) {
-	if !e.lane.Launch(func() { body(streamEndpoint{e}) }) {
-		panic("tcpnet: Overlap after shutdown")
+// Close implements comm.Link: it drains every outbound stream, waits — up
+// to the configured timeout — for peers to close their sides, and then
+// tears the connections down. The wait is bounded because a wedged peer
+// (stopped reading, socket buffer full) must not block Close; force-
+// closing the connections errors any stuck write out. After Sever it is a
+// no-op.
+func (l *link) Close() {
+	if !l.closed.CompareAndSwap(false, true) {
+		return
 	}
-}
-
-// streamEndpoint is the view handed to Overlap bodies; see livenet for the
-// rationale of detecting nesting through the type.
-type streamEndpoint struct{ e *Endpoint }
-
-func (s streamEndpoint) Rank() int         { return s.e.Rank() }
-func (s streamEndpoint) P() int            { return s.e.P() }
-func (s streamEndpoint) Clock() float64    { return s.e.Clock() }
-func (s streamEndpoint) Stats() comm.Stats { return s.e.Stats() }
-func (s streamEndpoint) ResetStats()       { s.e.ResetStats() }
-func (s streamEndpoint) Compute(d float64) { s.e.Compute(d) }
-func (s streamEndpoint) SyncClock()        { s.e.SyncClock() }
-func (s streamEndpoint) Join()             { panic("tcpnet: Join inside Overlap") }
-func (s streamEndpoint) Send(to int, payload any, bytes int) {
-	s.e.Send(to, payload, bytes)
-}
-func (s streamEndpoint) Recv(from int) (any, int) { return s.e.Recv(from) }
-func (s streamEndpoint) SendRecv(peer int, payload any, bytes int) (any, int) {
-	return s.e.SendRecv(peer, payload, bytes)
-}
-func (s streamEndpoint) Overlap(func(comm.Endpoint)) {
-	panic("tcpnet: Overlap calls cannot nest")
-}
-
-// Join blocks until the communication stream has drained, then books the
-// measured wait as exposed communication and the remainder of the stream's
-// busy time as OverlapSaved; a stream-body panic resurfaces here.
-func (e *Endpoint) Join() {
-	exposed, busy, err := e.lane.Join()
-	e.mu.Lock()
-	if busy > 0 {
-		saved := busy - exposed
-		if saved < 0 {
-			saved = 0
+	done := l.drain(true)
+	for _, pr := range l.peers {
+		if pr != nil {
+			pr.conn.Close()
+			pr.recvq.Close()
 		}
-		e.stats.ExposedComm += exposed.Seconds()
-		e.stats.OverlapSaved += saved.Seconds()
 	}
-	e.mu.Unlock()
-	if err != nil {
-		panic(err)
-	}
+	<-done
 }
 
-// Close gracefully shuts the endpoint down: it drains and half-closes every
-// outbound stream (so peers receive every queued frame, then EOF), waits —
-// up to the configured timeout — for peers to close their sides, and then
-// tears the connections down. Call it once the worker body is done. After
-// an Abort, Close only reaps the stream goroutine.
-func (e *Endpoint) Close() {
-	if e.closed.CompareAndSwap(false, true) {
-		for _, pr := range e.peers {
-			if pr != nil {
-				pr.sendq.Close()
-			}
-		}
-		// Writers drain and half-close; readers exit when each peer
-		// half-closes in turn. Both waits share one deadline: a wedged
-		// peer (stopped reading, socket buffer full) must not block Close
-		// past the configured timeout — force-closing the connections
-		// below errors any stuck write out.
-		done := make(chan struct{})
-		go func() { e.writers.Wait(); e.readers.Wait(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(e.timeout):
-		}
-		for _, pr := range e.peers {
-			if pr != nil {
-				pr.conn.Close()
-				pr.recvq.Close()
-			}
-		}
-		<-done
-	}
-	e.shutdownStream()
-}
-
-// Abort tears the endpoint down immediately, recording cause on every
-// peer, and reaps the communication stream. The worker-crash path; must
-// run on the worker goroutine (a stream body's recover handler uses
-// abortConns directly — see Overlap).
-func (e *Endpoint) Abort(cause string) {
-	e.abortConns(cause)
-	e.shutdownStream()
-}
-
-// abortConns poisons every peer — sockets close (so remote blocked Recvs
-// unwind), local queues close (so local blocked Recvs unwind) — without
-// touching the stream goroutine, so it is safe to call from the stream
-// itself. Idempotent; the first recorded cause per peer wins. Holding
-// regMu makes the abort atomic against in-flight mesh registration: a
-// connection registers before this loop (and is closed here) or after
-// the closed mark (and is closed by register).
-func (e *Endpoint) abortConns(cause string) {
-	e.regMu.Lock()
-	defer e.regMu.Unlock()
-	e.closed.Store(true)
-	for _, pr := range e.peers {
+// Sever implements comm.Link: it poisons every peer — sockets close (so
+// remote blocked Recvs unwind), local queues close (so local blocked Recvs
+// unwind) — without waiting for any goroutine, so it is safe to call from
+// the communication stream itself. Idempotent; the first recorded cause
+// per peer wins. Holding regMu makes it atomic against in-flight mesh
+// registration: a connection registers before this loop (and is closed
+// here) or after the closed mark (and is closed by register).
+func (l *link) Sever(cause string) {
+	l.root.Note(cause)
+	l.regMu.Lock()
+	defer l.regMu.Unlock()
+	l.closed.Store(true)
+	for _, pr := range l.peers {
 		if pr == nil {
 			continue
 		}
@@ -876,9 +659,4 @@ func (e *Endpoint) abortConns(cause string) {
 			pr.conn.Close()
 		}
 	}
-}
-
-// shutdownStream stops the communication stream goroutine, if one started.
-func (e *Endpoint) shutdownStream() {
-	e.lane.Shutdown()
 }

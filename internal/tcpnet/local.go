@@ -2,7 +2,7 @@ package tcpnet
 
 import (
 	"fmt"
-	"sync"
+	"net"
 	"time"
 
 	"spardl/internal/chaos"
@@ -23,7 +23,8 @@ func LocalBackend(timeout time.Duration) comm.Backend { return localBackend{time
 // every worker goroutine's outbound streams run through a chaosConn driven
 // by its injector, and scheduled crashes kill the worker at the named
 // barrier. Replays with the same schedule are bit-identical, and the same
-// schedule replays identically on livenet — the chaos suite pins it.
+// schedule replays identically on livenet — the chaos suite pins it. The
+// returned backend also implements comm.ElasticBackend.
 func LocalChaosBackend(timeout time.Duration, sched *chaos.Schedule) comm.Backend {
 	return localBackend{timeout: timeout, sched: sched}
 }
@@ -33,66 +34,56 @@ type localBackend struct {
 	sched   *chaos.Schedule
 }
 
+var _ comm.ElasticBackend = localBackend{}
+
 // Name implements comm.Backend.
 func (localBackend) Name() string { return "tcpnet-local" }
 
-// Run implements comm.Backend: it reserves a loopback rendezvous address,
-// starts one endpoint per rank, runs the workers, and aggregates every
-// rank's stats into one cluster-wide Report. A worker panic aborts its
-// endpoint first — closing the sockets unblocks remote peers exactly as a
-// process crash would — and Run re-panics with the first failure once all
-// workers have unwound.
+// Run implements comm.Backend. A worker panic aborts its endpoint —
+// closing the sockets unblocks remote peers exactly as a process crash
+// would — and Run re-panics with the root cause once all have unwound.
 func (b localBackend) Run(p int, worker func(rank int, ep comm.Endpoint)) *comm.Report {
-	addr, err := ReserveLoopbackAddr()
-	if err != nil {
-		panic(fmt.Sprintf("tcpnet: reserving rendezvous address: %v", err))
-	}
-	eps := make([]*Endpoint, p)
-	clocks := make([]float64, p)
-	var faultMu sync.Mutex
-	var fault any
-	var wg sync.WaitGroup
-	for rank := 0; rank < p; rank++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					// Record the root cause before aborting: the abort
-					// provokes poisoned-fabric panics in blocked peers, and
-					// those must not mask the failure that started the
-					// cascade (first writer wins).
-					faultMu.Lock()
-					if fault == nil {
-						fault = fmt.Sprintf("worker %d: %v", rank, r)
-					}
-					faultMu.Unlock()
-					if ep := eps[rank]; ep != nil {
-						ep.Abort(fmt.Sprintf("worker %d: %v", rank, r))
-					}
-				}
-			}()
-			ep, err := Start(Config{Rendezvous: addr, P: p, Rank: rank, Timeout: b.timeout,
-				Injector: b.sched.Worker(rank)})
+	return comm.Run(b.fleet(p), p, worker)
+}
+
+// RunElastic implements comm.ElasticBackend over real loopback TCP: each
+// generation is a full Start — fresh rendezvous, fresh mesh, fresh sockets
+// — for the surviving membership, under the recovery policy livenet runs
+// under (comm.RunElastic), so the two substrates walk identical recovery
+// trajectories.
+func (b localBackend) RunElastic(p int, opts comm.ElasticOptions, worker comm.ElasticWorker) (*comm.Report, []comm.Recovery, error) {
+	return comm.RunElastic("tcpnet", b.fleet(p), p, opts, worker)
+}
+
+// fleet returns one run's membership source. The chaos injectors, with
+// their per-link frame counters, are keyed by stable ID and carried across
+// generations, so a one-shot fault that already fired never re-fires. Each
+// generation's rendezvous listener is opened here and handed, live, to
+// rank 0: binding port 0 and re-binding the number later would let one of
+// the fleet's own data listeners or dials be given the port in between.
+func (b localBackend) fleet(p int) comm.Fleet {
+	injs := b.sched.Workers(p)
+	return comm.InProcess(func(gen int, members []int, root *comm.Cause) func(rank int) comm.Node {
+		cfg := Config{P: len(members), Timeout: b.timeout, Gen: gen, IDs: members, root: root}
+		var ln net.Listener
+		if cfg.P > 1 {
+			var err error
+			if ln, err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
+				panic(fmt.Sprintf("%v: %v", ErrRendezvous, err))
+			}
+			cfg.Rendezvous = ln.Addr().String()
+		}
+		return func(rank int) comm.Node {
+			cfg := cfg
+			cfg.Rank, cfg.Injector = rank, injs[members[rank]]
+			if rank == 0 {
+				cfg.listener = ln
+			}
+			ep, err := Start(cfg)
 			if err != nil {
 				panic(err)
 			}
-			eps[rank] = ep
-			defer ep.Close()
-			worker(rank, ep)
-			clocks[rank] = ep.Clock()
-		}(rank)
-	}
-	wg.Wait()
-	if fault != nil {
-		panic(fault)
-	}
-	rep := &comm.Report{PerWorker: make([]comm.Stats, p), Clocks: clocks}
-	for i, ep := range eps {
-		rep.PerWorker[i] = ep.Stats()
-		if clocks[i] > rep.Time {
-			rep.Time = clocks[i]
+			return ep.Node
 		}
-	}
-	return rep
+	})
 }

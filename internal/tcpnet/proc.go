@@ -6,6 +6,7 @@ import (
 	"os"
 	"strconv"
 
+	"spardl/internal/chaos"
 	"spardl/internal/comm"
 )
 
@@ -21,10 +22,14 @@ const (
 
 // ReserveLoopbackAddr picks a currently-free loopback host:port for a
 // rendezvous listener: it binds port 0, reads the assignment back, and
-// releases it for rank 0 to re-bind. The tiny race window between release
-// and re-bind is acceptable for single-machine clusters (the port was
-// kernel-chosen and is not reused immediately); multi-host deployments
-// pass a fixed, routable address instead.
+// releases it for rank 0 to re-bind. It exists for callers that must pass
+// an address to forked worker processes. The port is NOT held in between:
+// anything that binds or dials port 0 in the window — including the
+// fleet's own data listeners and mesh dials — can be handed it, and rank
+// 0's re-bind then fails with "address already in use". Callers retry on a
+// fresh address; in-process fleets (LocalBackend) do not use it — they
+// hand rank 0 the live listener. Multi-host deployments pass a fixed,
+// routable address instead.
 func ReserveLoopbackAddr() (string, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -69,32 +74,101 @@ func FromEnv() (cfg Config, ok bool, err error) {
 // their own SelfBackend — so the Report covers this rank alone; cluster-
 // wide aggregation is the parent process's job. A worker panic aborts the
 // endpoint first (closing the sockets unblocks remote peers, exactly as a
-// process crash would) and then resurfaces.
-func SelfBackend(ep *Endpoint) comm.Backend { return selfBackend{ep} }
+// process crash would) and then resurfaces. Run closes the endpoint.
+func SelfBackend(ep *Endpoint) comm.Backend { return &procBackend{ep: ep} }
 
-type selfBackend struct{ ep *Endpoint }
+// NewProcBackend is SelfBackend for a worker process that has not joined
+// its cluster yet — Run and RunElastic start with the rendezvous cfg
+// describes — and is what makes a process elastic: after a poisoned
+// fabric, RunElastic re-rendezvouses this rank with the other survivors
+// (see rejoin.go; cmd/spardl-worker -elastic). cfg.Injector, when set, is
+// carried across generations so one-shot faults never re-fire. A
+// scheduled crash of this very process surfaces as an error after the
+// outbound drain.
+func NewProcBackend(cfg Config) comm.ElasticBackend { return &procBackend{cfg: cfg} }
+
+// procBackend is the one rank this process hosts. It is also that rank's
+// comm.Fleet: ep is the endpoint the next generation runs on, formed by
+// Start or by the last Regroup's rejoin.
+type procBackend struct {
+	cfg Config
+	ep  *Endpoint
+	// rank and id are those of the generation that ran last.
+	rank, id int
+}
 
 // Name implements comm.Backend.
-func (selfBackend) Name() string { return "tcpnet" }
+func (*procBackend) Name() string { return "tcpnet" }
 
-// Run implements comm.Backend for the single local rank.
-func (b selfBackend) Run(p int, worker func(rank int, ep comm.Endpoint)) *comm.Report {
-	if p != b.ep.P() {
-		panic(fmt.Sprintf("tcpnet: backend built for P=%d, Run asked for %d", b.ep.P(), p))
+// start joins the generation-0 cluster unless an established endpoint was
+// supplied.
+func (b *procBackend) start(p int) error {
+	if b.ep == nil {
+		b.cfg.P = p
+		cfg, err := b.cfg.withDefaults()
+		if err != nil {
+			return err
+		}
+		b.cfg = cfg
+		if b.ep, err = Start(cfg); err != nil {
+			return err
+		}
 	}
+	if p != b.ep.P() {
+		return fmt.Errorf("tcpnet: backend built for P=%d, asked to run %d", b.ep.P(), p)
+	}
+	return nil
+}
+
+// Run implements comm.Backend for the single local rank, fail-fast.
+func (b *procBackend) Run(p int, worker func(rank int, ep comm.Endpoint)) *comm.Report {
+	if err := b.start(p); err != nil {
+		panic(err)
+	}
+	return comm.Run(b, p, worker)
+}
+
+// RunElastic implements comm.ElasticBackend for the single local rank.
+func (b *procBackend) RunElastic(p int, opts comm.ElasticOptions, worker comm.ElasticWorker) (*comm.Report, []comm.Recovery, error) {
+	if err := b.start(p); err != nil {
+		return nil, nil, err
+	}
+	// A fabric the survivors re-formed but the loop declined to run on
+	// (below MinP) must not leave its peers waiting.
 	defer func() {
-		if r := recover(); r != nil {
-			b.ep.Abort(fmt.Sprintf("worker %d: %v", b.ep.Rank(), r))
-			panic(r)
+		if b.ep != nil {
+			b.ep.Abort(fmt.Sprintf("worker %d: giving up", b.id))
+			b.ep.Close()
 		}
 	}()
-	worker(b.ep.Rank(), b.ep)
-	rep := &comm.Report{
-		Time:      b.ep.Clock(),
-		PerWorker: make([]comm.Stats, p),
-		Clocks:    make([]float64, p),
+	return comm.RunElastic(b.Name(), b, p, opts, worker)
+}
+
+// Generation implements comm.Fleet: this process's rank of the generation,
+// on the endpoint formed for it.
+func (b *procBackend) Generation(gen int, members, lost []int, worker comm.ElasticWorker) (*comm.Report, []any, string) {
+	ep := b.ep
+	b.ep, b.rank, b.id = nil, ep.Rank(), ep.ID()
+	root := ep.link.root
+	rep, panics := comm.RunWorkers(ep.P(), []int{ep.Rank()}, root,
+		func(int) comm.Node { return ep },
+		func(rank int, cep comm.Endpoint) {
+			worker(comm.Membership{Gen: gen, P: ep.P(), Rank: rank, ID: ep.ID(), Lost: append([]int(nil), lost...)}, cep)
+		})
+	return rep, panics, root.String()
+}
+
+// Regroup implements comm.Fleet: no process sees the whole fleet, so the
+// survivors find each other by re-checking-in (rejoin), and whoever made
+// it is the next membership.
+func (b *procBackend) Regroup(gen int, members []int, panics []any) ([]int, error) {
+	if _, crashed := panics[b.rank].(chaos.Crashed); crashed {
+		return nil, fmt.Errorf("worker %d was scheduled to die here", b.id)
 	}
-	rep.PerWorker[b.ep.Rank()] = b.ep.Stats()
-	rep.Clocks[b.ep.Rank()] = b.ep.Clock()
-	return rep
+	ep, ids, err := rejoin(b.cfg, b.id, gen+1, members)
+	if err != nil {
+		return nil, fmt.Errorf("re-rendezvous at generation %d failed: %w", gen+1, err)
+	}
+	b.ep = ep
+	return ids, nil
 }

@@ -1,9 +1,10 @@
 package tcpnet
 
-// Elastic re-rendezvous for forked worker processes. Unlike the local
-// (single-process) elastic driver, no central coordinator observes the
-// fleet: each surviving process classifies its own poison, elects the new
-// rendezvous leader, and re-forms the mesh.
+// Elastic re-rendezvous for forked worker processes: procBackend.Regroup,
+// the multi-process membership source of comm.RunElastic. Unlike an
+// in-process fleet, no central coordinator observes the workers: each
+// surviving process notices its own poison, elects the new rendezvous
+// leader, and re-forms the mesh.
 //
 // Every worker derives a per-identity rejoin address from the base
 // rendezvous address: port + 1 + ID. On a poisoned fabric, a survivor walks
@@ -37,9 +38,6 @@ import (
 	"sort"
 	"strconv"
 	"time"
-
-	"spardl/internal/chaos"
-	"spardl/internal/comm"
 )
 
 // EnvRejoinProbe and EnvRejoinSettle override the leader-election probe
@@ -118,17 +116,9 @@ func rejoin(cfg Config, myID, gen int, members []int) (*Endpoint, []int, error) 
 		}
 	}
 
-	e := newEndpoint(len(ids), rank, cfg.Timeout)
-	e.ids = ids
-	e.id = myID
-	e.inj = cfg.Injector
-	e.onCrash = cfg.OnCrash
-	if err := e.mesh(dataLn, addrs, gen, deadline); err != nil {
-		e.Abort(err.Error())
-		return nil, nil, fmt.Errorf("%w: %v", ErrRendezvous, err)
-	}
-	e.run()
-	return e, ids, nil
+	cfg.P, cfg.Gen, cfg.IDs = len(ids), gen, ids
+	e, err := meshUp(cfg, rank, dataLn, addrs, deadline)
+	return e, ids, err
 }
 
 // followRejoin checks in with a candidate leader. The hello's want field
@@ -240,141 +230,4 @@ func leadRejoin(addr string, myID, gen int, dataAddr string, members []int, dead
 		delete(joined, id)
 	}
 	return myRank, ids, addrs, nil
-}
-
-// NewProcBackend adapts one worker process to the elastic contract: Run is
-// a plain single-rank session over an already-configured cluster, and
-// RunElastic adds the restart loop — poison classification, survivor
-// re-rendezvous, resume — for the single rank this process hosts. The
-// other ranks are separate processes running their own ProcBackend
-// (cmd/spardl-worker -elastic). cfg is the generation-0 configuration;
-// cfg.Injector, when set, is carried across generations so one-shot faults
-// never re-fire.
-func NewProcBackend(cfg Config) comm.ElasticBackend { return procBackend{cfg} }
-
-type procBackend struct{ cfg Config }
-
-// Name implements comm.Backend.
-func (procBackend) Name() string { return "tcpnet" }
-
-// Run implements comm.Backend for this process's single rank, fail-fast.
-func (b procBackend) Run(p int, worker func(rank int, ep comm.Endpoint)) *comm.Report {
-	if p != b.cfg.P {
-		panic(fmt.Sprintf("tcpnet: backend configured for P=%d, Run asked for %d", b.cfg.P, p))
-	}
-	ep, err := Start(b.cfg)
-	if err != nil {
-		panic(err)
-	}
-	defer ep.Close()
-	return SelfBackend(ep).Run(p, worker)
-}
-
-// RunElastic implements comm.ElasticBackend for this process's single rank.
-// The returned report covers this rank alone (like SelfBackend); a
-// scheduled crash of this very process surfaces as an error after the
-// outbound drain — callers that must die hard set cfg.OnCrash to exit.
-func (b procBackend) RunElastic(p int, opts comm.ElasticOptions, worker comm.ElasticWorker) (*comm.Report, []comm.Recovery, error) {
-	cfg := b.cfg
-	cfg.P = p
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, nil, err
-	}
-	minP := opts.MinP
-	if minP <= 0 {
-		minP = 1
-	}
-	maxRestarts := opts.MaxRestarts
-	if maxRestarts <= 0 {
-		maxRestarts = 1
-	}
-
-	ep, err := Start(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	myID := ep.ID()
-	members := make([]int, p)
-	for i := range members {
-		members[i] = i
-	}
-	var (
-		recoveries []comm.Recovery
-		lost       []int
-		restarts   int
-		gen        int
-	)
-	for {
-		r := runWorkerBody(worker, comm.Membership{
-			Gen: gen, P: ep.P(), Rank: ep.Rank(), ID: myID,
-			Lost: append([]int(nil), lost...),
-		}, ep)
-		if r == nil {
-			rep := &comm.Report{
-				Time:      ep.Clock(),
-				PerWorker: make([]comm.Stats, ep.P()),
-				Clocks:    make([]float64, ep.P()),
-			}
-			rep.PerWorker[ep.Rank()] = ep.Stats()
-			rep.Clocks[ep.Rank()] = ep.Clock()
-			ep.Close()
-			return rep, recoveries, nil
-		}
-		cause := fmt.Sprintf("worker %d: %v", myID, r)
-		if c := ep.ChaosCause(); c != "" {
-			cause = fmt.Sprintf("worker %d: %s", myID, c)
-		}
-		ep.Abort(cause)
-		ep.Close()
-		if chaos.IsCrashed(r) {
-			// This process itself was scheduled to die; without an OnCrash
-			// exit hook the crash surfaces as this generation's error.
-			return nil, recoveries, fmt.Errorf("tcpnet: %s", cause)
-		}
-		if restarts >= maxRestarts {
-			return nil, recoveries, fmt.Errorf("tcpnet: giving up after %d re-rendezvous; root cause: %s", restarts, cause)
-		}
-		restarts++
-		gen++
-		t0 := time.Now()
-		newEp, ids, err := rejoin(cfg, myID, gen, members)
-		if err != nil {
-			return nil, recoveries, fmt.Errorf("tcpnet: re-rendezvous at generation %d failed: %w; root cause: %s", gen, err, cause)
-		}
-		if len(ids) < minP {
-			newEp.Abort(fmt.Sprintf("worker %d: %d survivors is below MinP=%d", myID, len(ids), minP))
-			newEp.Close()
-			return nil, recoveries, fmt.Errorf("tcpnet: %d survivors is below MinP=%d; root cause: %s", len(ids), minP, cause)
-		}
-		var departed []int
-		alive := map[int]bool{}
-		for _, id := range ids {
-			alive[id] = true
-		}
-		for _, id := range members {
-			if !alive[id] {
-				departed = append(departed, id)
-			}
-		}
-		members = ids
-		lost = append(lost, departed...)
-		sort.Ints(lost)
-		recoveries = append(recoveries, comm.Recovery{
-			Gen:           gen,
-			P:             len(ids),
-			Lost:          departed,
-			Cause:         cause,
-			RejoinSeconds: time.Since(t0).Seconds(),
-		})
-		ep = newEp
-	}
-}
-
-// runWorkerBody runs the worker and returns its recovered panic value, nil
-// on clean completion.
-func runWorkerBody(worker comm.ElasticWorker, m comm.Membership, ep comm.Endpoint) (r any) {
-	defer func() { r = recover() }()
-	worker(m, ep)
-	return nil
 }

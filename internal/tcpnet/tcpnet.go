@@ -54,6 +54,7 @@ import (
 	"time"
 
 	"spardl/internal/chaos"
+	"spardl/internal/comm"
 )
 
 // Protocol constants. The magic/version prefix guards both the rendezvous
@@ -124,10 +125,14 @@ type Config struct {
 	// injector must be carried across generations so one-shot faults do not
 	// re-fire after a re-rendezvous.
 	Injector chaos.Injector
-	// OnCrash overrides what a scheduled chaos crash does after the
-	// outbound streams drain. nil panics with chaos.Crashed — the
-	// goroutine-worker behaviour; forked worker processes exit instead.
-	OnCrash func(iter int)
+
+	// The in-process backend's wiring. listener, set for rank 0 only, is
+	// the rendezvous listener already bound to Rendezvous: handing over the
+	// live listener leaves no window in which the port could be taken
+	// (contrast ReserveLoopbackAddr). root is the generation's shared
+	// root-cause record; nil gives the endpoint one of its own.
+	listener net.Listener
+	root     *comm.Cause
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -166,9 +171,7 @@ func Start(cfg Config) (*Endpoint, error) {
 	}
 	deadline := time.Now().Add(cfg.Timeout)
 	if cfg.P == 1 {
-		e := newEndpoint(1, 0, cfg.Timeout)
-		e.configure(cfg, 0)
-		return e, nil
+		return newEndpoint(newLink(cfg, 0), cfg), nil
 	}
 
 	dataLn, err := net.Listen("tcp", net.JoinHostPort(cfg.Host, "0"))
@@ -190,14 +193,19 @@ func Start(cfg Config) (*Endpoint, error) {
 		return nil, fmt.Errorf("%w: %v", ErrRendezvous, err)
 	}
 
-	e := newEndpoint(cfg.P, rank, cfg.Timeout)
-	e.configure(cfg, rank)
-	if err := e.mesh(dataLn, addrs, cfg.Gen, deadline); err != nil {
-		e.Abort(err.Error())
+	return meshUp(cfg, rank, dataLn, addrs, deadline)
+}
+
+// meshUp establishes the full mesh for an agreed membership and puts the
+// runtime on it. A failed mesh is severed, so nothing established so far
+// is left stranded to hang a peer.
+func meshUp(cfg Config, rank int, dataLn net.Listener, addrs []string, deadline time.Time) (*Endpoint, error) {
+	l := newLink(cfg, rank)
+	if err := l.mesh(dataLn, addrs, cfg.Gen, deadline); err != nil {
+		l.Sever(err.Error())
 		return nil, fmt.Errorf("%w: %v", ErrRendezvous, err)
 	}
-	e.run()
-	return e, nil
+	return newEndpoint(l, cfg), nil
 }
 
 // serveRendezvous is rank 0's side of check-in: accept P-1 hellos, assign
@@ -210,9 +218,12 @@ func Start(cfg Config) (*Endpoint, error) {
 // catches a systematically broken cluster instead of looping to the
 // deadline.
 func serveRendezvous(cfg Config, ownDataAddr string, deadline time.Time) ([]string, error) {
-	ln, err := net.Listen("tcp", cfg.Rendezvous)
-	if err != nil {
-		return nil, fmt.Errorf("tcpnet: rendezvous listener on %s: %w", cfg.Rendezvous, err)
+	ln := cfg.listener
+	if ln == nil {
+		var err error
+		if ln, err = net.Listen("tcp", cfg.Rendezvous); err != nil {
+			return nil, fmt.Errorf("tcpnet: rendezvous listener on %s: %w", cfg.Rendezvous, err)
+		}
 	}
 	defer ln.Close()
 	ln.(*net.TCPListener).SetDeadline(deadline)
@@ -357,14 +368,14 @@ func checkInOnce(cfg Config, dataAddr string, deadline time.Time) (int, []string
 // in which peers come up cannot deadlock establishment. Each side
 // registers its connections directly (register owns the conn as soon as
 // it is established), so a mesh that fails partway strands nothing: the
-// caller's Abort closes everything registered so far, and anything a
+// caller's Sever closes everything registered so far, and anything a
 // still-running goroutine establishes afterwards is closed at
 // registration time.
-func (e *Endpoint) mesh(dataLn net.Listener, addrs []string, gen int, deadline time.Time) error {
+func (l *link) mesh(dataLn net.Listener, addrs []string, gen int, deadline time.Time) error {
 	errs := make(chan error, 2)
 	go func() {
 		strikes := 0
-		for i := 0; i < e.p-1-e.rank; {
+		for i := 0; i < l.p-1-l.rank; {
 			conn, err := dataLn.Accept()
 			if err != nil {
 				errs <- fmt.Errorf("tcpnet: mesh accept: %w", err)
@@ -375,8 +386,8 @@ func (e *Endpoint) mesh(dataLn net.Listener, addrs []string, gen int, deadline t
 			if err == nil && peerGen != gen {
 				err = fmt.Errorf("handshake from generation %d, fabric is at %d", peerGen, gen)
 			}
-			if err == nil && (peer <= e.rank || peer >= e.p) {
-				err = fmt.Errorf("handshake from rank %d, expected a rank in (%d,%d) to dial us", peer, e.rank, e.p)
+			if err == nil && (peer <= l.rank || peer >= l.p) {
+				err = fmt.Errorf("handshake from rank %d, expected a rank in (%d,%d) to dial us", peer, l.rank, l.p)
 			}
 			if err != nil {
 				// A torn or foreign handshake — like a torn rendezvous hello
@@ -384,14 +395,14 @@ func (e *Endpoint) mesh(dataLn net.Listener, addrs []string, gen int, deadline t
 				// real peer's connection is still coming.
 				conn.Close()
 				strikes++
-				if strikes > 4*e.p {
+				if strikes > 4*l.p {
 					errs <- fmt.Errorf("tcpnet: mesh gave up after %d bad handshakes, last: %v", strikes, err)
 					return
 				}
 				continue
 			}
 			conn.SetDeadline(time.Time{})
-			if err := e.register(peer, conn); err != nil {
+			if err := l.register(peer, conn); err != nil {
 				errs <- err
 				return
 			}
@@ -400,20 +411,20 @@ func (e *Endpoint) mesh(dataLn net.Listener, addrs []string, gen int, deadline t
 		errs <- nil
 	}()
 	go func() {
-		for r := 0; r < e.rank; r++ {
-			conn, err := dialRetry(addrs[r], e.rank, deadline)
+		for r := 0; r < l.rank; r++ {
+			conn, err := dialRetry(addrs[r], l.rank, deadline)
 			if err != nil {
 				errs <- fmt.Errorf("tcpnet: dialing worker %d at %s: %w", r, addrs[r], err)
 				return
 			}
 			conn.SetDeadline(deadline)
-			if err := writeHandshake(conn, e.rank, gen); err != nil {
+			if err := writeHandshake(conn, l.rank, gen); err != nil {
 				conn.Close()
 				errs <- fmt.Errorf("tcpnet: handshake to worker %d: %w", r, err)
 				return
 			}
 			conn.SetDeadline(time.Time{})
-			if err := e.register(r, conn); err != nil {
+			if err := l.register(r, conn); err != nil {
 				errs <- err
 				return
 			}
@@ -421,10 +432,10 @@ func (e *Endpoint) mesh(dataLn net.Listener, addrs []string, gen int, deadline t
 		errs <- nil
 	}()
 
-	// On the first failure, return immediately: the caller aborts the
-	// endpoint, and the other goroutine — bounded by the deadline — hands
+	// On the first failure, return immediately: the caller severs the
+	// link, and the other goroutine — bounded by the deadline — hands
 	// any further connections to register, which closes them once the
-	// endpoint is marked closed. The buffered channel keeps its final
+	// link is marked closed. The buffered channel keeps its final
 	// send from blocking.
 	for i := 0; i < 2; i++ {
 		if err := <-errs; err != nil {

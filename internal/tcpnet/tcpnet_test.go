@@ -7,8 +7,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"spardl/internal/comm"
 )
 
 // runLocal runs p tcpnet workers as goroutines of this process, each with
@@ -76,31 +74,6 @@ func TestAllPairsSendRecv(t *testing.T) {
 	})
 }
 
-func TestPerPairFIFOAndPayloadKinds(t *testing.T) {
-	const p, burst = 3, 32
-	runLocal(t, p, func(rank int, ep *Endpoint) {
-		next := (rank + 1) % p
-		prev := (rank + p - 1) % p
-		for i := 0; i < burst; i++ {
-			ep.Send(next, []float32{float32(rank), float32(i)}, 8)
-		}
-		for i := 0; i < burst; i++ {
-			got, _ := ep.Recv(prev)
-			v := got.([]float32)
-			if int(v[0]) != prev || int(v[1]) != i {
-				t.Errorf("rank %d: out-of-order delivery: got %v at step %d", rank, v, i)
-			}
-		}
-		// A mixed bag of registry payload shapes must round-trip.
-		ep.Send(next, map[int]any{1: 2.5, 7: []float32{1, 2}}, 4)
-		got, _ := ep.Recv(prev)
-		m := got.(map[int]any)
-		if m[1].(float64) != 2.5 || len(m[7].([]float32)) != 2 {
-			t.Errorf("rank %d: map payload mangled: %v", rank, m)
-		}
-	})
-}
-
 func TestRankAssignment(t *testing.T) {
 	// Only rank 0 is explicit; the rendezvous assigns the rest. Workers
 	// verify mutual reachability under the assigned ranks.
@@ -136,30 +109,6 @@ func TestRankAssignment(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-}
-
-func TestOverlapJoin(t *testing.T) {
-	const p = 3
-	runLocal(t, p, func(rank int, ep *Endpoint) {
-		next := (rank + 1) % p
-		prev := (rank + p - 1) % p
-		var got any
-		ep.Overlap(func(sep comm.Endpoint) {
-			sep.Send(next, float64(rank), 8)
-			got, _ = sep.Recv(prev)
-		})
-		// Main-lane "compute" while the stream exchanges.
-		ep.Compute(0.001)
-		ep.Join()
-		if got.(float64) != float64(prev) {
-			t.Errorf("rank %d: overlap exchange got %v, want %d", rank, got, prev)
-		}
-		st := ep.Stats()
-		if st.ExposedComm+st.OverlapSaved <= 0 {
-			t.Errorf("rank %d: overlap accounting empty: %+v", rank, st)
-		}
-		ep.SyncClock()
-	})
 }
 
 func TestAbortPoisonsBlockedPeers(t *testing.T) {
@@ -205,56 +154,6 @@ func TestAbortPoisonsBlockedPeers(t *testing.T) {
 	msg := fmt.Sprint(r0panic)
 	if !strings.Contains(msg, "tcpnet") || !strings.Contains(msg, "worker 1") {
 		t.Fatalf("unhelpful poison cause: %q", msg)
-	}
-}
-
-// TestOverlapBodyPanicPoisons is the regression for the stream-goroutine
-// self-deadlock: a panic inside an Overlap body must poison the fabric
-// from the stream goroutine (abortConns, not Abort — Abort waits for the
-// stream it would be called from) so Join re-panics promptly, the peer
-// blocked on this worker unwinds, and Close still reaps the stream.
-func TestOverlapBodyPanicPoisons(t *testing.T) {
-	const p = 2
-	addr, err := ReserveLoopbackAddr()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	panics := make([]any, p)
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		defer func() { panics[0] = recover() }()
-		ep, err := Start(Config{Rendezvous: addr, P: p, Rank: 0, Timeout: 10 * time.Second})
-		if err != nil {
-			panic(err)
-		}
-		defer ep.Close()
-		ep.Overlap(func(comm.Endpoint) { panic("boom in stream") })
-		ep.Join() // must re-panic, not hang
-	}()
-	go func() {
-		defer wg.Done()
-		defer func() { panics[1] = recover() }()
-		ep, err := Start(Config{Rendezvous: addr, P: p, Rank: 1, Timeout: 10 * time.Second})
-		if err != nil {
-			panic(err)
-		}
-		defer ep.Close()
-		ep.Recv(0) // never fed; must unwind when rank 0's stream dies
-	}()
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(15 * time.Second):
-		t.Fatal("overlap-body panic deadlocked instead of poisoning the fabric")
-	}
-	if msg := fmt.Sprint(panics[0]); !strings.Contains(msg, "boom in stream") {
-		t.Fatalf("Join did not resurface the stream panic: %v", panics[0])
-	}
-	if msg := fmt.Sprint(panics[1]); !strings.Contains(msg, "worker 0") {
-		t.Fatalf("peer did not unwind with a clean cause: %v", panics[1])
 	}
 }
 
@@ -338,8 +237,8 @@ func TestMeshFailureClosesEstablishedConns(t *testing.T) {
 // a connection a lingering mesh goroutine establishes after the endpoint
 // aborted must be closed at registration, not stranded open.
 func TestRegisterAfterAbortClosesConn(t *testing.T) {
-	e := newEndpoint(2, 0, time.Second)
-	e.abortConns("test abort")
+	l := newLink(Config{P: 2, Timeout: time.Second}, 0)
+	l.Sever("test abort")
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -359,7 +258,7 @@ func TestRegisterAfterAbortClosesConn(t *testing.T) {
 	}
 	defer client.Close()
 	server := <-accepted
-	if err := e.register(1, server); err == nil {
+	if err := l.register(1, server); err == nil {
 		t.Fatal("register after abort must refuse the connection")
 	}
 	client.SetReadDeadline(time.Now().Add(5 * time.Second))

@@ -2,8 +2,6 @@ package train
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	"spardl/internal/comm"
 	"spardl/internal/nn"
@@ -43,15 +41,6 @@ type snap struct {
 	Residual []float32 // nil when the method carries no residual
 }
 
-// elasticState is one worker's cross-generation carry, keyed by stable ID.
-type elasticState struct {
-	model    nn.Model
-	opt      *nn.SGD
-	snaps    [3]snap
-	haveSnap [3]bool
-	barriers int // SyncClock barriers passed — the resume candidate
-}
-
 // RunElastic executes the training session with elastic membership: when
 // the fabric poisons, the backend classifies the fault (scheduled crash →
 // shrink, transient → retry), survivors re-rendezvous, agree on the resume
@@ -60,15 +49,14 @@ type elasticState struct {
 // for the new membership (team counts re-fit, partitions re-derived from
 // the new P), and continue. The trajectory it returns is deterministic for
 // a given seed, schedule and backend substrate — the chaos suite pins that
-// livenet and tcpnet produce bit-identical post-shrink points.
+// livenet and tcpnet produce bit-identical post-shrink points. Times run on
+// one session clock across generations, and the per-iteration averages
+// cover every iteration, each as the generation that ran it last paid it.
 //
 // The departed worker's unsent residual mass leaves with it; everything it
 // contributed to completed iterations is already folded into the shared
 // model that survivors carry forward.
 func RunElastic(cfg Config) (*Result, []RecoveryStat, error) {
-	if cfg.Case == nil || cfg.P < 1 || cfg.Iters < 1 {
-		return nil, nil, fmt.Errorf("train: incomplete config")
-	}
 	if cfg.Pipeline != nil {
 		return nil, nil, fmt.Errorf("train: elastic membership does not support the pipeline path yet")
 	}
@@ -79,146 +67,35 @@ func RunElastic(cfg Config) (*Result, []RecoveryStat, error) {
 	if !ok {
 		return nil, nil, fmt.Errorf("train: backend %s does not support elastic membership", cfg.Backend.Name())
 	}
+	s, err := newSession(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	s.elastic = true
 	opts := comm.ElasticOptions{}
 	if cfg.Elastic != nil {
 		opts.MinP = cfg.Elastic.MinP
 		opts.MaxRestarts = cfg.Elastic.MaxRestarts
 	}
-	if cfg.EvalBatch == 0 {
-		cfg.EvalBatch = 256
-		if cfg.Case.ID >= 5 {
-			cfg.EvalBatch = 64
+	replicas := make([]*replica, cfg.P) // keyed by stable ID; each touched by its own worker only
+	_, recoveries, err := eb.RunElastic(cfg.P, opts, func(m comm.Membership, ep comm.Endpoint) {
+		if replicas[m.ID] == nil {
+			replicas[m.ID] = s.newReplica()
 		}
-	}
-
-	c := cfg.Case
-	probe := c.NewModel(cfg.Seed)
-	n := nn.ParamCount(probe.Params())
-	k := int(cfg.KRatio * float64(n))
-	if k < 1 {
-		k = 1
-	}
-	if k > n {
-		k = n
-	}
-
-	res := &Result{N: n, K: k}
-	evalData := c.NewData(cfg.Seed)
-	states := make([]*elasticState, cfg.P)
-
-	var mu sync.Mutex // guards res.Points/Method and firstRound across generations
-	firstRound := map[int]float64{}
-	resumeAt := map[int]int{}
-
-	rep, recoveries, err := eb.RunElastic(cfg.P, opts, func(m comm.Membership, ep comm.Endpoint) {
-		genStart := time.Now()
-		st := states[m.ID]
-		if st == nil {
-			st = &elasticState{
-				model: c.NewModel(cfg.Seed), // same seed ⇒ identical replicas
-				opt:   nn.NewSGD(c.LR, c.Momentum),
-			}
-			states[m.ID] = st
-		}
-		ds := c.NewData(cfg.Seed)
-		resume := 0
-		if m.Gen > 0 {
-			// Survivors' barrier counts can differ by one when the fault
-			// hit between a local step and its barrier; one agreement
-			// round pins the resume point to the last globally completed
-			// iteration on every substrate.
-			resume = agreeMinIter(ep, m.P, m.Rank, st.barriers)
-		}
-
-		reducer := cfg.Factory(m.P, m.Rank, n, k)
-		if m.Gen > 0 {
-			st.restore(c, cfg.Seed, resume, reducer)
-			st.barriers = resume
-		}
-		if m.Rank == 0 {
-			mu.Lock()
-			res.Method = reducer.Name()
-			if m.Gen > 0 {
-				resumeAt[m.Gen] = resume
-				// Drop points recorded for iterations now being re-run
-				// with the shrunk membership: the old rank 0 can have
-				// evaluated iteration `resume` (it passed that barrier
-				// locally) even though the fleet as a whole did not.
-				for len(res.Points) > 0 && res.Points[len(res.Points)-1].Iter > resume {
-					res.Points = res.Points[:len(res.Points)-1]
-				}
-			}
-			mu.Unlock()
-		}
-
-		flat := make([]float32, n)
-		global := make([]float32, n)
-		invP := float32(1) / float32(m.P)
-		skew := 1.0
-		if cfg.ComputeSkew != nil {
-			skew = cfg.ComputeSkew[m.ID]
-		}
-
-		for it := resume; it < cfg.Iters; it++ {
-			batch := ds.TrainBatch(m.Rank, it, c.BatchSize)
-			nn.ZeroGrads(st.model.Params())
-			loss, _ := st.model.Loss(batch)
-			loss.Backward()
-			nn.FlattenGrads(st.model.Params(), flat)
-			ep.Compute(c.ComputeTime * skew)
-			sparsecoll.ReduceInto(reducer, ep, flat, global)
-			for i := range global {
-				global[i] *= invP
-			}
-			st.opt.Step(st.model.Params(), global)
-			st.snapshot(it, reducer, n)
-			ep.SyncClock() // may panic mid-recovery; st commits only past here
-			st.barriers = it + 1
-
-			if it == resume && m.Gen > 0 && m.Rank == 0 {
-				mu.Lock()
-				firstRound[m.Gen] = time.Since(genStart).Seconds()
-				mu.Unlock()
-			}
-			if m.Rank == 0 && cfg.EvalEvery > 0 && (it+1)%cfg.EvalEvery == 0 {
-				p := evalPoint(st.model, evalData, cfg, it+1, ep.Clock())
-				mu.Lock()
-				res.Points = append(res.Points, p)
-				mu.Unlock()
-			}
-		}
-		if m.Rank == 0 {
-			p := evalPoint(st.model, evalData, cfg, cfg.Iters, ep.Clock())
-			mu.Lock()
-			if len(res.Points) == 0 || res.Points[len(res.Points)-1].Iter != cfg.Iters {
-				res.Points = append(res.Points, p)
-			}
-			res.FinalMetric = p.Metric
-			res.FinalLoss = p.Loss
-			res.TotalTime = ep.Clock()
-			mu.Unlock()
-		}
+		s.work(m, ep, replicas[m.ID])
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-
 	stats := make([]RecoveryStat, len(recoveries))
 	for i, r := range recoveries {
-		stats[i] = RecoveryStat{Recovery: r, ResumeIter: resumeAt[r.Gen], FirstRoundSeconds: firstRound[r.Gen]}
+		stats[i] = RecoveryStat{Recovery: r, ResumeIter: s.resumeAt[r.Gen], FirstRoundSeconds: s.firstRound[r.Gen]}
 	}
-	if len(rep.PerWorker) > 0 {
-		final := rep.PerWorker[0]
-		res.CommTime = final.CommTime / float64(cfg.Iters)
-		res.CompTime = final.CompTime / float64(cfg.Iters)
-		res.PerUpdateTime = res.TotalTime / float64(cfg.Iters)
-		res.BytesPerIter = final.BytesRecv / int64(cfg.Iters)
-	}
-	return res, stats, nil
+	return s.result(), stats, nil
 }
 
 // snapshot stores the boundary state after completing iteration it.
-func (st *elasticState) snapshot(it int, reducer sparsecoll.Reducer, n int) {
+func (st *replica) snapshot(it int, reducer sparsecoll.Reducer, n int) {
 	s := &st.snaps[it%3]
 	s.Iter = it
 	if s.Params == nil {
@@ -248,7 +125,7 @@ func (st *elasticState) snapshot(it int, reducer sparsecoll.Reducer, n int) {
 // restore rewinds the carried state to "after completing iteration
 // resume−1": either a ring snapshot or, for resume 0, the deterministic
 // fresh start.
-func (st *elasticState) restore(c *Case, seed int64, resume int, reducer sparsecoll.Reducer) {
+func (st *replica) restore(c *Case, seed int64, resume int, reducer sparsecoll.Reducer) {
 	if resume == 0 {
 		st.model = c.NewModel(seed)
 		st.opt = nn.NewSGD(c.LR, c.Momentum)

@@ -136,3 +136,52 @@ func TestRunElasticRejectsUnsupportedBackend(t *testing.T) {
 		t.Fatal("nil backend must be rejected")
 	}
 }
+
+// TestRunElasticTimingsCoverRecovery pins the Result's time axis across a
+// re-rendezvous: every fabric's wall clock restarts at zero, so the
+// trajectory must run on one session clock (Point.Time strictly increasing
+// through the recovery, TotalTime at its end), and the per-iteration
+// averages must be taken over every iteration — each as the generation
+// that ran it last paid it — not over the last generation's counters.
+func TestRunElasticTimingsCoverRecovery(t *testing.T) {
+	sched, err := chaos.Parse("crash:rank=3,iter=4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := elasticConfig()
+	cfg.EvalEvery = 1
+	cfg.Backend = livenet.NewChaosBackend(sched)
+	res, recs, err := RunElastic(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].ResumeIter != 4 {
+		t.Fatalf("recoveries: %+v", recs)
+	}
+	if len(res.Points) != cfg.Iters {
+		t.Fatalf("%d points for %d iterations", len(res.Points), cfg.Iters)
+	}
+	for i, pt := range res.Points {
+		if pt.Iter != i+1 {
+			t.Fatalf("point %d is iteration %d", i, pt.Iter)
+		}
+		if i > 0 && pt.Time <= res.Points[i-1].Time {
+			t.Fatalf("time went backwards across iteration %d: %g after %g (recovery resumed at %d)",
+				pt.Iter, pt.Time, res.Points[i-1].Time, recs[0].ResumeIter)
+		}
+	}
+	if last := res.Points[len(res.Points)-1].Time; res.TotalTime < last || res.PerUpdateTime != res.TotalTime/float64(cfg.Iters) {
+		t.Fatalf("TotalTime %g / PerUpdateTime %g do not end the trajectory at %g", res.TotalTime, res.PerUpdateTime, last)
+	}
+
+	// Iterations 0-3 ran at P=4 and 4-9 at P=3. Every iteration charges
+	// the case's modeled forward+backward time, so an average over all ten
+	// is at least that; the last generation's counters alone cover six.
+	if res.CompTime < cfg.Case.ComputeTime {
+		t.Fatalf("CompTime %g per iteration covers fewer than all %d iterations (each charges %g)",
+			res.CompTime, cfg.Iters, cfg.Case.ComputeTime)
+	}
+	if res.MaxRounds <= 0 || res.BytesPerIter <= 0 || res.CommTime <= 0 || res.ExposedComm <= 0 {
+		t.Fatalf("per-iteration averages not filled: %+v", res)
+	}
+}

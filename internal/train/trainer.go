@@ -2,6 +2,8 @@ package train
 
 import (
 	"fmt"
+	"sync"
+	"time"
 
 	"spardl/internal/comm"
 	"spardl/internal/data"
@@ -102,8 +104,61 @@ type Result struct {
 // of the trajectory. All randomness is derived from cfg.Seed, so runs are
 // exactly reproducible; replicas are verified to stay identical by tests.
 func Run(cfg Config) *Result {
+	s, err := newSession(cfg)
+	if err != nil {
+		panic(err.Error())
+	}
+	backend := cfg.Backend
+	if backend == nil {
+		network := cfg.Network
+		if cfg.PaperScaleComm && cfg.Case.PaperParams > 0 {
+			network.Beta *= float64(cfg.Case.PaperParams) / float64(s.n)
+		}
+		backend = simnet.Backend(network)
+	}
+	backend.Run(cfg.P, func(rank int, ep comm.Endpoint) {
+		s.work(comm.Membership{P: cfg.P, Rank: rank, ID: rank}, ep, s.newReplica())
+	})
+	return s.result()
+}
+
+// session is one training run, normalised: what Run and RunElastic share
+// beyond the worker body. Workers write only their own stats row; every
+// other mutable field is guarded by mu, because rank 0 changes hands
+// across elastic generations.
+type session struct {
+	cfg      Config
+	n, k     int
+	elastic  bool // workers snapshot at every barrier so a later generation can resume
+	evalData data.Dataset
+	stats    [][]iterStat // [worker ID][iteration]
+
+	mu  sync.Mutex
+	res *Result
+	// gen is the latest generation any worker has entered, offset the
+	// session clock when it was entered, and clock the furthest any
+	// finished generation got: a fabric's clock restarts at every
+	// re-rendezvous, so trajectory times are offset + ep.Clock().
+	gen           int
+	offset, clock float64
+	resumeAt      map[int]int     // generation → agreed resume iteration
+	firstRound    map[int]float64 // generation → rank 0's seconds to its first barrier
+}
+
+// iterStat is one worker's cost of one iteration, as before/after deltas
+// of its endpoint statistics around the synchronization.
+type iterStat struct {
+	ran            int // generation that ran it last, plus one; 0 = never
+	comm, comp     float64
+	exposed, saved float64
+	rounds         int
+	bytes          int64
+}
+
+// newSession validates cfg and fills its defaults.
+func newSession(cfg Config) (*session, error) {
 	if cfg.Case == nil || cfg.P < 1 || cfg.Iters < 1 {
-		panic("train: incomplete config")
+		return nil, fmt.Errorf("train: incomplete config")
 	}
 	if cfg.EvalBatch == 0 {
 		cfg.EvalBatch = 256
@@ -111,179 +166,221 @@ func Run(cfg Config) *Result {
 			cfg.EvalBatch = 64
 		}
 	}
-
-	c := cfg.Case
-	probe := c.NewModel(cfg.Seed)
-	n := nn.ParamCount(probe.Params())
-	k := int(cfg.KRatio * float64(n))
-	if k < 1 {
-		k = 1
+	n := nn.ParamCount(cfg.Case.NewModel(cfg.Seed).Params())
+	k := min(max(int(cfg.KRatio*float64(n)), 1), n)
+	s := &session{cfg: cfg, n: n, k: k, res: &Result{N: n, K: k},
+		evalData: cfg.Case.NewData(cfg.Seed), stats: make([][]iterStat, cfg.P),
+		resumeAt: map[int]int{}, firstRound: map[int]float64{}}
+	for w := range s.stats {
+		s.stats[w] = make([]iterStat, cfg.Iters)
 	}
-	if k > n {
-		k = n
+	return s, nil
+}
+
+// replica is one worker's training state. Under elastic membership it is
+// keyed by stable worker ID and outlives fabric generations.
+type replica struct {
+	model nn.Model
+	opt   *nn.SGD
+	// barriers counts SyncClock barriers passed — the resume candidate —
+	// and the ring holds the boundary snapshots a resume restores from.
+	barriers int
+	snaps    [3]snap
+	haveSnap [3]bool
+}
+
+func (s *session) newReplica() *replica {
+	c := s.cfg.Case
+	return &replica{model: c.NewModel(s.cfg.Seed) /* same seed ⇒ identical replicas */, opt: nn.NewSGD(c.LR, c.Momentum)}
+}
+
+// work is one worker's body for one fabric generation: iterations from the
+// resume point (0 in generation 0) to cfg.Iters.
+func (s *session) work(m comm.Membership, ep comm.Endpoint, st *replica) {
+	cfg, c, n := s.cfg, s.cfg.Case, s.n
+	genStart := time.Now()
+	ds := c.NewData(cfg.Seed)
+	resume := 0
+	if m.Gen > 0 {
+		// Survivors' barrier counts can differ by one when the fault hit
+		// between a local step and its barrier; one agreement round pins
+		// the resume point to the last globally completed iteration on
+		// every substrate.
+		resume = agreeMinIter(ep, m.P, m.Rank, st.barriers)
+	}
+	skew := 1.0
+	if cfg.ComputeSkew != nil {
+		skew = cfg.ComputeSkew[m.ID]
 	}
 
-	network := cfg.Network
-	if cfg.PaperScaleComm && c.PaperParams > 0 {
-		network.Beta *= float64(c.PaperParams) / float64(n)
+	// Monolithic path: one reducer over the whole flattened gradient.
+	// Pipeline path: one SegmentReducer per bucket, launched at each
+	// bucket's backward-ready point on the communication stream.
+	var reducer sparsecoll.Reducer
+	var sched *pipeline.Schedule
+	var segs []nn.Segment
+	method, buckets := "", 0
+	if cfg.Pipeline == nil {
+		reducer = cfg.Factory(m.P, m.Rank, n, s.k)
+		method = reducer.Name()
+	} else {
+		segs = nn.GradSegments(st.model.Params())
+		ready := nn.GradReadyTimes(st.model.Params(), c.ComputeTime*skew)
+		sched = pipeline.NewSchedule(cfg.Factory, m.P, m.Rank, s.k, segs, ready, *cfg.Pipeline)
+		method, buckets = sched.Reducers[0].BaseName(), len(sched.Buckets)
+	}
+	if m.Gen > 0 {
+		st.restore(c, cfg.Seed, resume, reducer)
+		st.barriers = resume
 	}
 
-	res := &Result{N: n, K: k}
-	evalData := c.NewData(cfg.Seed)
-
-	type iterStat struct {
-		comm, comp, clock float64
-		exposed, saved    float64
-		rounds            int
-		bytes             int64
+	s.mu.Lock()
+	if m.Gen != s.gen {
+		s.gen, s.offset = m.Gen, s.clock
 	}
-	stats := make([][]iterStat, cfg.P)
-	for w := range stats {
-		stats[w] = make([]iterStat, cfg.Iters)
+	offset := s.offset
+	if m.Gen > 0 {
+		s.resumeAt[m.Gen] = resume // agreed, so the same from every worker
 	}
-
-	backend := cfg.Backend
-	if backend == nil {
-		backend = simnet.Backend(network)
-	}
-	backend.Run(cfg.P, func(rank int, ep comm.Endpoint) {
-		model := c.NewModel(cfg.Seed) // same seed ⇒ identical replicas
-		ds := c.NewData(cfg.Seed)
-		opt := nn.NewSGD(c.LR, c.Momentum)
-		flat := make([]float32, n)
-		invP := float32(1) / float32(cfg.P)
-		skew := 1.0
-		if cfg.ComputeSkew != nil {
-			skew = cfg.ComputeSkew[rank]
-		}
-
-		// Monolithic path: one reducer over the whole flattened gradient.
-		// Pipeline path: one SegmentReducer per bucket, launched at each
-		// bucket's backward-ready point on the communication stream.
-		var reducer sparsecoll.Reducer
-		var sched *pipeline.Schedule
-		var segs []nn.Segment
-		var global []float32
-		if cfg.Pipeline == nil {
-			reducer = cfg.Factory(cfg.P, rank, n, k)
-			global = make([]float32, n)
-			if rank == 0 {
-				res.Method = reducer.Name()
+	if m.Rank == 0 {
+		s.res.Method, s.res.Buckets = method, buckets
+		if m.Gen > 0 {
+			// Drop points recorded for iterations now being re-run with
+			// the new membership: the old rank 0 can have evaluated
+			// iteration `resume` (it passed that barrier locally) even
+			// though the fleet as a whole did not.
+			for len(s.res.Points) > 0 && s.res.Points[len(s.res.Points)-1].Iter > resume {
+				s.res.Points = s.res.Points[:len(s.res.Points)-1]
 			}
+		}
+	}
+	s.mu.Unlock()
+	defer func() { // also on the way out of a poisoned generation
+		s.mu.Lock()
+		s.clock = max(s.clock, offset+ep.Clock())
+		s.mu.Unlock()
+	}()
+
+	flat := make([]float32, n)
+	global := make([]float32, n)
+	invP := float32(1) / float32(m.P)
+	for it := resume; it < cfg.Iters; it++ {
+		batch := ds.TrainBatch(m.Rank, it, c.BatchSize)
+		nn.ZeroGrads(st.model.Params())
+		loss, _ := st.model.Loss(batch)
+		loss.Backward()
+
+		before := ep.Stats()
+		if sched == nil {
+			nn.FlattenGrads(st.model.Params(), flat)
+			ep.Compute(c.ComputeTime * skew) // simulated forward+backward time
+			// In-place synchronization into the per-worker result
+			// vector: the reduce pipeline allocates nothing at steady
+			// state (arena chunks + persistent dense scratch).
+			sparsecoll.ReduceInto(reducer, ep, flat, global)
 		} else {
-			segs = nn.GradSegments(model.Params())
-			ready := nn.GradReadyTimes(model.Params(), c.ComputeTime*skew)
-			sched = pipeline.NewSchedule(cfg.Factory, cfg.P, rank, k, segs, ready, *cfg.Pipeline)
-			global = make([]float32, n)
-			if rank == 0 {
-				res.Method = sched.Reducers[0].BaseName()
-				res.Buckets = len(sched.Buckets)
-			}
+			// Schedule.Run charges the forward+backward compute itself,
+			// bucket by bucket, overlapping each bucket's all-reduce
+			// with the compute still ahead of it.
+			sched.Run(ep, segs, flat, global)
 		}
+		after := ep.Stats()
 
-		for it := 0; it < cfg.Iters; it++ {
-			batch := ds.TrainBatch(rank, it, c.BatchSize)
-			nn.ZeroGrads(model.Params())
-			loss, _ := model.Loss(batch)
-			loss.Backward()
-
-			before := ep.Stats()
-			if sched == nil {
-				nn.FlattenGrads(model.Params(), flat)
-				ep.Compute(c.ComputeTime * skew) // simulated forward+backward time
-				// In-place synchronization into the per-worker result
-				// vector: the reduce pipeline allocates nothing at steady
-				// state (arena chunks + persistent dense scratch).
-				sparsecoll.ReduceInto(reducer, ep, flat, global)
-			} else {
-				// Schedule.Run charges the forward+backward compute itself,
-				// bucket by bucket, overlapping each bucket's all-reduce
-				// with the compute still ahead of it.
-				sched.Run(ep, segs, flat, global)
-			}
-			after := ep.Stats()
-
-			for i := range global {
-				global[i] *= invP
-			}
-			opt.Step(model.Params(), global)
-
-			stats[rank][it] = iterStat{
-				// CompTime already includes the model compute: both paths
-				// charge it through ep.Compute after `before` was taken.
-				comm:    after.CommTime - before.CommTime,
-				comp:    after.CompTime - before.CompTime,
-				exposed: after.ExposedComm - before.ExposedComm,
-				saved:   after.OverlapSaved - before.OverlapSaved,
-				rounds:  after.Rounds - before.Rounds,
-				bytes:   after.BytesRecv - before.BytesRecv,
-			}
-			if sched == nil || cfg.Pipeline.NoOverlap {
-				// Serialized synchronization is exposed in full: the α-β
-				// charges plus the in-collective selection/merge compute —
-				// the same constituents the overlap stream hides or exposes.
-				stats[rank][it].exposed = stats[rank][it].comm +
-					(stats[rank][it].comp - c.ComputeTime*skew)
-			}
-			ep.SyncClock()
-			stats[rank][it].clock = ep.Clock()
-
-			if rank == 0 && cfg.EvalEvery > 0 && (it+1)%cfg.EvalEvery == 0 {
-				res.Points = append(res.Points, evalPoint(model, evalData, cfg, it+1, ep.Clock()))
-			}
+		for i := range global {
+			global[i] *= invP
 		}
-		if rank == 0 {
-			p := evalPoint(model, evalData, cfg, cfg.Iters, ep.Clock())
-			if len(res.Points) == 0 || res.Points[len(res.Points)-1].Iter != cfg.Iters {
-				res.Points = append(res.Points, p)
-			}
-			res.FinalMetric = p.Metric
-			res.FinalLoss = p.Loss
-			res.TotalTime = ep.Clock()
-		}
-	})
+		st.opt.Step(st.model.Params(), global)
 
-	// Per-iteration worst-worker aggregates.
+		stat := iterStat{
+			ran: m.Gen + 1,
+			// CompTime already includes the model compute: both paths
+			// charge it through ep.Compute after `before` was taken.
+			comm:    after.CommTime - before.CommTime,
+			comp:    after.CompTime - before.CompTime,
+			exposed: after.ExposedComm - before.ExposedComm,
+			saved:   after.OverlapSaved - before.OverlapSaved,
+			rounds:  after.Rounds - before.Rounds,
+			bytes:   after.BytesRecv - before.BytesRecv,
+		}
+		if sched == nil || cfg.Pipeline.NoOverlap {
+			// Serialized synchronization is exposed in full: the α-β
+			// charges plus the in-collective selection/merge compute —
+			// the same constituents the overlap stream hides or exposes.
+			stat.exposed = stat.comm + (stat.comp - c.ComputeTime*skew)
+		}
+		if s.elastic {
+			st.snapshot(it, reducer, n)
+		}
+		ep.SyncClock() // may panic mid-recovery; the iteration commits only past here
+		st.barriers = it + 1
+		s.stats[m.ID][it] = stat
+
+		if m.Rank != 0 {
+			continue
+		}
+		if it == resume && m.Gen > 0 {
+			s.mu.Lock()
+			s.firstRound[m.Gen] = time.Since(genStart).Seconds()
+			s.mu.Unlock()
+		}
+		if cfg.EvalEvery > 0 && (it+1)%cfg.EvalEvery == 0 {
+			p := evalPoint(st.model, s.evalData, cfg, it+1, offset+ep.Clock())
+			s.mu.Lock()
+			s.res.Points = append(s.res.Points, p)
+			s.mu.Unlock()
+		}
+	}
+	if m.Rank == 0 {
+		p := evalPoint(st.model, s.evalData, cfg, cfg.Iters, offset+ep.Clock())
+		s.mu.Lock()
+		if len(s.res.Points) == 0 || s.res.Points[len(s.res.Points)-1].Iter != cfg.Iters {
+			s.res.Points = append(s.res.Points, p)
+		}
+		s.res.FinalMetric = p.Metric
+		s.res.FinalLoss = p.Loss
+		s.res.TotalTime = p.Time
+		s.mu.Unlock()
+	}
+}
+
+// result folds the per-iteration statistics into the Result: for every
+// iteration the worst worker of the generation that ran it last (a
+// recovery re-runs iterations with the new membership), averaged over all
+// cfg.Iters iterations.
+func (s *session) result() *Result {
+	res, iters := s.res, float64(s.cfg.Iters)
 	var commSum, compSum, exposedSum, savedSum float64
 	var bytesSum int64
-	maxRounds := 0
-	for it := 0; it < cfg.Iters; it++ {
-		var worstComm, worstComp, worstExposed, worstSaved float64
-		var worstBytes int64
-		for w := 0; w < cfg.P; w++ {
-			s := stats[w][it]
-			if s.comm > worstComm {
-				worstComm = s.comm
+	for it := 0; it < s.cfg.Iters; it++ {
+		var worst iterStat
+		for w := range s.stats {
+			st := s.stats[w][it]
+			if st.ran < worst.ran {
+				continue
 			}
-			if s.comp > worstComp {
-				worstComp = s.comp
+			if st.ran > worst.ran {
+				worst = iterStat{ran: st.ran}
 			}
-			if s.exposed > worstExposed {
-				worstExposed = s.exposed
-			}
-			if s.saved > worstSaved {
-				worstSaved = s.saved
-			}
-			if s.bytes > worstBytes {
-				worstBytes = s.bytes
-			}
-			if s.rounds > maxRounds {
-				maxRounds = s.rounds
-			}
+			worst.comm = max(worst.comm, st.comm)
+			worst.comp = max(worst.comp, st.comp)
+			worst.exposed = max(worst.exposed, st.exposed)
+			worst.saved = max(worst.saved, st.saved)
+			worst.bytes = max(worst.bytes, st.bytes)
+			worst.rounds = max(worst.rounds, st.rounds)
 		}
-		commSum += worstComm
-		compSum += worstComp
-		exposedSum += worstExposed
-		savedSum += worstSaved
-		bytesSum += worstBytes
+		commSum += worst.comm
+		compSum += worst.comp
+		exposedSum += worst.exposed
+		savedSum += worst.saved
+		bytesSum += worst.bytes
+		res.MaxRounds = max(res.MaxRounds, worst.rounds)
 	}
-	res.CommTime = commSum / float64(cfg.Iters)
-	res.CompTime = compSum / float64(cfg.Iters)
-	res.ExposedComm = exposedSum / float64(cfg.Iters)
-	res.OverlapSaved = savedSum / float64(cfg.Iters)
-	res.PerUpdateTime = res.TotalTime / float64(cfg.Iters)
-	res.MaxRounds = maxRounds
-	res.BytesPerIter = bytesSum / int64(cfg.Iters)
+	res.CommTime = commSum / iters
+	res.CompTime = compSum / iters
+	res.ExposedComm = exposedSum / iters
+	res.OverlapSaved = savedSum / iters
+	res.PerUpdateTime = res.TotalTime / iters
+	res.BytesPerIter = bytesSum / int64(s.cfg.Iters)
 	return res
 }
 

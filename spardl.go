@@ -11,10 +11,11 @@
 //
 // # Quick start
 //
-//	fabric := spardl.NewFabric(8, spardl.Ethernet)
-//	// one reducer per worker goroutine:
-//	r, _ := spardl.New(8, rank, n, k, spardl.Options{})
-//	global := r.Reduce(fabric.Endpoint(rank), grad)
+//	spardl.RunCluster(8, spardl.Ethernet, func(rank int, ep *spardl.Endpoint) {
+//		// one reducer per worker goroutine:
+//		r, _ := spardl.New(8, rank, n, k, spardl.Options{})
+//		global := r.Reduce(ep, grad)
+//	})
 //
 // See examples/ for runnable programs and cmd/spardl-bench for the
 // experiment harness.
@@ -214,11 +215,13 @@ func ParseFactory(method string, p, teams int, variant, residual string) (Factor
 }
 
 // Communication layer. Every collective is written against the backend-
-// neutral comm.Endpoint contract; two backends implement it.
+// neutral comm.Endpoint contract; the simulator implements it with virtual
+// clocks, and one wall-clock runtime implements it for both real
+// transports (livenet, tcpnet).
 type (
 	// CommEndpoint is the backend-neutral worker handle every reducer
-	// accepts: *Endpoint (the simulator's) and livenet's endpoint both
-	// satisfy it.
+	// accepts: *Endpoint (the simulator's) and the live backends' endpoints
+	// all satisfy it.
 	CommEndpoint = comm.Endpoint
 	// Backend runs P workers over one communication substrate
 	// (SimBackend or LiveBackend); TrainConfig.Backend selects it.
@@ -255,7 +258,7 @@ func TCPStart(cfg TCPConfig) (*TCPEndpoint, error) { return tcpnet.Start(cfg) }
 // TCPSelfBackend adapts an established TCP endpoint to the Backend
 // contract for the one rank this process runs; the other ranks are
 // separate processes. Use it as TrainConfig.Backend inside a worker
-// process (cmd/spardl-worker does exactly this).
+// process (cmd/spardl-worker does exactly this). Run closes the endpoint.
 func TCPSelfBackend(ep *TCPEndpoint) Backend { return tcpnet.SelfBackend(ep) }
 
 // TCPLocalBackend runs P tcpnet workers as goroutines of this one process,
@@ -265,7 +268,9 @@ func TCPSelfBackend(ep *TCPEndpoint) Backend { return tcpnet.SelfBackend(ep) }
 func TCPLocalBackend() Backend { return tcpnet.LocalBackend(0) }
 
 // ReserveTCPAddr picks a free loopback host:port for a rendezvous
-// listener — the parent-process half of the one-command local demo.
+// listener — the parent-process half of the one-command local demo. The
+// port is released before it returns, so rank 0's bind can lose a race for
+// it (see tcpnet.ReserveLoopbackAddr).
 func ReserveTCPAddr() (string, error) { return tcpnet.ReserveLoopbackAddr() }
 
 // TCPChildEnv returns the environment entries that hand a spawned worker
@@ -310,12 +315,6 @@ func LiveChaosBackend(sched *ChaosSchedule) Backend { return livenet.NewChaosBac
 // loopback sockets.
 func TCPLocalChaosBackend(sched *ChaosSchedule) Backend { return tcpnet.LocalChaosBackend(0, sched) }
 
-// TCPProcBackend adapts one worker process to the elastic contract:
-// generation 0 is a normal rendezvous at cfg, and after a poisoned fabric
-// the survivors elect the lowest surviving ID as the new rendezvous leader
-// and re-mesh (cmd/spardl-worker -elastic uses it).
-func TCPProcBackend(cfg TCPConfig) ElasticBackend { return tcpnet.NewProcBackend(cfg) }
-
 // ErrTCPRendezvous classifies TCPStart failures: errors.Is(err,
 // ErrTCPRendezvous) means the cluster never formed (nothing listening,
 // timeout, torn check-ins past budget) as opposed to a mid-training fault.
@@ -344,15 +343,16 @@ func TrainElastic(cfg TrainConfig) (*TrainResult, []RecoveryStat, error) {
 }
 
 // TrainTCPElastic is TrainTCPRank's elastic sibling for one worker
-// process: the training session runs over TCPProcBackend(tcp), surviving
-// scheduled crashes of other processes by re-rendezvousing. Note that in
+// process: generation 0 is a normal rendezvous at tcp, and after a
+// poisoned fabric the survivors elect the lowest surviving ID as the new
+// rendezvous leader, re-mesh and resume (cmd/spardl-worker -elastic). In
 // multi-process mode each process owns its own TrainResult: after a rank-0
 // failover the new rank 0's trajectory covers its own post-recovery
 // evaluations (res.TotalTime > 0 marks the process that held rank 0 at the
 // end).
 func TrainTCPElastic(tcp TCPConfig, cfg TrainConfig) (*TrainResult, []RecoveryStat, error) {
 	cfg.P = tcp.P
-	cfg.Backend = TCPProcBackend(tcp)
+	cfg.Backend = tcpnet.NewProcBackend(tcp)
 	return train.RunElastic(cfg)
 }
 
@@ -430,8 +430,6 @@ func ForkTCPWorkers(p int, configure func(rank int, cmd *exec.Cmd)) error {
 
 // Network / cluster simulation.
 type (
-	// Fabric is the simulated α-β network connecting P workers.
-	Fabric = simnet.Fabric
 	// Endpoint is one worker's handle on the simulated fabric (virtual
 	// clock, traffic statistics).
 	Endpoint = simnet.Endpoint
@@ -447,22 +445,10 @@ var (
 	RDMA     = simnet.RDMA
 )
 
-// NewFabric creates a simulated network for p workers.
-func NewFabric(p int, profile Profile) *Fabric { return simnet.New(p, profile) }
-
 // RunCluster executes worker(rank, endpoint) on p goroutines over a fresh
 // simulated fabric and reports per-worker α-β costs.
 func RunCluster(p int, profile Profile, worker func(rank int, ep *Endpoint)) *Report {
 	return simnet.Run(p, profile, worker)
-}
-
-// RunWorkers executes worker(rank, ep) concurrently on the provided
-// endpoints (all from one fabric) and waits for completion, without
-// building a report. Steady-state loops use it to keep the fabric,
-// endpoints and reducers alive across iterations — the allocation-free
-// hot path the benchmarks measure.
-func RunWorkers(eps []*Endpoint, worker func(rank int, ep *Endpoint)) {
-	simnet.RunOn(eps, worker)
 }
 
 // ReduceBench is the canonical steady-state hot-path workload: one SparDL
@@ -487,7 +473,7 @@ func NewReduceBench(p, n, k int, mode WireMode) (*ReduceBench, error) {
 		outs: make([][]float32, p), eps: make([]*Endpoint, p),
 		reducers: make([]*SparDL, p),
 	}
-	fabric := NewFabric(p, Ethernet)
+	fabric := simnet.New(p, Ethernet)
 	for w := 0; w < p; w++ {
 		rb.grads[w] = make([]float32, n)
 		for i := range rb.grads[w] {
@@ -507,12 +493,21 @@ func NewReduceBench(p, n, k int, mode WireMode) (*ReduceBench, error) {
 	return rb, nil
 }
 
-// Iterate runs one cluster-wide steady-state synchronization.
+// Iterate runs one cluster-wide steady-state synchronization: the shared
+// run loop over the persistent endpoints, so the fabric, endpoints and
+// reducers stay alive across iterations — the allocation-free hot path the
+// benchmarks measure.
 func (rb *ReduceBench) Iterate() {
-	RunWorkers(rb.eps, func(rank int, ep *Endpoint) {
-		copy(rb.bufs[rank], rb.grads[rank])
-		rb.reducers[rank].ReduceInto(ep, rb.bufs[rank], rb.outs[rank])
-	})
+	var root comm.Cause
+	comm.RunWorkers(len(rb.eps), nil, &root,
+		func(rank int) comm.Node { return rb.eps[rank] },
+		func(rank int, ep CommEndpoint) {
+			copy(rb.bufs[rank], rb.grads[rank])
+			rb.reducers[rank].ReduceInto(ep, rb.bufs[rank], rb.outs[rank])
+		})
+	if cause := root.String(); cause != "" {
+		panic(cause)
+	}
 }
 
 // SelectStats sums the workers' selection counts (see SparDL.SelectStats)
@@ -523,13 +518,6 @@ func (rb *ReduceBench) SelectStats() SelectStats {
 		sum.Add(r.SelectStats())
 	}
 	return sum
-}
-
-// RunLive executes worker(rank, endpoint) on p goroutines over a fresh
-// livenet fabric — the real concurrent transport — and reports per-worker
-// wall-clock costs and real serialized byte counts.
-func RunLive(p int, worker func(rank int, ep CommEndpoint)) *Report {
-	return livenet.Run(p, worker)
 }
 
 // Distributed training.
