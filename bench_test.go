@@ -112,10 +112,7 @@ func benchReduceOnce(b *testing.B, mode spardl.WireMode) {
 // BenchmarkReduceOnce is the COO-accounting baseline of the hot path.
 func BenchmarkReduceOnce(b *testing.B) { benchReduceOnce(b, spardl.WireCOO) }
 
-// BenchmarkReduceOnceNegotiated sizes every message through the codec
-// without materializing buffers; the sizing pass must stay cheap.
+// BenchmarkReduceOnceNegotiated sizes every message through the codec,
+// once at the owner and once per all-gather forwarding hop; the sizing
+// passes must stay cheap.
 func BenchmarkReduceOnceNegotiated(b *testing.B) { benchReduceOnce(b, spardl.WireNegotiated) }
-
-// BenchmarkReduceOnceEncoded round-trips every message through
-// Encode/Decode — the upper bound on transport overhead.
-func BenchmarkReduceOnceEncoded(b *testing.B) { benchReduceOnce(b, spardl.WireEncoded) }

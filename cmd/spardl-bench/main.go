@@ -73,35 +73,6 @@ func reduceGrads(p, n int) [][]float32 {
 	return grads
 }
 
-// runLiveComparison benchmarks one SparDL synchronization per wire mode on
-// the livenet backend — real encode/decode over channels, wall-clock
-// timed — and prints the measured ns/op next to the α-β simulator's
-// virtual clock for the identical workload. This is the project's
-// hardware-honest number: what a synchronization costs when every sparse
-// message is truly serialized, not accounted.
-func runLiveComparison(w io.Writer, p, n, k int) {
-	fmt.Fprintf(w, "## live vs simulated: one SparDL synchronization (P=%d, n=%d, k=%d)\n\n", p, n, k)
-	fmt.Fprintf(w, "%-12s %14s %16s %16s %14s %14s\n",
-		"wire mode", "sim clock", "live wall ns/op", "live B/op alloc", "sim bytes", "live bytes")
-	grads := reduceGrads(p, n)
-	for _, mode := range []spardl.WireMode{spardl.WireCOO, spardl.WireNegotiated, spardl.WireEncoded} {
-		simRep := runReduceOnce(spardl.SimBackend(spardl.Ethernet), p, n, k, mode, grads)
-		var liveRep *spardl.Report
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				liveRep = runReduceOnce(spardl.LiveBackend(), p, n, k, mode, grads)
-			}
-		})
-		fmt.Fprintf(w, "%-12s %12.3fms %16d %16d %14d %14d\n",
-			mode.String(), simRep.Time*1e3, res.NsPerOp(), res.AllocedBytesPerOp(),
-			simRep.TotalBytesRecv(), liveRep.TotalBytesRecv())
-	}
-	fmt.Fprintf(w, "\nsim clock is virtual α-β seconds on the %s profile; live figures are\n", spardl.Ethernet.Name)
-	fmt.Fprintln(w, "measured wall time and allocation for the same reduction with every sparse")
-	fmt.Fprintln(w, "message actually encoded and decoded through the wire codecs.")
-}
-
 // emitReduceBaseline measures the BenchmarkReduceOnce workload with
 // testing.Benchmark and writes the JSON record to path. The measured loop
 // IS the committed benchmark: both run spardl.ReduceBench, so the
@@ -112,7 +83,7 @@ func emitReduceBaseline(path string) error {
 	// benchtime the benchmark settles on ~5 iterations and the first timed
 	// iterations' pool-fill allocations inflate allocs/op by ~10% over the
 	// steady state the arena actually delivers (and the CI gate defends).
-	// 20 iterations matches the bench-regression job's -benchtime.
+	// 20 iterations matches `make bench`'s -benchtime.
 	testing.Init()
 	if err := flag.Set("test.benchtime", "20x"); err != nil {
 		return err
@@ -148,6 +119,11 @@ func emitReduceBaseline(path string) error {
 		WireBytesCOO:        runReduceOnce(sim, p, n, k, spardl.WireCOO, grads).TotalBytesRecv(),
 		WireBytesNegotiated: runReduceOnce(sim, p, n, k, spardl.WireNegotiated, grads).TotalBytesRecv(),
 	}
+	return writeJSON(path, rec)
+}
+
+// writeJSON writes rec to path as indented JSON and echoes it.
+func writeJSON(path string, rec any) error {
 	out, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {
 		return err
@@ -160,194 +136,105 @@ func emitReduceBaseline(path string) error {
 	return nil
 }
 
-// liveModeRecord is one wire mode's steady-state livenet measurement.
-type liveModeRecord struct {
-	Wire         string `json:"wire"`
-	NsPerOp      int64  `json:"ns_per_op"`
-	BytesPerIter int64  `json:"bytes_per_iter"` // real serialized bytes, cluster-wide
-}
-
-// liveBaseline is the JSON record emitted by -live-baseline: real wall-
-// clock ns/op and real serialized wire bytes for one steady-state SparDL
-// synchronization on the livenet backend, per wire mode.
-type liveBaseline struct {
-	Benchmark  string           `json:"benchmark"`
-	P          int              `json:"p"`
-	N          int              `json:"n"`
-	K          int              `json:"k"`
-	Warmup     int              `json:"warmup"`
-	Iterations int              `json:"iterations"`
-	Modes      []liveModeRecord `json:"modes"`
-}
-
-// emitLiveBaseline measures steady-state synchronizations on the livenet
-// backend — every message truly serialized, reducers and fabric persistent,
-// a SyncClock barrier per iteration like a training loop — and writes the
-// JSON record to path.
-func emitLiveBaseline(path string, p, n, k int) error {
-	const warmup, iters = 3, 10
-	grads := reduceGrads(p, n)
-	rec := liveBaseline{Benchmark: "LiveReduceSteadyState", P: p, N: n, K: k,
-		Warmup: warmup, Iterations: iters}
-	for _, mode := range []spardl.WireMode{spardl.WireCOO, spardl.WireNegotiated, spardl.WireEncoded} {
-		var elapsed time.Duration
-		rep := spardl.LiveBackend().Run(p, func(rank int, ep spardl.CommEndpoint) {
-			r, err := spardl.New(p, rank, n, k, spardl.Options{Wire: mode})
-			if err != nil {
-				panic(err)
-			}
-			g := make([]float32, n)
-			out := make([]float32, n)
-			run := func() {
-				copy(g, grads[rank])
-				r.ReduceInto(ep, g, out)
-				ep.SyncClock()
-			}
-			for it := 0; it < warmup; it++ {
-				run()
-			}
-			ep.ResetStats()
-			var t0 time.Time
-			if rank == 0 {
-				t0 = time.Now()
-			}
-			for it := 0; it < iters; it++ {
-				run()
-			}
-			if rank == 0 {
-				elapsed = time.Since(t0)
-			}
-		})
-		rec.Modes = append(rec.Modes, liveModeRecord{
-			Wire:         mode.String(),
-			NsPerOp:      elapsed.Nanoseconds() / iters,
-			BytesPerIter: rep.TotalBytesRecv() / iters,
-		})
-	}
-	out, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s:\n%s", path, out)
-	return nil
-}
-
-// tcpModeRecord is one wire mode's steady-state tcpnet measurement.
-type tcpModeRecord struct {
-	Wire         string `json:"wire"`
+// steadyBaseline is the JSON record -live-baseline and -tcp-baseline emit:
+// real wall-clock ns/op, real serialized wire bytes and whole-process
+// allocations for one steady-state SparDL synchronization on a byte-level
+// backend. There is one record, not one per Options.Wire value: that option
+// is the simulator's accounting rule and changes nothing a byte backend
+// does. The allocation figure covers every goroutine the transport runs
+// (workers, per-peer readers and writers), which is exactly the data path
+// the tcp baseline defends: a per-frame copy or per-receive buffer shows up
+// here no matter which goroutine pays for it.
+type steadyBaseline struct {
+	Benchmark    string `json:"benchmark"`
+	P            int    `json:"p"`
+	N            int    `json:"n"`
+	K            int    `json:"k"`
+	Warmup       int    `json:"warmup"`
+	Iterations   int    `json:"iterations"`
+	Reps         int    `json:"reps"`
 	NsPerOp      int64  `json:"ns_per_op"`
 	BytesPerIter int64  `json:"bytes_per_iter"` // real serialized bytes, cluster-wide
 	AllocsPerOp  int64  `json:"allocs_per_op"`  // whole-process heap allocations per iteration
 }
 
-// tcpBaseline is the JSON record emitted by -tcp-baseline: real wall-clock
-// ns/op, real serialized wire bytes, and whole-process allocations for one
-// steady-state SparDL synchronization over loopback TCP sockets, per wire
-// mode. The allocation figure is a runtime.MemStats.Mallocs delta across
-// the timed iterations — it covers every goroutine the transport runs
-// (workers, per-peer readers and writers), which is exactly the data path
-// this baseline defends: a per-frame copy or per-receive buffer shows up
-// here no matter which goroutine pays for it.
-type tcpBaseline struct {
-	Benchmark  string          `json:"benchmark"`
-	P          int             `json:"p"`
-	N          int             `json:"n"`
-	K          int             `json:"k"`
-	Warmup     int             `json:"warmup"`
-	Iterations int             `json:"iterations"`
-	Reps       int             `json:"reps"`
-	Modes      []tcpModeRecord `json:"modes"`
+// steadyRun runs warmup+iters steady-state synchronizations of f's
+// reducers on b — reducers and fabric persistent, a SyncClock barrier per
+// iteration like a training loop — and returns rank 0's wall-clock ns and
+// the whole-process Mallocs per timed iteration, plus the run report, whose
+// statistics cover the timed iterations only. Extra barriers bracket the
+// timed loop so rank 0's MemStats snapshots happen while every other rank
+// is blocked (allocating nothing): the Mallocs delta covers the timed
+// iterations and only them.
+func steadyRun(b spardl.Backend, f spardl.Factory, grads [][]float32, k, warmup, iters int) (nsPerOp, allocsPerOp int64, report *spardl.Report) {
+	p, n := len(grads), len(grads[0])
+	var elapsed time.Duration
+	var allocs uint64
+	report = b.Run(p, func(rank int, ep spardl.CommEndpoint) {
+		r := f(p, rank, n, k)
+		g := make([]float32, n)
+		out := make([]float32, n)
+		run := func() {
+			copy(g, grads[rank])
+			spardl.ReduceInto(r, ep, g, out)
+			ep.SyncClock()
+		}
+		for it := 0; it < warmup; it++ {
+			run()
+		}
+		ep.ResetStats()
+		var t0 time.Time
+		if rank == 0 {
+			var m0 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			allocs = m0.Mallocs
+			t0 = time.Now()
+		}
+		// No rank passes this barrier before rank 0 has snapshotted:
+		// everyone else needs rank 0's token to proceed.
+		ep.SyncClock()
+		for it := 0; it < iters; it++ {
+			run()
+		}
+		if rank == 0 {
+			elapsed = time.Since(t0)
+			var m1 runtime.MemStats
+			runtime.ReadMemStats(&m1)
+			allocs = m1.Mallocs - allocs
+		}
+		// Hold the fleet until rank 0 has snapshotted again, so endpoint
+		// teardown allocations stay outside the measured window.
+		ep.SyncClock()
+	})
+	return elapsed.Nanoseconds() / int64(iters), int64(allocs) / int64(iters), report
 }
 
-// emitTCPBaseline measures steady-state synchronizations on the loopback
-// tcpnet backend — P worker goroutines, each rank's bytes crossing the
-// kernel through real sockets, reducers and mesh persistent, a SyncClock
-// barrier per iteration like a training loop — and writes the JSON record
-// to path. Extra barriers bracket the timed loop so rank 0's MemStats
-// snapshots happen while every other rank is blocked (allocating nothing):
-// the Mallocs delta covers the timed iterations and only them.
+// emitSteadyBaseline measures SparDL's steady state on a byte-level backend
+// — every message truly serialized, and on tcpnet crossing the kernel
+// through real loopback sockets — and writes the JSON record to path.
 //
-// Each mode runs as reps independent fleets and the record keeps the
-// per-mode minimum ns/op and allocs/op: a lock-stepped fleet's wall clock
-// is at the scheduler's mercy on a loaded host, and the minimum is the run
+// The workload runs as reps independent fleets and the record keeps the
+// minimum ns/op and allocs/op: a lock-stepped fleet's wall clock is at the
+// scheduler's mercy on a loaded host, and the minimum is the run
 // interference touched least — the standard robust estimator for a
 // wall-clock gate. Serialized bytes are deterministic and identical across
 // reps.
-func emitTCPBaseline(path string, p, n, k int) error {
+func emitSteadyBaseline(path, name string, b spardl.Backend, p, n, k int) error {
 	const warmup, iters, reps = 3, 10, 3
 	grads := reduceGrads(p, n)
-	rec := tcpBaseline{Benchmark: "TCPReduceSteadyState", P: p, N: n, K: k,
+	rec := steadyBaseline{Benchmark: name, P: p, N: n, K: k,
 		Warmup: warmup, Iterations: iters, Reps: reps}
-	for _, mode := range []spardl.WireMode{spardl.WireCOO, spardl.WireNegotiated, spardl.WireEncoded} {
-		best := tcpModeRecord{Wire: mode.String()}
-		for rep := 0; rep < reps; rep++ {
-			var elapsed time.Duration
-			var allocs uint64
-			report := spardl.TCPLocalBackend().Run(p, func(rank int, ep spardl.CommEndpoint) {
-				r, err := spardl.New(p, rank, n, k, spardl.Options{Wire: mode})
-				if err != nil {
-					panic(err)
-				}
-				g := make([]float32, n)
-				out := make([]float32, n)
-				run := func() {
-					copy(g, grads[rank])
-					r.ReduceInto(ep, g, out)
-					ep.SyncClock()
-				}
-				for it := 0; it < warmup; it++ {
-					run()
-				}
-				ep.ResetStats()
-				var t0 time.Time
-				if rank == 0 {
-					var m0 runtime.MemStats
-					runtime.ReadMemStats(&m0)
-					allocs = m0.Mallocs
-					t0 = time.Now()
-				}
-				// No rank passes this barrier before rank 0 has snapshotted:
-				// everyone else needs rank 0's token to proceed.
-				ep.SyncClock()
-				for it := 0; it < iters; it++ {
-					run()
-				}
-				if rank == 0 {
-					elapsed = time.Since(t0)
-					var m1 runtime.MemStats
-					runtime.ReadMemStats(&m1)
-					allocs = m1.Mallocs - allocs
-				}
-				// Hold the fleet until rank 0 has snapshotted again, so endpoint
-				// teardown allocations stay outside the measured window.
-				ep.SyncClock()
-			})
-			nsPerOp := elapsed.Nanoseconds() / iters
-			allocsPerOp := int64(allocs) / iters
-			if rep == 0 || nsPerOp < best.NsPerOp {
-				best.NsPerOp = nsPerOp
-			}
-			if rep == 0 || allocsPerOp < best.AllocsPerOp {
-				best.AllocsPerOp = allocsPerOp
-			}
-			best.BytesPerIter = report.TotalBytesRecv() / iters
+	for rep := 0; rep < reps; rep++ {
+		ns, allocs, report := steadyRun(b, spardl.NewFactory(spardl.Options{}), grads, k, warmup, iters)
+		if rep == 0 || ns < rec.NsPerOp {
+			rec.NsPerOp = ns
 		}
-		rec.Modes = append(rec.Modes, best)
+		if rep == 0 || allocs < rec.AllocsPerOp {
+			rec.AllocsPerOp = allocs
+		}
+		rec.BytesPerIter = report.TotalBytesRecv() / iters
 	}
-	out, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s:\n%s", path, out)
-	return nil
+	return writeJSON(path, rec)
 }
 
 // runDensitySweep measures the adaptive sparse↔dense representation
@@ -376,34 +263,10 @@ func runDensitySweep(w io.Writer, p, n int) {
 	for _, ratio := range []float64{1e-3, 1e-2, 5e-2, 1e-1} {
 		k := int(float64(n) * ratio)
 		for _, pc := range policies {
-			f := spardl.DenseVariant(spardl.WireVariant(spardl.TopkDSA, spardl.WireNegotiated), pc.pol)
-			var elapsed time.Duration
-			rep := spardl.SimBackend(spardl.Ethernet).Run(p, func(rank int, ep spardl.CommEndpoint) {
-				r := f(p, rank, n, k)
-				g := make([]float32, n)
-				out := make([]float32, n)
-				run := func() {
-					copy(g, grads[rank])
-					spardl.ReduceInto(r, ep, g, out)
-					ep.SyncClock()
-				}
-				for it := 0; it < warmup; it++ {
-					run()
-				}
-				ep.ResetStats()
-				var t0 time.Time
-				if rank == 0 {
-					t0 = time.Now()
-				}
-				for it := 0; it < iters; it++ {
-					run()
-				}
-				if rank == 0 {
-					elapsed = time.Since(t0)
-				}
-			})
+			f := spardl.Tuned(spardl.TopkDSA, spardl.WireNegotiated, pc.pol)
+			ns, _, rep := steadyRun(spardl.SimBackend(spardl.Ethernet), f, grads, k, warmup, iters)
 			fmt.Fprintf(w, "%-8.0e %10d  %-10s %14d %16d\n",
-				ratio, k, pc.name, elapsed.Nanoseconds()/iters, rep.TotalBytesRecv()/iters)
+				ratio, k, pc.name, ns, rep.TotalBytesRecv()/iters)
 		}
 	}
 	fmt.Fprintln(w, "\na densified merge result materializes its zeros as real entries, so the")
@@ -470,16 +333,15 @@ func runChaosBench(w io.Writer, spec string, p, iters int) error {
 // envBenchOut hands a forked tcp-demo worker its per-rank result path.
 const envBenchOut = "SPARDL_BENCH_OUT"
 
-// tcpWorkerRecord is what one forked worker process reports per wire mode.
+// tcpWorkerRecord is what one forked worker process reports.
 type tcpWorkerRecord struct {
-	Wire      string `json:"wire"`
-	WallNs    int64  `json:"wall_ns"`
-	BytesRecv int64  `json:"bytes_recv"` // real serialized bytes received by this rank
+	WallNs    int64 `json:"wall_ns"`
+	BytesRecv int64 `json:"bytes_recv"` // real serialized bytes received by this rank
 }
 
 // runTCPWorkerBench is the forked child body of -backend tcp: one SparDL
-// synchronization per wire mode over the process mesh, reporting measured
-// wall time and real received bytes for this rank.
+// synchronization over the process mesh, reporting measured wall time and
+// real received bytes for this rank.
 func runTCPWorkerBench(cfg spardl.TCPConfig, n, k int) {
 	ep, err := spardl.TCPStart(cfg)
 	if err != nil {
@@ -492,27 +354,19 @@ func runTCPWorkerBench(cfg spardl.TCPConfig, n, k int) {
 			os.Exit(1)
 		}
 	}()
-	grads := reduceGrads(ep.P(), n)
-	g := make([]float32, n)
-	out := make([]float32, n)
-	var recs []tcpWorkerRecord
-	for _, mode := range []spardl.WireMode{spardl.WireCOO, spardl.WireNegotiated, spardl.WireEncoded} {
-		r, err := spardl.New(ep.P(), ep.Rank(), n, k, spardl.Options{Wire: mode})
-		if err != nil {
-			panic(err)
-		}
-		ep.SyncClock()
-		ep.ResetStats()
-		t0 := time.Now()
-		copy(g, grads[ep.Rank()])
-		spardl.ReduceInto(r, ep, g, out)
-		wall := time.Since(t0)
-		recs = append(recs, tcpWorkerRecord{
-			Wire: mode.String(), WallNs: wall.Nanoseconds(), BytesRecv: ep.Stats().BytesRecv,
-		})
+	r, err := spardl.New(ep.P(), ep.Rank(), n, k, spardl.Options{})
+	if err != nil {
+		panic(err)
 	}
+	g := reduceGrads(ep.P(), n)[ep.Rank()]
+	out := make([]float32, n)
 	ep.SyncClock()
-	data, err := json.Marshal(recs)
+	ep.ResetStats()
+	t0 := time.Now()
+	r.ReduceInto(ep, g, out)
+	rec := tcpWorkerRecord{WallNs: time.Since(t0).Nanoseconds(), BytesRecv: ep.Stats().BytesRecv}
+	ep.SyncClock()
+	data, err := json.Marshal(rec)
 	if err != nil {
 		panic(err)
 	}
@@ -524,7 +378,9 @@ func runTCPWorkerBench(cfg spardl.TCPConfig, n, k int) {
 // runTCPComparison is the parent side of -backend tcp: fork one worker
 // process per rank over loopback, aggregate their reports, and print the
 // measured cross-process numbers next to the α-β simulator's for the
-// identical workload — the project's distributed-honesty demo.
+// identical workload — the project's distributed-honesty demo. The
+// simulator's bytes are shown under both accounting rules; the negotiated
+// one is the size of what the sockets carry.
 func runTCPComparison(w io.Writer, p, n, k int) error {
 	dir, err := os.MkdirTemp("", "spardl-tcp")
 	if err != nil {
@@ -544,35 +400,28 @@ func runTCPComparison(w io.Writer, p, n, k int) error {
 		return err
 	}
 
-	perRank := make([][]tcpWorkerRecord, p)
-	for rank := range perRank {
-		data, err := os.ReadFile(outs[rank])
+	var wall, bytes int64
+	for _, path := range outs {
+		data, err := os.ReadFile(path)
 		if err != nil {
 			return err
 		}
-		if err := json.Unmarshal(data, &perRank[rank]); err != nil {
+		var rec tcpWorkerRecord
+		if err := json.Unmarshal(data, &rec); err != nil {
 			return err
 		}
+		wall = max(wall, rec.WallNs)
+		bytes += rec.BytesRecv
 	}
 
 	grads := reduceGrads(p, n)
-	fmt.Fprintf(w, "%-12s %14s %16s %14s %14s\n",
-		"wire mode", "sim clock", "tcp wall (max)", "sim bytes", "tcp bytes")
-	for mi, mode := range []spardl.WireMode{spardl.WireCOO, spardl.WireNegotiated, spardl.WireEncoded} {
-		simRep := runReduceOnce(spardl.SimBackend(spardl.Ethernet), p, n, k, mode, grads)
-		var wall int64
-		var bytes int64
-		for rank := range perRank {
-			rec := perRank[rank][mi]
-			if rec.WallNs > wall {
-				wall = rec.WallNs
-			}
-			bytes += rec.BytesRecv
-		}
-		fmt.Fprintf(w, "%-12s %12.3fms %14.3fms %14d %14d\n",
-			mode.String(), simRep.Time*1e3, float64(wall)/1e6,
-			simRep.TotalBytesRecv(), bytes)
-	}
+	sim := spardl.SimBackend(spardl.Ethernet)
+	coo := runReduceOnce(sim, p, n, k, spardl.WireCOO, grads)
+	neg := runReduceOnce(sim, p, n, k, spardl.WireNegotiated, grads)
+	fmt.Fprintf(w, "%14s %16s %16s %22s %14s\n",
+		"sim clock", "tcp wall (max)", "sim bytes (coo)", "sim bytes (negotiated)", "tcp bytes")
+	fmt.Fprintf(w, "%12.3fms %14.3fms %16d %22d %14d\n",
+		coo.Time*1e3, float64(wall)/1e6, coo.TotalBytesRecv(), neg.TotalBytesRecv(), bytes)
 	fmt.Fprintln(w, "\nsim clock is virtual α-β seconds; tcp figures are measured across separate")
 	fmt.Fprintln(w, "worker processes exchanging every sparse message over loopback TCP sockets.")
 	return nil
@@ -587,19 +436,18 @@ func main() {
 		full         = flag.Bool("full", false, "paper-faithful scale (longer runs) instead of quick mode")
 		out          = flag.String("o", "", "also write results to this file")
 		baseline     = flag.String("reduce-baseline", "", "write the BenchmarkReduceOnce perf baseline (ns/op, bytes-on-wire) to this JSON file and exit")
-		liveBase     = flag.String("live-baseline", "", "write the steady-state livenet baseline (real ns/op + serialized bytes per wire mode, at the -live-p/n/k sizes) to this JSON file and exit")
-		tcpBase      = flag.String("tcp-baseline", "", "write the steady-state loopback-TCP baseline (real ns/op + serialized bytes + whole-process allocs/op per wire mode, at the -live-p/n/k sizes) to this JSON file and exit")
+		liveBase     = flag.String("live-baseline", "", "write the steady-state livenet baseline (real ns/op + serialized bytes + whole-process allocs/op, at the -live-p/n/k sizes) to this JSON file and exit")
+		tcpBase      = flag.String("tcp-baseline", "", "write the steady-state loopback-TCP baseline (same record as -live-baseline, over real sockets) to this JSON file and exit")
 		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof reads it)")
 		memprofile   = flag.String("memprofile", "", "write an allocation profile taken at exit to this file (go tool pprof reads it)")
-		live         = flag.Bool("live", false, "benchmark one SparDL synchronization on the livenet backend (real encode/decode, wall-clock ns/op) next to the simulated clock, then exit")
 		densitySweep = flag.Bool("density-sweep", false, "sweep gradient density k/n × dense policy (never/adaptive/always) over steady-state TopkDSA all-reduces at the -live-p/n sizes, printing ns/op and negotiated wire bytes, then exit")
 		backend      = flag.String("backend", "", "\"tcp\" forks one OS process per worker over loopback TCP and prints the measured cross-process synchronization next to the simulated clock (at the -live-p/n/k sizes), then exits")
 		chaosSpec    = flag.String("chaos", "", "run an elastic training session under this deterministic fault schedule on livenet AND loopback tcpnet, reporting per-recovery rejoin/first-round latency and cross-substrate agreement, then exit (e.g. \"crash:rank=1,iter=2\")")
 		chaosP       = flag.Int("chaos-p", 4, "worker count for -chaos")
 		chaosIters   = flag.Int("chaos-iters", 8, "training iterations for -chaos")
-		liveP        = flag.Int("live-p", 8, "worker count for -live / -backend tcp")
-		liveN        = flag.Int("live-n", 1<<18, "gradient length for -live / -backend tcp")
-		liveK        = flag.Int("live-k", 1<<18/100, "global sparse budget for -live / -backend tcp")
+		liveP        = flag.Int("live-p", 8, "worker count for -live-baseline / -tcp-baseline / -density-sweep / -backend tcp")
+		liveN        = flag.Int("live-n", 1<<18, "gradient length for the same")
+		liveK        = flag.Int("live-k", 1<<18/100, "global sparse budget for the same")
 	)
 	flag.Parse()
 
@@ -638,7 +486,7 @@ func main() {
 
 	if *backend != "" {
 		if *backend != "tcp" {
-			log.Fatalf("unknown backend %q (only \"tcp\" forks here; -live covers the in-process live backend)", *backend)
+			log.Fatalf("unknown backend %q (only \"tcp\" forks here; -live-baseline covers the in-process live backend)", *backend)
 		}
 		if err := runTCPComparison(os.Stdout, *liveP, *liveN, *liveK); err != nil {
 			log.Fatal(err)
@@ -654,14 +502,14 @@ func main() {
 	}
 
 	if *liveBase != "" {
-		if err := emitLiveBaseline(*liveBase, *liveP, *liveN, *liveK); err != nil {
+		if err := emitSteadyBaseline(*liveBase, "LiveReduceSteadyState", spardl.LiveBackend(), *liveP, *liveN, *liveK); err != nil {
 			log.Fatal(err)
 		}
 		return
 	}
 
 	if *tcpBase != "" {
-		if err := emitTCPBaseline(*tcpBase, *liveP, *liveN, *liveK); err != nil {
+		if err := emitSteadyBaseline(*tcpBase, "TCPReduceSteadyState", spardl.TCPLocalBackend(), *liveP, *liveN, *liveK); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -671,11 +519,6 @@ func main() {
 		if err := runChaosBench(os.Stdout, *chaosSpec, *chaosP, *chaosIters); err != nil {
 			log.Fatal(err)
 		}
-		return
-	}
-
-	if *live {
-		runLiveComparison(os.Stdout, *liveP, *liveN, *liveK)
 		return
 	}
 

@@ -41,12 +41,12 @@ func WorldRanks(p int) []int {
 }
 
 // SizeFunc reports the wire size in bytes of one gathered item. Callers
-// choose the accounting: the sparse methods pass wire.Transport.ItemBytes,
-// so an item can be a bare *sparse.Chunk (COO or negotiated-codec sizing)
-// or an already-encoded []byte buffer that intermediate hops forward
-// verbatim. A SizeFunc must be deterministic in the item alone — Bruck and
-// recursive doubling re-size the same item on every forwarding hop, and
-// workers must agree on the charged volume.
+// choose the accounting: the sparse methods pass wire.Transport.ItemBytes
+// for items that are bare *sparse.Chunk (COO or negotiated-codec sizing),
+// or their own function for wrapped items. A SizeFunc must be
+// deterministic in the item alone — Bruck and recursive doubling re-size
+// the same item on every forwarding hop, and workers must agree on the
+// charged volume.
 type SizeFunc func(item any) int
 
 // BruckAllGather runs the Bruck all-gather schedule among the group members
@@ -122,8 +122,8 @@ func RecursiveDoublingAllGather(ep comm.Endpoint, ranks []int, pos int, own any,
 		// aligned 2^t block of member positions, [pos&^(dist-1), …+dist).
 		// Iterating that block arithmetically — rather than tracking a
 		// `have` set and ranging over the received map — makes pack and
-		// unpack order rank-order deterministic, so any future
-		// encoded-mode byte stream is bit-identical across runs.
+		// unpack order rank-order deterministic, so the byte stream a
+		// byte-level backend serializes is bit-identical across runs.
 		base := pos &^ (dist - 1)
 		out := make(map[int]any, dist)
 		bytes := 0

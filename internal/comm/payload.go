@@ -13,10 +13,10 @@ import (
 //
 // Every payload a collective in this repository sends is one of a small,
 // closed set of shapes: a scalar (int, float64), a dense vector
-// ([]float32), raw pre-encoded bytes ([]byte, [][]byte), a container of
-// further payloads ([]any from Bruck, map[int]any from recursive
-// doubling), or a domain type registered by its owning package (sparse
-// chunks via the wire codecs, the all-gather item wrappers of sparsecoll).
+// ([]float32), a container of further payloads ([]any from Bruck,
+// map[int]any from recursive doubling), or a domain type registered by its
+// owning package (sparse chunks via the wire codecs, the all-gather item
+// wrappers of sparsecoll).
 // The encoding is self-describing — a one-byte tag followed by the body —
 // so containers nest and a decoded message needs no out-of-band context.
 //
@@ -25,20 +25,17 @@ import (
 
 // Built-in payload tags.
 const (
-	tagFloat64    byte = 0x01
-	tagInt        byte = 0x02
-	tagBytes      byte = 0x03
-	tagByteSlices byte = 0x04
-	tagFloat32s   byte = 0x05
-	tagAnySlice   byte = 0x06
-	tagIntAnyMap  byte = 0x07
+	tagFloat64   byte = 0x01
+	tagInt       byte = 0x02
+	tagFloat32s  byte = 0x05
+	tagAnySlice  byte = 0x06
+	tagIntAnyMap byte = 0x07
 )
 
 // Registered payload tags. Each constant is claimed by exactly one
 // PayloadCodec registration in the named package's init.
 const (
 	TagChunk      byte = 0x10 // *sparse.Chunk, registered by package wire
-	TagSizedChunk byte = 0x11 // wire's size-memoized chunk wrapper
 	TagDSABlock   byte = 0x12 // sparsecoll's TopkDSA all-gather item
 	TagOkItem     byte = 0x13 // sparsecoll's Ok-Topk all-gather item
 	TagChunkSlice byte = 0x14 // []*sparse.Chunk (one SRS sending bag)
@@ -98,18 +95,6 @@ func AppendPayload(dst []byte, v any) []byte {
 	case int:
 		dst = append(dst, tagInt)
 		return binary.AppendVarint(dst, int64(x))
-	case []byte:
-		dst = append(dst, tagBytes)
-		dst = binary.AppendUvarint(dst, uint64(len(x)))
-		return append(dst, x...)
-	case [][]byte:
-		dst = append(dst, tagByteSlices)
-		dst = binary.AppendUvarint(dst, uint64(len(x)))
-		for _, b := range x {
-			dst = binary.AppendUvarint(dst, uint64(len(b)))
-			dst = append(dst, b...)
-		}
-		return dst
 	case []float32:
 		dst = append(dst, tagFloat32s)
 		dst = binary.AppendUvarint(dst, uint64(len(x)))
@@ -177,9 +162,9 @@ func UnmarshalPayloadArena(a *sparse.Arena, buf []byte) (any, error) {
 // remainder. With a nil arena decoded values never alias buf, so callers
 // may recycle it. With a non-nil arena the contract inverts for zero-copy
 // receive paths: buf must be storage the arena owns (alive through the
-// current epoch plus quarantine), decoded values MAY alias buf (raw []byte
-// payloads are returned in place rather than copied), and container and
-// chunk allocations are drawn from the arena via each codec's DecodeArena.
+// current epoch plus quarantine), decoded values MAY alias buf, and
+// container and chunk allocations are drawn from the arena via each
+// codec's DecodeArena.
 func ReadPayloadArena(a *sparse.Arena, buf []byte) (v any, rest []byte, err error) {
 	if len(buf) == 0 {
 		return nil, nil, fmt.Errorf("comm: empty payload")
@@ -197,40 +182,6 @@ func ReadPayloadArena(a *sparse.Arena, buf []byte) (v any, rest []byte, err erro
 			return nil, nil, fmt.Errorf("comm: bad int payload varint")
 		}
 		return int(x), body[n:], nil
-	case tagBytes:
-		raw, rest, err := readBlob(body, "bytes")
-		if err != nil {
-			return nil, nil, err
-		}
-		if a != nil {
-			// Arena mode: buf is arena-owned and outlives the decoded
-			// value, so hand back the body in place — this is the
-			// zero-copy receive path for pre-encoded payloads.
-			return raw, rest, nil
-		}
-		out := make([]byte, len(raw))
-		copy(out, raw)
-		return out, rest, nil
-	case tagByteSlices:
-		count, rest, err := readCount(body, "byte-slice")
-		if err != nil {
-			return nil, nil, err
-		}
-		out := make([][]byte, count)
-		for i := range out {
-			var raw []byte
-			raw, rest, err = readBlob(rest, "byte-slice item")
-			if err != nil {
-				return nil, nil, err
-			}
-			if a != nil {
-				out[i] = raw
-				continue
-			}
-			out[i] = make([]byte, len(raw))
-			copy(out[i], raw)
-		}
-		return out, rest, nil
 	case tagFloat32s:
 		count, rest, err := readCount(body, "float32 vector")
 		if err != nil {
@@ -342,18 +293,4 @@ func readCount(buf []byte, what string) (int, []byte, error) {
 		return 0, nil, fmt.Errorf("comm: %s count %d impossible for %d body bytes", what, n, len(rest))
 	}
 	return int(n), rest, nil
-}
-
-// readBlob reads a uvarint length followed by that many raw bytes. The
-// returned slice aliases buf; callers copy if they retain it.
-func readBlob(buf []byte, what string) (raw, rest []byte, err error) {
-	n, used := binary.Uvarint(buf)
-	if used <= 0 {
-		return nil, nil, fmt.Errorf("comm: bad %s length varint", what)
-	}
-	buf = buf[used:]
-	if n > uint64(len(buf)) {
-		return nil, nil, fmt.Errorf("comm: %s length %d exceeds %d remaining bytes", what, n, len(buf))
-	}
-	return buf[:n], buf[n:], nil
 }

@@ -69,8 +69,9 @@ func (v Variant) String() string {
 	return fmt.Sprintf("Variant(%d)", int(v))
 }
 
-// WireMode selects the transport representation — and therefore the α-β
-// byte accounting — of every sparse message a reducer sends.
+// WireMode selects what the simulator charges for every sparse message a
+// reducer sends. The byte-level backends have one real format and ignore
+// it (see wire.Mode).
 type WireMode = wire.Mode
 
 const (
@@ -78,11 +79,9 @@ const (
 	// header. The default; reproduces Table I bit-for-bit.
 	WireCOO = wire.ModeCOO
 	// WireNegotiated charges the smallest self-describing encoding
-	// (COO / delta-varint / bitmap) per message without materializing it.
+	// (COO / delta-varint / bitmap / dense) per message — the bytes the
+	// real backends actually move.
 	WireNegotiated = wire.ModeNegotiated
-	// WireEncoded actually encodes at the sender and decodes at the
-	// receiver — the byte-accurate realism/debug mode.
-	WireEncoded = wire.ModeEncoded
 )
 
 // Options configures a SparDL reducer.
@@ -99,8 +98,8 @@ type Options struct {
 	// sparsified immediately after every summation instead of lazily right
 	// before transmission. Used by the ablation benches.
 	Eager bool
-	// Wire selects the transport representation of sparse messages
-	// (default WireCOO, the paper's 8-bytes-per-entry accounting).
+	// Wire selects the simulator's byte accounting of sparse messages
+	// (default WireCOO, the paper's 8 bytes per entry).
 	Wire WireMode
 	// Dense selects when merge results switch into the dense-block
 	// representation mid-collective (default sparse.DenseAdaptive). The
@@ -146,7 +145,7 @@ func (o Options) Validate(p int) error {
 		return fmt.Errorf("core: unknown residual mode %s", o.Residual)
 	}
 	switch o.Wire {
-	case WireCOO, WireNegotiated, WireEncoded:
+	case WireCOO, WireNegotiated:
 	default:
 		return fmt.Errorf("core: unknown wire mode %s", o.Wire)
 	}

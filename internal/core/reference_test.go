@@ -70,11 +70,11 @@ func (r *refSparDL) ReduceInto(ep comm.Endpoint, grad, out []float32) {
 
 	finalChunks := []*sparse.Chunk{reserved}
 	if s.m > 1 {
-		items := collective.BruckAllGatherAlloc(ep, s.teamRanks, s.pos, s.tx.PackItem(reserved), s.tx.ItemBytes, s.ar)
+		items := collective.BruckAllGatherAlloc(ep, s.teamRanks, s.pos, reserved, s.tx.ItemBytes, s.ar)
 		finalChunks = finalChunks[:0]
 		total := 0
 		for _, it := range items {
-			c := s.tx.Unpack(it)
+			c := it.(*sparse.Chunk)
 			finalChunks = append(finalChunks, c)
 			total += c.Len()
 		}
@@ -141,7 +141,7 @@ func (r *refSparDL) srs(ep comm.Endpoint, localSel *[]int32) *sparse.Chunk {
 		pk, bytes := s.tx.PackSlice(payload)
 		ep.Send(s.teamRanks[(pos+dist)%m], pk, bytes)
 		in, _ := ep.Recv(s.teamRanks[(pos-dist+m)%m])
-		for _, c := range s.tx.UnpackSlice(in) {
+		for _, c := range in.([]*sparse.Chunk) {
 			sparsecoll.ChargeMerge(ep, c.Len())
 			c.AddToDense(r.acc)
 		}
@@ -171,7 +171,7 @@ func (r *refSparDL) srsEager(ep comm.Endpoint, localSel *[]int32) *sparse.Chunk 
 		pk, bytes := s.tx.PackSlice(payload)
 		ep.Send(s.teamRanks[(pos+dist)%m], pk, bytes)
 		in, _ := ep.Recv(s.teamRanks[(pos-dist+m)%m])
-		for _, c := range s.tx.UnpackSlice(in) {
+		for _, c := range in.([]*sparse.Chunk) {
 			b := s.part.BlockOf(c.IdxAt(0))
 			sparsecoll.ChargeMerge(ep, c.Len()+blocks[b].Len())
 			merged := s.ar.MergeAdd(blocks[b], c)
@@ -188,9 +188,8 @@ func (r *refSparDL) rsag(ep comm.Endpoint, mine *sparse.Chunk) *sparse.Chunk {
 	s := r.SparDL
 	share := float32(0.5)
 	for dist := 1; dist < s.d; dist *= 2 {
-		pk, bytes := s.tx.Pack(mine)
-		in, _ := ep.SendRecv(s.groupRanks[s.team^dist], pk, bytes)
-		got := s.tx.Unpack(in)
+		in, _ := ep.SendRecv(s.groupRanks[s.team^dist], mine, s.tx.ChunkBytes(mine))
+		got := in.(*sparse.Chunk)
 		sparsecoll.ChargeMerge(ep, got.Len()+mine.Len())
 		merged := s.ar.MergeAdd(mine, got)
 		kept, dropped := s.ar.TopKChunk(merged, s.blockK)
@@ -207,11 +206,11 @@ func (r *refSparDL) bsag(ep comm.Endpoint, mine *sparse.Chunk) *sparse.Chunk {
 	sel, dropped := s.ar.TopKChunk(mine, s.hctl.H())
 	sparsecoll.ChargeScan(ep, mine.Len())
 	r.drop(dropped, 1)
-	items := collective.BruckAllGatherAlloc(ep, s.groupRanks, s.team, s.tx.PackItem(sel), s.tx.ItemBytes, s.ar)
+	items := collective.BruckAllGatherAlloc(ep, s.groupRanks, s.team, sel, s.tx.ItemBytes, s.ar)
 	var chunks []*sparse.Chunk
 	total := 0
 	for _, it := range items {
-		c := s.tx.Unpack(it)
+		c := it.(*sparse.Chunk)
 		chunks = append(chunks, c)
 		total += c.Len()
 	}
@@ -234,11 +233,15 @@ type residualReducer interface {
 // runResiduals runs iters synchronizations on simnet and returns every
 // rank's output and residual after each one, plus the run's report.
 func runResiduals(p, n, iters int, grads [][][]float32, build func(rank int) residualReducer) (outs, residuals [][][]float32, rep *simnet.Report) {
+	return runResidualsOn(simnet.Backend(unit), p, n, iters, grads, build)
+}
+
+func runResidualsOn(b comm.Backend, p, n, iters int, grads [][][]float32, build func(rank int) residualReducer) (outs, residuals [][][]float32, rep *comm.Report) {
 	outs, residuals = make([][][]float32, iters), make([][][]float32, iters)
 	for it := range outs {
 		outs[it], residuals[it] = make([][]float32, p), make([][]float32, p)
 	}
-	rep = simnet.Run(p, unit, func(rank int, ep *simnet.Endpoint) {
+	rep = b.Run(p, func(rank int, ep comm.Endpoint) {
 		r := build(rank)
 		for it := 0; it < iters; it++ {
 			out := make([]float32, n)
@@ -270,6 +273,7 @@ func TestResidualMatchesSnapshotReference(t *testing.T) {
 	cases := []struct {
 		p, n, k int
 		opts    Options
+		live    bool // run on livenet: no virtual clock to compare
 	}{
 		{p: 6, n: 600, k: 60, opts: Options{}},
 		{p: 7, n: 701, k: 70, opts: Options{}}, // prime P, ragged blocks
@@ -281,9 +285,10 @@ func TestResidualMatchesSnapshotReference(t *testing.T) {
 		{p: 6, n: 600, k: 60, opts: Options{Residual: PRES}},
 		{p: 6, n: 600, k: 60, opts: Options{Residual: LRES}},
 		{p: 6, n: 600, k: 60, opts: Options{Teams: 3, Residual: LRES}},
-		// k = n/2 with every block fully selected: encoded messages decode
-		// as dense blocks, final chunks are dense under DenseAlways.
-		{p: 4, n: 256, k: 256, opts: Options{Wire: WireEncoded, Dense: sparse.DenseAlways}},
+		// Every block fully selected, on a byte backend: the codec carries
+		// a full-cover chunk as a dense block, so received chunks arrive
+		// dense, and final chunks are dense under DenseAlways.
+		{p: 4, n: 256, k: 256, opts: Options{Dense: sparse.DenseAlways}, live: true},
 		{p: 4, n: 256, k: 128, opts: Options{Eager: true, Dense: sparse.DenseAlways}},
 		{p: 4, n: 256, k: 128, opts: Options{Teams: 2, Dense: sparse.DenseAlways, Residual: PRES}},
 	}
@@ -291,14 +296,18 @@ func TestResidualMatchesSnapshotReference(t *testing.T) {
 		name := fmt.Sprintf("p=%d/n=%d/k=%d/%+v", c.p, c.n, c.k, c.opts)
 		t.Run(name, func(t *testing.T) {
 			grads := makeGradients(iters, c.p, c.n, 11)
-			gotOut, gotRes, gotRep := runResiduals(c.p, c.n, iters, grads, func(rank int) residualReducer {
+			b := simnet.Backend(unit)
+			if c.live {
+				b = livenet.NewBackend()
+			}
+			gotOut, gotRes, gotRep := runResidualsOn(b, c.p, c.n, iters, grads, func(rank int) residualReducer {
 				s, err := New(c.p, rank, c.n, c.k, c.opts)
 				if err != nil {
 					panic(err)
 				}
 				return s
 			})
-			wantOut, wantRes, wantRep := runResiduals(c.p, c.n, iters, grads, func(rank int) residualReducer {
+			wantOut, wantRes, wantRep := runResidualsOn(b, c.p, c.n, iters, grads, func(rank int) residualReducer {
 				return newRef(c.p, rank, c.n, c.k, c.opts)
 			})
 			for it := 0; it < iters; it++ {
@@ -311,7 +320,7 @@ func TestResidualMatchesSnapshotReference(t *testing.T) {
 					}
 				}
 			}
-			if gotRep.Time != wantRep.Time {
+			if !c.live && gotRep.Time != wantRep.Time {
 				t.Fatalf("virtual clock moved: %v, reference %v", gotRep.Time, wantRep.Time)
 			}
 		})
@@ -325,8 +334,8 @@ func TestDenseReceivedChunksTakeRangeUndo(t *testing.T) {
 	const p, n, k = 4, 256, 256
 	grads := makeGradients(1, p, n, 11)
 	sawDense := false
-	simnet.Run(p, unit, func(rank int, ep *simnet.Endpoint) {
-		s, err := New(p, rank, n, k, Options{Wire: WireEncoded, Dense: sparse.DenseAlways})
+	livenet.NewBackend().Run(p, func(rank int, ep comm.Endpoint) {
+		s, err := New(p, rank, n, k, Options{Dense: sparse.DenseAlways})
 		if err != nil {
 			panic(err)
 		}

@@ -24,9 +24,8 @@ func (s *SparDL) runRSAG(ep comm.Endpoint, mine *sparse.Chunk) *sparse.Chunk {
 	share := float32(0.5)
 	for dist := 1; dist < s.d; dist *= 2 {
 		peer := s.groupRanks[s.team^dist]
-		pk, bytes := s.tx.Pack(mine)
-		in, _ := ep.SendRecv(peer, pk, bytes)
-		got := s.tx.Unpack(in)
+		in, _ := ep.SendRecv(peer, mine, s.tx.ChunkBytes(mine))
+		got := in.(*sparse.Chunk)
 		sparsecoll.ChargeMerge(ep, got.Len()+mine.Len())
 		// mine was just sent by reference to the peer and got belongs to
 		// the peer's arena, so neither may be merged in place or recycled;
@@ -62,12 +61,11 @@ func (s *SparDL) runBSAG(ep comm.Endpoint, mine *sparse.Chunk) *sparse.Chunk {
 	s.addDrops(dropped, 1)
 	s.ar.Recycle(dropped)
 
-	own := s.tx.PackItem(sel)
-	items := collective.BruckAllGatherAlloc(ep, s.groupRanks, s.team, own, s.tx.ItemBytes, s.ar)
+	items := collective.BruckAllGatherAlloc(ep, s.groupRanks, s.team, sel, s.tx.ItemBytes, s.ar)
 	chunks := s.ar.Chunks(len(items))
 	total := 0
 	for _, it := range items {
-		c := s.tx.Unpack(it)
+		c := it.(*sparse.Chunk)
 		chunks = append(chunks, c)
 		total += c.Len()
 	}

@@ -30,7 +30,7 @@ type SparDL struct {
 	opts    Options
 	variant Variant        // resolved SAG variant (meaningful when d > 1)
 	blockK  int            // per-block selection size L(k,d,P) = dk/P = k/m
-	tx      wire.Transport // sizes (and in WireEncoded, round-trips) every message
+	tx      wire.Transport // what the simulator is charged for every sparse message
 
 	part       *sparse.Partition // the m gradient blocks
 	bags       [][]int           // bags[j-1] = relative block offsets of sending bag j
@@ -50,10 +50,10 @@ type SparDL struct {
 	hctl     *HController
 	nts      []int // recorded N_t series (Fig. 7)
 
-	// Steady-state allocation machinery: every chunk, pointer slice, undo
-	// record and encode buffer built during a Reduce comes from the arena
-	// (epoch-reset at the top of each call) — a steady-state ReduceInto
-	// performs no heap allocation of its own.
+	// Steady-state allocation machinery: every chunk, pointer slice and undo
+	// record built during a Reduce comes from the arena (epoch-reset at the
+	// top of each call) — a steady-state ReduceInto performs no heap
+	// allocation of its own.
 	ar     *sparse.Arena
 	selBuf []int32 // LRES: indices this worker selected, reused across calls
 }
@@ -96,7 +96,7 @@ func New(p, rank, n, k int, opts Options) (*SparDL, error) {
 		ar:       sparse.NewArena(),
 	}
 	s.ar.SetDensePolicy(opts.Dense)
-	s.tx = wire.Transport{Mode: opts.Wire, Arena: s.ar}
+	s.tx = wire.Transport{Mode: opts.Wire}
 	s.teamRanks = make([]int, m)
 	for j := range s.teamRanks {
 		s.teamRanks[j] = s.team*m + j
@@ -257,12 +257,11 @@ func (s *SparDL) ReduceInto(ep comm.Endpoint, grad, out []float32) {
 	if s.m == 1 {
 		finalChunks = append(finalChunks, reserved)
 	} else {
-		own := s.tx.PackItem(reserved)
-		items := collective.BruckAllGatherAlloc(ep, s.teamRanks, s.pos, own, s.tx.ItemBytes, s.ar)
+		items := collective.BruckAllGatherAlloc(ep, s.teamRanks, s.pos, reserved, s.tx.ItemBytes, s.ar)
 		finalChunks = s.ar.Chunks(len(items))
 		total := 0
 		for _, it := range items {
-			c := s.tx.Unpack(it)
+			c := it.(*sparse.Chunk)
 			finalChunks = append(finalChunks, c)
 			total += c.Len()
 		}
@@ -311,7 +310,7 @@ func (s *SparDL) runSRS(ep comm.Endpoint, localSel *[]int32) *sparse.Chunk {
 		pk, bytes := s.tx.PackSlice(payload)
 		ep.Send(target, pk, bytes)
 		in, _ := ep.Recv(source)
-		for _, c := range s.tx.UnpackSlice(in) {
+		for _, c := range in.([]*sparse.Chunk) {
 			sparsecoll.ChargeMerge(ep, c.Len())
 			s.save(c)
 			c.AddToDense(s.residual)
@@ -350,7 +349,7 @@ func (s *SparDL) runSRSEager(ep comm.Endpoint, localSel *[]int32) *sparse.Chunk 
 		pk, bytes := s.tx.PackSlice(payload)
 		ep.Send(target, pk, bytes)
 		in, _ := ep.Recv(source)
-		for _, c := range s.tx.UnpackSlice(in) {
+		for _, c := range in.([]*sparse.Chunk) {
 			b := s.part.BlockOf(c.IdxAt(0))
 			sparsecoll.ChargeMerge(ep, c.Len()+blocks[b].Len())
 			// blocks[b] is local-only (never sent), so the merge may reuse

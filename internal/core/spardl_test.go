@@ -268,11 +268,10 @@ func TestPRESAndLRESLoseMass(t *testing.T) {
 	}
 }
 
-// The negotiated and encoded transports must not change any computed
-// value — only the byte accounting. Both must keep workers consistent,
-// conserve mass under GRES, and (at realistic sparsity) charge strictly
-// fewer bytes than the COO baseline; encoded must charge exactly what
-// negotiated predicts, since it materializes the same buffers.
+// Negotiated accounting must not change any computed value — only the
+// bytes the simulator charges. It must keep workers consistent, conserve
+// mass under GRES, and (at realistic sparsity) charge strictly fewer bytes
+// than the COO baseline, in the same number of rounds.
 func TestSparDLWireModes(t *testing.T) {
 	configs := []Options{
 		{},
@@ -281,40 +280,29 @@ func TestSparDLWireModes(t *testing.T) {
 	}
 	for _, base := range configs {
 		const p, n, k, iters, seed = 6, 24000, 240, 3, 77 // k/n = 1e-2
-		baseOpts := base
-		baseOpts.Wire = WireCOO
-		outsCOO, _, repCOO := runSparDL(t, p, n, k, iters, seed, baseOpts)
+		outsCOO, _, repCOO := runSparDL(t, p, n, k, iters, seed, base)
 
-		var repNeg *simnet.Report
-		for _, mode := range []WireMode{WireNegotiated, WireEncoded} {
-			opts := base
-			opts.Wire = mode
-			outs, reds, rep := runSparDL(t, p, n, k, iters, seed, opts)
-			assertConsistent(t, outs)
-			if gap := conservationGap(p, n, iters, seed, outs, reds); math.Abs(gap) > 1e-2 {
-				t.Fatalf("%+v: conservation gap %g", opts, gap)
+		opts := base
+		opts.Wire = WireNegotiated
+		outs, reds, rep := runSparDL(t, p, n, k, iters, seed, opts)
+		assertConsistent(t, outs)
+		if gap := conservationGap(p, n, iters, seed, outs, reds); math.Abs(gap) > 1e-2 {
+			t.Fatalf("%+v: conservation gap %g", opts, gap)
+		}
+		// Identical math: the synchronized gradients must match the COO
+		// run bit-for-bit.
+		for it := range outs {
+			if !reflect.DeepEqual(outs[it][0], outsCOO[it][0]) {
+				t.Fatalf("%+v: wire mode changed the computed gradient at iter %d", opts, it)
 			}
-			// Identical math: the synchronized gradients must match the COO
-			// run bit-for-bit.
-			for it := range outs {
-				if !reflect.DeepEqual(outs[it][0], outsCOO[it][0]) {
-					t.Fatalf("%+v: wire mode changed the computed gradient at iter %d", opts, it)
-				}
-			}
-			if mode == WireNegotiated {
-				repNeg = rep
-				if rep.MaxBytesRecv() >= repCOO.MaxBytesRecv() {
-					t.Fatalf("%+v: negotiated bytes %d not below COO %d",
-						opts, rep.MaxBytesRecv(), repCOO.MaxBytesRecv())
-				}
-			} else {
-				for w := range rep.PerWorker {
-					if rep.PerWorker[w].BytesRecv != repNeg.PerWorker[w].BytesRecv {
-						t.Fatalf("%+v: encoded bytes %d != negotiated accounting %d at worker %d",
-							opts, rep.PerWorker[w].BytesRecv, repNeg.PerWorker[w].BytesRecv, w)
-					}
-				}
-			}
+		}
+		if rep.MaxBytesRecv() >= repCOO.MaxBytesRecv() {
+			t.Fatalf("%+v: negotiated bytes %d not below COO %d",
+				opts, rep.MaxBytesRecv(), repCOO.MaxBytesRecv())
+		}
+		if rep.MaxRounds() != repCOO.MaxRounds() {
+			t.Fatalf("%+v: negotiated accounting changed the rounds: %d, COO %d",
+				opts, rep.MaxRounds(), repCOO.MaxRounds())
 		}
 	}
 }
@@ -333,7 +321,7 @@ func TestSparDLNames(t *testing.T) {
 		{Options{Residual: LRES}, 14, "SparDL-LRES"},
 		{Options{Eager: true}, 14, "SparDL-eager"},
 		{Options{Wire: WireNegotiated}, 14, "SparDL+negotiated"},
-		{Options{Teams: 2, Wire: WireEncoded}, 14, "SparDL(R-SAG,d=2)+encoded"},
+		{Options{Teams: 2, Wire: WireNegotiated}, 14, "SparDL(R-SAG,d=2)+negotiated"},
 	}
 	for _, tc := range cases {
 		r, err := New(tc.p, 0, 1400, 140, tc.opts)

@@ -5,21 +5,22 @@ import (
 
 	"spardl/internal/core"
 	"spardl/internal/simnet"
+	"spardl/internal/sparse"
 	"spardl/internal/sparsecoll"
 	"spardl/internal/train"
 	"spardl/internal/wire"
 )
 
-// wiredBaselines returns the paper's Fig. 8 method set with every sparse
-// message carried by the given transport mode.
+// wiredBaselines returns the paper's Fig. 8 method set charged by the given
+// accounting mode.
 func wiredBaselines(mode wire.Mode) []NamedFactory {
-	if mode == wire.ModeCOO {
-		return paperBaselines()
+	tuned := func(f sparsecoll.Factory) sparsecoll.Factory {
+		return sparsecoll.Tuned(f, mode, sparse.DenseAdaptive)
 	}
 	return []NamedFactory{
-		{"TopkDSA", sparsecoll.WireVariant(sparsecoll.NewTopkDSA, mode)},
-		{"TopkA", sparsecoll.WireVariant(sparsecoll.NewTopkA, mode)},
-		{"OkTopk", sparsecoll.WireVariant(sparsecoll.NewOkTopk, mode)},
+		{"TopkDSA", tuned(sparsecoll.NewTopkDSA)},
+		{"TopkA", tuned(sparsecoll.NewTopkA)},
+		{"OkTopk", tuned(sparsecoll.NewOkTopk)},
 		{"SparDL", sparDL(core.Options{Wire: mode})},
 	}
 }
@@ -45,13 +46,11 @@ func init() {
 	register(&Experiment{
 		ID:    "ext-wire-e2e",
 		Title: "Extension: end-to-end wire modes (negotiated codec vs COO accounting)",
-		Paper: "The paper charges 2 COO elements (8 bytes) per sparse entry everywhere. This extension re-runs the Fig. 8/18 timing comparisons and a sparsity sweep with every collective's messages sized by the negotiated COO/delta/bitmap codec (Options.Wire = WireNegotiated), and byte-accurately round-tripped in WireEncoded mode, quantifying how far real wire volume sits below the paper's accounting.",
+		Paper: "The paper charges 2 COO elements (8 bytes) per sparse entry everywhere. This extension re-runs the Fig. 8/18 timing comparisons and a sparsity sweep with every collective's messages charged at the size of the negotiated COO/delta/bitmap/dense codec (Options.Wire = WireNegotiated) — the bytes the livenet and tcpnet backends really move — quantifying how far real wire volume sits below the paper's accounting.",
 		Run: func(q Quality) []*Table {
 			var tables []*Table
 
-			// Sparsity sweep: cluster-wide bytes per synchronization. The
-			// encoded mode materializes every buffer; its equality with the
-			// negotiated column is the byte-accuracy check.
+			// Sparsity sweep: cluster-wide bytes per synchronization.
 			const p = 14
 			n := pick(q, 1<<17, 1<<18)
 			sweep := &Table{
@@ -59,14 +58,13 @@ func init() {
 				Columns: []string{"k/n", "wire", "rounds", "total BytesRecv", "saving vs COO"},
 				Notes: []string{
 					"total BytesRecv sums all workers for one steady-state synchronization",
-					"encoded mode must byte-match negotiated: it sends the materialized buffers",
 					"savings shrink as k/n falls because varint gaps widen with sparsity",
 				},
 			}
 			for _, ratio := range []float64{1e-2, 1e-3} {
 				k := int(ratio * float64(n))
 				var cooTotal int64
-				for _, mode := range []core.WireMode{core.WireCOO, core.WireNegotiated, core.WireEncoded} {
+				for _, mode := range []core.WireMode{core.WireCOO, core.WireNegotiated} {
 					nf := NamedFactory{"SparDL", sparDL(core.Options{Wire: mode})}
 					rounds, total := wireE2EProbe(p, n, k, nf)
 					saving := "-"

@@ -5,7 +5,6 @@ import (
 
 	"spardl/internal/comm"
 	"spardl/internal/sparse"
-	"spardl/internal/wire"
 )
 
 // GTopk is the global top-k sparse all-reduce of Shi et al. [ICDCS'19]:
@@ -21,12 +20,7 @@ import (
 // only at indices it both selected locally and that survived into the
 // global top-k; contributions discarded inside the tree (in-procedure) are
 // lost, which is exactly the deficiency SparDL's GRES addresses.
-type GTopk struct {
-	n, k     int
-	residual []float32
-	tx       wire.Transport
-	scratch
-}
+type GTopk struct{ base }
 
 // GTopkValid reports whether a P-worker gTopk is constructible: the binary
 // reduction/broadcast trees are defined only for power-of-two P. Harnesses
@@ -47,9 +41,7 @@ func NewGTopkErr(p, rank, n, k int) (Reducer, error) {
 	if err := GTopkValid(p); err != nil {
 		return nil, err
 	}
-	g := &GTopk{n: n, k: k, residual: make([]float32, n), scratch: newScratch(n)}
-	g.tx.Arena = g.ar
-	return g, nil
+	return &GTopk{newBase("gTopk", n, k)}, nil
 }
 
 // NewGTopk is the Factory-shaped constructor: it panics on non-power-of-two
@@ -64,14 +56,6 @@ func NewGTopk(p, rank, n, k int) Reducer {
 	return g
 }
 
-// Name implements Reducer.
-func (g *GTopk) Name() string { return wireName("gTopk", g.tx) }
-
-func (g *GTopk) setWire(tx wire.Transport) {
-	tx.Arena = g.ar
-	g.tx = tx
-}
-
 // Reduce implements Reducer.
 func (g *GTopk) Reduce(ep comm.Endpoint, grad []float32) []float32 {
 	out := make([]float32, g.n)
@@ -83,10 +67,10 @@ func (g *GTopk) Reduce(ep comm.Endpoint, grad []float32) []float32 {
 //
 //spardl:hotpath
 func (g *GTopk) ReduceInto(ep comm.Endpoint, grad, out []float32) {
-	acc, _ := g.accumulate(grad, g.residual)
+	g.begin(grad)
 	p, me := ep.P(), ep.Rank()
 
-	local := g.ar.TopKDense(acc, 0, g.n, g.k)
+	local := g.ar.TopKDense(g.residual, 0, g.n, g.k)
 	ChargeScan(ep, g.n)
 
 	// Reduction tree: at level dist, workers whose rank is an odd multiple
@@ -95,13 +79,12 @@ func (g *GTopk) ReduceInto(ep comm.Endpoint, grad, out []float32) {
 	sentAt := 0 // tree level at which this worker went passive (0 = never)
 	for dist := 1; dist < p; dist *= 2 {
 		if me%(2*dist) == dist {
-			pk, bytes := g.tx.Pack(cur)
-			ep.Send(me-dist, pk, bytes)
+			ep.Send(me-dist, cur, g.tx.ChunkBytes(cur))
 			sentAt = dist
 			break
 		}
 		in, _ := ep.Recv(me + dist)
-		got := g.tx.Unpack(in)
+		got := in.(*sparse.Chunk)
 		ChargeMerge(ep, got.Len()+cur.Len())
 		merged := g.ar.MergeAdd(cur, got)
 		// local survives for the residual bookkeeping below; intermediate
@@ -124,24 +107,24 @@ func (g *GTopk) ReduceInto(ep comm.Endpoint, grad, out []float32) {
 		global = cur // rank 0
 	} else {
 		in, _ := ep.Recv(me - sentAt)
-		global = g.tx.Unpack(in)
+		global = in.(*sparse.Chunk)
 	}
 	start := sentAt / 2
 	if sentAt == 0 {
 		start = p / 2
 	}
 	if start >= 1 {
-		gpk, gbytes := g.tx.Pack(global) // pack once, reuse for every child
+		bytes := g.tx.ChunkBytes(global) // size once, reuse for every child
 		for dist := start; dist >= 1; dist /= 2 {
-			ep.Send(me+dist, gpk, gbytes)
+			ep.Send(me+dist, global, bytes)
 		}
 	}
 
 	// PRES residual: zero only where our local selection made the global
-	// set; everything else (including in-tree discards) stays local. The
-	// global set is sorted in either representation, so ContainsIdx is a
-	// range check (dense) or binary search (COO) per selected index.
-	copy(g.residual, acc)
+	// set; everything else (including in-tree discards) stays in the
+	// vector. The global set is sorted in either representation, so
+	// ContainsIdx is a range check (dense) or binary search (COO) per
+	// selected index.
 	for _, idx := range local.Idx {
 		if global.ContainsIdx(idx) {
 			g.residual[idx] = 0

@@ -6,7 +6,6 @@ import (
 	"spardl/internal/collective"
 	"spardl/internal/comm"
 	"spardl/internal/sparse"
-	"spardl/internal/wire"
 )
 
 // OkTopk re-implements the state-of-the-art sparse all-reduce of Li &
@@ -30,10 +29,9 @@ import (
 //
 // Residuals: local + end-procedure (PRES), as in the original.
 type OkTopk struct {
-	n, k     int
-	part     *sparse.Partition
-	residual []float32
-	world    []int
+	base
+	part  *sparse.Partition
+	world []int
 	// target is the adaptive local selection size: the threshold is set at
 	// the target-th largest local magnitude, and target is steered so the
 	// global selected count tracks k. Controlling the quantile *index*
@@ -41,8 +39,7 @@ type OkTopk struct {
 	// when residual feedback piles mass right below the cut.
 	target float64
 	iter   int
-	tx     wire.Transport
-	scratch
+	size   collective.SizeFunc // itemBytes, bound once so the hot path builds no closure
 }
 
 // RebalanceEvery matches the original implementation's cadence: local
@@ -67,35 +64,21 @@ func NewOkTopk(p, rank, n, k int) Reducer {
 	if t < 1 {
 		t = 1
 	}
-	o := &OkTopk{n: n, k: k, part: sparse.NewPartition(n, p), residual: make([]float32, n),
-		world: collective.WorldRanks(p), target: t, scratch: newScratch(n)}
-	o.tx.Arena = o.ar
+	o := &OkTopk{base: newBase("OkTopk", n, k), part: sparse.NewPartition(n, p),
+		world: collective.WorldRanks(p), target: t}
+	o.size = o.itemBytes
 	return o
 }
 
-// Name implements Reducer.
-func (o *OkTopk) Name() string { return wireName("OkTopk", o.tx) }
+// okItem is an item of the final all-gather: a worker's reduced block plus
+// any overflow chunk the balancing step shifted to it.
+type okItem struct{ chunks []*sparse.Chunk }
 
-func (o *OkTopk) setWire(tx wire.Transport) {
-	tx.Arena = o.ar
-	o.tx = tx
-}
-
-// okItem carries a worker's reduced block plus any overflow chunks shifted
-// to it by the balancing step, already transport-packed; bytes is fixed by
-// the owner so every forwarding hop charges the same.
-type okItem struct {
-	payloads []any
-	bytes    int
-}
-
-func (o *OkTopk) packInto(item *okItem, c *sparse.Chunk) {
-	pk, b := o.tx.Pack(c)
-	item.payloads = append(item.payloads, pk)
-	item.bytes += b
-}
-
-func okItemBytes(it any) int { return it.(*okItem).bytes }
+// itemBytes charges an item the sum of its chunks — a function of the
+// chunks alone, so the owner and every forwarding hop charge the same.
+//
+//spardl:hotpath
+func (o *OkTopk) itemBytes(it any) int { return o.tx.SliceBytes(it.(*okItem).chunks) }
 
 // countBytes sizes the 4-byte per-worker selection counts of the
 // balancing all-gather. (A capture-free closure literal would compile to
@@ -113,7 +96,7 @@ func (o *OkTopk) Reduce(ep comm.Endpoint, grad []float32) []float32 {
 //
 //spardl:hotpath
 func (o *OkTopk) ReduceInto(ep comm.Endpoint, grad, out []float32) {
-	acc, snapshot := o.accumulate(grad, o.residual)
+	o.begin(grad)
 	p, me := ep.P(), ep.Rank()
 	o.iter++
 
@@ -121,22 +104,21 @@ func (o *OkTopk) ReduceInto(ep comm.Endpoint, grad, out []float32) {
 	// magnitude: under near-iid gradients the union of per-worker
 	// selections of size ≈k/P approximates the global top-k; the adaptive
 	// target absorbs inter-worker overlap and residual-feedback drift.
-	thr := sparse.KthLargestAbs(acc, int(o.target+0.5))
+	thr := sparse.KthLargestAbs(o.residual, int(o.target+0.5))
 	ChargeScan(ep, o.n)
 	if thr <= 0 {
 		thr = 1e-12
 	}
 
 	// 1. Threshold pruning (count is data-dependent, not exactly k).
-	local := o.ar.ThresholdDense(acc, 0, o.n, thr)
+	local := o.ar.ThresholdDense(o.residual, 0, o.n, thr)
 	ChargeScan(ep, o.n)
 
 	// 2. Direct-send reduce-scatter.
 	pieces := o.ar.Split(o.part, local)
 	for j := 0; j < p; j++ {
 		if j != me {
-			pk, bytes := o.tx.Pack(o.ar.Clone(pieces[j]))
-			ep.Send(j, pk, bytes)
+			ep.Send(j, o.ar.Clone(pieces[j]), o.tx.ChunkBytes(pieces[j]))
 		}
 	}
 	got := o.ar.Chunks(p)
@@ -147,7 +129,7 @@ func (o *OkTopk) ReduceInto(ep comm.Endpoint, grad, out []float32) {
 			continue
 		}
 		in, _ := ep.Recv(j)
-		c := o.tx.Unpack(in)
+		c := in.(*sparse.Chunk)
 		received += c.Len()
 		got = append(got, c)
 	}
@@ -178,32 +160,27 @@ func (o *OkTopk) ReduceInto(ep comm.Endpoint, grad, out []float32) {
 		prev := (me + p - 1) % p
 		myOverflow := countItems[me].(int) > limit
 		prevOverflow := countItems[prev].(int) > limit
-		item := &okItem{}
+		own := &okItem{chunks: o.ar.Chunks(2)}
 		if myOverflow {
 			// Keep the `limit` largest entries, ship the rest onward.
 			kept, extra := o.ar.TopKChunk(mine, limit)
 			ChargeScan(ep, mine.Len())
-			o.packInto(item, kept)
-			pk, bytes := o.tx.Pack(extra)
-			ep.Send((me+1)%p, pk, bytes)
+			own.chunks = append(own.chunks, kept)
+			ep.Send((me+1)%p, extra, o.tx.ChunkBytes(extra))
 		} else {
-			o.packInto(item, mine)
+			own.chunks = append(own.chunks, mine)
 		}
 		if prevOverflow {
-			// Forward the received payload as-is: it is already packed and
-			// its charged size is exactly what the sender accounted.
-			in, bytes := ep.Recv(prev)
-			item.payloads = append(item.payloads, in)
-			item.bytes += bytes
+			// The predecessor's overflow joins this worker's item as it is.
+			in, _ := ep.Recv(prev)
+			own.chunks = append(own.chunks, in.(*sparse.Chunk))
 		}
 
 		// 5. All-gather the (re-balanced) blocks.
-		items := collective.BruckAllGatherAlloc(ep, world, me, item, okItemBytes, o.ar)
-		all := o.ar.Chunks(len(items))
+		items := collective.BruckAllGatherAlloc(ep, world, me, own, o.size, o.ar)
+		all := o.ar.Chunks(2 * len(items))
 		for _, it := range items {
-			for _, pk := range it.(*okItem).payloads {
-				all = append(all, o.tx.Unpack(pk))
-			}
+			all = append(all, it.(*okItem).chunks...)
 		}
 		mergedTotal := 0
 		for _, c := range all {
@@ -211,7 +188,7 @@ func (o *OkTopk) ReduceInto(ep comm.Endpoint, grad, out []float32) {
 		}
 		ChargeMerge(ep, mergedTotal)
 		scatterInto(out, all)
-		o.finish(acc, snapshot, local, out, mergedTotal)
+		o.finish(local, out, mergedTotal)
 		return
 	}
 
@@ -219,20 +196,16 @@ func (o *OkTopk) ReduceInto(ep comm.Endpoint, grad, out []float32) {
 		out[i] = 0
 	}
 	mine.AddToDense(out)
-	o.finish(acc, snapshot, local, out, mine.Len())
+	o.finish(local, out, mine.Len())
 }
 
 // finish updates the PRES residual and adapts the selection target toward a
-// global selection count of k. local is this worker's sorted selection;
-// binary search replaces the per-iteration membership map.
-func (o *OkTopk) finish(acc, snapshot []float32, local *sparse.Chunk, out []float32, selected int) {
-	copy(o.residual, snapshot)
-	for i, v := range out {
-		if v == 0 {
-			continue
-		}
-		if containsIdx(local.Idx, int32(i)) {
-			o.residual[i] = 0
+// global selection count of k. The vector still holds G_copy; a locally
+// selected entry leaves it only if its index made the global result.
+func (o *OkTopk) finish(local *sparse.Chunk, out []float32, selected int) {
+	for _, idx := range local.Idx {
+		if out[idx] != 0 {
+			o.residual[idx] = 0
 		}
 	}
 	// Steer the local selection size so the global count tracks the

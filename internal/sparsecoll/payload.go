@@ -6,14 +6,16 @@ import (
 
 	"spardl/internal/comm"
 	"spardl/internal/sparse"
+	"spardl/internal/wire"
 )
 
-// The all-gather item wrappers of this package (TopkDSA's dense-switch
-// block, Ok-Topk's balanced block) travel as opaque items through Bruck
-// all-gather; on byte-level backends they must serialize like everything
-// else, so they register with the comm payload registry. Their inner
-// payloads are whatever the wire transport packed (a chunk, a sized chunk,
-// or an already-encoded buffer) and nest through comm.AppendPayload.
+// The all-gather item wrappers of this package (TopkDSA's block, Ok-Topk's
+// balanced block) travel as opaque items through Bruck all-gather; on
+// byte-level backends they must serialize like everything else, so they
+// register with the comm payload registry. A body holds what the receiver
+// needs to rebuild the item — the chunks, as the wire codec encodes them,
+// and TopkDSA's block number — and nothing else: what the simulator charges
+// for an item is its SizeFunc's business and never reaches the wire.
 
 func init() {
 	comm.RegisterPayload(comm.PayloadCodec{
@@ -22,8 +24,7 @@ func init() {
 		Append: func(dst []byte, v any) []byte {
 			b := v.(*dsaBlock)
 			dst = binary.AppendUvarint(dst, uint64(b.block))
-			dst = binary.AppendUvarint(dst, uint64(b.bytes))
-			return comm.AppendPayload(dst, b.payload)
+			return comm.AppendPayload(dst, b.c)
 		},
 		Decode: func(body []byte) (any, error) {
 			return decodeDSABlock(nil, body)
@@ -36,9 +37,7 @@ func init() {
 		Tag:   comm.TagOkItem,
 		Match: func(v any) bool { _, ok := v.(*okItem); return ok },
 		Append: func(dst []byte, v any) []byte {
-			it := v.(*okItem)
-			dst = binary.AppendUvarint(dst, uint64(it.bytes))
-			return comm.AppendPayloadList(dst, len(it.payloads), func(i int) any { return it.payloads[i] })
+			return wire.AppendChunkSlice(dst, v.(*okItem).chunks)
 		},
 		Decode: func(body []byte) (any, error) {
 			return decodeOkItem(nil, body)
@@ -49,38 +48,29 @@ func init() {
 	})
 }
 
-// decodeDSABlock reverses the TagDSABlock body; the nested payload decodes
-// under the arena's aliasing contract when one is supplied.
+// decodeDSABlock reverses the TagDSABlock body; the chunk decodes into the
+// arena when one is supplied.
 func decodeDSABlock(a *sparse.Arena, body []byte) (any, error) {
 	block, used := binary.Uvarint(body)
 	if used <= 0 {
 		return nil, fmt.Errorf("sparsecoll: bad dsa block varint")
 	}
-	body = body[used:]
-	bytes, used := binary.Uvarint(body)
-	if used <= 0 {
-		return nil, fmt.Errorf("sparsecoll: bad dsa bytes varint")
-	}
-	payload, err := comm.UnmarshalPayloadArena(a, body[used:])
+	v, err := comm.UnmarshalPayloadArena(a, body[used:])
 	if err != nil {
 		return nil, err
 	}
-	return &dsaBlock{block: int(block), payload: payload, bytes: int(bytes)}, nil
+	c, ok := v.(*sparse.Chunk)
+	if !ok {
+		return nil, fmt.Errorf("sparsecoll: dsa block holds %T", v)
+	}
+	return &dsaBlock{block: int(block), c: c}, nil
 }
 
-// decodeOkItem reverses the TagOkItem body; the nested payload list and
-// its items draw from the arena when one is supplied.
+// decodeOkItem reverses the TagOkItem body.
 func decodeOkItem(a *sparse.Arena, body []byte) (any, error) {
-	bytes, used := binary.Uvarint(body)
-	if used <= 0 {
-		return nil, fmt.Errorf("sparsecoll: bad ok-item bytes varint")
-	}
-	payloads, rest, err := comm.ReadPayloadListArena(a, body[used:])
+	cs, err := wire.DecodeChunkSlice(a, body)
 	if err != nil {
 		return nil, err
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("sparsecoll: %d trailing bytes after ok-item", len(rest))
-	}
-	return &okItem{bytes: int(bytes), payloads: payloads}, nil
+	return &okItem{chunks: cs}, nil
 }

@@ -7,6 +7,8 @@
 package sparsecoll
 
 import (
+	"fmt"
+
 	"spardl/internal/comm"
 	"spardl/internal/sparse"
 	"spardl/internal/wire"
@@ -53,56 +55,29 @@ func ReduceInto(r Reducer, ep comm.Endpoint, grad, out []float32) {
 	copy(out, r.Reduce(ep, grad))
 }
 
-// wireConfigurable is implemented by reducers whose message transport can
-// be switched away from the COO accounting baseline.
-type wireConfigurable interface {
-	setWire(tx wire.Transport)
+// tunable is implemented by reducers whose simulator byte accounting and
+// merge representation can be moved off the defaults; base provides it to
+// every sparse baseline.
+type tunable interface {
+	tune(mode wire.Mode, policy sparse.DensePolicy)
 }
 
-// WireVariant returns a factory that builds the same reducers as base but
-// with every sparse message sized — and, under wire.ModeEncoded, actually
-// round-tripped through the codec — by the given transport mode. Reducers
-// without sparse messages (e.g. Dense) are returned unchanged: their wire
-// volume is already exact, so the mode has nothing to re-encode and mixed
+// Tuned returns a factory that builds the same reducers as f, charged on
+// the simulator by the given wire mode and with the given sparse↔dense
+// representation-switching policy on their merge paths. The zero values
+// (wire.ModeCOO, sparse.DenseAdaptive) are the defaults; sparse.DenseNever
+// reproduces the pre-dense behaviour and sparse.DenseAlways is the
+// ablation bound. Reducers without sparse messages (e.g. Dense) are
+// returned unchanged — their wire volume is already exact — so mixed
 // method lists can be wrapped uniformly.
-func WireVariant(base Factory, mode wire.Mode) Factory {
+func Tuned(f Factory, mode wire.Mode, policy sparse.DensePolicy) Factory {
 	return func(p, rank, n, k int) Reducer {
-		r := base(p, rank, n, k)
-		if wc, ok := r.(wireConfigurable); ok {
-			wc.setWire(wire.Transport{Mode: mode})
+		r := f(p, rank, n, k)
+		if t, ok := r.(tunable); ok {
+			t.tune(mode, policy)
 		}
 		return r
 	}
-}
-
-// denseConfigurable is implemented by reducers whose merge results can
-// switch representation; scratch provides it to every baseline.
-type denseConfigurable interface {
-	setDensePolicy(p sparse.DensePolicy)
-}
-
-// DenseVariant returns a factory that builds the same reducers as base but
-// with the given sparse↔dense representation-switching policy on their
-// merge paths. sparse.DenseNever reproduces the pre-dense behaviour;
-// sparse.DenseAlways is the ablation bound. Reducers without sparse merges
-// are returned unchanged.
-func DenseVariant(base Factory, policy sparse.DensePolicy) Factory {
-	return func(p, rank, n, k int) Reducer {
-		r := base(p, rank, n, k)
-		if dc, ok := r.(denseConfigurable); ok {
-			dc.setDensePolicy(policy)
-		}
-		return r
-	}
-}
-
-// wireName appends the non-default transport mode to a reducer name so
-// experiment tables distinguish accounting modes.
-func wireName(name string, tx wire.Transport) string {
-	if tx.Mode == wire.ModeCOO {
-		return name
-	}
-	return name + "+" + tx.Mode.String()
 }
 
 // CompCost models the local-computation virtual time charged while
@@ -128,40 +103,62 @@ func ChargeMerge(ep comm.Endpoint, n int) {
 	ep.Compute(DefaultCompCost.PerEntryMerge * float64(n))
 }
 
-// scratch is the per-reducer steady-state working set shared by every
-// baseline method: the chunk arena plus the two dense vectors each
-// iteration needs. Embedding it gives a reducer persistent, allocation-
-// free per-call scratch.
-type scratch struct {
-	ar              *sparse.Arena
-	accBuf, snapBuf []float32
+// base is the state every sparse baseline (TopkA, TopkDSA, gTopk, Ok-Topk)
+// embeds: the problem size, the chunk arena, the simulator accounting, and
+// the reducer's one length-n vector. Between calls that vector is the
+// stored residual; begin adds the gradient onto it and the method then
+// works on it in place — select from it, zero what left with the
+// selection — so what remains when the call returns is the next residual.
+// No baseline writes the vector between its prologue and that final
+// zeroing, so unlike core.SparDL none needs an undo log.
+type base struct {
+	name     string
+	n, k     int
+	residual []float32
+	ar       *sparse.Arena
+	tx       wire.Transport
 }
 
-func newScratch(n int) scratch {
-	return scratch{ar: sparse.NewArena(), accBuf: make([]float32, n), snapBuf: make([]float32, n)}
+func newBase(name string, n, k int) base {
+	return base{name: name, n: n, k: k, residual: make([]float32, n), ar: sparse.NewArena()}
 }
 
-// setDensePolicy implements denseConfigurable for every reducer embedding
-// scratch: merges drawn from the shared arena follow the policy.
-func (s *scratch) setDensePolicy(p sparse.DensePolicy) { s.ar.SetDensePolicy(p) }
+// Name implements Reducer, tagging a non-default accounting mode so
+// experiment tables distinguish them.
+func (b *base) Name() string {
+	if b.tx.Mode == wire.ModeCOO {
+		return b.name
+	}
+	return b.name + "+" + b.tx.Mode.String()
+}
 
-// accumulate starts an iteration: a new arena epoch, then grad+residual
-// into the persistent working vector with a snapshot (the "G_copy" of
-// Algorithm 1) for residual bookkeeping at the end.
+// tune implements tunable.
+func (b *base) tune(mode wire.Mode, policy sparse.DensePolicy) {
+	b.tx.Mode = mode
+	b.ar.SetDensePolicy(policy)
+}
+
+// Residual implements ResidualCarrier.
+func (b *base) Residual() []float32 { return b.residual }
+
+// RestoreResidual implements ResidualRestorer.
+func (b *base) RestoreResidual(res []float32) {
+	if len(res) != b.n {
+		panic(fmt.Sprintf("sparsecoll: restoring a %d-value residual into a %d-value reducer", len(res), b.n))
+	}
+	copy(b.residual, res)
+}
+
+// begin starts a synchronization: a new arena epoch, then the gradient
+// onto the stored residual. The vector now holds what Algorithm 1 calls
+// G_copy.
 //
 //spardl:hotpath
-func (s *scratch) accumulate(grad, residual []float32) (acc, snapshot []float32) {
-	s.ar.Reset()
-	acc, snapshot = s.accBuf, s.snapBuf
-	// One fused pass: the residual add and the snapshot copy touch the same
-	// cache lines, so splitting them into copy + add + copy triples the
-	// memory traffic of the per-iteration prologue.
+func (b *base) begin(grad []float32) {
+	b.ar.Reset()
 	for i, g := range grad {
-		v := g + residual[i]
-		acc[i] = v
-		snapshot[i] = v
+		b.residual[i] += g
 	}
-	return acc, snapshot
 }
 
 // scatterInto densifies reduced chunks into out, overwriting it fully.
@@ -176,23 +173,4 @@ func scatterInto(out []float32, chunks []*sparse.Chunk) {
 			c.AddToDense(out)
 		}
 	}
-}
-
-// containsIdx reports whether the sorted index slice holds idx — the
-// allocation-free replacement for the per-iteration membership maps the
-// residual bookkeeping used to build (selection indices are sorted, so
-// binary search suffices).
-//
-//spardl:hotpath
-func containsIdx(sorted []int32, idx int32) bool {
-	lo, hi := 0, len(sorted)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if sorted[mid] < idx {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(sorted) && sorted[lo] == idx
 }

@@ -23,38 +23,6 @@ type ResidualRestorer interface {
 	RestoreResidual(res []float32)
 }
 
-// restore is the shared length-checked copy behind every RestoreResidual.
-func restore(dst, src []float32) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("sparsecoll: restoring a %d-value residual into a %d-value reducer", len(src), len(dst)))
-	}
-	copy(dst, src)
-}
-
-// Residual implements ResidualCarrier.
-func (t *TopkA) Residual() []float32 { return t.residual }
-
-// RestoreResidual implements ResidualRestorer.
-func (t *TopkA) RestoreResidual(res []float32) { restore(t.residual, res) }
-
-// Residual implements ResidualCarrier.
-func (t *TopkDSA) Residual() []float32 { return t.residual }
-
-// RestoreResidual implements ResidualRestorer.
-func (t *TopkDSA) RestoreResidual(res []float32) { restore(t.residual, res) }
-
-// Residual implements ResidualCarrier.
-func (g *GTopk) Residual() []float32 { return g.residual }
-
-// RestoreResidual implements ResidualRestorer.
-func (g *GTopk) RestoreResidual(res []float32) { restore(g.residual, res) }
-
-// Residual implements ResidualCarrier.
-func (o *OkTopk) Residual() []float32 { return o.residual }
-
-// RestoreResidual implements ResidualRestorer.
-func (o *OkTopk) RestoreResidual(res []float32) { restore(o.residual, res) }
-
 // Residual forwards to the inner reducer so bucketed pipelines stay
 // elastic-recoverable per segment; it returns nil when the inner method
 // carries no residual (e.g. dense all-reduce).

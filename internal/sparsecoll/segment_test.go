@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"spardl/internal/simnet"
+	"spardl/internal/sparse"
 	"spardl/internal/wire"
 )
 
@@ -101,11 +102,11 @@ func TestSegmentClampsBudget(t *testing.T) {
 	}
 }
 
-// TestWireVariantLeavesDenseUnchanged: wrapping a reducer without sparse
+// TestTunedLeavesDenseUnchanged: wrapping a reducer without sparse
 // messages must return it as-is instead of panicking — dense baselines ride
 // along in wire-mode method lists.
-func TestWireVariantLeavesDenseUnchanged(t *testing.T) {
-	f := WireVariant(NewDense, wire.ModeNegotiated)
+func TestTunedLeavesDenseUnchanged(t *testing.T) {
+	f := Tuned(NewDense, wire.ModeNegotiated, sparse.DenseAlways)
 	r := f(2, 0, 100, 10)
 	if r.Name() != "Dense" {
 		t.Fatalf("dense reducer renamed: %q", r.Name())

@@ -3,7 +3,7 @@ package sparsecoll
 import (
 	"spardl/internal/collective"
 	"spardl/internal/comm"
-	"spardl/internal/wire"
+	"spardl/internal/sparse"
 )
 
 // TopkA is SparCML's sparse all-gather all-reduce [Renggli et al., SC'19]:
@@ -16,27 +16,13 @@ import (
 // Residuals: local only (LRES) — values not selected by the local top-k
 // feed back into the next iteration, as in SparCML.
 type TopkA struct {
-	n, k     int
-	residual []float32
-	world    []int
-	tx       wire.Transport
-	scratch
+	base
+	world []int
 }
 
 // NewTopkA builds the TopkA reducer for one worker.
 func NewTopkA(p, rank, n, k int) Reducer {
-	t := &TopkA{n: n, k: k, residual: make([]float32, n),
-		world: collective.WorldRanks(p), scratch: newScratch(n)}
-	t.tx.Arena = t.ar
-	return t
-}
-
-// Name implements Reducer.
-func (t *TopkA) Name() string { return wireName("TopkA", t.tx) }
-
-func (t *TopkA) setWire(tx wire.Transport) {
-	tx.Arena = t.ar
-	t.tx = tx
+	return &TopkA{base: newBase("TopkA", n, k), world: collective.WorldRanks(p)}
 }
 
 // Reduce implements Reducer.
@@ -50,23 +36,19 @@ func (t *TopkA) Reduce(ep comm.Endpoint, grad []float32) []float32 {
 //
 //spardl:hotpath
 func (t *TopkA) ReduceInto(ep comm.Endpoint, grad, out []float32) {
-	acc, _ := t.accumulate(grad, t.residual)
+	t.begin(grad)
 
-	local := t.ar.TopKDense(acc, 0, t.n, t.k)
+	// LRES: the selection leaves the vector; everything not selected
+	// locally stays behind as residual.
+	local := t.ar.TopKDense(t.residual, 0, t.n, t.k)
 	ChargeScan(ep, t.n)
+	local.ClearInDense(t.residual)
 
-	// LRES: everything not selected locally stays as residual.
-	copy(t.residual, acc)
-	for _, idx := range local.Idx {
-		t.residual[idx] = 0
-	}
-
-	own := t.tx.PackItem(local)
-	items := collective.BruckAllGatherAlloc(ep, t.world, ep.Rank(), own, t.tx.ItemBytes, t.ar)
+	items := collective.BruckAllGatherAlloc(ep, t.world, ep.Rank(), local, t.tx.ItemBytes, t.ar)
 	chunks := t.ar.Chunks(len(items))
 	total := 0
 	for _, it := range items {
-		c := t.tx.Unpack(it)
+		c := it.(*sparse.Chunk)
 		chunks = append(chunks, c)
 		total += c.Len()
 	}

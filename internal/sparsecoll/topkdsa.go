@@ -4,7 +4,6 @@ import (
 	"spardl/internal/collective"
 	"spardl/internal/comm"
 	"spardl/internal/sparse"
-	"spardl/internal/wire"
 )
 
 // TopkDSA is SparCML's split (reduce-scatter + all-gather) sparse
@@ -18,42 +17,37 @@ import (
 //
 // Residuals: local only (LRES), as in SparCML.
 type TopkDSA struct {
-	n, k     int
-	residual []float32
-	part     *sparse.Partition
-	world    []int
-	tx       wire.Transport
-	scratch
+	base
+	part  *sparse.Partition
+	world []int
+	size  collective.SizeFunc // blockBytes, bound once so the hot path builds no closure
 }
 
 // NewTopkDSA builds the TopkDSA reducer for one worker of a P-worker
 // cluster.
 func NewTopkDSA(p, rank, n, k int) Reducer {
-	t := &TopkDSA{n: n, k: k, residual: make([]float32, n), part: sparse.NewPartition(n, p),
-		world: collective.WorldRanks(p), scratch: newScratch(n)}
-	t.tx.Arena = t.ar
+	t := &TopkDSA{base: newBase("TopkDSA", n, k), part: sparse.NewPartition(n, p),
+		world: collective.WorldRanks(p)}
+	t.size = t.blockBytes
 	return t
 }
 
-// Name implements Reducer.
-func (t *TopkDSA) Name() string { return wireName("TopkDSA", t.tx) }
-
-func (t *TopkDSA) setWire(tx wire.Transport) {
-	tx.Arena = t.ar
-	t.tx = tx
-}
-
-// dsaBlock is an all-gather item: a reduced block that travels in sparse
-// form until the dense encoding of its index range is cheaper (the "switch
-// to dense transmission" of TopkDSA). bytes is fixed by the block's owner
-// when it enters the all-gather, so every forwarding hop charges the same.
+// dsaBlock is an all-gather item: the reduced chunk of one gradient block.
 type dsaBlock struct {
-	block   int
-	payload any // transport-packed chunk
-	bytes   int // min(sparse encoding, dense encoding of the block range)
+	block int
+	c     *sparse.Chunk
 }
 
-func dsaItemBytes(it any) int { return it.(*dsaBlock).bytes }
+// blockBytes charges a reduced block in sparse form until the dense
+// encoding of its index range is cheaper (the "switch to dense
+// transmission" of TopkDSA). It is a function of the chunk and the block
+// span alone, so the owner and every forwarding hop charge the same.
+//
+//spardl:hotpath
+func (t *TopkDSA) blockBytes(it any) int {
+	b := it.(*dsaBlock)
+	return min(t.tx.ChunkBytes(b.c), collective.DenseBytes(t.part.Size(b.block)))
+}
 
 // Reduce implements Reducer.
 func (t *TopkDSA) Reduce(ep comm.Endpoint, grad []float32) []float32 {
@@ -66,23 +60,20 @@ func (t *TopkDSA) Reduce(ep comm.Endpoint, grad []float32) []float32 {
 //
 //spardl:hotpath
 func (t *TopkDSA) ReduceInto(ep comm.Endpoint, grad, out []float32) {
-	acc, _ := t.accumulate(grad, t.residual)
+	t.begin(grad)
 	p, me := ep.P(), ep.Rank()
 
-	local := t.ar.TopKDense(acc, 0, t.n, t.k)
+	// LRES, as TopkA: what the local selection leaves behind is the residual.
+	local := t.ar.TopKDense(t.residual, 0, t.n, t.k)
 	ChargeScan(ep, t.n)
-	copy(t.residual, acc)
-	for _, idx := range local.Idx {
-		t.residual[idx] = 0
-	}
+	local.ClearInDense(t.residual)
 
 	// Reduce-scatter by direct sends: piece j of my selection goes straight
 	// to worker j.
 	pieces := t.ar.Split(t.part, local)
 	for j := 0; j < p; j++ {
 		if j != me {
-			pk, bytes := t.tx.Pack(t.ar.Clone(pieces[j]))
-			ep.Send(j, pk, bytes)
+			ep.Send(j, t.ar.Clone(pieces[j]), t.tx.ChunkBytes(pieces[j]))
 		}
 	}
 	got := t.ar.Chunks(p)
@@ -93,7 +84,7 @@ func (t *TopkDSA) ReduceInto(ep comm.Endpoint, grad, out []float32) {
 			continue
 		}
 		in, _ := ep.Recv(j)
-		c := t.tx.Unpack(in)
+		c := in.(*sparse.Chunk)
 		total += c.Len()
 		got = append(got, c)
 	}
@@ -102,19 +93,12 @@ func (t *TopkDSA) ReduceInto(ep comm.Endpoint, grad, out []float32) {
 
 	// All-gather the uneven reduced blocks (SGA allowed; dense switch per
 	// block caps the wire size).
-	pk, sparseBytes := t.tx.Pack(mine)
-	bytes := sparseBytes
-	if db := collective.DenseBytes(t.part.Size(me)); db < bytes {
-		bytes = db
-	}
-	own := &dsaBlock{block: me, payload: pk, bytes: bytes}
-	items := collective.BruckAllGatherAlloc(ep, t.world, me, own, dsaItemBytes, t.ar)
+	items := collective.BruckAllGatherAlloc(ep, t.world, me, &dsaBlock{block: me, c: mine}, t.size, t.ar)
 	chunks := t.ar.Chunks(len(items))
-	for _, it := range items {
-		chunks = append(chunks, t.tx.Unpack(it.(*dsaBlock).payload))
-	}
 	total = 0
-	for _, c := range chunks {
+	for _, it := range items {
+		c := it.(*dsaBlock).c
+		chunks = append(chunks, c)
 		total += c.Len()
 	}
 	ChargeMerge(ep, total)

@@ -17,7 +17,6 @@ import (
 	"spardl/internal/simnet"
 	"spardl/internal/sparse"
 	"spardl/internal/sparsecoll"
-	"spardl/internal/wire"
 )
 
 // The cross-backend equivalence proof for tcpnet forks real worker
@@ -67,54 +66,35 @@ type eqCombo struct {
 	n, k    int
 }
 
-// eqCombos is the full reducer Factory × wire mode matrix for a P-worker
-// cluster: every SparDL configuration and every baseline, with gTopk
-// joining on power-of-two P. Every combo runs with adaptive sparse↔dense
-// representation switching (the package default); the "-flip" entries
-// force a mid-collective sparse→dense switch and the never/always
+// eqCombos is the reducer Factory matrix for a P-worker cluster: every
+// SparDL configuration and every baseline, with gTopk joining on
+// power-of-two P. Each runs once: the accounting mode (Options.Wire) is
+// inert where bytes are real, which livenet's TestWireModeInertOnBytes
+// pins for the runtime both backends share. Every combo runs with adaptive
+// sparse↔dense representation switching (the package default); the "-flip"
+// entries force a mid-collective sparse→dense switch and the never/always
 // policies bracket the adaptive decision.
 func eqCombos(p int) []eqCombo {
-	type method struct {
-		name string
-		f    func(mode wire.Mode) sparsecoll.Factory
-		n, k int
-	}
-	spardl := func(opts core.Options) func(mode wire.Mode) sparsecoll.Factory {
-		return func(mode wire.Mode) sparsecoll.Factory {
-			opts := opts
-			opts.Wire = mode
-			return core.NewFactory(opts)
-		}
-	}
-	baseline := func(f sparsecoll.Factory) func(mode wire.Mode) sparsecoll.Factory {
-		return func(mode wire.Mode) sparsecoll.Factory { return sparsecoll.WireVariant(f, mode) }
-	}
-	methods := []method{
+	spardl := core.NewFactory
+	combos := []eqCombo{
 		{"spardl", spardl(core.Options{}), eqN, eqK},
 		{"spardl-eager", spardl(core.Options{Eager: true}), eqN, eqK},
-		{"topka", baseline(sparsecoll.NewTopkA), eqN, eqK},
-		{"topkdsa", baseline(sparsecoll.NewTopkDSA), eqN, eqK},
-		{"oktopk", baseline(sparsecoll.NewOkTopk), eqN, eqK},
-		{"dense", baseline(sparsecoll.NewDense), eqN, eqK},
+		{"topka", sparsecoll.NewTopkA, eqN, eqK},
+		{"topkdsa", sparsecoll.NewTopkDSA, eqN, eqK},
+		{"oktopk", sparsecoll.NewOkTopk, eqN, eqK},
+		{"dense", sparsecoll.NewDense, eqN, eqK},
 		{"spardl-flip", spardl(core.Options{}), eqFlipN, eqFlipK},
 		{"spardl-flip-never", spardl(core.Options{Dense: sparse.DenseNever}), eqFlipN, eqFlipK},
 		{"spardl-flip-always", spardl(core.Options{Dense: sparse.DenseAlways}), eqFlipN, eqFlipK},
-		{"topkdsa-flip", baseline(sparsecoll.NewTopkDSA), eqFlipN, eqFlipK},
+		{"topkdsa-flip", sparsecoll.NewTopkDSA, eqFlipN, eqFlipK},
 	}
 	for _, d := range []int{2, 3} {
 		if p%d == 0 && p > d {
-			d := d
-			methods = append(methods, method{fmt.Sprintf("spardl-d%d", d), spardl(core.Options{Teams: d}), eqN, eqK})
+			combos = append(combos, eqCombo{fmt.Sprintf("spardl-d%d", d), spardl(core.Options{Teams: d}), eqN, eqK})
 		}
 	}
 	if sparsecoll.GTopkValid(p) == nil {
-		methods = append(methods, method{"gtopk", baseline(sparsecoll.NewGTopk), eqN, eqK})
-	}
-	var combos []eqCombo
-	for _, m := range methods {
-		for _, mode := range []wire.Mode{wire.ModeCOO, wire.ModeNegotiated, wire.ModeEncoded} {
-			combos = append(combos, eqCombo{name: m.name + "/" + mode.String(), factory: m.f(mode), n: m.n, k: m.k})
-		}
+		combos = append(combos, eqCombo{"gtopk", sparsecoll.NewGTopk, eqN, eqK})
 	}
 	return combos
 }
@@ -250,7 +230,7 @@ func waitAll(t *testing.T, cmds []*exec.Cmd, deadline time.Duration) []error {
 }
 
 // TestProcessEquivalence is the package's headline proof: every reducer
-// Factory × wire mode, run by P separate OS processes over real loopback
+// Factory, run by P separate OS processes over real loopback
 // TCP sockets, is bit-identical to the α-β simulator — and the replicas
 // agree with each other, the property S-SGD relies on.
 func TestProcessEquivalence(t *testing.T) {

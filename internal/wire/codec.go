@@ -314,26 +314,17 @@ func Encode(c *sparse.Chunk, lo, hi int32) ([]byte, Format) {
 //spardl:hotpath
 func AppendEncode(dst []byte, c *sparse.Chunk, lo, hi int32) ([]byte, Format) {
 	_, format := EncodedBytes(c, lo, hi)
-	return AppendFormat(dst, c, lo, hi, format), format
-}
-
-// AppendFormat appends the given encoding to dst. Callers that already
-// ran EncodedBytes (to size a buffer) pass its format here instead of
-// letting AppendEncode re-derive it — EncodedBytes walks every index for
-// the delta sizing, and the hot path must not pay that scan twice.
-//
-//spardl:hotpath
-func AppendFormat(dst []byte, c *sparse.Chunk, lo, hi int32, format Format) []byte {
 	switch format {
 	case FormatCOO:
-		return AppendCOO(dst, c, lo, hi)
+		dst = AppendCOO(dst, c, lo, hi)
 	case FormatBitmap:
-		return AppendBitmap(dst, c, lo, hi)
+		dst = AppendBitmap(dst, c, lo, hi)
 	case FormatDense:
-		return AppendDense(dst, c, lo, hi)
+		dst = AppendDense(dst, c, lo, hi)
 	default:
-		return AppendDelta(dst, c, lo, hi)
+		dst = AppendDelta(dst, c, lo, hi)
 	}
+	return dst, format
 }
 
 // Decode reverses any of the four encodings into a heap chunk.

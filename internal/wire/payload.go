@@ -7,11 +7,12 @@ import (
 	"spardl/internal/sparse"
 )
 
-// Byte-level backends (livenet) serialize every payload through the comm
-// registry; this file plugs the sparse-chunk codecs in, which is what
-// makes wire the load-bearing serializer for real transports: a chunk
-// crossing a livenet channel is exactly the Encode/Decode byte stream,
-// never a shared reference.
+// Byte-level backends (livenet, tcpnet) serialize every payload through
+// the comm registry; this file plugs the sparse-chunk codecs in, which is
+// what makes wire the load-bearing serializer for real transports: a chunk
+// crossing a byte link is exactly the Encode/Decode byte stream, never a
+// shared reference, and there is no other format — Transport.Mode only
+// changes what the simulator charges.
 
 func init() {
 	comm.RegisterPayload(comm.PayloadCodec{
@@ -34,44 +35,28 @@ func init() {
 		Tag:   comm.TagChunkSlice,
 		Match: func(v any) bool { _, ok := v.([]*sparse.Chunk); return ok },
 		Append: func(dst []byte, v any) []byte {
-			cs := v.([]*sparse.Chunk)
-			return comm.AppendPayloadList(dst, len(cs), func(i int) any { return cs[i] })
+			return AppendChunkSlice(dst, v.([]*sparse.Chunk))
 		},
 		Decode: func(body []byte) (any, error) {
-			return decodeChunkSlice(nil, body)
+			return DecodeChunkSlice(nil, body)
 		},
 		DecodeArena: func(a *sparse.Arena, body []byte) (any, error) {
-			return decodeChunkSlice(a, body)
-		},
-	})
-	comm.RegisterPayload(comm.PayloadCodec{
-		Tag:   comm.TagSizedChunk,
-		Match: func(v any) bool { _, ok := v.(*sizedChunk); return ok },
-		Append: func(dst []byte, v any) []byte {
-			// The payload is exactly the negotiated encoding — no size memo
-			// prefix. The memoized size is a pure function of the entry set
-			// (EncodedBytes over the tight range), so the receiver recomputes
-			// the identical number and forwarding hops keep charging what the
-			// owner accounted, without the 1-3 extra bytes a varint prefix
-			// would put on the real wire.
-			sc := v.(*sizedChunk)
-			lo, hi := Range(sc.c)
-			out, _ := AppendEncode(dst, sc.c, lo, hi)
-			return out
-		},
-		Decode: func(body []byte) (any, error) {
-			return decodeSizedChunk(nil, body)
-		},
-		DecodeArena: func(a *sparse.Arena, body []byte) (any, error) {
-			return decodeSizedChunk(a, body)
+			return DecodeChunkSlice(a, body)
 		},
 	})
 }
 
-// decodeChunkSlice reverses the TagChunkSlice body: a payload list of
-// chunks, each decoded into the arena (heap on nil) with the pointer slice
-// drawn from the arena's pointer slabs.
-func decodeChunkSlice(a *sparse.Arena, body []byte) (any, error) {
+// AppendChunkSlice appends the TagChunkSlice body — a payload list of
+// chunks — to dst. Codecs of payloads that are chunk lists at heart
+// (sparsecoll's Ok-Topk item) share it.
+func AppendChunkSlice(dst []byte, cs []*sparse.Chunk) []byte {
+	return comm.AppendPayloadList(dst, len(cs), func(i int) any { return cs[i] })
+}
+
+// DecodeChunkSlice reverses AppendChunkSlice: each chunk is decoded into
+// the arena (heap on nil) with the pointer slice drawn from the arena's
+// pointer slabs.
+func DecodeChunkSlice(a *sparse.Arena, body []byte) ([]*sparse.Chunk, error) {
 	items, rest, err := comm.ReadPayloadListArena(a, body)
 	if err != nil {
 		return nil, err
@@ -88,17 +73,4 @@ func decodeChunkSlice(a *sparse.Arena, body []byte) (any, error) {
 		cs = append(cs, c)
 	}
 	return cs, nil
-}
-
-// decodeSizedChunk reverses the TagSizedChunk body, recomputing the
-// memoized size (a pure function of the entry set, so forwarding hops keep
-// charging what the owner accounted).
-func decodeSizedChunk(a *sparse.Arena, body []byte) (any, error) {
-	c, err := DecodeArena(a, body)
-	if err != nil {
-		return nil, err
-	}
-	lo, hi := Range(c)
-	n, _ := EncodedBytes(c, lo, hi)
-	return &sizedChunk{c: c, bytes: n}, nil
 }

@@ -6,8 +6,11 @@ import (
 	"spardl/internal/sparse"
 )
 
-// Mode selects how sparse messages are represented — and therefore sized —
-// on the simulated wire.
+// Mode selects what the simulator charges for a sparse message. It is an
+// accounting rule, not a format: on the byte-level backends (livenet,
+// tcpnet) every chunk is serialized by the one negotiated codec this
+// package registers with comm, whatever the mode says, and the real byte
+// counts are what their statistics report.
 type Mode int
 
 const (
@@ -17,15 +20,9 @@ const (
 	// default everywhere.
 	ModeCOO Mode = iota
 	// ModeNegotiated charges the size of the smallest self-describing
-	// encoding (COO / delta-varint / bitmap, header included) for every
-	// message, without materializing buffers. This is what a production
-	// transport negotiating per-message formats would put on the wire.
+	// encoding (COO / delta-varint / bitmap / dense, header included) —
+	// exactly the bytes the real backends put on the wire for the chunk.
 	ModeNegotiated
-	// ModeEncoded is the byte-accurate realism mode: every sparse message is
-	// actually run through Encode at the sender and Decode at the receiver,
-	// so the payload crossing the fabric is the real encoded buffer. Sizes
-	// equal ModeNegotiated; the round-trip exists to prove it.
-	ModeEncoded
 )
 
 // String implements fmt.Stringer.
@@ -35,165 +32,60 @@ func (m Mode) String() string {
 		return "coo"
 	case ModeNegotiated:
 		return "negotiated"
-	case ModeEncoded:
-		return "encoded"
 	}
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
-// Transport sizes — and in ModeEncoded, round-trips — the sparse messages
-// of every collective in this repository. The zero value is the COO
-// accounting baseline, so existing call sites keep their exact byte counts
-// unless a mode is explicitly chosen.
-//
-// Payload convention: Pack returns either the chunk itself (ModeCOO and
-// ModeNegotiated, where only the accounted size changes) or the encoded
-// []byte buffer (ModeEncoded). Unpack accepts both, so receivers are
-// written once. Encoded buffers stay encoded while collectives such as
-// Bruck all-gather forward them through intermediate hops; only the final
-// consumer decodes.
-//
-// Arena, when set, supplies the owning reducer's epoch-recycled storage:
-// ModeEncoded send buffers are carved from its byte slabs (an encoded
-// payload crosses the fabric by reference and may be read by peers until
-// the epoch quarantine expires — exactly the arena's lifetime contract)
-// and decoded chunks come from its chunk slabs, so even the byte-accurate
-// realism mode runs allocation-free at steady state.
+// Transport sizes the sparse messages of every collective in this
+// repository. The zero value is the COO accounting baseline. Chunks travel
+// as themselves (*sparse.Chunk, []*sparse.Chunk) under either mode, so the
+// payload objects — and on byte backends the bytes — do not depend on it.
 type Transport struct {
-	Mode  Mode
+	Mode Mode
+	// Arena is unused; it and PackItem remain only because bench/replay.go,
+	// which a simplification may not edit, still names them.
 	Arena *sparse.Arena
 }
 
 // ChunkBytes returns the wire size charged for one chunk, using the tight
 // index range for the negotiated encodings.
 func (t Transport) ChunkBytes(c *sparse.Chunk) int {
-	switch t.Mode {
-	case ModeNegotiated, ModeEncoded:
+	if t.Mode == ModeNegotiated {
 		lo, hi := Range(c)
 		n, _ := EncodedBytes(c, lo, hi)
 		return n
-	default:
-		return c.WireBytes()
 	}
+	return c.WireBytes()
 }
 
-// Pack converts a chunk into a sendable payload and its accounted size.
+// SliceBytes returns the summed charge for a batch of chunks.
 //
 //spardl:hotpath
-func (t Transport) Pack(c *sparse.Chunk) (payload any, bytes int) {
-	if t.Mode == ModeEncoded {
-		lo, hi := Range(c)
-		size, format := EncodedBytes(c, lo, hi)
-		buf := AppendFormat(t.Arena.Bytes(size), c, lo, hi, format)
-		return buf, len(buf)
-	}
-	return c, t.ChunkBytes(c)
-}
-
-// sizedChunk memoizes a chunk's negotiated size for payloads whose
-// SizeFunc is re-evaluated on forwarding hops.
-type sizedChunk struct {
-	c     *sparse.Chunk
-	bytes int
-}
-
-// PackItem packs a chunk destined for an all-gather, where the collective
-// re-evaluates its SizeFunc on every forwarding hop: the accounted size is
-// fixed here, at the owner, so hops stay O(1) in every mode.
-//
-//spardl:hotpath
-func (t Transport) PackItem(c *sparse.Chunk) any {
-	switch t.Mode {
-	case ModeEncoded:
-		pk, _ := t.Pack(c) // []byte; len() is already O(1)
-		return pk
-	case ModeNegotiated:
-		return &sizedChunk{c: c, bytes: t.ChunkBytes(c)}
-	default:
-		return c // COO sizing is O(1)
-	}
-}
-
-// Unpack reverses Pack and PackItem. A decode failure panics: inside the
-// simulator a corrupt buffer can only mean an encoder bug, never external
-// input.
-//
-//spardl:hotpath
-func (t Transport) Unpack(payload any) *sparse.Chunk {
-	switch v := payload.(type) {
-	case *sparse.Chunk:
-		return v
-	case *sizedChunk:
-		return v.c
-	case []byte:
-		return t.decode(v)
-	}
-	panic(fmt.Sprintf("wire: transport cannot unpack %T", payload))
-}
-
-// decode is the concrete-typed decode path, shared by Unpack and
-// UnpackSlice so batch decodes do not re-box every buffer into an `any`.
-//
-//spardl:hotpath
-func (t Transport) decode(buf []byte) *sparse.Chunk {
-	c, err := DecodeArena(t.Arena, buf) //spardl:hotprop-ok DecodeArena draws from the arena; it allocates only on corrupt-frame error paths, which panic below
-	if err != nil {
-		panic(fmt.Sprintf("wire: transport decode failed: %v", err))
-	}
-	return c
-}
-
-// PackSlice packs a batch of chunks travelling in one message (e.g. one
-// SRS sending bag) and returns the summed accounted size.
-//
-//spardl:hotpath
-func (t Transport) PackSlice(cs []*sparse.Chunk) (payload any, bytes int) {
-	if t.Mode == ModeEncoded {
-		bufs := make([][]byte, len(cs))
-		total := 0
-		for i, c := range cs {
-			lo, hi := Range(c)
-			size, format := EncodedBytes(c, lo, hi)
-			buf := AppendFormat(t.Arena.Bytes(size), c, lo, hi, format)
-			bufs[i] = buf
-			total += len(buf)
-		}
-		return bufs, total
-	}
+func (t Transport) SliceBytes(cs []*sparse.Chunk) int {
 	total := 0
 	for _, c := range cs {
 		total += t.ChunkBytes(c)
 	}
-	return cs, total
+	return total
 }
 
-// UnpackSlice reverses PackSlice.
+// PackSlice returns a batch of chunks travelling in one message (e.g. one
+// SRS sending bag) as the payload it already is — this is where the slice
+// is boxed — with its summed charge. Receivers assert the payload back to
+// []*sparse.Chunk.
 //
 //spardl:hotpath
-func (t Transport) UnpackSlice(payload any) []*sparse.Chunk {
-	switch v := payload.(type) {
-	case []*sparse.Chunk:
-		return v
-	case [][]byte:
-		cs := make([]*sparse.Chunk, len(v))
-		for i, buf := range v {
-			cs[i] = t.decode(buf)
-		}
-		return cs
-	}
-	panic(fmt.Sprintf("wire: transport cannot unpack slice %T", payload))
+func (t Transport) PackSlice(cs []*sparse.Chunk) (payload any, bytes int) {
+	return cs, t.SliceBytes(cs)
 }
 
-// ItemBytes is a collective.SizeFunc: it sizes every packed form, so one
-// Transport serves every all-gather regardless of mode.
+// PackItem returns the chunk as the all-gather item it already is.
+func (t Transport) PackItem(c *sparse.Chunk) any { return c }
+
+// ItemBytes is the collective.SizeFunc of an all-gather whose items are
+// chunks. The collective re-evaluates it on every forwarding hop; the
+// charge is a pure function of the entry set, so every hop and every
+// worker agree.
 //
 //spardl:hotpath
-func (t Transport) ItemBytes(it any) int {
-	switch v := it.(type) {
-	case []byte:
-		return len(v)
-	case *sizedChunk:
-		return v.bytes
-	}
-	return t.ChunkBytes(it.(*sparse.Chunk))
-}
+func (t Transport) ItemBytes(it any) int { return t.ChunkBytes(it.(*sparse.Chunk)) }

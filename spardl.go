@@ -89,26 +89,20 @@ const (
 	BSAG = core.BSAG
 )
 
-// WireMode selects the transport representation — and therefore the α-β
-// byte accounting — of every sparse message (Options.Wire).
+// WireMode selects what the simulator charges for every sparse message
+// (Options.Wire). The byte-level backends have one real wire format — the
+// negotiated codec — and ignore it.
 type WireMode = core.WireMode
 
-// Wire transport modes.
+// Simulator accounting modes.
 const (
 	// WireCOO is the paper's accounting baseline: 8 bytes per entry.
 	WireCOO = core.WireCOO
 	// WireNegotiated charges the smallest self-describing encoding
-	// (COO / delta-varint / bitmap) per message.
+	// (COO / delta-varint / bitmap / dense) per message — what the real
+	// backends move.
 	WireNegotiated = core.WireNegotiated
-	// WireEncoded actually encodes/decodes every message (byte-accurate
-	// realism mode; sizes equal WireNegotiated).
-	WireEncoded = core.WireEncoded
 )
-
-// WireVariant wraps a baseline factory so its sparse messages are sized —
-// and under WireEncoded, round-tripped through the codec — by the given
-// wire mode. SparDL itself is configured via Options.Wire instead.
-func WireVariant(f Factory, mode WireMode) Factory { return sparsecoll.WireVariant(f, mode) }
 
 // DensePolicy selects when merge results switch into the dense-block
 // representation mid-collective (Options.Dense).
@@ -131,10 +125,13 @@ const (
 	DenseAlways = sparse.DenseAlways
 )
 
-// DenseVariant wraps a baseline factory with a representation-switching
-// policy for its merge paths. SparDL itself is configured via
+// Tuned wraps a baseline factory with a simulator accounting mode and a
+// representation-switching policy for its merge paths (the zero values are
+// the defaults). SparDL itself is configured via Options.Wire and
 // Options.Dense instead.
-func DenseVariant(f Factory, policy DensePolicy) Factory { return sparsecoll.DenseVariant(f, policy) }
+func Tuned(f Factory, mode WireMode, policy DensePolicy) Factory {
+	return sparsecoll.Tuned(f, mode, policy)
+}
 
 // New builds a SparDL reducer for one worker of a P-worker cluster
 // synchronizing length-n gradients with global selection size k.
@@ -455,8 +452,8 @@ func RunCluster(p int, profile Profile, worker func(rank int, ep *Endpoint)) *Re
 // synchronization per Iterate over a persistent fabric with persistent
 // reducers and gradient/result buffers, exactly as a training loop holds
 // them. BenchmarkReduceOnce and spardl-bench's -reduce-baseline both run
-// THIS harness, so the committed BENCH_reduce.json and the CI
-// bench-regression gate measure the identical workload by construction.
+// THIS harness, so the committed BENCH_reduce.json, CI's perf-baseline
+// gate and `make bench` measure the identical workload by construction.
 type ReduceBench struct {
 	grads, bufs, outs [][]float32
 	eps               []*Endpoint

@@ -106,7 +106,7 @@ func TestFacadeTCP(t *testing.T) {
 			}
 			defer ep.Close()
 			spardl.TCPSelfBackend(ep).Run(p, func(rank int, cep spardl.CommEndpoint) {
-				r, err := spardl.New(p, rank, n, k, spardl.Options{Wire: spardl.WireEncoded})
+				r, err := spardl.New(p, rank, n, k, spardl.Options{})
 				if err != nil {
 					done <- err
 					return
