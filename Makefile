@@ -4,7 +4,7 @@
 
 VETCACHE := .vetcache
 
-.PHONY: build test race vet vet-cold bench bench-e2e bench-smoke fmt
+.PHONY: build test race vet vet-cold bench bench-nn bench-e2e bench-smoke fmt
 
 build:
 	go build ./...
@@ -27,6 +27,11 @@ vet-cold:
 
 bench:
 	go test -run '^$$' -bench 'BenchmarkReduceOnce$$' -benchmem -benchtime 20x .
+
+# Training compute: the three MatMul kernels every model goes through and
+# one ResMLP worker step (the compute half of train-live-resmlp).
+bench-nn:
+	go test -run '^$$' -bench 'BenchmarkMatMulKernels|BenchmarkResMLPStep' -benchmem ./internal/nn
 
 # The end-to-end benchmark BENCHMARK.json declares: five workloads,
 # untraced then traced (see bench/README.md). bench-smoke is the same

@@ -1,0 +1,71 @@
+package nn
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
+
+// BenchmarkMatMulKernels times the three kernels behind MatMul at the
+// ResMLP layer shape, for a training batch (32 rows) and an evaluation
+// batch (1024), on a dense a and on one with the ≈ 50 % zeros a ReLU
+// leaves.
+func BenchmarkMatMulKernels(b *testing.B) {
+	for _, rows := range []int{32, 1024} {
+		for _, zeroPct := range []int{0, 50} {
+			const k, c = 192, 192
+			rng := rand.New(rand.NewSource(1))
+			a, w, og := randInput(rng, rows, k), randInput(rng, k, c), randInput(rng, rows, c)
+			for i := range a {
+				if rng.Intn(100) < zeroPct {
+					a[i] = 0
+				}
+			}
+			out, ag, wg := make([]float32, rows*c), make([]float32, rows*k), make([]float32, k*c)
+			name := fmt.Sprintf("%dx%dx%d/zeros=%d", rows, k, c, zeroPct)
+			b.Run("forward/"+name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					clear(out)
+					matmulInto(out, a, w, rows, k, c)
+				}
+			})
+			if zeroPct == 0 { // dA never reads a
+				b.Run("dA/"+name, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						matmulGradA(ag, og, w, rows, k, c)
+					}
+				})
+			}
+			b.Run("dB/"+name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					matmulGradB(wg, a, og, rows, k, c)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkResMLPStep is one worker's compute for one iteration of the
+// train-live-resmlp workload (train.Cases[2]: 64→192, two residual blocks,
+// 50 classes, batch 32, momentum SGD) with the synchronization left out.
+func BenchmarkResMLPStep(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	m := NewResMLPClassifier(rng, 64, 192, 2, 50)
+	opt := NewSGD(0.05, 0.9)
+	const batchSize = 32
+	labels := make([]int, batchSize)
+	for i := range labels {
+		labels[i] = rng.Intn(50)
+	}
+	batch := &Batch{X: randInput(rng, batchSize, 64), Features: 64, Labels: labels}
+	flat := make([]float32, ParamCount(m.Params()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ZeroGrads(m.Params())
+		loss, _ := m.Loss(batch)
+		loss.Backward()
+		FlattenGrads(m.Params(), flat)
+		opt.StepScaled(m.Params(), flat, 0.25)
+	}
+}

@@ -1,8 +1,11 @@
 package nn
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -132,16 +135,19 @@ func TestGradLSTMCell(t *testing.T) {
 	checkGrads(t, rng, params, forward, 40)
 }
 
-func TestGradModels(t *testing.T) {
+type modelCase struct {
+	name  string
+	model Model
+	batch *Batch
+}
+
+// gradModelCases builds one small instance of every model in the package
+// with a batch for it, deterministically.
+func gradModelCases() []modelCase {
 	rng := rand.New(rand.NewSource(6))
 	x := randInput(rng, 4, 6)
 	tokens := [][]int{{1, 2, 3}, {4, 5, 6}, {0, 2, 4}, {7, 1, 0}}
-
-	cases := []struct {
-		name  string
-		model Model
-		batch *Batch
-	}{
+	return []modelCase{
 		{
 			"MLPClassifier",
 			NewMLPClassifier(rng, []int{6, 8, 3}),
@@ -173,13 +179,87 @@ func TestGradModels(t *testing.T) {
 			&Batch{Tokens: tokens, MaskLabels: [][]int{{-1, 5, -1}, {2, -1, -1}, {-1, -1, 3}, {-1, 4, -1}}},
 		},
 	}
-	for _, tc := range cases {
+}
+
+func TestGradModels(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for _, tc := range gradModelCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			forward := func() *Tensor {
 				loss, _ := tc.model.Loss(tc.batch)
 				return loss
 			}
 			checkGrads(t, rng, tc.model.Params(), forward, 25)
+		})
+	}
+}
+
+// gradBitsHash is FNV-1a over the Float32bits of every parameter gradient.
+func gradBitsHash(params []*Tensor) uint64 {
+	h := fnv.New64a()
+	var w [4]byte
+	for _, p := range params {
+		for _, g := range p.Grad {
+			binary.LittleEndian.PutUint32(w[:], math.Float32bits(g))
+			h.Write(w[:])
+		}
+	}
+	return h.Sum64()
+}
+
+// A forward pass allocates no gradient storage — evaluation never reads
+// any — and deferring the allocation to Backward changes no gradient bit:
+// not against a backward pass whose interior buffers all exist up front
+// (how every node was born before), and not against the hashes recorded
+// at the commit before the change.
+func TestForwardAllocatesNoGradients(t *testing.T) {
+	pinned := map[string]uint64{ // amd64; other architectures may fuse multiply-add
+		"MLPClassifier":    0xd6bc0355840669c0,
+		"MLPRegressor":     0x15ba9e456b8ade73,
+		"ResMLPClassifier": 0xe32d59efe1891fe0,
+		"LSTMClassifier":   0x6ef65125ee56d6c0,
+		"LSTMLM":           0x7c82661db045c632,
+		"BERTLike":         0xdddc3082d7ca51c1,
+	}
+	for _, tc := range gradModelCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			params := tc.model.Params()
+			isParam := map[*Tensor]bool{}
+			for _, p := range params {
+				isParam[p] = true
+			}
+			loss, _ := tc.model.Loss(tc.batch)
+			interior := 0
+			for _, n := range topoSort(loss) {
+				if isParam[n] {
+					continue
+				}
+				interior++
+				if n.Grad != nil {
+					t.Fatalf("forward pass allocated the gradient of a %dx%d interior node", n.R, n.C)
+				}
+			}
+			if interior == 0 {
+				t.Fatal("graph has no interior nodes")
+			}
+			ZeroGrads(params)
+			loss.Backward()
+			lazy := gradBitsHash(params)
+
+			ZeroGrads(params)
+			loss, _ = tc.model.Loss(tc.batch)
+			for _, n := range topoSort(loss) {
+				if n.needGrad {
+					n.ensureGrad()
+				}
+			}
+			loss.Backward()
+			if eager := gradBitsHash(params); eager != lazy {
+				t.Fatalf("gradients differ with pre-allocated interior buffers: %#x vs %#x", eager, lazy)
+			}
+			if runtime.GOARCH == "amd64" && lazy != pinned[tc.name] {
+				t.Fatalf("gradient hash %#x, recorded %#x", lazy, pinned[tc.name])
+			}
 		})
 	}
 }

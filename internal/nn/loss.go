@@ -84,7 +84,6 @@ func Argmax(t *Tensor) []int {
 			if v > row[best] {
 				best = j
 			}
-			_ = v
 		}
 		out[b] = best
 	}

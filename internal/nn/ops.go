@@ -14,59 +14,15 @@ func MatMul(a, b *Tensor) *Tensor {
 	matmulInto(out.Data, a.Data, b.Data, a.R, a.C, b.C)
 	out.back = func() {
 		if a.needGrad {
-			// dA += dOut · Bᵀ
 			a.ensureGrad()
-			for i := 0; i < a.R; i++ {
-				for k := 0; k < a.C; k++ {
-					var s float32
-					brow := b.Data[k*b.C:]
-					orow := out.Grad[i*out.C:]
-					for j := 0; j < b.C; j++ {
-						s += orow[j] * brow[j]
-					}
-					a.Grad[i*a.C+k] += s
-				}
-			}
+			matmulGradA(a.Grad, out.Grad, b.Data, a.R, a.C, b.C) // dA += dOut · Bᵀ
 		}
 		if b.needGrad {
-			// dB += Aᵀ · dOut
 			b.ensureGrad()
-			for i := 0; i < a.R; i++ {
-				arow := a.Data[i*a.C:]
-				orow := out.Grad[i*out.C:]
-				for k := 0; k < a.C; k++ {
-					av := arow[k]
-					if av == 0 {
-						continue
-					}
-					brow := b.Grad[k*b.C:]
-					for j := 0; j < b.C; j++ {
-						brow[j] += av * orow[j]
-					}
-				}
-			}
+			matmulGradB(b.Grad, a.Data, out.Grad, a.R, a.C, b.C) // dB += Aᵀ · dOut
 		}
 	}
 	return out
-}
-
-// matmulInto computes dst = a·b with an ikj loop order (row-major cache
-// friendly); dst must be zeroed, length r·c.
-func matmulInto(dst, a, b []float32, r, k, c int) {
-	for i := 0; i < r; i++ {
-		arow := a[i*k : (i+1)*k]
-		drow := dst[i*c : (i+1)*c]
-		for kk := 0; kk < k; kk++ {
-			av := arow[kk]
-			if av == 0 {
-				continue
-			}
-			brow := b[kk*c : (kk+1)*c]
-			for j := range drow {
-				drow[j] += av * brow[j]
-			}
-		}
-	}
 }
 
 // Add returns the elementwise sum of equally-shaped tensors.

@@ -97,7 +97,13 @@ func (s *SGD) RestoreVelocity(v []float32) {
 
 // Step applies the (synchronized, flattened) gradient vector to the
 // parameters: v = µ·v + g; w -= lr·v.
-func (s *SGD) Step(params []*Tensor, grad []float32) {
+func (s *SGD) Step(params []*Tensor, grad []float32) { s.StepScaled(params, grad, 1) }
+
+// StepScaled is Step on scale·grad — the trainer's 1/P averaging folded
+// into the update pass. grad is left untouched; every scaled value is
+// rounded to float32 before it enters the update, so the result is
+// bit-equal to scaling grad in place first.
+func (s *SGD) StepScaled(params []*Tensor, grad []float32, scale float32) {
 	if want := ParamCount(params); len(grad) != want {
 		panic(fmt.Sprintf("nn: SGD.Step got %d gradient values for %d parameters", len(grad), want))
 	}
@@ -106,14 +112,20 @@ func (s *SGD) Step(params []*Tensor, grad []float32) {
 	}
 	off := 0
 	for _, p := range params {
-		for i := 0; i < p.Len(); i++ {
-			g := grad[off+i]
-			if s.Momentum != 0 {
-				s.velocity[off+i] = s.Momentum*s.velocity[off+i] + g
-				g = s.velocity[off+i]
+		w := p.Data
+		g := grad[off : off+len(w)]
+		if s.Momentum == 0 {
+			for i, gv := range g {
+				w[i] -= s.LR * float32(gv*scale)
 			}
-			p.Data[i] -= s.LR * g
+		} else {
+			vel := s.velocity[off : off+len(w)]
+			for i, gv := range g {
+				v := s.Momentum*vel[i] + float32(gv*scale)
+				vel[i] = v
+				w[i] -= s.LR * v
+			}
 		}
-		off += p.Len()
+		off += len(w)
 	}
 }

@@ -78,7 +78,9 @@ func (t *Tensor) Len() int { return t.R * t.C }
 // NeedGrad reports whether the tensor participates in backpropagation.
 func (t *Tensor) NeedGrad() bool { return t.needGrad }
 
-// ensureGrad allocates the gradient buffer on demand for interior nodes.
+// ensureGrad allocates an interior node's gradient buffer the first time
+// the backward pass writes to it, so a forward-only pass (evaluation)
+// never pays for gradients; parameters are born with theirs.
 func (t *Tensor) ensureGrad() {
 	if t.Grad == nil {
 		t.Grad = make([]float32, t.R*t.C)
@@ -95,9 +97,6 @@ func newResult(r, c int, inputs ...*Tensor) *Tensor {
 			break
 		}
 	}
-	if out.needGrad {
-		out.ensureGrad()
-	}
 	return out
 }
 
@@ -112,8 +111,9 @@ func (t *Tensor) Backward() {
 	t.ensureGrad()
 	t.Grad[0] = 1
 	for i := len(order) - 1; i >= 0; i-- {
-		if order[i].back != nil {
-			order[i].back()
+		if n := order[i]; n.back != nil && n.needGrad { // otherwise no input wants a gradient
+			n.ensureGrad()
+			n.back()
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -46,6 +48,65 @@ func TestSGDMomentumStep(t *testing.T) {
 	opt.Step([]*Tensor{p}, []float32{1, 2})
 	if d := p.Data[0] - (0.9 - 0.1*1.9); d > 1e-6 || d < -1e-6 {
 		t.Fatalf("momentum wrong: %v", p.Data)
+	}
+}
+
+// refScaleAndStep is the update as the trainer and SGD.Step used to do it:
+// one sweep scaling the gradient in place, then a per-element momentum
+// branch re-indexing the velocity — the oracle for StepScaled.
+func refScaleAndStep(lr, momentum float32, velocity *[]float32, params []*Tensor, grad []float32, scale float32) {
+	for i := range grad {
+		grad[i] *= scale
+	}
+	if momentum != 0 && *velocity == nil {
+		*velocity = make([]float32, len(grad))
+	}
+	off := 0
+	for _, p := range params {
+		for i := 0; i < p.Len(); i++ {
+			g := grad[off+i]
+			if momentum != 0 {
+				(*velocity)[off+i] = momentum*(*velocity)[off+i] + g
+				g = (*velocity)[off+i]
+			}
+			p.Data[i] -= lr * g
+		}
+		off += p.Len()
+	}
+}
+
+func TestStepScaledMatchesScaleThenStep(t *testing.T) {
+	for _, momentum := range []float32{0, 0.9} {
+		for _, scale := range []float32{1, 0.25, 1.0 / 3} {
+			rng := rand.New(rand.NewSource(11))
+			shapes := [][2]int{{7, 5}, {1, 5}, {5, 3}, {1, 1}}
+			var got, want []*Tensor
+			for _, sh := range shapes {
+				init := randInput(rng, sh[0], sh[1])
+				got = append(got, NewParam(sh[0], sh[1], func(i int) float32 { return init[i] }))
+				want = append(want, NewParam(sh[0], sh[1], func(i int) float32 { return init[i] }))
+			}
+			opt := NewSGD(0.05, momentum)
+			var refVelocity []float32
+			for step := 0; step < 3; step++ {
+				grad := heavyTailed(rng, ParamCount(got))
+				kept := slices.Clone(grad)
+				opt.StepScaled(got, grad, scale)
+				if i := sameBits(grad, kept); i >= 0 {
+					t.Fatalf("StepScaled wrote to its gradient argument at %d", i)
+				}
+				refScaleAndStep(0.05, momentum, &refVelocity, want, grad, scale)
+				for pi := range got {
+					if i := sameBits(got[pi].Data, want[pi].Data); i >= 0 {
+						t.Fatalf("µ=%g scale=%g step %d: param %d elem %d = %x, oracle %x", momentum, scale, step, pi, i,
+							math.Float32bits(got[pi].Data[i]), math.Float32bits(want[pi].Data[i]))
+					}
+				}
+				if i := sameBits(opt.Velocity(), refVelocity); i >= 0 || len(opt.Velocity()) != len(refVelocity) {
+					t.Fatalf("µ=%g scale=%g step %d: velocity differs at %d", momentum, scale, step, i)
+				}
+			}
+		}
 	}
 }
 

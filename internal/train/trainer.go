@@ -286,10 +286,7 @@ func (s *session) work(m comm.Membership, ep comm.Endpoint, st *replica) {
 		}
 		after := ep.Stats()
 
-		for i := range global {
-			global[i] *= invP
-		}
-		st.opt.Step(st.model.Params(), global)
+		st.opt.StepScaled(st.model.Params(), global, invP) // the average of the P summed gradients
 
 		stat := iterStat{
 			ran: m.Gen + 1,
