@@ -4,7 +4,7 @@
 
 VETCACHE := .vetcache
 
-.PHONY: build test race vet vet-cold bench bench-nn bench-e2e bench-smoke fmt
+.PHONY: build test race vet vet-cold bench bench-nn bench-dense bench-e2e bench-smoke fmt
 
 build:
 	go build ./...
@@ -32,6 +32,12 @@ bench:
 # one ResMLP worker step (the compute half of train-live-resmlp).
 bench-nn:
 	go test -run '^$$' -bench 'BenchmarkMatMulKernels|BenchmarkResMLPStep' -benchmem ./internal/nn
+
+# The dense path: the Vec codec's three loops (0 allocs/op) and one dense
+# all-reduce over livenet (the codec half of sync-tcp-dense, no syscalls).
+bench-dense:
+	go test -run '^$$' -bench BenchmarkVecCodec -benchmem ./internal/comm
+	go test -run '^$$' -bench BenchmarkDenseAllReduce -benchmem ./internal/collective
 
 # The end-to-end benchmark BENCHMARK.json declares: five workloads,
 # untraced then traced (see bench/README.md). bench-smoke is the same

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"spardl/internal/simnet"
-	"spardl/internal/sparse"
 )
 
 var unit = simnet.Profile{Name: "unit", Alpha: 1, Beta: 1}
@@ -154,36 +153,6 @@ func TestRabenseifnerAllReduce(t *testing.T) {
 			wantBytes := float64(2*4*n) * float64(p-1) / float64(p)
 			if math.Abs(float64(rep.MaxBytesRecv())-wantBytes) > float64(8*p) {
 				t.Fatalf("P=%d bytes=%d want ≈%g", p, rep.MaxBytesRecv(), wantBytes)
-			}
-		}
-	}
-}
-
-func TestReduceScatterDirect(t *testing.T) {
-	for _, p := range []int{1, 3, 6, 14} {
-		n := 97
-		vecs, want := randomVectors(p, n, int64(200+p))
-		part := sparse.NewPartition(n, p)
-		results := make([][]float32, p)
-		rep := simnet.Run(p, unit, func(rank int, ep *simnet.Endpoint) {
-			results[rank] = ReduceScatterDirect(ep, vecs[rank])
-		})
-		for w := 0; w < p; w++ {
-			lo, hi := part.Bounds(w)
-			if len(results[w]) != hi-lo {
-				t.Fatalf("P=%d worker %d: block size %d want %d", p, w, len(results[w]), hi-lo)
-			}
-			for i := lo; i < hi; i++ {
-				if math.Abs(float64(results[w][i-lo]-want[i])) > 1e-3 {
-					t.Fatalf("P=%d worker %d: wrong sum at %d", p, w, i)
-				}
-			}
-		}
-		if p > 1 {
-			// Direct send: P-1 rounds — the high-latency pattern that
-			// motivates SRS over TopkDSA/Ok-Topk.
-			if got := rep.MaxRounds(); got != p-1 {
-				t.Fatalf("P=%d rounds=%d want %d", p, got, p-1)
 			}
 		}
 	}

@@ -8,14 +8,6 @@ import (
 // DenseBytes is the wire size of n dense float32 values.
 func DenseBytes(n int) int { return 4 * n }
 
-// vecPool recycles the dense block buffers the all-reduce schedules move
-// around: the sender draws, the receiver returns after accumulating (the
-// ownership handoff is ordered by the message queue + sync.Pool).
-var vecPool sparse.SlicePool[float32]
-
-func getVec(n int) []float32 { return vecPool.Get(n) }
-func recycleVec(s []float32) { vecPool.Put(s) }
-
 // RingAllReduce sums data across all P workers in place using the
 // bandwidth-optimal ring algorithm: a P-1 step reduce-scatter pass followed
 // by a P-1 step all-gather pass. Cost: 2(P-1)α + 2n(P-1)/P·β. This is the
@@ -36,28 +28,20 @@ func RingAllReduce(ep comm.Endpoint, data []float32) {
 		sendBlk := ((me-s)%p + p) % p
 		recvBlk := ((me-s-1)%p + p) % p
 		lo, hi := part.Bounds(sendBlk)
-		buf := getVec(hi - lo)
-		copy(buf, data[lo:hi])
-		ep.Send(next, buf, DenseBytes(len(buf)))
+		ep.Send(next, comm.Vec{F: data[lo:hi]}, DenseBytes(hi-lo))
 		in, _ := ep.Recv(prev)
-		rlo, _ := part.Bounds(recvBlk)
-		for i, v := range in.([]float32) {
-			data[rlo+i] += v
-		}
-		recycleVec(in.([]float32))
+		lo, hi = part.Bounds(recvBlk)
+		in.(comm.Vec).AddTo(data[lo:hi])
 	}
 	// All-gather: circulate the fully reduced blocks.
 	for s := 0; s < p-1; s++ {
 		sendBlk := ((me+1-s)%p + p) % p
 		recvBlk := ((me-s)%p + p) % p
 		lo, hi := part.Bounds(sendBlk)
-		buf := getVec(hi - lo)
-		copy(buf, data[lo:hi])
-		ep.Send(next, buf, DenseBytes(len(buf)))
+		ep.Send(next, comm.Vec{F: data[lo:hi]}, DenseBytes(hi-lo))
 		in, _ := ep.Recv(prev)
-		rlo, _ := part.Bounds(recvBlk)
-		copy(data[rlo:], in.([]float32))
-		recycleVec(in.([]float32))
+		lo, hi = part.Bounds(recvBlk)
+		in.(comm.Vec).CopyTo(data[lo:hi])
 	}
 }
 
@@ -96,13 +80,8 @@ func RabenseifnerAllReduce(ep comm.Endpoint, data []float32) {
 		} else {
 			sendLo, sendHi, keepLo, keepHi = lo, mid, mid, hi
 		}
-		buf := getVec(sendHi - sendLo)
-		copy(buf, data[sendLo:sendHi])
-		in, _ := ep.SendRecv(peer, buf, DenseBytes(len(buf)))
-		for i, v := range in.([]float32) {
-			data[keepLo+i] += v
-		}
-		recycleVec(in.([]float32))
+		in, _ := ep.SendRecv(peer, comm.Vec{F: data[sendLo:sendHi]}, DenseBytes(sendHi-sendLo))
+		in.(comm.Vec).AddTo(data[keepLo:keepHi])
 		lo, hi = keepLo, keepHi
 		if inLower {
 			groupSize = half
@@ -120,11 +99,8 @@ func RabenseifnerAllReduce(ep comm.Endpoint, data []float32) {
 		peer := me ^ dist
 		myLo, myHi := bisectWindow(me, dist, len(data), p)
 		peerLo, peerHi := bisectWindow(peer, dist, len(data), p)
-		buf := getVec(myHi - myLo)
-		copy(buf, data[myLo:myHi])
-		in, _ := ep.SendRecv(peer, buf, DenseBytes(len(buf)))
-		copy(data[peerLo:peerHi], in.([]float32))
-		recycleVec(in.([]float32))
+		in, _ := ep.SendRecv(peer, comm.Vec{F: data[myLo:myHi]}, DenseBytes(myHi-myLo))
+		in.(comm.Vec).CopyTo(data[peerLo:peerHi])
 	}
 }
 
@@ -148,40 +124,4 @@ func bisectWindow(rank, span, n, p int) (lo, hi int) {
 		}
 	}
 	return lo, hi
-}
-
-// ReduceScatterDirect reduce-scatters dense data by direct sends: worker w
-// sends block j of its vector straight to worker j. Every worker receives
-// P-1 pieces ((P-1)α latency — the inefficiency TopkDSA and Ok-Topk inherit,
-// Section I-B) and returns the fully reduced block it owns.
-func ReduceScatterDirect(ep comm.Endpoint, data []float32) []float32 {
-	p := ep.P()
-	me := ep.Rank()
-	part := sparse.NewPartition(len(data), p)
-	lo, hi := part.Bounds(me)
-	own := make([]float32, hi-lo)
-	copy(own, data[lo:hi])
-	if p == 1 {
-		return own
-	}
-	for j := 0; j < p; j++ {
-		if j == me {
-			continue
-		}
-		blo, bhi := part.Bounds(j)
-		buf := getVec(bhi - blo)
-		copy(buf, data[blo:bhi])
-		ep.Send(j, buf, DenseBytes(len(buf)))
-	}
-	for j := 0; j < p; j++ {
-		if j == me {
-			continue
-		}
-		in, _ := ep.Recv(j)
-		for i, v := range in.([]float32) {
-			own[i] += v
-		}
-		recycleVec(in.([]float32))
-	}
-	return own
 }

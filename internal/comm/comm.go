@@ -13,7 +13,9 @@
 //
 // Two things implement Endpoint. Package simnet keeps its own: its Recv
 // and Overlap *are* the α-β cost model (virtual clocks, payloads by
-// reference). Everything that runs on the wall clock shares the link
+// reference — except a dense vector, Vec, which every fabric copies or
+// serializes inside Send so its sender may overwrite it immediately).
+// Everything that runs on the wall clock shares the link
 // endpoint (NewLinkEndpoint), which owns statistics, Compute, Send/Recv marshalling through the
 // payload registry, the Overlap/Join communication stream (StreamLane and
 // the one nesting-rejecting stream view), and the SyncClock token barrier
@@ -101,7 +103,10 @@ type Endpoint interface {
 	// Send transmits payload to worker `to`, accounting `bytes` on the
 	// wire. Sends never block the sender. On simnet the payload is handed
 	// over by reference (the sender must not mutate it afterwards); a
-	// link endpoint serializes it into a pooled buffer at the call.
+	// link endpoint serializes it into a pooled buffer at the call. The
+	// exception is a Vec: every fabric copies or serializes it at the
+	// call, so the caller may overwrite its elements as soon as Send
+	// returns.
 	Send(to int, payload any, bytes int)
 	// Recv blocks until a message from worker `from` arrives and returns
 	// the payload and the sender's accounted byte count.

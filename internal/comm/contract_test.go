@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"spardl/internal/chaos"
 	"spardl/internal/comm"
 	"spardl/internal/livenet"
 	"spardl/internal/simnet"
@@ -24,10 +25,14 @@ var contractBackends = []struct {
 	// wall says time is measured, so timing assertions get a tolerance and
 	// main-lane "work" has to really take time.
 	wall bool
+	// chaos builds the fabric under a fault schedule; nil where payloads
+	// never become bytes that could be corrupted.
+	chaos func(*chaos.Schedule) comm.Backend
 }{
-	{"simnet", func() comm.Backend { return simnet.Backend(simnet.Profile{Name: "unit", Alpha: 1e-3, Beta: 1e-6}) }, false},
-	{"livenet", livenet.NewBackend, true},
-	{"tcpnet-local", func() comm.Backend { return tcpnet.LocalBackend(10 * time.Second) }, true},
+	{"simnet", func() comm.Backend { return simnet.Backend(simnet.Profile{Name: "unit", Alpha: 1e-3, Beta: 1e-6}) }, false, nil},
+	{"livenet", livenet.NewBackend, true, livenet.NewChaosBackend},
+	{"tcpnet-local", func() comm.Backend { return tcpnet.LocalBackend(10 * time.Second) }, true,
+		func(s *chaos.Schedule) comm.Backend { return tcpnet.LocalChaosBackend(10*time.Second, s) }},
 }
 
 // runBounded runs worker on a fresh fabric under a deadline — the failure
@@ -83,6 +88,10 @@ func TestBackendContract(t *testing.T) {
 			t.Run("barrier tokens are invisible in Stats", func(t *testing.T) { contractBarrier(t, bk.new()) })
 			t.Run("exposed + saved = stream busy at every Join", func(t *testing.T) { contractOverlap(t, bk.new(), bk.wall) })
 			t.Run("Report aggregates per-worker stats and clocks", func(t *testing.T) { contractReport(t, bk.new()) })
+			t.Run("dense vectors: copied at Send, read in place at Recv", func(t *testing.T) { contractVec(t, bk.new()) })
+			if bk.chaos != nil {
+				t.Run("a corrupted dense frame ends in a named cause", func(t *testing.T) { contractVecCorrupt(t, bk.chaos) })
+			}
 		})
 	}
 }
@@ -324,5 +333,79 @@ func contractReport(t *testing.T, b comm.Backend) {
 	}
 	if rep.MaxRounds() != 1 || rep.MaxBytesRecv() != finalStats[0].BytesRecv || rep.TotalBytesRecv() <= rep.MaxBytesRecv() {
 		t.Errorf("aggregates: rounds %d, max bytes %d, total bytes %d", rep.MaxRounds(), rep.MaxBytesRecv(), rep.TotalBytesRecv())
+	}
+}
+
+// contractVec: a comm.Vec has value semantics at Send — the sender
+// overwrites its slice at once and the receiver still reads the original
+// values, held back until the overwrite has provably happened — and the
+// view Recv returns reads correctly from the main lane, from the Overlap
+// stream, and after a SyncClock has rotated the link's receive storage.
+func contractVec(t *testing.T, b comm.Backend) {
+	const p, n = 2, 1003 // n exercises the unrolled loop and its tail
+	orig := func(rank, round, i int) float32 { return float32(1000*rank+100*round) + float32(i)/8 }
+	mustRun(t, b, p, func(rank int, ep comm.Endpoint) {
+		peer := 1 - rank
+		exchange := func(ep comm.Endpoint, round int) comm.Vec {
+			data := make([]float32, n)
+			for i := range data {
+				data[i] = orig(rank, round, i)
+			}
+			ep.Send(peer, comm.Vec{F: data}, 4*n)
+			for i := range data {
+				data[i] = -1 // the wire, or the fabric's copy, must already hold orig
+			}
+			ep.Send(peer, round, 8)
+			in, acc := ep.Recv(peer)
+			if got, _ := ep.Recv(peer); got.(int) != round || acc != 4*n {
+				t.Errorf("rank %d round %d: marker %v, accounted %d", rank, round, got, acc)
+			}
+			return in.(comm.Vec)
+		}
+		check := func(round int, what string, dst []float32, base float32) {
+			for i, v := range dst {
+				if want := base + orig(peer, round, i); v != want {
+					t.Errorf("rank %d round %d (%s): element %d = %g, want %g", rank, round, what, i, v, want)
+					return
+				}
+			}
+		}
+		dst := make([]float32, n)
+		for i := range dst {
+			dst[i] = 0.5
+		}
+		exchange(ep, 0).AddTo(dst)
+		check(0, "AddTo on the main lane", dst, 0.5)
+
+		ep.Overlap(func(sep comm.Endpoint) { exchange(sep, 1).CopyTo(dst) })
+		ep.Join()
+		check(1, "CopyTo on the stream", dst, 0)
+
+		held := exchange(ep, 2)
+		ep.SyncClock()
+		exchange(ep, 3).CopyTo(dst) // new frames land while the old view is still held
+		held.AddTo(dst)
+		for i := range dst {
+			dst[i] -= orig(peer, 3, i)
+		}
+		check(2, "AddTo after a SyncClock", dst, 0)
+	})
+}
+
+// contractVecCorrupt: chaos corrupts the first frame 0 → 1, a dense vector.
+// The flipped tag must fail worker 1's decode and poison the fabric with
+// that as the cause — not hang, and not deliver flipped values.
+func contractVecCorrupt(t *testing.T, newChaos func(*chaos.Schedule) comm.Backend) {
+	sched, err := chaos.Parse("corrupt:rank=0,peer=1,frame=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, panicked := runBounded(t, newChaos(sched), 2, func(rank int, ep comm.Endpoint) {
+		in, _ := ep.SendRecv(1-rank, comm.Vec{F: make([]float32, 64)}, 256)
+		in.(comm.Vec).AddTo(make([]float32, 64))
+		ep.SyncClock()
+	})
+	if msg := fmt.Sprint(panicked); panicked == nil || !strings.Contains(msg, "worker 1") || !strings.Contains(msg, "decode from worker 0 failed") {
+		t.Fatalf("corrupted dense frame: Run ended with %v", panicked)
 	}
 }

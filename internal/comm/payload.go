@@ -13,7 +13,8 @@ import (
 //
 // Every payload a collective in this repository sends is one of a small,
 // closed set of shapes: a scalar (int, float64), a dense vector
-// ([]float32), a container of further payloads ([]any from Bruck,
+// ([]float32, or the all-reduce schedules' Vec — see vec.go), a container
+// of further payloads ([]any from Bruck,
 // map[int]any from recursive doubling), or a domain type registered by its
 // owning package (sparse chunks via the wire codecs, the all-gather item
 // wrappers of sparsecoll).
@@ -30,6 +31,7 @@ const (
 	tagFloat32s  byte = 0x05
 	tagAnySlice  byte = 0x06
 	tagIntAnyMap byte = 0x07
+	tagVec       byte = 0x08 // tagFloat32s' body; decodes to a view, not a slice
 )
 
 // Registered payload tags. Each constant is claimed by exactly one
@@ -60,7 +62,8 @@ type PayloadCodec struct {
 	// supplied arena owns, alive at least as long as anything decoded this
 	// epoch, so the decoded value may alias body and should draw its own
 	// allocations from a. Codecs without it fall back to Decode — correct,
-	// just not allocation-free.
+	// just not allocation-free. (Vec is the first built-in payload that
+	// takes the same liberty: its arena decode is a view of body.)
 	DecodeArena func(a *sparse.Arena, body []byte) (any, error)
 }
 
@@ -96,12 +99,9 @@ func AppendPayload(dst []byte, v any) []byte {
 		dst = append(dst, tagInt)
 		return binary.AppendVarint(dst, int64(x))
 	case []float32:
-		dst = append(dst, tagFloat32s)
-		dst = binary.AppendUvarint(dst, uint64(len(x)))
-		for _, f := range x {
-			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(f))
-		}
-		return dst
+		return appendFloat32s(append(dst, tagFloat32s), x)
+	case Vec:
+		return appendFloat32s(append(dst, tagVec), x.F)
 	case []any:
 		dst = append(dst, tagAnySlice)
 		return AppendPayloadList(dst, len(x), func(i int) any { return x[i] })
@@ -182,7 +182,7 @@ func ReadPayloadArena(a *sparse.Arena, buf []byte) (v any, rest []byte, err erro
 			return nil, nil, fmt.Errorf("comm: bad int payload varint")
 		}
 		return int(x), body[n:], nil
-	case tagFloat32s:
+	case tagFloat32s, tagVec:
 		count, rest, err := readCount(body, "float32 vector")
 		if err != nil {
 			return nil, nil, err
@@ -190,11 +190,18 @@ func ReadPayloadArena(a *sparse.Arena, buf []byte) (v any, rest []byte, err erro
 		if len(rest) < 4*count {
 			return nil, nil, fmt.Errorf("comm: float32 vector truncated (%d of %d values)", len(rest)/4, count)
 		}
-		out := make([]float32, count)
-		for i := range out {
-			out[i] = math.Float32frombits(binary.LittleEndian.Uint32(rest[4*i:]))
+		wire, rest := rest[:4*count], rest[4*count:]
+		if tag == tagVec {
+			return readVec(a, wire), rest, nil
 		}
-		return out, rest[4*count:], nil
+		var out []float32
+		if a != nil {
+			out = a.GetDense(0, count).Val
+		} else {
+			out = make([]float32, count)
+		}
+		loadFloat32s(out, wire)
+		return out, rest, nil
 	case tagAnySlice:
 		out, rest, err := ReadPayloadListArena(a, body)
 		if err != nil {

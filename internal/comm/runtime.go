@@ -34,7 +34,9 @@ type Link interface {
 	Deliver(to int, f Frame) error
 	// Next blocks until the next frame from rank from arrives. A non-nil
 	// arena owns f.Buf for at least the current and the next Rotate epoch:
-	// the payload is decoded in place and may alias it. A nil arena means
+	// the payload is decoded in place and may alias it — registered codecs
+	// through DecodeArena and, first among the built-in payloads, a Vec,
+	// which is nothing but a view of those bytes. A nil arena means
 	// f.Buf is a FrameBufs buffer the caller recycles after decoding. The
 	// error names why the link is severed.
 	Next(from int) (f Frame, arena *sparse.Arena, err error)
@@ -80,7 +82,8 @@ func (c *Cause) String() string {
 
 // FrameBufs recycles serialization buffers: Send marshals into one, and
 // whoever consumes the bytes last — Recv after decoding, or a link's
-// writer after the socket write — puts it back.
+// writer after the socket write — puts it back. A Vec view that cannot
+// alias its frame keeps its copy of the body in one as well.
 var FrameBufs sparse.SlicePool[byte]
 
 // linkEndpoint implements Endpoint (and Node) for every wall-clock
@@ -169,10 +172,15 @@ func (e *linkEndpoint) poisoned(op string, err error) string {
 
 // Send serializes payload through the payload registry and hands the bytes
 // to the link. The accounted α-β size rides along for the receiver; stats
-// count the real serialized size.
+// count the real serialized size. A dense vector's frame is reserved whole
+// (its size is known), so encoding it never regrows the buffer.
 func (e *linkEndpoint) Send(to int, payload any, bytes int) {
 	e.checkPeer("send to", to)
-	buf := AppendPayload(FrameBufs.Get(0), payload)
+	reserve := 0
+	if v, ok := payload.(Vec); ok {
+		reserve = vecFrameMax(len(v.F))
+	}
+	buf := AppendPayload(FrameBufs.Get(reserve)[:0], payload)
 	e.mu.Lock()
 	e.stats.MsgsSent++
 	e.stats.BytesSent += int64(len(buf))

@@ -51,7 +51,12 @@ func TestBackendEquivalence(t *testing.T) {
 		{"topkdsa", 6, sparsecoll.NewTopkDSA, n, k},
 		{"oktopk", 6, sparsecoll.NewOkTopk, n, k},
 		{"gtopk", 4, sparsecoll.NewGTopk, n, k},
+		// Ring at P=6, Rabenseifner at P=4. Simnet serializes dense vectors
+		// through the codec livenet uses, so these two rows show agreement,
+		// not correctness: collective's TestDenseEquivalence pins both
+		// schedules on all three fabrics to hashes from before that codec.
 		{"dense", 6, sparsecoll.NewDense, n, k},
+		{"dense-p4", 4, sparsecoll.NewDense, n, k},
 		// Forced mid-collective sparse→dense flips.
 		{"spardl-flip", 4, spardl(core.Options{}), flipN, flipK},
 		{"spardl-flip-eager", 4, spardl(core.Options{Eager: true}), flipN, flipK},

@@ -78,10 +78,15 @@ func (e *Endpoint) Compute(d float64) {
 // Send transmits payload to worker `to`, accounting `bytes` on the wire.
 // Sends are non-blocking and cost nothing at the sender: the α-β model
 // charges a transmission entirely at its receiver. The payload is handed
-// over by reference; the sender must not mutate it afterwards.
+// over by reference and the sender must not mutate it afterwards — except a
+// comm.Vec, which is serialized here into the pooled view Recv hands over,
+// so its sender may overwrite it at once.
 func (e *Endpoint) Send(to int, payload any, bytes int) {
 	if to == e.rank {
 		panic(fmt.Sprintf("simnet: worker %d sending to itself", e.rank))
+	}
+	if v, ok := payload.(comm.Vec); ok {
+		payload = v.Detach()
 	}
 	e.stats.MsgsSent++
 	e.stats.BytesSent += int64(bytes)
