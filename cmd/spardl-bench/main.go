@@ -104,7 +104,8 @@ func emitReduceBaseline(path string) error {
 		sel = rb.SelectStats()
 	})
 	// Not part of the record CI diffs: how the selections behind ns_per_op
-	// went, all workers, warm-up syncs included.
+	// went — counted at every block length — all workers, warm-up syncs
+	// included.
 	fmt.Fprintf(os.Stderr, "selections: %d cold, %d warm hits (%d tightened), %d fallbacks\n",
 		sel.Cold, sel.WarmHit, sel.Tightened, sel.Fallback)
 	rec := reduceBaseline{

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"spardl/internal/simnet"
+	"spardl/internal/sparse"
 )
 
 // TestStaleSelectionHintsChangeNothing: a reducer's arena remembers each
@@ -60,6 +61,50 @@ func TestStaleSelectionHintsChangeNothing(t *testing.T) {
 			}
 			if i := firstBitDiff(reducers[rank].Residual(), fresh.Residual()); i >= 0 {
 				panic(fmt.Sprintf("%+v rank %d: residual[%d] differs with stale thresholds", opts, rank, i))
+			}
+		})
+	}
+}
+
+// TestSteadyStateSelectionsAreWarm pins the mechanism, not only the result:
+// once the arena has a key for every block — after two synchronizations —
+// and gradients drift by no more than 3 % from one synchronization to the
+// next, every block selection is a warm hit: none is cold, none falls back.
+// The shapes are sync-sim-1m's (at a quarter of its length) and
+// sync-tcp-small's, whose 1024-element blocks are under sparse's
+// histSelectMin.
+func TestSteadyStateSelectionsAreWarm(t *testing.T) {
+	for _, c := range []struct {
+		p, n, k, iters int
+		opts           Options
+	}{
+		{p: 14, n: 1 << 18, k: 1 << 18 / 100, iters: 8, opts: Options{}},
+		{p: 8, n: 4096, k: 409, iters: 12, opts: Options{Teams: 2}},
+	} {
+		base := makeGradients(1, c.p, c.n, 17)[0]
+		drift := makeGradients(c.iters, c.p, c.n, 18)
+		simnet.Run(c.p, unit, func(rank int, ep *simnet.Endpoint) {
+			r, err := New(c.p, rank, c.n, c.k, c.opts)
+			if err != nil {
+				panic(err)
+			}
+			grad, out := make([]float32, c.n), make([]float32, c.n)
+			var settled sparse.SelectStats
+			for it := 0; it < c.iters; it++ {
+				for i, g := range base[rank] {
+					grad[i] = g * (1 + 0.03*max(-1, min(1, drift[it][rank][i])))
+				}
+				r.ReduceInto(ep, grad, out)
+				ep.SyncClock()
+				if it == 1 {
+					settled = r.SelectStats()
+				}
+			}
+			st := r.SelectStats()
+			selections := uint64((c.iters - 2) * r.m)
+			if st.Cold != settled.Cold || st.Fallback != settled.Fallback || st.WarmHit-settled.WarmHit != selections {
+				panic(fmt.Sprintf("P=%d n=%d rank %d: %d block selections after the second sync went %+v → %+v; want every one a warm hit",
+					c.p, c.n, rank, selections, settled, st))
 			}
 		})
 	}

@@ -42,13 +42,13 @@ package sparse
 // # What outlives Reset
 //
 // Besides its slabs the arena keeps, per (lo, hi, k) it has been asked to
-// TopKDense, the k-th key of the last such selection, and counts of how
-// its selections went (SelectStats). Reset clears neither: the remembered
-// keys are what lets next synchronization's selection read each block once
-// instead of three times (see topk_warm.go). They are hints about cost only
-// — a selection returns the same chunk whatever the arena remembers, so a
-// caller that rewinds the vector underneath (RestoreResidual) owes the
-// arena nothing.
+// TopKDense (whatever the block's length), the k-th key of the last such
+// selection, and counts of how its selections went (SelectStats). Reset
+// clears neither: the remembered keys are what lets next synchronization's
+// selection read each block once instead of three times (see topk_warm.go).
+// They are hints about cost only — a selection returns the same chunk
+// whatever the arena remembers, so a caller that rewinds the vector
+// underneath (RestoreResidual) owes the arena nothing.
 //
 // A nil *Arena is valid everywhere and falls back to plain heap
 // allocation, so arena-aware code needs no branching at call sites; it

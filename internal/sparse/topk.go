@@ -168,7 +168,7 @@ func (a *Arena) TopKChunk(c *Chunk, k int) (kept, dropped *Chunk) {
 // selected (they carry no gradient information), so the result may hold
 // fewer than k entries for very sparse inputs. This package-level form
 // keeps no state between calls; the Arena method remembers each block's
-// threshold and starts the next selection from it.
+// threshold, whatever its length, and starts the next selection from it.
 func TopKDense(dense []float32, lo, hi, k int) *Chunk {
 	return (*Arena)(nil).TopKDense(dense, lo, hi, k)
 }
@@ -182,37 +182,35 @@ const (
 	histBuckets = 1 << histBits
 )
 
-// histSelectMin is the block length from which TopKDense finds its
-// threshold with the histogram select. The histogram pays a fixed price —
+// histSelectMin is the block length from which the cold select — a
+// selection with no usable remembered key — finds its threshold with the
+// histogram instead of quickselect. The histogram pays a fixed price —
 // clearing histBuckets counters and walking them — that quickselect over a
 // short block undercuts: BenchmarkTopKDenseCutoff puts the break-even near
 // 512 elements, measured in a loop that keeps the counters hot in L1. The
 // cutoff sits a factor of four above that (there the histogram measures
 // 9 µs against 15 µs), so that a short block — the per-layer pipeline
 // selects on segments down to 32 elements — does not drag 16 KB of
-// counters through the cache to save a microsecond or two.
+// counters through the cache to save a microsecond or two. It chooses the
+// cold algorithm only: the warm filter is tried at every length.
 const histSelectMin = 2048
 
 // TopKDense is the arena-allocating variant of the package-level TopKDense.
 // The selection is exact at every size; only the way the k-th key is found
-// varies. Blocks under histSelectMin quickselect all their keys. Longer
-// blocks on a nil arena, or ones this arena has not selected from before,
-// take the histogram select. Otherwise the arena remembers the k-th key of
-// its last selection with the same (lo, hi, k) and tries the one-pass warm
-// filter first (see topKDenseWarm), falling back to the histogram select
-// when the block's threshold fell by more than the filter's margin. The
-// remembered key decides which of these runs, never what they return.
+// varies. On a nil arena, or for a (lo, hi, k) this arena has not selected
+// from before, the cold select runs. Otherwise the arena remembers the k-th
+// key of its last selection with the same (lo, hi, k) and tries the
+// one-pass warm filter first (see topKDenseWarm), falling back to the cold
+// select when the block's threshold fell by more than the filter's margin.
+// The remembered key decides which of these runs, never what they return.
 //
 //spardl:hotpath
 func (a *Arena) TopKDense(dense []float32, lo, hi, k int) *Chunk {
 	if hi-lo <= 0 || k <= 0 {
 		return a.Get(0)
 	}
-	if hi-lo < histSelectMin {
-		return a.topKDenseSelect(dense, lo, hi, k)
-	}
 	if a == nil {
-		out, _ := a.topKDenseHist(dense, lo, hi, k)
+		out, _ := a.selectCold(dense, lo, hi, k)
 		return out
 	}
 	h := a.hint(lo, hi, k)
@@ -230,19 +228,30 @@ func (a *Arena) TopKDense(dense []float32, lo, hi, k int) *Chunk {
 		}
 		a.sel.Fallback++
 	}
-	out, thr := a.topKDenseHist(dense, lo, hi, k)
-	if thr != 0 {
-		h.key = thr
-	}
+	out, thr := a.selectCold(dense, lo, hi, k)
+	h.key = thr
 	return out
 }
 
-// topKDenseSelect is TopKDense by quickselect over every non-zero key of
-// the block: the small-block path, and the reference the histogram select
-// is tested against.
+// selectCold is TopKDense with nothing remembered: quickselect over a short
+// block, the histogram select from histSelectMin elements. It also returns
+// the selection's k-th key, or 0 when the block has no more than k
+// non-zeros and every one of them is kept.
 //
 //spardl:hotpath
-func (a *Arena) topKDenseSelect(dense []float32, lo, hi, k int) *Chunk {
+func (a *Arena) selectCold(dense []float32, lo, hi, k int) (*Chunk, uint32) {
+	if hi-lo < histSelectMin {
+		return a.topKDenseSelect(dense, lo, hi, k)
+	}
+	return a.topKDenseHist(dense, lo, hi, k)
+}
+
+// topKDenseSelect is selectCold by quickselect over every non-zero key of
+// the block: the short-block path, and the reference the other selections
+// are tested against.
+//
+//spardl:hotpath
+func (a *Arena) topKDenseSelect(dense []float32, lo, hi, k int) (*Chunk, uint32) {
 	nz := 0
 	for i := lo; i < hi; i++ {
 		if dense[i] != 0 {
@@ -250,10 +259,10 @@ func (a *Arena) topKDenseSelect(dense []float32, lo, hi, k int) *Chunk {
 		}
 	}
 	if nz == 0 {
-		return a.Get(0)
+		return a.Get(0), 0
 	}
 	if k >= nz {
-		return a.FromDense(dense, lo, hi)
+		return a.FromDense(dense, lo, hi), 0
 	}
 	keys := keyPool.Get(nz)[:0]
 	for i := lo; i < hi; i++ {
@@ -263,7 +272,7 @@ func (a *Arena) topKDenseSelect(dense []float32, lo, hi, k int) *Chunk {
 	}
 	thr, strict := rankKey(keys, k)
 	keyPool.Put(keys)
-	return a.collectTopK(dense, lo, hi, k, thr, k-strict)
+	return a.collectTopK(dense, lo, hi, k, thr, k-strict), thr
 }
 
 // rankKey returns the k-th largest key in keys (1-based) and how many keys
@@ -324,10 +333,9 @@ func histRank(block []float32, k int) (thr uint32, strict, nz int) {
 	return thr, above + strict, nz
 }
 
-// topKDenseHist is TopKDense in three reads of the block: histRank finds
+// topKDenseHist is selectCold in three reads of the block: histRank finds
 // the k-th key, and the entries at or above it are collected in index
-// order. It also returns that key, or 0 when the block has no more than k
-// non-zeros and every one of them is kept.
+// order.
 //
 //spardl:hotpath
 func (a *Arena) topKDenseHist(dense []float32, lo, hi, k int) (*Chunk, uint32) {

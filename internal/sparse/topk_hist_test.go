@@ -182,20 +182,22 @@ func staleHints(exact uint32) []uint32 {
 }
 
 // checkWarm requires the selection of k from dense[lo:hi) to equal want
-// when the arena remembers hint: through TopKDense when the block is long
-// enough to take that path — which must leave exact, the block's k-th key,
-// behind if there is one — and at any length from the warm filter itself,
-// which may only decline when fewer than k entries pass it.
+// when the arena remembers hint: through TopKDense, at every block length —
+// which must leave exact, the block's k-th key, behind if the selection has
+// one, and nothing if it kept every non-zero and there were fewer than k —
+// and from the warm filter itself, which may only decline when fewer than k
+// entries pass it.
 func checkWarm(t *testing.T, ar *Arena, dense []float32, lo, hi, k int, hint, exact uint32, want *Chunk) {
 	t.Helper()
-	if hi-lo >= histSelectMin {
-		ar.hint(lo, hi, k).key = hint
-		if got := ar.TopKDense(dense, lo, hi, k); !sameChunkBits(got, want) {
-			t.Fatalf("n=%d k=%d remembered key %#x: TopKDense kept %d entries, quickselect %d, or they differ", hi-lo, k, hint, got.Len(), want.Len())
-		}
-		if key := ar.hint(lo, hi, k).key; exact != 0 && key != exact {
-			t.Fatalf("n=%d k=%d remembered key %#x: TopKDense left %#x behind, the k-th key is %#x", hi-lo, k, hint, key, exact)
-		}
+	ar.hint(lo, hi, k).key = hint
+	if got := ar.TopKDense(dense, lo, hi, k); !sameChunkBits(got, want) {
+		t.Fatalf("n=%d k=%d remembered key %#x: TopKDense kept %d entries, quickselect %d, or they differ", hi-lo, k, hint, got.Len(), want.Len())
+	}
+	switch key := ar.hint(lo, hi, k).key; {
+	case exact != 0 && key != exact:
+		t.Fatalf("n=%d k=%d remembered key %#x: TopKDense left %#x behind, the k-th key is %#x", hi-lo, k, hint, key, exact)
+	case want.Len() < k && key != 0:
+		t.Fatalf("n=%d k=%d remembered key %#x: TopKDense kept %d entries and left key %#x behind", hi-lo, k, hint, want.Len(), key)
 	}
 	got, _, _ := ar.topKDenseWarm(dense, lo, hi, k, hint)
 	switch {
@@ -207,10 +209,11 @@ func checkWarm(t *testing.T, ar *Arena, dense []float32, lo, hi, k int, hint, ex
 }
 
 // TestTopKDenseHistMatchesSelect is the differential test of the histogram
-// select against the quickselect it replaces above histSelectMin: the same
-// Idx and the same Val bits, at block lengths straddling the cutoff (through
-// the dispatching TopKDense) and below it (calling the histogram path
-// directly), inside a larger vector, for k at and around the non-zero count.
+// select and the warm filter against quickselect: the same Idx and the same
+// Val bits, at block lengths straddling histSelectMin (through the
+// dispatching TopKDense, cold and with every kind of remembered key) and
+// below it (also calling the histogram path directly), inside a larger
+// vector, for k at and around the non-zero count.
 func TestTopKDenseHistMatchesSelect(t *testing.T) {
 	ar := NewArena()
 	onePass := map[string]bool{} // families that finished in one pass by tightening
@@ -234,7 +237,7 @@ func TestTopKDenseHistMatchesSelect(t *testing.T) {
 					continue
 				}
 				ar.Reset()
-				want := ar.topKDenseSelect(vec, lo, lo+n, k)
+				want, _ := ar.topKDenseSelect(vec, lo, lo+n, k)
 				if got, _ := ar.topKDenseHist(vec, lo, lo+n, k); !sameChunkBits(got, want) {
 					t.Fatalf("%s n=%d k=%d: histogram select kept %d entries, quickselect %d, or they differ", fam.name, n, k, got.Len(), want.Len())
 				}
@@ -308,7 +311,7 @@ func FuzzTopKDense(f *testing.F) {
 		if len(dense) == 0 || k == 0 {
 			return
 		}
-		want := (*Arena)(nil).topKDenseSelect(dense, 0, len(dense), int(k))
+		want, _ := (*Arena)(nil).topKDenseSelect(dense, 0, len(dense), int(k))
 		got, _ := (*Arena)(nil).topKDenseHist(dense, 0, len(dense), int(k))
 		if !sameChunkBits(got, want) {
 			t.Fatalf("k=%d over %x: histogram select %v/%x, quickselect %v/%x", k, data, got.Idx, got.Val, want.Idx, want.Val)

@@ -1,7 +1,7 @@
 package sparse
 
-// The warm-started selection: one read of a block instead of the histogram
-// select's three.
+// The warm-started selection: one read of a block instead of the cold
+// select's three, at every block length.
 //
 // A reducer selects from the same blocks every synchronization, and a
 // block's k-th largest key moves little from one synchronization to the
@@ -11,9 +11,9 @@ package sparse
 // whose key is at least that key lowered by warmMargin. If at least k
 // entries qualify, the top-k of the block is the top-k of those candidates:
 // every entry left out has a key below k others. If fewer qualify, the
-// threshold fell by more than the margin and the histogram select runs
-// instead. Either way the result is the exact selection; the remembered key
-// only decides how much work finding it takes.
+// threshold fell by more than the margin and the cold select runs instead.
+// Either way the result is the exact selection; the remembered key only
+// decides how much work finding it takes.
 
 // warmMargin is how far below the remembered key the filter admits: one
 // histogram bucket, 3–6 % in magnitude. BenchmarkTopKDenseWarm holds the
@@ -51,13 +51,14 @@ type selHint struct {
 	key       uint32
 }
 
-// SelectStats counts how the arena's TopKDense calls on blocks of at least
-// histSelectMin elements found their k-th key.
+// SelectStats counts how the arena's TopKDense calls, at every block
+// length, found their k-th key. Cold, WarmHit and Fallback add up to the
+// number of selections.
 type SelectStats struct {
-	Cold      uint64 // no remembered key: histogram select
+	Cold      uint64 // no remembered key: the cold select (quickselect or histogram, by length)
 	WarmHit   uint64 // the warm filter held the whole top-k: one pass
 	Tightened uint64 // warm hits that filled the candidate buffer on the way
-	Fallback  uint64 // the filter came up short: a wasted pass, then the histogram select
+	Fallback  uint64 // the filter came up short: a wasted pass, then the cold select
 }
 
 // Add accumulates o into s.

@@ -96,6 +96,40 @@ func BenchmarkTopKDenseWarm(b *testing.B) {
 	}
 }
 
+// BenchmarkTopKDenseShort is the measurement behind trying the remembered
+// key under histSelectMin too: one worker's selections in sync-tcp-small
+// (n = 4096 in 4 blocks, 102 of each) by the cold select for that length,
+// quickselect over the whole block, and by TopKDense with the keys of the
+// last selection remembered.
+func BenchmarkTopKDenseShort(b *testing.B) {
+	const n, m, k = 4096, 4, 102
+	part := NewPartition(n, m)
+	dense := gaussBlock(n, 1)
+	for _, warm := range []bool{false, true} {
+		name := "cold"
+		if warm {
+			name = "warm"
+		}
+		b.Run(name, func(b *testing.B) {
+			ar := NewArena()
+			for i := 0; i < b.N; i++ {
+				ar.Reset()
+				for blk := 0; blk < m; blk++ {
+					lo, hi := part.Bounds(blk)
+					if warm {
+						ar.TopKDense(dense, lo, hi, k)
+					} else {
+						ar.topKDenseSelect(dense, lo, hi, k)
+					}
+				}
+			}
+			if st := ar.SelectStats(); warm && b.N > 1 && st.WarmHit != uint64((b.N-1)*m) {
+				b.Fatalf("%d rounds of %d selections went %+v, want all but the first round warm hits", b.N, m, st)
+			}
+		})
+	}
+}
+
 // TestTopKDenseWarmResidualDynamics runs the sequence the warm start is
 // built for — a worker's residual takes a gradient, gives up the top k of
 // each of its blocks, and keeps the rest — and checks every selection
@@ -134,7 +168,7 @@ func TestTopKDenseWarmResidualDynamics(t *testing.T) {
 				}
 				for b := 0; b < m; b++ {
 					lo, hi := part.Bounds(b)
-					want := (*Arena)(nil).topKDenseSelect(res, lo, hi, k)
+					want, _ := (*Arena)(nil).topKDenseSelect(res, lo, hi, k)
 					got := ar.TopKDense(res, lo, hi, k)
 					if !sameChunkBits(got, want) {
 						t.Fatalf("step %d block %d: TopKDense differs from quickselect (%+v)", step, b, ar.SelectStats())
@@ -191,5 +225,37 @@ func TestSelectHintTable(t *testing.T) {
 	}
 	if (*Arena)(nil).SelectStats() != (SelectStats{}) {
 		t.Fatal("nil arena reports selections")
+	}
+}
+
+// TestShortBlockHints pins what the remembered key of a block under
+// histSelectMin is: the k-th key when the selection had one — so the next
+// selection is a warm hit — and nothing when fewer than k entries were kept,
+// so that a block with few non-zeros is not filtered, uselessly, every time.
+func TestShortBlockHints(t *testing.T) {
+	const n, k = 1024, 102
+	dense := gaussBlock(n, 9)
+	ar := NewArena()
+	first := ar.TopKDense(dense, 0, n, k)
+	if key := ar.hint(0, n, k).key; key != minKey(first) {
+		t.Fatalf("cold select of a short block remembered %#x, its k-th key is %#x", key, minKey(first))
+	}
+	ar.TopKDense(dense, 0, n, k)
+	if st := ar.SelectStats(); st != (SelectStats{Cold: 1, WarmHit: 1}) {
+		t.Fatalf("two selections of a short block: %+v, want one cold then one warm hit", st)
+	}
+	sparse := make([]float32, n)
+	copy(sparse, dense[:k/2])
+	ar = NewArena()
+	for i := 0; i < 3; i++ {
+		if got := ar.TopKDense(sparse, 0, n, k); got.Len() != k/2 {
+			t.Fatalf("kept %d of %d non-zeros", got.Len(), k/2)
+		}
+		if key := ar.hint(0, n, k).key; key != 0 {
+			t.Fatalf("a selection that kept fewer than k entries remembered key %#x", key)
+		}
+	}
+	if st := ar.SelectStats(); st != (SelectStats{Cold: 3}) {
+		t.Fatalf("three selections with fewer than k non-zeros: %+v, want three cold", st)
 	}
 }

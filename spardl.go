@@ -108,9 +108,10 @@ const (
 // representation mid-collective (Options.Dense).
 type DensePolicy = sparse.DensePolicy
 
-// SelectStats counts how a reducer's top-k selections found their
-// thresholds: cold, warm hit, tightened, fallback. Observability only — the
-// selections are exact and identical whichever way they went.
+// SelectStats counts how a reducer's top-k selections — at every block
+// length — found their thresholds: cold, warm hit, tightened, fallback.
+// Observability only — the selections are exact and identical whichever
+// way they went.
 type SelectStats = sparse.SelectStats
 
 // Representation-switching policies.
