@@ -4,7 +4,7 @@
 
 VETCACHE := .vetcache
 
-.PHONY: build test race vet vet-cold bench bench-nn bench-dense bench-e2e bench-smoke fmt
+.PHONY: build test race vet vet-cold bench bench-nn bench-dense bench-select bench-e2e bench-smoke fmt
 
 build:
 	go build ./...
@@ -38,6 +38,13 @@ bench-nn:
 bench-dense:
 	go test -run '^$$' -bench BenchmarkVecCodec -benchmem ./internal/comm
 	go test -run '^$$' -bench BenchmarkDenseAllReduce -benchmem ./internal/collective
+
+# Block selection: one worker's selections by the cold select and by the
+# warm filter given right, stale and out-of-reach keys, on a fresh, a cliff
+# and a stationary residual (cand/k is what the filter buffers — the rows
+# behind warmMargin, warmFloor and warmScratch), and the short-block shape.
+bench-select:
+	go test -run '^$$' -bench 'BenchmarkTopKDenseWarm|BenchmarkTopKDenseShort' -benchmem ./internal/sparse
 
 # The end-to-end benchmark BENCHMARK.json declares: five workloads,
 # untraced then traced (see bench/README.md). bench-smoke is the same

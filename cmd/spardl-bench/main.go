@@ -106,8 +106,8 @@ func emitReduceBaseline(path string) error {
 	// Not part of the record CI diffs: how the selections behind ns_per_op
 	// went — counted at every block length — all workers, warm-up syncs
 	// included.
-	fmt.Fprintf(os.Stderr, "selections: %d cold, %d warm hits (%d tightened), %d fallbacks\n",
-		sel.Cold, sel.WarmHit, sel.Tightened, sel.Fallback)
+	fmt.Fprintf(os.Stderr, "selections: %d cold, %d warm hits (%d tightened, %d widened), %d fallbacks\n",
+		sel.Cold, sel.WarmHit, sel.Tightened, sel.Widened, sel.Fallback)
 	rec := reduceBaseline{
 		Benchmark:           "ReduceOnce",
 		P:                   p,

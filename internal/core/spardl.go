@@ -174,8 +174,8 @@ func (s *SparDL) Residual() []float32 { return s.residual }
 func (s *SparDL) BsagCounts() []int { return s.nts }
 
 // SelectStats reports how this reducer's block selections found their
-// thresholds so far: cold, warm hit, tightened, fallback (see
-// sparse.SelectStats). The counts say where selection time went; the
+// thresholds so far: cold, warm hit (of which tightened, widened),
+// fallback (see sparse.SelectStats). The counts say where selection time went; the
 // selections themselves do not depend on them.
 func (s *SparDL) SelectStats() sparse.SelectStats { return s.ar.SelectStats() }
 

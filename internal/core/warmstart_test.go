@@ -67,22 +67,33 @@ func TestStaleSelectionHintsChangeNothing(t *testing.T) {
 }
 
 // TestSteadyStateSelectionsAreWarm pins the mechanism, not only the result:
-// once the arena has a key for every block — after two synchronizations —
-// and gradients drift by no more than 3 % from one synchronization to the
-// next, every block selection is a warm hit: none is cold, none falls back.
-// The shapes are sync-sim-1m's (at a quarter of its length) and
-// sync-tcp-small's, whose 1024-element blocks are under sparse's
-// histSelectMin.
+// once the arena has a key for every block and gradients drift by no more
+// than 3 % from one synchronization to the next, every block selection is a
+// warm hit: none is cold, none falls back. The first two shapes are
+// sync-sim-1m's (at a quarter of its length) and sync-tcp-small's, whose
+// 1024-element blocks are under sparse's histSelectMin, settled after two
+// synchronizations. The third is sync-live-buckets' largest tensor under
+// one repeated gradient, where error feedback has, after sixty
+// synchronizations, piled the residual up just under each block's key: a
+// filter that admits a whole histogram bucket below the key there overflows
+// its candidate buffer on a third of the selections, and one as wide as the
+// key has been moving on none.
 func TestSteadyStateSelectionsAreWarm(t *testing.T) {
 	for _, c := range []struct {
 		p, n, k, iters int
+		settle         int     // synchronizations until the steady state
+		drift          float32 // how far a gradient entry strays from one synchronization to the next
 		opts           Options
 	}{
-		{p: 14, n: 1 << 18, k: 1 << 18 / 100, iters: 8, opts: Options{}},
-		{p: 8, n: 4096, k: 409, iters: 12, opts: Options{Teams: 2}},
+		{p: 14, n: 1 << 18, k: 1 << 18 / 100, iters: 8, settle: 2, drift: 0.03, opts: Options{}},
+		{p: 8, n: 4096, k: 409, iters: 12, settle: 2, drift: 0.03, opts: Options{Teams: 2}},
+		{p: 4, n: 102400, k: 1024, iters: 120, settle: 60, drift: 0, opts: Options{}},
 	} {
 		base := makeGradients(1, c.p, c.n, 17)[0]
-		drift := makeGradients(c.iters, c.p, c.n, 18)
+		var noise [][][]float32
+		if c.drift != 0 {
+			noise = makeGradients(c.iters, c.p, c.n, 18)
+		}
 		simnet.Run(c.p, unit, func(rank int, ep *simnet.Endpoint) {
 			r, err := New(c.p, rank, c.n, c.k, c.opts)
 			if err != nil {
@@ -91,20 +102,27 @@ func TestSteadyStateSelectionsAreWarm(t *testing.T) {
 			grad, out := make([]float32, c.n), make([]float32, c.n)
 			var settled sparse.SelectStats
 			for it := 0; it < c.iters; it++ {
-				for i, g := range base[rank] {
-					grad[i] = g * (1 + 0.03*max(-1, min(1, drift[it][rank][i])))
+				copy(grad, base[rank])
+				if noise != nil {
+					for i := range grad {
+						grad[i] *= 1 + c.drift*max(-1, min(1, noise[it][rank][i]))
+					}
 				}
 				r.ReduceInto(ep, grad, out)
 				ep.SyncClock()
-				if it == 1 {
+				if it == c.settle-1 {
 					settled = r.SelectStats()
 				}
 			}
 			st := r.SelectStats()
-			selections := uint64((c.iters - 2) * r.m)
+			selections := uint64((c.iters - c.settle) * r.m)
 			if st.Cold != settled.Cold || st.Fallback != settled.Fallback || st.WarmHit-settled.WarmHit != selections {
-				panic(fmt.Sprintf("P=%d n=%d rank %d: %d block selections after the second sync went %+v → %+v; want every one a warm hit",
-					c.p, c.n, rank, selections, settled, st))
+				panic(fmt.Sprintf("P=%d n=%d rank %d: %d block selections after sync %d went %+v → %+v; want every one a warm hit",
+					c.p, c.n, rank, selections, c.settle, settled, st))
+			}
+			if c.drift == 0 && st.Tightened != settled.Tightened {
+				panic(fmt.Sprintf("P=%d n=%d rank %d: %d of %d block selections of a stationary residual overflowed the candidate buffer (%+v → %+v)",
+					c.p, c.n, rank, st.Tightened-settled.Tightened, selections, settled, st))
 			}
 		})
 	}

@@ -43,9 +43,10 @@ package sparse
 //
 // Besides its slabs the arena keeps, per (lo, hi, k) it has been asked to
 // TopKDense (whatever the block's length), the k-th key of the last such
-// selection, and counts of how its selections went (SelectStats). Reset
-// clears neither: the remembered keys are what lets next synchronization's
-// selection read each block once instead of three times (see topk_warm.go).
+// selection and how far that key has been moving, and counts of how its
+// selections went (SelectStats). Reset clears neither: the remembered keys
+// are what lets next synchronization's selection read each block once
+// instead of three times (see topk_warm.go).
 // They are hints about cost only — a selection returns the same chunk
 // whatever the arena remembers, so a caller that rewinds the vector
 // underneath (RestoreResidual) owes the arena nothing.
@@ -171,9 +172,9 @@ type Arena struct {
 	// representation; see SetDensePolicy.
 	dense DensePolicy
 
-	// hints remembers the k-th key of the last TopKDense per (lo, hi, k),
-	// hintNext where the next lookup starts, and sel how each selection
-	// went; see topk_warm.go. All three outlive Reset.
+	// hints remembers the k-th key of the last TopKDense per (lo, hi, k)
+	// and its drift, hintNext where the next lookup starts, and sel how
+	// each selection went; see topk_warm.go. All three outlive Reset.
 	hints    []selHint
 	hintNext int
 	sel      SelectStats

@@ -199,10 +199,12 @@ const histSelectMin = 2048
 // The selection is exact at every size; only the way the k-th key is found
 // varies. On a nil arena, or for a (lo, hi, k) this arena has not selected
 // from before, the cold select runs. Otherwise the arena remembers the k-th
-// key of its last selection with the same (lo, hi, k) and tries the
-// one-pass warm filter first (see topKDenseWarm), falling back to the cold
-// select when the block's threshold fell by more than the filter's margin.
-// The remembered key decides which of these runs, never what they return.
+// key of its last selection with the same (lo, hi, k) and how far that key
+// has been moving, and tries the one-pass warm filter first (see
+// topKDenseWarm) in a band that wide; short of k candidates there, it tries
+// once more in all of warmMargin, and falls back to the cold select when
+// the block's threshold fell by more than that. What is remembered decides
+// which of these run, never what they return.
 //
 //spardl:hotpath
 func (a *Arena) TopKDense(dense []float32, lo, hi, k int) *Chunk {
@@ -217,9 +219,16 @@ func (a *Arena) TopKDense(dense []float32, lo, hi, k int) *Chunk {
 	if h.key == 0 {
 		a.sel.Cold++
 	} else {
-		out, thr, tightened := a.topKDenseWarm(dense, lo, hi, k, h.key)
+		band := h.band()
+		out, thr, tightened := a.topKDenseWarm(dense, lo, hi, k, h.key, band)
+		if out == nil && band < warmMargin {
+			out, thr, tightened = a.topKDenseWarm(dense, lo, hi, k, h.key, warmMargin)
+			if out != nil {
+				a.sel.Widened++
+			}
+		}
 		if out != nil {
-			h.key = thr
+			h.moved(thr)
 			a.sel.WarmHit++
 			if tightened {
 				a.sel.Tightened++
@@ -229,7 +238,7 @@ func (a *Arena) TopKDense(dense []float32, lo, hi, k int) *Chunk {
 		a.sel.Fallback++
 	}
 	out, thr := a.selectCold(dense, lo, hi, k)
-	h.key = thr
+	h.key, h.drift = thr, noDrift
 	return out
 }
 

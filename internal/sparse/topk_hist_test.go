@@ -181,30 +181,95 @@ func staleHints(exact uint32) []uint32 {
 	return hints
 }
 
+// bandOracle is the selection rule from before the band was learned — a
+// remembered key is a warm hit exactly when k entries lie within warmMargin
+// of it — kept as the oracle for what the learned band must not change: the
+// result's bits, the key left behind, and which selections are cold, warm
+// hits and fallbacks. It runs beside an arena and fails the test at the
+// first selection where the two part ways. What it leaves free is what the
+// learned band is for: Tightened and Widened.
+type bandOracle struct {
+	last map[[3]int]oracleHint
+	st   SelectStats // Cold, WarmHit and Fallback as the fixed band counts them
+}
+
+type oracleHint struct {
+	key  uint32
+	cold bool // key comes from a cold select: the arena has no drift to narrow with
+}
+
+// newBandOracle starts an oracle beside ar, whatever ar has selected so far.
+func newBandOracle(ar *Arena) *bandOracle {
+	return &bandOracle{last: map[[3]int]oracleHint{}, st: ar.SelectStats()}
+}
+
+// remember plants key as the k-th key of (lo, hi, k)'s last selection, in
+// the arena and in the oracle; the arena's drift stays whatever it was.
+func (o *bandOracle) remember(ar *Arena, lo, hi, k int, key uint32) {
+	ar.hint(lo, hi, k).key = key
+	o.last[[3]int{lo, hi, k}] = oracleHint{key: key}
+}
+
+// selectFrom is ar.TopKDense checked against quickselect and the fixed band.
+func (o *bandOracle) selectFrom(t *testing.T, ar *Arena, dense []float32, lo, hi, k int) *Chunk {
+	t.Helper()
+	shape := [3]int{lo, hi, k}
+	prev := o.last[shape]
+	want, thr := (*Arena)(nil).topKDenseSelect(dense, lo, hi, k)
+	hit := prev.key != 0 && countKeysFrom(dense[lo:hi], warmLow(prev.key, warmMargin)) >= k
+	switch {
+	case hit:
+		o.st.WarmHit++
+		thr = minKey(want) // a warm hit remembers its k-th key even when it kept every non-zero
+	case prev.key == 0:
+		o.st.Cold++
+	default:
+		o.st.Fallback++
+	}
+	o.last[shape] = oracleHint{key: thr, cold: !hit}
+	before := ar.SelectStats()
+	got := ar.TopKDense(dense, lo, hi, k)
+	st, h := ar.SelectStats(), ar.hint(lo, hi, k)
+	switch {
+	case !sameChunkBits(got, want):
+		t.Fatalf("n=%d k=%d remembered key %#x: TopKDense kept %d entries, quickselect %d, or they differ", hi-lo, k, prev.key, got.Len(), want.Len())
+	case h.key != thr:
+		t.Fatalf("n=%d k=%d remembered key %#x: TopKDense left %#x behind, the fixed band leaves %#x", hi-lo, k, prev.key, h.key, thr)
+	case st.Cold != o.st.Cold || st.WarmHit != o.st.WarmHit || st.Fallback != o.st.Fallback:
+		t.Fatalf("n=%d k=%d remembered key %#x: selections went %+v, the fixed band's go %+v", hi-lo, k, prev.key, st, o.st)
+	case h.band() < warmFloor || h.band() > warmMargin:
+		t.Fatalf("n=%d k=%d: next band %#x is outside [warmFloor, warmMargin]", hi-lo, k, h.band())
+	case prev.cold && st.Widened != before.Widened:
+		t.Fatalf("n=%d k=%d: the first warm selection after a cold one was widened: it narrowed on drift from before the cold select", hi-lo, k)
+	}
+	return got
+}
+
 // checkWarm requires the selection of k from dense[lo:hi) to equal want
-// when the arena remembers hint: through TopKDense, at every block length —
-// which must leave exact, the block's k-th key, behind if the selection has
-// one, and nothing if it kept every non-zero and there were fewer than k —
-// and from the warm filter itself, which may only decline when fewer than k
-// entries pass it.
+// when the arena remembers hint: through TopKDense beside the fixed-band
+// oracle, at every block length — which must leave exact, the block's k-th
+// key, behind if the selection has one, and nothing if it kept every
+// non-zero and there were fewer than k — and from the warm filter itself,
+// which may only decline when fewer than k entries pass it.
 func checkWarm(t *testing.T, ar *Arena, dense []float32, lo, hi, k int, hint, exact uint32, want *Chunk) {
 	t.Helper()
-	ar.hint(lo, hi, k).key = hint
-	if got := ar.TopKDense(dense, lo, hi, k); !sameChunkBits(got, want) {
-		t.Fatalf("n=%d k=%d remembered key %#x: TopKDense kept %d entries, quickselect %d, or they differ", hi-lo, k, hint, got.Len(), want.Len())
-	}
+	oracle := newBandOracle(ar)
+	oracle.remember(ar, lo, hi, k, hint)
+	oracle.selectFrom(t, ar, dense, lo, hi, k)
 	switch key := ar.hint(lo, hi, k).key; {
 	case exact != 0 && key != exact:
 		t.Fatalf("n=%d k=%d remembered key %#x: TopKDense left %#x behind, the k-th key is %#x", hi-lo, k, hint, key, exact)
 	case want.Len() < k && key != 0:
 		t.Fatalf("n=%d k=%d remembered key %#x: TopKDense kept %d entries and left key %#x behind", hi-lo, k, hint, want.Len(), key)
 	}
-	got, _, _ := ar.topKDenseWarm(dense, lo, hi, k, hint)
-	switch {
-	case got != nil && !sameChunkBits(got, want):
-		t.Fatalf("n=%d k=%d remembered key %#x: warm filter kept %v, quickselect %v", hi-lo, k, hint, got.Idx, want.Idx)
-	case got == nil && countKeysFrom(dense[lo:hi], warmLow(hint)) >= k:
-		t.Fatalf("n=%d k=%d remembered key %#x: warm filter declined with k candidates in reach", hi-lo, k, hint)
+	for _, band := range []uint32{warmMargin, warmFloor} {
+		got, _, _ := ar.topKDenseWarm(dense, lo, hi, k, hint, band)
+		switch {
+		case got != nil && !sameChunkBits(got, want):
+			t.Fatalf("n=%d k=%d remembered key %#x band %#x: warm filter kept %v, quickselect %v", hi-lo, k, hint, band, got.Idx, want.Idx)
+		case got == nil && countKeysFrom(dense[lo:hi], warmLow(hint, band)) >= k:
+			t.Fatalf("n=%d k=%d remembered key %#x band %#x: warm filter declined with k candidates in reach", hi-lo, k, hint, band)
+		}
 	}
 }
 
@@ -267,11 +332,11 @@ func TestTopKDenseHistMatchesSelect(t *testing.T) {
 				// Given the right key the filter must suffice, and where more
 				// entries pass it than its buffer holds, so must tightening,
 				// in the same pass.
-				got, thr, tightened := ar.topKDenseWarm(vec, lo, lo+n, k, exact)
+				got, thr, tightened := ar.topKDenseWarm(vec, lo, lo+n, k, exact, warmMargin)
 				if got == nil || thr != exact {
 					t.Fatalf("%s n=%d k=%d: warm filter given the k-th key %#x fell back or found %#x", fam.name, n, k, exact, thr)
 				}
-				if pass := countKeysFrom(vec[lo:lo+n], warmLow(exact)); tightened != (pass > warmScratch*k) {
+				if pass := countKeysFrom(vec[lo:lo+n], warmLow(exact, warmMargin)); tightened != (pass > warmScratch*k) {
 					t.Fatalf("%s n=%d k=%d: %d entries pass the filter, buffer %d, tightened=%v", fam.name, n, k, pass, warmScratch*k, tightened)
 				}
 				onePass[fam.name] = onePass[fam.name] || tightened

@@ -10,17 +10,21 @@ func scaleKey(key uint32, f float64) uint32 {
 	return absKey(float32(float64(math.Float32frombits(key)) * f))
 }
 
-// BenchmarkTopKDenseWarm is the measurement behind warmMargin and
-// warmScratch: one worker's selections in sync-sim-1m (n = 2²⁰ in 14 blocks,
-// 748 of each) by the histogram select (cold) and by the warm filter given
-// keys that are right, stale in either direction, or — fell-5pct — out of
-// reach, which costs the wasted pass on top of the histogram select. cliff is
-// a residual whose kept entries were zeroed for 20 synchronizations, as under
-// LRES: everything sits at or below the last threshold, about 5k entries
-// within a bucket of the next one. cand/k is how many entries passed the
-// filter at its initial setting.
+// BenchmarkTopKDenseWarm is the measurement behind warmMargin, warmFloor
+// and warmScratch: one worker's selections in sync-sim-1m (n = 2²⁰ in 14
+// blocks, 748 of each) by the histogram select (cold) and by the warm filter
+// given keys that are right, stale in either direction, or — fell-5pct — out
+// of reach, which costs the wasted pass on top of the histogram select. cliff
+// is a residual whose kept entries were zeroed for 20 synchronizations, as
+// under LRES: everything sits at or below the last threshold, about 5k
+// entries within a bucket of the next one. stationary is a residual that took
+// the same gradient and gave up its top k for 150 synchronizations, as under
+// error feedback on a repeated gradient: it has piled up just under keys that
+// no longer move, and is selected from with the band the arena learned on the
+// way and, stationary/fixed, with all of warmMargin. cand/k is how many
+// entries passed the filter at its initial setting.
 func BenchmarkTopKDenseWarm(b *testing.B) {
-	const n, m, k = 1 << 20, 14, 748
+	const n, m, k, statSyncs = 1 << 20, 14, 748, 150
 	part := NewPartition(n, m)
 	ar := NewArena()
 	kthKeys := func(dense []float32) []uint32 {
@@ -53,21 +57,41 @@ func BenchmarkTopKDenseWarm(b *testing.B) {
 		}
 		ar.Reset()
 	}
+	stat, statKeys, statBands := make([]float32, n), make([]uint32, m), make([]uint32, m)
+	for step := 0; step <= statSyncs; step++ {
+		for i, g := range gauss {
+			stat[i] += g
+		}
+		for blk := 0; blk < m; blk++ {
+			lo, hi := part.Bounds(blk)
+			if step < statSyncs {
+				ar.TopKDense(stat, lo, hi, k).ClearInDense(stat)
+			} else {
+				h := ar.hint(lo, hi, k)
+				statKeys[blk], statBands[blk] = h.key, h.band()
+			}
+		}
+		ar.Reset()
+	}
 	for _, c := range []struct {
 		name  string
 		dense []float32
 		keys  []uint32 // remembered per block; nil is the histogram select
 		scale float64  // applied to the remembered keys
+		bands []uint32 // per block; nil is warmMargin
 	}{
-		{"cold", gauss, nil, 0},
-		{"exact", gauss, gaussKeys, 1},
-		{"rose-5pct", gauss, gaussKeys, 1 / 1.05},
-		{"rose-2x", gauss, gaussKeys, 0.5}, // the second sync: the residual doubled
-		{"fell-3pct", gauss, gaussKeys, 1 / 0.97},
-		{"fell-5pct", gauss, gaussKeys, 1 / 0.95},
-		{"all-equal", equal, kthKeys(equal), 1},
-		{"cliff/cold", cliff, nil, 0},
-		{"cliff", cliff, cliffKeys, 1},
+		{"cold", gauss, nil, 0, nil},
+		{"exact", gauss, gaussKeys, 1, nil},
+		{"rose-5pct", gauss, gaussKeys, 1 / 1.05, nil},
+		{"rose-2x", gauss, gaussKeys, 0.5, nil}, // the second sync: the residual doubled
+		{"fell-3pct", gauss, gaussKeys, 1 / 0.97, nil},
+		{"fell-5pct", gauss, gaussKeys, 1 / 0.95, nil},
+		{"all-equal", equal, kthKeys(equal), 1, nil},
+		{"cliff/cold", cliff, nil, 0, nil},
+		{"cliff", cliff, cliffKeys, 1, nil},
+		{"stationary/cold", stat, nil, 0, nil},
+		{"stationary/fixed", stat, statKeys, 1, nil},
+		{"stationary", stat, statKeys, 1, statBands},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			hits, cand := 0, 0
@@ -76,11 +100,14 @@ func BenchmarkTopKDenseWarm(b *testing.B) {
 				for blk := 0; blk < m; blk++ {
 					lo, hi := part.Bounds(blk)
 					if c.keys != nil {
-						hint := scaleKey(c.keys[blk], c.scale)
-						if i == 0 {
-							cand += countKeysFrom(c.dense[lo:hi], warmLow(hint))
+						hint, band := scaleKey(c.keys[blk], c.scale), uint32(warmMargin)
+						if c.bands != nil {
+							band = c.bands[blk]
 						}
-						if out, _, _ := ar.topKDenseWarm(c.dense, lo, hi, k, hint); out != nil {
+						if i == 0 {
+							cand += countKeysFrom(c.dense[lo:hi], warmLow(hint, band))
+						}
+						if out, _, _ := ar.topKDenseWarm(c.dense, lo, hi, k, hint, band); out != nil {
 							hits++
 							continue
 						}
@@ -132,12 +159,14 @@ func BenchmarkTopKDenseShort(b *testing.B) {
 
 // TestTopKDenseWarmResidualDynamics runs the sequence the warm start is
 // built for — a worker's residual takes a gradient, gives up the top k of
-// each of its blocks, and keeps the rest — and checks every selection
-// against quickselect. With a steady gradient nearly every selection after
-// the first few must be a warm hit; with one whose scale swings by 100× the
-// remembered keys are often useless and the results must not care. P = 14
-// blocks is the shape whose table entries must not evict each other: with
-// the steady gradient every block has to hit on its second selection.
+// each of its blocks, and keeps the rest — beside the fixed-band oracle:
+// every selection must equal quickselect's and be cold, a warm hit or a
+// fallback exactly when it was before the band was learned. With a steady
+// gradient nearly every selection after the first few must be a warm hit;
+// with one whose scale swings by 100× the remembered keys are often useless
+// and the results must not care. P = 14 blocks is the shape whose table
+// entries must not evict each other: with the steady gradient every block
+// has to hit on its second selection.
 func TestTopKDenseWarmResidualDynamics(t *testing.T) {
 	const m, k, steps, warmup = 14, 41, 60, 10
 	n := m*4099 + 5
@@ -159,6 +188,7 @@ func TestTopKDenseWarmResidualDynamics(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			ar := NewArena()
+			oracle := newBandOracle(ar)
 			res := make([]float32, n)
 			var atWarmup SelectStats
 			for step := 0; step < steps; step++ {
@@ -168,12 +198,7 @@ func TestTopKDenseWarmResidualDynamics(t *testing.T) {
 				}
 				for b := 0; b < m; b++ {
 					lo, hi := part.Bounds(b)
-					want, _ := (*Arena)(nil).topKDenseSelect(res, lo, hi, k)
-					got := ar.TopKDense(res, lo, hi, k)
-					if !sameChunkBits(got, want) {
-						t.Fatalf("step %d block %d: TopKDense differs from quickselect (%+v)", step, b, ar.SelectStats())
-					}
-					got.ClearInDense(res)
+					oracle.selectFrom(t, ar, res, lo, hi, k).ClearInDense(res)
 				}
 				switch st := ar.SelectStats(); {
 				case step == 1 && !c.falls && (st.Cold != m || st.WarmHit != m):
@@ -183,7 +208,7 @@ func TestTopKDenseWarmResidualDynamics(t *testing.T) {
 				}
 			}
 			st := ar.SelectStats()
-			if total := st.Cold + st.WarmHit + st.Fallback; total != m*steps || st.Tightened > st.WarmHit {
+			if total := st.Cold + st.WarmHit + st.Fallback; total != m*steps || st.Tightened+st.Widened > st.WarmHit {
 				t.Fatalf("%+v does not add up to %d selections", st, m*steps)
 			}
 			hits := float64(st.WarmHit-atWarmup.WarmHit) / float64(m*(steps-warmup))
@@ -196,6 +221,42 @@ func TestTopKDenseWarmResidualDynamics(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestLearnedBand walks one block through what the learned band reacts to,
+// beside the fixed-band oracle: a key that stands still narrows the band to
+// warmFloor; a cold select forgets that, so the selection after it looks in
+// all of warmMargin; a fall the band has seen once is inside it the next
+// time; and a fall it has forgotten again costs a second pass, never the
+// warm hit.
+func TestLearnedBand(t *testing.T) {
+	const n, k = 4099, 41
+	block := gaussBlock(n, 21)
+	ar := NewArena()
+	oracle := newBandOracle(ar)
+	step := func(what string, scale float32, repeat int, want SelectStats) {
+		t.Helper()
+		for i := range block {
+			block[i] *= scale
+		}
+		for ; repeat > 0; repeat-- {
+			oracle.selectFrom(t, ar, block, 0, n, k)
+		}
+		if st := ar.SelectStats(); st != want {
+			t.Fatalf("%s: selections went %+v, want %+v", what, st, want)
+		}
+	}
+	// A fall of 1.5 % is 0.24–0.48 of warmMargin wherever in its binade the
+	// key sits: outside warmFloor, inside warmMargin.
+	step("cold, then a key that stands still", 1, 4, SelectStats{Cold: 1, WarmHit: 3})
+	if band := ar.hint(0, n, k).band(); band != warmFloor {
+		t.Fatalf("a key that did not move leaves band %#x, want warmFloor", band)
+	}
+	step("halved: out of reach", 0.5, 1, SelectStats{Cold: 1, WarmHit: 3, Fallback: 1})
+	step("first fall after the cold select", 0.985, 1, SelectStats{Cold: 1, WarmHit: 4, Fallback: 1})
+	step("the same fall again, now expected", 0.985, 1, SelectStats{Cold: 1, WarmHit: 5, Fallback: 1})
+	step("standing still until the fall is forgotten", 1, 40, SelectStats{Cold: 1, WarmHit: 45, Fallback: 1})
+	step("the same fall, unexpected", 0.985, 1, SelectStats{Cold: 1, WarmHit: 46, Widened: 1, Fallback: 1})
 }
 
 // TestSelectHintTable pins the table's contract: exact match on all of

@@ -109,9 +109,9 @@ const (
 type DensePolicy = sparse.DensePolicy
 
 // SelectStats counts how a reducer's top-k selections — at every block
-// length — found their thresholds: cold, warm hit, tightened, fallback.
-// Observability only — the selections are exact and identical whichever
-// way they went.
+// length — found their thresholds: cold, warm hit (of which tightened,
+// widened), fallback. Observability only — the selections are exact and
+// identical whichever way they went.
 type SelectStats = sparse.SelectStats
 
 // Representation-switching policies.
