@@ -1,10 +1,7 @@
 # Developer entry points. CI runs the same commands (see
-# .github/workflows/ci.yml); the vet cache lives in .vetcache and is
-# content-addressed, so it is always safe to keep or delete.
+# .github/workflows/ci.yml).
 
-VETCACHE := .vetcache
-
-.PHONY: build test race vet vet-cold bench bench-nn bench-dense bench-select bench-e2e bench-smoke fmt
+.PHONY: build test race vet bench bench-nn bench-dense bench-select bench-e2e bench-smoke fmt
 
 build:
 	go build ./...
@@ -15,14 +12,8 @@ test:
 race:
 	go test -race ./...
 
-# Incremental vet: only packages whose sources, analyzer suite, or
-# dependency export data changed since the last run are re-analyzed.
+# The repo's own analyzer suite over every package (under a second).
 vet:
-	go run ./cmd/spardl-vet -cache $(VETCACHE) ./...
-
-# Cold vet: re-analyze everything, bypassing the cache (what the nightly
-# vet-full CI job runs).
-vet-cold:
 	go run ./cmd/spardl-vet ./...
 
 bench:

@@ -10,13 +10,10 @@
 //	-list            print the analyzers and their docs, then exit
 //	-only name[,...] run only the named analyzers (their Requires run too,
 //	                 but only the named analyzers' findings print)
-//	-cache dir       content-addressed verdict cache: re-analyze only
-//	                 packages whose sources, analyzer suite or dependency
-//	                 export data changed since the cached run
-//	-summary file    append a one-line machine-readable run summary
-//	                 (packages, cache hits, findings) to file
 //
-// Findings print as file:line:col: [analyzer] message. A finding is
+// Every run analyzes every matched package. Findings print as
+// file:line:col: [analyzer] message on stdout, a one-line
+// `packages=N findings=M` summary on stderr. A finding is
 // suppressed by a `//spardl:<analyzer-suppress> <reason>` comment on its
 // line or the line above — see README.md "Correctness tooling".
 package main
@@ -25,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"spardl/internal/analysis"
@@ -34,8 +32,6 @@ import (
 func main() {
 	listFlag := flag.Bool("list", false, "print the analyzers and their docs, then exit")
 	onlyFlag := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-	cacheFlag := flag.String("cache", "", "directory for the content-addressed verdict cache (empty: no caching)")
-	summaryFlag := flag.String("summary", "", "file to append a one-line run summary to (empty: stderr only)")
 	flag.Parse()
 
 	suite := analysis.All()
@@ -46,138 +42,49 @@ func main() {
 		return
 	}
 
-	// -only selects which analyzers' findings are reported; their
-	// Requires closure still runs so results and facts are available.
+	// -only narrows the suite. The Requires closure of what is left still
+	// runs, so findings are filtered to the selected analyzers at print time.
+	if *onlyFlag != "" {
+		want := make(map[string]bool)
+		for _, name := range strings.Split(*onlyFlag, ",") {
+			if name = strings.TrimSpace(name); name != "" {
+				want[name] = true
+			}
+		}
+		var names []string
+		suite = slices.DeleteFunc(suite, func(a *framework.Analyzer) bool {
+			names = append(names, a.Name)
+			return !want[a.Name]
+		})
+		if len(suite) == 0 || len(suite) != len(want) {
+			fmt.Fprintf(os.Stderr, "spardl-vet: -only %q names no analyzer or an unknown one; available: %s\n",
+				*onlyFlag, strings.Join(names, ", "))
+			os.Exit(2)
+		}
+	}
 	selected := make(map[string]bool, len(suite))
 	for _, a := range suite {
 		selected[a.Name] = true
 	}
-	if *onlyFlag != "" {
-		known := make(map[string]*framework.Analyzer, len(suite))
-		var names []string
-		for _, a := range suite {
-			known[a.Name] = a
-			names = append(names, a.Name)
-		}
-		want := make(map[string]bool)
-		for _, name := range strings.Split(*onlyFlag, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			if known[name] == nil {
-				fmt.Fprintf(os.Stderr, "spardl-vet: unknown analyzer %q in -only; available: %s\n",
-					name, strings.Join(names, ", "))
-				os.Exit(2)
-			}
-			want[name] = true
-		}
-		if len(want) == 0 {
-			fmt.Fprintf(os.Stderr, "spardl-vet: -only selected no analyzers; available: %s\n",
-				strings.Join(names, ", "))
-			os.Exit(2)
-		}
-		var filtered []*framework.Analyzer
-		for _, a := range suite {
-			if want[a.Name] {
-				filtered = append(filtered, a)
-			}
-		}
-		suite = filtered
-		selected = want
-	}
-
-	runner, err := framework.NewRunner(suite...)
-	if err != nil {
-		fatal(err)
-	}
-
-	var cache *framework.Cache
-	if *cacheFlag != "" {
-		if cache, err = framework.OpenCache(*cacheFlag); err != nil {
-			fatal(fmt.Errorf("opening cache %s: %w", *cacheFlag, err))
-		}
-	}
-	// The suite hash covers the full executed pass list (Requires
-	// included), so adding a hidden dependency invalidates verdicts too.
-	suiteHash := framework.SuiteHash(runner.Analyzers())
 
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	loader, err := framework.NewLoader(".", patterns)
+	pkgs, diags, err := framework.Vet(".", patterns, suite...)
 	if err != nil {
-		fatal(err)
+		fmt.Fprintf(os.Stderr, "spardl-vet: %v\n", err)
+		os.Exit(2)
 	}
-
-	findings, hits, analyzed := 0, 0, 0
-	depIDs := make(map[string]string)
-	for _, m := range loader.Metas() {
-		var id string
-		if cache != nil {
-			if id, err = cache.ActionID(suiteHash, m, depIDs, loader.ExportFile); err != nil {
-				fatal(fmt.Errorf("hashing %s: %w", m.Path, err))
-			}
-			depIDs[m.Path] = id
-			if entry, ok := cache.Get(id); ok {
-				hits++
-				if err := runner.ImportPackageFacts(m.Path, entry.Facts); err != nil {
-					fatal(err)
-				}
-				findings += report(entry.Diags, selected)
-				continue
-			}
+	findings := 0
+	for _, d := range diags {
+		if selected[d.Analyzer] {
+			fmt.Println(d)
+			findings++
 		}
-		pkg, err := loader.Check(m)
-		if err != nil {
-			fatal(err)
-		}
-		analyzed++
-		diags, facts, err := runner.RunPackage(pkg)
-		if err != nil {
-			fatal(err)
-		}
-		if cache != nil {
-			if err := cache.Put(id, &framework.CacheEntry{Diags: diags, Facts: facts}); err != nil {
-				fatal(fmt.Errorf("caching %s: %w", m.Path, err))
-			}
-		}
-		findings += report(diags, selected)
 	}
-
-	total := len(loader.Metas())
-	summary := fmt.Sprintf("packages=%d analyzed=%d cache_hits=%d findings=%d", total, analyzed, hits, findings)
-	fmt.Fprintf(os.Stderr, "spardl-vet: %s\n", summary)
-	if *summaryFlag != "" {
-		f, err := os.OpenFile(*summaryFlag, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintln(f, summary)
-		f.Close()
-	}
+	fmt.Fprintf(os.Stderr, "spardl-vet: packages=%d findings=%d\n", len(pkgs), findings)
 	if findings > 0 {
 		os.Exit(1)
 	}
-}
-
-// report prints the diagnostics of selected analyzers and returns how
-// many printed. Cached entries hold the full closure's diagnostics;
-// filtering at print time keeps -only consistent across cache hits.
-func report(diags []framework.Diagnostic, selected map[string]bool) int {
-	n := 0
-	for _, d := range diags {
-		if !selected[d.Analyzer] {
-			continue
-		}
-		fmt.Println(d)
-		n++
-	}
-	return n
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "spardl-vet: %v\n", err)
-	os.Exit(2)
 }

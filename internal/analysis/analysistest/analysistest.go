@@ -13,9 +13,9 @@
 //
 // A fixture directory may contain subdirectories; each becomes its own
 // package, importable by siblings as "spardl/fixture/<subdir>" — the way
-// cross-package fact propagation is tested. All packages run under one
-// Runner (shared fact store) in dependency order, and want comments are
-// honored in every file of every package in the tree.
+// cross-package fact propagation is tested. All packages go through one
+// framework.Run (shared fact store) in dependency order, and want comments
+// are honored in every file of every package in the tree.
 package analysistest
 
 import (
@@ -65,17 +65,9 @@ func Run(t *testing.T, dir string, a *framework.Analyzer) {
 		}
 		expects = append(expects, es...)
 	}
-	runner, err := framework.NewRunner(a)
+	diags, err := framework.Run(pkgs, a)
 	if err != nil {
-		t.Fatalf("building runner for %s: %v", a.Name, err)
-	}
-	var diags []framework.Diagnostic
-	for _, pkg := range pkgs {
-		ds, _, err := runner.RunPackage(pkg)
-		if err != nil {
-			t.Fatalf("running %s over %s: %v", a.Name, pkg.Path, err)
-		}
-		diags = append(diags, ds...)
+		t.Fatalf("running %s over %s: %v", a.Name, dir, err)
 	}
 	for _, d := range diags {
 		if !consume(expects, d.Pos.Filename, d.Pos.Line, d.Message) {

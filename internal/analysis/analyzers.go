@@ -4,11 +4,13 @@
 // total-order float comparison (floatcmp), arena chunk ownership
 // (arenasafe), the allocation-free steady state (hotalloc) and its
 // transitive closure (hotprop), failure-cascade ordering (poisonorder),
-// mutex discipline (locksafe) and conn deadline coverage (netdeadline).
-// The interprocedural passes share one call-graph pass (callgraph) via
-// Requires and exchange cross-package summaries via facts. See each
-// analyzer's package documentation for its exact rules and README.md
-// ("Correctness tooling") for the workflow.
+// mutex discipline (locksafe) and a deadline on every conn and listener
+// the rendezvous gives birth to (netdeadline). The interprocedural passes
+// share one call-graph pass (callgraph) via Requires and exchange
+// cross-package summaries via facts. See each analyzer's package
+// documentation for its exact rules, audit_test.go for the seeded bug
+// each rule is held to, and README.md ("Correctness tooling") for the
+// workflow.
 package analysis
 
 import (

@@ -10,15 +10,13 @@
 //     goroutine launched in the same function;
 //   - a chunk must not be used after it was recycled — flagged when any
 //     statement after `a.Recycle(c)` in the same block still mentions c,
-//     including a second Recycle (which panics at runtime);
-//   - a function-local chunk that is only ever read — never returned,
-//     never handed to another function, never recycled — should be
-//     recycled (or not allocated): the arena cannot reuse its storage
-//     until the epoch ends, which inflates the peak slab footprint of
-//     merge-heavy schedules.
+//     including a second Recycle (which panics at runtime).
 //
-// The analysis is intraprocedural and conservative: passing a chunk to any
-// call or returning it transfers ownership and ends tracking.
+// The analysis is intraprocedural and tracks plain local variables only: a
+// chunk that reaches a field through append, an index store or a
+// composite literal (core's undo log, TopkDSA's gather items — both
+// legitimate, both released inside the epoch) is not followed, and neither
+// is a chunk nobody recycles.
 //
 // Suppress a deliberate exception with `//spardl:arena-ok <reason>`.
 package arenasafe
@@ -35,9 +33,8 @@ const sparsePkg = "spardl/internal/sparse"
 // Analyzer is the arenasafe pass.
 var Analyzer = &framework.Analyzer{
 	Name:     "arenasafe",
-	Doc:      "enforce sparse.Arena chunk ownership: no escapes past the epoch, no use after Recycle, no abandoned function-local chunks",
+	Doc:      "enforce sparse.Arena chunk ownership: no escapes past the epoch (field, package variable, channel, goroutine), no use after Recycle, no double Recycle",
 	Suppress: "arena-ok",
-	Version:  "2",
 	Run:      run,
 }
 
@@ -52,36 +49,12 @@ func run(pass *framework.Pass) (any, error) {
 	return nil, nil
 }
 
-// chunkVar tracks one arena-derived *sparse.Chunk local.
-type chunkVar struct {
-	method      string // the Arena method that produced it
-	transferred bool   // returned, passed to a call, aliased, or stored
-	recycled    bool
-}
+// chunkSet holds the function's arena-derived *sparse.Chunk locals.
+type chunkSet map[*types.Var]bool
 
 func checkFunc(pass *framework.Pass, fd *ast.FuncDecl) {
 	info := pass.TypesInfo
-	chunks := make(map[*types.Var]*chunkVar)
-
-	// Named results and parameters are owned by the caller/callee contract,
-	// not this function body; they are exempt from the local-leak rule.
-	boundary := make(map[*types.Var]bool)
-	for _, field := range fd.Type.Params.List {
-		for _, name := range field.Names {
-			if v, ok := info.Defs[name].(*types.Var); ok {
-				boundary[v] = true
-			}
-		}
-	}
-	if fd.Type.Results != nil {
-		for _, field := range fd.Type.Results.List {
-			for _, name := range field.Names {
-				if v, ok := info.Defs[name].(*types.Var); ok {
-					boundary[v] = true
-				}
-			}
-		}
-	}
+	chunks := make(chunkSet)
 
 	// Pass 1: find arena-derived chunk vars (x := a.Get(n), kept, dropped :=
 	// a.TopKChunk(...), including assignment to named results).
@@ -92,11 +65,7 @@ func checkFunc(pass *framework.Pass, fd *ast.FuncDecl) {
 		}
 		for i, rhs := range assign.Rhs {
 			call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-			if !ok {
-				continue
-			}
-			method := arenaChunkMethod(info, call)
-			if method == "" {
+			if !ok || !arenaChunkCall(info, call) {
 				continue
 			}
 			// Map results to LHS idents: single call with tuple results
@@ -104,42 +73,27 @@ func checkFunc(pass *framework.Pass, fd *ast.FuncDecl) {
 			lhs := assign.Lhs
 			if len(assign.Rhs) == 1 && len(lhs) > 1 {
 				for _, l := range lhs {
-					trackLHS(info, chunks, l, method, call)
+					trackLHS(info, chunks, l)
 				}
 			} else if i < len(lhs) {
-				trackLHS(info, chunks, lhs[i], method, call)
+				trackLHS(info, chunks, lhs[i])
 			}
 		}
 		return true
 	})
 
-	// Pass 2: classify every use; flag escapes as they are found.
-	var stack []ast.Node
+	// Pass 2: flag escapes.
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		stack = append(stack, n)
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			checkAssignEscape(pass, info, chunks, n)
 		case *ast.SendStmt:
-			if cv, v := chunkUse(info, chunks, n.Value); cv != nil {
-				cv.transferred = true
+			if v := chunkUse(info, chunks, n.Value); v != nil {
 				pass.Reportf(n.Value.Pos(),
 					"arena chunk %s escapes on a channel send; receivers outlive the epoch that owns its storage", v.Name())
 			}
 		case *ast.GoStmt:
 			checkGoEscape(pass, info, chunks, n)
-		case *ast.ReturnStmt:
-			for _, res := range n.Results {
-				if cv, _ := chunkUse(info, chunks, res); cv != nil {
-					cv.transferred = true
-				}
-			}
-		case *ast.CallExpr:
-			classifyCallArgs(info, chunks, n)
 		}
 		return true
 	})
@@ -148,29 +102,17 @@ func checkFunc(pass *framework.Pass, fd *ast.FuncDecl) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.BlockStmt:
-			checkBlock(pass, info, chunks, n.List)
+			checkBlock(pass, info, n.List)
 		case *ast.CaseClause:
-			checkBlock(pass, info, chunks, n.Body)
+			checkBlock(pass, info, n.Body)
 		case *ast.CommClause:
-			checkBlock(pass, info, chunks, n.Body)
+			checkBlock(pass, info, n.Body)
 		}
 		return true
 	})
-
-	// Pass 4: abandoned locals.
-	for v, cv := range chunks {
-		if cv.transferred || cv.recycled || boundary[v] {
-			continue
-		}
-		if cv.method != "Get" && cv.method != "GetDense" && cv.method != "Clone" {
-			continue // headers over foreign storage have nothing to recycle
-		}
-		pass.Reportf(v.Pos(),
-			"function-local arena chunk %s (from Arena.%s) is never recycled, returned or handed off; Recycle it so the arena can reuse its storage within the epoch", v.Name(), cv.method)
-	}
 }
 
-func trackLHS(info *types.Info, chunks map[*types.Var]*chunkVar, lhs ast.Expr, method string, call *ast.CallExpr) {
+func trackLHS(info *types.Info, chunks chunkSet, lhs ast.Expr) {
 	id, ok := ast.Unparen(lhs).(*ast.Ident)
 	if !ok || id.Name == "_" {
 		return
@@ -179,42 +121,34 @@ func trackLHS(info *types.Info, chunks map[*types.Var]*chunkVar, lhs ast.Expr, m
 	if obj == nil {
 		obj = info.Uses[id]
 	}
-	v, ok := obj.(*types.Var)
-	if !ok || !framework.IsNamedType(v.Type(), sparsePkg, "Chunk") {
-		return
+	if v, ok := obj.(*types.Var); ok && framework.IsNamedType(v.Type(), sparsePkg, "Chunk") {
+		chunks[v] = true
 	}
-	chunks[v] = &chunkVar{method: method}
 }
 
-// arenaChunkMethod returns the method name if call invokes a
-// chunk-producing method on *sparse.Arena, else "".
-func arenaChunkMethod(info *types.Info, call *ast.CallExpr) string {
-	fn := framework.Callee(info, call)
+// isArenaMethod reports whether fn is the named method of *sparse.Arena
+// ("" matches any method).
+func isArenaMethod(fn *types.Func, name string) bool {
 	recv := framework.ReceiverNamed(fn)
-	if recv == nil || recv.Obj().Pkg() == nil ||
-		recv.Obj().Pkg().Path() != sparsePkg || recv.Obj().Name() != "Arena" {
-		return ""
+	return recv != nil && recv.Obj().Pkg() != nil && recv.Obj().Pkg().Path() == sparsePkg &&
+		recv.Obj().Name() == "Arena" && (name == "" || fn.Name() == name)
+}
+
+// arenaChunkCall reports whether call invokes a chunk-producing method on
+// *sparse.Arena.
+func arenaChunkCall(info *types.Info, call *ast.CallExpr) bool {
+	fn := framework.Callee(info, call)
+	if !isArenaMethod(fn, "") {
+		return false
 	}
-	sig := fn.Type().(*types.Signature)
-	if sig.Results().Len() == 0 {
-		return ""
-	}
-	if !framework.IsNamedType(sig.Results().At(0).Type(), sparsePkg, "Chunk") {
-		return ""
-	}
-	return fn.Name()
+	res := fn.Type().(*types.Signature).Results()
+	return res.Len() > 0 && framework.IsNamedType(res.At(0).Type(), sparsePkg, "Chunk")
 }
 
 // isRecycleCall reports whether call is <arena>.Recycle(x) and returns the
 // recycled variable when x is a plain identifier.
 func isRecycleCall(info *types.Info, call *ast.CallExpr) (*types.Var, bool) {
-	fn := framework.Callee(info, call)
-	recv := framework.ReceiverNamed(fn)
-	if recv == nil || fn.Name() != "Recycle" || recv.Obj().Pkg() == nil ||
-		recv.Obj().Pkg().Path() != sparsePkg || recv.Obj().Name() != "Arena" {
-		return nil, false
-	}
-	if len(call.Args) != 1 {
+	if !isArenaMethod(framework.Callee(info, call), "Recycle") || len(call.Args) != 1 {
 		return nil, false
 	}
 	id, ok := ast.Unparen(call.Args[0]).(*ast.Ident)
@@ -226,86 +160,52 @@ func isRecycleCall(info *types.Info, call *ast.CallExpr) (*types.Var, bool) {
 }
 
 // chunkUse resolves expr to a tracked chunk variable, if it is one.
-func chunkUse(info *types.Info, chunks map[*types.Var]*chunkVar, expr ast.Expr) (*chunkVar, *types.Var) {
-	id, ok := ast.Unparen(expr).(*ast.Ident)
-	if !ok {
-		return nil, nil
+func chunkUse(info *types.Info, chunks chunkSet, expr ast.Expr) *types.Var {
+	if id, ok := ast.Unparen(expr).(*ast.Ident); ok {
+		if v, ok := info.Uses[id].(*types.Var); ok && chunks[v] {
+			return v
+		}
 	}
-	v, ok := info.Uses[id].(*types.Var)
-	if !ok {
-		return nil, nil
-	}
-	if cv, ok := chunks[v]; ok {
-		return cv, v
-	}
-	return nil, nil
+	return nil
 }
 
-func checkAssignEscape(pass *framework.Pass, info *types.Info, chunks map[*types.Var]*chunkVar, assign *ast.AssignStmt) {
-	pair := func(lhs, rhs ast.Expr) {
-		cv, v := chunkUse(info, chunks, rhs)
-		if cv == nil {
-			return
+func checkAssignEscape(pass *framework.Pass, info *types.Info, chunks chunkSet, assign *ast.AssignStmt) {
+	if len(assign.Lhs) != len(assign.Rhs) {
+		return
+	}
+	for i, rhs := range assign.Rhs {
+		v := chunkUse(info, chunks, rhs)
+		if v == nil {
+			continue
 		}
-		switch l := ast.Unparen(lhs).(type) {
+		switch l := ast.Unparen(assign.Lhs[i]).(type) {
 		case *ast.SelectorExpr:
-			cv.transferred = true
 			pass.Reportf(rhs.Pos(),
 				"arena chunk %s escapes into field %s; struct state outlives the epoch that owns the chunk's storage", v.Name(), l.Sel.Name)
 		case *ast.Ident:
 			if obj, ok := info.Uses[l].(*types.Var); ok && obj.Parent() == obj.Pkg().Scope() {
-				cv.transferred = true
 				pass.Reportf(rhs.Pos(),
 					"arena chunk %s escapes into package variable %s and outlives the epoch", v.Name(), l.Name)
-			} else {
-				cv.transferred = true // local alias: tracking ends, conservatively owned elsewhere
 			}
-		default:
-			cv.transferred = true // index store etc.: local containers are fine
-		}
-	}
-	if len(assign.Lhs) == len(assign.Rhs) {
-		for i := range assign.Rhs {
-			pair(assign.Lhs[i], assign.Rhs[i])
 		}
 	}
 }
 
-func checkGoEscape(pass *framework.Pass, info *types.Info, chunks map[*types.Var]*chunkVar, g *ast.GoStmt) {
+func checkGoEscape(pass *framework.Pass, info *types.Info, chunks chunkSet, g *ast.GoStmt) {
 	ast.Inspect(g.Call, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		v, ok := info.Uses[id].(*types.Var)
-		if !ok {
-			return true
-		}
-		if cv, tracked := chunks[v]; tracked {
-			cv.transferred = true
-			pass.Reportf(id.Pos(),
-				"arena chunk %s is shared with a goroutine; the arena owner contract is one worker goroutine at a time", v.Name())
+		if id, ok := n.(*ast.Ident); ok {
+			if v, ok := info.Uses[id].(*types.Var); ok && chunks[v] {
+				pass.Reportf(id.Pos(),
+					"arena chunk %s is shared with a goroutine; the arena owner contract is one worker goroutine at a time", v.Name())
+			}
 		}
 		return true
 	})
 }
 
-// classifyCallArgs marks chunks passed to calls (other than Recycle) as
-// ownership-transferred, which exempts them from the local-leak rule.
-func classifyCallArgs(info *types.Info, chunks map[*types.Var]*chunkVar, call *ast.CallExpr) {
-	if _, isRecycle := isRecycleCall(info, call); isRecycle {
-		return
-	}
-	for _, arg := range call.Args {
-		if cv, _ := chunkUse(info, chunks, arg); cv != nil {
-			cv.transferred = true
-		}
-	}
-}
-
 // checkBlock walks one statement list in order, tracking Recycle calls and
 // flagging later uses of the recycled chunk in the same list.
-func checkBlock(pass *framework.Pass, info *types.Info, chunks map[*types.Var]*chunkVar, stmts []ast.Stmt) {
+func checkBlock(pass *framework.Pass, info *types.Info, stmts []ast.Stmt) {
 	recycledAt := make(map[*types.Var]bool)
 	for _, stmt := range stmts {
 		// Flag uses of already-recycled vars anywhere in this statement.
@@ -333,9 +233,6 @@ func checkBlock(pass *framework.Pass, info *types.Info, chunks map[*types.Var]*c
 		if expr, ok := stmt.(*ast.ExprStmt); ok {
 			if call, ok := expr.X.(*ast.CallExpr); ok {
 				if v, isRecycle := isRecycleCall(info, call); isRecycle && v != nil {
-					if cv, tracked := chunks[v]; tracked {
-						cv.recycled = true
-					}
 					recycledAt[v] = true
 				}
 			}

@@ -51,26 +51,11 @@ func doubleRecycle(a *sparse.Arena, dense []float32) {
 	a.Recycle(c) // want `c is recycled twice in this block`
 }
 
-// A chunk that is only read and then abandoned pins slab storage until the
-// epoch ends.
-func leak(a *sparse.Arena, x *sparse.Chunk) int {
-	tmp := a.Clone(x) // want `function-local arena chunk tmp \(from Arena.Clone\) is never recycled`
-	n := tmp.Len()
-	return n
-}
-
 // Dense-block chunks follow the same ownership rules as sparse ones: a
 // GetDense result stored into a struct field outlives the epoch.
 func (s *cache) stashDense(a *sparse.Arena) {
 	c := a.GetDense(0, 128)
 	s.held = c // want `arena chunk c escapes into field held`
-}
-
-// An abandoned dense block pins an arena slab exactly like an abandoned
-// sparse chunk — GetDense storage is recyclable and must be recycled.
-func leakDense(a *sparse.Arena) float32 {
-	b := a.GetDense(0, 64) // want `function-local arena chunk b \(from Arena.GetDense\) is never recycled`
-	return b.Val[0]
 }
 
 // The sanctioned dense shape: allocate, scatter into, hand off.

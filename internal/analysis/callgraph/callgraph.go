@@ -1,9 +1,11 @@
-// Package callgraph is the shared call-graph pass of spardl-vet: a
-// class-hierarchy analysis (CHA) over one package's static calls plus the
-// interface method sets visible from it. Interprocedural analyzers
-// (hotprop, poisonorder, locksafe, netdeadline) list it in Requires and
-// read the per-package Result through Pass.ResultOf instead of each
-// re-walking the AST.
+// Package callgraph is the shared call-graph pass of spardl-vet: one
+// package's declared functions and the statically resolved calls each
+// makes. Calls through an interface are recorded and marked Dynamic, not
+// resolved to implementations — every dependent skips them (resolving them
+// by class hierarchy would flag every hot call through comm.Endpoint).
+// Interprocedural analyzers (hotprop, poisonorder, locksafe) list it in
+// Requires and read the per-package Result through Pass.ResultOf instead
+// of each re-walking the AST.
 //
 // The graph is deliberately flat: calls inside function literals are
 // attributed to the enclosing declared function, because the runtime
@@ -16,7 +18,6 @@ package callgraph
 import (
 	"go/ast"
 	"go/types"
-	"sort"
 
 	"spardl/internal/analysis/framework"
 )
@@ -25,9 +26,8 @@ import (
 // its value is the Result handed to dependents.
 var Analyzer = &framework.Analyzer{
 	Name:     "callgraph",
-	Doc:      "shared pass: CHA call graph over static calls and interface method sets (no findings of its own)",
+	Doc:      "shared pass: per-package call graph of statically resolved calls (no findings of its own)",
 	Suppress: "callgraph-ok",
-	Version:  "2",
 	Run:      run,
 }
 
@@ -39,9 +39,6 @@ type Result struct {
 	Nodes map[*types.Func]*Node
 	// Funcs is Nodes' key set in source order, for deterministic walks.
 	Funcs []*types.Func
-
-	universe []*types.Package
-	implMemo map[implKey][]*types.Func
 }
 
 // Node is one declared function with its outgoing calls in source order.
@@ -58,25 +55,15 @@ type Call struct {
 	// direct calls, the interface method for dynamic ones. Calls through
 	// function-typed values have no Callee and do not appear here.
 	Callee *types.Func
-	// Dynamic marks a call through an interface value; resolve candidate
-	// concrete callees with Result.Targets.
+	// Dynamic marks a call through an interface value; its concrete
+	// callees are unknown to this pass.
 	Dynamic bool
-	// Go and Defer mark `go f(…)` and `defer f(…)` sites.
-	Go, Defer bool
-}
-
-type implKey struct {
-	iface  *types.Interface
-	method string
+	// Go marks a `go f(…)` site.
+	Go bool
 }
 
 func run(pass *framework.Pass) (any, error) {
-	r := &Result{
-		Nodes:    make(map[*types.Func]*Node),
-		implMemo: make(map[implKey][]*types.Func),
-	}
-	r.universe = collectUniverse(pass.Pkg)
-
+	r := &Result{Nodes: make(map[*types.Func]*Node)}
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -97,16 +84,12 @@ func run(pass *framework.Pass) (any, error) {
 }
 
 // collectCalls walks body recording every call with a resolvable callee,
-// tagging go/defer launch sites.
+// tagging go launch sites.
 func collectCalls(info *types.Info, body ast.Node, node *Node) {
 	goSites := make(map[*ast.CallExpr]bool)
-	deferSites := make(map[*ast.CallExpr]bool)
 	ast.Inspect(body, func(n ast.Node) bool {
-		switch s := n.(type) {
-		case *ast.GoStmt:
+		if s, ok := n.(*ast.GoStmt); ok {
 			goSites[s.Call] = true
-		case *ast.DeferStmt:
-			deferSites[s.Call] = true
 		}
 		return true
 	})
@@ -124,7 +107,6 @@ func collectCalls(info *types.Info, body ast.Node, node *Node) {
 			Callee:  fn,
 			Dynamic: isInterfaceMethod(fn),
 			Go:      goSites[call],
-			Defer:   deferSites[call],
 		})
 		return true
 	})
@@ -136,82 +118,4 @@ func isInterfaceMethod(fn *types.Func) bool {
 		return false
 	}
 	return types.IsInterface(sig.Recv().Type())
-}
-
-// collectUniverse gathers the package plus its transitive imports — the
-// type hierarchy CHA resolves interface calls against.
-func collectUniverse(root *types.Package) []*types.Package {
-	seen := make(map[*types.Package]bool)
-	var out []*types.Package
-	var visit func(p *types.Package)
-	visit = func(p *types.Package) {
-		if p == nil || seen[p] {
-			return
-		}
-		seen[p] = true
-		out = append(out, p)
-		for _, imp := range p.Imports() {
-			visit(imp)
-		}
-	}
-	visit(root)
-	return out
-}
-
-// Targets resolves a dynamic call's candidate concrete callees under CHA:
-// the matching method of every named type in the universe whose method set
-// (value or pointer) satisfies the interface. Results are memoized per
-// (interface, method) and sorted for determinism.
-func (r *Result) Targets(c Call) []*types.Func {
-	if !c.Dynamic || c.Callee == nil {
-		if c.Callee != nil {
-			return []*types.Func{c.Callee}
-		}
-		return nil
-	}
-	sig := c.Callee.Type().(*types.Signature)
-	iface, ok := sig.Recv().Type().Underlying().(*types.Interface)
-	if !ok {
-		return nil
-	}
-	key := implKey{iface, c.Callee.Name()}
-	if got, ok := r.implMemo[key]; ok {
-		return got
-	}
-	var targets []*types.Func
-	seen := make(map[*types.Func]bool)
-	for _, pkg := range r.universe {
-		scope := pkg.Scope()
-		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() {
-				continue
-			}
-			named, ok := tn.Type().(*types.Named)
-			if !ok || types.IsInterface(named) {
-				continue
-			}
-			if !types.Implements(named, iface) && !types.Implements(types.NewPointer(named), iface) {
-				continue
-			}
-			ms := types.NewMethodSet(types.NewPointer(named))
-			sel := ms.Lookup(nil, c.Callee.Name())
-			if sel == nil {
-				// Method may be package-private to the interface's package.
-				sel = ms.Lookup(c.Callee.Pkg(), c.Callee.Name())
-			}
-			if sel == nil {
-				continue
-			}
-			if fn, ok := sel.Obj().(*types.Func); ok && !seen[fn] {
-				seen[fn] = true
-				targets = append(targets, fn)
-			}
-		}
-	}
-	sort.Slice(targets, func(i, j int) bool {
-		return targets[i].FullName() < targets[j].FullName()
-	})
-	r.implMemo[key] = targets
-	return targets
 }

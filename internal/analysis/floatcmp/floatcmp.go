@@ -1,7 +1,8 @@
 // Package floatcmp flags raw ordered comparisons on float32 gradient
-// values in the selection/merge packages (sparse, sparsecoll). IEEE float
-// comparison is not a total order — every ordered comparison against a NaN
-// is false — so a single poisoned gradient makes raw `<`/`>` pivots and
+// values in the packages nodeterm holds to bit-identical output
+// (nodeterm.Packages: core, collective, sparsecoll, sparse, wire). IEEE
+// float comparison is not a total order — every ordered comparison against
+// a NaN is false — so a single poisoned gradient makes raw `<`/`>` pivots and
 // threshold tests drift: quickselect partition invariants collapse, the
 // selected count moves away from k, and replicas holding identical data
 // stop making identical selections (the PR-5 bug class). Magnitude
@@ -31,22 +32,15 @@ import (
 	"go/types"
 
 	"spardl/internal/analysis/framework"
+	"spardl/internal/analysis/nodeterm"
 )
 
 // Analyzer is the floatcmp pass.
 var Analyzer = &framework.Analyzer{
 	Name:     "floatcmp",
-	Doc:      "flag raw float32 ordering (comparison or sort) in selection/merge code; NaN breaks IEEE order, use Float32bits total-order keys",
+	Doc:      "flag raw float32 ordering (comparison or sort) in the determinism-critical packages; NaN breaks IEEE order, use Float32bits total-order keys",
 	Suppress: "floatcmp-ok",
-	Version:  "2",
 	Run:      run,
-}
-
-// selectionPkgs names the packages where float32 values are gradient data
-// and magnitude ordering feeds selection or merge decisions.
-var selectionPkgs = map[string]bool{
-	"sparse":     true,
-	"sparsecoll": true,
 }
 
 // orderedSliceFuncs are the package-slices functions that impose the raw
@@ -57,7 +51,7 @@ var orderedSliceFuncs = map[string]bool{
 }
 
 func run(pass *framework.Pass) (any, error) {
-	if !selectionPkgs[pass.Pkg.Name()] {
+	if !nodeterm.Packages[pass.Pkg.Name()] {
 		return nil, nil
 	}
 	for _, file := range pass.Files {

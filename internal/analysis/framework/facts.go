@@ -3,11 +3,8 @@ package framework
 // facts.go is the cross-package fact layer: an analyzer attaches a fact to
 // a package-level object (function, method, type, var) while analyzing the
 // object's package, and any analyzer running later over an importing
-// package can read it back. Facts mirror golang.org/x/tools/go/analysis
-// Facts: they are gob-serialized per package so a driver can persist them
-// (the vet cache does) and so every fact is guaranteed wire-safe — the
-// runner round-trips each package's facts through the codec even when the
-// whole run happens in one process.
+// package can read it back — golang.org/x/tools/go/analysis Facts, held
+// in memory for the one process that analyzes every package.
 //
 // Objects are keyed by a stable textual path rather than by pointer
 // identity because the importing package sees a *different* types.Object
@@ -15,17 +12,13 @@ package framework
 // the defining package's source check produced.
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
 )
 
 // A Fact is a datum attached to a package-level object. Concrete fact
-// types must be pointers to gob-encodable structs and should be registered
-// via Analyzer.FactTypes. AFact is a marker method, as in go/analysis.
+// types must be pointers to structs. AFact is a marker method, as in
+// go/analysis.
 type Fact interface {
 	AFact()
 }
@@ -67,81 +60,21 @@ type factKey struct {
 	typ reflect.Type
 }
 
-// A FactStore holds every fact exported during a run, across packages.
-// One store is shared by all analyzers of a Runner.
-type FactStore struct {
-	m map[factKey]Fact
-}
+// A factStore holds every fact exported during a run, across packages.
+// One store is shared by all analyzers of a Run.
+type factStore map[factKey]Fact
 
-// NewFactStore returns an empty store.
-func NewFactStore() *FactStore {
-	return &FactStore{m: make(map[factKey]Fact)}
-}
-
-func (s *FactStore) export(pkg, obj string, f Fact) {
-	s.m[factKey{pkg, obj, reflect.TypeOf(f)}] = f
+func (s factStore) export(pkg, obj string, f Fact) {
+	s[factKey{pkg, obj, reflect.TypeOf(f)}] = f
 }
 
 // lookup copies the stored fact with f's concrete type into f and reports
 // whether one was found. f must be a non-nil pointer.
-func (s *FactStore) lookup(pkg, obj string, f Fact) bool {
-	got, ok := s.m[factKey{pkg, obj, reflect.TypeOf(f)}]
+func (s factStore) lookup(pkg, obj string, f Fact) bool {
+	got, ok := s[factKey{pkg, obj, reflect.TypeOf(f)}]
 	if !ok {
 		return false
 	}
 	reflect.ValueOf(f).Elem().Set(reflect.ValueOf(got).Elem())
 	return true
-}
-
-// factRecord is the serialized form of one fact. The Fact field is an
-// interface, so concrete fact types must be gob-registered (the Runner
-// registers every Analyzer.FactTypes entry).
-type factRecord struct {
-	Obj  string
-	Fact Fact
-}
-
-// EncodePackageFacts serializes every fact attached to pkgPath's objects,
-// in a deterministic order so the blob participates in cache hashing.
-func (s *FactStore) EncodePackageFacts(pkgPath string) ([]byte, error) {
-	var recs []factRecord
-	for k, f := range s.m {
-		if k.pkg == pkgPath {
-			recs = append(recs, factRecord{Obj: k.obj, Fact: f})
-		}
-	}
-	if len(recs) == 0 {
-		return nil, nil
-	}
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].Obj != recs[j].Obj {
-			return recs[i].Obj < recs[j].Obj
-		}
-		return fmt.Sprintf("%T", recs[i].Fact) < fmt.Sprintf("%T", recs[j].Fact)
-	})
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(recs); err != nil {
-		return nil, fmt.Errorf("encoding facts for %s: %w", pkgPath, err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodePackageFacts merges a package's serialized facts into the store —
-// the import path for dependencies resolved from the vet cache rather
-// than re-analyzed.
-func (s *FactStore) DecodePackageFacts(pkgPath string, blob []byte) error {
-	if len(blob) == 0 {
-		return nil
-	}
-	var recs []factRecord
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&recs); err != nil {
-		return fmt.Errorf("decoding facts for %s: %w", pkgPath, err)
-	}
-	for _, r := range recs {
-		if r.Fact == nil {
-			continue
-		}
-		s.m[factKey{pkgPath, r.Obj, reflect.TypeOf(r.Fact)}] = r.Fact
-	}
-	return nil
 }

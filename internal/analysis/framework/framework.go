@@ -13,12 +13,11 @@
 //
 // Two mechanisms carry information beyond a single package:
 //
-//   - Facts: an analyzer attaches serializable data to package-level
-//     objects (Pass.ExportObjectFact) and reads them back on objects that
-//     importing packages reference (Pass.ImportObjectFact). The Runner
-//     analyzes packages in dependency order, so a callee's facts are
-//     always computed — or imported from the vet cache — before any
-//     caller is analyzed.
+//   - Facts: an analyzer attaches data to package-level objects
+//     (Pass.ExportObjectFact) and reads them back on objects that
+//     importing packages reference (Pass.ImportObjectFact). Run analyzes
+//     packages in dependency order, so a callee's facts are always
+//     computed before any caller is analyzed.
 //   - Requires/ResultOf: an analyzer lists passes it depends on
 //     (Analyzer.Requires); their Run result for the current package is
 //     available through Pass.ResultOf, the way go/analysis shares the
@@ -37,7 +36,6 @@
 package framework
 
 import (
-	"encoding/gob"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -57,16 +55,10 @@ type Analyzer struct {
 	// a comment `//spardl:<Suppress> <reason>` on the finding's line or
 	// the line above it.
 	Suppress string
-	// Version participates in the vet-cache action ID. Bump it whenever
-	// the analyzer's rules change so stale cached verdicts are discarded.
-	Version string
 	// Requires lists analyzers that must run before this one on each
 	// package; their results are available through Pass.ResultOf. The
-	// Runner completes the transitive closure automatically.
+	// Run completes the transitive closure automatically.
 	Requires []*Analyzer
-	// FactTypes enumerates the concrete fact types (pointers to structs)
-	// this analyzer exports or imports, for gob registration.
-	FactTypes []Fact
 	// Run executes the pass, reports findings via pass.Reportf, and
 	// returns the result value exposed to dependent analyzers.
 	Run func(*Pass) (any, error)
@@ -84,7 +76,7 @@ type Pass struct {
 	// entries for Analyzer.Requires are guaranteed present.
 	ResultOf map[*Analyzer]any
 
-	facts *FactStore
+	facts factStore
 
 	// suppressed maps file name -> line -> directive names present with a
 	// reason on that line. Built once per package by newPass.
@@ -163,7 +155,7 @@ func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
 
 // ImportObjectFact copies the fact of fact's concrete type attached to obj
 // into fact and reports whether one exists. obj may belong to any package
-// already analyzed this run (or seeded from the vet cache).
+// already analyzed this run.
 func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 	path, ok := ObjectPath(obj)
 	if !ok {
@@ -188,7 +180,7 @@ func HasDirective(doc *ast.CommentGroup, name string) bool {
 
 // newPass builds a Pass for one analyzer over a loaded package, including
 // the per-file suppression index.
-func newPass(a *Analyzer, pkg *Package, diags *[]Diagnostic, facts *FactStore, results map[*Analyzer]any) *Pass {
+func newPass(a *Analyzer, pkg *Package, diags *[]Diagnostic, facts factStore, results map[*Analyzer]any) *Pass {
 	suppressed := make(map[string]map[int][]string)
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
@@ -217,34 +209,6 @@ func newPass(a *Analyzer, pkg *Package, diags *[]Diagnostic, facts *FactStore, r
 		diags:      diags,
 	}
 }
-
-// A Runner executes a closed set of analyzers over packages in dependency
-// order, threading facts between packages. Passes run in an order that
-// satisfies every Requires edge.
-type Runner struct {
-	analyzers []*Analyzer
-	facts     *FactStore
-}
-
-// NewRunner builds a Runner for the given analyzers plus the transitive
-// closure of their Requires, in dependency order. Fact types are
-// registered with gob here.
-func NewRunner(analyzers ...*Analyzer) (*Runner, error) {
-	order, err := requiresClosure(analyzers)
-	if err != nil {
-		return nil, err
-	}
-	for _, a := range order {
-		for _, f := range a.FactTypes {
-			gob.Register(f)
-		}
-	}
-	return &Runner{analyzers: order, facts: NewFactStore()}, nil
-}
-
-// Analyzers returns the full pass list the runner executes, including
-// Requires dependencies, in execution order.
-func (r *Runner) Analyzers() []*Analyzer { return r.analyzers }
 
 // requiresClosure expands Requires edges depth-first; the post-order
 // guarantees dependencies run before dependents. Cycles are an error.
@@ -277,39 +241,6 @@ func requiresClosure(roots []*Analyzer) ([]*Analyzer, error) {
 	return order, nil
 }
 
-// RunPackage analyzes one package with the full pass list and returns the
-// findings sorted by position, plus the package's serialized facts (the
-// vet cache persists them). The facts are round-tripped through the gob
-// codec even on the all-in-one-process path, so a fact type that cannot
-// survive serialization fails loudly in tests, not in CI's cache path.
-func (r *Runner) RunPackage(pkg *Package) ([]Diagnostic, []byte, error) {
-	var diags []Diagnostic
-	results := make(map[*Analyzer]any, len(r.analyzers))
-	for _, a := range r.analyzers {
-		res, err := a.Run(newPass(a, pkg, &diags, r.facts, results))
-		if err != nil {
-			return nil, nil, fmt.Errorf("%s: %s: %w", pkg.Path, a.Name, err)
-		}
-		results[a] = res
-	}
-	sortDiagnostics(diags)
-	blob, err := r.facts.EncodePackageFacts(pkg.Path)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := r.facts.DecodePackageFacts(pkg.Path, blob); err != nil {
-		return nil, nil, err
-	}
-	return diags, blob, nil
-}
-
-// ImportPackageFacts seeds the runner's fact store with a package's
-// serialized facts — the cache-hit path, where the package itself is not
-// re-analyzed but its importers still need its facts.
-func (r *Runner) ImportPackageFacts(pkgPath string, blob []byte) error {
-	return r.facts.DecodePackageFacts(pkgPath, blob)
-}
-
 func sortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		di, dj := diags[i], diags[j]
@@ -326,14 +257,42 @@ func sortDiagnostics(diags []Diagnostic) {
 	})
 }
 
-// Run executes the analyzers (plus their Requires closure) over a single
-// package and returns the findings sorted by position. Facts do not
-// persist across calls; multi-package runs should hold a Runner.
-func Run(pkg *Package, analyzers ...*Analyzer) ([]Diagnostic, error) {
-	r, err := NewRunner(analyzers...)
+// Run executes the analyzers, plus the transitive closure of their
+// Requires, over the packages — given in dependency order, as Load and
+// LoadFixtureTree return them — threading one fact store through, so a
+// callee's facts are computed before any caller is analyzed. Findings come
+// back sorted by position within each package.
+func Run(pkgs []*Package, analyzers ...*Analyzer) ([]Diagnostic, error) {
+	order, err := requiresClosure(analyzers)
 	if err != nil {
 		return nil, err
 	}
-	diags, _, err := r.RunPackage(pkg)
-	return diags, err
+	facts := make(factStore)
+	var all []Diagnostic
+	for _, pkg := range pkgs {
+		var diags []Diagnostic
+		results := make(map[*Analyzer]any, len(order))
+		for _, a := range order {
+			res, err := a.Run(newPass(a, pkg, &diags, facts, results))
+			if err != nil {
+				return nil, fmt.Errorf("%s: %s: %w", pkg.Path, a.Name, err)
+			}
+			results[a] = res
+		}
+		sortDiagnostics(diags)
+		all = append(all, diags...)
+	}
+	return all, nil
+}
+
+// Vet is one whole spardl-vet run: load every package the go-list
+// patterns match under dir and Run the analyzers over them. It returns the
+// packages and every finding.
+func Vet(dir string, patterns []string, analyzers ...*Analyzer) ([]*Package, []Diagnostic, error) {
+	pkgs, err := Load(dir, patterns)
+	if err != nil {
+		return nil, nil, err
+	}
+	diags, err := Run(pkgs, analyzers...)
+	return pkgs, diags, err
 }

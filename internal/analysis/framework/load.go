@@ -9,7 +9,7 @@ package framework
 // compiler-consistent type information with no third-party loader.
 //
 // `go list -deps` emits packages in dependency order (dependencies before
-// dependents); the Loader preserves that order so the Runner computes a
+// dependents); Load preserves that order so Run computes a
 // package's facts before analyzing any of its importers.
 
 import (
@@ -41,18 +41,6 @@ type Package struct {
 	TypesInfo *types.Info
 }
 
-// Meta is the pre-typecheck metadata of one analysis target, enough for
-// the vet cache to decide whether the package's verdict can be reused
-// without parsing a single file.
-type Meta struct {
-	Path    string
-	Name    string
-	Dir     string
-	Export  string
-	GoFiles []string // absolute paths
-	Imports []string // direct imports
-}
-
 // listedPkg mirrors the `go list -json` fields the loader consumes.
 type listedPkg struct {
 	ImportPath string
@@ -60,7 +48,6 @@ type listedPkg struct {
 	Dir        string
 	Export     string
 	GoFiles    []string
-	Imports    []string
 	DepOnly    bool
 	Standard   bool
 }
@@ -70,7 +57,7 @@ type listedPkg struct {
 func goList(dir string, patterns []string) ([]listedPkg, error) {
 	args := append([]string{
 		"list", "-deps", "-export",
-		"-json=ImportPath,Name,Dir,Export,GoFiles,Imports,DepOnly,Standard",
+		"-json=ImportPath,Name,Dir,Export,GoFiles,DepOnly,Standard",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -160,97 +147,46 @@ func check(fset *token.FileSet, path string, files []*ast.File, imp types.Import
 	return tpkg, info, nil
 }
 
-// A Loader resolves go-list patterns to analysis targets and type-checks
-// them on demand, so a cache-driven run can skip parsing packages whose
-// verdicts are already known.
-type Loader struct {
-	fset    *token.FileSet
-	imp     *exportImporter
-	metas   []*Meta           // analysis targets, dependency order
-	exports map[string]string // every listed package's export file
-}
-
-// NewLoader expands the go-list patterns relative to dir (the module root
-// or any directory inside it). Test files are not loaded — the invariants
-// spardl-vet enforces are about shipped collective/merge/codec code.
-func NewLoader(dir string, patterns []string) (*Loader, error) {
+// Load expands the go-list patterns relative to dir (the module root or
+// any directory inside it) and returns every matched package type-checked,
+// in dependency order (imports before importers). Test files are not
+// loaded — the invariants spardl-vet enforces are about shipped
+// collective/merge/codec code.
+func Load(dir string, patterns []string) ([]*Package, error) {
 	listed, err := goList(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
-	l := &Loader{
-		fset:    token.NewFileSet(),
-		exports: make(map[string]string, len(listed)),
-	}
+	fset := token.NewFileSet()
+	exports := make(map[string]string, len(listed))
 	for _, p := range listed {
 		if p.Export != "" {
-			l.exports[p.ImportPath] = p.Export
+			exports[p.ImportPath] = p.Export
 		}
+	}
+	imp := newExportImporter(fset, exports)
+	var out []*Package
+	for _, p := range listed {
 		if p.DepOnly || p.Standard || len(p.GoFiles) == 0 {
 			continue
 		}
-		m := &Meta{
-			Path:    p.ImportPath,
-			Name:    p.Name,
-			Dir:     p.Dir,
-			Export:  p.Export,
-			Imports: append([]string(nil), p.Imports...),
-		}
-		for _, f := range p.GoFiles {
-			if !filepath.IsAbs(f) {
-				f = filepath.Join(p.Dir, f)
-			}
-			m.GoFiles = append(m.GoFiles, f)
-		}
-		l.metas = append(l.metas, m)
-	}
-	l.imp = newExportImporter(l.fset, l.exports)
-	return l, nil
-}
-
-// Metas returns the analysis targets in dependency order.
-func (l *Loader) Metas() []*Meta { return l.metas }
-
-// ExportFile returns the compiled export-data file of any listed package
-// (target or dependency), or "" if none — the cache hashes these for
-// imports that are not themselves analysis targets.
-func (l *Loader) ExportFile(importPath string) string { return l.exports[importPath] }
-
-// Check parses and type-checks one target package.
-func (l *Loader) Check(m *Meta) (*Package, error) {
-	files, err := parseFiles(l.fset, m.Dir, m.GoFiles)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %v", m.Path, err)
-	}
-	tpkg, info, err := check(l.fset, m.Path, files, l.imp)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %v", m.Path, err)
-	}
-	return &Package{
-		Path:      m.Path,
-		Name:      tpkg.Name(),
-		Dir:       m.Dir,
-		Fset:      l.fset,
-		Files:     files,
-		Types:     tpkg,
-		TypesInfo: info,
-	}, nil
-}
-
-// Load expands the go-list patterns and returns every matched package
-// type-checked, in dependency order (imports before importers).
-func Load(dir string, patterns []string) ([]*Package, error) {
-	l, err := NewLoader(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
-	var out []*Package
-	for _, m := range l.metas {
-		pkg, err := l.Check(m)
+		files, err := parseFiles(fset, p.Dir, p.GoFiles)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: %v", p.ImportPath, err)
 		}
-		out = append(out, pkg)
+		tpkg, info, err := check(fset, p.ImportPath, files, imp)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %v", p.ImportPath, err)
+		}
+		out = append(out, &Package{
+			Path:      p.ImportPath,
+			Name:      tpkg.Name(),
+			Dir:       p.Dir,
+			Fset:      fset,
+			Files:     files,
+			Types:     tpkg,
+			TypesInfo: info,
+		})
 	}
 	return out, nil
 }
@@ -410,21 +346,4 @@ func LoadFixtureTree(dir string) ([]*Package, error) {
 		})
 	}
 	return out, nil
-}
-
-// LoadDir type-checks the .go files of a single directory as one package —
-// the original analysistest path. Fixture directories with subdirectory
-// packages should use LoadFixtureTree.
-func LoadDir(dir string) (*Package, error) {
-	pkgs, err := LoadFixtureTree(dir)
-	if err != nil {
-		return nil, err
-	}
-	want := "spardl/fixture/" + filepath.Base(dir)
-	for _, p := range pkgs {
-		if p.Path == want {
-			return p, nil
-		}
-	}
-	return nil, fmt.Errorf("no .go files at the top level of %s", dir)
 }

@@ -33,7 +33,6 @@ func callReporter(name string) *Analyzer {
 		Name:     name,
 		Doc:      "test analyzer: reports every call to bad()",
 		Suppress: name + "-ok",
-		Version:  "1",
 	}
 	a.Run = func(pass *Pass) (any, error) {
 		for _, f := range pass.Files {
@@ -87,7 +86,7 @@ func f() {
 	_ = x
 }
 `)
-	diags, err := Run(pkg, callReporter("calltest"))
+	diags, err := Run([]*Package{pkg}, callReporter("calltest"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +108,7 @@ func f() {
 	_ = x
 }
 `)
-	diags, err := Run(pkg, callReporter("calltest"))
+	diags, err := Run([]*Package{pkg}, callReporter("calltest"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +127,7 @@ func f() {
 	bad() //spardl:calltest-ok
 }
 `)
-	diags, err := Run(pkg, callReporter("calltest"))
+	diags, err := Run([]*Package{pkg}, callReporter("calltest"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +149,7 @@ func f() {
 	bad() //spardl:othertest-ok second analyzer's exception
 }
 `)
-	diags, err := Run(pkg, callReporter("calltest"), callReporter("othertest"), callReporter("third"))
+	diags, err := Run([]*Package{pkg}, callReporter("calltest"), callReporter("othertest"), callReporter("third"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +169,7 @@ func TestSuppressionSurvivesCRLF(t *testing.T) {
 		"\tbad() //spardl:calltest-ok windows checkout keeps CRLF\r\n" +
 		"}\r\n"
 	pkg := loadSrc(t, src)
-	diags, err := Run(pkg, callReporter("calltest"))
+	diags, err := Run([]*Package{pkg}, callReporter("calltest"))
 	if err != nil {
 		t.Fatal(err)
 	}

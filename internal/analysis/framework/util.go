@@ -75,6 +75,22 @@ func IsNamedType(t types.Type, pkgPath, name string) bool {
 	return obj.Pkg() != nil && obj.Pkg().Path() == pkgPath && obj.Name() == name
 }
 
+// HasMethods reports whether t's method set (through a pointer for
+// concrete types) carries every named method — how analyzers recognize a
+// conn (Read, Write, SetDeadline) or a listener without naming net types.
+func HasMethods(t types.Type, names ...string) bool {
+	ms := types.NewMethodSet(t)
+	if _, isPtr := t.(*types.Pointer); !isPtr && !types.IsInterface(t) {
+		ms = types.NewMethodSet(types.NewPointer(t))
+	}
+	for _, name := range names {
+		if ms.Lookup(nil, name) == nil {
+			return false
+		}
+	}
+	return true
+}
+
 // IsFloat32 reports whether t's underlying type is float32.
 func IsFloat32(t types.Type) bool {
 	b, ok := t.Underlying().(*types.Basic)

@@ -8,8 +8,10 @@
 //
 // Inside a hotpath function the analyzer flags:
 //
-//   - make/new and slice, map or struct composite literals inside a loop:
-//     per-iteration allocation belongs outside the loop or in the arena;
+//   - make/new and slice or map composite literals inside a loop:
+//     per-iteration allocation belongs outside the loop or in the arena
+//     (a make outside every loop is not reported: the allocs/op bench
+//     gates see it);
 //   - append inside a loop whose destination is provably unsized — born
 //     from `var s []T`, `[]T{…}` or a cap-less make in the same function;
 //     appends into arena-backed storage (chunk Idx/Val, Arena.Bytes
@@ -37,12 +39,10 @@ import (
 
 // Analyzer is the hotalloc pass.
 var Analyzer = &framework.Analyzer{
-	Name:      "hotalloc",
-	Doc:       "flag allocation-introducing constructs (loop make/append-growth, fmt.Sprintf, interface boxing, capturing closures) in //spardl:hotpath functions",
-	Suppress:  "alloc-ok",
-	Version:   "2",
-	FactTypes: []framework.Fact{(*HotpathFact)(nil)},
-	Run:       run,
+	Name:     "hotalloc",
+	Doc:      "flag allocation-introducing constructs (loop make/append-growth, fmt.Sprintf, interface boxing, capturing closures) in //spardl:hotpath functions",
+	Suppress: "alloc-ok",
+	Run:      run,
 }
 
 // HotpathFact marks a function carrying the //spardl:hotpath directive.
@@ -53,8 +53,9 @@ type HotpathFact struct{}
 // AFact marks HotpathFact as a framework.Fact.
 func (*HotpathFact) AFact() {}
 
-// allocatingFmt lists the fmt functions that always allocate their result.
-var allocatingFmt = map[string]bool{
+// AllocatingFmt lists the fmt functions that always allocate their result
+// (hotprop reads it too).
+var AllocatingFmt = map[string]bool{
 	"Sprintf": true, "Sprint": true, "Sprintln": true,
 	"Errorf": true, "Appendf": true, "Append": true, "Appendln": true,
 }
@@ -224,7 +225,7 @@ func checkCall(pass *framework.Pass, info *types.Info, fd *ast.FuncDecl, call *a
 		return
 	}
 	if fn := framework.Callee(info, call); fn != nil && fn.Pkg() != nil &&
-		fn.Pkg().Path() == "fmt" && allocatingFmt[fn.Name()] {
+		fn.Pkg().Path() == "fmt" && AllocatingFmt[fn.Name()] {
 		if !framework.EnclosedByPanic(info, fd.Body, call) {
 			pass.Reportf(call.Pos(), "fmt.%s allocates (result and boxed arguments); keep formatting off the hot path", fn.Name())
 		}
@@ -250,9 +251,8 @@ func checkAppend(pass *framework.Pass, info *types.Info, call *ast.CallExpr, uns
 }
 
 // allocatingLiteral reports whether the composite literal heap-allocates:
-// slice and map literals always do; struct/array literals only matter when
-// their address is taken (caught by the & case through the Unary parent —
-// conservatively, flag pointer-taken struct literals via types).
+// slice and map literals always do; struct and array literals are not
+// judged.
 func allocatingLiteral(info *types.Info, lit *ast.CompositeLit) bool {
 	tv, ok := info.Types[lit]
 	if !ok {

@@ -17,8 +17,8 @@
 // literal, or a call into fmt's allocating family — or when it statically
 // calls a non-hotpath function that allocates. Arguments of panic() are
 // exempt, as everywhere in spardl-vet. Dynamic (interface) calls are not
-// propagated: CHA's over-approximation would flag every hot call through
-// comm.Endpoint, drowning the signal.
+// propagated: resolving them by class hierarchy would flag every hot call
+// through comm.Endpoint, drowning the signal.
 //
 // Suppress a deliberate exception with `//spardl:hotprop-ok <reason>`.
 package hotprop
@@ -37,13 +37,11 @@ import (
 
 // Analyzer is the hotprop pass.
 var Analyzer = &framework.Analyzer{
-	Name:      "hotprop",
-	Doc:       "flag //spardl:hotpath functions statically calling non-hotpath callees that (transitively, cross-package via facts) allocate",
-	Suppress:  "hotprop-ok",
-	Version:   "1",
-	Requires:  []*framework.Analyzer{callgraph.Analyzer, hotalloc.Analyzer},
-	FactTypes: []framework.Fact{(*AllocatesFact)(nil), (*hotalloc.HotpathFact)(nil)},
-	Run:       run,
+	Name:     "hotprop",
+	Doc:      "flag //spardl:hotpath functions statically calling non-hotpath callees that (transitively, cross-package via facts) allocate",
+	Suppress: "hotprop-ok",
+	Requires: []*framework.Analyzer{callgraph.Analyzer, hotalloc.Analyzer},
+	Run:      run,
 }
 
 // AllocatesFact marks a non-hotpath function that may allocate, with a
@@ -136,13 +134,6 @@ func run(pass *framework.Pass) (any, error) {
 	return nil, nil
 }
 
-// allocatingFmt mirrors hotalloc's list of fmt functions that always
-// allocate their result.
-var allocatingFmt = map[string]bool{
-	"Sprintf": true, "Sprint": true, "Sprintln": true,
-	"Errorf": true, "Appendf": true, "Append": true, "Appendln": true,
-}
-
 // directAllocWitness returns a witness for the first construct in fd's
 // body that heap-allocates, or "" if none. panic() arguments are exempt.
 func directAllocWitness(pass *framework.Pass, fd *ast.FuncDecl) string {
@@ -165,7 +156,7 @@ func directAllocWitness(pass *framework.Pass, fd *ast.FuncDecl) string {
 				}
 			default:
 				if g := framework.Callee(info, n); g != nil && g.Pkg() != nil &&
-					g.Pkg().Path() == "fmt" && allocatingFmt[g.Name()] &&
+					g.Pkg().Path() == "fmt" && hotalloc.AllocatingFmt[g.Name()] &&
 					!framework.EnclosedByPanic(info, fd.Body, n) {
 					w = describe(n, "fmt."+g.Name())
 				}

@@ -12,7 +12,6 @@
 //     releases the mutex — but marks the function as blocking for callers
 //     (comm.Fifo.Pop is the canonical carrier).
 //   - Goroutines in loops: a `go func(){…}` launched inside a loop that
-//     captures the loop variable (pass it as an argument instead), or
 //     captures a connection-like value it never closes (a failed iteration
 //     leaks the socket).
 //
@@ -34,13 +33,11 @@ import (
 
 // Analyzer is the locksafe pass.
 var Analyzer = &framework.Analyzer{
-	Name:      "locksafe",
-	Doc:       "flag locks without unlock on every return path, blocking operations under a held mutex, and loop goroutines capturing loop vars or unclosed conns",
-	Suppress:  "locksafe-ok",
-	Version:   "1",
-	Requires:  []*framework.Analyzer{callgraph.Analyzer},
-	FactTypes: []framework.Fact{(*BlocksFact)(nil)},
-	Run:       run,
+	Name:     "locksafe",
+	Doc:      "flag locks without unlock on every return path, blocking operations under a held mutex, and loop goroutines capturing a conn they never close",
+	Suppress: "locksafe-ok",
+	Requires: []*framework.Analyzer{callgraph.Analyzer},
+	Run:      run,
 }
 
 // BlocksFact marks a function that may block (channel ops, Wait, conn
@@ -383,20 +380,10 @@ func isCondWait(fn *types.Func) bool {
 	return named != nil && named.Obj().Name() == "Cond"
 }
 
-// isConnLike reports whether t looks like a network connection: it has
-// Read, Write and SetDeadline in its method set (net.Conn itself, a
-// wrapper like tcpnet's meshConn, or a concrete *net.TCPConn).
+// isConnLike reports whether t looks like a network connection: net.Conn
+// itself, a wrapper like tcpnet's meshConn, or a concrete *net.TCPConn.
 func isConnLike(t types.Type) bool {
-	ms := types.NewMethodSet(t)
-	if _, isPtr := t.(*types.Pointer); !isPtr && !types.IsInterface(t) {
-		ms = types.NewMethodSet(types.NewPointer(t))
-	}
-	for _, name := range []string{"Read", "Write", "SetDeadline"} {
-		if ms.Lookup(nil, name) == nil {
-			return false
-		}
-	}
-	return true
+	return framework.HasMethods(t, "Read", "Write", "SetDeadline")
 }
 
 func (w *walker) reportBlocking(pos token.Pos, what string, held []heldLock) {
@@ -463,110 +450,63 @@ func computeBlockers(pass *framework.Pass, cg *callgraph.Result) map[*types.Func
 	return blocks
 }
 
-// checkLoopGoroutines flags `go func(){…}` inside loops capturing the
-// loop variable or an unclosed connection.
+// checkLoopGoroutines flags `go func(){…}` inside a loop capturing a
+// connection it never closes.
 func checkLoopGoroutines(pass *framework.Pass, decl *ast.FuncDecl) {
-	if decl.Body == nil {
-		return
-	}
-	info := pass.TypesInfo
-	type loopFrame struct {
-		vars map[*types.Var]bool
-	}
-	var loops []loopFrame
-	var walk func(n ast.Node)
-	walk = func(n ast.Node) {
-		ast.Inspect(n, func(c ast.Node) bool {
-			switch c := c.(type) {
+	loops := 0
+	var stack []ast.Node
+	ast.Inspect(decl.Body, func(n ast.Node) bool {
+		if n == nil {
+			switch stack[len(stack)-1].(type) {
 			case *ast.ForStmt, *ast.RangeStmt:
-				if c == n {
-					return true
-				}
-				vars := make(map[*types.Var]bool)
-				if r, ok := c.(*ast.RangeStmt); ok {
-					for _, e := range []ast.Expr{r.Key, r.Value} {
-						if id, ok := e.(*ast.Ident); ok && id != nil {
-							if v, ok := info.Defs[id].(*types.Var); ok {
-								vars[v] = true
-							}
-						}
-					}
-				}
-				if f, ok := c.(*ast.ForStmt); ok {
-					if init, ok := f.Init.(*ast.AssignStmt); ok {
-						for _, lhs := range init.Lhs {
-							if id, ok := lhs.(*ast.Ident); ok {
-								if v, ok := info.Defs[id].(*types.Var); ok {
-									vars[v] = true
-								}
-							}
-						}
-					}
-				}
-				loops = append(loops, loopFrame{vars: vars})
-				walk(c)
-				loops = loops[:len(loops)-1]
-				return false
-			case *ast.GoStmt:
-				if len(loops) > 0 {
-					if lit, ok := c.Call.Fun.(*ast.FuncLit); ok {
-						checkGoLit(pass, loops[len(loops)-1].vars, c, lit)
-					}
-				}
+				loops--
 			}
-			return true
-		})
-	}
-	walk(decl.Body)
-}
-
-func checkGoLit(pass *framework.Pass, loopVars map[*types.Var]bool, g *ast.GoStmt, lit *ast.FuncLit) {
-	info := pass.TypesInfo
-	captured := make(map[*types.Var]bool)
-	var capturedOrder []*types.Var
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
+			stack = stack[:len(stack)-1]
 			return true
 		}
-		v, ok := info.Uses[id].(*types.Var)
-		if !ok || v.IsField() || (v.Pkg() != nil && v.Parent() == v.Pkg().Scope()) {
-			return true // fields and package-level vars are not captures
-		}
-		if v.Pos() >= lit.Pos() && v.Pos() < lit.End() {
-			return true // the literal's own parameter or local
-		}
-		if !captured[v] {
-			captured[v] = true
-			capturedOrder = append(capturedOrder, v)
+		stack = append(stack, n)
+		switch n := n.(type) {
+		case *ast.ForStmt, *ast.RangeStmt:
+			loops++
+		case *ast.GoStmt:
+			if lit, ok := n.Call.Fun.(*ast.FuncLit); ok && loops > 0 {
+				checkGoLit(pass, n, lit)
+			}
 		}
 		return true
 	})
-	for _, v := range capturedOrder {
-		if loopVars[v] {
-			pass.Reportf(g.Pos(),
-				"goroutine launched in a loop captures loop variable %s; pass it as an argument so each iteration owns its value", v.Name())
-			break
-		}
-	}
-	for _, v := range capturedOrder {
-		if !isConnLike(v.Type()) {
-			continue
-		}
-		closes := false
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Close" {
-					if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok {
-						if cv, ok := info.Uses[id].(*types.Var); ok && cv == v {
-							closes = true
-						}
+}
+
+func checkGoLit(pass *framework.Pass, g *ast.GoStmt, lit *ast.FuncLit) {
+	info := pass.TypesInfo
+	closed := make(map[*types.Var]bool)
+	seen := make(map[*types.Var]bool)
+	var conns []*types.Var // captured connection-like variables, in order of first use
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Close" {
+				if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok {
+					if v, ok := info.Uses[id].(*types.Var); ok {
+						closed[v] = true
 					}
 				}
 			}
-			return !closes
-		})
-		if !closes {
+		case *ast.Ident:
+			v, ok := info.Uses[n].(*types.Var)
+			if !ok || seen[v] || v.IsField() || (v.Pkg() != nil && v.Parent() == v.Pkg().Scope()) ||
+				(v.Pos() >= lit.Pos() && v.Pos() < lit.End()) {
+				return true // not a capture: a field, a package-level var, the literal's own
+			}
+			seen[v] = true
+			if isConnLike(v.Type()) {
+				conns = append(conns, v)
+			}
+		}
+		return true
+	})
+	for _, v := range conns {
+		if !closed[v] {
 			pass.Reportf(g.Pos(),
 				"loop goroutine captures connection %s without closing it on any path; a failed iteration leaks the socket", v.Name())
 		}

@@ -2,16 +2,6 @@ package lockfix
 
 import "net"
 
-// fanout captures the loop variable in each goroutine; pass it as an
-// argument so every iteration owns its value.
-func fanout(conns []net.Conn, payload []byte) {
-	for i := range conns {
-		go func() { // want `goroutine launched in a loop captures loop variable i`
-			conns[i].Write(payload)
-		}()
-	}
-}
-
 // retryDial leaks one socket per failed background write: nothing closes
 // conn inside the goroutine.
 func retryDial(addrs []string) {

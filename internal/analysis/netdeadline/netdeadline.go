@@ -1,316 +1,178 @@
 // Package netdeadline enforces the deadline discipline PR 9 installed by
-// hand across the tcpnet rendezvous/mesh code: a net.Conn Read, Write or
-// Accept with no deadline set on any caller path blocks forever when the
-// peer wedges — the hang class that turns one lost worker into a hung
-// fleet. The pass is scoped to packages named "tcpnet" (the only place
-// raw conns live; the data plane's frame codec reads io.Reader/io.Writer
-// fields and is unblocked by force-closing the conn instead, which this
-// analyzer deliberately does not match).
+// hand across the tcpnet rendezvous/mesh code: a conn or listener with no
+// deadline blocks forever in Read, Write or Accept when the peer wedges —
+// the hang class that turns one lost worker into a hung fleet. The pass is
+// scoped to packages named "tcpnet" (the only place raw conns live).
 //
-// Per function, conn I/O sites are "covered" when a SetDeadline /
-// SetReadDeadline / SetWriteDeadline call (on anything) or a net.Dialer
-// literal with a Deadline/Timeout field appears earlier in the function.
-// Uncovered sites propagate to callers: a caller that sets a deadline
-// before the call covers everything below it, one that does not inherits
-// the sites. Sites still uncovered at a root — a function with no static
-// in-package caller, including methods only ever invoked through an
-// interface — are reported at the I/O site itself. Functions with
-// uncovered sites also export a fact so importing packages inherit them.
+// The rule is receiver-sensitive and intraprocedural. A local variable
+// assigned from a call that returns a net.Conn- or net.Listener-shaped
+// value (Accept, dialRetry, net.Listen) is born with no deadline, and the
+// first thing done with it afterwards must be SetDeadline, SetReadDeadline
+// or SetWriteDeadline on that variable — through a type assertion if need
+// be, as in ln.(*net.TCPListener).SetDeadline. Close, the address
+// accessors and returning the value (the caller's assignment is a birth of
+// its own) may come first; any other use — I/O, passing it on, storing it
+// — is reported where it happens. A deadline on a different conn, or on
+// the listener that accepted this one, covers nothing.
+//
+// What happens after the first deadline is not tracked: the data plane
+// clears it before registering a conn and is unblocked by force-closing
+// the conn instead.
 //
 // Suppress a deliberate exception with `//spardl:netdeadline-ok <reason>`
-// on the I/O line — the force-close escape hatch, with the closing path
-// named in the reason.
+// on the reported line, naming who sets the deadline instead.
 package netdeadline
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path/filepath"
-	"sort"
 
-	"spardl/internal/analysis/callgraph"
 	"spardl/internal/analysis/framework"
 )
 
 // Analyzer is the netdeadline pass.
 var Analyzer = &framework.Analyzer{
-	Name:      "netdeadline",
-	Doc:       "flag net.Conn Read/Write/Accept in tcpnet-style packages with no deadline set on any caller path",
-	Suppress:  "netdeadline-ok",
-	Version:   "1",
-	Requires:  []*framework.Analyzer{callgraph.Analyzer},
-	FactTypes: []framework.Fact{(*UndeadlinedIOFact)(nil)},
-	Run:       run,
-}
-
-// UndeadlinedIOFact summarizes a function's conn I/O sites not covered by
-// any deadline on its own or its callees' paths, for importing packages.
-type UndeadlinedIOFact struct {
-	Sites []IOSite
-}
-
-// AFact marks UndeadlinedIOFact as a framework.Fact.
-func (*UndeadlinedIOFact) AFact() {}
-
-// IOSite is one uncovered conn I/O location.
-type IOSite struct {
-	File string // base name
-	Line int
-	Desc string // e.g. "meshConn.Write"
+	Name:     "netdeadline",
+	Doc:      "flag a conn or listener born in a tcpnet-style package (Accept, dialRetry, net.Listen) and used before a deadline is set on that value",
+	Suppress: "netdeadline-ok",
+	Run:      run,
 }
 
 // deadlinePkgs scopes the pass, by package name so fixtures participate.
 var deadlinePkgs = map[string]bool{"tcpnet": true}
 
-// site pairs an IOSite with its position for in-package reporting.
-type site struct {
-	pos token.Pos
-	io  IOSite
-}
+var (
+	deadlineSetters = map[string]bool{"SetDeadline": true, "SetReadDeadline": true, "SetWriteDeadline": true}
+	// nonBlocking are the methods that may run on a value with no deadline.
+	nonBlocking = map[string]bool{"Close": true, "Addr": true, "LocalAddr": true, "RemoteAddr": true}
+)
 
 func run(pass *framework.Pass) (any, error) {
 	if !deadlinePkgs[pass.Pkg.Name()] {
 		return nil, nil
 	}
-	cg := pass.ResultOf[callgraph.Analyzer].(*callgraph.Result)
-
-	// Per function: deadline-set positions and raw I/O sites, in source
-	// order; then resolve intra-function coverage.
-	naked := make(map[*types.Func][]site)
-	deadlinePos := make(map[*types.Func][]token.Pos)
-	for _, fn := range cg.Funcs {
-		decl := cg.Nodes[fn].Decl
-		sets, ios := scanFunc(pass, decl)
-		deadlinePos[fn] = sets
-		for _, s := range ios {
-			if !coveredAt(sets, s.pos) {
-				naked[fn] = append(naked[fn], s)
+	for _, file := range pass.Files {
+		for _, decl := range file.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				checkFunc(pass, fd.Body)
 			}
 		}
-	}
-
-	// Propagate uncovered sites up through in-package calls (goroutine
-	// launches included: a conn deadline set before `go` persists on the
-	// conn, so coverage traverses go edges like plain calls). External
-	// callees contribute their exported fact's sites.
-	inherited := make(map[*types.Func][]site)
-	for changed := true; changed; {
-		changed = false
-		for _, fn := range cg.Funcs {
-			sets := deadlinePos[fn]
-			var want []site
-			for _, c := range cg.Nodes[fn].Calls {
-				if c.Dynamic || coveredAt(sets, c.Site.Pos()) {
-					continue
-				}
-				if c.Callee.Pkg() != nil && c.Callee.Pkg().Path() == pass.Pkg.Path() {
-					for _, s := range append(naked[c.Callee], inherited[c.Callee]...) {
-						want = append(want, site{pos: c.Site.Pos(), io: s.io})
-					}
-				} else {
-					var f UndeadlinedIOFact
-					if pass.ImportObjectFact(c.Callee, &f) {
-						for _, io := range f.Sites {
-							want = append(want, site{pos: c.Site.Pos(), io: io})
-						}
-					}
-				}
-			}
-			want = dedupSites(want)
-			if len(want) != len(inherited[fn]) {
-				inherited[fn] = want
-				changed = true
-			}
-		}
-	}
-
-	// Roots: no static in-package caller. Their uncovered sites are real.
-	hasCaller := make(map[*types.Func]bool)
-	for _, fn := range cg.Funcs {
-		for _, c := range cg.Nodes[fn].Calls {
-			if !c.Dynamic && fn != c.Callee {
-				hasCaller[c.Callee] = true
-			}
-		}
-	}
-	reported := make(map[IOSite]bool)
-	for _, fn := range cg.Funcs {
-		if hasCaller[fn] {
-			continue
-		}
-		all := append(append([]site(nil), naked[fn]...), inherited[fn]...)
-		sort.Slice(all, func(i, j int) bool { return all[i].pos < all[j].pos })
-		for _, s := range all {
-			if reported[s.io] {
-				continue
-			}
-			reported[s.io] = true
-			// Report at the I/O site when it is in this function, at the
-			// inheriting call site otherwise (the chain's first hop).
-			pass.Reportf(s.pos,
-				"%s at %s:%d runs with no deadline set on any caller path; set a conn deadline (or force-close it on a supervised path) so a wedged peer cannot hang the fleet",
-				s.io.Desc, s.io.File, s.io.Line)
-		}
-	}
-
-	// Export what callers outside this package would inherit.
-	for _, fn := range cg.Funcs {
-		all := dedupSites(append(append([]site(nil), naked[fn]...), inherited[fn]...))
-		if len(all) == 0 {
-			continue
-		}
-		f := &UndeadlinedIOFact{}
-		for _, s := range all {
-			f.Sites = append(f.Sites, s.io)
-		}
-		pass.ExportObjectFact(fn, f)
 	}
 	return nil, nil
 }
 
-func dedupSites(in []site) []site {
-	seen := make(map[IOSite]bool, len(in))
-	var out []site
-	for _, s := range in {
-		if !seen[s.io] {
-			seen[s.io] = true
-			out = append(out, s)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].io.File != out[j].io.File {
-			return out[i].io.File < out[j].io.File
-		}
-		if out[i].io.Line != out[j].io.Line {
-			return out[i].io.Line < out[j].io.Line
-		}
-		return out[i].io.Desc < out[j].io.Desc
-	})
-	return out
+// birth is where a tracked variable last received a fresh conn or listener.
+type birth struct {
+	end  token.Pos // uses are judged from the end of the assignment on
+	line int
+	from string // the producing call, for the message
 }
 
-// coveredAt reports whether any deadline-setting position precedes pos.
-func coveredAt(sets []token.Pos, pos token.Pos) bool {
-	for _, p := range sets {
-		if p < pos {
+// checkFunc walks one declared function (nested literals included: the
+// mesh goroutines are literals) in source order, judging the first use
+// after every birth.
+func checkFunc(pass *framework.Pass, body *ast.BlockStmt) {
+	info := pass.TypesInfo
+	unset := make(map[*types.Var]birth)
+	var stack []ast.Node
+	ast.Inspect(body, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
 			return true
 		}
-	}
-	return false
-}
-
-var deadlineSetters = map[string]bool{
-	"SetDeadline": true, "SetReadDeadline": true, "SetWriteDeadline": true,
-}
-
-// scanFunc collects, in source order, the function's deadline-setting
-// positions and its raw conn I/O sites.
-func scanFunc(pass *framework.Pass, decl *ast.FuncDecl) (sets []token.Pos, ios []site) {
-	info := pass.TypesInfo
-	mkSite := func(n ast.Node, desc string) site {
-		pos := pass.Fset.Position(n.Pos())
-		return site{pos: n.Pos(), io: IOSite{File: filepath.Base(pos.Filename), Line: pos.Line, Desc: desc}}
-	}
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
+		stack = append(stack, n)
 		switch n := n.(type) {
-		case *ast.CallExpr:
-			sel, _ := ast.Unparen(n.Fun).(*ast.SelectorExpr)
-			if sel != nil && deadlineSetters[sel.Sel.Name] {
-				sets = append(sets, n.Pos())
+		case *ast.AssignStmt:
+			if v, from := born(info, n); v != nil {
+				unset[v] = birth{end: n.End(), line: pass.Fset.Position(n.Pos()).Line, from: from}
+			}
+		case *ast.Ident:
+			v, _ := info.Uses[n].(*types.Var)
+			b, tracked := unset[v]
+			if !tracked || n.Pos() < b.end {
 				return true
 			}
-			fn := framework.Callee(info, n)
-			if fn == nil {
-				return true
-			}
-			switch {
-			case (fn.Name() == "Read" || fn.Name() == "Write") && isConnRecv(fn):
-				ios = append(ios, mkSite(n, recvTypeName(fn)+"."+fn.Name()))
-			case fn.Name() == "Accept" && isListenerRecv(fn):
-				ios = append(ios, mkSite(n, recvTypeName(fn)+".Accept"))
-			case fn.Pkg() != nil && fn.Pkg().Path() == "io" &&
-				(fn.Name() == "ReadFull" || fn.Name() == "ReadAtLeast" || fn.Name() == "Copy"):
-				for _, arg := range n.Args {
-					if tv, ok := info.Types[arg]; ok && isConnType(tv.Type) {
-						ios = append(ios, mkSite(n, "io."+fn.Name()+" on conn"))
-						break
-					}
-				}
-			}
-		case *ast.CompositeLit:
-			// net.Dialer{Deadline: …} / {Timeout: …} bounds the dial.
-			if framework.IsNamedType(typeOf(info, n), "net", "Dialer") {
-				for _, elt := range n.Elts {
-					if kv, ok := elt.(*ast.KeyValueExpr); ok {
-						if key, ok := kv.Key.(*ast.Ident); ok && (key.Name == "Deadline" || key.Name == "Timeout") {
-							sets = append(sets, n.Pos())
-						}
-					}
-				}
+			switch method := methodCalledOn(stack); {
+			case nonBlocking[method] || returned(stack):
+				// still born, still waiting for its deadline
+			case deadlineSetters[method]:
+				delete(unset, v)
+			default:
+				delete(unset, v)
+				pass.Reportf(n.Pos(),
+					"%s is used with no deadline set on it since %s returned it at line %d; call %s.SetDeadline first (a deadline on another conn, or on the listener that accepted this one, does not cover it) so a wedged peer cannot hang the fleet",
+					v.Name(), b.from, b.line, v.Name())
 			}
 		}
 		return true
 	})
-	sort.Slice(sets, func(i, j int) bool { return sets[i] < sets[j] })
-	sort.Slice(ios, func(i, j int) bool { return ios[i].pos < ios[j].pos })
-	return sets, ios
 }
 
-func typeOf(info *types.Info, e ast.Expr) types.Type {
-	if tv, ok := info.Types[e]; ok {
-		return tv.Type
+// born reports the variable an assignment gives a fresh conn or listener:
+// `v, … := f(…)` or `v, … = f(…)` where f's first result is conn- or
+// listener-shaped.
+func born(info *types.Info, assign *ast.AssignStmt) (*types.Var, string) {
+	if len(assign.Rhs) != 1 {
+		return nil, ""
 	}
-	return nil
+	call, ok := ast.Unparen(assign.Rhs[0]).(*ast.CallExpr)
+	if !ok {
+		return nil, ""
+	}
+	fn := framework.Callee(info, call)
+	id, ok := assign.Lhs[0].(*ast.Ident)
+	if fn == nil || !ok {
+		return nil, ""
+	}
+	res := fn.Type().(*types.Signature).Results()
+	if res.Len() == 0 || !(framework.HasMethods(res.At(0).Type(), "Read", "Write", "SetDeadline") ||
+		framework.HasMethods(res.At(0).Type(), "Accept", "Close", "Addr")) {
+		return nil, ""
+	}
+	obj := info.Defs[id]
+	if obj == nil {
+		obj = info.Uses[id]
+	}
+	v, _ := obj.(*types.Var)
+	return v, fn.Name()
 }
 
-// isConnType reports whether t's method set carries Read, Write and
-// SetDeadline — net.Conn, interfaces embedding it, or concrete conns.
-func isConnType(t types.Type) bool {
-	if t == nil {
+// methodCalledOn returns m when the identifier on top of the stack is the
+// receiver of a call x.m(…), looking through parentheses and type
+// assertions (x.(*net.TCPListener).m(…)); "" otherwise.
+func methodCalledOn(stack []ast.Node) string {
+	i := len(stack) - 2
+	for i >= 0 && isWrapper(stack[i]) {
+		i--
+	}
+	if i < 1 {
+		return ""
+	}
+	sel, ok := stack[i].(*ast.SelectorExpr)
+	if !ok || sel.X != stack[i+1] {
+		return ""
+	}
+	if call, ok := stack[i-1].(*ast.CallExpr); ok && call.Fun == sel {
+		return sel.Sel.Name
+	}
+	return ""
+}
+
+func isWrapper(n ast.Node) bool {
+	switch n.(type) {
+	case *ast.ParenExpr, *ast.TypeAssertExpr:
+		return true
+	}
+	return false
+}
+
+// returned reports whether the identifier on top of the stack is itself a
+// result of a return statement.
+func returned(stack []ast.Node) bool {
+	if len(stack) < 2 {
 		return false
 	}
-	ms := types.NewMethodSet(t)
-	if _, isPtr := t.(*types.Pointer); !isPtr && !types.IsInterface(t) {
-		ms = types.NewMethodSet(types.NewPointer(t))
-	}
-	for _, name := range []string{"Read", "Write", "SetDeadline"} {
-		if ms.Lookup(nil, name) == nil {
-			return false
-		}
-	}
-	return true
-}
-
-func isConnRecv(fn *types.Func) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Recv() != nil && isConnType(sig.Recv().Type())
-}
-
-// isListenerRecv reports an Accept receiver that looks like net.Listener.
-func isListenerRecv(fn *types.Func) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	ms := types.NewMethodSet(t)
-	if _, isPtr := t.(*types.Pointer); !isPtr && !types.IsInterface(t) {
-		ms = types.NewMethodSet(types.NewPointer(t))
-	}
-	return ms.Lookup(nil, "Accept") != nil && ms.Lookup(nil, "Close") != nil
-}
-
-// recvTypeName prints fn's receiver type without package qualifier.
-func recvTypeName(fn *types.Func) string {
-	sig := fn.Type().(*types.Signature)
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if named, ok := t.(*types.Named); ok {
-		return named.Obj().Name()
-	}
-	return fmt.Sprintf("%s", t)
+	_, ok := stack[len(stack)-2].(*ast.ReturnStmt)
+	return ok
 }

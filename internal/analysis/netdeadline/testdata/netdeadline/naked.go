@@ -1,27 +1,61 @@
 package tcpnet
 
-import "net"
+import (
+	"net"
+	"time"
+)
 
-// recvHello reads the first frame with no deadline anywhere on the path.
-func recvHello(conn net.Conn, buf []byte) (int, error) {
-	return conn.Read(buf) // want `Conn\.Read at naked\.go:\d+ runs with no deadline set on any caller path`
-}
-
-// acceptOne accepts the next peer without bounding the wait.
-func acceptOne(l net.Listener) (net.Conn, error) {
-	return l.Accept() // want `Listener\.Accept at naked\.go:\d+ runs with no deadline set on any caller path`
-}
-
-// readFrame's read is naked, but the finding belongs to its callers: the
-// deadline is a caller-path property.
-func readFrame(conn net.Conn, buf []byte) (int, error) {
-	return conn.Read(buf)
-}
-
-// handshake is the root of readFrame's uncovered caller chain; the
-// inherited finding reports here, naming the underlying I/O site.
-func handshake(conn net.Conn) error {
-	var hdr [8]byte
-	_, err := readFrame(conn, hdr[:]) // want `Conn\.Read at naked\.go:\d+ runs with no deadline set on any caller path`
+// acceptUnderListenerDeadline is the hole the caller-path rule had: the
+// listener's deadline bounds Accept, not the accepted conn's Read.
+func acceptUnderListenerDeadline(ln *net.TCPListener, deadline time.Time, buf []byte) error {
+	ln.SetDeadline(deadline)
+	conn, err := ln.Accept()
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	_, err = conn.Read(buf) // want `conn is used with no deadline set on it since Accept returned it at line \d+`
 	return err
+}
+
+// wrongConn sets a deadline, but on the other conn.
+func wrongConn(addr string, other net.Conn, deadline time.Time, hello []byte) error {
+	conn, err := dial(addr, deadline)
+	if err != nil {
+		return err
+	}
+	other.SetDeadline(deadline)
+	_, err = conn.Write(hello) // want `conn is used with no deadline set on it since dial returned it`
+	return err
+}
+
+// handOff passes the conn on before bounding it; whatever the callee does
+// is out of this function's sight.
+func handOff(addr string, deadline time.Time, register func(net.Conn)) error {
+	conn, err := dial(addr, deadline)
+	if err != nil {
+		return err
+	}
+	register(conn) // want `conn is used with no deadline set on it`
+	conn.SetDeadline(deadline)
+	return nil
+}
+
+// acceptLoop blocks in Accept on a listener nobody bounded, inside a
+// goroutine literal — the mesh's shape.
+func acceptLoop(addr string, conns chan<- net.Conn) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	go func() {
+		for {
+			conn, err := ln.Accept() // want `ln is used with no deadline set on it since Listen returned it`
+			if err != nil {
+				return
+			}
+			conns <- conn // want `conn is used with no deadline set on it since Accept returned it`
+		}
+	}()
+	return nil
 }

@@ -36,14 +36,15 @@ var Analyzer = &framework.Analyzer{
 	Name:     "nodeterm",
 	Doc:      "flag nondeterministic constructs (map range, time.Now, global math/rand, multi-way select) in determinism-critical packages",
 	Suppress: "nondeterministic-ok",
-	Version:  "2",
 	Run:      run,
 }
 
-// deterministicPkgs names the packages whose computations must be
-// bit-identical across workers, matched by package name so analysistest
-// fixtures participate under the same rules as the real tree.
-var deterministicPkgs = map[string]bool{
+// Packages names the packages whose computations must be bit-identical
+// across workers, matched by package name so analysistest fixtures
+// participate under the same rules as the real tree. floatcmp is scoped by
+// the same list: a NaN-dependent ordering is one more way for replicas to
+// diverge.
+var Packages = map[string]bool{
 	"core":       true,
 	"collective": true,
 	"sparsecoll": true,
@@ -61,7 +62,7 @@ var seededConstructors = map[string]bool{
 }
 
 func run(pass *framework.Pass) (any, error) {
-	if !deterministicPkgs[pass.Pkg.Name()] {
+	if !Packages[pass.Pkg.Name()] {
 		return nil, nil
 	}
 	for _, file := range pass.Files {

@@ -19,8 +19,9 @@
 // Cause values are parameters named cause/reason/fault/msg (of string,
 // error or any type) and variables assigned from recover(). Analysis is
 // per function scope — a function literal is its own scope, because hooks
-// passed as closures run on other goroutines. Facts carry "records its
-// cause" and "waits for the stream" summaries across packages.
+// passed as closures run on other goroutines. A fact carries "records its
+// cause" across packages (comm.Cause.Note, called from every backend);
+// rule 2 needs none, since only comm builds stream lanes.
 //
 // Suppress a deliberate exception with `//spardl:poisonorder-ok <reason>`.
 package poisonorder
@@ -36,13 +37,11 @@ import (
 
 // Analyzer is the poisonorder pass.
 var Analyzer = &framework.Analyzer{
-	Name:      "poisonorder",
-	Doc:       "enforce record-cause-before-poison-hook ordering and forbid stream-lane hooks that wait for the stream (Abort from the lane goroutine deadlocks)",
-	Suppress:  "poisonorder-ok",
-	Version:   "2",
-	Requires:  []*framework.Analyzer{callgraph.Analyzer},
-	FactTypes: []framework.Fact{(*RecordsCauseFact)(nil), (*WaitsStreamFact)(nil), (*PoisonHookFact)(nil)},
-	Run:       run,
+	Name:     "poisonorder",
+	Doc:      "enforce record-cause-before-poison-hook ordering and forbid stream-lane hooks that wait for the stream (Abort from the lane goroutine deadlocks)",
+	Suppress: "poisonorder-ok",
+	Requires: []*framework.Analyzer{callgraph.Analyzer},
+	Run:      run,
 }
 
 // RecordsCauseFact marks a function that durably records its cause
@@ -52,20 +51,6 @@ type RecordsCauseFact struct{}
 
 // AFact marks RecordsCauseFact as a framework.Fact.
 func (*RecordsCauseFact) AFact() {}
-
-// WaitsStreamFact marks a function that transitively reaches
-// comm.StreamLane.Shutdown or Join — unusable as a stream-lane hook.
-type WaitsStreamFact struct{}
-
-// AFact marks WaitsStreamFact as a framework.Fact.
-func (*WaitsStreamFact) AFact() {}
-
-// PoisonHookFact marks a function as a backend poison hook by name
-// convention, so importing packages recognize wrapped hooks.
-type PoisonHookFact struct{}
-
-// AFact marks PoisonHookFact as a framework.Fact.
-func (*PoisonHookFact) AFact() {}
 
 // backendPkgs names the packages whose failure paths carry this
 // discipline, matched by package name so fixtures participate.
@@ -92,19 +77,13 @@ func run(pass *framework.Pass) (any, error) {
 	cg := pass.ResultOf[callgraph.Analyzer].(*callgraph.Result)
 
 	records := computeRecorders(pass, cg)
-	waits := computeWaiters(pass, cg)
+	waits := computeWaiters(cg)
 
-	// Export summaries before reporting, so ordering mistakes in this
-	// package cannot hide facts from importers.
+	// Export before reporting, so ordering mistakes in this package cannot
+	// hide facts from importers.
 	for _, fn := range cg.Funcs {
 		if records[fn] {
 			pass.ExportObjectFact(fn, &RecordsCauseFact{})
-		}
-		if waits[fn] {
-			pass.ExportObjectFact(fn, &WaitsStreamFact{})
-		}
-		if hookNames[fn.Name()] {
-			pass.ExportObjectFact(fn, &PoisonHookFact{})
 		}
 	}
 
@@ -202,14 +181,10 @@ func isCauseType(t types.Type) bool {
 }
 
 // isHookCall classifies call as a poison-hook invocation: a seed-named
-// callee, an imported PoisonHookFact carrier, or a call through a
-// hook-named function value.
+// callee, or a call through a hook-named function value.
 func isHookCall(pass *framework.Pass, call *ast.CallExpr) bool {
 	if fn := framework.Callee(pass.TypesInfo, call); fn != nil {
-		if hookNames[fn.Name()] {
-			return true
-		}
-		return pass.ImportObjectFact(fn, &PoisonHookFact{})
+		return hookNames[fn.Name()]
 	}
 	// Function-value call: match the field/variable name.
 	var name string
@@ -383,14 +358,8 @@ func computeRecorders(pass *framework.Pass, cg *callgraph.Result) map[*types.Fun
 
 // computeWaiters finds functions that transitively reach
 // comm.StreamLane.Shutdown or Join through static calls.
-func computeWaiters(pass *framework.Pass, cg *callgraph.Result) map[*types.Func]bool {
+func computeWaiters(cg *callgraph.Result) map[*types.Func]bool {
 	waits := make(map[*types.Func]bool)
-	reaches := func(g *types.Func) bool {
-		if isStreamWait(g) || waits[g] {
-			return true
-		}
-		return pass.ImportObjectFact(g, &WaitsStreamFact{})
-	}
 	for changed := true; changed; {
 		changed = false
 		for _, fn := range cg.Funcs {
@@ -401,7 +370,7 @@ func computeWaiters(pass *framework.Pass, cg *callgraph.Result) map[*types.Func]
 				if c.Dynamic || c.Go {
 					continue // another goroutine waiting is fine
 				}
-				if reaches(c.Callee) {
+				if isStreamWait(c.Callee) || waits[c.Callee] {
 					waits[fn] = true
 					changed = true
 					break
@@ -456,8 +425,7 @@ func checkStreamHooks(pass *framework.Pass, waits map[*types.Func]bool, decl *as
 				if id == nil {
 					continue
 				}
-				if g, ok := info.Uses[id].(*types.Func); ok &&
-					(waits[g] || isStreamWait(g) || pass.ImportObjectFact(g, &WaitsStreamFact{})) {
+				if g, ok := info.Uses[id].(*types.Func); ok && (waits[g] || isStreamWait(g)) {
 					pass.Reportf(arg.Pos(),
 						"stream-lane hook %s waits for the stream goroutine that runs it — deadlock; sever the link instead (comm.Link.Sever closes conns/queues without waiting), never Abort", g.Name())
 				}
@@ -484,7 +452,7 @@ func litReachesWait(pass *framework.Pass, waits map[*types.Func]bool, lit *ast.F
 		if g == nil {
 			return true
 		}
-		if waits[g] || isStreamWait(g) || pass.ImportObjectFact(g, &WaitsStreamFact{}) {
+		if waits[g] || isStreamWait(g) {
 			found = g.Name()
 		}
 		return true

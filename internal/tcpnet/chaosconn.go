@@ -58,7 +58,6 @@ func (c *chaosConn) Write(p []byte) (int, error) {
 			kind := p[i]
 			c.act = c.inj.Outbound(c.peerID)
 			if c.act.Delay > 0 {
-				//spardl:netdeadline-ok chaos writes are unblocked by force-closing the conn (sever/abortConns), not deadlines
 				if err := c.flushTo(p, &flushed, i); err != nil {
 					return flushed, err
 				}
