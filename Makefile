@@ -1,7 +1,7 @@
 # Developer entry points. CI runs the same commands (see
 # .github/workflows/ci.yml).
 
-.PHONY: build test race vet bench bench-nn bench-dense bench-select bench-e2e bench-smoke fmt
+.PHONY: build test race vet bench bench-nn bench-dense bench-select bench-add bench-e2e bench-smoke fmt
 
 build:
 	go build ./...
@@ -36,6 +36,12 @@ bench-dense:
 # behind warmMargin, warmFloor and warmScratch), and the short-block shape.
 bench-select:
 	go test -run '^$$' -bench 'BenchmarkTopKDenseWarm|BenchmarkTopKDenseShort' -benchmem ./internal/sparse
+
+# The one dense add of the reduce path (sparse.AddInto) against the scalar
+# loop it replaced: one L2-hot vector pair, and fourteen cold pairs walked
+# in turn (the sync-sim-1m shape).
+bench-add:
+	go test -run '^$$' -bench BenchmarkAddInto -benchmem ./internal/sparse
 
 # The end-to-end benchmark BENCHMARK.json declares: five workloads,
 # untraced then traced (see bench/README.md). bench-smoke is the same

@@ -46,7 +46,7 @@ func TestSparDLOverSegmentWithTeams(t *testing.T) {
 		for it := 0; it < iterations; it++ {
 			flat := grad(n, rank, it)
 			for _, b := range buckets {
-				b.ReduceInto(ep, flat, out)
+				b.ReduceInto(ep, flat[b.Lo:b.Hi], out)
 			}
 			if rank == 0 {
 				bucketed[it] = append([]float32(nil), out...)

@@ -221,10 +221,7 @@ func (s *SparDL) ReduceInto(ep comm.Endpoint, grad, out []float32) {
 	// Plus the fresh gradients onto the stored residuals. The vector now
 	// equals the G_copy of Algorithm 1, line 3, which is not stored
 	// anywhere: finishResidual reconstructs it from the undo records.
-	residual := s.residual
-	for i, g := range grad {
-		residual[i] += g
-	}
+	sparse.AddInto(s.residual, grad)
 	sparsecoll.ChargeScan(ep, s.n)
 
 	localSel := s.selBuf[:0] // indices this worker selected for transmission (LRES)

@@ -151,12 +151,14 @@ func NewSchedule(base sparsecoll.Factory, p, rank, k int, segs []nn.Segment, rea
 
 // Run executes one iteration's synchronization: for each bucket in launch
 // order it advances the main clock to the bucket's ready point (the
-// backward slice that produces its gradients), materializes exactly those
-// segments into flat, and reduces the bucket — on the communication stream
-// (overlapped) or inline when Config.NoOverlap is set. It returns with the
-// streams joined, the full global gradient assembled in out, and the main
-// clock at max(compute end, communication end) — exactly the pipelined
-// iteration time.
+// backward slice that produces its gradients) and reduces the bucket — on
+// the communication stream (overlapped) or inline when Config.NoOverlap is
+// set. A one-tensor bucket is reduced straight from its tensor's gradient;
+// only a fused bucket materializes its segments into flat[Lo:Hi) first, so
+// the per-layer schedule leaves flat untouched. It returns with the streams
+// joined, the full global gradient assembled in out, and the main clock at
+// max(compute end, communication end) — exactly the pipelined iteration
+// time. The gradients must not change until Run returns.
 //
 // elapsed compute time is tracked from 0 at the call; the caller must not
 // have charged this iteration's forward/backward compute already.
@@ -172,15 +174,19 @@ func (s *Schedule) Run(ep comm.Endpoint, segs []nn.Segment, flat, out []float32)
 			ep.Compute(d)
 			elapsed = b.Ready
 		}
-		for si := b.First; si <= b.Last; si++ {
-			segs[si].CopyGrad(flat)
+		grad := segs[b.First].Param.Grad
+		if b.First != b.Last {
+			for si := b.First; si <= b.Last; si++ {
+				segs[si].CopyGrad(flat)
+			}
+			grad = flat[b.Lo:b.Hi]
 		}
 		r := s.Reducers[i]
 		if s.Config.NoOverlap {
-			r.ReduceInto(ep, flat, out)
+			r.ReduceInto(ep, grad, out)
 		} else {
 			ep.Overlap(func(ep comm.Endpoint) {
-				r.ReduceInto(ep, flat, out)
+				r.ReduceInto(ep, grad, out)
 			})
 		}
 	}

@@ -63,7 +63,7 @@ import (
 
 const (
 	// slabElems is the bump-slab size for Idx/Val storage. Requests at or
-	// above it get a dedicated power-of-two slab of their own.
+	// above it get a dedicated slab of their own (see slabPool.alloc).
 	slabElems = 1 << 15
 	// slabHdrs / slabPtrs / slabBytes size the header, pointer-slice and
 	// byte-buffer slabs.
@@ -85,7 +85,7 @@ type slabPool[T any] struct {
 	off             int
 
 	bigCur, bigPrev [][]T             // dedicated (oversize) slabs in use
-	bigFree         [numClasses][][]T // dedicated slabs by exact pow2 class
+	bigFree         [numClasses][][]T // spare dedicated slabs by pow2 class of their length
 }
 
 // alloc returns a zero-length slice with capacity exactly n, carved from
@@ -93,19 +93,36 @@ type slabPool[T any] struct {
 // makes below run only when the recycled slabs run out — the reviewed
 // amortized growth path.
 //
+// A dedicated slab is n rounded up to whole slab lengths (a 512 KiB + 5 B
+// frame takes 640 KiB of 128 KiB byte slabs, not 1 MiB) and is reused only
+// by a request of the same rounded size. Spares are filed by the
+// power-of-two class of their length; a miss in a class that holds spares
+// of other sizes drops one of them, so a class never holds more slabs than
+// it has had in use at once.
+//
 //spardl:hotpath
 func (p *slabPool[T]) alloc(n int) []T {
 	if n <= 0 {
 		return nil
 	}
 	if n >= p.slabLen {
-		class := ceilLog2(n)
+		size := (n + p.slabLen - 1) / p.slabLen * p.slabLen
+		class := ceilLog2(size)
+		l := p.bigFree[class]
 		var s []T
-		if l := p.bigFree[class]; len(l) > 0 {
-			s = l[len(l)-1]
+		for i := len(l) - 1; i >= 0; i-- {
+			if len(l[i]) == size {
+				s = l[i]
+				l[i] = l[len(l)-1]
+				break
+			}
+		}
+		if len(l) > 0 {
+			l[len(l)-1] = nil
 			p.bigFree[class] = l[:len(l)-1]
-		} else {
-			s = make([]T, 1<<class)
+		}
+		if s == nil {
+			s = make([]T, size)
 		}
 		p.bigCur = append(p.bigCur, s)
 		return s[0:0:n]
@@ -133,7 +150,8 @@ func (p *slabPool[T]) rotate() {
 	p.free = append(p.free, p.prev...)
 	p.cur, p.prev = p.prev[:0], p.cur
 	for _, s := range p.bigPrev {
-		p.bigFree[floorLog2(len(s))] = append(p.bigFree[floorLog2(len(s))], s)
+		class := ceilLog2(len(s))
+		p.bigFree[class] = append(p.bigFree[class], s)
 	}
 	p.bigCur, p.bigPrev = p.bigPrev[:0], p.bigCur
 	p.active = nil
@@ -146,8 +164,6 @@ func ceilLog2(n int) int {
 	}
 	return bits.Len(uint(n - 1))
 }
-
-func floorLog2(n int) int { return bits.Len(uint(n)) - 1 }
 
 // Arena allocates chunk headers, Idx/Val storage, chunk-pointer slices and
 // byte buffers from epoch-recycled slabs. The zero value is ready to use;

@@ -312,3 +312,44 @@ func TestArenaConcurrentWorkers(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestDedicatedSlabsWholeSlabLengths: an oversize request gets a dedicated
+// slab of whole slab lengths, not the next power of two; the slab comes
+// back (after the epoch of quarantine) only for a request of the same
+// rounded size; and however the sizes inside one power-of-two class
+// change, the class never holds more slabs than it has had in use at once.
+func TestDedicatedSlabsWholeSlabLengths(t *testing.T) {
+	a := NewArena()
+	a.Reset()
+	const frame = 1<<19 + 5 // a dense frame: 512 KiB of values plus tag and count
+	b := a.Bytes(frame)
+	if cap(b) != frame {
+		t.Fatalf("capacity %d, want exactly %d", cap(b), frame)
+	}
+	if got, want := len(a.buf.bigCur[0]), 5*slabBytes; got != want {
+		t.Fatalf("dedicated slab of %d bytes, want %d (whole slab lengths)", got, want)
+	}
+	first := &a.buf.bigCur[0][0]
+	a.Reset()
+	a.Reset() // out of quarantine
+	if again := a.Bytes(frame + 100); &again[:1][0] != first {
+		t.Fatal("a request of the same rounded size did not reuse the slab")
+	}
+	if other := a.Bytes(6 * slabBytes); &other[:1][0] == first {
+		t.Fatal("a request of another size reused the slab")
+	}
+
+	// Sizes 5, 6, 7 and 8 slab lengths share one class; requesting each in
+	// turn, two at a time, keeps at most two slabs of the class alive.
+	a = NewArena()
+	class := ceilLog2(5 * slabBytes)
+	for epoch := 0; epoch < 40; epoch++ {
+		a.Reset()
+		a.Bytes((5 + epoch%4) * slabBytes)
+		a.Bytes((5 + (epoch+1)%4) * slabBytes)
+		held := len(a.buf.bigFree[class]) + len(a.buf.bigCur) + len(a.buf.bigPrev)
+		if held > 4 {
+			t.Fatalf("epoch %d: %d slabs of the class held, want at most 4 (two in use, two quarantined)", epoch, held)
+		}
+	}
+}

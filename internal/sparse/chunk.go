@@ -170,15 +170,12 @@ func FromMap(m map[int32]float32) *Chunk {
 }
 
 // AddToDense scatters the chunk into the dense vector, adding values. A
-// dense block adds as one contiguous slice loop.
+// dense block adds through AddInto.
 //
 //spardl:hotpath
 func (c *Chunk) AddToDense(dense []float32) {
 	if c.dense {
-		dst := dense[c.lo : int(c.lo)+len(c.Val)]
-		for i, v := range c.Val {
-			dst[i] += v
-		}
+		AddInto(dense[c.lo:], c.Val)
 		return
 	}
 	for i, idx := range c.Idx {

@@ -151,16 +151,14 @@ func unionBounds(x, y *Chunk) (lo, hi int32) {
 
 // addIntoBlock scatter-adds c's entries into the block dst covering
 // indices [base, base+len(dst)); every entry of c must fall inside it.
-// Dense inputs add as one contiguous slice loop (the dense+dense pairing
-// the compiler can vectorize); sparse inputs scatter.
+// Dense inputs add through AddInto (gc does not vectorize a plain slice
+// loop; the kernel's eight-wide unrolling is what makes the dense+dense
+// pairing cheap); sparse inputs scatter.
 //
 //spardl:hotpath
 func addIntoBlock(dst []float32, base int32, c *Chunk) {
 	if c.dense {
-		d := dst[c.lo-base : int(c.lo-base)+len(c.Val)]
-		for i, v := range c.Val {
-			d[i] += v
-		}
+		AddInto(dst[c.lo-base:], c.Val)
 		return
 	}
 	for i, idx := range c.Idx {
@@ -183,8 +181,8 @@ func addRangeIntoBlock(dst []float32, bLo, bHi int32, c *Chunk) {
 		if bHi < oHi {
 			oHi = bHi
 		}
-		for p := oLo; p < oHi; p++ {
-			dst[p-bLo] += c.Val[p-cLo]
+		if oLo < oHi {
+			AddInto(dst[oLo-bLo:], c.Val[oLo-cLo:oHi-cLo])
 		}
 		return
 	}

@@ -156,9 +156,7 @@ func (b *base) RestoreResidual(res []float32) {
 //spardl:hotpath
 func (b *base) begin(grad []float32) {
 	b.ar.Reset()
-	for i, g := range grad {
-		b.residual[i] += g
-	}
+	sparse.AddInto(b.residual, grad)
 }
 
 // scatterInto densifies reduced chunks into out, overwriting it fully.

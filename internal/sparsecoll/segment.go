@@ -48,17 +48,24 @@ func (s *SegmentReducer) BaseName() string { return s.inner.Name() }
 // Hi−Lo (e.g. flat[Lo:Hi]) and the result is the synchronized sub-gradient
 // in segment-local coordinates.
 func (s *SegmentReducer) Reduce(ep comm.Endpoint, grad []float32) []float32 {
-	if len(grad) != s.Hi-s.Lo {
-		panic(fmt.Sprintf("sparsecoll: segment [%d,%d) got %d gradient values", s.Lo, s.Hi, len(grad)))
-	}
+	s.checkLen(grad)
 	return s.inner.Reduce(ep, grad)
 }
 
-// ReduceInto synchronizes flat[Lo:Hi) and writes the global sub-gradient
-// into out[Lo:Hi); the rest of out is untouched, so per-bucket calls
+// ReduceInto synchronizes the segment's gradient — grad has length Hi−Lo,
+// as for Reduce, and may live anywhere (a parameter tensor's own gradient,
+// or flat[Lo:Hi]) — and writes the global sub-gradient into out[Lo:Hi) of
+// the full-length out; the rest of out is untouched, so per-bucket calls
 // assemble the full global gradient in place. It routes through the inner
 // reducer's in-place path, so a steady-state pipeline iteration performs
 // no per-bucket allocation.
-func (s *SegmentReducer) ReduceInto(ep comm.Endpoint, flat, out []float32) {
-	ReduceInto(s.inner, ep, flat[s.Lo:s.Hi], out[s.Lo:s.Hi])
+func (s *SegmentReducer) ReduceInto(ep comm.Endpoint, grad, out []float32) {
+	s.checkLen(grad)
+	ReduceInto(s.inner, ep, grad, out[s.Lo:s.Hi])
+}
+
+func (s *SegmentReducer) checkLen(grad []float32) {
+	if len(grad) != s.Hi-s.Lo {
+		panic(fmt.Sprintf("sparsecoll: segment [%d,%d) got %d gradient values", s.Lo, s.Hi, len(grad)))
+	}
 }

@@ -39,7 +39,7 @@ func TestSegmentMatchesStandaloneRun(t *testing.T) {
 			out := make([]float32, n)
 			for it := 0; it < iterations; it++ {
 				flat := segGrad(n, rank, it)
-				r.ReduceInto(ep, flat, out)
+				r.ReduceInto(ep, flat[lo:hi], out)
 				if rank == 0 {
 					seg[it] = append([]float32(nil), out[lo:hi]...)
 				}
@@ -77,7 +77,7 @@ func TestSegmentLeavesRestOfOutputUntouched(t *testing.T) {
 		for i := range out {
 			out[i] = -999
 		}
-		r.ReduceInto(ep, segGrad(n, rank, 0), out)
+		r.ReduceInto(ep, segGrad(n, rank, 0)[lo:hi], out)
 		for i := 0; i < n; i++ {
 			if (i < lo || i >= hi) && out[i] != -999 {
 				t.Errorf("index %d outside [%d,%d) was written: %g", i, lo, hi, out[i])
