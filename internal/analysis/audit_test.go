@@ -329,7 +329,8 @@ func vet(t *testing.T, dir string, patterns []string) ([]*framework.Package, []f
 }
 
 // copyModule copies go.mod and every shipped (non-test, non-testdata) Go
-// file of the module into a temporary directory.
+// and assembly file of the module into a temporary directory: without a
+// package's .s files its assembly-backed declarations have no body.
 func copyModule(t *testing.T) string {
 	t.Helper()
 	src, err := filepath.Abs("../..")
@@ -348,7 +349,8 @@ func copyModule(t *testing.T) string {
 			}
 			return nil
 		}
-		if name != "go.mod" && (!strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go")) {
+		shipped := strings.HasSuffix(name, ".s") || strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go")
+		if name != "go.mod" && !shipped {
 			return nil
 		}
 		rel, _ := filepath.Rel(src, path)

@@ -9,38 +9,39 @@ import (
 // BenchmarkMatMulKernels times the three kernels behind MatMul at the
 // ResMLP layer shape, for a training batch (32 rows) and an evaluation
 // batch (1024), on a dense a and on one with the ≈ 50 % zeros a ReLU
-// leaves.
+// leaves, on every path this host has (avx2, then go: the portable loops).
 func BenchmarkMatMulKernels(b *testing.B) {
-	for _, rows := range []int{32, 1024} {
-		for _, zeroPct := range []int{0, 50} {
-			const k, c = 192, 192
-			rng := rand.New(rand.NewSource(1))
-			a, w, og := randInput(rng, rows, k), randInput(rng, k, c), randInput(rng, rows, c)
-			for i := range a {
-				if rng.Intn(100) < zeroPct {
-					a[i] = 0
+	for _, p := range hostPaths() {
+		for _, rows := range []int{32, 1024} {
+			for _, zeroPct := range []int{0, 50} {
+				const k, c = 192, 192
+				rng := rand.New(rand.NewSource(1))
+				a, w, og := randInput(rng, rows, k), randInput(rng, k, c), randInput(rng, rows, c)
+				for i := range a {
+					if rng.Intn(100) < zeroPct {
+						a[i] = 0
+					}
 				}
-			}
-			out, ag, wg := make([]float32, rows*c), make([]float32, rows*k), make([]float32, k*c)
-			name := fmt.Sprintf("%dx%dx%d/zeros=%d", rows, k, c, zeroPct)
-			b.Run("forward/"+name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
+				out, ag, wg := make([]float32, rows*c), make([]float32, rows*k), make([]float32, k*c)
+				name := fmt.Sprintf("%s/%%s/%dx%dx%d/zeros=%d", pathName(p), rows, k, c, zeroPct)
+				run := func(kernel string, f func()) {
+					b.Run(fmt.Sprintf(name, kernel), func(b *testing.B) {
+						onPath(p, func() {
+							for i := 0; i < b.N; i++ {
+								f()
+							}
+						})
+					})
+				}
+				run("forward", func() {
 					clear(out)
 					matmulInto(out, a, w, rows, k, c)
-				}
-			})
-			if zeroPct == 0 { // dA never reads a
-				b.Run("dA/"+name, func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						matmulGradA(ag, og, w, rows, k, c)
-					}
 				})
-			}
-			b.Run("dB/"+name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					matmulGradB(wg, a, og, rows, k, c)
+				if zeroPct == 0 { // dA never reads a
+					run("dA", func() { matmulGradA(ag, og, w, rows, k, c) })
 				}
-			})
+				run("dB", func() { matmulGradB(wg, a, og, rows, k, c) })
+			}
 		}
 	}
 }
