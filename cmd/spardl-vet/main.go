@@ -1,6 +1,6 @@
 // Command spardl-vet runs the repository's custom static-analysis suite —
-// nodeterm, floatcmp, arenasafe, hotalloc, hotprop, poisonorder, locksafe
-// and netdeadline — over the given package patterns and exits non-zero on
+// nodeterm, floatcmp, arenasafe, hotalloc, hotprop, locksafe and
+// netdeadline — over the given package patterns and exits non-zero on
 // any finding. CI runs it as a hard gate; locally:
 //
 //	go run ./cmd/spardl-vet ./...

@@ -3,14 +3,14 @@
 // cross-cutting source disciplines — bit-identical collectives (nodeterm),
 // total-order float comparison (floatcmp), arena chunk ownership
 // (arenasafe), the allocation-free steady state (hotalloc) and its
-// transitive closure (hotprop), failure-cascade ordering (poisonorder),
-// mutex discipline (locksafe) and a deadline on every conn and listener
-// the rendezvous gives birth to (netdeadline). The interprocedural passes
-// share one call-graph pass (callgraph) via Requires and exchange
-// cross-package summaries via facts. See each analyzer's package
-// documentation for its exact rules, audit_test.go for the seeded bug
-// each rule is held to, and README.md ("Correctness tooling") for the
-// workflow.
+// transitive closure (hotprop), mutex discipline (locksafe) and a deadline
+// on every conn and listener the rendezvous gives birth to (netdeadline).
+// The interprocedural passes share one call-graph pass (callgraph) via
+// Requires and exchange cross-package summaries via facts. See each
+// analyzer's package documentation for its exact rules, audit_test.go for
+// the seeded bug each rule is held to, and README.md ("Correctness
+// tooling") for the workflow. Failure-cascade ordering has no analyzer:
+// comm.Cause.Fail and the stream lane's Sever-only handle hold it by type.
 package analysis
 
 import (
@@ -22,7 +22,6 @@ import (
 	"spardl/internal/analysis/locksafe"
 	"spardl/internal/analysis/netdeadline"
 	"spardl/internal/analysis/nodeterm"
-	"spardl/internal/analysis/poisonorder"
 )
 
 // All returns the full spardl-vet suite in reporting order. The shared
@@ -35,7 +34,6 @@ func All() []*framework.Analyzer {
 		arenasafe.Analyzer,
 		hotalloc.Analyzer,
 		hotprop.Analyzer,
-		poisonorder.Analyzer,
 		locksafe.Analyzer,
 		netdeadline.Analyzer,
 	}

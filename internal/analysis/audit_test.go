@@ -49,7 +49,6 @@ const (
 	topk     = "internal/sparse/topk.go"
 	chunk    = "internal/sparse/chunk.go"
 	dsa      = "internal/sparsecoll/topkdsa.go"
-	live     = "internal/livenet/livenet.go"
 	runtime  = "internal/comm/runtime.go"
 	lane     = "internal/comm/lane.go"
 	tcp      = "internal/tcpnet/tcpnet.go"
@@ -141,18 +140,6 @@ var mutants = []mutant{
 		"_ = sparse.FromMap(nil)\n" + rsagMerge, "", `hot path calls allocating non-hotpath function FromMap`},
 	{"hotprop", "hot-calls-FromMap-in-package", topk, "out := a.Get(nk) for i := lo; i < hi; i++ {",
 		"out := a.Get(nk)\n_ = FromMap(nil)\nfor i := lo; i < hi; i++ {", "", `hot path calls allocating non-hotpath function FromMap`},
-
-	// poisonorder: record-before-hook for a cause parameter and for a
-	// recovered panic, then the stream-lane rule.
-	{"poisonorder", "poison-before-note", live, "l.f.root.Note(cause) l.f.Poison()",
-		"l.f.Poison()\nl.f.root.Note(cause)", "", `poison hook fires before the failure cause is recorded`},
-	{"poisonorder", "hook-before-recovered-panic-is-stored", lane, "if r := recover(); r != nil {",
-		"if r := recover(); r != nil {\nl.onPanic(r)", "", `poison hook fires before the failure cause is recorded`},
-	{"poisonorder", "lane-hook-aborts", runtime, "e.lane = NewStreamLane(func(r any) { link.Sever(fmt.Sprintf(",
-		"e.lane = NewStreamLane(func(r any) {\ne.Abort(fmt.Sprintf(", "", `stream-lane hook reaches Abort`},
-	{"poisonorder", "lane-hook-is-a-method-that-aborts", runtime,
-		`e.lane = NewStreamLane(func(r any) { link.Sever(fmt.Sprintf("worker %d (comm stream): %v", m.ID, r)) })`,
-		"e.lane = NewStreamLane(e.laneHook)", `func (e *linkEndpoint) laneHook(r any) { e.Abort("comm stream panicked") }`, `stream-lane hook laneHook waits`},
 
 	// locksafe: leaked locks, then each way of blocking under one.
 	{"locksafe", "peer-fail-no-unlock", endpoint, `pr.mu.Lock() if pr.cause == "" { pr.cause = cause } pr.mu.Unlock()`,

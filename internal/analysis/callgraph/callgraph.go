@@ -3,16 +3,15 @@
 // makes. Calls through an interface are recorded and marked Dynamic, not
 // resolved to implementations — every dependent skips them (resolving them
 // by class hierarchy would flag every hot call through comm.Endpoint).
-// Interprocedural analyzers (hotprop, poisonorder, locksafe) list it in
-// Requires and read the per-package Result through Pass.ResultOf instead
-// of each re-walking the AST.
+// Interprocedural analyzers (hotprop, locksafe) list it in Requires and
+// read the per-package Result through Pass.ResultOf instead of each
+// re-walking the AST.
 //
 // The graph is deliberately flat: calls inside function literals are
 // attributed to the enclosing declared function, because the runtime
 // invariants spardl-vet checks (allocation on a hot path, blocking under a
 // lock, I/O without a deadline) hold wherever the enclosing function's
-// execution reaches. Analyzers that care about the literal itself — e.g.
-// poisonorder's stream-lane hook rule — walk the literal's body directly.
+// execution reaches.
 package callgraph
 
 import (

@@ -27,12 +27,6 @@ func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// IsPkgFunc reports whether fn is the named package-level function (or
-// method-set-free object) of the package with the given import path.
-func IsPkgFunc(fn *types.Func, pkgPath, name string) bool {
-	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == pkgPath && fn.Name() == name
-}
-
 // IsBuiltin reports whether call invokes the named builtin (append, make…).
 func IsBuiltin(info *types.Info, call *ast.CallExpr, name string) bool {
 	id, ok := ast.Unparen(call.Fun).(*ast.Ident)

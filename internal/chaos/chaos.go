@@ -94,6 +94,12 @@ func (f Fault) String() string {
 	}
 }
 
+// Severed is the root cause a link fault records when it severs the link
+// from worker Rank to worker Peer — one text on every substrate.
+func (f Fault) Severed() string {
+	return fmt.Sprintf("worker %d: chaos: link to worker %d severed by schedule (%s)", f.Rank, f.Peer, f)
+}
+
 // Schedule is a reproducible set of faults. The zero value (and nil) is a
 // healthy cluster.
 type Schedule struct {

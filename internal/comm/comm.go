@@ -49,7 +49,9 @@
 //
 // A fabric fails as a whole and names why: the first cause recorded in the
 // generation's Cause wins, and it is recorded before anything that could
-// provoke a secondary failure (closing queues, closing sockets) happens.
+// provoke a secondary failure (closing queues, closing sockets) happens —
+// every fabric fails through Cause.Fail, whose closing code is an argument
+// it runs only after the note.
 // Every blocked or later Send, Recv and SyncClock then panics with that
 // cause instead of hanging.
 package comm

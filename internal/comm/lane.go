@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"fmt"
 	"sync"
 	"time"
 )
@@ -97,22 +98,23 @@ func (q *Fifo[T]) Close() {
 // a dedicated goroutine that executes enqueued bodies in launch order, so
 // the worker's subsequent computation genuinely runs concurrently with
 // serialization, transport traffic and decoding. The subtle parts — the
-// busy/exposed accounting split, and the panic→poison ordering that keeps
+// busy/exposed accounting split, and the panic→sever ordering that keeps
 // a dead stream from leaving the fleet blocked on queues that will never
 // be fed — exist only here. The one user is the link endpoint
-// (NewLinkEndpoint), whose hook severs its Link.
+// (NewLinkEndpoint), which hands the lane its Link.
 //
 // Concurrency contract: Launch, Join and Shutdown are called from the one
 // worker goroutine that owns the endpoint; the lane's own goroutine runs
 // the bodies. Bodies may call Launch-free endpoint operations (Send, Recv,
 // Compute); nesting is rejected by the streamEndpoint view.
 type StreamLane struct {
-	// onPanic runs ON the stream goroutine after a body panics, before the
-	// panic value is parked for Join. It must unblock the worker's main
-	// goroutine and its peers without waiting for the stream itself:
-	// Link.Sever, never the endpoint's Abort — Abort waits for the
-	// stream, and waiting for the stream from inside it would deadlock.
-	onPanic func(r any)
+	// link is severed ON the stream goroutine after a body panics, once the
+	// panic value is parked for Join. Severing unblocks the worker's main
+	// goroutine and its peers without waiting for the stream itself; the
+	// lane holds nothing that could wait for it (the endpoint's Abort does,
+	// and calling it from inside the stream would deadlock).
+	link severer
+	id   int // the worker's stable ID, named in the sever cause
 
 	tasks   *Fifo[func()]
 	done    chan struct{}
@@ -123,11 +125,17 @@ type StreamLane struct {
 	err  any           // first body panic since the last Join
 }
 
-// NewStreamLane returns a lane whose bodies poison the owning fabric via
-// onPanic when they panic. The stream goroutine itself starts lazily on
-// the first Launch, so serial schedules never pay for one.
-func NewStreamLane(onPanic func(r any)) *StreamLane {
-	return &StreamLane{onPanic: onPanic}
+// severer is all a stream lane may do to its fabric: Link.Sever, which
+// never waits for a goroutine.
+type severer interface {
+	Sever(cause string)
+}
+
+// NewStreamLane returns a lane whose bodies sever link when they panic,
+// naming worker id and the panic as the cause. The stream goroutine itself
+// starts lazily on the first Launch, so serial schedules never pay for one.
+func NewStreamLane(link severer, id int) *StreamLane {
+	return &StreamLane{link: link, id: id}
 }
 
 // Launch enqueues body on the stream, starting the stream goroutine on
@@ -152,8 +160,8 @@ func (l *StreamLane) Launch(body func()) bool {
 				// Record the root cause before unblocking peers (and
 				// possibly our own main goroutine) waiting on queues that
 				// will never be fed: the cascade of poisoned-fabric panics
-				// the hook triggers must not mask the original failure.
-				l.onPanic(r)
+				// the sever triggers must not mask the original failure.
+				l.link.Sever(fmt.Sprintf("worker %d (comm stream): %v", l.id, r))
 			}
 		}()
 		t0 := time.Now()

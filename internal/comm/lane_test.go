@@ -83,8 +83,13 @@ func TestFifoReusesBackingArray(t *testing.T) {
 	}
 }
 
+// severFunc adapts a function to the lane's severer.
+type severFunc func(cause string)
+
+func (f severFunc) Sever(cause string) { f(cause) }
+
 func TestStreamLaneRunsBodiesInOrder(t *testing.T) {
-	l := NewStreamLane(func(any) {})
+	l := NewStreamLane(severFunc(func(string) {}), 0)
 	var mu sync.Mutex
 	var got []int
 	for i := 0; i < 50; i++ {
@@ -115,34 +120,43 @@ func TestStreamLaneRunsBodiesInOrder(t *testing.T) {
 	}
 }
 
-// TestStreamLanePanicOrdering pins the poison protocol: the panic value is
-// recorded for Join before the hook runs (the hook's cascade must not mask
-// the root cause), the hook runs on the stream goroutine, and Join clears
-// the error for the next round.
+// TestStreamLanePanicOrdering pins the sever protocol: the panic value is
+// recorded for Join before the link is severed (the sever's cascade must
+// not mask the root cause), the lane severs exactly once with a cause
+// naming the worker and the panic, and Join clears the error for the next
+// round. Every Sever call is recorded without blocking the stream, so a
+// lane that severs too early fails here instead of hanging Join.
 func TestStreamLanePanicOrdering(t *testing.T) {
 	type event struct {
-		r        any
+		cause    string
 		recorded bool
 	}
-	events := make(chan event, 1)
+	var mu sync.Mutex
+	var events []event
 	var l *StreamLane
-	l = NewStreamLane(func(r any) {
+	l = NewStreamLane(severFunc(func(cause string) {
 		l.mu.Lock()
 		recorded := l.err != nil
 		l.mu.Unlock()
-		events <- event{r: r, recorded: recorded}
-	})
+		mu.Lock()
+		events = append(events, event{cause: cause, recorded: recorded})
+		mu.Unlock()
+	}), 3)
 	l.Launch(func() { panic("boom") })
 	_, _, err := l.Join()
 	if err != "boom" {
 		t.Fatalf("Join err = %v, want boom", err)
 	}
-	ev := <-events
-	if ev.r != "boom" {
-		t.Fatalf("hook saw %v, want boom", ev.r)
+	mu.Lock()
+	got := append([]event(nil), events...)
+	mu.Unlock()
+	for _, ev := range got {
+		if !ev.recorded {
+			t.Fatalf("link severed before the panic was recorded: a poison cascade could mask the root cause (calls: %+v)", got)
+		}
 	}
-	if !ev.recorded {
-		t.Fatal("hook ran before the panic was recorded: a poison cascade could mask the root cause")
+	if len(got) != 1 || got[0].cause != "worker 3 (comm stream): boom" {
+		t.Fatalf("Sever calls %+v, want one with cause %q", got, "worker 3 (comm stream): boom")
 	}
 	if _, _, err := l.Join(); err != nil {
 		t.Fatalf("second Join returned stale err %v", err)
@@ -150,56 +164,67 @@ func TestStreamLanePanicOrdering(t *testing.T) {
 	l.Shutdown()
 }
 
-// TestStreamLanePoisonFirstCauseWinsUnderCascade models the full backend
-// cascade around a stream-body panic, under the race detector: the hook
-// (tcpnet's abortConns / livenet's poisonWith) records the root cause and
-// closes the queues; that unblocks the worker's main goroutine, which
-// panics on the poisoned queue and calls its own Abort concurrently with
-// the stream goroutine still unwinding. The invariant pinned here is the
-// one the whole failure model rests on: because StreamLane invokes the
-// hook — which records — BEFORE the panic unblocks anyone, the first
-// recorded cause is always the stream body's root cause, never the
-// cascade's, on every interleaving.
-func TestStreamLanePoisonFirstCauseWinsUnderCascade(t *testing.T) {
-	const root = "root cause: worker 3 exploded"
-	for iter := 0; iter < 200; iter++ {
-		var mu sync.Mutex
-		var first string
-		record := func(cause string) { // first writer wins, like peer.fail
-			mu.Lock()
-			if first == "" {
-				first = cause
-			}
-			mu.Unlock()
+// TestCauseFailNotesBeforePoison pins the one way a fabric fails: poison
+// already sees its cause recorded, and a later Fail keeps the first cause
+// yet still runs its own poison, so every fabric's Sever stays idempotent.
+func TestCauseFailNotesBeforePoison(t *testing.T) {
+	var c Cause
+	if got := c.String(); got != "" {
+		t.Fatalf("healthy Cause = %q, want empty", got)
+	}
+	runs := 0
+	c.Fail("first", func() {
+		runs++
+		if got := c.String(); got != "first" {
+			t.Fatalf("poison ran with cause %q recorded, want %q", got, "first")
 		}
+	})
+	c.Fail("second", func() {
+		runs++
+		if got := c.String(); got != "first" {
+			t.Fatalf("a second Fail replaced the root cause: %q", got)
+		}
+	})
+	if runs != 2 {
+		t.Fatalf("poison ran %d times over two Fails, want 2", runs)
+	}
+}
+
+// TestStreamLanePoisonFirstCauseWinsUnderCascade models the full backend
+// cascade around a stream-body panic, under the race detector: the lane
+// severs its link, whose Sever is Cause.Fail around closing the queues (as
+// livenet's and tcpnet's are); that unblocks the worker's main goroutine,
+// which fails on the poisoned queue and fails the fabric again with its
+// cascade cause, concurrently with the stream goroutine still unwinding.
+// The invariant pinned here is the one the whole failure model rests on:
+// because StreamLane severs — which records — BEFORE the panic unblocks
+// anyone, the recorded cause is always the stream body's root cause, never
+// the cascade's, on every interleaving.
+func TestStreamLanePoisonFirstCauseWinsUnderCascade(t *testing.T) {
+	const boom = "worker 3 exploded"
+	const root = "worker 3 (comm stream): " + boom
+	for iter := 0; iter < 200; iter++ {
+		var cause Cause
 		q := NewFifo[int]()
-		l := NewStreamLane(func(r any) {
-			// The backend hook: record the root cause, then poison the
-			// queues (which unblocks the main goroutine below).
-			record(r.(string))
-			q.Close()
-		})
+		l := NewStreamLane(severFunc(func(c string) { cause.Fail(c, q.Close) }), 3)
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() { // the worker's main goroutine, blocked mid-collective
 			defer wg.Done()
 			if _, ok := q.Pop(); !ok {
-				// Its recover path calls Abort with the cascade cause,
-				// racing the stream goroutine's own unwinding.
-				record("cascade: recv on poisoned fabric")
+				// Its recover path aborts with the cascade cause, racing
+				// the stream goroutine's own unwinding.
+				cause.Fail("cascade: recv on poisoned fabric", q.Close)
 			}
 		}()
-		l.Launch(func() { panic(root) })
-		if _, _, err := l.Join(); err != root {
-			t.Fatalf("iter %d: Join err = %v, want root cause", iter, err)
+		l.Launch(func() { panic(boom) })
+		if _, _, err := l.Join(); err != boom {
+			t.Fatalf("iter %d: Join err = %v, want the body's panic", iter, err)
 		}
 		wg.Wait()
 		l.Shutdown()
-		mu.Lock()
-		got := first
-		mu.Unlock()
-		if got != root {
-			t.Fatalf("iter %d: first recorded cause %q; the cascade masked the root", iter, got)
+		if got := cause.String(); got != root {
+			t.Fatalf("iter %d: recorded cause %q; the cascade masked the root", iter, got)
 		}
 	}
 }
@@ -207,7 +232,7 @@ func TestStreamLanePoisonFirstCauseWinsUnderCascade(t *testing.T) {
 // TestStreamLaneJoinWithoutLaunch pins the serial-schedule path: a Join
 // with no pending work returns zeros without ever starting the goroutine.
 func TestStreamLaneJoinWithoutLaunch(t *testing.T) {
-	l := NewStreamLane(func(any) {})
+	l := NewStreamLane(severFunc(func(string) {}), 0)
 	exposed, busy, err := l.Join()
 	if busy != 0 || err != nil {
 		t.Fatalf("idle Join returned busy=%v err=%v", busy, err)

@@ -56,7 +56,7 @@ func RunWorkers(p int, local []int, root *Cause, open func(rank int) Node, worke
 					if ep != nil {
 						id = ep.ID()
 					}
-					root.Note(fmt.Sprintf("worker %d: %v", id, r))
+					root.note(fmt.Sprintf("worker %d: %v", id, r))
 				}
 				if ep == nil {
 					return

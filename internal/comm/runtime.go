@@ -54,18 +54,28 @@ type Link interface {
 	Close()
 }
 
-// Cause is a fabric generation's root-cause record: the first Note wins.
+// Cause is a fabric generation's root-cause record: the first cause wins.
 // Whatever starts a failure cascade — a worker panic, a communication-
-// stream panic, a scheduled fault — notes itself here before it closes
-// anything, so the secondary failures it provokes can never be mistaken
-// for it. One Cause is shared by everything that fails together.
+// stream panic, a scheduled fault — fails the fabric through Fail, which
+// notes the cause before it closes anything, so the secondary failures it
+// provokes can never be mistaken for it. One Cause is shared by everything
+// that fails together.
 type Cause struct {
 	mu sync.Mutex
 	s  string
 }
 
-// Note records cause unless an earlier one is already recorded.
-func (c *Cause) Note(cause string) {
+// Fail records cause unless an earlier one is already recorded, then runs
+// poison — the fabric's closing code — which therefore always sees a
+// recorded cause. It is the only way a fabric fails; poison must be safe to
+// run more than once.
+func (c *Cause) Fail(cause string, poison func()) {
+	c.note(cause)
+	poison()
+}
+
+// note records cause unless an earlier one is already recorded.
+func (c *Cause) note(cause string) {
 	c.mu.Lock()
 	if c.s == "" {
 		c.s = cause
@@ -111,13 +121,8 @@ type linkEndpoint struct {
 // and onCrash, when non-nil, runs at a scheduled crash before the worker
 // dies with chaos.Crashed (tcpnet flushes its outbound streams).
 func NewLinkEndpoint(name string, link Link, m Membership, inj chaos.Injector, onCrash func(iter int)) Node {
-	e := &linkEndpoint{name: name, m: m, link: link, inj: inj, onCrash: onCrash, start: time.Now()}
-	// The hook runs ON the stream goroutine, so it severs the link and
-	// never Aborts: Abort waits for the stream.
-	e.lane = NewStreamLane(func(r any) {
-		link.Sever(fmt.Sprintf("worker %d (comm stream): %v", m.ID, r))
-	})
-	return e
+	return &linkEndpoint{name: name, m: m, link: link, inj: inj, onCrash: onCrash, start: time.Now(),
+		lane: NewStreamLane(link, m.ID)}
 }
 
 // Rank returns this worker's rank in [0, P).
@@ -304,7 +309,7 @@ func (e *linkEndpoint) Join() {
 
 // Abort severs the link with cause and reaps the communication stream. It
 // must run on the worker goroutine: it waits for the stream, so the
-// stream's own panic hook severs the link directly instead.
+// stream lane, which holds only the link, severs it directly instead.
 func (e *linkEndpoint) Abort(cause string) {
 	e.link.Sever(cause)
 	e.lane.Shutdown()

@@ -31,8 +31,6 @@ package livenet
 
 import (
 	"errors"
-	"fmt"
-	"sync"
 	"time"
 
 	"spardl/internal/chaos"
@@ -41,12 +39,11 @@ import (
 )
 
 // fabric connects the P workers of one generation with per-pair FIFO byte
-// queues. It fails as a whole: poisoning closes every queue.
+// queues. It fails as a whole: any link's Sever closes every queue.
 type fabric struct {
 	p      int
 	queues []*comm.Fifo[comm.Frame] // from*p + to
 	root   *comm.Cause              // the generation's root-cause record
-	poison sync.Once
 }
 
 func newFabric(p int, root *comm.Cause) *fabric {
@@ -55,16 +52,6 @@ func newFabric(p int, root *comm.Cause) *fabric {
 		f.queues[i] = comm.NewFifo[comm.Frame]()
 	}
 	return f
-}
-
-// Poison closes every queue so that any worker blocked on one unwinds
-// instead of deadlocking.
-func (f *fabric) Poison() {
-	f.poison.Do(func() {
-		for _, q := range f.queues {
-			q.Close()
-		}
-	})
 }
 
 // poisoned is the error every operation on a closed queue reports: the
@@ -113,8 +100,7 @@ func (l *link) inject(to int, buf []byte) error {
 		chaos.CorruptBytes(buf)
 	}
 	if act.Drop || (act.Corrupt && len(buf) == 0) {
-		cause := fmt.Sprintf("worker %d: chaos: link to worker %d severed by schedule (%s)",
-			l.ids[l.rank], l.ids[to], act.Fault)
+		cause := act.Fault.Severed()
 		l.Sever(cause)
 		return errors.New(cause)
 	}
@@ -131,12 +117,17 @@ func (l *link) Next(from int) (comm.Frame, *sparse.Arena, error) {
 	return fr, nil, nil
 }
 
-// Sever implements comm.Link. One link failing fails the whole fabric —
-// first cause wins, so the panic that started a cascade is what the run
-// reports, not the poisoned-queue panics it provokes in blocked peers.
+// Sever implements comm.Link. One link failing fails the whole fabric: it
+// closes every queue, so any worker blocked on one unwinds instead of
+// deadlocking. First cause wins, so the panic that started a cascade is
+// what the run reports, not the poisoned-queue panics it provokes in
+// blocked peers.
 func (l *link) Sever(cause string) {
-	l.f.root.Note(cause)
-	l.f.Poison()
+	l.f.root.Fail(cause, func() {
+		for _, q := range l.f.queues {
+			q.Close()
+		}
+	})
 }
 
 // Rotate implements comm.Link; pooled buffers have no epochs.

@@ -18,7 +18,6 @@ package simnet
 
 import (
 	"fmt"
-	"sync"
 
 	"spardl/internal/comm"
 )
@@ -58,7 +57,6 @@ type Fabric struct {
 	profile Profile
 	queues  []*comm.Fifo[message] // from*p + to
 	root    comm.Cause            // why the fabric was poisoned, if it was
-	poison  sync.Once
 }
 
 // New creates a fabric for p workers. It panics on p <= 0 (a configuration
@@ -93,8 +91,7 @@ func (f *Fabric) Endpoint(rank int) *Endpoint {
 // every queue, so that any worker blocked in Recv panics with it instead
 // of deadlocking. The run loop uses it to propagate worker panics.
 func (f *Fabric) Poison(cause string) {
-	f.root.Note(cause)
-	f.poison.Do(func() {
+	f.root.Fail(cause, func() {
 		for _, q := range f.queues {
 			q.Close()
 		}

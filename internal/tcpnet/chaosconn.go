@@ -1,10 +1,11 @@
 package tcpnet
 
 import (
-	"fmt"
+	"errors"
 	"time"
 
 	"spardl/internal/chaos"
+	"spardl/internal/comm"
 )
 
 // chaosConn wraps one mesh connection's write side with the worker's fault
@@ -22,8 +23,8 @@ import (
 type chaosConn struct {
 	meshConn
 	inj    chaos.Injector
-	peerID int          // receiver's stable generation-0 ID
-	note   func(string) // endpoint's root-cause recorder
+	peerID int         // receiver's stable generation-0 ID
+	root   *comm.Cause // the link's root-cause record
 
 	st      chaosState
 	act     chaos.Action // verdict for the frame being passed through
@@ -152,16 +153,13 @@ func (c *chaosConn) flushTo(p []byte, flushed *int, end int) error {
 }
 
 // sever kills the connection at the scheduled fault and remembers the named
-// cause: the writer goroutine records it on the peer, and the endpoint
+// cause: the writer goroutine records it on the peer, and the link's root
 // keeps it so an elastic driver reports the schedule entry — not one of the
 // cascade failures the dead socket provokes — as the root cause. Closing
 // the full connection (not just the write side) makes the sever symmetric,
 // like livenet's poisoned queue pair.
 func (c *chaosConn) sever() error {
-	c.severed = fmt.Errorf("chaos: link to worker %d severed by schedule (%s)", c.peerID, c.act.Fault)
-	if c.note != nil {
-		c.note(c.severed.Error())
-	}
-	c.meshConn.Close()
+	c.severed = errors.New(c.act.Fault.Severed())
+	c.root.Fail(c.severed.Error(), func() { c.meshConn.Close() })
 	return c.severed
 }

@@ -178,7 +178,7 @@ func (l *link) register(rank int, conn net.Conn) error {
 	tc.SetNoDelay(true)
 	var mc meshConn = tc
 	if l.inj != nil {
-		mc = &chaosConn{meshConn: tc, inj: l.inj, peerID: l.idOf(rank), note: l.root.Note}
+		mc = &chaosConn{meshConn: tc, inj: l.inj, peerID: l.idOf(rank), root: l.root}
 	}
 	pr.conn = mc
 	return nil
@@ -244,8 +244,7 @@ func newEndpoint(l *link, cfg Config) *Endpoint {
 	// substrate. The crash is noted before the drain: the EOFs make the
 	// peers panic, and those panics must not be taken for the root cause.
 	onCrash := func(iter int) {
-		l.root.Note(fmt.Sprintf("worker %d: %v", id, chaos.Crashed{ID: id, Iter: iter}))
-		l.drain(false)
+		l.root.Fail(fmt.Sprintf("worker %d: %v", id, chaos.Crashed{ID: id, Iter: iter}), func() { l.drain(false) })
 	}
 	return &Endpoint{link: l, Node: comm.NewLinkEndpoint("tcpnet", l,
 		comm.Membership{Gen: cfg.Gen, P: l.p, Rank: l.rank, ID: id}, cfg.Injector, onCrash)}
@@ -645,18 +644,19 @@ func (l *link) Close() {
 // registration: a connection registers before this loop (and is closed
 // here) or after the closed mark (and is closed by register).
 func (l *link) Sever(cause string) {
-	l.root.Note(cause)
-	l.regMu.Lock()
-	defer l.regMu.Unlock()
-	l.closed.Store(true)
-	for _, pr := range l.peers {
-		if pr == nil {
-			continue
+	l.root.Fail(cause, func() {
+		l.regMu.Lock()
+		defer l.regMu.Unlock()
+		l.closed.Store(true)
+		for _, pr := range l.peers {
+			if pr == nil {
+				continue
+			}
+			pr.fail(cause)
+			pr.sendq.Close()
+			if pr.conn != nil {
+				pr.conn.Close()
+			}
 		}
-		pr.fail(cause)
-		pr.sendq.Close()
-		if pr.conn != nil {
-			pr.conn.Close()
-		}
-	}
+	})
 }

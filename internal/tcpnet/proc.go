@@ -2,6 +2,7 @@ package tcpnet
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"net"
 	"os"
 	"strconv"
@@ -21,16 +22,29 @@ const (
 )
 
 // ReserveLoopbackAddr picks a currently-free loopback host:port for a
-// rendezvous listener: it binds port 0, reads the assignment back, and
+// rendezvous listener: it binds a port, reads the address back, and
 // releases it for rank 0 to re-bind. It exists for callers that must pass
-// an address to forked worker processes. The port is NOT held in between:
-// anything that binds or dials port 0 in the window — including the
-// fleet's own data listeners and mesh dials — can be handed it, and rank
-// 0's re-bind then fails with "address already in use". Callers retry on a
-// fresh address; in-process fleets (LocalBackend) do not use it — they
-// hand rank 0 the live listener. Multi-host deployments pass a fixed,
-// routable address instead.
+// an address to forked worker processes. The port is NOT held in between,
+// so it is drawn at random from below every common ephemeral range
+// (Linux's starts at 32768, the IANA one at 49152) instead of from port 0:
+// whatever binds or dials port 0 in the window — the fleet's own data
+// listeners and mesh dials, or another process's — is handed ephemeral
+// ports and cannot take it, and neither can the derived rejoin ports
+// (base+1+ID). Only another explicit bind of the same number can, and then
+// rank 0's re-bind fails with "address already in use". In-process fleets
+// (LocalBackend) do not use it — they hand rank 0 the live listener.
+// Multi-host deployments pass a fixed, routable address instead.
 func ReserveLoopbackAddr() (string, error) {
+	for try := 0; try < reserveTries; try++ {
+		port := reservePortLo + rand.IntN(reservePortHi-reservePortLo)
+		ln, err := net.Listen("tcp", net.JoinHostPort("127.0.0.1", strconv.Itoa(port)))
+		if err != nil {
+			continue // taken: draw again
+		}
+		addr := ln.Addr().String()
+		ln.Close()
+		return addr, nil
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return "", err
@@ -39,6 +53,15 @@ func ReserveLoopbackAddr() (string, error) {
 	ln.Close()
 	return addr, nil
 }
+
+// The range ReserveLoopbackAddr draws from, and how many taken ports it
+// skips before it falls back to a kernel-chosen one. The top leaves room
+// for the rejoin ports of a few hundred workers below 32768.
+const (
+	reservePortLo = 20000
+	reservePortHi = 32000
+	reserveTries  = 32
+)
 
 // ChildEnv returns the environment entries that hand one spawned worker
 // process its cluster coordinates; append them to os.Environ().

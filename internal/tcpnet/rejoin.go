@@ -24,8 +24,8 @@ package tcpnet
 //
 // Two caveats, accepted for this protocol's scale: the derived rejoin ports
 // must be free on the leader's host (a fixed base port makes them
-// predictable; ReserveLoopbackAddr's kernel-chosen ports make collisions
-// unlikely), and the probe window must exceed the worst-case skew between
+// predictable; ReserveLoopbackAddr's random ports below the ephemeral range
+// make collisions unlikely), and the probe window must exceed the worst-case skew between
 // survivors noticing the poison — a survivor that probes before the true
 // leader binds would elect itself and split the fleet. The defaults (2s
 // probe against millisecond poison cascades) leave three orders of

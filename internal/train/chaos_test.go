@@ -166,10 +166,17 @@ func TestChaosSuiteAcrossBackends(t *testing.T) {
 			}
 
 			// The cross-substrate identity: recovered runs walk bit-identical
-			// trajectories and identical recovery records on both backends;
-			// failed runs name the same root cause.
+			// trajectories and identical recovery records, root cause included,
+			// on both backends; failed runs name the same root cause. (Frame 3
+			// of transient-corrupt's link is a barrier token, so its corruption
+			// severs the link on both substrates too.)
 			lv, tcp := runs[0], runs[1]
 			if tc.failWith != "" {
+				_, a, _ := strings.Cut(lv.err.Error(), "root cause: ")
+				_, b, _ := strings.Cut(tcp.err.Error(), "root cause: ")
+				if a == "" || a != b {
+					t.Fatalf("root causes diverged across substrates:\nlivenet: %v\ntcpnet:  %v", lv.err, tcp.err)
+				}
 				return
 			}
 			comparePoints(t, "tcpnet vs livenet", tcp.res, lv.res)
@@ -179,7 +186,8 @@ func TestChaosSuiteAcrossBackends(t *testing.T) {
 			}
 			for j := range lv.recs {
 				a, b := lv.recs[j], tcp.recs[j]
-				if a.Gen != b.Gen || a.P != b.P || a.ResumeIter != b.ResumeIter || len(a.Lost) != len(b.Lost) {
+				if a.Gen != b.Gen || a.P != b.P || a.ResumeIter != b.ResumeIter || len(a.Lost) != len(b.Lost) ||
+					a.Cause != b.Cause {
 					t.Fatalf("recovery %d diverged across substrates:\nlivenet: %+v\ntcpnet:  %+v", j, a, b)
 				}
 			}
