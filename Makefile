@@ -20,7 +20,8 @@ bench:
 	go test -run '^$$' -bench 'BenchmarkReduceOnce$$' -benchmem -benchtime 20x .
 
 # Training compute: the three MatMul kernels every model goes through and
-# one ResMLP worker step (the compute half of train-live-resmlp).
+# one ResMLP worker step (the compute half of train-live-resmlp), each on
+# every path the host has (avx2/..., go/...: the portable loops).
 bench-nn:
 	go test -run '^$$' -bench 'BenchmarkMatMulKernels|BenchmarkResMLPStep' -benchmem ./internal/nn
 

@@ -48,25 +48,33 @@ func BenchmarkMatMulKernels(b *testing.B) {
 
 // BenchmarkResMLPStep is one worker's compute for one iteration of the
 // train-live-resmlp workload (train.Cases[2]: 64→192, two residual blocks,
-// 50 classes, batch 32, momentum SGD) with the synchronization left out.
+// 50 classes, batch 32, momentum SGD, P = 4) as the trainer runs it —
+// packed parameters, one clear of the grad slab, loss, backward, the
+// update with 1/P folded in — with the synchronization left out (the slab
+// stands in for the synchronized gradient), on every path this host has.
 func BenchmarkResMLPStep(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	m := NewResMLPClassifier(rng, 64, 192, 2, 50)
-	opt := NewSGD(0.05, 0.9)
-	const batchSize = 32
-	labels := make([]int, batchSize)
-	for i := range labels {
-		labels[i] = rng.Intn(50)
-	}
-	batch := &Batch{X: randInput(rng, batchSize, 64), Features: 64, Labels: labels}
-	flat := make([]float32, ParamCount(m.Params()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ZeroGrads(m.Params())
-		loss, _ := m.Loss(batch)
-		loss.Backward()
-		FlattenGrads(m.Params(), flat)
-		opt.StepScaled(m.Params(), flat, 0.25)
+	for _, p := range hostPaths() {
+		b.Run(pathName(p), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			m := NewResMLPClassifier(rng, 64, 192, 2, 50)
+			_, grad := PackParams(m.Params())
+			opt := NewSGD(0.05, 0.9)
+			const batchSize, workers = 32, 4
+			labels := make([]int, batchSize)
+			for i := range labels {
+				labels[i] = rng.Intn(50)
+			}
+			batch := &Batch{X: randInput(rng, batchSize, 64), Features: 64, Labels: labels}
+			b.ReportAllocs()
+			b.ResetTimer()
+			onPath(p, func() {
+				for i := 0; i < b.N; i++ {
+					clear(grad)
+					loss, _ := m.Loss(batch)
+					loss.Backward()
+					opt.StepScaled(m.Params(), grad, 1.0/workers)
+				}
+			})
+		})
 	}
 }

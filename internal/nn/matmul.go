@@ -11,16 +11,24 @@ import "sync"
 // reduction axis, and a zero coefficient still skips its row, NaN/±Inf
 // included).
 //
-// On a CPU with AVX2 the innermost passes run eight float32 lanes wide
-// (matmul_amd64.s): a lane is one iteration of the Go loop it replaces,
-// with the same operands in the same order and no fused multiply-add, so
-// both paths give the same bits. The Go loops run everywhere else.
+// On a CPU with AVX2 the innermost passes — and those of the elementwise
+// ops and the optimizer — run eight float32 lanes wide (matmul_amd64.s): a
+// lane is one iteration of the Go loop it replaces, with the same operands
+// in the same order and no fused multiply-add, so both paths give the same
+// bits. The Go loops run everywhere else.
 
-// kernels is the AVX2 pass set; the fields are matmul_amd64.s's routines.
+// kernels is the AVX2 pass set; the fields are matmul_amd64.s's routines:
+// the three MatMul passes here, then the momentum update (sgd.go) and the
+// elementwise passes of Add, AddRow and ReLU (ops.go).
 type kernels struct {
-	rows4 func(dst, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32)
-	row1  func(dst, b []float32, a float32)
-	dots  func(s *[32]float32, t, b0, b1, b2, b3 []float32)
+	rows4    func(dst, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32)
+	row1     func(dst, b []float32, a float32)
+	dots     func(s *[32]float32, t, b0, b1, b2, b3 []float32)
+	sgd      func(w, vel, g []float32, mu, scale, lr float32)
+	add      func(dst, a, b []float32)
+	acc      func(dst, src []float32)
+	relu     func(dst, src []float32)
+	reluGrad func(grad, g, x []float32)
 }
 
 // avx2 is set once, by matmul_amd64.go's init, when CPUID and XGETBV say

@@ -252,6 +252,28 @@ func TestMatMulSkipsPoisonedRows(t *testing.T) {
 	}
 }
 
+// rawFill returns a generator of float32 vectors cut from raw, four
+// little-endian bytes per value, cycling through it with every pass
+// shifted by one (so a short input still gives varied values); an empty
+// raw gives +0s.
+func rawFill(raw []byte) func(n int) []float32 {
+	pos := 0
+	return func(n int) []float32 {
+		v := make([]float32, n)
+		for i := range v {
+			var w [4]byte
+			for j := range w {
+				if len(raw) > 0 {
+					w[j] = raw[pos%len(raw)] + byte(pos/len(raw))
+					pos++
+				}
+			}
+			v[i] = math.Float32frombits(binary.LittleEndian.Uint32(w[:]))
+		}
+		return v
+	}
+}
+
 // FuzzMatMulKernels feeds raw bit patterns — denormals, NaN payloads,
 // infinities, both zeros — through the kernels on every path this host
 // has, and their oracles, at every alignment.
@@ -263,21 +285,7 @@ func FuzzMatMulKernels(f *testing.F) {
 		r, k, c := int(rb%40)+1, int(kb%40)+1, int(cb%40)+1
 		// Cycle the raw bytes over all five operands; every fourth a is
 		// forced to a zero so the gather path sees gaps whatever the bytes.
-		pos := 0
-		fill := func(n int) []float32 {
-			v := make([]float32, n)
-			for i := range v {
-				var w [4]byte
-				for j := range w {
-					if len(raw) > 0 {
-						w[j] = raw[pos%len(raw)] + byte(pos/len(raw))
-						pos++
-					}
-				}
-				v[i] = math.Float32frombits(binary.LittleEndian.Uint32(w[:]))
-			}
-			return v
-		}
+		fill := rawFill(raw)
 		a := fill(r * k)
 		for i := range a {
 			if (i+int(rb))%4 == 0 {

@@ -29,8 +29,9 @@ func (b *Batch) Size() int {
 	return len(b.Labels)
 }
 
-// Model is a trainable network: the trainer flattens Params gradients into
-// the communication layer and applies the synchronized update.
+// Model is a trainable network: the trainer packs Params' gradients into
+// one slab (PackParams) for the communication layer and applies the
+// synchronized update.
 type Model interface {
 	Params() []*Tensor
 	// Loss runs the forward pass and returns the scalar loss node plus a

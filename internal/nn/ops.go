@@ -31,21 +31,15 @@ func Add(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("nn: Add shape mismatch %dx%d + %dx%d", a.R, a.C, b.R, b.C))
 	}
 	out := newResult(a.R, a.C, a, b)
-	for i := range out.Data {
-		out.Data[i] = a.Data[i] + b.Data[i]
-	}
+	addInto(out.Data, a.Data, b.Data)
 	out.back = func() {
 		if a.needGrad {
 			a.ensureGrad()
-			for i := range out.Grad {
-				a.Grad[i] += out.Grad[i]
-			}
+			accumInto(a.Grad, out.Grad)
 		}
 		if b.needGrad {
 			b.ensureGrad()
-			for i := range out.Grad {
-				b.Grad[i] += out.Grad[i]
-			}
+			accumInto(b.Grad, out.Grad)
 		}
 	}
 	return out
@@ -57,28 +51,51 @@ func AddRow(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("nn: AddRow shape mismatch %dx%d + %dx%d", a.R, a.C, b.R, b.C))
 	}
 	out := newResult(a.R, a.C, a, b)
+	c := a.C
 	for i := 0; i < a.R; i++ {
-		for j := 0; j < a.C; j++ {
-			out.Data[i*a.C+j] = a.Data[i*a.C+j] + b.Data[j]
-		}
+		addInto(out.Data[i*c:(i+1)*c], a.Data[i*c:(i+1)*c], b.Data)
 	}
 	out.back = func() {
 		if a.needGrad {
 			a.ensureGrad()
-			for i := range out.Grad {
-				a.Grad[i] += out.Grad[i]
-			}
+			accumInto(a.Grad, out.Grad)
 		}
 		if b.needGrad {
 			b.ensureGrad()
-			for i := 0; i < a.R; i++ {
-				for j := 0; j < a.C; j++ {
-					b.Grad[j] += out.Grad[i*a.C+j]
-				}
+			for i := 0; i < a.R; i++ { // rows in order: each column sums as it always has
+				accumInto(b.Grad, out.Grad[i*c:(i+1)*c])
 			}
 		}
 	}
 	return out
+}
+
+// addInto sets dst[i] = a[i] + b[i] for every i < len(dst).
+//
+//spardl:hotpath
+func addInto(dst, a, b []float32) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	if avx2 != nil {
+		avx2.add(dst, a, b)
+		return
+	}
+	for i := range dst {
+		dst[i] = a[i] + b[i]
+	}
+}
+
+// accumInto adds src[i] into dst[i] for every i < len(dst).
+//
+//spardl:hotpath
+func accumInto(dst, src []float32) {
+	src = src[:len(dst)]
+	if avx2 != nil {
+		avx2.acc(dst, src)
+		return
+	}
+	for i := range dst {
+		dst[i] += src[i]
+	}
 }
 
 // Mul returns the elementwise (Hadamard) product of equally-shaped tensors.
@@ -125,13 +142,20 @@ func ReLU(a *Tensor) *Tensor {
 // NaN): x > 0 exactly when bits(x)−1, unsigned, is below 0x7f800000 — the
 // +denormals through +Inf. ReLU selects on it instead of branching, since
 // the signs it sees are ≈ 50 % random and a branch on them mispredicts.
+// The AVX2 passes get the same mask from an ordered compare.
 func positive(x float32) uint32 {
 	return uint32((int64(math.Float32bits(x)-1) - 0x7f800000) >> 63)
 }
 
 // reluInto sets dst[i] to src[i] where src[i] > 0 and to +0 elsewhere.
+//
+//spardl:hotpath
 func reluInto(dst, src []float32) {
 	dst = dst[:len(src)]
+	if avx2 != nil {
+		avx2.relu(dst, src)
+		return
+	}
 	for i, v := range src {
 		dst[i] = math.Float32frombits(math.Float32bits(v) & positive(v))
 	}
@@ -140,8 +164,14 @@ func reluInto(dst, src []float32) {
 // reluGradInto adds g[i] into grad[i] where x[i] > 0. The sum is computed
 // everywhere; where x[i] is not positive grad[i] keeps its old bits, so a
 // −0 or a NaN payload there is left untouched.
+//
+//spardl:hotpath
 func reluGradInto(grad, g, x []float32) {
 	grad, g = grad[:len(x)], g[:len(x)]
+	if avx2 != nil {
+		avx2.reluGrad(grad, g, x)
+		return
+	}
 	for i, v := range x {
 		m, old := positive(v), math.Float32bits(grad[i])
 		grad[i] = math.Float32frombits(math.Float32bits(grad[i]+g[i])&m | old&^m)

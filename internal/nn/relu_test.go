@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"slices"
@@ -37,30 +38,46 @@ var reluSpecials = []uint32{
 	0x7fc0dead, 0x7fffffff, 0xffffffff,
 }
 
-// checkReLU runs both ReLU loops and their oracles on one input. The
+// checkReLU runs both ReLU passes on every path this host has, and their
+// oracles, on one input whose operands sit at element offset off. The
 // backward sum keeps its exact bits except where x > 0 and both results
 // are NaN: which operand's payload an add keeps is the compiler's choice.
-func checkReLU(t testing.TB, x, grad, g []float32) {
+func checkReLU(t testing.TB, off int, x, grad, g []float32) {
 	t.Helper()
-	got, want := make([]float32, len(x)), make([]float32, len(x))
-	for i := range got {
-		got[i] = float32(math.NaN()) // reluInto writes every element
+	wantF := make([]float32, len(x))
+	refReLU(wantF, x)
+	wantB := slices.Clone(grad)
+	refReLUGrad(wantB, g, x)
+	stale := make([]float32, len(x))
+	for i := range stale {
+		stale[i] = float32(math.NaN()) // reluInto writes every element
 	}
-	reluInto(got, x)
-	refReLU(want, x)
-	for i := range x {
-		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-			t.Fatalf("forward of %#08x = %#08x, oracle %#08x", math.Float32bits(x[i]), math.Float32bits(got[i]), math.Float32bits(want[i]))
+	x, _ = placed(x, off)
+	g, _ = placed(g, off)
+	for _, p := range hostPaths() {
+		got, intact := placed(stale, off)
+		onPath(p, func() { reluInto(got, x) })
+		for i := range x {
+			if math.Float32bits(got[i]) != math.Float32bits(wantF[i]) {
+				t.Fatalf("%s forward at offset %d, element %d of %d: relu(%#08x) = %#08x, oracle %#08x", pathName(p), off, i, len(x),
+					math.Float32bits(x[i]), math.Float32bits(got[i]), math.Float32bits(wantF[i]))
+			}
 		}
-	}
-	got, want = slices.Clone(grad), slices.Clone(grad)
-	reluGradInto(got, g, x)
-	refReLUGrad(want, g, x)
-	for i := range x {
-		bothNaN := got[i] != got[i] && want[i] != want[i]
-		if math.Float32bits(got[i]) != math.Float32bits(want[i]) && !(x[i] > 0 && bothNaN) {
-			t.Fatalf("backward at x = %#08x: %#08x + %#08x = %#08x, oracle %#08x", math.Float32bits(x[i]),
-				math.Float32bits(grad[i]), math.Float32bits(g[i]), math.Float32bits(got[i]), math.Float32bits(want[i]))
+		if !intact() {
+			t.Fatalf("%s forward at offset %d, length %d: wrote outside its output", pathName(p), off, len(x))
+		}
+		got, intact = placed(grad, off)
+		onPath(p, func() { reluGradInto(got, g, x) })
+		for i := range x {
+			bothNaN := got[i] != got[i] && wantB[i] != wantB[i]
+			if math.Float32bits(got[i]) != math.Float32bits(wantB[i]) && !(x[i] > 0 && bothNaN) {
+				t.Fatalf("%s backward at offset %d, element %d of %d, x = %#08x: %#08x + %#08x = %#08x, oracle %#08x",
+					pathName(p), off, i, len(x), math.Float32bits(x[i]),
+					math.Float32bits(grad[i]), math.Float32bits(g[i]), math.Float32bits(got[i]), math.Float32bits(wantB[i]))
+			}
+		}
+		if !intact() {
+			t.Fatalf("%s backward at offset %d, length %d: wrote outside its gradient", pathName(p), off, len(x))
 		}
 	}
 }
@@ -75,12 +92,13 @@ func TestReLUMatchesBranchyReference(t *testing.T) {
 		grad[i] = math.Float32frombits(reluSpecials[i/n%n])
 		g[i] = math.Float32frombits(reluSpecials[i/(n*n)])
 	}
-	checkReLU(t, x, grad, g)
+	checkReLU(t, 0, x, grad, g)
+	checkReLU(t, 5, x, grad, g)
 
 	// Random bit patterns and random activations, at lengths around the
-	// loops' ends.
+	// eight-wide body's ends and every alignment.
 	rng := rand.New(rand.NewSource(26))
-	for _, n := range []int{0, 1, 7, 8, 9, 1000} {
+	for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 17, 1000} {
 		bits := func() []float32 {
 			v := make([]float32, n)
 			for i := range v {
@@ -88,17 +106,25 @@ func TestReLUMatchesBranchyReference(t *testing.T) {
 			}
 			return v
 		}
-		checkReLU(t, bits(), bits(), bits())
-		checkReLU(t, heavyTailed(rng, n), heavyTailed(rng, n), heavyTailed(rng, n))
+		checkReLU(t, rng.Intn(8), bits(), bits(), bits())
+		checkReLU(t, rng.Intn(8), heavyTailed(rng, n), heavyTailed(rng, n), heavyTailed(rng, n))
 	}
 }
 
-// FuzzReLU holds both ReLU loops to the branchy oracle on raw bits.
+// FuzzReLU holds both ReLU passes, on every path this host has, to the
+// branchy oracle on raw bits: x, the old gradient and the incoming one are
+// cut from the bytes, 1–40 elements long, at offsets 0–7. Each seed starts
+// the specials at a different one.
 func FuzzReLU(f *testing.F) {
-	for _, b := range reluSpecials {
-		f.Add(b, uint32(0x3f800000), uint32(0x80000000))
+	for i := range reluSpecials {
+		var raw []byte
+		for _, b := range slices.Concat(reluSpecials[i:], reluSpecials[:i]) {
+			raw = binary.LittleEndian.AppendUint32(raw, b)
+		}
+		f.Add(uint8(8+i), uint8(i), raw)
 	}
-	f.Fuzz(func(t *testing.T, x, grad, g uint32) {
-		checkReLU(t, []float32{math.Float32frombits(x)}, []float32{math.Float32frombits(grad)}, []float32{math.Float32frombits(g)})
+	f.Fuzz(func(t *testing.T, nb, ob uint8, raw []byte) {
+		n, fill := int(nb%40)+1, rawFill(raw)
+		checkReLU(t, int(ob%8), fill(n), fill(n), fill(n))
 	})
 }

@@ -11,9 +11,31 @@ func ParamCount(params []*Tensor) int {
 	return n
 }
 
+// PackParams moves every parameter's values and gradient into two
+// contiguous slabs, data and grad, each of length ParamCount(params):
+// params[i] gets the range GradSegments gives it, its Data and Grad are
+// re-pointed there and keep their contents. From then on grad is the
+// flattened gradient in place — backward accumulates straight into it, one
+// clear zeroes every parameter's gradient, and it can be handed to the
+// communication layer without a copy. Each tensor must appear once.
+func PackParams(params []*Tensor) (data, grad []float32) {
+	n := ParamCount(params)
+	data, grad = make([]float32, n), make([]float32, n)
+	off := 0
+	for _, p := range params {
+		end := off + p.Len()
+		d, g := data[off:end:end], grad[off:end:end]
+		copy(d, p.Data)
+		copy(g, p.Grad)
+		p.Data, p.Grad = d, g
+		off = end
+	}
+	return data, grad
+}
+
 // FlattenGrads concatenates every parameter's gradient into out, which must
-// have length ParamCount(params). This is the dense gradient vector handed
-// to the communication layer.
+// have length ParamCount(params). A trainer whose parameters are packed
+// (PackParams) reads the grad slab instead and never needs this copy.
 func FlattenGrads(params []*Tensor, out []float32) {
 	off := 0
 	for _, p := range params {
@@ -119,13 +141,25 @@ func (s *SGD) StepScaled(params []*Tensor, grad []float32, scale float32) {
 				w[i] -= s.LR * float32(gv*scale)
 			}
 		} else {
-			vel := s.velocity[off : off+len(w)]
-			for i, gv := range g {
-				v := s.Momentum*vel[i] + float32(gv*scale)
-				vel[i] = v
-				w[i] -= s.LR * v
-			}
+			momentumStep(w, s.velocity[off:off+len(w)], g, s.Momentum, scale, s.LR)
 		}
 		off += len(w)
+	}
+}
+
+// momentumStep is one tensor's momentum update: v = mu·vel + g·scale,
+// vel = v, w −= lr·v, for every i < len(w).
+//
+//spardl:hotpath
+func momentumStep(w, vel, g []float32, mu, scale, lr float32) {
+	vel, g = vel[:len(w)], g[:len(w)]
+	if avx2 != nil {
+		avx2.sgd(w, vel, g, mu, scale, lr)
+		return
+	}
+	for i, gv := range g {
+		v := mu*vel[i] + float32(gv*scale)
+		vel[i] = v
+		w[i] -= lr * v
 	}
 }

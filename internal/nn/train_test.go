@@ -76,36 +76,73 @@ func refScaleAndStep(lr, momentum float32, velocity *[]float32, params []*Tensor
 }
 
 func TestStepScaledMatchesScaleThenStep(t *testing.T) {
-	for _, momentum := range []float32{0, 0.9} {
-		for _, scale := range []float32{1, 0.25, 1.0 / 3} {
-			rng := rand.New(rand.NewSource(11))
-			shapes := [][2]int{{7, 5}, {1, 5}, {5, 3}, {1, 1}}
-			var got, want []*Tensor
-			for _, sh := range shapes {
-				init := randInput(rng, sh[0], sh[1])
-				got = append(got, NewParam(sh[0], sh[1], func(i int) float32 { return init[i] }))
-				want = append(want, NewParam(sh[0], sh[1], func(i int) float32 { return init[i] }))
-			}
-			opt := NewSGD(0.05, momentum)
-			var refVelocity []float32
-			for step := 0; step < 3; step++ {
-				grad := heavyTailed(rng, ParamCount(got))
-				kept := slices.Clone(grad)
-				opt.StepScaled(got, grad, scale)
-				if i := sameBits(grad, kept); i >= 0 {
-					t.Fatalf("StepScaled wrote to its gradient argument at %d", i)
+	for _, p := range hostPaths() {
+		for _, momentum := range []float32{0, 0.9} {
+			for _, scale := range []float32{1, 0.25, 1.0 / 3} {
+				rng := rand.New(rand.NewSource(11))
+				shapes := [][2]int{{7, 5}, {1, 5}, {5, 3}, {1, 1}}
+				var got, want []*Tensor
+				for _, sh := range shapes {
+					init := randInput(rng, sh[0], sh[1])
+					got = append(got, NewParam(sh[0], sh[1], func(i int) float32 { return init[i] }))
+					want = append(want, NewParam(sh[0], sh[1], func(i int) float32 { return init[i] }))
 				}
-				refScaleAndStep(0.05, momentum, &refVelocity, want, grad, scale)
-				for pi := range got {
-					if i := sameBits(got[pi].Data, want[pi].Data); i >= 0 {
-						t.Fatalf("µ=%g scale=%g step %d: param %d elem %d = %x, oracle %x", momentum, scale, step, pi, i,
-							math.Float32bits(got[pi].Data[i]), math.Float32bits(want[pi].Data[i]))
+				PackParams(got) // as the trainer runs it; tensors then start at offsets 0, 3 and 7 mod 8
+				opt := NewSGD(0.05, momentum)
+				var refVelocity []float32
+				for step := 0; step < 3; step++ {
+					grad := heavyTailed(rng, ParamCount(got))
+					kept := slices.Clone(grad)
+					onPath(p, func() { opt.StepScaled(got, grad, scale) })
+					if i := sameBits(grad, kept); i >= 0 {
+						t.Fatalf("%s: StepScaled wrote to its gradient argument at %d", pathName(p), i)
+					}
+					refScaleAndStep(0.05, momentum, &refVelocity, want, grad, scale)
+					for pi := range got {
+						if i := sameBits(got[pi].Data, want[pi].Data); i >= 0 {
+							t.Fatalf("%s µ=%g scale=%g step %d: param %d elem %d = %x, oracle %x", pathName(p), momentum, scale, step, pi, i,
+								math.Float32bits(got[pi].Data[i]), math.Float32bits(want[pi].Data[i]))
+						}
+					}
+					if i := sameBits(opt.Velocity(), refVelocity); i >= 0 || len(opt.Velocity()) != len(refVelocity) {
+						t.Fatalf("%s µ=%g scale=%g step %d: velocity differs at %d", pathName(p), momentum, scale, step, i)
 					}
 				}
-				if i := sameBits(opt.Velocity(), refVelocity); i >= 0 || len(opt.Velocity()) != len(refVelocity) {
-					t.Fatalf("µ=%g scale=%g step %d: velocity differs at %d", momentum, scale, step, i)
-				}
 			}
+		}
+	}
+}
+
+// TestPackParams: packing keeps every value and gradient, lays them out in
+// Params() order — the grad slab is what FlattenGrads builds — and leaves
+// backward accumulating into the slabs.
+func TestPackParams(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	m := NewResMLPClassifier(rng, 6, 9, 2, 4)
+	params := m.Params()
+	batch := &Batch{X: randInput(rng, 5, 6), Features: 6, Labels: []int{0, 1, 2, 3, 1}}
+	loss, _ := m.Loss(batch)
+	loss.Backward()
+	n := ParamCount(params)
+	wantData, wantGrad := make([]float32, n), make([]float32, n)
+	FlattenParams(params, wantData)
+	FlattenGrads(params, wantGrad)
+	data, grad := PackParams(params)
+	if i := sameBits(data, wantData); i >= 0 || len(data) != n {
+		t.Fatalf("data slab differs from FlattenParams at %d", i)
+	}
+	if i := sameBits(grad, wantGrad); i >= 0 || len(grad) != n {
+		t.Fatalf("grad slab differs from FlattenGrads at %d", i)
+	}
+	clear(grad)
+	loss, _ = m.Loss(batch)
+	loss.Backward()
+	if i := sameBits(grad, wantGrad); i >= 0 {
+		t.Fatalf("backward after a clear of the packed slab differs at %d", i)
+	}
+	for _, s := range GradSegments(params) {
+		if &s.Param.Data[0] != &data[s.Lo] || &s.Param.Grad[0] != &grad[s.Lo] || cap(s.Param.Grad) != s.Len() {
+			t.Fatalf("param at [%d, %d) does not own its slab range", s.Lo, s.Hi)
 		}
 	}
 }

@@ -127,8 +127,7 @@ func (st *replica) snapshot(it int, reducer sparsecoll.Reducer, n int) {
 // fresh start.
 func (st *replica) restore(c *Case, seed int64, resume int, reducer sparsecoll.Reducer) {
 	if resume == 0 {
-		st.model = c.NewModel(seed)
-		st.opt = nn.NewSGD(c.LR, c.Momentum)
+		st.reset(c, seed)
 		return
 	}
 	i := (resume - 1) % 3

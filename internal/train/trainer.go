@@ -182,6 +182,7 @@ func newSession(cfg Config) (*session, error) {
 type replica struct {
 	model nn.Model
 	opt   *nn.SGD
+	grad  []float32 // the model's packed gradient slab (nn.PackParams)
 	// barriers counts SyncClock barriers passed — the resume candidate —
 	// and the ring holds the boundary snapshots a resume restores from.
 	barriers int
@@ -190,8 +191,16 @@ type replica struct {
 }
 
 func (s *session) newReplica() *replica {
-	c := s.cfg.Case
-	return &replica{model: c.NewModel(s.cfg.Seed) /* same seed ⇒ identical replicas */, opt: nn.NewSGD(c.LR, c.Momentum)}
+	st := &replica{}
+	st.reset(s.cfg.Case, s.cfg.Seed)
+	return st
+}
+
+// reset gives the replica the fresh-start model (same seed ⇒ identical
+// replicas), its parameters packed, and a fresh optimizer.
+func (st *replica) reset(c *Case, seed int64) {
+	st.model, st.opt = c.NewModel(seed), nn.NewSGD(c.LR, c.Momentum)
+	_, st.grad = nn.PackParams(st.model.Params())
 }
 
 // work is one worker's body for one fabric generation: iterations from the
@@ -261,23 +270,26 @@ func (s *session) work(m comm.Membership, ep comm.Endpoint, st *replica) {
 		s.mu.Unlock()
 	}()
 
-	flat := make([]float32, n)
+	var flat []float32 // the pipeline's gather buffer for fused buckets
+	if sched != nil {
+		flat = make([]float32, n)
+	}
 	global := make([]float32, n)
 	invP := float32(1) / float32(m.P)
 	for it := resume; it < cfg.Iters; it++ {
 		batch := ds.TrainBatch(m.Rank, it, c.BatchSize)
-		nn.ZeroGrads(st.model.Params())
+		clear(st.grad) // every parameter's gradient: they are packed
 		loss, _ := st.model.Loss(batch)
 		loss.Backward()
 
 		before := ep.Stats()
 		if sched == nil {
-			nn.FlattenGrads(st.model.Params(), flat)
 			ep.Compute(c.ComputeTime * skew) // simulated forward+backward time
-			// In-place synchronization into the per-worker result
-			// vector: the reduce pipeline allocates nothing at steady
-			// state (arena chunks + persistent dense scratch).
-			sparsecoll.ReduceInto(reducer, ep, flat, global)
+			// In-place synchronization of the gradient slab backward
+			// left behind into the per-worker result vector: the reduce
+			// pipeline allocates nothing at steady state (arena chunks +
+			// persistent dense scratch).
+			sparsecoll.ReduceInto(reducer, ep, st.grad, global)
 		} else {
 			// Schedule.Run charges the forward+backward compute itself,
 			// bucket by bucket, overlapping each bucket's all-reduce
