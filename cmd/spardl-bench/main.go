@@ -238,43 +238,6 @@ func emitSteadyBaseline(path, name string, b spardl.Backend, p, n, k int) error 
 	return writeJSON(path, rec)
 }
 
-// runDensitySweep measures the adaptive sparse↔dense representation
-// switching across gradient densities: steady-state TopkDSA all-reduces at
-// k/n from genuinely sparse (1e-3, dense blocks never pay off) to dense
-// reduce-scatter fan-in (1e-1, merged blocks cross the crossover), under
-// each DensePolicy. ns/op is measured wall time of the real merge kernels
-// (the simulator's clock is virtual but its merges are not); wire bytes
-// are the negotiated per-iteration cluster volume. Densifying is not free
-// on the wire: a dense block's zeros are real entries, so once a merged
-// chunk densifies, messages carrying it pay for the whole span — the
-// sweep makes that tradeoff visible next to the merge-compute win.
-func runDensitySweep(w io.Writer, p, n int) {
-	const warmup, iters = 2, 5
-	policies := []struct {
-		name string
-		pol  spardl.DensePolicy
-	}{
-		{"never", spardl.DenseNever},
-		{"adaptive", spardl.DenseAdaptive},
-		{"always", spardl.DenseAlways},
-	}
-	fmt.Fprintf(w, "## density sweep: steady-state TopkDSA all-reduce (P=%d, n=%d, wire=negotiated)\n\n", p, n)
-	fmt.Fprintf(w, "%-8s %10s  %-10s %14s %16s\n", "k/n", "k", "policy", "ns/op", "wire bytes/op")
-	grads := reduceGrads(p, n)
-	for _, ratio := range []float64{1e-3, 1e-2, 5e-2, 1e-1} {
-		k := int(float64(n) * ratio)
-		for _, pc := range policies {
-			f := spardl.Tuned(spardl.TopkDSA, spardl.WireNegotiated, pc.pol)
-			ns, _, rep := steadyRun(spardl.SimBackend(spardl.Ethernet), f, grads, k, warmup, iters)
-			fmt.Fprintf(w, "%-8.0e %10d  %-10s %14d %16d\n",
-				ratio, k, pc.name, ns, rep.TotalBytesRecv()/iters)
-		}
-	}
-	fmt.Fprintln(w, "\na densified merge result materializes its zeros as real entries, so the")
-	fmt.Fprintln(w, "policies that densify more also ship more bytes once blocks cross the")
-	fmt.Fprintln(w, "crossover; ns/op shows where dense-block merging beats sparse merging.")
-}
-
 // runChaosBench measures elastic recovery under a deterministic fault
 // schedule: the same elastic training session runs on livenet (goroutines,
 // in-memory channels) and on loopback tcpnet (goroutines, real sockets)
@@ -432,23 +395,22 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("spardl-bench: ")
 	var (
-		list         = flag.Bool("list", false, "list available experiments and exit")
-		run          = flag.String("run", "", "experiment id to run, or \"all\"")
-		full         = flag.Bool("full", false, "paper-faithful scale (longer runs) instead of quick mode")
-		out          = flag.String("o", "", "also write results to this file")
-		baseline     = flag.String("reduce-baseline", "", "write the BenchmarkReduceOnce perf baseline (ns/op, bytes-on-wire) to this JSON file and exit")
-		liveBase     = flag.String("live-baseline", "", "write the steady-state livenet baseline (real ns/op + serialized bytes + whole-process allocs/op, at the -live-p/n/k sizes) to this JSON file and exit")
-		tcpBase      = flag.String("tcp-baseline", "", "write the steady-state loopback-TCP baseline (same record as -live-baseline, over real sockets) to this JSON file and exit")
-		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof reads it)")
-		memprofile   = flag.String("memprofile", "", "write an allocation profile taken at exit to this file (go tool pprof reads it)")
-		densitySweep = flag.Bool("density-sweep", false, "sweep gradient density k/n × dense policy (never/adaptive/always) over steady-state TopkDSA all-reduces at the -live-p/n sizes, printing ns/op and negotiated wire bytes, then exit")
-		backend      = flag.String("backend", "", "\"tcp\" forks one OS process per worker over loopback TCP and prints the measured cross-process synchronization next to the simulated clock (at the -live-p/n/k sizes), then exits")
-		chaosSpec    = flag.String("chaos", "", "run an elastic training session under this deterministic fault schedule on livenet AND loopback tcpnet, reporting per-recovery rejoin/first-round latency and cross-substrate agreement, then exit (e.g. \"crash:rank=1,iter=2\")")
-		chaosP       = flag.Int("chaos-p", 4, "worker count for -chaos")
-		chaosIters   = flag.Int("chaos-iters", 8, "training iterations for -chaos")
-		liveP        = flag.Int("live-p", 8, "worker count for -live-baseline / -tcp-baseline / -density-sweep / -backend tcp")
-		liveN        = flag.Int("live-n", 1<<18, "gradient length for the same")
-		liveK        = flag.Int("live-k", 1<<18/100, "global sparse budget for the same")
+		list       = flag.Bool("list", false, "list available experiments and exit")
+		run        = flag.String("run", "", "experiment id to run, or \"all\"")
+		full       = flag.Bool("full", false, "paper-faithful scale (longer runs) instead of quick mode")
+		out        = flag.String("o", "", "also write results to this file")
+		baseline   = flag.String("reduce-baseline", "", "write the BenchmarkReduceOnce perf baseline (ns/op, bytes-on-wire) to this JSON file and exit")
+		liveBase   = flag.String("live-baseline", "", "write the steady-state livenet baseline (real ns/op + serialized bytes + whole-process allocs/op, at the -live-p/n/k sizes) to this JSON file and exit")
+		tcpBase    = flag.String("tcp-baseline", "", "write the steady-state loopback-TCP baseline (same record as -live-baseline, over real sockets) to this JSON file and exit")
+		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof reads it)")
+		memprofile = flag.String("memprofile", "", "write an allocation profile taken at exit to this file (go tool pprof reads it)")
+		backend    = flag.String("backend", "", "\"tcp\" forks one OS process per worker over loopback TCP and prints the measured cross-process synchronization next to the simulated clock (at the -live-p/n/k sizes), then exits")
+		chaosSpec  = flag.String("chaos", "", "run an elastic training session under this deterministic fault schedule on livenet AND loopback tcpnet, reporting per-recovery rejoin/first-round latency and cross-substrate agreement, then exit (e.g. \"crash:rank=1,iter=2\")")
+		chaosP     = flag.Int("chaos-p", 4, "worker count for -chaos")
+		chaosIters = flag.Int("chaos-iters", 8, "training iterations for -chaos")
+		liveP      = flag.Int("live-p", 8, "worker count for -live-baseline / -tcp-baseline / -backend tcp")
+		liveN      = flag.Int("live-n", 1<<18, "gradient length for the same")
+		liveK      = flag.Int("live-k", 1<<18/100, "global sparse budget for the same")
 	)
 	flag.Parse()
 
@@ -520,11 +482,6 @@ func main() {
 		if err := runChaosBench(os.Stdout, *chaosSpec, *chaosP, *chaosIters); err != nil {
 			log.Fatal(err)
 		}
-		return
-	}
-
-	if *densitySweep {
-		runDensitySweep(os.Stdout, *liveP, *liveN)
 		return
 	}
 

@@ -9,7 +9,6 @@ package core
 import (
 	"fmt"
 
-	"spardl/internal/sparse"
 	"spardl/internal/sparsecoll"
 	"spardl/internal/wire"
 )
@@ -101,12 +100,6 @@ type Options struct {
 	// Wire selects the simulator's byte accounting of sparse messages
 	// (default WireCOO, the paper's 8 bytes per entry).
 	Wire WireMode
-	// Dense selects when merge results switch into the dense-block
-	// representation mid-collective (default sparse.DenseAdaptive). The
-	// switch is a pure function of the merged entry sets, so every backend
-	// makes the same decision; sparse.DenseNever reproduces the pre-dense
-	// behaviour exactly.
-	Dense sparse.DensePolicy
 }
 
 // withDefaults normalizes zero values.
@@ -148,11 +141,6 @@ func (o Options) Validate(p int) error {
 	case WireCOO, WireNegotiated:
 	default:
 		return fmt.Errorf("core: unknown wire mode %s", o.Wire)
-	}
-	switch o.Dense {
-	case sparse.DenseAdaptive, sparse.DenseNever, sparse.DenseAlways:
-	default:
-		return fmt.Errorf("core: unknown dense policy %s", o.Dense)
 	}
 	d := o.Teams
 	if d < 1 || d > p {

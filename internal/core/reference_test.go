@@ -19,10 +19,13 @@ import (
 // accumulated into a separate ξ vector stepRes, and the new residual is
 // copied out of the two. It runs the same schedule on the embedded
 // reducer's partition, bags, transport and arena, so the two differ in the
-// dense-vector bookkeeping and nothing else.
+// dense-vector bookkeeping and nothing else. densified counts the merges
+// whose result switched to a dense block; the switch is a pure function of
+// the merged entry sets, so SparDL's merges switch at the same points.
 type refSparDL struct {
 	*SparDL
 	acc, snapshot, stepRes, residual []float32
+	densified                        int
 }
 
 func newRef(p, rank, n, k int, opts Options) *refSparDL {
@@ -107,6 +110,14 @@ func (r *refSparDL) ReduceInto(ep comm.Endpoint, grad, out []float32) {
 	sparsecoll.ChargeScan(ep, s.n)
 }
 
+// count tallies a merge result that took the dense representation.
+func (r *refSparDL) count(merged *sparse.Chunk) *sparse.Chunk {
+	if merged.IsDense() {
+		r.densified++
+	}
+	return merged
+}
+
 func (r *refSparDL) sparsify(ep comm.Endpoint, lo, hi int, localSel *[]int32) *sparse.Chunk {
 	kept := r.ar.TopKDense(r.acc, lo, hi, r.blockK)
 	sparsecoll.ChargeScan(ep, hi-lo)
@@ -174,7 +185,7 @@ func (r *refSparDL) srsEager(ep comm.Endpoint, localSel *[]int32) *sparse.Chunk 
 		for _, c := range in.([]*sparse.Chunk) {
 			b := s.part.BlockOf(c.IdxAt(0))
 			sparsecoll.ChargeMerge(ep, c.Len()+blocks[b].Len())
-			merged := s.ar.MergeAdd(blocks[b], c)
+			merged := r.count(s.ar.MergeAdd(blocks[b], c))
 			kept, dropped := s.ar.TopKChunk(merged, s.blockK)
 			sparsecoll.ChargeScan(ep, merged.Len())
 			r.drop(dropped, 1)
@@ -191,7 +202,7 @@ func (r *refSparDL) rsag(ep comm.Endpoint, mine *sparse.Chunk) *sparse.Chunk {
 		in, _ := ep.SendRecv(s.groupRanks[s.team^dist], mine, s.tx.ChunkBytes(mine))
 		got := in.(*sparse.Chunk)
 		sparsecoll.ChargeMerge(ep, got.Len()+mine.Len())
-		merged := s.ar.MergeAdd(mine, got)
+		merged := r.count(s.ar.MergeAdd(mine, got))
 		kept, dropped := s.ar.TopKChunk(merged, s.blockK)
 		sparsecoll.ChargeScan(ep, merged.Len())
 		r.drop(dropped, share)
@@ -215,7 +226,7 @@ func (r *refSparDL) bsag(ep comm.Endpoint, mine *sparse.Chunk) *sparse.Chunk {
 		total += c.Len()
 	}
 	sparsecoll.ChargeMerge(ep, total)
-	merged := s.ar.MergeAddAll(chunks)
+	merged := r.count(s.ar.MergeAddAll(chunks))
 	kept, dropped2 := s.ar.TopKChunk(merged, s.blockK)
 	sparsecoll.ChargeScan(ep, merged.Len())
 	r.drop(dropped2, 1/float32(s.d))
@@ -266,14 +277,15 @@ func firstBitDiff(a, b []float32) int {
 // TestResidualMatchesSnapshotReference: the in-place residual with its undo
 // log stores, bit for bit, what the snapshot/ξ-vector bookkeeping stored —
 // on every SRS and SAG variant, every residual mode, dense received chunks
-// (the range form of an undo record) and a prime worker count — and charges
-// the virtual clock identically.
+// (the range form of an undo record), densified merges and a prime worker
+// count — and charges the virtual clock identically.
 func TestResidualMatchesSnapshotReference(t *testing.T) {
 	const iters = 3
 	cases := []struct {
 		p, n, k int
 		opts    Options
 		live    bool // run on livenet: no virtual clock to compare
+		densify bool // some merge must switch to a dense block
 	}{
 		{p: 6, n: 600, k: 60, opts: Options{}},
 		{p: 7, n: 701, k: 70, opts: Options{}}, // prime P, ragged blocks
@@ -287,10 +299,12 @@ func TestResidualMatchesSnapshotReference(t *testing.T) {
 		{p: 6, n: 600, k: 60, opts: Options{Teams: 3, Residual: LRES}},
 		// Every block fully selected, on a byte backend: the codec carries
 		// a full-cover chunk as a dense block, so received chunks arrive
-		// dense, and final chunks are dense under DenseAlways.
-		{p: 4, n: 256, k: 256, opts: Options{Dense: sparse.DenseAlways}, live: true},
-		{p: 4, n: 256, k: 128, opts: Options{Eager: true, Dense: sparse.DenseAlways}},
-		{p: 4, n: 256, k: 128, opts: Options{Teams: 2, Dense: sparse.DenseAlways, Residual: PRES}},
+		// dense (TestDenseReceivedChunksTakeRangeUndo pins that).
+		{p: 4, n: 256, k: 256, opts: Options{}, live: true},
+		// Half of every block selected: the eager SRS and R-SAG merges
+		// cross the density threshold and switch to dense blocks.
+		{p: 4, n: 256, k: 128, opts: Options{Eager: true}, densify: true},
+		{p: 4, n: 256, k: 128, opts: Options{Teams: 2, Residual: PRES}, densify: true},
 	}
 	for _, c := range cases {
 		name := fmt.Sprintf("p=%d/n=%d/k=%d/%+v", c.p, c.n, c.k, c.opts)
@@ -307,9 +321,18 @@ func TestResidualMatchesSnapshotReference(t *testing.T) {
 				}
 				return s
 			})
+			refs := make([]*refSparDL, c.p)
 			wantOut, wantRes, wantRep := runResidualsOn(b, c.p, c.n, iters, grads, func(rank int) residualReducer {
-				return newRef(c.p, rank, c.n, c.k, c.opts)
+				refs[rank] = newRef(c.p, rank, c.n, c.k, c.opts)
+				return refs[rank]
 			})
+			densified := 0
+			for _, r := range refs {
+				densified += r.densified
+			}
+			if c.densify && densified == 0 {
+				t.Fatal("no merge switched to a dense block")
+			}
 			for it := 0; it < iters; it++ {
 				for rank := 0; rank < c.p; rank++ {
 					if i := firstBitDiff(gotOut[it][rank], wantOut[it][rank]); i >= 0 {
@@ -335,7 +358,7 @@ func TestDenseReceivedChunksTakeRangeUndo(t *testing.T) {
 	grads := makeGradients(1, p, n, 11)
 	sawDense := false
 	livenet.NewBackend().Run(p, func(rank int, ep comm.Endpoint) {
-		s, err := New(p, rank, n, k, Options{Dense: sparse.DenseAlways})
+		s, err := New(p, rank, n, k, Options{})
 		if err != nil {
 			panic(err)
 		}

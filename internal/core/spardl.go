@@ -95,7 +95,6 @@ func New(p, rank, n, k int, opts Options) (*SparDL, error) {
 		residual: make([]float32, n),
 		ar:       sparse.NewArena(),
 	}
-	s.ar.SetDensePolicy(opts.Dense)
 	s.tx = wire.Transport{Mode: opts.Wire}
 	s.teamRanks = make([]int, m)
 	for j := range s.teamRanks {
@@ -153,9 +152,6 @@ func (s *SparDL) Name() string {
 	}
 	if s.opts.Wire != WireCOO {
 		name += "+" + s.opts.Wire.String()
-	}
-	if s.opts.Dense != sparse.DenseAdaptive {
-		name += "+dense-" + s.opts.Dense.String()
 	}
 	return name
 }

@@ -5,7 +5,6 @@ import (
 
 	"spardl/internal/core"
 	"spardl/internal/simnet"
-	"spardl/internal/sparse"
 	"spardl/internal/sparsecoll"
 	"spardl/internal/train"
 	"spardl/internal/wire"
@@ -15,7 +14,7 @@ import (
 // accounting mode.
 func wiredBaselines(mode wire.Mode) []NamedFactory {
 	tuned := func(f sparsecoll.Factory) sparsecoll.Factory {
-		return sparsecoll.Tuned(f, mode, sparse.DenseAdaptive)
+		return sparsecoll.Tuned(f, mode)
 	}
 	return []NamedFactory{
 		{"TopkDSA", tuned(sparsecoll.NewTopkDSA)},

@@ -8,7 +8,6 @@ import (
 	"spardl/internal/core"
 	"spardl/internal/livenet"
 	"spardl/internal/simnet"
-	"spardl/internal/sparse"
 	"spardl/internal/sparsecoll"
 	"spardl/internal/wire"
 )
@@ -22,21 +21,16 @@ import (
 // TestWireModeInertOnBytes shows the other value changes nothing here, and
 // what it charges on the simulator is pinned there (core and sparsecoll
 // wire-mode tests).
-// The default methods all run with adaptive sparse↔dense representation
-// switching (the package default); the "-flip" entries shrink n and raise
-// k until the reduce-scatter fan-in is guaranteed to densify mid-collective
-// (P·k/n ≈ 2 entries per block position), and the explicit never/always
-// policies bracket the adaptive decision — every configuration must stay
-// bit-identical across backends regardless of which representation each
-// stream is in when it crosses the wire.
+// The "-flip" entries shrink n and raise k until the reduce-scatter fan-in
+// is guaranteed to switch to dense blocks mid-collective (P·k/n ≈ 2 entries
+// per block position) — every configuration must stay bit-identical across
+// backends regardless of which representation each stream is in when it
+// crosses the wire.
 func TestBackendEquivalence(t *testing.T) {
 	const n, k, iters = 2000, 60, 3
 	const flipN, flipK = 1024, 512 // fan-in density ≈ P·k/n ≥ 2 → dense switch
 
 	spardl := core.NewFactory
-	densePolicy := func(f sparsecoll.Factory, pol sparse.DensePolicy) sparsecoll.Factory {
-		return sparsecoll.Tuned(f, wire.ModeCOO, pol)
-	}
 	methods := []struct {
 		name string
 		p    int
@@ -62,11 +56,6 @@ func TestBackendEquivalence(t *testing.T) {
 		{"spardl-flip-eager", 4, spardl(core.Options{Eager: true}), flipN, flipK},
 		{"topkdsa-flip", 4, sparsecoll.NewTopkDSA, flipN, flipK},
 		{"oktopk-flip", 4, sparsecoll.NewOkTopk, flipN, flipK},
-		// Policy brackets at the flip configuration.
-		{"spardl-flip-never", 4, spardl(core.Options{Dense: sparse.DenseNever}), flipN, flipK},
-		{"spardl-flip-always", 4, spardl(core.Options{Dense: sparse.DenseAlways}), flipN, flipK},
-		{"topkdsa-flip-never", 4, densePolicy(sparsecoll.NewTopkDSA, sparse.DenseNever), flipN, flipK},
-		{"topkdsa-flip-always", 4, densePolicy(sparsecoll.NewTopkDSA, sparse.DenseAlways), flipN, flipK},
 	}
 
 	for _, m := range methods {
@@ -105,7 +94,7 @@ func TestWireModeInertOnBytes(t *testing.T) {
 		}
 	}
 	baseline := func(f sparsecoll.Factory) func(wire.Mode) sparsecoll.Factory {
-		return func(m wire.Mode) sparsecoll.Factory { return sparsecoll.Tuned(f, m, sparse.DenseAdaptive) }
+		return func(m wire.Mode) sparsecoll.Factory { return sparsecoll.Tuned(f, m) }
 	}
 	for _, m := range []struct {
 		name string
@@ -140,29 +129,6 @@ func TestWireModeInertOnBytes(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// The flip configuration must really produce different results than a
-// never-densified run would only if determinism broke — so instead we pin
-// the opposite: never/adaptive/always all agree bit-for-bit on the final
-// gradients. A representation switch is an implementation detail; the
-// moment it changes a single bit of output, this fails.
-func TestDensePoliciesAgreeOnOutputs(t *testing.T) {
-	const p, flipN, flipK, iters = 4, 1024, 512, 3
-	var results [][][][]float32
-	for _, pol := range []sparse.DensePolicy{sparse.DenseNever, sparse.DenseAdaptive, sparse.DenseAlways} {
-		f := core.NewFactory(core.Options{Dense: pol})
-		outs, _ := runReducer(livenet.NewBackend(), f, p, flipN, flipK, iters)
-		results = append(results, outs)
-	}
-	for it := 0; it < iters; it++ {
-		for rank := 0; rank < p; rank++ {
-			if !equal32(results[0][it][rank], results[1][it][rank]) ||
-				!equal32(results[0][it][rank], results[2][it][rank]) {
-				t.Fatalf("iter %d rank %d: dense policies disagree on outputs", it, rank)
-			}
-		}
 	}
 }
 

@@ -55,11 +55,7 @@ package sparse
 // allocation, so arena-aware code needs no branching at call sites; it
 // remembers nothing.
 
-import (
-	"math/bits"
-	"runtime"
-	"sync"
-)
+import "math/bits"
 
 const (
 	// slabElems is the bump-slab size for Idx/Val storage. Requests at or
@@ -183,10 +179,6 @@ type Arena struct {
 	// chunks recycle separately: their storage shapes differ.
 	freeChunks [numClasses][]*Chunk
 	freeDense  [numClasses][]*Chunk
-
-	// dense selects when merge results switch into the dense-block
-	// representation; see SetDensePolicy.
-	dense DensePolicy
 
 	// hints remembers the k-th key of the last TopKDense per (lo, hi, k)
 	// and its drift, hintNext where the next lookup starts, and sel how
@@ -363,8 +355,8 @@ func (a *Arena) Clone(c *Chunk) *Chunk {
 // values at indices present in both are summed. Inputs are not modified.
 // See the package-level MergeAdd for the semantics; this variant allocates
 // the result from the arena. The result switches to the dense-block
-// representation when the arena's density policy says the union crossed
-// the sparse/dense break-even point (see shouldDensify).
+// representation once the union crosses the sparse/dense break-even point
+// (see shouldDensify).
 //
 //spardl:hotpath
 func (a *Arena) MergeAdd(x, y *Chunk) *Chunk {
@@ -379,7 +371,7 @@ func (a *Arena) MergeAdd(x, y *Chunk) *Chunk {
 	}
 	lo, hi := unionBounds(x, y)
 	span := int64(hi) - int64(lo)
-	if a.shouldDensify(x.Len()+y.Len(), span) {
+	if shouldDensify(x.Len()+y.Len(), span) {
 		out := a.GetDense(lo, int(span))
 		addIntoBlock(out.Val, lo, x)
 		addIntoBlock(out.Val, lo, y)
@@ -458,7 +450,7 @@ func (a *Arena) MergeAddInto(dst, src *Chunk) *Chunk {
 		return out
 	}
 	uLo, uHi := unionBounds(dst, src)
-	if a.shouldDensify(dst.Len()+src.Len(), int64(uHi)-int64(uLo)) || src.dense {
+	if shouldDensify(dst.Len()+src.Len(), int64(uHi)-int64(uLo)) || src.dense {
 		out := a.MergeAdd(dst, src)
 		a.Recycle(dst)
 		return out
@@ -506,22 +498,11 @@ func (a *Arena) MergeAddInto(dst, src *Chunk) *Chunk {
 	return dst
 }
 
-// parallelMergeMinEntries is the total-nnz threshold above which
-// MergeAddAll shards the index space across GOMAXPROCS goroutines. Below
-// it the spawn/synchronization overhead outweighs the merge work.
-const parallelMergeMinEntries = 1 << 16
-
-// maxMergeShards caps the intra-worker fan-out: merge throughput is
-// memory-bound well before high shard counts pay off, and every worker of
-// a P-worker cluster may merge concurrently.
-const maxMergeShards = 8
-
 // MergeAddAll merge-adds all chunks (nil entries skipped, inputs never
-// mutated or aliased) into one arena-allocated chunk. Small merges run the
-// single-pass k-way loop; when the total entry count is large the index
-// space is split into shards merged concurrently, with results compacted
-// into one contiguous chunk. Both paths produce bit-identical output: for
-// every index, values are summed in input order.
+// mutated or aliased) into one arena-allocated chunk: a scatter-add into
+// a dense block when the union crosses the break-even point (see
+// shouldDensify), otherwise one k-way merge pass. For every index, values
+// are summed in input order on every path.
 //
 //spardl:hotpath
 func (a *Arena) MergeAddAll(chunks []*Chunk) *Chunk {
@@ -539,10 +520,6 @@ func (a *Arena) MergeAddAll(chunks []*Chunk) *Chunk {
 	case 1:
 		return a.Clone(act[0])
 	}
-	shards := runtime.GOMAXPROCS(0)
-	if shards > maxMergeShards {
-		shards = maxMergeShards
-	}
 	lo, hi := act[0].IdxAt(0), act[0].IdxAt(act[0].Len()-1)+1
 	for _, c := range act[1:] {
 		if f := c.IdxAt(0); f < lo {
@@ -553,49 +530,47 @@ func (a *Arena) MergeAddAll(chunks []*Chunk) *Chunk {
 		}
 	}
 	span := int64(hi) - int64(lo)
-	if a.shouldDensify(total, span) {
+	if shouldDensify(total, span) {
 		out := a.GetDense(lo, int(span))
-		if total >= parallelMergeMinEntries && shards > 1 {
-			mergeAddDenseShards(out, act, shards)
-			return out
-		}
 		for _, c := range act {
 			addIntoBlock(out.Val, lo, c)
 		}
 		return out
 	}
+	out, pos := a.Get(total), a.cursors(len(act))
 	if anyDense(act) {
-		out := a.Get(total)
-		kwayMergeAny(out, act, make([]int, len(act)))
-		return out
+		kwayMergeAny(out, act, pos)
+	} else {
+		kwayMerge(out, act, pos)
 	}
-	if total >= parallelMergeMinEntries && shards > 1 {
-		return a.mergeAddShards(act, total, shards) //spardl:hotprop-ok O(shards) cut tables amortize against the O(nnz) parallel merge they plan
-	}
-	out := a.Get(total)
-	kwayMerge(out, act, nil)
 	return out
 }
 
-// kwayMerge merges the sorted inputs into out (empty, sufficient
-// capacity). pos, when non-nil, provides cursor scratch of len(act).
+// cursors returns n zeroed merge cursors carved from the index slabs
+// (heap on a nil arena, by design).
 //
 //spardl:hotpath
-func kwayMerge(out *Chunk, act []*Chunk, pos []int) {
-	if pos == nil {
-		pos = make([]int, len(act))
-	} else {
-		for i := range pos {
-			pos[i] = 0
-		}
+func (a *Arena) cursors(n int) []int32 {
+	if a == nil {
+		return make([]int32, n)
 	}
+	pos := a.idx.alloc(n)[:n]
+	clear(pos)
+	return pos
+}
+
+// kwayMerge merges the sorted inputs into out (empty, sufficient
+// capacity). pos holds one zeroed cursor per input.
+//
+//spardl:hotpath
+func kwayMerge(out *Chunk, act []*Chunk, pos []int32) {
 	for {
 		// Find the smallest pending index across the cursors; with the
 		// small fan-ins used here (≤P inputs) a linear scan beats a heap.
 		// The int64 sentinel keeps index MaxInt32 itself mergeable.
 		min := int64(1) << 62
 		for i, c := range act {
-			if pos[i] < len(c.Idx) && int64(c.Idx[pos[i]]) < min {
+			if int(pos[i]) < len(c.Idx) && int64(c.Idx[pos[i]]) < min {
 				min = int64(c.Idx[pos[i]])
 			}
 		}
@@ -604,7 +579,7 @@ func kwayMerge(out *Chunk, act []*Chunk, pos []int) {
 		}
 		var sum float32
 		for i, c := range act {
-			if pos[i] < len(c.Idx) && int64(c.Idx[pos[i]]) == min {
+			if int(pos[i]) < len(c.Idx) && int64(c.Idx[pos[i]]) == min {
 				sum += c.Val[pos[i]]
 				pos[i]++
 			}
@@ -612,136 +587,6 @@ func kwayMerge(out *Chunk, act []*Chunk, pos []int) {
 		out.Idx = append(out.Idx, int32(min))
 		out.Val = append(out.Val, sum)
 	}
-}
-
-// mergeAddShards is the parallel fan-in path: the index space is cut into
-// `shards` ranges, each range is k-way merged by its own goroutine into a
-// disjoint region of one shared output chunk, and the regions are then
-// compacted to be contiguous. Per-index summation order equals the serial
-// path's (input order), so results are bit-identical.
-func (a *Arena) mergeAddShards(act []*Chunk, total, shards int) *Chunk {
-	lo, hi := act[0].Idx[0], act[0].Idx[len(act[0].Idx)-1]
-	for _, c := range act[1:] {
-		if c.Idx[0] < lo {
-			lo = c.Idx[0]
-		}
-		if last := c.Idx[len(c.Idx)-1]; last > hi {
-			hi = last
-		}
-	}
-	span := int64(hi) - int64(lo) + 1
-	if int64(shards) > span {
-		shards = int(span)
-	}
-	// cuts[s][i]: first position in act[i] whose index is >= the shard-s
-	// lower bound; cuts[shards][i] == len(act[i].Idx).
-	cuts := make([][]int, shards+1)
-	for s := 0; s <= shards; s++ {
-		cuts[s] = make([]int, len(act))
-		var bound int64
-		if s == shards {
-			bound = int64(hi) + 1
-		} else {
-			bound = int64(lo) + span*int64(s)/int64(shards)
-		}
-		for i, c := range act {
-			cuts[s][i] = searchIdx(c.Idx, bound)
-		}
-	}
-	// Each shard writes into out[starts[s] : starts[s]+capacity-of-shard);
-	// the merged run may be shorter than the capacity, so a sequential
-	// compaction pass closes the gaps afterwards.
-	starts := make([]int, shards+1)
-	for s := 0; s < shards; s++ {
-		size := 0
-		for i := range act {
-			size += cuts[s+1][i] - cuts[s][i]
-		}
-		starts[s+1] = starts[s] + size
-	}
-	out := a.Get(total)
-	idx := out.Idx[:total]
-	val := out.Val[:total]
-	lens := make([]int, shards)
-	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			sub := make([]*Chunk, 0, len(act))
-			for i, c := range act {
-				if cuts[s][i] < cuts[s+1][i] {
-					sub = append(sub, &Chunk{
-						Idx: c.Idx[cuts[s][i]:cuts[s+1][i]],
-						Val: c.Val[cuts[s][i]:cuts[s+1][i]],
-					})
-				}
-			}
-			region := &Chunk{
-				Idx: idx[starts[s]:starts[s]],
-				Val: val[starts[s]:starts[s]],
-			}
-			kwayMerge(region, sub, nil)
-			lens[s] = region.Len()
-		}(s)
-	}
-	wg.Wait()
-	w := lens[0]
-	for s := 1; s < shards; s++ {
-		copy(idx[w:], idx[starts[s]:starts[s]+lens[s]])
-		copy(val[w:], val[starts[s]:starts[s]+lens[s]])
-		w += lens[s]
-	}
-	out.Idx = idx[:w]
-	out.Val = val[:w]
-	return out
-}
-
-// searchIdx returns the first position in idx whose value is >= bound.
-func searchIdx(idx []int32, bound int64) int {
-	lo, hi := 0, len(idx)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if int64(idx[mid]) < bound {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// Concat concatenates chunks covering pairwise-disjoint ascending ranges
-// into one arena-allocated chunk; see the package-level Concat.
-//
-//spardl:hotpath
-func (a *Arena) Concat(chunks []*Chunk) *Chunk {
-	total := 0
-	for _, c := range chunks {
-		if c != nil {
-			total += c.Len()
-		}
-	}
-	out := a.Get(total)
-	last := int32(-1)
-	for _, c := range chunks {
-		if c == nil || c.Len() == 0 {
-			continue
-		}
-		if c.dense {
-			// Concat builds one COO run from disjoint sparse pieces; a
-			// dense block here means a merge result leaked into a path that
-			// should only ever see selections (always sparse).
-			panic("sparse: Concat input is a dense block")
-		}
-		if c.Idx[0] <= last {
-			panicConcat(c.Idx[0], last)
-		}
-		out.Idx = append(out.Idx, c.Idx...)
-		out.Val = append(out.Val, c.Val...)
-		last = c.Idx[len(c.Idx)-1]
-	}
-	return out
 }
 
 // FromDense extracts the non-zero entries of dense[lo:hi) into an

@@ -215,22 +215,12 @@ func (c *Chunk) ClearInDense(dense []float32) {
 // silently lose residual mass and break conservation accounting.
 func MergeAdd(a, b *Chunk) *Chunk { return (*Arena)(nil).MergeAdd(a, b) }
 
-// MergeAddAll merge-adds all chunks with a single k-way merge pass (sharded
-// across goroutines for very large fan-ins — see Arena.MergeAddAll). Nil
-// entries are skipped; inputs are never mutated or aliased by the result.
-// One output allocation and one sweep over the union replace the repeated
-// pairwise merges a naive fold would do (O(total·m) copying).
+// MergeAddAll merge-adds all chunks with a single k-way merge pass (or a
+// dense scatter-add — see Arena.MergeAddAll). Nil entries are skipped;
+// inputs are never mutated or aliased by the result. One output
+// allocation and one sweep over the union replace the repeated pairwise
+// merges a naive fold would do (O(total·m) copying).
 func MergeAddAll(chunks []*Chunk) *Chunk { return (*Arena)(nil).MergeAddAll(chunks) }
-
-// Concat concatenates chunks that cover pairwise-disjoint, ascending index
-// ranges (e.g. the per-block results of a reduce-scatter). It panics if the
-// inputs overlap or are out of order, because that indicates an algorithm
-// bug rather than a recoverable condition.
-func Concat(chunks []*Chunk) *Chunk { return (*Arena)(nil).Concat(chunks) }
-
-func panicConcat(idx, last int32) {
-	panic(fmt.Sprintf("sparse: Concat inputs overlap or out of order (%d <= %d)", idx, last))
-}
 
 // Slice returns the sub-chunk with indices in [lo, hi). The returned chunk
 // shares storage with c; callers must not mutate it. Slicing is defined on

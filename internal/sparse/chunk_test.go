@@ -161,20 +161,6 @@ func assertSameContent(t *testing.T, got, want *Chunk, n int) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	got := Concat([]*Chunk{chunkOf(0, 1, 2, 2), nil, chunkOf(5, 3), chunkOf(7, 4)})
-	assertChunkEqual(t, got, chunkOf(0, 1, 2, 2, 5, 3, 7, 4))
-}
-
-func TestConcatPanicsOnOverlap(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Concat accepted overlapping chunks")
-		}
-	}()
-	Concat([]*Chunk{chunkOf(0, 1, 5, 2), chunkOf(3, 1)})
-}
-
 func TestSlice(t *testing.T) {
 	c := chunkOf(1, 1, 4, 2, 6, 3, 9, 4)
 	assertChunkEqual(t, c.Slice(4, 9), chunkOf(4, 2, 6, 3))

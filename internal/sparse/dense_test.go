@@ -66,38 +66,46 @@ func TestArenaGetDenseRecycleReuse(t *testing.T) {
 	}
 }
 
-func TestShouldDensifyPolicies(t *testing.T) {
+func TestShouldDensify(t *testing.T) {
 	cases := []struct {
-		policy  DensePolicy
 		entries int
 		span    int64
 		want    bool
 	}{
-		{DenseAdaptive, 32, 64, true},    // exactly at crossover
-		{DenseAdaptive, 31, 64, false},   // just below
-		{DenseAdaptive, 63, 63, false},   // span under denseMinSpan
-		{DenseAdaptive, 500, 1000, true}, // 50% density
-		{DenseAdaptive, 499, 1000, false},
-		{DenseNever, 1000, 1000, false},
-		{DenseAlways, 1, 1000, true},
-		{DenseAlways, 0, 0, false},
+		{32, 64, true},    // exactly at crossover
+		{31, 64, false},   // just below
+		{63, 63, false},   // span under denseMinSpan
+		{500, 1000, true}, // 50% density
+		{499, 1000, false},
 	}
 	for _, tc := range cases {
-		a := NewArena()
-		a.SetDensePolicy(tc.policy)
-		if got := a.shouldDensify(tc.entries, tc.span); got != tc.want {
-			t.Errorf("%v entries=%d span=%d: got %v want %v", tc.policy, tc.entries, tc.span, got, tc.want)
+		if got := shouldDensify(tc.entries, tc.span); got != tc.want {
+			t.Errorf("entries=%d span=%d: got %v want %v", tc.entries, tc.span, got, tc.want)
 		}
-	}
-	// nil arena defaults to adaptive.
-	if !(*Arena)(nil).shouldDensify(32, 64) {
-		t.Fatal("nil arena should follow DenseAdaptive")
 	}
 }
 
-// Property: under every policy, every pairing of representations, MergeAdd
-// and MergeAddAll carry bit-identical content to the never-densified
-// reference merge.
+// assertMatchesScatter checks got's content bit for bit against the
+// summation chain the dense path is defined by: every input scatter-added,
+// in input order, into a zeroed length-n vector.
+func assertMatchesScatter(t *testing.T, got *Chunk, inputs []*Chunk, n int) {
+	t.Helper()
+	want := make([]float32, n)
+	for _, c := range inputs {
+		c.AddToDense(want)
+	}
+	dg := make([]float32, n)
+	got.AddToDense(dg)
+	for i := range dg {
+		if math.Float32bits(dg[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("content mismatch at %d: got %g want %g", i, dg[i], want[i])
+		}
+	}
+}
+
+// Property: for every pairing of representations, MergeAdd and
+// MergeAddAll carry content bit-identical to scatter-adding the inputs in
+// input order, whichever representation each merge picks.
 func TestMergeRepresentationTransparent(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const space = 600
@@ -121,40 +129,31 @@ func TestMergeRepresentationTransparent(t *testing.T) {
 			}
 		}
 
-		ref := NewArena()
-		ref.SetDensePolicy(DenseNever)
-		for _, policy := range []DensePolicy{DenseAdaptive, DenseAlways} {
-			a := NewArena()
-			a.SetDensePolicy(policy)
-
-			// Pairwise MergeAdd fold.
-			wantFold := inputs[0]
-			gotFold := inputs[0]
-			for _, c := range inputs[1:] {
-				wantFold = ref.MergeAdd(wantFold, c)
-				gotFold = a.MergeAdd(gotFold, c)
-			}
-			if err := gotFold.Validate(); err != nil {
-				t.Fatalf("%v fold: %v", policy, err)
-			}
-			assertSameContent(t, gotFold, wantFold, space)
-
-			// k-way MergeAddAll.
-			want := ref.MergeAddAll(inputs)
-			got := a.MergeAddAll(inputs)
-			if err := got.Validate(); err != nil {
-				t.Fatalf("%v k-way: %v", policy, err)
-			}
-			assertSameContent(t, got, want, space)
+		a := NewArena()
+		// Pairwise MergeAdd fold.
+		fold := inputs[0]
+		for _, c := range inputs[1:] {
+			fold = a.MergeAdd(fold, c)
 		}
+		if err := fold.Validate(); err != nil {
+			t.Fatalf("fold: %v", err)
+		}
+		assertMatchesScatter(t, fold, inputs, space)
+
+		// k-way MergeAddAll.
+		got := a.MergeAddAll(inputs)
+		if err := got.Validate(); err != nil {
+			t.Fatalf("k-way: %v", err)
+		}
+		assertMatchesScatter(t, got, inputs, space)
 	}
 }
 
 // The forced-flip equivalence workload (P=4, n=1024, k=512) really does
-// cross the density threshold: merging the per-block fan-in under the
-// adaptive policy yields a dense block, under never a COO chunk — pinning
-// that the cross-backend "-flip" suites exercise a genuine representation
-// switch rather than vacuously passing on all-sparse traffic.
+// cross the density threshold: merging the per-block fan-in yields a dense
+// block — pinning that the cross-backend "-flip" suites exercise a genuine
+// representation switch rather than vacuously passing on all-sparse
+// traffic.
 func TestFlipWorkloadDensifies(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	const p, n, k = 4, 1024, 512
@@ -164,48 +163,11 @@ func TestFlipWorkloadDensifies(t *testing.T) {
 		// Each worker contributes its top-k/p entries landing in this block.
 		fanIn[w] = randomChunk(rng, k/p, blockSpan)
 	}
-	adaptive := NewArena()
-	got := adaptive.MergeAddAll(fanIn)
+	got := NewArena().MergeAddAll(fanIn)
 	if !got.IsDense() {
-		t.Fatalf("adaptive merge of %d×%d entries over span %d stayed sparse", p, k/p, blockSpan)
+		t.Fatalf("merge of %d×%d entries over span %d stayed sparse", p, k/p, blockSpan)
 	}
-	never := NewArena()
-	never.SetDensePolicy(DenseNever)
-	ref := never.MergeAddAll(fanIn)
-	if ref.IsDense() {
-		t.Fatal("DenseNever produced a dense block")
-	}
-	assertSameContent(t, got, ref, n)
-}
-
-// The sharded dense fan-in must be bit-identical to the serial scatter-add
-// at sizes that actually engage the goroutine path.
-func TestMergeAddDenseShardsBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	const span = 1 << 17
-	act := make([]*Chunk, 6)
-	for i := range act {
-		c := &Chunk{}
-		idx := int32(rng.Intn(4))
-		for int(idx) < span-1 {
-			c.Idx = append(c.Idx, idx)
-			c.Val = append(c.Val, float32(rng.NormFloat64()))
-			idx += 1 + int32(rng.Intn(8))
-		}
-		act[i] = c
-	}
-	serial := (*Arena)(nil).GetDense(0, span)
-	for _, c := range act {
-		addIntoBlock(serial.Val, 0, c)
-	}
-	sharded := (*Arena)(nil).GetDense(0, span)
-	mergeAddDenseShards(sharded, act, 8)
-	for i := range serial.Val {
-		if math.Float32bits(serial.Val[i]) != math.Float32bits(sharded.Val[i]) {
-			t.Fatalf("shard divergence at %d: %x != %x", i,
-				math.Float32bits(serial.Val[i]), math.Float32bits(sharded.Val[i]))
-		}
-	}
+	assertMatchesScatter(t, got, fanIn, n)
 }
 
 func TestMergeAddIntoDenseInPlace(t *testing.T) {

@@ -44,6 +44,16 @@ func TestBlockOf(t *testing.T) {
 	}
 }
 
+// joinParts concatenates Split's per-block pieces back into one chunk.
+func joinParts(parts []*Chunk) *Chunk {
+	out := &Chunk{}
+	for _, part := range parts {
+		out.Idx = append(out.Idx, part.Idx...)
+		out.Val = append(out.Val, part.Val...)
+	}
+	return out
+}
+
 func TestSplitCoversChunk(t *testing.T) {
 	c := chunkOf(0, 1, 3, 2, 4, 3, 9, 4, 10, 5, 99, 6)
 	p := NewPartition(100, 4)
@@ -51,8 +61,7 @@ func TestSplitCoversChunk(t *testing.T) {
 	if len(parts) != 4 {
 		t.Fatalf("want 4 parts, got %d", len(parts))
 	}
-	back := Concat(parts)
-	assertChunkEqual(t, back, c)
+	assertChunkEqual(t, joinParts(parts), c)
 	for b, part := range parts {
 		lo, hi := p.Bounds(b)
 		for _, idx := range part.Idx {
@@ -64,7 +73,7 @@ func TestSplitCoversChunk(t *testing.T) {
 }
 
 // Property: for random n/blocks, offsets are monotone, sizes differ by at
-// most one, and Split+Concat round-trips random chunks.
+// most one, and Split round-trips random chunks.
 func TestPartitionProperties(t *testing.T) {
 	f := func(seed int64, nRaw, bRaw uint16) bool {
 		n := int(nRaw)%5000 + 1
@@ -88,7 +97,7 @@ func TestPartitionProperties(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		c := randomChunk(rng, 200, n)
-		back := Concat(p.Split(c))
+		back := joinParts(p.Split(c))
 		if back.Len() != c.Len() {
 			return false
 		}

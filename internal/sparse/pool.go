@@ -51,16 +51,8 @@ func (p *SlicePool[T]) Put(s []T) {
 }
 
 // densePool recycles call-scoped float32 scratch: the warm selection's
-// candidate values (topk_warm.go) and whatever callers take through
-// GetDense. Quickselect scratch is the uint32 key pool in topk.go
-// (selection compares bit keys, not values); longer-lived per-iteration
-// vectors are persistent per-reducer state, and chunk-shaped scratch comes
-// from the Arena.
+// candidate values (topk_warm.go). Quickselect scratch is the uint32 key
+// pool in topk.go (selection compares bit keys, not values); longer-lived
+// per-iteration vectors are persistent per-reducer state, and chunk-shaped
+// scratch comes from the Arena.
 var densePool SlicePool[float32]
-
-// GetDense returns a length-n scratch vector with arbitrary contents; see
-// SlicePool.Get. Pair with PutDense.
-func GetDense(n int) []float32 { return densePool.Get(n) }
-
-// PutDense hands a scratch vector back for reuse; see SlicePool.Put.
-func PutDense(s []float32) { densePool.Put(s) }

@@ -5,33 +5,33 @@ import (
 	"testing"
 )
 
-// TestDensePoolSizing pins the GetDense contract: a vector of the exact
+// TestDensePoolSizing pins the densePool contract: a vector of the exact
 // requested length, arbitrary contents, usable regardless of what sizes
 // were pooled before.
 func TestDensePoolSizing(t *testing.T) {
-	s := GetDense(100)
+	s := densePool.Get(100)
 	if len(s) != 100 {
-		t.Fatalf("GetDense(100) returned len %d", len(s))
+		t.Fatalf("densePool.Get(100) returned len %d", len(s))
 	}
 	for i := range s {
 		s[i] = float32(i)
 	}
-	PutDense(s)
+	densePool.Put(s)
 
 	// A smaller request may reuse the pooled vector (same backing array).
-	small := GetDense(10)
+	small := densePool.Get(10)
 	if len(small) != 10 {
-		t.Fatalf("GetDense(10) returned len %d", len(small))
+		t.Fatalf("densePool.Get(10) returned len %d", len(small))
 	}
-	PutDense(small)
+	densePool.Put(small)
 
 	// A larger request must grow, never return a short vector.
-	big := GetDense(1000)
+	big := densePool.Get(1000)
 	if len(big) != 1000 {
-		t.Fatalf("GetDense(1000) returned len %d", len(big))
+		t.Fatalf("densePool.Get(1000) returned len %d", len(big))
 	}
 	big[999] = 1 // must be addressable
-	PutDense(big)
+	densePool.Put(big)
 }
 
 // TestDensePoolConcurrent hammers the pool from many goroutines under
@@ -47,7 +47,7 @@ func TestDensePoolConcurrent(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				n := 64 + (w*31+r)%512
-				s := GetDense(n)
+				s := densePool.Get(n)
 				for i := range s {
 					s[i] = float32(w)
 				}
@@ -57,7 +57,7 @@ func TestDensePoolConcurrent(t *testing.T) {
 						return
 					}
 				}
-				PutDense(s)
+				densePool.Put(s)
 			}
 		}(w)
 	}

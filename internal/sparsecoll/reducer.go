@@ -55,26 +55,22 @@ func ReduceInto(r Reducer, ep comm.Endpoint, grad, out []float32) {
 	copy(out, r.Reduce(ep, grad))
 }
 
-// tunable is implemented by reducers whose simulator byte accounting and
-// merge representation can be moved off the defaults; base provides it to
-// every sparse baseline.
+// tunable is implemented by reducers whose simulator byte accounting can
+// be moved off the default; base provides it to every sparse baseline.
 type tunable interface {
-	tune(mode wire.Mode, policy sparse.DensePolicy)
+	tune(mode wire.Mode)
 }
 
 // Tuned returns a factory that builds the same reducers as f, charged on
-// the simulator by the given wire mode and with the given sparse↔dense
-// representation-switching policy on their merge paths. The zero values
-// (wire.ModeCOO, sparse.DenseAdaptive) are the defaults; sparse.DenseNever
-// reproduces the pre-dense behaviour and sparse.DenseAlways is the
-// ablation bound. Reducers without sparse messages (e.g. Dense) are
+// the simulator by the given wire mode (wire.ModeCOO, the zero value, is
+// the default). Reducers without sparse messages (e.g. Dense) are
 // returned unchanged — their wire volume is already exact — so mixed
 // method lists can be wrapped uniformly.
-func Tuned(f Factory, mode wire.Mode, policy sparse.DensePolicy) Factory {
+func Tuned(f Factory, mode wire.Mode) Factory {
 	return func(p, rank, n, k int) Reducer {
 		r := f(p, rank, n, k)
 		if t, ok := r.(tunable); ok {
-			t.tune(mode, policy)
+			t.tune(mode)
 		}
 		return r
 	}
@@ -133,10 +129,7 @@ func (b *base) Name() string {
 }
 
 // tune implements tunable.
-func (b *base) tune(mode wire.Mode, policy sparse.DensePolicy) {
-	b.tx.Mode = mode
-	b.ar.SetDensePolicy(policy)
-}
+func (b *base) tune(mode wire.Mode) { b.tx.Mode = mode }
 
 // Residual implements ResidualCarrier.
 func (b *base) Residual() []float32 { return b.residual }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"spardl/internal/simnet"
-	"spardl/internal/sparse"
 	"spardl/internal/wire"
 )
 
@@ -106,7 +105,7 @@ func TestSegmentClampsBudget(t *testing.T) {
 // messages must return it as-is instead of panicking — dense baselines ride
 // along in wire-mode method lists.
 func TestTunedLeavesDenseUnchanged(t *testing.T) {
-	f := Tuned(NewDense, wire.ModeNegotiated, sparse.DenseAlways)
+	f := Tuned(NewDense, wire.ModeNegotiated)
 	r := f(2, 0, 100, 10)
 	if r.Name() != "Dense" {
 		t.Fatalf("dense reducer renamed: %q", r.Name())

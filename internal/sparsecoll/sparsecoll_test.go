@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"spardl/internal/simnet"
-	"spardl/internal/sparse"
 	"spardl/internal/wire"
 )
 
@@ -288,7 +287,7 @@ func TestBaselineWireModes(t *testing.T) {
 	for _, tc := range cases {
 		const n, k, iters, seed = 24000, 240, 3, 21 // k/n = 1e-2
 		outsCOO, _, repCOO := runMethod(tc.f, tc.p, n, k, iters, seed)
-		neg, _, repNeg := runMethod(Tuned(tc.f, wire.ModeNegotiated, sparse.DenseAdaptive), tc.p, n, k, iters, seed)
+		neg, _, repNeg := runMethod(Tuned(tc.f, wire.ModeNegotiated), tc.p, n, k, iters, seed)
 		assertConsistent(t, neg)
 		for it := range outsCOO {
 			if !reflect.DeepEqual(neg[it][0], outsCOO[it][0]) {

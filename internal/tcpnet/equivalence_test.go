@@ -15,7 +15,6 @@ import (
 	"spardl/internal/comm"
 	"spardl/internal/core"
 	"spardl/internal/simnet"
-	"spardl/internal/sparse"
 	"spardl/internal/sparsecoll"
 )
 
@@ -70,10 +69,8 @@ type eqCombo struct {
 // SparDL configuration and every baseline, with gTopk joining on
 // power-of-two P. Each runs once: the accounting mode (Options.Wire) is
 // inert where bytes are real, which livenet's TestWireModeInertOnBytes
-// pins for the runtime both backends share. Every combo runs with adaptive
-// sparse↔dense representation switching (the package default); the "-flip"
-// entries force a mid-collective sparse→dense switch and the never/always
-// policies bracket the adaptive decision.
+// pins for the runtime both backends share. The "-flip" entries force a
+// mid-collective sparse→dense switch.
 func eqCombos(p int) []eqCombo {
 	spardl := core.NewFactory
 	combos := []eqCombo{
@@ -84,8 +81,6 @@ func eqCombos(p int) []eqCombo {
 		{"oktopk", sparsecoll.NewOkTopk, eqN, eqK},
 		{"dense", sparsecoll.NewDense, eqN, eqK},
 		{"spardl-flip", spardl(core.Options{}), eqFlipN, eqFlipK},
-		{"spardl-flip-never", spardl(core.Options{Dense: sparse.DenseNever}), eqFlipN, eqFlipK},
-		{"spardl-flip-always", spardl(core.Options{Dense: sparse.DenseAlways}), eqFlipN, eqFlipK},
 		{"topkdsa-flip", sparsecoll.NewTopkDSA, eqFlipN, eqFlipK},
 	}
 	for _, d := range []int{2, 3} {

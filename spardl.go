@@ -104,34 +104,17 @@ const (
 	WireNegotiated = core.WireNegotiated
 )
 
-// DensePolicy selects when merge results switch into the dense-block
-// representation mid-collective (Options.Dense).
-type DensePolicy = sparse.DensePolicy
-
 // SelectStats counts how a reducer's top-k selections — at every block
 // length — found their thresholds: cold, warm hit (of which tightened,
 // widened), fallback. Observability only — the selections are exact and
 // identical whichever way they went.
 type SelectStats = sparse.SelectStats
 
-// Representation-switching policies.
-const (
-	// DenseAdaptive switches once merged entry counts reach half the union
-	// index span — the density where a dense block is no larger on the wire
-	// and merges become contiguous adds. The default.
-	DenseAdaptive = sparse.DenseAdaptive
-	// DenseNever keeps every merge result sparse (pre-switching behaviour).
-	DenseNever = sparse.DenseNever
-	// DenseAlways densifies every merge result (the ablation bound).
-	DenseAlways = sparse.DenseAlways
-)
-
-// Tuned wraps a baseline factory with a simulator accounting mode and a
-// representation-switching policy for its merge paths (the zero values are
-// the defaults). SparDL itself is configured via Options.Wire and
-// Options.Dense instead.
-func Tuned(f Factory, mode WireMode, policy DensePolicy) Factory {
-	return sparsecoll.Tuned(f, mode, policy)
+// Tuned wraps a baseline factory with a simulator accounting mode (the
+// zero value is the default). SparDL itself is configured via
+// Options.Wire instead.
+func Tuned(f Factory, mode WireMode) Factory {
+	return sparsecoll.Tuned(f, mode)
 }
 
 // New builds a SparDL reducer for one worker of a P-worker cluster
