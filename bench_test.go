@@ -94,7 +94,7 @@ func BenchmarkExtWireE2E(b *testing.B) { benchExperiment(b, "ext-wire-e2e") }
 // one wire mode, via the canonical spardl.ReduceBench harness (shared with
 // spardl-bench -reduce-baseline, so the committed baseline and this
 // benchmark measure the identical workload). What it measures is the
-// marginal cost of one more Reduce, which the arena allocator keeps
+// marginal cost of one more ReduceInto, which the arena allocator keeps
 // allocation-free.
 func benchReduceOnce(b *testing.B, mode spardl.WireMode) {
 	b.Helper()

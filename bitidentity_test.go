@@ -174,7 +174,7 @@ func runIdent(c identCase, seed uint64) uint64 {
 		} else {
 			n = c.n
 			r := c.factory(c.p, rank, n, c.k)
-			sync = func(g []float32) { spardl.ReduceInto(r, ep, g, out) }
+			sync = func(g []float32) { r.ReduceInto(ep, g, out) }
 			residual = func() []float32 { return r.(sparsecoll.ResidualCarrier).Residual() }
 		}
 		out = make([]float32, n)

@@ -30,7 +30,7 @@ import (
 // ns/op and bytes-on-wire baseline of one steady-state SparDL
 // synchronization at paper-like sizes (the BenchmarkReduceOnce workload:
 // fabric, reducers and buffers persist across iterations, so the record
-// tracks the marginal cost of one more Reduce), tracked across PRs.
+// tracks the marginal cost of one more ReduceInto), tracked across PRs.
 type reduceBaseline struct {
 	Benchmark   string `json:"benchmark"`
 	P           int    `json:"p"`
@@ -50,13 +50,14 @@ type reduceBaseline struct {
 // α-β accounted on the simulator, real serialized bytes on livenet).
 func runReduceOnce(b spardl.Backend, p, n, k int, mode spardl.WireMode, grads [][]float32) *spardl.Report {
 	return b.Run(p, func(rank int, ep spardl.CommEndpoint) {
-		r, err := spardl.New(p, rank, n, k, spardl.Options{Wire: mode})
+		r, err := spardl.New(p, rank, n, k, spardl.Options{})
 		if err != nil {
 			panic(err)
 		}
+		r.SetWire(mode)
 		g := make([]float32, n)
 		copy(g, grads[rank])
-		r.Reduce(ep, g)
+		r.ReduceInto(ep, g, make([]float32, n))
 	})
 }
 
@@ -140,12 +141,13 @@ func writeJSON(path string, rec any) error {
 // steadyBaseline is the JSON record -live-baseline and -tcp-baseline emit:
 // real wall-clock ns/op, real serialized wire bytes and whole-process
 // allocations for one steady-state SparDL synchronization on a byte-level
-// backend. There is one record, not one per Options.Wire value: that option
-// is the simulator's accounting rule and changes nothing a byte backend
-// does. The allocation figure covers every goroutine the transport runs
-// (workers, per-peer readers and writers), which is exactly the data path
-// the tcp baseline defends: a per-frame copy or per-receive buffer shows up
-// here no matter which goroutine pays for it.
+// backend. There is one record, not one per wire accounting mode: that
+// mode (spardl.Tuned) is the simulator's accounting rule and changes
+// nothing a byte backend does. The allocation figure covers every
+// goroutine the transport runs (workers, per-peer readers and writers),
+// which is exactly the data path the tcp baseline defends: a per-frame
+// copy or per-receive buffer shows up here no matter which goroutine pays
+// for it.
 type steadyBaseline struct {
 	Benchmark    string `json:"benchmark"`
 	P            int    `json:"p"`
@@ -177,7 +179,7 @@ func steadyRun(b spardl.Backend, f spardl.Factory, grads [][]float32, k, warmup,
 		out := make([]float32, n)
 		run := func() {
 			copy(g, grads[rank])
-			spardl.ReduceInto(r, ep, g, out)
+			r.ReduceInto(ep, g, out)
 			ep.SyncClock()
 		}
 		for it := 0; it < warmup; it++ {

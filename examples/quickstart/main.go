@@ -1,7 +1,7 @@
 // Quickstart: eight simulated workers synchronize one sparse gradient with
 // SparDL and print the α-β cost each worker paid. This is the smallest
 // possible tour of the public API: a fabric, one reducer per worker, one
-// Reduce call — plus, at the end, the one-knob upgrade to the layer-wise
+// ReduceInto call — plus, at the end, the one-knob upgrade to the layer-wise
 // bucketed pipeline that overlaps communication with the backward pass.
 package main
 
@@ -34,7 +34,8 @@ func main() {
 			grad[i] = float32(rng.NormFloat64())
 		}
 
-		outs[rank] = reducer.Reduce(ep, grad)
+		outs[rank] = make([]float32, n)
+		reducer.ReduceInto(ep, grad, outs[rank])
 	})
 
 	// All replicas must end bit-identical — verify.
@@ -76,7 +77,8 @@ func main() {
 		for i := range grad {
 			grad[i] = float32(rng.NormFloat64())
 		}
-		liveOuts[rank] = reducer.Reduce(ep, grad)
+		liveOuts[rank] = make([]float32, n)
+		reducer.ReduceInto(ep, grad, liveOuts[rank])
 	})
 	for w := 0; w < p; w++ {
 		for i := range outs[w] {

@@ -59,7 +59,7 @@ func TestSmallKSelectionBoundedByEffectiveK(t *testing.T) {
 		for i := range grad {
 			grad[i] = float32((i*13+rank*7)%29) - 14
 		}
-		outs[rank] = s.Reduce(ep, grad)
+		outs[rank] = reduce(s, ep, grad)
 	})
 	if effective != p { // m = P with d = 1, so the clamp lands on P
 		t.Fatalf("EffectiveK = %d, want %d", effective, p)

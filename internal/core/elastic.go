@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"spardl/internal/sparsecoll"
-)
+import "fmt"
 
 // RestoreResidual implements sparsecoll.ResidualRestorer: an elastic
 // recovery rebuilds the reducer for the shrunk cluster (new
@@ -34,24 +30,4 @@ func (o Options) FitTeams(p int) Options {
 	}
 	o.Teams = d
 	return o
-}
-
-// NewElasticFactory is NewFactory for elastic runs: every construction
-// re-fits the team count to the worker count it is invoked with, so one
-// factory value survives a mid-training shrink and rebuilds valid team
-// partitions for the survivors. The fitted options are Validate-checked
-// before use; a failure panics, which the elastic trainer surfaces as a
-// fail-fast configuration error rather than a retryable fault.
-func NewElasticFactory(opts Options) sparsecoll.Factory {
-	return func(p, rank, n, k int) sparsecoll.Reducer {
-		fitted := opts.FitTeams(p)
-		if err := fitted.Validate(p); err != nil {
-			panic(err)
-		}
-		r, err := New(p, rank, n, k, fitted)
-		if err != nil {
-			panic(err)
-		}
-		return r
-	}
 }

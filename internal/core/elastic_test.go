@@ -53,16 +53,21 @@ func TestRestoreResidualRoundTrip(t *testing.T) {
 	r.RestoreResidual(make([]float32, 3))
 }
 
-func TestNewElasticFactoryRefitsAcrossShrink(t *testing.T) {
-	f := NewElasticFactory(Options{Teams: 4})
-	// 8 workers: d=4 fits unchanged. 6 workers: re-fits to d=3.
-	if r := f(8, 0, 32, 4); r == nil {
-		t.Fatal("factory refused p=8")
-	}
-	if r := f(6, 0, 32, 4); r == nil {
-		t.Fatal("factory refused p=6 after shrink")
-	}
-	if r := f(5, 0, 32, 4); r == nil {
-		t.Fatal("factory refused prime p=5")
+// TestNewFactoryRefitsAcrossShrink: the one SparDL factory survives an
+// elastic shrink — built for P=8 with d=4, it re-fits its teams to every
+// smaller worker count it is later invoked with.
+func TestNewFactoryRefitsAcrossShrink(t *testing.T) {
+	f := NewFactory(Options{Teams: 4})
+	for _, tc := range []struct {
+		p    int
+		want string
+	}{
+		{8, "SparDL(R-SAG,d=4)"}, // d=4 fits unchanged
+		{6, "SparDL(B-SAG,d=3)"}, // 4∤6: re-fits to d=3
+		{5, "SparDL"},            // prime P: d=1
+	} {
+		if got := f(tc.p, 0, 32, 4).Name(); got != tc.want {
+			t.Errorf("p=%d: built %q, want %q", tc.p, got, tc.want)
+		}
 	}
 }

@@ -28,7 +28,7 @@ func TestGRESExactSemantics(t *testing.T) {
 		}
 		reducers[rank] = r
 		g := append([]float32(nil), grads[rank]...)
-		outs[rank] = r.Reduce(ep, g)
+		outs[rank] = reduce(r, ep, g)
 	})
 
 	// blockK = k/P = 1 entry per block.
@@ -111,7 +111,7 @@ func TestResidualReuseAcrossIterations(t *testing.T) {
 			// residual until it beats 1.0 (at the second iteration:
 			// 1.2 > 1.0).
 			g := []float32{1, 0.6, 1, 0.6}
-			out := r.Reduce(ep, g)
+			out := reduce(r, ep, g)
 			if rank == 0 {
 				outs[it] = append(outs[it], out)
 			}
@@ -136,7 +136,7 @@ func TestSparDLSingleWorker(t *testing.T) {
 		for i := range g {
 			g[i] = float32(i)
 		}
-		out := r.Reduce(ep, g)
+		out := reduce(r, ep, g)
 		nz := 0
 		for _, v := range out {
 			if v != 0 {
@@ -160,7 +160,7 @@ func TestReducePanicsOnWrongLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Reduce(f.Endpoint(0), make([]float32, 99))
+	r.ReduceInto(f.Endpoint(0), make([]float32, 99), make([]float32, 100))
 }
 
 func TestSparDLIndivisibleSizes(t *testing.T) {

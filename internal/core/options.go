@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"spardl/internal/sparsecoll"
-	"spardl/internal/wire"
 )
 
 // ResidualMode selects which discarded gradients feed back into the next
@@ -68,21 +67,6 @@ func (v Variant) String() string {
 	return fmt.Sprintf("Variant(%d)", int(v))
 }
 
-// WireMode selects what the simulator charges for every sparse message a
-// reducer sends. The byte-level backends have one real format and ignore
-// it (see wire.Mode).
-type WireMode = wire.Mode
-
-const (
-	// WireCOO charges the paper's COO accounting: 8 bytes per entry, no
-	// header. The default; reproduces Table I bit-for-bit.
-	WireCOO = wire.ModeCOO
-	// WireNegotiated charges the smallest self-describing encoding
-	// (COO / delta-varint / bitmap / dense) per message — the bytes the
-	// real backends actually move.
-	WireNegotiated = wire.ModeNegotiated
-)
-
 // Options configures a SparDL reducer.
 type Options struct {
 	// Teams is the number of teams d (Section III-D). d must divide P.
@@ -97,9 +81,6 @@ type Options struct {
 	// sparsified immediately after every summation instead of lazily right
 	// before transmission. Used by the ablation benches.
 	Eager bool
-	// Wire selects the simulator's byte accounting of sparse messages
-	// (default WireCOO, the paper's 8 bytes per entry).
-	Wire WireMode
 }
 
 // withDefaults normalizes zero values.
@@ -123,7 +104,7 @@ func (o Options) variantFor(d int) Variant {
 
 // Validate reports configuration errors for a P-worker cluster. Every
 // reachable mid-collective panic is a validation error here instead: a
-// SparDL built from Options that Validate accepts never aborts a Reduce
+// SparDL built from Options that Validate accepts never aborts a ReduceInto
 // (the P∈{2..9} × d sweep in the tests pins this).
 func (o Options) Validate(p int) error {
 	o = o.withDefaults()
@@ -136,11 +117,6 @@ func (o Options) Validate(p int) error {
 	case GRES, PRES, LRES:
 	default:
 		return fmt.Errorf("core: unknown residual mode %s", o.Residual)
-	}
-	switch o.Wire {
-	case WireCOO, WireNegotiated:
-	default:
-		return fmt.Errorf("core: unknown wire mode %s", o.Wire)
 	}
 	d := o.Teams
 	if d < 1 || d > p {
@@ -159,11 +135,15 @@ func (o Options) Validate(p int) error {
 }
 
 // NewFactory adapts New to the sparsecoll.Factory signature so the trainer
-// and experiment harness can treat SparDL and the baselines uniformly. It
-// panics on invalid options (a configuration bug surfaced at startup).
+// and experiment harness can treat SparDL and the baselines uniformly.
+// Every construction builds with opts.FitTeams(p), so one factory value
+// survives an elastic shrink and rebuilds valid teams for the survivors;
+// on Options that Validate(p) accepts, FitTeams changes nothing. It panics
+// on options no team count can fix (a configuration bug surfaced at
+// startup, which the elastic trainer reports as fail-fast).
 func NewFactory(opts Options) sparsecoll.Factory {
 	return func(p, rank, n, k int) sparsecoll.Reducer {
-		r, err := New(p, rank, n, k, opts)
+		r, err := New(p, rank, n, k, opts.FitTeams(p))
 		if err != nil {
 			panic(err)
 		}

@@ -29,7 +29,7 @@ func TestNoReachablePanicSweep(t *testing.T) {
 			for i := range g {
 				g[i] = float32((i*5+rank)%17) - 8
 			}
-			r.Reduce(ep, g)
+			r.ReduceInto(ep, g, make([]float32, n))
 		})
 	}
 

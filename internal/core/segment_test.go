@@ -6,6 +6,7 @@ import (
 
 	"spardl/internal/simnet"
 	"spardl/internal/sparsecoll"
+	"spardl/internal/wire"
 )
 
 // TestSparDLOverSegmentWithTeams: the full SparDL machinery — SRS, team
@@ -21,8 +22,7 @@ func TestSparDLOverSegmentWithTeams(t *testing.T) {
 		k          = 64
 		iterations = 3
 	)
-	opts := Options{Teams: 2, Wire: WireNegotiated}
-	factory := NewFactory(opts)
+	factory := sparsecoll.Tuned(NewFactory(Options{Teams: 2}), wire.ModeNegotiated)
 
 	grad := func(n, rank, it int) []float32 {
 		rng := rand.New(rand.NewSource(int64(97*rank + it)))
@@ -59,13 +59,10 @@ func TestSparDLOverSegmentWithTeams(t *testing.T) {
 	for _, seg := range []struct{ lo, hi, k int }{{0, cut, k * cut / n}, {cut, n, k - k*cut/n}} {
 		alone := make([][]float32, iterations)
 		simnet.Run(p, simnet.Ethernet, func(rank int, ep *simnet.Endpoint) {
-			r, err := New(p, rank, seg.hi-seg.lo, seg.k, opts)
-			if err != nil {
-				panic(err)
-			}
+			r := factory(p, rank, seg.hi-seg.lo, seg.k)
 			for it := 0; it < iterations; it++ {
 				flat := grad(n, rank, it)
-				got := r.Reduce(ep, flat[seg.lo:seg.hi])
+				got := reduce(r, ep, flat[seg.lo:seg.hi])
 				if rank == 0 {
 					alone[it] = got
 				}
@@ -95,7 +92,7 @@ func TestSparDLSegmentTinyBucket(t *testing.T) {
 		for i := range g {
 			g[i] = float32(rank*10 + i + 1)
 		}
-		outs[rank] = r.Reduce(ep, g)
+		outs[rank] = reduce(r, ep, g)
 	})
 	for w := 1; w < p; w++ {
 		for i := range outs[0] {

@@ -11,7 +11,7 @@ import (
 )
 
 // SparDL is the paper's sparse communication framework. One instance per
-// worker; Reduce performs one full synchronization:
+// worker; ReduceInto performs one full synchronization:
 //
 //	Spar-Reduce-Scatter inside each team  (Section III-B)
 //	→ Spar-All-Gather across teams        (Section III-D, when d > 1)
@@ -51,7 +51,7 @@ type SparDL struct {
 	nts      []int // recorded N_t series (Fig. 7)
 
 	// Steady-state allocation machinery: every chunk, pointer slice and undo
-	// record built during a Reduce comes from the arena (epoch-reset at the
+	// record built during a ReduceInto comes from the arena (epoch-reset at the
 	// top of each call) — a steady-state ReduceInto performs no heap
 	// allocation of its own.
 	ar     *sparse.Arena
@@ -95,7 +95,6 @@ func New(p, rank, n, k int, opts Options) (*SparDL, error) {
 		residual: make([]float32, n),
 		ar:       sparse.NewArena(),
 	}
-	s.tx = wire.Transport{Mode: opts.Wire}
 	s.teamRanks = make([]int, m)
 	for j := range s.teamRanks {
 		s.teamRanks[j] = s.team*m + j
@@ -150,11 +149,16 @@ func (s *SparDL) Name() string {
 	if s.opts.Eager {
 		name += "-eager"
 	}
-	if s.opts.Wire != WireCOO {
-		name += "+" + s.opts.Wire.String()
+	if s.tx.Mode != wire.ModeCOO {
+		name += "+" + s.tx.Mode.String()
 	}
 	return name
 }
+
+// SetWire sets what the simulator charges for every sparse message
+// (default wire.ModeCOO, the paper's 8 bytes per entry); sparsecoll.Tuned
+// calls it.
+func (s *SparDL) SetWire(mode wire.Mode) { s.tx.Mode = mode }
 
 // Residual implements sparsecoll.ResidualCarrier; the returned slice is
 // live internal state and must be treated as read-only. It holds the
@@ -186,16 +190,7 @@ func (s *SparDL) BlockK() int { return s.blockK }
 // entries.
 func (s *SparDL) EffectiveK() int { return s.blockK * s.m }
 
-// Reduce implements sparsecoll.Reducer. It allocates a fresh result vector
-// the caller owns; steady-state loops should pass a reusable vector to
-// ReduceInto instead.
-func (s *SparDL) Reduce(ep comm.Endpoint, grad []float32) []float32 {
-	out := make([]float32, s.n)
-	s.ReduceInto(ep, grad, out)
-	return out
-}
-
-// ReduceInto implements sparsecoll.InPlaceReducer: one full SparDL
+// ReduceInto implements sparsecoll.Reducer: one full SparDL
 // synchronization whose result overwrites out (len n). At steady state the
 // call is allocation-free: chunks and undo records come from the reducer's
 // arena (epoch-reset here), and the only dense vector is the residual.
@@ -205,7 +200,7 @@ func (s *SparDL) ReduceInto(ep comm.Endpoint, grad, out []float32) {
 	if len(grad) != s.n || len(out) != s.n {
 		panic(fmt.Sprintf("core: gradient/output length %d/%d, expected %d", len(grad), len(out), s.n))
 	}
-	// New arena epoch: everything handed out two Reduce calls ago is
+	// New arena epoch: everything handed out two ReduceInto calls ago is
 	// reclaimed (one epoch of quarantine covers in-flight peer reads on
 	// reference-passing backends; see sparse.Arena).
 	s.ar.Reset()

@@ -6,8 +6,10 @@ import (
 	"reflect"
 	"testing"
 
+	"spardl/internal/comm"
 	"spardl/internal/simnet"
 	"spardl/internal/sparsecoll"
+	"spardl/internal/wire"
 )
 
 var unit = simnet.Profile{Name: "unit", Alpha: 1, Beta: 1}
@@ -35,8 +37,26 @@ func makeGradients(iters, p, n int, seed int64) [][][]float32 {
 	return out
 }
 
+// reduce runs one ReduceInto into a fresh vector of grad's length.
+func reduce(r sparsecoll.Reducer, ep comm.Endpoint, grad []float32) []float32 {
+	out := make([]float32, len(grad))
+	r.ReduceInto(ep, grad, out)
+	return out
+}
+
 func runSparDL(t *testing.T, p, n, k, iters int, seed int64, opts Options) (outs [][][]float32, reducers []*SparDL, rep *simnet.Report) {
 	t.Helper()
+	return runTuned(t, p, n, k, iters, seed, opts, wire.ModeCOO)
+}
+
+// runTuned is runSparDL with the reducers built by
+// sparsecoll.Tuned(NewFactory(opts), mode).
+func runTuned(t *testing.T, p, n, k, iters int, seed int64, opts Options, mode wire.Mode) (outs [][][]float32, reducers []*SparDL, rep *simnet.Report) {
+	t.Helper()
+	if err := opts.Validate(p); err != nil {
+		t.Fatal(err)
+	}
+	f := sparsecoll.Tuned(NewFactory(opts), mode)
 	grads := makeGradients(iters, p, n, seed)
 	outs = make([][][]float32, iters)
 	for it := range outs {
@@ -44,13 +64,10 @@ func runSparDL(t *testing.T, p, n, k, iters int, seed int64, opts Options) (outs
 	}
 	reducers = make([]*SparDL, p)
 	rep = simnet.Run(p, unit, func(rank int, ep *simnet.Endpoint) {
-		r, err := New(p, rank, n, k, opts)
-		if err != nil {
-			panic(err)
-		}
+		r := f(p, rank, n, k).(*SparDL)
 		reducers[rank] = r
 		for it := 0; it < iters; it++ {
-			outs[it][rank] = r.Reduce(ep, grads[it][rank])
+			outs[it][rank] = reduce(r, ep, grads[it][rank])
 			ep.SyncClock()
 		}
 	})
@@ -278,13 +295,10 @@ func TestSparDLWireModes(t *testing.T) {
 		{Teams: 2, Variant: RSAG},
 		{Teams: 3, Variant: BSAG},
 	}
-	for _, base := range configs {
+	for _, opts := range configs {
 		const p, n, k, iters, seed = 6, 24000, 240, 3, 77 // k/n = 1e-2
-		outsCOO, _, repCOO := runSparDL(t, p, n, k, iters, seed, base)
-
-		opts := base
-		opts.Wire = WireNegotiated
-		outs, reds, rep := runSparDL(t, p, n, k, iters, seed, opts)
+		outsCOO, _, repCOO := runSparDL(t, p, n, k, iters, seed, opts)
+		outs, reds, rep := runTuned(t, p, n, k, iters, seed, opts, wire.ModeNegotiated)
 		assertConsistent(t, outs)
 		if gap := conservationGap(p, n, iters, seed, outs, reds); math.Abs(gap) > 1e-2 {
 			t.Fatalf("%+v: conservation gap %g", opts, gap)
@@ -310,24 +324,22 @@ func TestSparDLWireModes(t *testing.T) {
 func TestSparDLNames(t *testing.T) {
 	cases := []struct {
 		opts Options
+		mode wire.Mode
 		p    int
 		want string
 	}{
-		{Options{}, 14, "SparDL"},
-		{Options{Teams: 2}, 14, "SparDL(R-SAG,d=2)"},
-		{Options{Teams: 7}, 14, "SparDL(B-SAG,d=7)"},
-		{Options{Teams: 2, Variant: BSAG}, 14, "SparDL(B-SAG,d=2)"},
-		{Options{Residual: PRES}, 14, "SparDL-PRES"},
-		{Options{Residual: LRES}, 14, "SparDL-LRES"},
-		{Options{Eager: true}, 14, "SparDL-eager"},
-		{Options{Wire: WireNegotiated}, 14, "SparDL+negotiated"},
-		{Options{Teams: 2, Wire: WireNegotiated}, 14, "SparDL(R-SAG,d=2)+negotiated"},
+		{Options{}, wire.ModeCOO, 14, "SparDL"},
+		{Options{Teams: 2}, wire.ModeCOO, 14, "SparDL(R-SAG,d=2)"},
+		{Options{Teams: 7}, wire.ModeCOO, 14, "SparDL(B-SAG,d=7)"},
+		{Options{Teams: 2, Variant: BSAG}, wire.ModeCOO, 14, "SparDL(B-SAG,d=2)"},
+		{Options{Residual: PRES}, wire.ModeCOO, 14, "SparDL-PRES"},
+		{Options{Residual: LRES}, wire.ModeCOO, 14, "SparDL-LRES"},
+		{Options{Eager: true}, wire.ModeCOO, 14, "SparDL-eager"},
+		{Options{}, wire.ModeNegotiated, 14, "SparDL+negotiated"},
+		{Options{Teams: 2}, wire.ModeNegotiated, 14, "SparDL(R-SAG,d=2)+negotiated"},
 	}
 	for _, tc := range cases {
-		r, err := New(tc.p, 0, 1400, 140, tc.opts)
-		if err != nil {
-			t.Fatalf("%+v: %v", tc.opts, err)
-		}
+		r := sparsecoll.Tuned(NewFactory(tc.opts), tc.mode)(tc.p, 0, 1400, 140)
 		if r.Name() != tc.want {
 			t.Fatalf("Name() = %q, want %q", r.Name(), tc.want)
 		}

@@ -26,11 +26,12 @@ func costProbe(p, n, k int, nf NamedFactory) (rounds int, elems int64) {
 		r := nf.Factory(p, rank, n, k)
 		g := make([]float32, n)
 		syntheticGrad(g, 1, rank, 0)
-		r.Reduce(ep, g)
+		out := make([]float32, n)
+		r.ReduceInto(ep, g, out)
 		ep.SyncClock()
 		ep.ResetStats()
 		syntheticGrad(g, 1, rank, 1)
-		r.Reduce(ep, g)
+		r.ReduceInto(ep, g, out)
 	})
 	return rep.MaxRounds(), rep.MaxBytesRecv() / 4
 }

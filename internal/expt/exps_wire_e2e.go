@@ -20,7 +20,7 @@ func wiredBaselines(mode wire.Mode) []NamedFactory {
 		{"TopkDSA", tuned(sparsecoll.NewTopkDSA)},
 		{"TopkA", tuned(sparsecoll.NewTopkA)},
 		{"OkTopk", tuned(sparsecoll.NewOkTopk)},
-		{"SparDL", sparDL(core.Options{Wire: mode})},
+		{"SparDL", tuned(sparDL(core.Options{}))},
 	}
 }
 
@@ -32,11 +32,12 @@ func wireE2EProbe(p, n, k int, nf NamedFactory) (rounds int, total int64) {
 		r := nf.Factory(p, rank, n, k)
 		g := make([]float32, n)
 		syntheticGrad(g, 5, rank, 0)
-		r.Reduce(ep, g)
+		out := make([]float32, n)
+		r.ReduceInto(ep, g, out)
 		ep.SyncClock()
 		ep.ResetStats()
 		syntheticGrad(g, 5, rank, 1)
-		r.Reduce(ep, g)
+		r.ReduceInto(ep, g, out)
 	})
 	return rep.MaxRounds(), rep.TotalBytesRecv()
 }
@@ -45,7 +46,7 @@ func init() {
 	register(&Experiment{
 		ID:    "ext-wire-e2e",
 		Title: "Extension: end-to-end wire modes (negotiated codec vs COO accounting)",
-		Paper: "The paper charges 2 COO elements (8 bytes) per sparse entry everywhere. This extension re-runs the Fig. 8/18 timing comparisons and a sparsity sweep with every collective's messages charged at the size of the negotiated COO/delta/bitmap/dense codec (Options.Wire = WireNegotiated) — the bytes the livenet and tcpnet backends really move — quantifying how far real wire volume sits below the paper's accounting.",
+		Paper: "The paper charges 2 COO elements (8 bytes) per sparse entry everywhere. This extension re-runs the Fig. 8/18 timing comparisons and a sparsity sweep with every collective's messages charged at the size of the negotiated COO/delta/bitmap/dense codec (sparsecoll.Tuned(f, wire.ModeNegotiated)) — the bytes the livenet and tcpnet backends really move — quantifying how far real wire volume sits below the paper's accounting.",
 		Run: func(q Quality) []*Table {
 			var tables []*Table
 
@@ -63,11 +64,11 @@ func init() {
 			for _, ratio := range []float64{1e-2, 1e-3} {
 				k := int(ratio * float64(n))
 				var cooTotal int64
-				for _, mode := range []core.WireMode{core.WireCOO, core.WireNegotiated} {
-					nf := NamedFactory{"SparDL", sparDL(core.Options{Wire: mode})}
+				for _, mode := range []wire.Mode{wire.ModeCOO, wire.ModeNegotiated} {
+					nf := NamedFactory{"SparDL", sparsecoll.Tuned(sparDL(core.Options{}), mode)}
 					rounds, total := wireE2EProbe(p, n, k, nf)
 					saving := "-"
-					if mode == core.WireCOO {
+					if mode == wire.ModeCOO {
 						cooTotal = total
 					} else {
 						saving = fmt.Sprintf("%.0f%%", 100*(1-float64(total)/float64(cooTotal)))
@@ -93,7 +94,7 @@ func init() {
 					Columns: []string{"method", "wire", "comm(s)", "per-update(s)", "bytes/update", "saving vs COO"},
 				}
 				cooBytes := map[string]int64{}
-				for _, mode := range []core.WireMode{core.WireCOO, core.WireNegotiated} {
+				for _, mode := range []wire.Mode{wire.ModeCOO, wire.ModeNegotiated} {
 					cfg := TimingConfig{
 						Case: c, P: net.p, KRatio: 1e-2, Network: net.profile,
 						Iters: pick(q, 6, 24), Warmup: pick(q, 3, 8), Seed: 88,
@@ -101,7 +102,7 @@ func init() {
 					for _, nf := range wiredBaselines(mode) {
 						r := MeasureTiming(cfg, nf, 0)
 						saving := "-"
-						if mode == core.WireCOO {
+						if mode == wire.ModeCOO {
 							cooBytes[nf.Name] = r.BytesRecvd
 						} else if base := cooBytes[nf.Name]; base > 0 {
 							saving = fmt.Sprintf("%.0f%%", 100*(1-float64(r.BytesRecvd)/float64(base)))

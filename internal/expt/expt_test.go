@@ -7,7 +7,9 @@ import (
 
 	"spardl/internal/core"
 	"spardl/internal/simnet"
+	"spardl/internal/sparsecoll"
 	"spardl/internal/train"
+	"spardl/internal/wire"
 )
 
 func coreOptions() core.Options { return core.Options{} }
@@ -143,7 +145,7 @@ func TestWireE2ENegotiatedBeatsCOO(t *testing.T) {
 		n, ratio := tc.n, tc.ratio
 		k := int(ratio * float64(n))
 		_, coo := wireE2EProbe(p, n, k, NamedFactory{"SparDL", sparDL(core.Options{})})
-		_, neg := wireE2EProbe(p, n, k, NamedFactory{"SparDL", sparDL(core.Options{Wire: core.WireNegotiated})})
+		_, neg := wireE2EProbe(p, n, k, NamedFactory{"SparDL", sparsecoll.Tuned(sparDL(core.Options{}), wire.ModeNegotiated)})
 		if neg >= coo {
 			t.Fatalf("k/n=%g: negotiated %d not below COO %d", ratio, neg, coo)
 		}

@@ -119,7 +119,7 @@ func MeasureTiming(cfg TimingConfig, nf NamedFactory, epochIters int) TimingResu
 		if rank == 0 {
 			res.Method = reducer.Name()
 		}
-		g := make([]float32, n)
+		g, out := make([]float32, n), make([]float32, n)
 		skew := 1.0
 		if cfg.ComputeSkew != nil {
 			skew = cfg.ComputeSkew[rank]
@@ -128,7 +128,7 @@ func MeasureTiming(cfg TimingConfig, nf NamedFactory, epochIters int) TimingResu
 			syntheticGrad(g, cfg.Seed, rank, it)
 			ep.Compute(cfg.Case.ComputeTime * skew)
 			before := ep.Stats()
-			reducer.Reduce(ep, g)
+			reducer.ReduceInto(ep, g, out)
 			after := ep.Stats()
 			commT[rank][it] = after.CommTime - before.CommTime
 			compT[rank][it] = cfg.Case.ComputeTime*skew + after.CompTime - before.CompTime

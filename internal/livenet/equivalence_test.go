@@ -80,38 +80,30 @@ func TestBackendEquivalence(t *testing.T) {
 	}
 }
 
-// TestWireModeInertOnBytes: Options.Wire (and Tuned's mode) is what the
-// simulator charges; where bytes are real it must change nothing. For
+// TestWireModeInertOnBytes: sparsecoll.Tuned's mode is what the simulator
+// charges; where bytes are real it must change nothing. For
 // SparDL at d = 1, 2, 3 and each baseline, a livenet run under ModeCOO and
 // one under ModeNegotiated produce identical outputs, identical real bytes
 // and identical per-worker rounds — by construction the same payload
 // objects reach the same codec, and this is the check that it stays so.
 func TestWireModeInertOnBytes(t *testing.T) {
 	const n, k, iters = 2000, 60, 3
-	spardl := func(teams int) func(wire.Mode) sparsecoll.Factory {
-		return func(m wire.Mode) sparsecoll.Factory {
-			return core.NewFactory(core.Options{Teams: teams, Wire: m})
-		}
-	}
-	baseline := func(f sparsecoll.Factory) func(wire.Mode) sparsecoll.Factory {
-		return func(m wire.Mode) sparsecoll.Factory { return sparsecoll.Tuned(f, m) }
-	}
 	for _, m := range []struct {
 		name string
 		p    int
-		f    func(wire.Mode) sparsecoll.Factory
+		f    sparsecoll.Factory
 	}{
-		{"spardl", 6, spardl(1)},
-		{"spardl-d2", 6, spardl(2)},
-		{"spardl-d3", 6, spardl(3)},
-		{"topka", 6, baseline(sparsecoll.NewTopkA)},
-		{"topkdsa", 6, baseline(sparsecoll.NewTopkDSA)},
-		{"oktopk", 6, baseline(sparsecoll.NewOkTopk)},
-		{"gtopk", 4, baseline(sparsecoll.NewGTopk)},
+		{"spardl", 6, core.NewFactory(core.Options{})},
+		{"spardl-d2", 6, core.NewFactory(core.Options{Teams: 2})},
+		{"spardl-d3", 6, core.NewFactory(core.Options{Teams: 3})},
+		{"topka", 6, sparsecoll.NewTopkA},
+		{"topkdsa", 6, sparsecoll.NewTopkDSA},
+		{"oktopk", 6, sparsecoll.NewOkTopk},
+		{"gtopk", 4, sparsecoll.NewGTopk},
 	} {
 		t.Run(m.name, func(t *testing.T) {
-			coo, repCOO := runReducer(livenet.NewBackend(), m.f(wire.ModeCOO), m.p, n, k, iters)
-			neg, repNeg := runReducer(livenet.NewBackend(), m.f(wire.ModeNegotiated), m.p, n, k, iters)
+			coo, repCOO := runReducer(livenet.NewBackend(), sparsecoll.Tuned(m.f, wire.ModeCOO), m.p, n, k, iters)
+			neg, repNeg := runReducer(livenet.NewBackend(), sparsecoll.Tuned(m.f, wire.ModeNegotiated), m.p, n, k, iters)
 			for it := 0; it < iters; it++ {
 				for rank := 0; rank < m.p; rank++ {
 					if !equal32(coo[it][rank], neg[it][rank]) {
@@ -143,7 +135,8 @@ func runReducer(b comm.Backend, f sparsecoll.Factory, p, n, k, iters int) ([][][
 	rep := b.Run(p, func(rank int, ep comm.Endpoint) {
 		r := f(p, rank, n, k)
 		for it := 0; it < iters; it++ {
-			outs[it][rank] = r.Reduce(ep, testGrad(rank, it, n))
+			outs[it][rank] = make([]float32, n)
+			r.ReduceInto(ep, testGrad(rank, it, n), outs[it][rank])
 			ep.SyncClock()
 		}
 	})

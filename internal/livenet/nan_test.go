@@ -9,11 +9,12 @@ import (
 	"spardl/internal/core"
 	"spardl/internal/livenet"
 	"spardl/internal/simnet"
+	"spardl/internal/sparsecoll"
 	"spardl/internal/wire"
 )
 
-// TestNaNInfSelectionDeterminism is the Reduce-level regression for the
-// NaN/Inf selection fix: a full core.SparDL.Reduce over gradients poisoned
+// TestNaNInfSelectionDeterminism is the reduce-level regression for the
+// NaN/Inf selection fix: a full core.SparDL.ReduceInto over gradients poisoned
 // with NaN and ±Inf must produce bit-identical results (a) across all
 // replicas and (b) across the reference-passing simulator and the real
 // byte-level transport, in every wire mode. Bit comparison matters — NaN
@@ -40,11 +41,12 @@ func TestNaNInfSelectionDeterminism(t *testing.T) {
 		for it := range outs {
 			outs[it] = make([][]float32, p)
 		}
-		f := core.NewFactory(core.Options{Wire: mode})
+		f := sparsecoll.Tuned(core.NewFactory(core.Options{}), mode)
 		b.Run(p, func(rank int, ep comm.Endpoint) {
 			r := f(p, rank, n, k)
 			for it := 0; it < iters; it++ {
-				outs[it][rank] = r.Reduce(ep, poisonedGrad(rank, it))
+				outs[it][rank] = make([]float32, n)
+				r.ReduceInto(ep, poisonedGrad(rank, it), outs[it][rank])
 				ep.SyncClock()
 			}
 		})

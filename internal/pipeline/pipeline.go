@@ -163,7 +163,7 @@ func NewSchedule(base sparsecoll.Factory, p, rank, k int, segs []nn.Segment, rea
 // elapsed compute time is tracked from 0 at the call; the caller must not
 // have charged this iteration's forward/backward compute already.
 //
-// Each bucket reduces through its SegmentReducer's in-place path, so a
+// Each bucket reduces through its SegmentReducer's ReduceInto, so a
 // steady-state iteration performs no per-bucket allocation: every inner
 // reducer draws its chunks from its own arena and writes straight into
 // the caller's out vector.

@@ -18,15 +18,7 @@ func NewDense(p, rank, n, k int) Reducer { return DenseAllReduce{} }
 // Name implements Reducer.
 func (DenseAllReduce) Name() string { return "Dense" }
 
-// Reduce implements Reducer.
-func (d DenseAllReduce) Reduce(ep comm.Endpoint, grad []float32) []float32 {
-	out := make([]float32, len(grad))
-	d.ReduceInto(ep, grad, out)
-	return out
-}
-
-// ReduceInto implements InPlaceReducer: the dense collectives already run
-// in place, so the only per-call allocation to avoid was the result.
+// ReduceInto implements Reducer: the dense collectives run in place on out.
 func (DenseAllReduce) ReduceInto(ep comm.Endpoint, grad, out []float32) {
 	copy(out, grad)
 	ChargeMerge(ep, len(grad))

@@ -56,14 +56,7 @@ func NewGTopk(p, rank, n, k int) Reducer {
 	return g
 }
 
-// Reduce implements Reducer.
-func (g *GTopk) Reduce(ep comm.Endpoint, grad []float32) []float32 {
-	out := make([]float32, g.n)
-	g.ReduceInto(ep, grad, out)
-	return out
-}
-
-// ReduceInto implements InPlaceReducer; steady state is allocation-free.
+// ReduceInto implements Reducer; steady state is allocation-free.
 //
 //spardl:hotpath
 func (g *GTopk) ReduceInto(ep comm.Endpoint, grad, out []float32) {

@@ -85,14 +85,7 @@ func (o *OkTopk) itemBytes(it any) int { return o.tx.SliceBytes(it.(*okItem).chu
 // the same static funcval; the name just reads better at the call site.)
 func countBytes(any) int { return 4 }
 
-// Reduce implements Reducer.
-func (o *OkTopk) Reduce(ep comm.Endpoint, grad []float32) []float32 {
-	out := make([]float32, o.n)
-	o.ReduceInto(ep, grad, out)
-	return out
-}
-
-// ReduceInto implements InPlaceReducer; steady state is allocation-free.
+// ReduceInto implements Reducer; steady state is allocation-free.
 //
 //spardl:hotpath
 func (o *OkTopk) ReduceInto(ep comm.Endpoint, grad, out []float32) {

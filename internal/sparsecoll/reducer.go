@@ -2,7 +2,7 @@
 // compares against (Table I): TopkA and TopkDSA from SparCML, gTopk, and
 // the state-of-the-art Ok-Topk, plus a dense all-reduce adapter. Each
 // method is a Reducer: per-worker state (residual accumulators, threshold
-// estimators) lives inside the instance, and Reduce performs one
+// estimators) lives inside the instance, and ReduceInto performs one
 // synchronization step over the simulated fabric.
 package sparsecoll
 
@@ -14,63 +14,46 @@ import (
 	"spardl/internal/wire"
 )
 
-// Reducer synchronizes one worker's dense gradient with all peers and
-// returns the global (sparse-summed) gradient, densified. After Reduce
-// returns, every worker holds an identical result vector — the property
-// synchronous SGD requires. Implementations keep per-worker residual state,
-// so construct one Reducer per worker and reuse it across iterations.
+// Reducer synchronizes one worker's dense gradient with all peers. After
+// ReduceInto returns, every worker holds an identical global
+// (sparse-summed) gradient, densified — the property synchronous SGD
+// requires. Implementations keep per-worker residual state, so construct
+// one Reducer per worker and reuse it across iterations.
 type Reducer interface {
 	Name() string
-	// Reduce consumes the local dense gradient for this iteration (the
-	// slice is not retained or mutated) and returns the synchronized
-	// global gradient.
-	Reduce(ep comm.Endpoint, grad []float32) []float32
+	// ReduceInto consumes the local dense gradient for this iteration
+	// (the slice is not retained or mutated) and writes the synchronized
+	// global gradient into out, which the caller owns and the reducer
+	// does not retain. For every reducer but one, out has grad's length
+	// and is fully overwritten; combined with the per-reducer chunk
+	// arenas, a warm reduce allocates nothing. The exception is
+	// SegmentReducer: out is the full-length vector, and only its
+	// [Lo, Hi) range is written.
+	ReduceInto(ep comm.Endpoint, grad, out []float32)
 }
 
 // Factory builds a Reducer for one worker of a P-worker cluster that
 // synchronizes length-n gradients, keeping k global entries per iteration.
 type Factory func(p, rank, n, k int) Reducer
 
-// InPlaceReducer is the steady-state variant of Reducer: ReduceInto writes
-// the synchronized global gradient into out (len n, fully overwritten)
-// instead of allocating a result per call. Every reducer in this
-// repository implements it; combined with the per-reducer chunk arenas the
-// whole reduce pipeline runs allocation-free once warm. Reduce and
-// ReduceInto are interchangeable — Reduce is ReduceInto plus one result
-// allocation the caller owns.
-type InPlaceReducer interface {
-	Reducer
-	ReduceInto(ep comm.Endpoint, grad, out []float32)
-}
-
-// ReduceInto synchronizes grad into out via r's in-place path when it has
-// one, falling back to copying from Reduce. Steady-state loops (trainer,
-// benchmarks) route through this helper so third-party Reducers keep
-// working unchanged.
+// ReduceInto is r.ReduceInto(ep, grad, out), kept only because bench/
+// calls it by this name.
 func ReduceInto(r Reducer, ep comm.Endpoint, grad, out []float32) {
-	if ir, ok := r.(InPlaceReducer); ok {
-		ir.ReduceInto(ep, grad, out)
-		return
-	}
-	copy(out, r.Reduce(ep, grad))
-}
-
-// tunable is implemented by reducers whose simulator byte accounting can
-// be moved off the default; base provides it to every sparse baseline.
-type tunable interface {
-	tune(mode wire.Mode)
+	r.ReduceInto(ep, grad, out)
 }
 
 // Tuned returns a factory that builds the same reducers as f, charged on
 // the simulator by the given wire mode (wire.ModeCOO, the zero value, is
-// the default). Reducers without sparse messages (e.g. Dense) are
-// returned unchanged — their wire volume is already exact — so mixed
-// method lists can be wrapped uniformly.
+// the default). It is the one switch for that accounting: every reducer
+// with sparse messages (core.SparDL and the baselines here) has a SetWire
+// method. Reducers without one (e.g. Dense) are returned unchanged — their
+// wire volume is already exact — so mixed method lists can be wrapped
+// uniformly.
 func Tuned(f Factory, mode wire.Mode) Factory {
 	return func(p, rank, n, k int) Reducer {
 		r := f(p, rank, n, k)
-		if t, ok := r.(tunable); ok {
-			t.tune(mode)
+		if t, ok := r.(interface{ SetWire(wire.Mode) }); ok {
+			t.SetWire(mode)
 		}
 		return r
 	}
@@ -128,8 +111,8 @@ func (b *base) Name() string {
 	return b.name + "+" + b.tx.Mode.String()
 }
 
-// tune implements tunable.
-func (b *base) tune(mode wire.Mode) { b.tx.Mode = mode }
+// SetWire sets the simulator accounting mode; Tuned calls it.
+func (b *base) SetWire(mode wire.Mode) { b.tx.Mode = mode }
 
 // Residual implements ResidualCarrier.
 func (b *base) Residual() []float32 { return b.residual }

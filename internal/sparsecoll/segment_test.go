@@ -1,10 +1,13 @@
 package sparsecoll
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"spardl/internal/comm"
+	"spardl/internal/livenet"
 	"spardl/internal/simnet"
 	"spardl/internal/wire"
 )
@@ -49,7 +52,7 @@ func TestSegmentMatchesStandaloneRun(t *testing.T) {
 			r := base(p, rank, hi-lo, k)
 			for it := 0; it < iterations; it++ {
 				flat := segGrad(n, rank, it)
-				got := r.Reduce(ep, flat[lo:hi])
+				got := reduce(r, ep, flat[lo:hi])
 				if rank == 0 {
 					alone[it] = got
 				}
@@ -67,22 +70,45 @@ func TestSegmentMatchesStandaloneRun(t *testing.T) {
 	}
 }
 
-// TestSegmentLeavesRestOfOutputUntouched: ReduceInto only writes [Lo,Hi).
+// TestSegmentLeavesRestOfOutputUntouched: ReduceInto writes out[Lo:Hi) of
+// the full-length out and nothing else — what pipeline.Schedule.Run
+// assembles the global gradient on. Two segments reduce into one vector
+// filled with a NaN payload no reduction produces: every position inside
+// a segment must be written, and every position outside both must keep
+// the sentinel's bits, on simnet and on livenet.
 func TestSegmentLeavesRestOfOutputUntouched(t *testing.T) {
-	const p, n, lo, hi = 2, 300, 100, 200
-	simnet.Run(p, simnet.Ethernet, func(rank int, ep *simnet.Endpoint) {
-		r := NewSegment(NewTopkA, p, rank, lo, hi, 5)
-		out := make([]float32, n)
-		for i := range out {
-			out[i] = -999
-		}
-		r.ReduceInto(ep, segGrad(n, rank, 0)[lo:hi], out)
-		for i := 0; i < n; i++ {
-			if (i < lo || i >= hi) && out[i] != -999 {
-				t.Errorf("index %d outside [%d,%d) was written: %g", i, lo, hi, out[i])
+	const p, n, sentinel = 2, 300, 0x7fc0dead
+	segs := [][2]int{{40, 100}, {180, 260}}
+	inside := func(i int) bool {
+		for _, s := range segs {
+			if i >= s[0] && i < s[1] {
+				return true
 			}
 		}
-	})
+		return false
+	}
+	for _, b := range []comm.Backend{simnet.Backend(simnet.Ethernet), livenet.NewBackend()} {
+		outs := make([][]float32, p)
+		b.Run(p, func(rank int, ep comm.Endpoint) {
+			out := make([]float32, n)
+			for i := range out {
+				out[i] = math.Float32frombits(sentinel)
+			}
+			flat := segGrad(n, rank, 0)
+			for _, s := range segs {
+				NewSegment(NewTopkA, p, rank, s[0], s[1], 5).ReduceInto(ep, flat[s[0]:s[1]], out)
+			}
+			outs[rank] = out
+		})
+		for rank, out := range outs {
+			for i, v := range out {
+				if kept := math.Float32bits(v) == sentinel; kept == inside(i) {
+					t.Errorf("%s rank %d index %d: inside a segment %v, sentinel kept %v",
+						b.Name(), rank, i, inside(i), kept)
+				}
+			}
+		}
+	}
 }
 
 // TestSegmentClampsBudget: k is clamped into [1, hi−lo] so proportional
@@ -112,7 +138,7 @@ func TestTunedLeavesDenseUnchanged(t *testing.T) {
 	}
 	outs := make([][]float32, 2)
 	simnet.Run(2, simnet.Ethernet, func(rank int, ep *simnet.Endpoint) {
-		outs[rank] = f(2, rank, 100, 10).Reduce(ep, segGrad(100, rank, 0))
+		outs[rank] = reduce(f(2, rank, 100, 10), ep, segGrad(100, rank, 0))
 	})
 	for i := range outs[0] {
 		if outs[0][i] != outs[1][i] {

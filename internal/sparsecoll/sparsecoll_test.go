@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"spardl/internal/comm"
 	"spardl/internal/simnet"
 	"spardl/internal/wire"
 )
@@ -38,6 +39,13 @@ func makeGradients(iters, p, n int, seed int64) [][][]float32 {
 	return out
 }
 
+// reduce runs one ReduceInto into a fresh vector of grad's length.
+func reduce(r Reducer, ep comm.Endpoint, grad []float32) []float32 {
+	out := make([]float32, len(grad))
+	r.ReduceInto(ep, grad, out)
+	return out
+}
+
 // runMethod drives one reducer per worker for several iterations and
 // returns per-iteration outputs, the final reducers, and the run report.
 func runMethod(f Factory, p, n, k, iters int, seed int64) (outs [][][]float32, reducers []Reducer, rep *simnet.Report) {
@@ -51,7 +59,7 @@ func runMethod(f Factory, p, n, k, iters int, seed int64) (outs [][][]float32, r
 		r := f(p, rank, n, k)
 		reducers[rank] = r
 		for it := 0; it < iters; it++ {
-			outs[it][rank] = r.Reduce(ep, grads[it][rank])
+			outs[it][rank] = reduce(r, ep, grads[it][rank])
 			ep.SyncClock()
 		}
 	})
@@ -213,7 +221,7 @@ func TestGTopkLatency(t *testing.T) {
 	const p, n, k = 8, 1000, 50
 	grads := makeGradients(1, p, n, 3)
 	rep := simnet.Run(p, alphaOnly, func(rank int, ep *simnet.Endpoint) {
-		NewGTopk(p, rank, n, k).Reduce(ep, grads[0][rank])
+		reduce(NewGTopk(p, rank, n, k), ep, grads[0][rank])
 	})
 	// Reduction tree + broadcast tree: 2·log₂P rounds on the critical path.
 	if want := float64(2 * ceilLog2(p)); rep.Time != want {

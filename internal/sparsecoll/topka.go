@@ -25,14 +25,7 @@ func NewTopkA(p, rank, n, k int) Reducer {
 	return &TopkA{base: newBase("TopkA", n, k), world: collective.WorldRanks(p)}
 }
 
-// Reduce implements Reducer.
-func (t *TopkA) Reduce(ep comm.Endpoint, grad []float32) []float32 {
-	out := make([]float32, t.n)
-	t.ReduceInto(ep, grad, out)
-	return out
-}
-
-// ReduceInto implements InPlaceReducer; steady state is allocation-free.
+// ReduceInto implements Reducer; steady state is allocation-free.
 //
 //spardl:hotpath
 func (t *TopkA) ReduceInto(ep comm.Endpoint, grad, out []float32) {

@@ -49,14 +49,7 @@ func (t *TopkDSA) blockBytes(it any) int {
 	return min(t.tx.ChunkBytes(b.c), collective.DenseBytes(t.part.Size(b.block)))
 }
 
-// Reduce implements Reducer.
-func (t *TopkDSA) Reduce(ep comm.Endpoint, grad []float32) []float32 {
-	out := make([]float32, t.n)
-	t.ReduceInto(ep, grad, out)
-	return out
-}
-
-// ReduceInto implements InPlaceReducer; steady state is allocation-free.
+// ReduceInto implements Reducer; steady state is allocation-free.
 //
 //spardl:hotpath
 func (t *TopkDSA) ReduceInto(ep comm.Endpoint, grad, out []float32) {

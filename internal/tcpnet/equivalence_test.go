@@ -67,8 +67,8 @@ type eqCombo struct {
 
 // eqCombos is the reducer Factory matrix for a P-worker cluster: every
 // SparDL configuration and every baseline, with gTopk joining on
-// power-of-two P. Each runs once: the accounting mode (Options.Wire) is
-// inert where bytes are real, which livenet's TestWireModeInertOnBytes
+// power-of-two P. Each runs once: the accounting mode (sparsecoll.Tuned)
+// is inert where bytes are real, which livenet's TestWireModeInertOnBytes
 // pins for the runtime both backends share. The "-flip" entries force a
 // mid-collective sparse→dense switch.
 func eqCombos(p int) []eqCombo {
@@ -116,7 +116,8 @@ func runComboOn(ep comm.Endpoint, c eqCombo, comboIdx, p int) [][]float32 {
 	r := c.factory(p, ep.Rank(), c.n, c.k)
 	outs := make([][]float32, eqIters)
 	for it := 0; it < eqIters; it++ {
-		outs[it] = r.Reduce(ep, eqGrad(comboIdx, ep.Rank(), it, c.n))
+		outs[it] = make([]float32, c.n)
+		r.ReduceInto(ep, eqGrad(comboIdx, ep.Rank(), it, c.n), outs[it])
 		ep.SyncClock()
 	}
 	return outs
@@ -321,7 +322,7 @@ func childFault() {
 	}()
 	ep.SyncClock()
 	r := core.NewFactory(core.Options{})(cfg.P, cfg.Rank, eqN, eqK)
-	r.Reduce(ep, eqGrad(0, cfg.Rank, 0, eqN))
+	r.ReduceInto(ep, eqGrad(0, cfg.Rank, 0, eqN), make([]float32, eqN))
 }
 
 // TestFaultPoisonsSurvivors kills a worker process mid-Reduce and asserts

@@ -25,7 +25,7 @@ func chaosSuiteConfig(b comm.Backend) Config {
 	cfg.P = 4
 	cfg.Iters = 8
 	cfg.EvalEvery = 2
-	cfg.Factory = core.NewElasticFactory(core.Options{Teams: 2})
+	cfg.Factory = core.NewFactory(core.Options{Teams: 2})
 	cfg.Backend = b
 	cfg.Elastic = &ElasticConfig{MinP: 2, MaxRestarts: 2}
 	return cfg

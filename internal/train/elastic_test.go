@@ -14,7 +14,7 @@ func elasticConfig() Config {
 	cfg.P = 4
 	cfg.Iters = 10
 	cfg.EvalEvery = 2
-	cfg.Factory = core.NewElasticFactory(core.Options{Teams: 2})
+	cfg.Factory = core.NewFactory(core.Options{Teams: 2})
 	cfg.Backend = livenet.NewBackend()
 	cfg.Elastic = &ElasticConfig{MinP: 2, MaxRestarts: 2}
 	return cfg

@@ -289,7 +289,7 @@ func (s *session) work(m comm.Membership, ep comm.Endpoint, st *replica) {
 			// left behind into the per-worker result vector: the reduce
 			// pipeline allocates nothing at steady state (arena chunks +
 			// persistent dense scratch).
-			sparsecoll.ReduceInto(reducer, ep, st.grad, global)
+			reducer.ReduceInto(ep, st.grad, global)
 		} else {
 			// Schedule.Run charges the forward+backward compute itself,
 			// bucket by bucket, overlapping each bucket's all-reduce

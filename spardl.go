@@ -14,7 +14,8 @@
 //	spardl.RunCluster(8, spardl.Ethernet, func(rank int, ep *spardl.Endpoint) {
 //		// one reducer per worker goroutine:
 //		r, _ := spardl.New(8, rank, n, k, spardl.Options{})
-//		global := r.Reduce(ep, grad)
+//		global := make([]float32, n)
+//		r.ReduceInto(ep, grad, global)
 //	})
 //
 // See examples/ for runnable programs and cmd/spardl-bench for the
@@ -39,25 +40,14 @@ import (
 	"spardl/internal/sparsecoll"
 	"spardl/internal/tcpnet"
 	"spardl/internal/train"
+	"spardl/internal/wire"
 )
 
-// Reducer synchronizes one worker's dense gradient with all peers and
-// returns the global sparse-summed gradient; see sparsecoll.Reducer.
+// Reducer synchronizes one worker's dense gradient with all peers:
+// ReduceInto writes the global sparse-summed gradient into a caller-owned
+// vector. Together with the per-reducer chunk arenas the reduce pipeline
+// allocates nothing once warm; see sparsecoll.Reducer.
 type Reducer = sparsecoll.Reducer
-
-// InPlaceReducer is the steady-state variant of Reducer: ReduceInto writes
-// the synchronized gradient into a caller-owned vector instead of
-// allocating one per call. Every built-in reducer implements it; together
-// with the per-reducer chunk arenas the reduce pipeline allocates nothing
-// once warm.
-type InPlaceReducer = sparsecoll.InPlaceReducer
-
-// ReduceInto synchronizes grad into out via r's in-place path when it has
-// one, copying from Reduce otherwise. Steady-state loops should prefer it
-// over Reduce.
-func ReduceInto(r Reducer, ep CommEndpoint, grad, out []float32) {
-	sparsecoll.ReduceInto(r, ep, grad, out)
-}
 
 // Factory builds one Reducer per worker.
 type Factory = sparsecoll.Factory
@@ -89,19 +79,19 @@ const (
 	BSAG = core.BSAG
 )
 
-// WireMode selects what the simulator charges for every sparse message
-// (Options.Wire). The byte-level backends have one real wire format — the
-// negotiated codec — and ignore it.
-type WireMode = core.WireMode
+// WireMode selects what the simulator charges for every sparse message;
+// Tuned applies it. The byte-level backends have one real wire format —
+// the negotiated codec — and ignore it.
+type WireMode = wire.Mode
 
 // Simulator accounting modes.
 const (
 	// WireCOO is the paper's accounting baseline: 8 bytes per entry.
-	WireCOO = core.WireCOO
+	WireCOO = wire.ModeCOO
 	// WireNegotiated charges the smallest self-describing encoding
 	// (COO / delta-varint / bitmap / dense) per message — what the real
 	// backends move.
-	WireNegotiated = core.WireNegotiated
+	WireNegotiated = wire.ModeNegotiated
 )
 
 // SelectStats counts how a reducer's top-k selections — at every block
@@ -110,9 +100,9 @@ const (
 // identical whichever way they went.
 type SelectStats = sparse.SelectStats
 
-// Tuned wraps a baseline factory with a simulator accounting mode (the
-// zero value is the default). SparDL itself is configured via
-// Options.Wire instead.
+// Tuned wraps a factory — SparDL's or a baseline's — with a simulator
+// accounting mode (the zero value is the default). It is the one way to
+// choose that accounting.
 func Tuned(f Factory, mode WireMode) Factory {
 	return sparsecoll.Tuned(f, mode)
 }
@@ -124,7 +114,8 @@ func New(p, rank, n, k int, opts Options) (*SparDL, error) {
 }
 
 // NewFactory returns a Factory producing SparDL reducers with the given
-// options; it panics on invalid options.
+// options, the team count re-fitted to each worker count it is called
+// with (so it survives an elastic shrink); it panics on invalid options.
 func NewFactory(opts Options) Factory { return core.NewFactory(opts) }
 
 // Baseline reducer factories (the methods of the paper's Table I).
@@ -463,10 +454,11 @@ func NewReduceBench(p, n, k int, mode WireMode) (*ReduceBench, error) {
 		rb.bufs[w] = make([]float32, n)
 		rb.outs[w] = make([]float32, n)
 		rb.eps[w] = fabric.Endpoint(w)
-		r, err := New(p, w, n, k, Options{Wire: mode})
+		r, err := New(p, w, n, k, Options{})
 		if err != nil {
 			return nil, err
 		}
+		r.SetWire(mode)
 		rb.reducers[w] = r
 	}
 	rb.Iterate()

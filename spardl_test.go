@@ -21,7 +21,8 @@ func TestFacadeQuickstart(t *testing.T) {
 		for i := range grad {
 			grad[i] = float32((rank+1)*(i%17)) / 100
 		}
-		outs[rank] = r.Reduce(ep, grad)
+		outs[rank] = make([]float32, n)
+		r.ReduceInto(ep, grad, outs[rank])
 	})
 	for w := 1; w < p; w++ {
 		for i := range outs[0] {
@@ -115,7 +116,8 @@ func TestFacadeTCP(t *testing.T) {
 				for i := range grad {
 					grad[i] = float32((rank+1)*(i%17)) / 100
 				}
-				outs[rank] = r.Reduce(cep, grad)
+				outs[rank] = make([]float32, n)
+				r.ReduceInto(cep, grad, outs[rank])
 			})
 			done <- nil
 		}(rank)
