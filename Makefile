@@ -26,7 +26,8 @@ bench-nn:
 	go test -run '^$$' -bench 'BenchmarkMatMulKernels|BenchmarkResMLPStep' -benchmem ./internal/nn
 
 # The dense path: the Vec codec's three loops (0 allocs/op) and one dense
-# all-reduce over livenet (the codec half of sync-tcp-dense, no syscalls).
+# all-reduce over livenet (the codec half of sync-tcp-dense, no syscalls)
+# and over loopback tcpnet (the socket send path sync-tcp-dense times).
 bench-dense:
 	go test -run '^$$' -bench BenchmarkVecCodec -benchmem ./internal/comm
 	go test -run '^$$' -bench BenchmarkDenseAllReduce -benchmem ./internal/collective

@@ -115,8 +115,8 @@ var mutants = []mutant{
 		`pr.mu.Lock(); if pr.cause == "" { pr.cause = cause }`, "", `pr\.mu\.Lock is not released`},
 	{"locksafe", "cause-note-no-unlock", runtime, `c.mu.Lock() if c.s == "" { c.s = cause } c.mu.Unlock()`,
 		`c.mu.Lock(); if c.s == "" { c.s = cause }`, "", `c\.mu\.Lock is not released`},
-	{"locksafe", "send-no-unlock", runtime, "e.mu.Lock() e.stats.MsgsSent++ e.stats.BytesSent += int64(len(buf)) e.mu.Unlock()",
-		"e.mu.Lock()\ne.stats.MsgsSent++\ne.stats.BytesSent += int64(len(buf))", "", `e\.mu\.Lock is not released`},
+	{"locksafe", "send-no-unlock", runtime, "e.mu.Lock() e.stats.MsgsSent++ e.stats.BytesSent += int64(len(f.Buf) + len(f.Tail)) e.mu.Unlock()",
+		"e.mu.Lock()\ne.stats.MsgsSent++\ne.stats.BytesSent += int64(len(f.Buf) + len(f.Tail))", "", `e\.mu\.Lock is not released`},
 	{"locksafe", "join-no-unlock", lane, "l.busy = 0 l.mu.Unlock() return exposed, busy, err",
 		"l.busy = 0\nreturn exposed, busy, err", "", `return while l\.mu is still Locked`},
 	{"locksafe", "waitgroup-wait-under-lock", lane, "l.pending.Wait() exposed = time.Since(t0) l.mu.Lock()",
@@ -139,8 +139,8 @@ var mutants = []mutant{
 		"if err := writeHandshake(conn, l.rank, gen); err != nil { conn.Close() errs <- fmt.Errorf(\"tcpnet: handshake to worker %d: %w\", r, err) return }",
 		"go func() {\nwriteHandshake(conn, l.rank, gen)\n}()", "", `loop goroutine captures connection conn without closing it`},
 	{"locksafe", "gap-interface-call-under-lock", runtime,
-		"e.mu.Unlock() if err := e.link.Deliver(to, Frame{Buf: buf, Accounted: bytes}); err != nil {",
-		"err := e.link.Deliver(to, Frame{Buf: buf, Accounted: bytes})\ne.mu.Unlock()\nif err != nil {", "", ""},
+		"e.mu.Unlock() if err := e.link.Deliver(to, f); err != nil {",
+		"err := e.link.Deliver(to, f)\ne.mu.Unlock()\nif err != nil {", "", ""},
 
 	// netdeadline: each of the six conns the rendezvous and the mesh give
 	// birth to, with its own SetDeadline deleted; a listener; and the hole

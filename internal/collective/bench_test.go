@@ -2,20 +2,35 @@ package collective
 
 import (
 	"testing"
+	"time"
 
 	"spardl/internal/comm"
 	"spardl/internal/livenet"
+	"spardl/internal/tcpnet"
 )
 
 // BenchmarkDenseAllReduce is one dense synchronization — input copy,
-// Rabenseifner all-reduce, barrier — of 2¹⁸ elements across 8 livenet
-// workers: every byte is really encoded, queued and read back, without
-// loopback TCP's syscalls on top.
+// Rabenseifner all-reduce, barrier — of 2¹⁸ elements across 8 workers,
+// every byte really sent and read back: on livenet (in-memory queues, the
+// codec half of the cost) and on loopback tcpnet (the socket send path
+// sync-tcp-dense times, each frame written from the sender's vector).
 func BenchmarkDenseAllReduce(b *testing.B) {
+	for _, fb := range []struct {
+		name string
+		new  func() comm.Backend
+	}{
+		{"livenet", livenet.NewBackend},
+		{"tcpnet-local", func() comm.Backend { return tcpnet.LocalBackend(30 * time.Second) }},
+	} {
+		b.Run(fb.name, func(b *testing.B) { benchDenseAllReduce(b, fb.new()) })
+	}
+}
+
+func benchDenseAllReduce(b *testing.B, backend comm.Backend) {
 	const p, n = 8, 1 << 18
 	b.SetBytes(4 * n)
 	b.ReportAllocs()
-	livenet.NewBackend().Run(p, func(rank int, ep comm.Endpoint) {
+	backend.Run(p, func(rank int, ep comm.Endpoint) {
 		grad, vec := denseGrad(rank, 0, n), make([]float32, n)
 		sync := func() {
 			copy(vec, grad)

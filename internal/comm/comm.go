@@ -103,12 +103,12 @@ type Endpoint interface {
 	// Compute charges d seconds of modeled local work.
 	Compute(d float64)
 	// Send transmits payload to worker `to`, accounting `bytes` on the
-	// wire. Sends never block the sender. On simnet the payload is handed
-	// over by reference (the sender must not mutate it afterwards); a
-	// link endpoint serializes it into a pooled buffer at the call. The
-	// exception is a Vec: every fabric copies or serializes it at the
-	// call, so the caller may overwrite its elements as soon as Send
-	// returns.
+	// wire. Sends never wait for the receiver (a socket send may wait for
+	// the kernel). On simnet the payload is handed over by reference (the
+	// sender must not mutate it afterwards); a link endpoint serializes it
+	// into a pooled buffer at the call. The exception is a Vec: every
+	// fabric copies, serializes or writes out its elements at the call, so
+	// the caller may overwrite them as soon as Send returns.
 	Send(to int, payload any, bytes int)
 	// Recv blocks until a message from worker `from` arrives and returns
 	// the payload and the sender's accounted byte count.

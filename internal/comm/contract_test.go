@@ -2,6 +2,7 @@ package comm_test
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -91,6 +92,7 @@ func TestBackendContract(t *testing.T) {
 			t.Run("dense vectors: copied at Send, read in place at Recv", func(t *testing.T) { contractVec(t, bk.new()) })
 			if bk.chaos != nil {
 				t.Run("a corrupted dense frame ends in a named cause", func(t *testing.T) { contractVecCorrupt(t, bk.chaos) })
+				t.Run("corruption never reaches the sender's vector", func(t *testing.T) { contractVecCorruptSender(t, bk.chaos) })
 			}
 		})
 	}
@@ -405,6 +407,46 @@ func contractVecCorrupt(t *testing.T, newChaos func(*chaos.Schedule) comm.Backen
 		in.(comm.Vec).AddTo(make([]float32, 64))
 		ep.SyncClock()
 	})
+	if msg := fmt.Sprint(panicked); panicked == nil || !strings.Contains(msg, "worker 1") || !strings.Contains(msg, "decode from worker 0 failed") {
+		t.Fatalf("corrupted dense frame: Run ended with %v", panicked)
+	}
+}
+
+// contractVecCorruptSender: on the byte fabrics a Vec's elements may go
+// straight from the sender's memory to the transport, so a corrupt verdict
+// must flip the bytes in flight and never the vector they came from. Frame
+// 0 → 1 is 1024 elements, so the second flipped byte (payload offset
+// payLen/2) lands inside element 511, not in the header. Worker 1's decode
+// must fail with the scheduled corruption as the cause, and worker 0's
+// vector must be bit-identical after Send returns.
+func contractVecCorruptSender(t *testing.T, newChaos func(*chaos.Schedule) comm.Backend) {
+	const n = 1024
+	sched, err := chaos.Parse("corrupt:rank=0,peer=1,frame=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var flipped []int
+	_, panicked := runBounded(t, newChaos(sched), 2, func(rank int, ep comm.Endpoint) {
+		if rank == 1 {
+			in, _ := ep.Recv(0)
+			in.(comm.Vec).AddTo(make([]float32, n))
+			return
+		}
+		data := make([]float32, n)
+		for i := range data {
+			data[i] = float32(i) + 0.25
+		}
+		ep.Send(1, comm.Vec{F: data}, 4*n)
+		for i, v := range data {
+			if math.Float32bits(v) != math.Float32bits(float32(i)+0.25) {
+				flipped = append(flipped, i)
+			}
+		}
+		ep.SyncClock()
+	})
+	if len(flipped) > 0 {
+		t.Errorf("the corrupt verdict flipped the sender's own elements %v", flipped)
+	}
 	if msg := fmt.Sprint(panicked); panicked == nil || !strings.Contains(msg, "worker 1") || !strings.Contains(msg, "decode from worker 0 failed") {
 		t.Fatalf("corrupted dense frame: Run ended with %v", panicked)
 	}

@@ -8,11 +8,11 @@ import (
 
 // Fifo is an unbounded FIFO with blocking Pop, the one queue type every
 // fabric is built from. Message queues use it to mirror eager sends — no
-// transport ever applies backpressure, so every backend executes the
-// identical schedule — and the communication stream uses it for its task
-// lane, so Overlap never blocks the main goroutine no matter how many
-// buckets launch before a Join. A closed Fifo still drains its remaining
-// items.
+// transport makes a sender wait for the receiving worker, so every backend
+// executes the identical schedule — and the communication stream uses it
+// for its task lane, so Overlap never blocks the main goroutine no matter
+// how many buckets launch before a Join. A closed Fifo still drains its
+// remaining items.
 type Fifo[T any] struct {
 	mu     sync.Mutex
 	cond   *sync.Cond

@@ -10,27 +10,34 @@ import (
 )
 
 // Frame is one unit a Link moves between two ranks: a serialized payload,
-// or a SyncClock barrier token (Token set, no Buf). Accounted carries the
-// sender's α-β byte accounting to the receiver (Recv's second result);
-// len(Buf) is what the transport really moved.
+// or a SyncClock barrier token (Token set, no Buf). The payload's bytes are
+// Buf followed by Tail. Tail is borrowed — on a sent frame it is the
+// sender's own memory (a Vec's elements), valid only until Deliver returns
+// — and a received frame has none. Accounted carries the sender's α-β
+// byte accounting to the receiver (Recv's second result);
+// len(Buf)+len(Tail) is what the transport really moved.
 type Frame struct {
 	Buf       []byte
+	Tail      []byte
 	Accounted int
 	Token     bool
 }
 
 // Link is everything a transport has to be for NewLinkEndpoint's runtime
-// to run on it. Delivery is FIFO per ordered (sender, receiver) pair and
-// never applies backpressure — sends are eager on every fabric, so all of
-// them execute the identical schedule. Deliver, Next and Rotate are called
-// by the one goroutine that currently owns the endpoint (the worker, or
-// its communication stream between Overlap and Join); Sever may be called
-// from any goroutine at any time.
+// to run on it. Delivery is FIFO per ordered (sender, receiver) pair, and
+// a Deliver may wait for the transport but never for the receiving worker
+// — sends are eager on every fabric, so all of them execute the identical
+// schedule. Deliver, Next and Rotate are called by the one goroutine that
+// currently owns the endpoint (the worker, or its communication stream
+// between Overlap and Join); Sever may be called from any goroutine at any
+// time.
 type Link interface {
-	// Deliver queues f for rank to without blocking. On success ownership
-	// of f.Buf (a FrameBufs buffer) passes to the link, which either hands
-	// it to the receiver's Next or returns it to FrameBufs once written
-	// out. The error names why the link is severed.
+	// Deliver moves f to rank to, waiting at most for the transport (a
+	// socket's kernel buffer), never for the receiver's Next. It is done
+	// with f.Tail when it returns. On success ownership of f.Buf (a
+	// FrameBufs buffer) passes to the link, which either hands it to the
+	// receiver's Next or returns it to FrameBufs once written out; on error
+	// the caller keeps it. The error names why the link is severed.
 	Deliver(to int, f Frame) error
 	// Next blocks until the next frame from rank from arrives. A non-nil
 	// arena owns f.Buf for at least the current and the next Rotate epoch:
@@ -92,7 +99,7 @@ func (c *Cause) String() string {
 
 // FrameBufs recycles serialization buffers: Send marshals into one, and
 // whoever consumes the bytes last — Recv after decoding, or a link's
-// writer after the socket write — puts it back. A Vec view that cannot
+// Deliver after the socket write — puts it back. A Vec view that cannot
 // alias its frame keeps its copy of the body in one as well.
 var FrameBufs sparse.SlicePool[byte]
 
@@ -178,20 +185,30 @@ func (e *linkEndpoint) poisoned(op string, err error) string {
 // Send serializes payload through the payload registry and hands the bytes
 // to the link. The accounted α-β size rides along for the receiver; stats
 // count the real serialized size. A dense vector's frame is reserved whole
-// (its size is known), so encoding it never regrows the buffer.
+// (its size is known), so encoding it never regrows the buffer. On a
+// little-endian host a Vec's elements already are their wire bytes: Send
+// encodes only the header and lends the vector itself as the frame's Tail,
+// which every link has consumed by the time Deliver returns — so the Vec
+// keeps its value semantics.
 func (e *linkEndpoint) Send(to int, payload any, bytes int) {
 	e.checkPeer("send to", to)
 	reserve := 0
-	if v, ok := payload.(Vec); ok {
+	v, isVec := payload.(Vec)
+	if isVec {
 		reserve = vecFrameMax(len(v.F))
 	}
-	buf := AppendPayload(FrameBufs.Get(reserve)[:0], payload)
+	f := Frame{Buf: FrameBufs.Get(reserve)[:0], Accounted: bytes}
+	if isVec && vecZeroCopy {
+		f.Buf, f.Tail = appendVecHeader(f.Buf, len(v.F)), f32Bytes(v.F)
+	} else {
+		f.Buf = AppendPayload(f.Buf, payload)
+	}
 	e.mu.Lock()
 	e.stats.MsgsSent++
-	e.stats.BytesSent += int64(len(buf))
+	e.stats.BytesSent += int64(len(f.Buf) + len(f.Tail))
 	e.mu.Unlock()
-	if err := e.link.Deliver(to, Frame{Buf: buf, Accounted: bytes}); err != nil {
-		FrameBufs.Put(buf)
+	if err := e.link.Deliver(to, f); err != nil {
+		FrameBufs.Put(f.Buf)
 		panic(e.poisoned("send", err))
 	}
 }

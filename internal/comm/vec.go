@@ -5,19 +5,22 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 
 	"spardl/internal/sparse"
 )
 
 // Vec is the dense-vector payload of the all-reduce schedules. Unlike every
 // other payload it has value semantics at Send on every fabric — F is
-// serialized at the call, on simnet too (Detach) — so the sender passes a
-// window of its working vector and may overwrite it at once. Recv returns a
-// view, not a slice: over an arena-backed link it aliases the frame's bytes
-// (valid until the rotation after next, like any arena-decoded payload),
-// otherwise it holds a pooled copy of them. A view is read exactly once, by
-// AddTo or CopyTo, straight from those bytes; that also releases a pooled
-// copy. On the wire it is tagFloat32s' framing under its own tag.
+// serialized at the call on simnet (Detach) and on a big-endian host, and
+// otherwise the link has written or copied F's own memory before Send
+// returns — so the sender passes a window of its working vector and may
+// overwrite it at once. Recv returns a view, not a slice: over an
+// arena-backed link it aliases the frame's bytes (valid until the rotation
+// after next, like any arena-decoded payload), otherwise it holds a pooled
+// copy of them. A view is read exactly once, by AddTo or CopyTo, straight
+// from those bytes; that also releases a pooled copy. On the wire it is
+// tagFloat32s' framing under its own tag.
 type Vec struct {
 	F      []float32 // the elements to send; a received view has none
 	wire   []byte    // a received view: the elements, little-endian
@@ -28,6 +31,24 @@ type Vec struct {
 // Every FrameBufs buffer on the dense path is drawn at this size, so frames
 // and view copies of one vector length recycle into each other.
 func vecFrameMax(n int) int { return 1 + binary.MaxVarintLen64 + 4*n }
+
+// vecZeroCopy says a float32's memory is its wire encoding — little-endian
+// Float32bits, NaN payloads included — so Send can lend a Vec's elements to
+// the link as they are (f32Bytes) instead of encoding them (putFloat32s).
+// Tests clear it to run the encoding path a big-endian host takes.
+var vecZeroCopy = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// appendVecHeader appends a Vec's frame up to its first element: the tag and
+// the uvarint count.
+func appendVecHeader(dst []byte, n int) []byte {
+	return binary.AppendUvarint(append(dst, tagVec), uint64(n))
+}
+
+// f32Bytes views f's memory as bytes. On a little-endian host (vecZeroCopy)
+// they are exactly what putFloat32s would store.
+func f32Bytes(f []float32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(f))), 4*len(f))
+}
 
 // readVec returns the view of a decoded body: the bytes themselves when an
 // arena owns them, a pooled copy when the caller will recycle the frame.

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"spardl/internal/sparse"
 )
@@ -104,12 +105,18 @@ func checkAgainstReference(t *testing.T, frame []byte) {
 	}
 }
 
-func TestVecCodecMatchesReference(t *testing.T) {
+// vecLengths are the differentials' vector lengths: every tail length of
+// the eight-wide loops on short vectors, and one long odd one.
+func vecLengths() []int {
 	lengths := []int{1<<17 + 3}
 	for n := 0; n <= 67; n++ {
 		lengths = append(lengths, n)
 	}
-	for _, n := range lengths {
+	return lengths
+}
+
+func TestVecCodecMatchesReference(t *testing.T) {
+	for _, n := range vecLengths() {
 		x := vecInput(n, int64(n))
 		for _, tag := range []byte{tagFloat32s, tagVec} {
 			var payload any = x
@@ -125,6 +132,37 @@ func TestVecCodecMatchesReference(t *testing.T) {
 					t.Fatalf("tag 0x%02x n=%d offset %d: encoding differs from the reference", tag, n, off)
 				}
 				checkAgainstReference(t, buf[off:])
+			}
+		}
+	}
+}
+
+// TestVecViewMatchesEncode holds the zero-copy send path to the encoding
+// one: on a little-endian host, f32Bytes(x) — x's own memory, which Send
+// lends to the link — must be exactly the bytes putFloat32s stores, and
+// appendVecHeader followed by it exactly the reference frame. The vector
+// starts at every element offset mod 8 of its backing array, so the view
+// and the encode destination start at every alignment the loops meet.
+func TestVecViewMatchesEncode(t *testing.T) {
+	if !vecZeroCopy {
+		t.Skip("big-endian host: Send encodes every Vec, there is no view to check")
+	}
+	for _, n := range vecLengths() {
+		backing := vecInput(n+8, int64(n))
+		for off := 0; off < 8; off++ {
+			x := backing[off : off+n]
+			view := f32Bytes(x)
+			if len(view) != 4*n || (n > 0 && &view[0] != (*byte)(unsafe.Pointer(&x[0]))) {
+				t.Fatalf("n=%d offset %d: the view is %d bytes, not x's own %d", n, off, len(view), 4*n)
+			}
+			enc := make([]byte, 4*n+off)[off:]
+			putFloat32s(enc, x)
+			if !bytes.Equal(view, enc) {
+				t.Fatalf("n=%d offset %d: the view differs from putFloat32s", n, off)
+			}
+			frame := append(appendVecHeader(bytes.Repeat([]byte{0xEE}, off), n)[off:], view...)
+			if !bytes.Equal(frame, refAppendFloat32s(nil, tagVec, x)) {
+				t.Fatalf("n=%d offset %d: header + view differs from the reference frame", n, off)
 			}
 		}
 	}

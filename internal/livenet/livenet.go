@@ -69,8 +69,14 @@ type link struct {
 }
 
 // Deliver implements comm.Link: the frame's buffer moves through the queue
-// by ownership, and the receiver's runtime re-pools it after decoding.
+// by ownership, and the receiver's runtime re-pools it after decoding. A
+// borrowed Tail is copied onto the buffer first (one memmove; Send reserves
+// a dense frame whole), so the fault injector and the receiver only ever
+// see the link's own bytes.
 func (l *link) Deliver(to int, fr comm.Frame) error {
+	if len(fr.Tail) > 0 {
+		fr.Buf, fr.Tail = append(fr.Buf, fr.Tail...), nil
+	}
 	if l.inj != nil {
 		if err := l.inject(to, fr.Buf); err != nil {
 			return err

@@ -12,14 +12,14 @@ import (
 // injector. A streaming parser mirrors the frame reader's state machine
 // over the outbound byte stream, so every frame — data and barrier tokens
 // alike — receives exactly one Outbound verdict at the ordinal the receiver
-// will observe, no matter how the frame writer's scatter/gather batches
-// chunk the stream into Write calls. A delay sleeps the writer goroutine
-// before the frame's first byte reaches the kernel; corruption flips the
-// same payload bytes chaos.CorruptBytes flips, in flight; a drop or
-// partition severs the connection at the frame boundary, so the receiver
-// observes a torn stream exactly where the schedule says. net.Buffers
-// degrades from writev to sequential per-slice writes on a non-TCPConn
-// writer, so the zero-copy fast path is only paid for when chaos is on.
+// will observe, no matter how the stream is chunked into Write calls
+// (net.Buffers degrades from writev to one Write per slice on a
+// non-TCPConn writer, so Deliver's header, Buf and Tail arrive
+// separately). A delay sleeps the sending goroutine before the frame's
+// first byte reaches the kernel, as livenet's does; corruption sends a
+// copy of the payload bytes chaos.CorruptBytes flips, never the caller's;
+// a drop or partition severs the connection at the frame boundary, so the
+// receiver observes a torn stream exactly where the schedule says.
 type chaosConn struct {
 	meshConn
 	inj    chaos.Injector
@@ -45,9 +45,8 @@ const (
 )
 
 // Write implements io.Writer over the underlying connection, running the
-// frame parser over p. It may mutate p in place (payload corruption); the
-// frame writer owns those buffers until its flush returns, so the mutation
-// touches only bytes already committed to this connection.
+// frame parser over p. It never mutates p: p may be the sender's own
+// vector (a frame's borrowed Tail), so corrupted bytes go out from a copy.
 func (c *chaosConn) Write(p []byte) (int, error) {
 	if c.severed != nil {
 		return 0, c.severed
@@ -109,8 +108,15 @@ func (c *chaosConn) Write(p []byte) (int, error) {
 			if rest := c.payLen - c.payOff; span > rest {
 				span = rest
 			}
-			if c.act.Corrupt {
-				c.corruptSpan(p, i, span)
+			if bad := c.corrupted(p[i : i+span]); bad != nil {
+				if err := c.flushTo(p, &flushed, i); err != nil {
+					return flushed, err
+				}
+				sent := 0
+				if err := c.flushTo(bad, &sent, span); err != nil {
+					return flushed, err
+				}
+				flushed = i + span
 			}
 			i += span
 			c.payOff += span
@@ -125,19 +131,27 @@ func (c *chaosConn) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// corruptSpan applies the chaos.CorruptBytes mutation — flip payload byte 0
-// with 0xFF and byte payLen/2 with 0xA5 — to whichever of those offsets
-// fall inside the span about to be written (p[i:i+span] holds payload
-// offsets [payOff, payOff+span)).
-func (c *chaosConn) corruptSpan(p []byte, i, span int) {
+// corrupted returns span — payload offsets [payOff, payOff+len(span)) —
+// copied with the chaos.CorruptBytes mutation applied (payload byte 0
+// flipped with 0xFF, byte payLen/2 with 0xA5), or nil when the frame is not
+// to be corrupted or neither offset falls inside the span.
+func (c *chaosConn) corrupted(span []byte) []byte {
+	if !c.act.Corrupt {
+		return nil
+	}
+	var bad []byte
 	for _, t := range [2]struct {
 		off  int
 		mask byte
 	}{{0, 0xFF}, {c.payLen / 2, 0xA5}} {
-		if t.off >= c.payOff && t.off < c.payOff+span {
-			p[i+t.off-c.payOff] ^= t.mask
+		if t.off >= c.payOff && t.off < c.payOff+len(span) {
+			if bad == nil {
+				bad = append([]byte(nil), span...)
+			}
+			bad[t.off-c.payOff] ^= t.mask
 		}
 	}
+	return bad
 }
 
 // flushTo writes p[*flushed:end] through the underlying connection.
@@ -153,7 +167,7 @@ func (c *chaosConn) flushTo(p []byte, flushed *int, end int) error {
 }
 
 // sever kills the connection at the scheduled fault and remembers the named
-// cause: the writer goroutine records it on the peer, and the link's root
+// cause: Deliver records it on the peer, and the link's root
 // keeps it so an elastic driver reports the schedule entry — not one of the
 // cascade failures the dead socket provokes — as the root cause. Closing
 // the full connection (not just the write side) makes the sever symmetric,

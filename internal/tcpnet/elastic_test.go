@@ -43,7 +43,8 @@ func (m *memConn) CloseWrite() error           { return nil }
 // one Outbound verdict per frame, at the frame's ordinal, no matter how
 // the byte stream is chunked into Write calls — including chunks that
 // split a frame header mid-varint — and corruption flips exactly the
-// bytes chaos.CorruptBytes would flip.
+// bytes chaos.CorruptBytes would flip, on the wire only: the bytes handed
+// to Write may be the sender's own vector and must come back untouched.
 func TestChaosConnFrameAlignment(t *testing.T) {
 	payloads := [][]byte{
 		{0xAA},
@@ -57,7 +58,7 @@ func TestChaosConnFrameAlignment(t *testing.T) {
 			stream = append(stream, frameSync)
 			continue
 		}
-		stream = appendFrameHeader(stream, message{kind: frameData, buf: p, accounted: len(p)})
+		stream = appendFrameHeader(stream, comm.Frame{Buf: p, Accounted: len(p)})
 		stream = append(stream, p...)
 	}
 
@@ -70,10 +71,13 @@ func TestChaosConnFrameAlignment(t *testing.T) {
 			if end > len(stream) {
 				end = len(stream)
 			}
-			// Write mutates in place on corrupt verdicts; feed a copy.
-			part := append([]byte(nil), stream[off:end]...)
+			part := stream[off:end]
+			before := string(part)
 			if _, err := cc.Write(part); err != nil {
 				t.Fatalf("chunk=%d: write: %v", chunk, err)
+			}
+			if string(part) != before {
+				t.Fatalf("chunk=%d: Write flipped the caller's bytes at stream offset %d", chunk, off)
 			}
 		}
 		if len(inj.calls) != len(payloads) {

@@ -15,9 +15,9 @@ import (
 	"spardl/internal/sparse"
 )
 
-// message is one frame in flight between the queues and the socket
-// goroutines. accounted carries the sender's α-β byte accounting (returned
-// by Recv); len(buf) is what the transport really moved.
+// message is one received frame on its way from the reader goroutine to
+// Next. accounted carries the sender's α-β byte accounting (returned by
+// Recv); len(buf) is what the transport really moved.
 type message struct {
 	kind      byte
 	buf       []byte
@@ -30,16 +30,8 @@ type message struct {
 // allocation.
 const maxFrameBytes = 1 << 30
 
-// putBuf returns a send-side serialization buffer to the runtime's pool:
-// the runtime's Send marshals into a pooled buffer whose ownership rides
-// the queue into the writer goroutine, which returns it here after the
-// scatter/gather socket write consumes it. The receive side does not pool:
-// payload bytes land directly in the peer's receive arena and are
-// reclaimed wholesale by the per-iteration rotation (see link.Rotate).
-func putBuf(b []byte) { comm.FrameBufs.Put(b) }
-
-// meshConn is the connection surface the per-peer socket goroutines need:
-// a byte stream with independent write-side shutdown. *net.TCPConn
+// meshConn is the connection surface Deliver and the reader goroutines
+// need: a byte stream with independent write-side shutdown. *net.TCPConn
 // implements it directly (keeping the writev fast path); chaosConn wraps
 // one to inject scheduled faults into the outbound frame stream.
 type meshConn interface {
@@ -47,13 +39,20 @@ type meshConn interface {
 	CloseWrite() error
 }
 
-// peer is one remote worker: the pair connection plus the inbound and
-// outbound FIFO queues and their goroutines' failure cause.
+// peer is one remote worker: the pair connection, the inbound queue its
+// reader goroutine fills, the scratch Deliver writes a frame from, and the
+// first failure cause.
 type peer struct {
 	rank  int
 	conn  meshConn
 	recvq *comm.Fifo[message]
-	sendq *comm.Fifo[message]
+
+	// hdr, iov and out belong to Deliver: the frame header, the backing
+	// array of the vectored write, and the net.Buffers WriteTo consumes.
+	// Kept here, none of them is allocated per frame.
+	hdr [frameHdrMax]byte
+	iov [3][]byte
+	out net.Buffers
 
 	// arena owns this peer's inbound payload bytes: the reader goroutine
 	// carves frame-body destinations out of it (alloc) and the barrier
@@ -99,8 +98,9 @@ func (pr *peer) why() string {
 	return fmt.Sprintf("worker %d disconnected", pr.rank)
 }
 
-// link is tcpnet's comm.Link: one framed TCP connection per peer, each
-// with an inbound and an outbound FIFO and a reader and a writer goroutine.
+// link is tcpnet's comm.Link: one framed TCP connection per peer, written
+// by Deliver on the sending goroutine and read by one reader goroutine into
+// an inbound FIFO.
 type link struct {
 	p, rank int
 	timeout time.Duration
@@ -108,7 +108,6 @@ type link struct {
 	regMu   sync.Mutex // serializes mesh registration against Sever
 	closed  atomic.Bool
 	readers sync.WaitGroup
-	writers sync.WaitGroup
 
 	// ids maps every current rank to its stable generation-0 ID, which is
 	// what chaos schedules name workers by. inj, when non-nil, injects this
@@ -142,8 +141,7 @@ func newLink(cfg Config, rank int) *link {
 	}
 	for r := 0; r < cfg.P; r++ {
 		if r != rank {
-			l.peers[r] = &peer{rank: r, recvq: comm.NewFifo[message](), sendq: comm.NewFifo[message](),
-				arena: sparse.NewArena()}
+			l.peers[r] = &peer{rank: r, recvq: comm.NewFifo[message](), arena: sparse.NewArena()}
 		}
 	}
 	return l
@@ -184,43 +182,29 @@ func (l *link) register(rank int, conn net.Conn) error {
 	return nil
 }
 
-// run starts the per-peer socket goroutines.
+// run starts the per-peer reader goroutines.
 func (l *link) run() {
 	for _, pr := range l.peers {
 		if pr == nil {
 			continue
 		}
 		l.readers.Add(1)
-		l.writers.Add(1)
 		go l.reader(pr)
-		go l.writer(pr)
 	}
 }
 
-// drain closes the outbound queues — the writers flush what is queued and
-// half-close their streams, so peers receive every queued frame, then EOF
-// — and waits, up to the timeout, for the writers and, when peers is set,
-// for the readers too (each exits when its peer half-closes in turn). The
-// returned channel closes once those goroutines have exited.
-func (l *link) drain(peers bool) <-chan struct{} {
+// closeWrites half-closes every stream. Every Deliver has finished its
+// write by the time it returns, so peers receive every frame sent, then
+// EOF; a CloseWrite error goes through pr.fail instead of vanishing, since
+// a peer that missed frames must find a cause, not a clean EOF.
+func (l *link) closeWrites() {
 	for _, pr := range l.peers {
 		if pr != nil {
-			pr.sendq.Close()
+			if err := pr.conn.CloseWrite(); err != nil {
+				pr.fail(fmt.Sprintf("closing stream to worker %d: %v", pr.rank, err))
+			}
 		}
 	}
-	done := make(chan struct{})
-	go func() {
-		l.writers.Wait()
-		if peers {
-			l.readers.Wait()
-		}
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(l.timeout):
-	}
-	return done
 }
 
 // Endpoint is one worker's handle on the TCP fabric: the shared runtime
@@ -236,15 +220,16 @@ type Endpoint struct {
 func newEndpoint(l *link, cfg Config) *Endpoint {
 	id := l.idOf(l.rank)
 	l.run()
-	// A scheduled crash drains first: every frame of completed iterations
-	// goes out and the streams half-close, so peers see EOF only after all
-	// the crasher's data, exactly what a killed process's kernel buffers
-	// deliver — and no barrier token for the crash iteration is ever sent,
-	// which pins every survivor's resume point at this iteration on every
-	// substrate. The crash is noted before the drain: the EOFs make the
-	// peers panic, and those panics must not be taken for the root cause.
+	// A scheduled crash half-closes the streams first: every frame of
+	// completed iterations is already written, so peers see EOF only after
+	// all the crasher's data, exactly what a killed process's kernel
+	// buffers deliver — and no barrier token for the crash iteration is
+	// ever sent, which pins every survivor's resume point at this iteration
+	// on every substrate. The crash is noted before the half-close: the
+	// EOFs make the peers panic, and those panics must not be taken for the
+	// root cause.
 	onCrash := func(iter int) {
-		l.root.Fail(fmt.Sprintf("worker %d: %v", id, chaos.Crashed{ID: id, Iter: iter}), func() { l.drain(false) })
+		l.root.Fail(fmt.Sprintf("worker %d: %v", id, chaos.Crashed{ID: id, Iter: iter}), l.closeWrites)
 	}
 	return &Endpoint{link: l, Node: comm.NewLinkEndpoint("tcpnet", l,
 		comm.Membership{Gen: cfg.Gen, P: l.p, Rank: l.rank, ID: id}, cfg.Injector, onCrash)}
@@ -277,164 +262,33 @@ func (l *link) reader(pr *peer) {
 	}
 }
 
-// writer drains the outbound queue onto the socket through a
-// scatter/gather batch: frames accumulate while the sender is bursting and
-// one vectored write moves header and payload slices kernel-ward with no
-// intermediate copy, flushing whenever the queue momentarily empties (the
-// latency-correct policy: batch while the sender bursts, write before
-// blocking). Queue closure — Close's graceful path — flushes and
-// half-closes the connection so the peer's reader sees EOF only after
-// every queued frame; the final flush and CloseWrite errors surface
-// through pr.fail rather than being dropped.
-func (l *link) writer(pr *peer) {
-	defer l.writers.Done()
-	fw := newFrameWriter(pr.conn)
-	fail := func(err error) {
-		pr.fail(fmt.Sprintf("send to worker %d failed: %v", pr.rank, err))
-		pr.sendq.Close()
-		for { // release any queued buffers
-			m, ok := pr.sendq.Pop()
-			if !ok {
-				return
-			}
-			if m.buf != nil {
-				putBuf(m.buf)
-			}
-		}
-	}
-	for {
-		m, ok := pr.sendq.TryPop()
-		if !ok {
-			if err := fw.flush(); err != nil {
-				fail(err)
-				return
-			}
-			if m, ok = pr.sendq.Pop(); !ok {
-				// Graceful close. The batch is provably empty — flushed
-				// above, and nothing was queued since — but a final flush
-				// guards the invariant, and its error (and CloseWrite's)
-				// goes through pr.fail instead of vanishing: a peer that
-				// missed queued frames must find a cause, not a clean EOF.
-				if err := fw.flush(); err != nil {
-					fail(err)
-					return
-				}
-				if err := pr.conn.CloseWrite(); err != nil {
-					pr.fail(fmt.Sprintf("closing stream to worker %d: %v", pr.rank, err))
-				}
-				return
-			}
-		}
-		fw.queue(m)
-		if fw.frames >= writerBatchFrames || fw.bytes >= writerBatchBytes {
-			if err := fw.flush(); err != nil {
-				fail(err)
-				return
-			}
-		}
-	}
-}
+// frameHdrMax bounds one frame's header: kind byte plus two uvarints
+// (accounted size, payload length).
+const frameHdrMax = 1 + 2*binary.MaxVarintLen64
 
-const (
-	// frameHdrMax bounds one frame's header: kind byte plus two uvarints
-	// (accounted size, payload length).
-	frameHdrMax = 1 + 2*binary.MaxVarintLen64
-	// writerBatchFrames / writerBatchBytes bound one scatter/gather batch:
-	// enough frames to amortize the vectored-write syscall across a burst
-	// of small messages, small enough to keep per-connection buffering flat
-	// and the iovec list well under the kernel's limit.
-	writerBatchFrames = 64
-	writerBatchBytes  = 256 << 10
-)
-
-// frameWriter batches outbound frames into one scatter/gather write:
-// queue appends each frame's header to a shared header strip and its
-// payload by reference, and flush hands the whole net.Buffers vector to
-// the TCP connection's WriteTo (writev on a *net.TCPConn) — the send
-// path's zero-copy half: payload bytes move pooled-buffer→kernel with no
-// bufio memcpy between.
-type frameWriter struct {
-	conn   io.Writer   // *net.TCPConn (writev) or a chaosConn wrapper
-	batch  net.Buffers // scatter list for WriteTo; rebuilt every batch
-	owned  [][]byte    // pooled payload buffers, released after the write
-	hdrs   []byte      // header bytes of queued frames (batch subslices it)
-	frames int
-	bytes  int
-}
-
-func newFrameWriter(conn io.Writer) *frameWriter {
-	return &frameWriter{
-		conn:  conn,
-		batch: make(net.Buffers, 0, 2*writerBatchFrames),
-		owned: make([][]byte, 0, writerBatchFrames),
-		hdrs:  make([]byte, 0, writerBatchFrames*frameHdrMax),
+// appendFrameHeader appends f's wire header onto dst: frameSync for a
+// barrier token, otherwise frameData and the uvarint accounted and
+// payload-length (Buf then Tail) fields. It is the single encoder Deliver
+// and the round-trip fuzzer share.
+func appendFrameHeader(dst []byte, f comm.Frame) []byte {
+	if f.Token {
+		return append(dst, frameSync)
 	}
-}
-
-// queue adds m to the current batch. The pooled payload buffer's ownership
-// moves into fw.owned: it stays alive, unmodified, until flush's socket
-// write has consumed it. The header strip is pre-sized for a full batch,
-// so appends never reallocate and the subslices in fw.batch stay valid.
-func (fw *frameWriter) queue(m message) {
-	h := len(fw.hdrs)
-	fw.hdrs = appendFrameHeader(fw.hdrs, m)
-	fw.batch = append(fw.batch, fw.hdrs[h:len(fw.hdrs):len(fw.hdrs)])
-	fw.bytes += len(fw.hdrs) - h
-	if m.buf != nil {
-		if len(m.buf) > 0 {
-			fw.batch = append(fw.batch, m.buf)
-			fw.bytes += len(m.buf)
-		}
-		fw.owned = append(fw.owned, m.buf)
-	}
-	fw.frames++
-}
-
-// flush writes the batch with one vectored write and releases the payload
-// buffers it consumed. The batch is reset even on error: the writer fails
-// the peer and drains, so the queued frames are dead either way.
-func (fw *frameWriter) flush() error {
-	if fw.frames == 0 {
-		return nil
-	}
-	// WriteTo consumes (advances and re-slices) the vector it is handed,
-	// so give it a copy of the slice header; the backing array is ours
-	// and is rebuilt from scratch next batch.
-	bufs := fw.batch
-	_, err := bufs.WriteTo(fw.conn)
-	for i := range fw.owned {
-		putBuf(fw.owned[i])
-		fw.owned[i] = nil
-	}
-	fw.owned = fw.owned[:0]
-	fw.batch = fw.batch[:0]
-	fw.hdrs = fw.hdrs[:0]
-	fw.frames, fw.bytes = 0, 0
-	return err
-}
-
-// appendFrameHeader appends m's wire header onto dst: the kind byte plus —
-// for data frames — uvarint accounted and payload-length fields. It is the
-// single encoder the frame writer and the round-trip fuzzer share.
-func appendFrameHeader(dst []byte, m message) []byte {
-	dst = append(dst, m.kind)
-	if m.kind == frameData {
-		dst = binary.AppendUvarint(dst, uint64(m.accounted))
-		dst = binary.AppendUvarint(dst, uint64(len(m.buf)))
-	}
-	return dst
+	dst = append(dst, frameData)
+	dst = binary.AppendUvarint(dst, uint64(f.Accounted))
+	return binary.AppendUvarint(dst, uint64(len(f.Buf)+len(f.Tail)))
 }
 
 // readerStickyBytes sizes the frame reader's sticky buffer. It matches the
 // kernel's default loopback read granularity so one syscall drains a whole
-// burst of batched frames; payload bytes the buffer happens to hold are
+// burst of small frames; payload bytes the buffer happens to hold are
 // memcpy'd to their arena destination and only the tail past the buffer is
 // read directly, so a larger buffer trades (cheap) copies for (expensive)
 // syscalls without ever double-buffering more than one read's worth.
 const readerStickyBytes = 64 << 10
 
 // frameReader decodes the inbound frame stream: headers parse out of a
-// small sticky buffer (one read covers many batched small frames), and
+// small sticky buffer (one read covers many small frames), and
 // data-frame payloads land directly in the storage the alloc callback
 // provides — the receive path's zero-copy half: alloc hands out
 // arena-owned slabs, so the payload's only user-space copy is the
@@ -562,16 +416,25 @@ func frameErr(err error) error {
 	return err
 }
 
-// Deliver implements comm.Link: the frame joins the peer's outbound queue
-// and the writer goroutine moves it onto the socket, so it never blocks.
+// Deliver implements comm.Link: it writes the frame on the calling
+// goroutine — header, Buf and the borrowed Tail in one vectored write
+// (writev on a *net.TCPConn) — so a dense payload goes from the sender's
+// vector to the kernel with no user-space copy, and Buf returns to
+// comm.FrameBufs once written. The write waits only for the peer's kernel
+// buffer: its reader goroutine drains the socket whether or not its worker
+// has called Recv. No lock is held across the write — the Link contract
+// gives Deliver one goroutine at a time, and Sever unblocks a write in
+// progress by closing the connection.
 func (l *link) Deliver(to int, f comm.Frame) error {
 	pr := l.peers[to]
-	m := message{kind: frameData, buf: f.Buf, accounted: f.Accounted}
-	if f.Token {
-		m = message{kind: frameSync}
-	}
-	if !pr.sendq.Push(m) {
+	pr.out = append(pr.iov[:0], appendFrameHeader(pr.hdr[:0], f), f.Buf, f.Tail)
+	if _, err := pr.out.WriteTo(pr.conn); err != nil {
+		clear(pr.iov[:]) // a failed write leaves references to the caller's memory
+		pr.fail(fmt.Sprintf("send to worker %d failed: %v", pr.rank, err))
 		return errors.New(pr.why())
+	}
+	if f.Buf != nil {
+		comm.FrameBufs.Put(f.Buf)
 	}
 	return nil
 }
@@ -606,17 +469,25 @@ func (l *link) Rotate() {
 	l.decodeArena.Reset()
 }
 
-// Close implements comm.Link: it drains every outbound stream, waits — up
-// to the configured timeout — for peers to close their sides, and then
-// tears the connections down. The wait is bounded because a wedged peer
-// (stopped reading, socket buffer full) must not block Close; force-
-// closing the connections errors any stuck write out. After Sever it is a
-// no-op.
+// Close implements comm.Link: it half-closes every stream, waits — up to
+// the configured timeout — for peers to close their sides (each reader
+// exits at its peer's EOF), and then tears the connections down. The wait
+// is bounded because a wedged peer must not block Close. After Sever it is
+// a no-op.
 func (l *link) Close() {
 	if !l.closed.CompareAndSwap(false, true) {
 		return
 	}
-	done := l.drain(true)
+	l.closeWrites()
+	done := make(chan struct{})
+	go func() {
+		l.readers.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(l.timeout):
+	}
 	for _, pr := range l.peers {
 		if pr != nil {
 			pr.conn.Close()
@@ -627,9 +498,10 @@ func (l *link) Close() {
 }
 
 // Sever implements comm.Link: it poisons every peer — sockets close (so
-// remote blocked Recvs unwind), local queues close (so local blocked Recvs
-// unwind) — without waiting for any goroutine, so it is safe to call from
-// the communication stream itself. Idempotent; the first recorded cause
+// remote blocked Recvs and a local write in progress unwind), local queues
+// close (so local blocked Recvs unwind) — without waiting for any
+// goroutine, so it is safe to call from the communication stream itself.
+// Idempotent; the first recorded cause
 // per peer wins. Holding regMu makes it atomic against in-flight mesh
 // registration: a connection registers before this loop (and is closed
 // here) or after the closed mark (and is closed by register).
@@ -643,7 +515,6 @@ func (l *link) Sever(cause string) {
 				continue
 			}
 			pr.fail(cause)
-			pr.sendq.Close()
 			if pr.conn != nil {
 				pr.conn.Close()
 			}

@@ -308,8 +308,8 @@ func childFault() {
 		os.Exit(3) // die mid-schedule: no Close, sockets torn down by the kernel
 	}
 	// The dead peer's poison may surface at the barrier (its exit can beat
-	// its writer goroutine's flush of the barrier tokens — eager sends are
-	// lost on crash, exactly like a real network) or inside the Reduce;
+	// the kernel's delivery of its barrier tokens — eager sends are lost on
+	// crash, exactly like a real network) or inside the Reduce;
 	// either way the survivor must get a clean panic, never a hang.
 	defer func() {
 		r := recover()

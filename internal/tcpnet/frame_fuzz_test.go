@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"io"
 	"testing"
+
+	"spardl/internal/comm"
 )
 
 // heapAlloc stands in for the arena-backed allocator when fuzzing the
@@ -36,14 +38,16 @@ func FuzzFrame(f *testing.F) {
 }
 
 // fuzzRoundTrip encodes a data frame followed by a sync frame and checks
-// both survive the reader byte-for-byte. The trailing sync frame proves
-// the reader consumed exactly the data frame — an over-read would eat the
-// sync byte and misparse.
+// both survive the reader byte-for-byte. The body is split between the
+// frame's Buf and Tail at a point the fuzzer picks, as Deliver writes a
+// dense payload. The trailing sync frame proves the reader consumed
+// exactly the data frame — an over-read would eat the sync byte and
+// misparse.
 func fuzzRoundTrip(t *testing.T, body []byte, accounted int) {
-	in := message{kind: frameData, buf: body, accounted: accounted}
-	wire := appendFrameHeader(nil, in)
+	cut := accounted % (len(body) + 1)
+	wire := appendFrameHeader(nil, comm.Frame{Buf: body[:cut], Tail: body[cut:], Accounted: accounted})
 	wire = append(wire, body...)
-	wire = appendFrameHeader(wire, message{kind: frameSync})
+	wire = appendFrameHeader(wire, comm.Frame{Token: true})
 
 	fr := newFrameReader(bytes.NewReader(wire), heapAlloc)
 	out, err := fr.next()
@@ -117,7 +121,7 @@ func TestFrameCapRejectedBeforeAllocation(t *testing.T) {
 // TestTornFrameIsUnexpectedEOF pins the crash-vs-disconnect distinction: a
 // stream ending inside a frame is a torn frame, never a clean EOF.
 func TestTornFrameIsUnexpectedEOF(t *testing.T) {
-	full := appendFrameHeader(nil, message{kind: frameData, buf: []byte("abcdef"), accounted: 3})
+	full := appendFrameHeader(nil, comm.Frame{Buf: []byte("abcdef"), Accounted: 3})
 	full = append(full, "abcdef"...)
 	for cut := 1; cut < len(full); cut++ {
 		fr := newFrameReader(bytes.NewReader(full[:cut]), heapAlloc)

@@ -106,8 +106,8 @@ func SelfBackend(ep *Endpoint) comm.Backend { return &procBackend{ep: ep} }
 // fabric, RunElastic re-rendezvouses this rank with the other survivors
 // (see rejoin.go; cmd/spardl-worker -elastic). cfg.Injector, when set, is
 // carried across generations so one-shot faults never re-fire. A
-// scheduled crash of this very process surfaces as an error after the
-// outbound drain.
+// scheduled crash of this very process surfaces as an error after its
+// streams half-close.
 func NewProcBackend(cfg Config) comm.ElasticBackend { return &procBackend{cfg: cfg} }
 
 // procBackend is the one rank this process hosts. It is also that rank's

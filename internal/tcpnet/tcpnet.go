@@ -22,7 +22,8 @@
 //
 // Identical to the other backends (see package comm): every Recv names its
 // source rank, per-(sender, receiver) delivery is FIFO (one TCP stream
-// direction per ordered pair, one writer and one reader goroutine each),
+// direction per ordered pair, written by the sending worker and read by one
+// reader goroutine),
 // and the codec round-trip preserves float32 values bit-exactly. The
 // cross-backend equivalence test in this package forks real worker
 // processes and pins bit-identity against simnet for every reducer factory
@@ -33,10 +34,12 @@
 //
 // # Failure model
 //
-// Sends never block (per-peer unbounded outbound queues mirror the eager
-// simnet/livenet semantics, so all three backends execute identical
-// schedules). A lost peer — crashed process, killed connection — closes
-// that peer's queues with a recorded cause: every blocked or future
+// Sends are eager, as on simnet and livenet, so all three backends execute
+// identical schedules: a send writes its frame on the sending goroutine and
+// waits at most for the peer's kernel buffer, because every peer's reader
+// goroutine drains its socket into an unbounded inbound queue whether or
+// not its worker has called Recv. A lost peer — crashed process, killed
+// connection — closes that peer's inbound queue with a recorded cause: every blocked or future
 // Recv/Send involving the peer panics with a clean "worker N disconnected"
 // error instead of hanging, and the panic cascades the usual way (worker
 // dies, its sockets close, its peers unwind), so a poisoned fabric drains
