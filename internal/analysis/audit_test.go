@@ -51,7 +51,6 @@ const (
 	runtime  = "internal/comm/runtime.go"
 	lane     = "internal/comm/lane.go"
 	tcp      = "internal/tcpnet/tcpnet.go"
-	rejoin   = "internal/tcpnet/rejoin.go"
 	endpoint = "internal/tcpnet/endpoint.go"
 )
 
@@ -142,25 +141,21 @@ var mutants = []mutant{
 		"e.mu.Unlock() if err := e.link.Deliver(to, f); err != nil {",
 		"err := e.link.Deliver(to, f)\ne.mu.Unlock()\nif err != nil {", "", ""},
 
-	// netdeadline: each of the six conns the rendezvous and the mesh give
-	// birth to, with its own SetDeadline deleted; a listener; and the hole
-	// the caller-path rule had — a deadline, but on the listener.
-	{"netdeadline", "serveRendezvous-no-deadline", tcp, setConn + " want, gen, addr, err := readHello(conn)",
-		"want, gen, addr, err := readHello(conn)", "", noDeadline},
-	{"netdeadline", "checkInOnce-no-deadline", tcp, setConn + " if err := writeHello(conn, cfg.Rank, cfg.Gen, dataAddr); err != nil {",
-		"if err := writeHello(conn, cfg.Rank, cfg.Gen, dataAddr); err != nil {", "", noDeadline},
+	// netdeadline: each of the four conns the membership dialog and the
+	// mesh give birth to, with its own SetDeadline deleted; a listener; and
+	// the hole the caller-path rule had — a deadline, but on the listener.
+	{"netdeadline", "lead-no-deadline", tcp, setConn + " id, gen, addr, err := readHello(conn)",
+		"id, gen, addr, err := readHello(conn)", "", noDeadline},
+	{"netdeadline", "checkIn-no-deadline", tcp, setConn + " if err := writeHello(conn, id, cfg.Gen, dataAddr); err != nil {",
+		"if err := writeHello(conn, id, cfg.Gen, dataAddr); err != nil {", "", noDeadline},
 	{"netdeadline", "mesh-accept-no-deadline", tcp, setConn + " peer, peerGen, err := readHandshake(conn)",
 		"peer, peerGen, err := readHandshake(conn)", "", noDeadline},
 	{"netdeadline", "mesh-dial-no-deadline", tcp, setConn + " if err := writeHandshake(conn, l.rank, gen); err != nil {",
 		"if err := writeHandshake(conn, l.rank, gen); err != nil {", "", noDeadline},
-	{"netdeadline", "followRejoin-no-deadline", rejoin, setConn + " // the leader answers after its settle window if err := writeHello(",
-		"if err := writeHello(", "", noDeadline},
-	{"netdeadline", "leadRejoin-no-deadline", rejoin, setConn + " id, g, a, err := readHello(conn)",
-		"id, g, a, err := readHello(conn)", "", noDeadline},
-	{"netdeadline", "deadline-on-the-listener-only", tcp, setConn + " want, gen, addr, err := readHello(conn)",
-		"ln.(*net.TCPListener).SetDeadline(deadline)\nwant, gen, addr, err := readHello(conn)", "", noDeadline},
-	{"netdeadline", "data-listener-no-deadline", tcp, "defer dataLn.Close() dataLn.(*net.TCPListener).SetDeadline(deadline) var rank int",
-		"defer dataLn.Close()\nvar rank int\n_ = dataLn.(*net.TCPListener)", "", `dataLn is used with no deadline set on it since Listen returned it`},
+	{"netdeadline", "deadline-on-the-listener-only", tcp, setConn + " id, gen, addr, err := readHello(conn)",
+		"ln.(*net.TCPListener).SetDeadline(until)\nid, gen, addr, err := readHello(conn)", "", noDeadline},
+	{"netdeadline", "data-listener-no-deadline", tcp, "defer dataLn.Close() dataLn.(*net.TCPListener).SetDeadline(deadline)",
+		"defer dataLn.Close()\n_ = dataLn.(*net.TCPListener)", "", `dataLn is used with no deadline set on it since Listen returned it`},
 }
 
 func TestAudit(t *testing.T) {

@@ -381,7 +381,7 @@ func isCondWait(fn *types.Func) bool {
 }
 
 // isConnLike reports whether t looks like a network connection: net.Conn
-// itself, a wrapper like tcpnet's meshConn, or a concrete *net.TCPConn.
+// itself, an interface that embeds it, or a concrete *net.TCPConn.
 func isConnLike(t types.Type) bool {
 	return framework.HasMethods(t, "Read", "Write", "SetDeadline")
 }

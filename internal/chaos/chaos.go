@@ -3,9 +3,9 @@
 // faults fire where — a frame dropped on one directed link, a payload
 // corrupted in flight, a worker crashing at an iteration boundary, an
 // asymmetric partition opening between two peers, or extra latency on a
-// link — and both livenet (at its FIFO queue boundary) and tcpnet (as a
-// net.Conn wrapper around the mesh connections) consult the same Injector
-// interface, so one schedule replays identically on either substrate.
+// link — and both livenet and tcpnet consult the same Injector once per
+// outbound frame in their Deliver, and give its verdict one meaning
+// (comm.Afflict), so one schedule replays identically on either substrate.
 //
 // Determinism is structural, not sampled: every fault is keyed by the
 // per-link frame ordinal or the per-worker iteration ordinal, both of
@@ -234,10 +234,10 @@ type Action struct {
 }
 
 // Injector is the per-worker view of a schedule both live backends accept:
-// livenet consults it at the queue boundary on every push, tcpnet inside
-// the net.Conn wrapper on every outbound frame. Implementations must be
-// safe for the backend's concurrency (tcpnet consults per-peer writer
-// goroutines; per-link state is independent, so a per-link mutex suffices).
+// each consults it in Deliver, once per outbound frame. Deliver runs on
+// whichever goroutine owns the endpoint at the time (the worker or its
+// communication stream, never both at once), so an implementation needs no
+// lock of its own.
 type Injector interface {
 	// Outbound is consulted once per outbound frame to peer, in emission
 	// order; the injector keeps the per-link ordinal itself.

@@ -140,8 +140,8 @@ func TestCorruptBytesDeterministic(t *testing.T) {
 
 // TestCorruptBytesFlipCount pins the exact mutation — which bytes change
 // and what they become — so the doc ("up to two bytes: buf[0]^0xFF,
-// buf[len/2]^0xA5") cannot drift from the code again. chaosConn's
-// streaming corruptSpan mirrors these offsets and masks byte-for-byte.
+// buf[len/2]^0xA5") cannot drift from the code again. Both byte fabrics
+// apply it through comm.Afflict, to a copy of the whole payload.
 func TestCorruptBytesFlipCount(t *testing.T) {
 	cases := []struct {
 		name    string

@@ -61,6 +61,31 @@ type Link interface {
 	Close()
 }
 
+// Afflict gives one chaos verdict its meaning for one outbound frame; both
+// byte fabrics' Deliver apply it, so a fault kind means the same thing on
+// each. A delay sleeps the sending goroutine before the frame is sent. A
+// corruption returns a copy of the payload — Buf then Tail — flipped by
+// chaos.CorruptBytes, never touching the caller's Buf or the borrowed Tail.
+// A drop, a partition, and a corruption with nothing to flip (a barrier
+// token or an empty payload: on a byte stream a flipped header tears the
+// stream) return the schedule's sever cause instead, and the link must
+// fail before the frame's first byte.
+func Afflict(act chaos.Action, f Frame) (Frame, string) {
+	if act.Delay > 0 {
+		time.Sleep(act.Delay)
+	}
+	n := len(f.Buf) + len(f.Tail)
+	if act.Drop || act.Corrupt && n == 0 {
+		return f, act.Fault.Severed()
+	}
+	if act.Corrupt {
+		buf := append(append(make([]byte, 0, n), f.Buf...), f.Tail...)
+		chaos.CorruptBytes(buf)
+		f.Buf, f.Tail = buf, nil
+	}
+	return f, ""
+}
+
 // Cause is a fabric generation's root-cause record: the first cause wins.
 // Whatever starts a failure cascade — a worker panic, a communication-
 // stream panic, a scheduled fault — fails the fabric through Fail, which

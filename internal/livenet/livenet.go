@@ -31,7 +31,6 @@ package livenet
 
 import (
 	"errors"
-	"time"
 
 	"spardl/internal/chaos"
 	"spardl/internal/comm"
@@ -71,44 +70,24 @@ type link struct {
 // Deliver implements comm.Link: the frame's buffer moves through the queue
 // by ownership, and the receiver's runtime re-pools it after decoding. A
 // borrowed Tail is copied onto the buffer first (one memmove; Send reserves
-// a dense frame whole), so the fault injector and the receiver only ever
-// see the link's own bytes.
+// a dense frame whole), so the receiver only ever sees the link's own
+// bytes. A worker with a fault schedule asks it once per frame, barrier
+// tokens included, so the per-link ordinals match across backends
+// (comm.Afflict); a scheduled sever poisons the whole fabric with the
+// fault as the named root cause.
 func (l *link) Deliver(to int, fr comm.Frame) error {
+	if l.inj != nil {
+		var cause string
+		if fr, cause = comm.Afflict(l.inj.Outbound(l.ids[to]), fr); cause != "" {
+			l.Sever(cause)
+			return errors.New(cause)
+		}
+	}
 	if len(fr.Tail) > 0 {
 		fr.Buf, fr.Tail = append(fr.Buf, fr.Tail...), nil
 	}
-	if l.inj != nil {
-		if err := l.inject(to, fr.Buf); err != nil {
-			return err
-		}
-	}
 	if !l.f.queues[l.rank*l.f.p+to].Push(fr) {
 		return l.f.poisoned()
-	}
-	return nil
-}
-
-// inject consults the fault injector for one outbound frame on the
-// rank→to link — livenet's queue boundary, the analogue of tcpnet's conn
-// wrapper, consulted for every frame including barrier tokens so the
-// per-link ordinals match across backends. Delays sleep in place (benign);
-// corruption mutates the serialized bytes so the receiver's decode
-// genuinely fails; a drop or partition severs the link by poisoning the
-// fabric with the scheduled fault as the named root cause. Corrupting a
-// zero-length barrier token is treated as link death too, mirroring what a
-// flipped frame header does to a TCP stream.
-func (l *link) inject(to int, buf []byte) error {
-	act := l.inj.Outbound(l.ids[to])
-	if act.Delay > 0 {
-		time.Sleep(act.Delay)
-	}
-	if act.Corrupt && len(buf) > 0 {
-		chaos.CorruptBytes(buf)
-	}
-	if act.Drop || (act.Corrupt && len(buf) == 0) {
-		cause := act.Fault.Severed()
-		l.Sever(cause)
-		return errors.New(cause)
 	}
 	return nil
 }

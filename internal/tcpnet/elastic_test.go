@@ -1,6 +1,7 @@
 package tcpnet
 
 import (
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -11,96 +12,145 @@ import (
 	"spardl/internal/comm"
 )
 
-// recordingInjector counts Outbound consultations per peer and applies no
-// faults — the chaosConn parser test's probe.
-type recordingInjector struct {
-	calls   []int
-	corrupt map[int]bool // frame ordinal → corrupt verdict
+// scriptedInjector records every Outbound consultation and answers with the
+// verdict scripted for that frame ordinal (healthy when none is).
+type scriptedInjector struct {
+	calls   []int // peer of each consultation, in order
+	verdict map[int]chaos.Action
 }
 
-func (r *recordingInjector) Outbound(peer int) chaos.Action {
-	n := len(r.calls)
-	r.calls = append(r.calls, peer)
-	if r.corrupt[n] {
-		return chaos.Action{Corrupt: true, Fault: &chaos.Fault{Kind: chaos.Corrupt}}
+func (s *scriptedInjector) Outbound(peer int) chaos.Action {
+	n := len(s.calls)
+	s.calls = append(s.calls, peer)
+	return s.verdict[n]
+}
+
+func (s *scriptedInjector) CrashIter() int { return -1 }
+
+// deliverPair puts rank 0 of a two-worker link on one end of a loopback
+// socket pair, with inj as its fault schedule and stable ID 9 for rank 1,
+// and returns a frame reader on the other end.
+func deliverPair(t *testing.T, inj chaos.Injector) (*link, *frameReader) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	return chaos.Action{}
-}
-
-func (r *recordingInjector) CrashIter() int { return -1 }
-
-// memConn captures writes; the meshConn surface beyond Write is unused.
-type memConn struct {
-	net.Conn
-	buf []byte
-}
-
-func (m *memConn) Write(p []byte) (int, error) { m.buf = append(m.buf, p...); return len(p), nil }
-func (m *memConn) Close() error                { return nil }
-func (m *memConn) CloseWrite() error           { return nil }
-
-// TestChaosConnFrameAlignment pins the wrapper's core guarantee: exactly
-// one Outbound verdict per frame, at the frame's ordinal, no matter how
-// the byte stream is chunked into Write calls — including chunks that
-// split a frame header mid-varint — and corruption flips exactly the
-// bytes chaos.CorruptBytes would flip, on the wire only: the bytes handed
-// to Write may be the sender's own vector and must come back untouched.
-func TestChaosConnFrameAlignment(t *testing.T) {
-	payloads := [][]byte{
-		{0xAA},
-		nil,               // barrier token
-		make([]byte, 300), // two-byte length varint
-		{1, 2, 3, 4, 5},
+	defer ln.Close()
+	client, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
 	}
-	var stream []byte
-	for _, p := range payloads {
-		if p == nil {
-			stream = append(stream, frameSync)
-			continue
+	t.Cleanup(func() { client.Close() })
+	server, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := newLink(Config{P: 2, IDs: []int{0, 9}, Injector: inj, Timeout: time.Second}, 0)
+	if err := l.register(1, server); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Sever("test done") })
+	client.SetReadDeadline(time.Now().Add(5 * time.Second))
+	return l, newFrameReader(client, func(n int) []byte { return make([]byte, n) })
+}
+
+// TestDeliverChaosPerFrame pins tcpnet's per-frame fault injection: exactly
+// one Outbound verdict per frame — data frames, barrier tokens and empty
+// payloads alike — at the frame's ordinal, for the receiver's stable ID; a
+// corruption flips exactly payload byte 0 and byte len/2 on the wire,
+// across the Buf/Tail seam, while the caller's Buf and Tail come back
+// untouched; and a drop, a corrupted token and a corrupted empty payload
+// sever the connection before the frame's first byte, naming the
+// schedule's fault.
+func TestDeliverChaosPerFrame(t *testing.T) {
+	big := make([]byte, 300) // a two-byte length varint
+	for i := range big {
+		big[i] = byte(i)
+	}
+	// frame returns a fresh copy of test frame i: a successful Deliver
+	// takes ownership of Buf (it goes back to comm.FrameBufs).
+	frame := func(i int) comm.Frame {
+		f := []comm.Frame{
+			{Buf: []byte{0xAA}, Accounted: 1},
+			{Token: true},
+			{Buf: big[:7], Tail: big[7:], Accounted: 300},
+			{Buf: []byte{}, Accounted: 0},
+			{Buf: []byte{1, 2}, Tail: []byte{3, 4, 5}, Accounted: 5},
+		}[i]
+		if f.Buf != nil {
+			f.Buf = append([]byte{}, f.Buf...)
 		}
-		stream = appendFrameHeader(stream, comm.Frame{Buf: p, Accounted: len(p)})
-		stream = append(stream, p...)
+		return f
 	}
+	const frames = 5
+	corrupt := chaos.Action{Corrupt: true, Fault: &chaos.Fault{Kind: chaos.Corrupt, Rank: 0, Peer: 9, Frame: 2}}
 
-	for _, chunk := range []int{1, 2, 3, 7, len(stream)} {
-		inj := &recordingInjector{corrupt: map[int]bool{3: true}}
-		mem := &memConn{}
-		cc := &chaosConn{meshConn: mem, inj: inj, peerID: 9}
-		for off := 0; off < len(stream); off += chunk {
-			end := off + chunk
-			if end > len(stream) {
-				end = len(stream)
+	t.Run("one verdict per frame, corruption on the wire only", func(t *testing.T) {
+		inj := &scriptedInjector{verdict: map[int]chaos.Action{2: corrupt, 4: corrupt}}
+		l, fr := deliverPair(t, inj)
+		for i := 0; i < frames; i++ {
+			f := frame(i)
+			buf, tail := string(f.Buf), string(f.Tail)
+			if err := l.Deliver(1, f); err != nil {
+				t.Fatalf("frame %d: %v", i, err)
 			}
-			part := stream[off:end]
-			before := string(part)
-			if _, err := cc.Write(part); err != nil {
-				t.Fatalf("chunk=%d: write: %v", chunk, err)
+			if string(f.Buf) != buf || string(f.Tail) != tail {
+				t.Fatalf("frame %d: Deliver changed the caller's bytes", i)
 			}
-			if string(part) != before {
-				t.Fatalf("chunk=%d: Write flipped the caller's bytes at stream offset %d", chunk, off)
+			got, err := fr.next()
+			if err != nil {
+				t.Fatalf("frame %d: read: %v", i, err)
+			}
+			want := append([]byte(buf), tail...)
+			if _, bad := inj.verdict[i]; bad {
+				chaos.CorruptBytes(want)
+			}
+			if got.kind == frameSync != f.Token || string(got.buf) != string(want) || got.accounted != f.Accounted {
+				t.Fatalf("frame %d: wire carried kind %d %v (accounted %d), want token=%v %v (accounted %d)",
+					i, got.kind, got.buf, got.accounted, f.Token, want, f.Accounted)
 			}
 		}
-		if len(inj.calls) != len(payloads) {
-			t.Fatalf("chunk=%d: %d Outbound calls for %d frames", chunk, len(inj.calls), len(payloads))
+		if len(inj.calls) != frames {
+			t.Fatalf("%d Outbound calls for %d frames", len(inj.calls), frames)
 		}
 		for i, peer := range inj.calls {
 			if peer != 9 {
-				t.Fatalf("chunk=%d: frame %d consulted peer %d", chunk, i, peer)
+				t.Fatalf("frame %d consulted peer %d, want stable ID 9", i, peer)
 			}
 		}
-		// Frame 3's payload {1,2,3,4,5} must arrive with bytes 0 and 2
-		// flipped exactly as CorruptBytes flips them.
-		want := []byte{1, 2, 3, 4, 5}
-		chaos.CorruptBytes(want)
-		got := mem.buf[len(mem.buf)-5:]
-		if string(got) != string(want) {
-			t.Fatalf("chunk=%d: corrupt payload = %v, want %v", chunk, got, want)
-		}
-		// Everything before the corrupted payload must be byte-identical to
-		// the original stream.
-		if string(mem.buf[:len(mem.buf)-5]) != string(stream[:len(stream)-5]) {
-			t.Fatalf("chunk=%d: healthy prefix mutated", chunk)
-		}
+	})
+
+	for _, tc := range []struct {
+		name  string
+		frame int
+		act   chaos.Action
+	}{
+		{"drop", 0, chaos.Action{Drop: true, Fault: &chaos.Fault{Kind: chaos.Drop, Peer: 9, Frame: 1}}},
+		{"corrupted token", 1, corrupt},
+		{"corrupted empty payload", 3, corrupt},
+	} {
+		t.Run(tc.name+" severs before the frame", func(t *testing.T) {
+			inj := &scriptedInjector{verdict: map[int]chaos.Action{1: tc.act}}
+			l, fr := deliverPair(t, inj)
+			if err := l.Deliver(1, frame(4)); err != nil {
+				t.Fatalf("healthy frame 0: %v", err)
+			}
+			err := l.Deliver(1, frame(tc.frame))
+			cause := tc.act.Fault.Severed()
+			if err == nil || !strings.Contains(err.Error(), cause) || l.root.String() != cause {
+				t.Fatalf("Deliver = %v, root cause %q; want the schedule's cause %q", err, l.root.String(), cause)
+			}
+			if _, err := fr.next(); err != nil {
+				t.Fatalf("frame 0 lost: %v", err)
+			}
+			if m, err := fr.next(); err != io.EOF {
+				t.Fatalf("after the sever the stream carried %+v, %v; want EOF at the frame boundary", m, err)
+			}
+			if len(inj.calls) != 2 {
+				t.Fatalf("%d Outbound calls for 2 frames", len(inj.calls))
+			}
+		})
 	}
 }
 

@@ -30,21 +30,12 @@ type message struct {
 // allocation.
 const maxFrameBytes = 1 << 30
 
-// meshConn is the connection surface Deliver and the reader goroutines
-// need: a byte stream with independent write-side shutdown. *net.TCPConn
-// implements it directly (keeping the writev fast path); chaosConn wraps
-// one to inject scheduled faults into the outbound frame stream.
-type meshConn interface {
-	net.Conn
-	CloseWrite() error
-}
-
 // peer is one remote worker: the pair connection, the inbound queue its
 // reader goroutine fills, the scratch Deliver writes a frame from, and the
 // first failure cause.
 type peer struct {
 	rank  int
-	conn  meshConn
+	conn  *net.TCPConn
 	recvq *comm.Fifo[message]
 
 	// hdr, iov and out belong to Deliver: the frame header, the backing
@@ -111,8 +102,7 @@ type link struct {
 
 	// ids maps every current rank to its stable generation-0 ID, which is
 	// what chaos schedules name workers by. inj, when non-nil, injects this
-	// worker's scheduled link faults: register wraps each mesh connection
-	// in a chaosConn.
+	// worker's scheduled link faults: Deliver consults it once per frame.
 	ids []int
 	inj chaos.Injector
 
@@ -148,12 +138,7 @@ func newLink(cfg Config, rank int) *link {
 }
 
 // idOf maps a current rank to its stable generation-0 ID.
-func (l *link) idOf(rank int) int {
-	if l.ids == nil {
-		return rank
-	}
-	return l.ids[rank]
-}
+func (l *link) idOf(rank int) int { return stableID(l.ids, rank) }
 
 // register installs an established mesh connection for peer rank. It owns
 // conn: on a duplicate, an invalid slot, or a link already severed (mesh
@@ -172,13 +157,8 @@ func (l *link) register(rank int, conn net.Conn) error {
 		conn.Close()
 		return fmt.Errorf("tcpnet: duplicate mesh connection for worker %d", rank)
 	}
-	tc := conn.(*net.TCPConn)
-	tc.SetNoDelay(true)
-	var mc meshConn = tc
-	if l.inj != nil {
-		mc = &chaosConn{meshConn: tc, inj: l.inj, peerID: l.idOf(rank), root: l.root}
-	}
-	pr.conn = mc
+	pr.conn = conn.(*net.TCPConn)
+	pr.conn.SetNoDelay(true)
 	return nil
 }
 
@@ -418,17 +398,36 @@ func frameErr(err error) error {
 
 // Deliver implements comm.Link: it writes the frame on the calling
 // goroutine — header, Buf and the borrowed Tail in one vectored write
-// (writev on a *net.TCPConn) — so a dense payload goes from the sender's
-// vector to the kernel with no user-space copy, and Buf returns to
-// comm.FrameBufs once written. The write waits only for the peer's kernel
-// buffer: its reader goroutine drains the socket whether or not its worker
-// has called Recv. No lock is held across the write — the Link contract
-// gives Deliver one goroutine at a time, and Sever unblocks a write in
-// progress by closing the connection.
+// (writev) — so a dense payload goes from the sender's vector to the
+// kernel with no user-space copy, and Buf returns to comm.FrameBufs once
+// written. The write waits only for the peer's kernel buffer: its reader
+// goroutine drains the socket whether or not its worker has called Recv.
+// No lock is held across the write — the Link contract gives Deliver one
+// goroutine at a time, and Sever unblocks a write in progress by closing
+// the connection.
+//
+// A worker with a fault schedule asks it once per frame (comm.Afflict).
+// A scheduled sever fails this connection alone, before the frame's first
+// byte, so the receiver sees a torn stream exactly where the schedule says:
+// the fault is noted as the root cause before the close, so elastic
+// recovery reports the schedule entry, not one of the cascade failures the
+// dead socket provokes. Closing the full connection makes the sever
+// symmetric, like livenet's poisoned queues.
 func (l *link) Deliver(to int, f comm.Frame) error {
 	pr := l.peers[to]
-	pr.out = append(pr.iov[:0], appendFrameHeader(pr.hdr[:0], f), f.Buf, f.Tail)
-	if _, err := pr.out.WriteTo(pr.conn); err != nil {
+	w, cause := f, ""
+	if l.inj != nil {
+		w, cause = comm.Afflict(l.inj.Outbound(l.idOf(to)), f)
+	}
+	var err error
+	if cause != "" {
+		l.root.Fail(cause, func() { pr.conn.Close() })
+		err = errors.New(cause)
+	} else {
+		pr.out = append(pr.iov[:0], appendFrameHeader(pr.hdr[:0], w), w.Buf, w.Tail)
+		_, err = pr.out.WriteTo(pr.conn)
+	}
+	if err != nil {
 		clear(pr.iov[:]) // a failed write leaves references to the caller's memory
 		pr.fail(fmt.Sprintf("send to worker %d failed: %v", pr.rank, err))
 		return errors.New(pr.why())

@@ -20,11 +20,11 @@ import (
 func LocalBackend(timeout time.Duration) comm.Backend { return localBackend{timeout: timeout} }
 
 // LocalChaosBackend is LocalBackend with a deterministic fault schedule:
-// every worker goroutine's outbound streams run through a chaosConn driven
-// by its injector, and scheduled crashes kill the worker at the named
-// barrier. Replays with the same schedule are bit-identical, and the same
-// schedule replays identically on livenet — the chaos suite pins it. The
-// returned backend also implements comm.ElasticBackend.
+// every worker goroutine's Deliver consults its injector once per frame,
+// and scheduled crashes kill the worker at the named barrier. Replays with
+// the same schedule are bit-identical, and the same schedule replays
+// identically on livenet — the chaos suite pins it. The returned backend
+// also implements comm.ElasticBackend.
 func LocalChaosBackend(timeout time.Duration, sched *chaos.Schedule) comm.Backend {
 	return localBackend{timeout: timeout, sched: sched}
 }
@@ -77,7 +77,7 @@ func (b localBackend) fleet(p int) comm.Fleet {
 			cfg := cfg
 			cfg.Rank, cfg.Injector = rank, injs[members[rank]]
 			if rank == 0 {
-				//spardl:netdeadline-ok handed live to rank 0, whose serveRendezvous sets the listener's deadline before its first Accept
+				//spardl:netdeadline-ok handed live to rank 0, whose lead sets the listener's deadline before its first Accept
 				cfg.listener = ln
 			}
 			ep, err := Start(cfg)

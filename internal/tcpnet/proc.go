@@ -188,10 +188,10 @@ func (b *procBackend) Regroup(gen int, members []int, panics []any) ([]int, erro
 	if _, crashed := panics[b.rank].(chaos.Crashed); crashed {
 		return nil, fmt.Errorf("worker %d was scheduled to die here", b.id)
 	}
-	ep, ids, err := rejoin(b.cfg, b.id, gen+1, members)
+	ep, err := rejoin(b.cfg, b.id, gen+1, members)
 	if err != nil {
 		return nil, fmt.Errorf("re-rendezvous at generation %d failed: %w", gen+1, err)
 	}
 	b.ep = ep
-	return ids, nil
+	return ep.link.ids, nil
 }

@@ -11,12 +11,18 @@
 //
 // # Topology
 //
-// Rank 0 acts as rendezvous: it listens on a well-known address, assigns
-// ranks to workers as they check in, and distributes the full peer address
-// map. Every worker also opens its own data listener; after rendezvous the
-// workers dial a full mesh — one TCP connection per unordered pair, with
-// the higher rank dialing the lower — and each direction of a connection
-// carries that ordered pair's frames.
+// One membership dialog forms every generation. A leader collects one hello
+// per member — its stable ID, generation and data address — and answers
+// each with its rank, its position in the ascending ID list, plus the ID
+// and data-address maps; every other worker is a follower and checks in
+// with it. Under the Start policy rank 0 leads on the well-known rendezvous
+// address and waits for every member. Under the Rejoin policy, after a
+// failure, the survivors elect a leader, which leads on a port derived from
+// its ID and closes the membership once check-ins settle (rejoin.go). Every
+// worker also opens its own data listener; once the membership is agreed
+// the workers dial a full mesh — one TCP connection per unordered pair,
+// with the higher rank dialing the lower — and each direction of a
+// connection carries that ordered pair's frames.
 //
 // # Determinism contract
 //
@@ -54,6 +60,8 @@ import (
 	"io"
 	"net"
 	"os"
+	"slices"
+	"sort"
 	"time"
 
 	"spardl/internal/chaos"
@@ -100,7 +108,7 @@ type Config struct {
 	Rendezvous string
 	// P is the total number of workers.
 	P int
-	// Rank is this worker's rank. Rank 0 must be explicit (it hosts the
+	// Rank is this worker's rank. Rank 0 must be explicit (it leads the
 	// rendezvous); other workers may pass -1 to have the rendezvous assign
 	// the next free rank in arrival order.
 	Rank int
@@ -166,204 +174,228 @@ func (c Config) withDefaults() (Config, error) {
 
 // Start performs rendezvous and full-mesh establishment and returns this
 // worker's endpoint, ready for collectives. It blocks until every pairwise
-// connection is up or the deadline passes.
+// connection is up or the deadline passes. It runs the membership dialog
+// under the Start policy: rank 0 leads and waits for every member; every
+// other worker checks in and must be given the P, rank and ID map it was
+// configured with.
 func Start(cfg Config) (*Endpoint, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	deadline := time.Now().Add(cfg.Timeout)
 	if cfg.P == 1 {
 		return newEndpoint(newLink(cfg, 0), cfg), nil
 	}
+	return join(cfg, func(dataAddr string, deadline time.Time) (Config, []string, error) {
+		if cfg.Rank == 0 {
+			return lead(cfg, 0, dataAddr, deadline)
+		}
+		formed, addrs, err := checkIn(cfg, dataAddr, deadline)
+		switch {
+		case err != nil:
+		case formed.P != cfg.P:
+			err = rendezvousErr("rendezvous says P=%d, this worker was configured for P=%d", formed.P, cfg.P)
+		case cfg.Rank >= 0 && formed.Rank != cfg.Rank:
+			err = rendezvousErr("rendezvous assigned rank %d, wanted %d", formed.Rank, cfg.Rank)
+		case cfg.IDs != nil && !slices.Equal(formed.IDs, cfg.IDs):
+			err = rendezvousErr("rendezvous ID map %v disagrees with %v", formed.IDs, cfg.IDs)
+		}
+		return formed, addrs, err
+	})
+}
 
+// join forms one generation: it opens this worker's data listener, runs
+// the membership dialog — which returns the generation's Config (P, Rank
+// and IDs as the leader assigned them) and data-address map — and puts the
+// runtime on the full mesh among those addresses. A failed mesh is
+// severed, so nothing established so far is left stranded to hang a peer.
+func join(cfg Config, dialog func(dataAddr string, deadline time.Time) (Config, []string, error)) (*Endpoint, error) {
+	deadline := time.Now().Add(cfg.Timeout)
 	dataLn, err := net.Listen("tcp", net.JoinHostPort(cfg.Host, "0"))
 	if err != nil {
-		return nil, fmt.Errorf("%w: data listener: %v", ErrRendezvous, err)
+		return nil, rendezvousErr("data listener: %v", err)
 	}
 	defer dataLn.Close()
 	dataLn.(*net.TCPListener).SetDeadline(deadline)
-
-	var rank int
-	var addrs []string
-	if cfg.Rank == 0 {
-		addrs, err = serveRendezvous(cfg, dataLn.Addr().String(), deadline)
-		rank = 0
-	} else {
-		rank, addrs, err = checkIn(cfg, dataLn.Addr().String(), deadline)
-	}
+	formed, addrs, err := dialog(dataLn.Addr().String(), deadline)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrRendezvous, err)
+		return nil, err
 	}
-
-	return meshUp(cfg, rank, dataLn, addrs, deadline)
-}
-
-// meshUp establishes the full mesh for an agreed membership and puts the
-// runtime on it. A failed mesh is severed, so nothing established so far
-// is left stranded to hang a peer.
-func meshUp(cfg Config, rank int, dataLn net.Listener, addrs []string, deadline time.Time) (*Endpoint, error) {
-	l := newLink(cfg, rank)
-	if err := l.mesh(dataLn, addrs, cfg.Gen, deadline); err != nil {
+	l := newLink(formed, formed.Rank)
+	if err := l.mesh(dataLn, addrs, formed.Gen, deadline); err != nil {
 		l.Sever(err.Error())
-		return nil, fmt.Errorf("%w: %v", ErrRendezvous, err)
+		return nil, rendezvousErr("%v", err)
 	}
-	return newEndpoint(l, cfg), nil
+	return newEndpoint(l, formed), nil
 }
 
-// serveRendezvous is rank 0's side of check-in: accept P-1 hellos, assign
-// ranks (explicit requests win; -1 workers fill the free slots in arrival
-// order), then send every worker its rank, the stable-ID map and the full
-// data-address map. A torn or foreign check-in — a worker that died
-// mid-hello, a port scanner, a straggler from a stale generation — is
-// dropped and the listener keeps accepting: the dead worker's replacement
-// (or its retry) re-registers on a fresh connection. A strike budget still
+// rendezvousErr builds an error that wraps ErrRendezvous.
+func rendezvousErr(format string, args ...any) error {
+	return fmt.Errorf("%w: %s", ErrRendezvous, fmt.Sprintf(format, args...))
+}
+
+// lead is the leader's side of the membership dialog. cfg is the
+// membership it expects: the configured generation under the Start
+// policy, the torn one under the Rejoin policy. The leader is cfg.Rank,
+// and every other ID of cfg's ID map may check in. It listens on
+// cfg.Rendezvous (or on the live cfg.listener), collects the hellos, and
+// answers each with its rank — its position in the ascending list of IDs
+// that made it — and the ID and data-address maps. settle is the policy:
+// zero (Start) waits for every member; a positive window (Rejoin) closes
+// the membership once no check-in has arrived for that long, and whoever
+// has not checked in by then is presumed dead.
+//
+// A hello that does not belong — foreign bytes, a torn write, a stale
+// generation, an ID outside the expected set or already in — is struck
+// out and the listener keeps accepting: the worker's retry, or the real
+// worker, registers on a fresh connection. A budget of 4×P strikes still
 // catches a systematically broken cluster instead of looping to the
-// deadline.
-func serveRendezvous(cfg Config, ownDataAddr string, deadline time.Time) ([]string, error) {
+// deadline. Under the Start policy a hello may carry ID -1; once everyone
+// is in, each such worker is given the smallest free ID, in arrival order.
+func lead(cfg Config, settle time.Duration, dataAddr string, deadline time.Time) (Config, []string, error) {
 	ln := cfg.listener
 	if ln == nil {
 		var err error
 		if ln, err = net.Listen("tcp", cfg.Rendezvous); err != nil {
-			return nil, fmt.Errorf("tcpnet: rendezvous listener on %s: %w", cfg.Rendezvous, err)
+			return cfg, nil, rendezvousErr("listener on %s: %v", cfg.Rendezvous, err)
 		}
 	}
 	defer ln.Close()
-	ln.(*net.TCPListener).SetDeadline(deadline)
 
-	type checkin struct {
+	self := stableID(cfg.IDs, cfg.Rank)
+	member := make(map[int]bool, cfg.P) // the IDs that may check in
+	for r := 0; r < cfg.P; r++ {
+		if r != cfg.Rank {
+			member[stableID(cfg.IDs, r)] = true
+		}
+	}
+	joined := make(map[int]bool, cfg.P)
+	type hello struct {
 		conn net.Conn
-		want int
+		id   int
 		addr string
 	}
-	pending := make([]*checkin, 0, cfg.P-1)
+	var in []hello // in arrival order
 	defer func() {
-		for _, c := range pending {
-			c.conn.Close()
+		for _, h := range in {
+			h.conn.Close()
 		}
 	}()
 	strikes := 0
-	for len(pending) < cfg.P-1 {
+	for len(in) < cfg.P-1 {
+		until := deadline
+		if settle > 0 && time.Until(until) > settle {
+			until = time.Now().Add(settle)
+		}
+		ln.(*net.TCPListener).SetDeadline(until)
 		conn, err := ln.Accept()
 		if err != nil {
-			return nil, fmt.Errorf("tcpnet: rendezvous accept (have %d/%d workers): %w", len(pending), cfg.P-1, err)
+			if settle > 0 {
+				break // the membership has settled
+			}
+			return cfg, nil, rendezvousErr("accept (have %d/%d workers): %v", len(in), cfg.P-1, err)
 		}
 		conn.SetDeadline(deadline)
-		want, gen, addr, err := readHello(conn)
-		if err == nil && gen != cfg.Gen {
+		id, gen, addr, err := readHello(conn)
+		switch {
+		case err != nil:
+		case gen != cfg.Gen:
 			err = fmt.Errorf("stale generation %d (rendezvous is at %d)", gen, cfg.Gen)
+		case id == -1 && settle == 0:
+		case !member[id]:
+			err = fmt.Errorf("worker ID %d is not a member", id)
+		case joined[id]:
+			err = fmt.Errorf("worker ID %d has already checked in", id)
 		}
 		if err != nil {
 			conn.Close()
-			strikes++
-			if strikes > 4*cfg.P {
-				return nil, fmt.Errorf("tcpnet: rendezvous gave up after %d bad check-ins, last: %v", strikes, err)
+			if strikes++; strikes > 4*cfg.P {
+				return cfg, nil, rendezvousErr("gave up after %d bad check-ins, last: %v", strikes, err)
 			}
 			continue
 		}
-		pending = append(pending, &checkin{conn: conn, want: want, addr: addr})
+		joined[id] = true
+		in = append(in, hello{conn: conn, id: id, addr: addr})
 	}
 
-	addrs := make([]string, cfg.P)
-	addrs[0] = ownDataAddr
-	ranks := make([]int, len(pending))
-	// Pass 1: explicit requests.
-	for i, c := range pending {
-		ranks[i] = -1
-		if c.want < 0 {
-			continue
-		}
-		if c.want == 0 || c.want >= cfg.P || addrs[c.want] != "" {
-			return nil, fmt.Errorf("tcpnet: worker requested rank %d (taken or out of range for P=%d)", c.want, cfg.P)
-		}
-		addrs[c.want] = c.addr
-		ranks[i] = c.want
-	}
-	// Pass 2: fill free slots in arrival order.
-	next := 1
-	for i, c := range pending {
-		if ranks[i] >= 0 {
-			continue
-		}
-		for addrs[next] != "" {
-			next++
-		}
-		addrs[next] = c.addr
-		ranks[i] = next
-	}
-	ids := cfg.IDs
-	if ids == nil {
-		ids = make([]int, cfg.P)
-		for i := range ids {
-			ids[i] = i
+	var free []int // the member IDs -1 hellos are given
+	for id := range member {
+		if !joined[id] {
+			free = append(free, id)
 		}
 	}
-	for i, c := range pending {
-		if err := writeAssignment(c.conn, ranks[i], cfg.Gen, ids, addrs); err != nil {
-			return nil, fmt.Errorf("tcpnet: rendezvous reply to rank %d: %w", ranks[i], err)
+	sort.Ints(free)
+	ids := []int{self}
+	for i := range in {
+		if in[i].id == -1 {
+			in[i].id, free = free[0], free[1:]
 		}
-		c.conn.Close()
+		ids = append(ids, in[i].id)
 	}
-	pending = nil
-	return addrs, nil
+	sort.Ints(ids)
+	addrs := make([]string, len(ids))
+	addrs[sort.SearchInts(ids, self)] = dataAddr
+	for _, h := range in {
+		addrs[sort.SearchInts(ids, h.id)] = h.addr
+	}
+	for _, h := range in {
+		if err := writeAssignment(h.conn, sort.SearchInts(ids, h.id), cfg.Gen, ids, addrs); err != nil {
+			return cfg, nil, rendezvousErr("assignment to worker %d: %v", h.id, err)
+		}
+	}
+	cfg.P, cfg.Rank, cfg.IDs = len(ids), sort.SearchInts(ids, self), ids
+	return cfg, addrs, nil
 }
 
-// checkIn is the non-zero worker's side of rendezvous: dial rank 0 (with
-// retry — workers race rank 0's listen), announce the desired rank and the
-// data address, and receive the assignment plus the ID and address maps. A
-// check-in whose hello tore mid-write re-registers on a fresh connection —
-// the rendezvous struck the torn half out without consuming a slot — up to
-// a small attempt budget within the deadline.
-func checkIn(cfg Config, dataAddr string, deadline time.Time) (int, []string, error) {
-	var lastErr error
-	for attempt := 0; attempt < 4 && time.Now().Before(deadline); attempt++ {
-		rank, addrs, err := checkInOnce(cfg, dataAddr, deadline)
-		if err == nil {
-			return rank, addrs, nil
-		}
-		lastErr = err
-		if !errors.Is(err, errTornCheckIn) {
-			return 0, nil, err
-		}
+// checkIn is the follower's side of the membership dialog: dial the leader
+// at cfg.Rendezvous — workers race its listen, so for up to cfg.Timeout
+// within the deadline: the whole deadline at start-up, the probe window at
+// a rejoin — send the hello (this worker's stable ID, or -1 to be given
+// one), and read the assignment, which it returns as the generation's
+// Config and data-address map. A hello whose write failed provably did not
+// register — the leader struck the torn half out — so it retries on a
+// fresh connection, up to a small budget. Nothing else retries: a hello
+// that registered holds its slot, and a second registration would be
+// struck out as a duplicate.
+func checkIn(cfg Config, dataAddr string, deadline time.Time) (Config, []string, error) {
+	dialBy := time.Now().Add(cfg.Timeout)
+	if dialBy.After(deadline) {
+		dialBy = deadline
 	}
-	return 0, nil, lastErr
+	id := stableID(cfg.IDs, cfg.Rank)
+	for attempt := 1; ; attempt++ {
+		conn, err := dialRetry(cfg.Rendezvous, id+1, dialBy)
+		if err != nil {
+			return cfg, nil, rendezvousErr("leader at %s unreachable: %v", cfg.Rendezvous, err)
+		}
+		conn.SetDeadline(deadline)
+		if err := writeHello(conn, id, cfg.Gen, dataAddr); err != nil {
+			conn.Close()
+			if attempt < 4 && time.Now().Before(dialBy) {
+				continue
+			}
+			return cfg, nil, rendezvousErr("hello: %v", err)
+		}
+		rank, gen, ids, addrs, err := readAssignment(conn)
+		conn.Close()
+		switch {
+		case err != nil:
+			return cfg, nil, rendezvousErr("assignment: %v", err)
+		case gen != cfg.Gen:
+			return cfg, nil, rendezvousErr("leader is at generation %d, this worker is at %d", gen, cfg.Gen)
+		}
+		cfg.P, cfg.Rank, cfg.IDs = len(ids), rank, ids
+		return cfg, addrs, nil
+	}
 }
 
-// errTornCheckIn marks a check-in failure where the hello provably did not
-// register (the write itself failed), making a bounded retry safe: a hello
-// that registered but whose assignment read failed must NOT retry — the
-// slot is consumed, and a second registration would corrupt the count.
-var errTornCheckIn = errors.New("torn check-in")
-
-func checkInOnce(cfg Config, dataAddr string, deadline time.Time) (int, []string, error) {
-	conn, err := dialRetry(cfg.Rendezvous, cfg.Rank+1, deadline)
-	if err != nil {
-		return 0, nil, fmt.Errorf("tcpnet: rendezvous at %s unreachable: %w", cfg.Rendezvous, err)
+// stableID maps a rank to its stable generation-0 ID; nil ids is the
+// identity map, and rank -1 (not yet assigned) has ID -1.
+func stableID(ids []int, rank int) int {
+	if ids == nil || rank < 0 {
+		return rank
 	}
-	defer conn.Close()
-	conn.SetDeadline(deadline)
-	if err := writeHello(conn, cfg.Rank, cfg.Gen, dataAddr); err != nil {
-		return 0, nil, fmt.Errorf("tcpnet: hello: %w (%w)", err, errTornCheckIn)
-	}
-	rank, gen, ids, addrs, err := readAssignment(conn)
-	if err != nil {
-		return 0, nil, fmt.Errorf("tcpnet: rendezvous assignment: %w", err)
-	}
-	if gen != cfg.Gen {
-		return 0, nil, fmt.Errorf("tcpnet: rendezvous is at generation %d, this worker is at %d", gen, cfg.Gen)
-	}
-	if len(addrs) != cfg.P {
-		return 0, nil, fmt.Errorf("tcpnet: rendezvous says P=%d, this worker was configured for P=%d", len(addrs), cfg.P)
-	}
-	if cfg.Rank >= 0 && rank != cfg.Rank {
-		return 0, nil, fmt.Errorf("tcpnet: rendezvous assigned rank %d, wanted %d", rank, cfg.Rank)
-	}
-	for i, id := range ids {
-		if want := cfg.IDs; want != nil && want[i] != id {
-			return 0, nil, fmt.Errorf("tcpnet: rendezvous ID map disagrees at rank %d: %d vs %d", i, id, want[i])
-		}
-	}
-	return rank, addrs, nil
+	return ids[rank]
 }
 
 // mesh establishes one connection per peer: dial every lower rank, accept
@@ -482,73 +514,37 @@ func dialRetry(addr string, salt int, deadline time.Time) (net.Conn, error) {
 
 // --- wire helpers -------------------------------------------------------
 
-func writePrefix(w io.Writer) error {
-	var b []byte
+// appendPrefix appends the magic/version prefix that opens every hello and
+// handshake.
+func appendPrefix(b []byte) []byte {
 	b = append(b, magic[:]...)
-	b = binary.AppendUvarint(b, protoVersion)
-	_, err := w.Write(b)
-	return err
+	return binary.AppendUvarint(b, protoVersion)
 }
 
-func readPrefix(br *bufio.Reader) error {
-	var m [4]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return err
-	}
-	if m != magic {
-		return fmt.Errorf("bad magic %q", m[:])
-	}
-	v, err := binary.ReadUvarint(br)
-	if err != nil {
-		return err
-	}
-	if v != protoVersion {
-		return fmt.Errorf("protocol version %d, want %d", v, protoVersion)
-	}
-	return nil
+func appendString(b []byte, s string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
 }
 
-// writeHello announces a worker to a rendezvous point. In a generation-0
-// rendezvous, `want` is the desired rank (-1 to be assigned); in an
-// elastic re-rendezvous (gen > 0), it carries the survivor's stable ID.
-func writeHello(conn net.Conn, want, gen int, addr string) error {
-	if err := writePrefix(conn); err != nil {
-		return err
-	}
-	var b []byte
-	b = binary.AppendVarint(b, int64(want))
+// appendHello appends the hello a follower announces itself with: its
+// stable ID (-1 to be given one), its generation and its data address.
+func appendHello(b []byte, id, gen int, addr string) []byte {
+	b = appendPrefix(b)
+	b = binary.AppendVarint(b, int64(id))
 	b = binary.AppendUvarint(b, uint64(gen))
-	b = binary.AppendUvarint(b, uint64(len(addr)))
-	b = append(b, addr...)
-	_, err := conn.Write(b)
+	return appendString(b, addr)
+}
+
+func writeHello(conn net.Conn, id, gen int, addr string) error {
+	_, err := conn.Write(appendHello(nil, id, gen, addr))
 	return err
 }
 
-func readHello(conn net.Conn) (want, gen int, addr string, err error) {
-	br := bufio.NewReader(conn)
-	if err := readPrefix(br); err != nil {
-		return 0, 0, "", err
-	}
-	r, err := binary.ReadVarint(br)
-	if err != nil {
-		return 0, 0, "", err
-	}
-	g, err := binary.ReadUvarint(br)
-	if err != nil {
-		return 0, 0, "", err
-	}
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return 0, 0, "", err
-	}
-	if n > 1024 {
-		return 0, 0, "", fmt.Errorf("implausible address length %d", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return 0, 0, "", err
-	}
-	return int(r), int(g), string(buf), nil
+func readHello(conn net.Conn) (id, gen int, addr string, err error) {
+	f := fields{r: bufio.NewReader(conn)}
+	f.prefix()
+	id, gen, addr = f.varint(), f.uvarint(), f.str()
+	return id, gen, addr, f.err
 }
 
 func writeAssignment(conn net.Conn, rank, gen int, ids []int, addrs []string) error {
@@ -560,109 +556,106 @@ func writeAssignment(conn net.Conn, rank, gen int, ids []int, addrs []string) er
 		b = binary.AppendVarint(b, int64(id))
 	}
 	for _, a := range addrs {
-		b = binary.AppendUvarint(b, uint64(len(a)))
-		b = append(b, a...)
+		b = appendString(b, a)
 	}
 	_, err := conn.Write(b)
 	return err
 }
 
 func readAssignment(conn net.Conn) (rank, gen int, ids []int, addrs []string, err error) {
-	br := bufio.NewReader(conn)
-	r, err := binary.ReadUvarint(br)
-	if err != nil {
-		return 0, 0, nil, nil, err
+	f := fields{r: bufio.NewReader(conn)}
+	rank, gen = f.uvarint(), f.uvarint()
+	if p := f.uvarint(); f.err == nil && (p < 0 || p > 1<<16) {
+		f.err = fmt.Errorf("implausible worker count %d", p)
+	} else if f.err == nil {
+		ids, addrs = make([]int, p), make([]string, p)
 	}
-	g, err := binary.ReadUvarint(br)
-	if err != nil {
-		return 0, 0, nil, nil, err
-	}
-	p, err := binary.ReadUvarint(br)
-	if err != nil {
-		return 0, 0, nil, nil, err
-	}
-	if p > 1<<16 {
-		return 0, 0, nil, nil, fmt.Errorf("implausible worker count %d", p)
-	}
-	ids = make([]int, p)
 	for i := range ids {
-		id, err := binary.ReadVarint(br)
-		if err != nil {
-			return 0, 0, nil, nil, err
-		}
-		ids[i] = int(id)
+		ids[i] = f.varint()
 	}
-	addrs = make([]string, p)
 	for i := range addrs {
-		n, err := binary.ReadUvarint(br)
-		if err != nil {
-			return 0, 0, nil, nil, err
-		}
-		if n > 1024 {
-			return 0, 0, nil, nil, fmt.Errorf("implausible address length %d", n)
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return 0, 0, nil, nil, err
-		}
-		addrs[i] = string(buf)
+		addrs[i] = f.str()
 	}
-	return int(r), int(g), ids, addrs, nil
+	return rank, gen, ids, addrs, f.err
 }
 
 func writeHandshake(conn net.Conn, rank, gen int) error {
-	if err := writePrefix(conn); err != nil {
-		return err
-	}
-	var b []byte
+	b := appendPrefix(nil)
 	b = binary.AppendUvarint(b, uint64(rank))
 	b = binary.AppendUvarint(b, uint64(gen))
 	_, err := conn.Write(b)
 	return err
 }
 
-// readHandshake identifies the dialing peer and its generation. The bufio
-// reader must not over-read past the handshake — data frames follow on the
-// same stream — so it reads byte by byte through a tiny adapter.
+// readHandshake identifies the dialing peer and its generation. It must not
+// over-read past the handshake — data frames follow on the same stream — so
+// it reads straight off the conn, one byte per varint byte.
 func readHandshake(conn net.Conn) (rank, gen int, err error) {
-	one := oneByteReader{conn}
-	var m [4]byte
-	for i := range m {
-		b, err := one.ReadByte()
-		if err != nil {
-			return 0, 0, err
-		}
-		m[i] = b
-	}
-	if m != magic {
-		return 0, 0, fmt.Errorf("bad magic %q", m[:])
-	}
-	v, err := binary.ReadUvarint(one)
-	if err != nil {
-		return 0, 0, err
-	}
-	if v != protoVersion {
-		return 0, 0, fmt.Errorf("protocol version %d, want %d", v, protoVersion)
-	}
-	r, err := binary.ReadUvarint(one)
-	if err != nil {
-		return 0, 0, err
-	}
-	g, err := binary.ReadUvarint(one)
-	if err != nil {
-		return 0, 0, err
-	}
-	return int(r), int(g), nil
+	f := fields{r: byteConn{conn}}
+	f.prefix()
+	rank, gen = f.uvarint(), f.uvarint()
+	return rank, gen, f.err
 }
 
-// oneByteReader reads exactly one byte per syscall, so the handshake never
+// byteConn reads exactly the bytes asked for, so the handshake never
 // consumes frame bytes that belong to the endpoint's buffered reader.
-type oneByteReader struct{ c net.Conn }
+type byteConn struct{ net.Conn }
 
-func (o oneByteReader) ReadByte() (byte, error) {
+func (c byteConn) ReadByte() (byte, error) {
 	var b [1]byte
-	if _, err := io.ReadFull(o.c, b[:]); err != nil {
-		return 0, err
+	_, err := io.ReadFull(c.Conn, b[:])
+	return b[0], err
+}
+
+// fields reads the dialog's fields off a stream. The first error sticks:
+// every later read returns a zero value, and err reports it.
+type fields struct {
+	r interface {
+		io.Reader
+		io.ByteReader
 	}
-	return b[0], nil
+	err error
+}
+
+// prefix checks the magic/version prefix.
+func (f *fields) prefix() {
+	var m [4]byte
+	if _, f.err = io.ReadFull(f.r, m[:]); f.err == nil && m != magic {
+		f.err = fmt.Errorf("bad magic %q", m[:])
+	}
+	if v := f.uvarint(); f.err == nil && v != protoVersion {
+		f.err = fmt.Errorf("protocol version %d, want %d", v, protoVersion)
+	}
+}
+
+func (f *fields) uvarint() int {
+	if f.err != nil {
+		return 0
+	}
+	v, err := binary.ReadUvarint(f.r)
+	f.err = err
+	return int(v)
+}
+
+func (f *fields) varint() int {
+	if f.err != nil {
+		return 0
+	}
+	v, err := binary.ReadVarint(f.r)
+	f.err = err
+	return int(v)
+}
+
+// str reads a length-prefixed address.
+func (f *fields) str() string {
+	n := f.uvarint()
+	if f.err == nil && (n < 0 || n > 1024) {
+		f.err = fmt.Errorf("implausible address length %d", n)
+	}
+	if f.err != nil {
+		return ""
+	}
+	buf := make([]byte, n)
+	_, f.err = io.ReadFull(f.r, buf)
+	return string(buf)
 }
