@@ -25,9 +25,12 @@ bench:
 bench-nn:
 	go test -run '^$$' -bench 'BenchmarkMatMulKernels|BenchmarkResMLPStep' -benchmem ./internal/nn
 
-# The dense path: the Vec codec's three loops (0 allocs/op) and one dense
-# all-reduce over livenet (the codec half of sync-tcp-dense, no syscalls)
-# and over loopback tcpnet (the socket send path sync-tcp-dense times).
+# The dense path: the Vec codec — the encode and the three consumers a
+# received view has (accumulate, sum with an input, copy; 0 allocs/op) —
+# and one dense all-reduce over livenet (the codec half of sync-tcp-dense,
+# no syscalls) and over loopback tcpnet (the socket path sync-tcp-dense
+# times): Rabenseifner at P=8 after an input copy and straight from the
+# gradient, and the ring at P=7.
 bench-dense:
 	go test -run '^$$' -bench BenchmarkVecCodec -benchmem ./internal/comm
 	go test -run '^$$' -bench BenchmarkDenseAllReduce -benchmem ./internal/collective

@@ -18,8 +18,9 @@ import (
 // overwrite it at once. Recv returns a view, not a slice: over an
 // arena-backed link it aliases the frame's bytes (valid until the rotation
 // after next, like any arena-decoded payload), otherwise it holds a pooled
-// copy of them. A view is read exactly once, by AddTo or CopyTo, straight
-// from those bytes; that also releases a pooled copy. On the wire it is
+// copy of them. A view is read exactly once, straight from those bytes, by
+// one of its three consumers — AddTo (dst += v), SumTo (dst = a + v) or
+// CopyTo (dst = v) — which also releases a pooled copy. On the wire it is
 // tagFloat32s' framing under its own tag.
 type Vec struct {
 	F      []float32 // the elements to send; a received view has none
@@ -34,8 +35,10 @@ func vecFrameMax(n int) int { return 1 + binary.MaxVarintLen64 + 4*n }
 
 // vecZeroCopy says a float32's memory is its wire encoding — little-endian
 // Float32bits, NaN payloads included — so Send can lend a Vec's elements to
-// the link as they are (f32Bytes) instead of encoding them (putFloat32s).
-// Tests clear it to run the encoding path a big-endian host takes.
+// the link as they are (f32Bytes) instead of encoding them (putFloat32s),
+// and CopyTo can move a view into place with one memmove instead of
+// decoding it (loadFloat32s). Tests clear it to run the paths a big-endian
+// host takes.
 var vecZeroCopy = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // appendVecHeader appends a Vec's frame up to its first element: the tag and
@@ -71,17 +74,46 @@ func (v Vec) Detach() Vec {
 
 // AddTo accumulates the view into dst — dst[i] += v[i] in ascending i, one
 // addition per element — and releases it. len(dst) must be the view's.
-func (v Vec) AddTo(dst []float32) { v.consume(dst, addFloat32s) }
+func (v Vec) AddTo(dst []float32) { v.consume(vecAdd, dst, nil) }
+
+// SumTo sets dst[i] = a[i] + v[i] in ascending i — the addition AddTo makes
+// when dst holds a, without copying a into dst first — and releases the
+// view. a may be dst itself (then it is AddTo); len(a) and len(dst) must be
+// the view's.
+func (v Vec) SumTo(dst, a []float32) { v.consume(vecSum, dst, a) }
 
 // CopyTo overwrites dst with the view and releases it. len(dst) must be the
 // view's.
-func (v Vec) CopyTo(dst []float32) { v.consume(dst, loadFloat32s) }
+func (v Vec) CopyTo(dst []float32) { v.consume(vecCopy, dst, nil) }
 
-func (v Vec) consume(dst []float32, read func(dst []float32, wire []byte)) {
+// vecOp names a view's consumer.
+type vecOp uint8
+
+const (
+	vecAdd vecOp = iota
+	vecSum
+	vecCopy
+)
+
+func (v Vec) consume(op vecOp, dst, a []float32) {
 	if len(v.wire) != 4*len(dst) {
 		panic(fmt.Sprintf("comm: dense view of %d elements consumed into %d (schedule mismatch)", len(v.wire)/4, len(dst)))
 	}
-	read(dst, v.wire)
+	switch op {
+	case vecAdd:
+		addFloat32s(dst, v.wire)
+	case vecSum:
+		if len(a) != len(dst) {
+			panic(fmt.Sprintf("comm: dense view summed with %d elements into %d (schedule mismatch)", len(a), len(dst)))
+		}
+		sumFloat32s(dst, a, v.wire)
+	case vecCopy:
+		if vecZeroCopy {
+			copy(f32Bytes(dst), v.wire) // the bytes are dst's memory image
+		} else {
+			loadFloat32s(dst, v.wire)
+		}
+	}
 	if v.pooled {
 		FrameBufs.Put(v.wire)
 	}
@@ -97,7 +129,7 @@ func appendFloat32s(dst []byte, src []float32) []byte {
 	return dst
 }
 
-// The three loops below are the dense path's whole codec. Each hoists its
+// The four loops below are the dense path's whole codec. Each hoists its
 // bounds checks to one reslice per eight elements, which lets the compiler
 // turn the encoding/binary calls into single moves.
 
@@ -158,5 +190,26 @@ func addFloat32s(dst []float32, src []byte) {
 	}
 	for i := range dst {
 		dst[i] += math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+	}
+}
+
+// sumFloat32s sets dst[i] to a[i] plus the i-th little-endian word of src.
+// a may be dst itself.
+func sumFloat32s(dst, a []float32, src []byte) {
+	a, src = a[:len(dst)], src[:4*len(dst)]
+	for len(dst) >= 8 {
+		d, x, s := dst[:8], a[:8], src[:32]
+		d[0] = x[0] + math.Float32frombits(binary.LittleEndian.Uint32(s[0:]))
+		d[1] = x[1] + math.Float32frombits(binary.LittleEndian.Uint32(s[4:]))
+		d[2] = x[2] + math.Float32frombits(binary.LittleEndian.Uint32(s[8:]))
+		d[3] = x[3] + math.Float32frombits(binary.LittleEndian.Uint32(s[12:]))
+		d[4] = x[4] + math.Float32frombits(binary.LittleEndian.Uint32(s[16:]))
+		d[5] = x[5] + math.Float32frombits(binary.LittleEndian.Uint32(s[20:]))
+		d[6] = x[6] + math.Float32frombits(binary.LittleEndian.Uint32(s[24:]))
+		d[7] = x[7] + math.Float32frombits(binary.LittleEndian.Uint32(s[28:]))
+		dst, a, src = dst[8:], a[8:], src[32:]
+	}
+	for i := range dst {
+		dst[i] = a[i] + math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
 	}
 }

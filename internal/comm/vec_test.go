@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -99,10 +100,40 @@ func checkAgainstReference(t *testing.T, frame []byte) {
 		sum := vecPreload(len(ref))
 		read().(Vec).AddTo(sum)
 		sameBits(t, what+" AddTo", sum, refSum)
-		cp := vecPreload(len(ref))
-		read().(Vec).CopyTo(cp)
-		sameBits(t, what+" CopyTo", cp, ref)
+		into, a := vecSentinel(len(ref)), vecPreload(len(ref))
+		read().(Vec).SumTo(into, a)
+		sameBits(t, what+" SumTo", into, refSum)
+		sameBits(t, what+" SumTo's input", a, vecPreload(len(ref)))
+		read().(Vec).SumTo(a, a)
+		sameBits(t, what+" SumTo onto its input", a, refSum)
+		for _, memmove := range copyPaths() {
+			cp := vecSentinel(len(ref))
+			restore := SetVecZeroCopy(memmove)
+			read().(Vec).CopyTo(cp)
+			restore()
+			sameBits(t, fmt.Sprintf("%s CopyTo (memmove=%v)", what, memmove), cp, ref)
+		}
 	}
+}
+
+// copyPaths are the CopyTo paths the host can run: the decode loop
+// everywhere, the memmove where a float32's memory is its wire encoding.
+func copyPaths() []bool {
+	if vecZeroCopy {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}
+
+// vecSentinel returns n copies of a NaN payload no consumer produces from
+// vecInput and vecPreload, so an element a consumer fails to write keeps
+// it and shows up against the reference.
+func vecSentinel(n int) []float32 {
+	dst := make([]float32, n)
+	for i := range dst {
+		dst[i] = math.Float32frombits(0x7fa5c3e1)
+	}
+	return dst
 }
 
 // vecLengths are the differentials' vector lengths: every tail length of
@@ -192,15 +223,32 @@ func TestVecRejectsMalformedFrames(t *testing.T) {
 			}
 		}
 	}
-	for _, v := range []Vec{{F: make([]float32, 3)}, {wire: make([]byte, 12)}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("a 3-element view consumed into 4 elements did not panic")
-				}
+	// Every consumer refuses a destination, or a SumTo input, whose length
+	// is not the view's three elements: the ranks' schedules disagree. An
+	// unsent Vec is a view of no elements.
+	n := func(k int) []float32 { return make([]float32, k) }
+	for _, c := range []struct {
+		name    string
+		consume func(Vec)
+	}{
+		{"AddTo into 4", func(v Vec) { v.AddTo(n(4)) }},
+		{"CopyTo into 4", func(v Vec) { v.CopyTo(n(4)) }},
+		{"SumTo into 4", func(v Vec) { v.SumTo(n(4), n(4)) }},
+		{"SumTo of 4 into 3", func(v Vec) { v.SumTo(n(3), n(4)) }},
+		{"SumTo of 2 into 3", func(v Vec) { v.SumTo(n(3), n(2)) }},
+		{"SumTo of nil into 3", func(v Vec) { v.SumTo(n(3), nil) }},
+	} {
+		for _, v := range []Vec{{wire: make([]byte, 12)}, {F: n(3)}} {
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, "schedule mismatch") {
+						t.Errorf("%s (view of %d bytes): panic %q, want a schedule mismatch", c.name, len(v.wire), msg)
+					}
+				}()
+				c.consume(v)
 			}()
-			v.AddTo(make([]float32, 4))
-		}()
+		}
 	}
 }
 
@@ -247,9 +295,12 @@ func FuzzVecRoundTrip(f *testing.F) {
 
 var vecSink []byte
 
-// BenchmarkVecCodec times the three loops a dense element crosses: encode
-// from the sender's vector, and accumulate / copy straight from wire bytes.
-// Steady state allocates nothing.
+// BenchmarkVecCodec times what a dense element crosses: the encode from the
+// sender's vector (a big-endian host's send path), and the three consumers
+// straight from wire bytes — accumulate (AddTo), sum with an input vector
+// (SumTo) and copy (CopyTo: one memmove on a little-endian host, the
+// decode loop otherwise, timed alone as "decode"). Steady state allocates
+// nothing.
 func BenchmarkVecCodec(b *testing.B) {
 	for _, n := range []int{1 << 15, 1 << 17} {
 		x := vecInput(n, 1)
@@ -268,7 +319,9 @@ func BenchmarkVecCodec(b *testing.B) {
 		}{
 			{"encode", func() { vecSink = AppendPayload(vecSink[:0], payload) }},
 			{"accumulate", func() { view.AddTo(dst) }},
+			{"sum", func() { view.SumTo(dst, x) }},
 			{"copy", func() { view.CopyTo(dst) }},
+			{"decode", func() { loadFloat32s(dst, view.wire) }},
 		} {
 			b.Run(fmt.Sprintf("%s/n=%d", op.name, n), func(b *testing.B) {
 				b.SetBytes(int64(4 * n))

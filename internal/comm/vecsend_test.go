@@ -17,11 +17,13 @@ import (
 
 // TestVecSendPaths runs both dense schedules through Send on livenet and
 // loopback tcpnet twice: lending the vector's memory as the frame's Tail
-// (what a little-endian host does) and encoding it with putFloat32s (what
-// a big-endian host does). Both must reproduce the output hashes
-// TestDenseEquivalence in internal/collective pins for the same cases —
-// captured before either path existed — and move the same bytes, so the
-// encoding fallback is exercised on a little-endian machine too.
+// and memmoving received views into place with CopyTo (what a
+// little-endian host does), and encoding with putFloat32s and decoding
+// with loadFloat32s (what a big-endian host does). Both must reproduce the
+// output hashes TestDenseEquivalence in internal/collective pins for the
+// same cases — captured before either path existed — and move the same
+// bytes, so the big-endian fallbacks are exercised on a little-endian
+// machine too.
 func TestVecSendPaths(t *testing.T) {
 	cases := []struct {
 		name   string

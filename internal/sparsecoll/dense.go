@@ -18,13 +18,14 @@ func NewDense(p, rank, n, k int) Reducer { return DenseAllReduce{} }
 // Name implements Reducer.
 func (DenseAllReduce) Name() string { return "Dense" }
 
-// ReduceInto implements Reducer: the dense collectives run in place on out.
+// ReduceInto implements Reducer. The collective reads grad where it lies
+// and fully overwrites out, so there is no input copy; at P = 1 the sum is
+// grad itself and the collective copies it.
 func (DenseAllReduce) ReduceInto(ep comm.Endpoint, grad, out []float32) {
-	copy(out, grad)
 	ChargeMerge(ep, len(grad))
 	if p := ep.P(); p&(p-1) == 0 {
-		collective.RabenseifnerAllReduce(ep, out)
+		collective.RabenseifnerAllReduceInto(ep, grad, out)
 	} else {
-		collective.RingAllReduce(ep, out)
+		collective.RingAllReduceInto(ep, grad, out)
 	}
 }

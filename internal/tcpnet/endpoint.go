@@ -259,13 +259,14 @@ func appendFrameHeader(dst []byte, f comm.Frame) []byte {
 	return binary.AppendUvarint(dst, uint64(len(f.Buf)+len(f.Tail)))
 }
 
-// readerStickyBytes sizes the frame reader's sticky buffer. It matches the
-// kernel's default loopback read granularity so one syscall drains a whole
-// burst of small frames; payload bytes the buffer happens to hold are
-// memcpy'd to their arena destination and only the tail past the buffer is
-// read directly, so a larger buffer trades (cheap) copies for (expensive)
-// syscalls without ever double-buffering more than one read's worth.
-const readerStickyBytes = 64 << 10
+// readerStickyBytes sizes the frame reader's sticky buffer, which exists
+// for small-frame traffic: one read drains a burst of headers and short
+// payloads in a single syscall. A SparDL sync on sync-tcp-small receives
+// ≈ 3.7 KB per rank and BENCH_tcp's frames are ≈ 4 KB, so 8 KiB holds a
+// whole burst. A payload that starts in the buffer has at most this many
+// of its bytes memcpy'd out of it; the rest — all but a sliver of a dense
+// all-reduce's 128–512 KiB frames — is read straight into its arena slab.
+const readerStickyBytes = 8 << 10
 
 // frameReader decodes the inbound frame stream: headers parse out of a
 // small sticky buffer (one read covers many small frames), and

@@ -3,8 +3,10 @@ package tcpnet
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"testing"
+	"testing/iotest"
 
 	"spardl/internal/comm"
 )
@@ -18,10 +20,17 @@ func heapAlloc(n int) []byte { return make([]byte, n) }
 // decode back bit-identically. The second is the adversarial stream: raw
 // fuzz bytes fed straight into the reader must produce frames or errors,
 // never a panic and never an over-read past the bytes the stream holds.
+// Both decode every stream twice, from a reader that returns all it has
+// and from one that returns a byte per call, and must get the same frames:
+// how much of a payload the sticky buffer stages is the reader's business.
 func FuzzFrame(f *testing.F) {
 	f.Add([]byte{}, uint16(0), true)
 	f.Add([]byte("hello"), uint16(1234), true)
 	f.Add(bytes.Repeat([]byte{0xab}, 70000), uint16(9), true) // spans the sticky buffer
+	for _, n := range []int{readerStickyBytes - 1, readerStickyBytes, readerStickyBytes + 1, 4 * readerStickyBytes} {
+		f.Add(bytes.Repeat([]byte{0xcd}, n), uint16(n), true) // a payload around and past the buffer
+	}
+	f.Add(burstThenLarge(), uint16(0), false)
 	f.Add([]byte{frameSync}, uint16(0), false)
 	f.Add([]byte{frameData, 0x05, 0x03, 'a', 'b', 'c'}, uint16(0), false)
 	f.Add([]byte{frameData, 0x01}, uint16(0), false)                               // torn header
@@ -49,43 +58,33 @@ func fuzzRoundTrip(t *testing.T, body []byte, accounted int) {
 	wire = append(wire, body...)
 	wire = appendFrameHeader(wire, comm.Frame{Token: true})
 
-	fr := newFrameReader(bytes.NewReader(wire), heapAlloc)
-	out, err := fr.next()
-	if err != nil {
-		t.Fatalf("decoding a well-formed frame: %v", err)
-	}
-	if out.kind != frameData || out.accounted != accounted || !bytes.Equal(out.buf, body) {
-		t.Fatalf("round trip mismatch: kind=%d accounted=%d len=%d, want kind=%d accounted=%d len=%d",
-			out.kind, out.accounted, len(out.buf), frameData, accounted, len(body))
-	}
-	sync, err := fr.next()
-	if err != nil || sync.kind != frameSync {
-		t.Fatalf("trailing sync frame: kind=%d err=%v (reader over- or under-read the data frame)", sync.kind, err)
-	}
-	if _, err := fr.next(); err != io.EOF {
-		t.Fatalf("want io.EOF at the clean end of stream, got %v", err)
+	for _, chunked := range []bool{false, true} {
+		frames, err := decodeStream(wire, chunked)
+		if err != io.EOF {
+			t.Fatalf("chunked=%v: want io.EOF at the clean end of stream, got %v", chunked, err)
+		}
+		if len(frames) != 2 {
+			t.Fatalf("chunked=%v: decoded %d frames, want a data and a sync frame", chunked, len(frames))
+		}
+		out, sync := frames[0], frames[1]
+		if out.kind != frameData || out.accounted != accounted || !bytes.Equal(out.buf, body) {
+			t.Fatalf("chunked=%v: round trip mismatch: kind=%d accounted=%d len=%d, want kind=%d accounted=%d len=%d",
+				chunked, out.kind, out.accounted, len(out.buf), frameData, accounted, len(body))
+		}
+		if sync.kind != frameSync {
+			t.Fatalf("chunked=%v: trailing frame kind=%d (reader over- or under-read the data frame)", chunked, sync.kind)
+		}
 	}
 }
 
 // fuzzAdversarial feeds arbitrary bytes to the reader until it errors or
 // the stream is exhausted, checking the error taxonomy the poison path
 // depends on: clean EOF only at frame boundaries, torn frames as
-// ErrUnexpectedEOF, garbage lengths rejected before allocation.
+// ErrUnexpectedEOF, garbage lengths rejected before allocation. A reader
+// returning one byte per call must see the same frames and the same end.
 func fuzzAdversarial(t *testing.T, stream []byte) {
-	fr := newFrameReader(bytes.NewReader(stream), heapAlloc)
-	for {
-		m, err := fr.next()
-		if err == io.EOF {
-			return // clean close at a frame boundary
-		}
-		if err != nil {
-			if err == io.ErrUnexpectedEOF || err == errMalformedVarint {
-				return
-			}
-			// Remaining legal errors: unknown kind, over-cap length. Both
-			// must have refused before allocating the payload.
-			return
-		}
+	frames, err := decodeStream(stream, false)
+	for _, m := range frames {
 		if m.kind == frameData {
 			if uint64(len(m.buf)) > maxFrameBytes {
 				t.Fatalf("reader produced a %d-byte frame past the %d cap", len(m.buf), maxFrameBytes)
@@ -93,6 +92,87 @@ func fuzzAdversarial(t *testing.T, stream []byte) {
 			if len(m.buf) > len(stream) {
 				t.Fatalf("reader produced a %d-byte payload from a %d-byte stream (over-read)", len(m.buf), len(stream))
 			}
+		}
+	}
+	// Any error may end the stream: io.EOF at a frame boundary,
+	// ErrUnexpectedEOF, a malformed varint, an unknown kind or an over-cap
+	// length (the last two refused before allocating the payload).
+	chunked, chunkedErr := decodeStream(stream, true)
+	if fmt.Sprint(chunkedErr) != fmt.Sprint(err) || len(chunked) != len(frames) {
+		t.Fatalf("one byte per read: %d frames ending in %v; whole reads: %d frames ending in %v",
+			len(chunked), chunkedErr, len(frames), err)
+	}
+	for i, m := range frames {
+		if c := chunked[i]; c.kind != m.kind || c.accounted != m.accounted || !bytes.Equal(c.buf, m.buf) {
+			t.Fatalf("frame %d differs between one-byte and whole reads", i)
+		}
+	}
+}
+
+// decodeStream reads frames from stream until the reader errors, from a
+// source that returns everything it has per read or, chunked, one byte.
+func decodeStream(stream []byte, chunked bool) ([]message, error) {
+	var src io.Reader = bytes.NewReader(stream)
+	if chunked {
+		src = iotest.OneByteReader(src)
+	}
+	fr := newFrameReader(src, heapAlloc)
+	var frames []message
+	for {
+		m, err := fr.next()
+		if err != nil {
+			return frames, err
+		}
+		frames = append(frames, m)
+	}
+}
+
+// burstThenLarge is the stream a SparDL sync followed by a dense frame
+// sends one peer: a burst of short data frames and barrier tokens that
+// one read of the sticky buffer drains, then a payload four buffers long
+// whose first bytes arrive in the same read.
+func burstThenLarge() []byte {
+	var wire []byte
+	for i := 0; i < 40; i++ {
+		body := bytes.Repeat([]byte{byte(i)}, 7*i)
+		wire = appendFrameHeader(wire, comm.Frame{Buf: body, Accounted: i})
+		wire = append(wire, body...)
+		if i%8 == 7 {
+			wire = appendFrameHeader(wire, comm.Frame{Token: true})
+		}
+	}
+	large := bytes.Repeat([]byte{0xef}, 4*readerStickyBytes)
+	wire = appendFrameHeader(wire, comm.Frame{Buf: large[:9], Tail: large[9:], Accounted: len(large)})
+	return append(wire, large...)
+}
+
+// TestFrameReaderBurstThenLarge decodes burstThenLarge exactly, from whole
+// and from one-byte reads: every short frame, every token and the large
+// payload, which the sticky buffer stages only in part.
+func TestFrameReaderBurstThenLarge(t *testing.T) {
+	for _, chunked := range []bool{false, true} {
+		frames, err := decodeStream(burstThenLarge(), chunked)
+		if err != io.EOF {
+			t.Fatalf("chunked=%v: stream ended in %v, want io.EOF", chunked, err)
+		}
+		if len(frames) != 40+5+1 {
+			t.Fatalf("chunked=%v: decoded %d frames, want 40 short, 5 tokens and 1 large", chunked, len(frames))
+		}
+		i := 0
+		for n := 0; n < 40; n++ {
+			if m := frames[i]; m.kind != frameData || m.accounted != n || !bytes.Equal(m.buf, bytes.Repeat([]byte{byte(n)}, 7*n)) {
+				t.Fatalf("chunked=%v: short frame %d decoded as kind=%d accounted=%d len=%d", chunked, n, m.kind, m.accounted, len(m.buf))
+			}
+			i++
+			if n%8 == 7 {
+				if frames[i].kind != frameSync {
+					t.Fatalf("chunked=%v: token after short frame %d decoded as kind=%d", chunked, n, frames[i].kind)
+				}
+				i++
+			}
+		}
+		if last := frames[i]; last.accounted != 4*readerStickyBytes || !bytes.Equal(last.buf, bytes.Repeat([]byte{0xef}, 4*readerStickyBytes)) {
+			t.Fatalf("chunked=%v: the large frame decoded as accounted=%d len=%d", chunked, last.accounted, len(last.buf))
 		}
 	}
 }
