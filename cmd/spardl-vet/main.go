@@ -8,8 +8,7 @@
 // Flags:
 //
 //	-list            print the analyzers and their docs, then exit
-//	-only name[,...] run only the named analyzers (their Requires run too,
-//	                 but only the named analyzers' findings print)
+//	-only name[,...] run only the named analyzers
 //
 // Every run analyzes every matched package. Findings print as
 // file:line:col: [analyzer] message on stdout, a one-line
@@ -42,8 +41,6 @@ func main() {
 		return
 	}
 
-	// -only narrows the suite. The Requires closure of what is left still
-	// runs, so findings are filtered to the selected analyzers at print time.
 	if *onlyFlag != "" {
 		want := make(map[string]bool)
 		for _, name := range strings.Split(*onlyFlag, ",") {
@@ -62,11 +59,6 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	selected := make(map[string]bool, len(suite))
-	for _, a := range suite {
-		selected[a.Name] = true
-	}
-
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -76,15 +68,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "spardl-vet: %v\n", err)
 		os.Exit(2)
 	}
-	findings := 0
 	for _, d := range diags {
-		if selected[d.Analyzer] {
-			fmt.Println(d)
-			findings++
-		}
+		fmt.Println(d)
 	}
-	fmt.Fprintf(os.Stderr, "spardl-vet: packages=%d findings=%d\n", len(pkgs), findings)
-	if findings > 0 {
+	fmt.Fprintf(os.Stderr, "spardl-vet: packages=%d findings=%d\n", len(pkgs), len(diags))
+	if len(diags) > 0 {
 		os.Exit(1)
 	}
 }

@@ -11,8 +11,9 @@
 // real: a fixture line carrying `//spardl:<name>-ok reason` and no want
 // comment passes only if the suppression actually absorbs the finding.
 //
-// A fixture directory is one package. Cross-package facts are exercised on
-// the real tree, by TestAudit in internal/analysis.
+// A fixture directory is one package, and an analyzer sees one package at
+// a time, so a fixture holds every shape a rule judges. It may import
+// spardl packages, whose named types and functions the rules know.
 package analysistest
 
 import (
@@ -41,8 +42,8 @@ type expectation struct {
 }
 
 // Run loads the fixture package at dir (e.g. "testdata/nodeterm"), runs
-// the analyzer (plus its Requires closure) over it, and reports mismatches
-// between diagnostics and want comments.
+// the analyzer over it, and reports mismatches between diagnostics and
+// want comments.
 func Run(t *testing.T, dir string, a *framework.Analyzer) {
 	t.Helper()
 	abs, err := filepath.Abs(dir)

@@ -38,7 +38,7 @@ var Analyzer = &framework.Analyzer{
 	Run:      run,
 }
 
-func run(pass *framework.Pass) (any, error) {
+func run(pass *framework.Pass) error {
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
@@ -46,7 +46,7 @@ func run(pass *framework.Pass) (any, error) {
 			}
 		}
 	}
-	return nil, nil
+	return nil
 }
 
 // chunkSet holds the function's arena-derived *sparse.Chunk locals.

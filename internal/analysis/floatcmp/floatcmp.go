@@ -50,9 +50,9 @@ var orderedSliceFuncs = map[string]bool{
 	"Sort": true, "IsSorted": true, "Min": true, "Max": true, "BinarySearch": true,
 }
 
-func run(pass *framework.Pass) (any, error) {
+func run(pass *framework.Pass) error {
 	if !nodeterm.Packages[pass.Pkg.Name()] {
-		return nil, nil
+		return nil
 	}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -65,7 +65,7 @@ func run(pass *framework.Pass) (any, error) {
 			return true
 		})
 	}
-	return nil, nil
+	return nil
 }
 
 func checkCompare(pass *framework.Pass, cmp *ast.BinaryExpr) {

@@ -4,24 +4,15 @@
 //
 // The repository cannot vendor x/tools (the build environment is offline
 // and the module has no external dependencies by policy), so this package
-// provides the same shape — Analyzer, Pass, Reportf, Facts, Requires —
-// on top of go/ast, go/types and `go list -export`. Analyzers written
-// against it read like ordinary go/analysis analyzers and could be ported
-// verbatim if x/tools ever becomes available.
+// provides the same shape — Analyzer, Pass, Reportf — on top of go/ast,
+// go/types and `go list -export`. Analyzers written against it read like
+// ordinary go/analysis analyzers and could be ported verbatim if x/tools
+// ever becomes available.
 //
-// # Interprocedural analysis
-//
-// Two mechanisms carry information beyond a single package:
-//
-//   - Facts: an analyzer attaches data to package-level objects
-//     (Pass.ExportObjectFact) and reads them back on objects that
-//     importing packages reference (Pass.ImportObjectFact). Run analyzes
-//     packages in dependency order, so a callee's facts are always
-//     computed before any caller is analyzed.
-//   - Requires/ResultOf: an analyzer lists passes it depends on
-//     (Analyzer.Requires); their Run result for the current package is
-//     available through Pass.ResultOf, the way go/analysis shares the
-//     inspect pass. spardl-vet shares one call-graph pass this way.
+// Nothing carries information between packages: there are no facts and no
+// shared passes. An analyzer that must know something about a callee in
+// another package names it (locksafe's comm.Fifo.Pop, arenasafe's
+// sparse.Arena); imported packages are seen only through their types.
 //
 // # Suppression directives
 //
@@ -55,13 +46,9 @@ type Analyzer struct {
 	// a comment `//spardl:<Suppress> <reason>` on the finding's line or
 	// the line above it.
 	Suppress string
-	// Requires lists analyzers that must run before this one on each
-	// package; their results are available through Pass.ResultOf. The
-	// Run completes the transitive closure automatically.
-	Requires []*Analyzer
-	// Run executes the pass, reports findings via pass.Reportf, and
-	// returns the result value exposed to dependent analyzers.
-	Run func(*Pass) (any, error)
+	// Run executes the pass over one package and reports findings via
+	// pass.Reportf.
+	Run func(*Pass) error
 }
 
 // A Pass provides one analyzer run over one package.
@@ -71,12 +58,6 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-
-	// ResultOf holds the Run results of this package's earlier passes;
-	// entries for Analyzer.Requires are guaranteed present.
-	ResultOf map[*Analyzer]any
-
-	facts factStore
 
 	// suppressed maps file name -> line -> directive names present with a
 	// reason on that line. Built once per package by newPass.
@@ -137,35 +118,9 @@ func (p *Pass) isSuppressed(pos token.Position) bool {
 	return false
 }
 
-// ExportObjectFact attaches fact to obj, a package-level object of the
-// package under analysis. Facts on foreign or non-package-level objects
-// are silently dropped — matching the "no fact" import result.
-func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
-	path, ok := ObjectPath(obj)
-	if !ok {
-		return
-	}
-	if obj.Pkg().Path() != p.Pkg.Path() {
-		panic(fmt.Sprintf("%s: ExportObjectFact(%s): object belongs to %s, not the package under analysis %s",
-			p.Analyzer.Name, obj.Name(), obj.Pkg().Path(), p.Pkg.Path()))
-	}
-	p.facts.export(obj.Pkg().Path(), path, fact)
-}
-
-// ImportObjectFact copies the fact of fact's concrete type attached to obj
-// into fact and reports whether one exists. obj may belong to any package
-// already analyzed this run.
-func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
-	path, ok := ObjectPath(obj)
-	if !ok {
-		return false
-	}
-	return p.facts.lookup(obj.Pkg().Path(), path, fact)
-}
-
 // newPass builds a Pass for one analyzer over a loaded package, including
 // the per-file suppression index.
-func newPass(a *Analyzer, pkg *Package, diags *[]Diagnostic, facts factStore, results map[*Analyzer]any) *Pass {
+func newPass(a *Analyzer, pkg *Package, diags *[]Diagnostic) *Pass {
 	suppressed := make(map[string]map[int][]string)
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
@@ -188,42 +143,9 @@ func newPass(a *Analyzer, pkg *Package, diags *[]Diagnostic, facts factStore, re
 		Files:      pkg.Files,
 		Pkg:        pkg.Types,
 		TypesInfo:  pkg.TypesInfo,
-		ResultOf:   results,
-		facts:      facts,
 		suppressed: suppressed,
 		diags:      diags,
 	}
-}
-
-// requiresClosure expands Requires edges depth-first; the post-order
-// guarantees dependencies run before dependents. Cycles are an error.
-func requiresClosure(roots []*Analyzer) ([]*Analyzer, error) {
-	var order []*Analyzer
-	state := make(map[*Analyzer]int) // 0 unvisited, 1 visiting, 2 done
-	var visit func(a *Analyzer) error
-	visit = func(a *Analyzer) error {
-		switch state[a] {
-		case 1:
-			return fmt.Errorf("analyzer dependency cycle through %s", a.Name)
-		case 2:
-			return nil
-		}
-		state[a] = 1
-		for _, dep := range a.Requires {
-			if err := visit(dep); err != nil {
-				return err
-			}
-		}
-		state[a] = 2
-		order = append(order, a)
-		return nil
-	}
-	for _, a := range roots {
-		if err := visit(a); err != nil {
-			return nil, err
-		}
-	}
-	return order, nil
 }
 
 func sortDiagnostics(diags []Diagnostic) {
@@ -242,27 +164,16 @@ func sortDiagnostics(diags []Diagnostic) {
 	})
 }
 
-// Run executes the analyzers, plus the transitive closure of their
-// Requires, over the packages — given in dependency order, as Load
-// returns them — threading one fact store through, so a
-// callee's facts are computed before any caller is analyzed. Findings come
-// back sorted by position within each package.
+// Run executes the analyzers over each package in turn. Findings come back
+// sorted by position within each package.
 func Run(pkgs []*Package, analyzers ...*Analyzer) ([]Diagnostic, error) {
-	order, err := requiresClosure(analyzers)
-	if err != nil {
-		return nil, err
-	}
-	facts := make(factStore)
 	var all []Diagnostic
 	for _, pkg := range pkgs {
 		var diags []Diagnostic
-		results := make(map[*Analyzer]any, len(order))
-		for _, a := range order {
-			res, err := a.Run(newPass(a, pkg, &diags, facts, results))
-			if err != nil {
+		for _, a := range analyzers {
+			if err := a.Run(newPass(a, pkg, &diags)); err != nil {
 				return nil, fmt.Errorf("%s: %s: %w", pkg.Path, a.Name, err)
 			}
-			results[a] = res
 		}
 		sortDiagnostics(diags)
 		all = append(all, diags...)

@@ -9,8 +9,7 @@ package framework
 // compiler-consistent type information with no third-party loader.
 //
 // `go list -deps` emits packages in dependency order (dependencies before
-// dependents); Load preserves that order so Run computes a
-// package's facts before analyzing any of its importers.
+// dependents); Load keeps that order, so findings print in it.
 
 import (
 	"bytes"

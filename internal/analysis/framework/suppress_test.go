@@ -34,7 +34,7 @@ func callReporter(name string) *Analyzer {
 		Doc:      "test analyzer: reports every call to bad()",
 		Suppress: name + "-ok",
 	}
-	a.Run = func(pass *Pass) (any, error) {
+	a.Run = func(pass *Pass) error {
 		for _, f := range pass.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				if call, ok := n.(*ast.CallExpr); ok {
@@ -45,7 +45,7 @@ func callReporter(name string) *Analyzer {
 				return true
 			})
 		}
-		return nil, nil
+		return nil
 	}
 	return a
 }

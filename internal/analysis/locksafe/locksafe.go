@@ -1,4 +1,4 @@
-// Package locksafe enforces mutex discipline across the tree:
+// Package locksafe enforces mutex discipline, one package at a time:
 //
 //   - Leaked locks: a sync.Mutex/RWMutex Lock (or RLock) must be paired
 //     with a deferred Unlock or an Unlock on every return path of the
@@ -6,18 +6,25 @@
 //     the statement tree; paths ending in panic() are exempt (the process
 //     is dying).
 //   - Blocking under a lock: channel send/receive, select, WaitGroup.Wait,
-//     time.Sleep, net.Conn-style Read/Write, and calls to functions that
-//     transitively block (via BlocksFact, cross-package) are flagged while
-//     a mutex is held. sync.Cond.Wait is exempt in its own function — it
-//     releases the mutex — but marks the function as blocking for callers
-//     (comm.Fifo.Pop is the canonical carrier).
+//     time.Sleep, net.Conn-style Read/Write, comm.Fifo.Pop, and static
+//     calls to functions of the same package that transitively block are
+//     flagged while a mutex is held. Launching a goroutine does not block:
+//     what a `go` statement runs is not part of its caller.
+//   - One waiter: sync.Cond.Wait is flagged anywhere but comm.Fifo.Pop.
+//     Cond.Wait releases the mutex it waits on, so the walker does not
+//     flag it under that lock, but its function then blocks, and callers
+//     in other packages see only the named blockers. This rule keeps
+//     Fifo.Pop the one function in the tree that waits under a mutex.
 //   - Goroutines in loops: a `go func(){…}` launched inside a loop that
 //     captures a connection-like value it never closes (a failed iteration
 //     leaks the socket).
 //
-// The walker is deliberately conservative toward false negatives: when
-// branches disagree about the held set, the unlocked view wins, so only
-// paths that provably return while locked are reported.
+// Nothing crosses a package boundary: a call into another package blocks
+// only if it is one of the named operations above (README "does not
+// catch" records a blocking wrapper elsewhere). The walker is
+// deliberately conservative toward false negatives: when branches
+// disagree about the held set, the unlocked view wins, so only paths that
+// provably return while locked are reported.
 //
 // Suppress a deliberate exception with `//spardl:locksafe-ok <reason>`.
 package locksafe
@@ -26,43 +33,39 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 
-	"spardl/internal/analysis/callgraph"
 	"spardl/internal/analysis/framework"
 )
 
 // Analyzer is the locksafe pass.
 var Analyzer = &framework.Analyzer{
 	Name:     "locksafe",
-	Doc:      "flag locks without unlock on every return path, blocking operations under a held mutex, and loop goroutines capturing a conn they never close",
+	Doc:      "flag locks without unlock on every return path, blocking operations under a held mutex, sync.Cond.Wait outside comm.Fifo.Pop, and loop goroutines capturing a conn they never close",
 	Suppress: "locksafe-ok",
-	Requires: []*framework.Analyzer{callgraph.Analyzer},
 	Run:      run,
 }
 
-// BlocksFact marks a function that may block (channel ops, Wait, conn
-// I/O, or calling another blocker) so callers holding locks are flagged
-// across package boundaries.
-type BlocksFact struct{}
+// commPkg declares Fifo, whose Pop is the one sanctioned Cond waiter.
+const commPkg = "spardl/internal/comm"
 
-// AFact marks BlocksFact as a framework.Fact.
-func (*BlocksFact) AFact() {}
-
-func run(pass *framework.Pass) (any, error) {
-	cg := pass.ResultOf[callgraph.Analyzer].(*callgraph.Result)
-	blocks := computeBlockers(pass, cg)
-	for _, fn := range cg.Funcs {
-		if blocks[fn] {
-			pass.ExportObjectFact(fn, &BlocksFact{})
+func run(pass *framework.Pass) error {
+	var decls []*ast.FuncDecl
+	for _, file := range pass.Files {
+		for _, d := range file.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+				decls = append(decls, fd)
+			}
 		}
+		checkCondWait(pass, file)
 	}
-	for _, fn := range cg.Funcs {
-		decl := cg.Nodes[fn].Decl
+	blocks := computeBlockers(pass.TypesInfo, decls)
+	for _, decl := range decls {
 		w := &walker{pass: pass, blocks: blocks}
 		w.walkScopes(decl.Body)
 		checkLoopGoroutines(pass, decl)
 	}
-	return nil, nil
+	return nil
 }
 
 // lockCall classifies a call as a sync mutex operation; kind is "Lock",
@@ -179,6 +182,7 @@ func (w *walker) walkStmt(s ast.Stmt, held []heldLock) []heldLock {
 	case *ast.ExprStmt:
 		return w.walkExprStmt(s, held)
 	case *ast.DeferStmt:
+		w.checkArgs(s.Call, held)
 		if kind, recv := lockCall(info, s.Call); kind == "Unlock" || kind == "RUnlock" {
 			for i := range held {
 				if held[i].recv == recv && held[i].release == kind {
@@ -224,6 +228,9 @@ func (w *walker) walkStmt(s ast.Stmt, held []heldLock) []heldLock {
 			w.checkBlockingExprs(s.Cond, held)
 		}
 		w.walkStmts(s.Body.List, copyHeld(held))
+		if s.Post != nil {
+			w.walkStmt(s.Post, copyHeld(held))
+		}
 		return held
 	case *ast.RangeStmt:
 		if tv, ok := info.Types[s.X]; ok {
@@ -237,6 +244,7 @@ func (w *walker) walkStmt(s ast.Stmt, held []heldLock) []heldLock {
 		if s.Init != nil {
 			held = w.walkStmt(s.Init, held)
 		}
+		w.checkBlockingExprs(s.Tag, held)
 		for _, clause := range s.Body.List {
 			if c, ok := clause.(*ast.CaseClause); ok {
 				w.walkStmts(c.Body, copyHeld(held))
@@ -259,10 +267,12 @@ func (w *walker) walkStmt(s ast.Stmt, held []heldLock) []heldLock {
 		}
 		return held
 	case *ast.GoStmt:
-		return held // the goroutine runs elsewhere; its scope is walked separately
-	case *ast.DeclStmt, *ast.IncDecStmt, *ast.EmptyStmt,
-		*ast.BranchStmt, *ast.LabeledStmt:
+		// The goroutine runs elsewhere (a literal's scope is walked
+		// separately); only its arguments are evaluated here.
+		w.checkArgs(s.Call, held)
 		return held
+	case *ast.LabeledStmt:
+		return w.walkStmt(s.Stmt, held)
 	default:
 		return held
 	}
@@ -309,6 +319,14 @@ func (w *walker) walkExprStmt(s *ast.ExprStmt, held []heldLock) []heldLock {
 	return held
 }
 
+// checkArgs scans the arguments of a go or defer call, which the caller
+// evaluates at once, under its locks.
+func (w *walker) checkArgs(call *ast.CallExpr, held []heldLock) {
+	for _, arg := range call.Args {
+		w.checkBlockingExprs(arg, held)
+	}
+}
+
 // checkBlockingExprs scans an expression subtree (not crossing function
 // literals) for blocking operations while locks are held.
 func (w *walker) checkBlockingExprs(n ast.Node, held []heldLock) {
@@ -346,7 +364,7 @@ func (w *walker) blockingCall(info *types.Info, call *ast.CallExpr) string {
 	if what := intrinsicBlocker(fn); what != "" {
 		return what
 	}
-	if w.blocks[fn] || w.pass.ImportObjectFact(fn, &BlocksFact{}) {
+	if w.blocks[fn] {
 		return fn.Name() + " (may block)"
 	}
 	return ""
@@ -364,6 +382,8 @@ func intrinsicBlocker(fn *types.Func) string {
 		}
 	case fn.Pkg().Path() == "time" && fn.Name() == "Sleep":
 		return "time.Sleep"
+	case isFifoPop(fn):
+		return "Pop (may block)"
 	case fn.Name() == "Read" || fn.Name() == "Write":
 		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil && isConnLike(sig.Recv().Type()) {
 			return "net.Conn " + fn.Name()
@@ -380,6 +400,32 @@ func isCondWait(fn *types.Func) bool {
 	return named != nil && named.Obj().Name() == "Cond"
 }
 
+func isFifoPop(fn *types.Func) bool {
+	if fn.Pkg() == nil || fn.Pkg().Path() != commPkg || fn.Name() != "Pop" {
+		return false
+	}
+	named := framework.ReceiverNamed(fn)
+	return named != nil && named.Obj().Name() == "Fifo"
+}
+
+// checkCondWait flags every sync.Cond.Wait in file outside comm.Fifo.Pop.
+func checkCondWait(pass *framework.Pass, file *ast.File) {
+	info := pass.TypesInfo
+	ast.Inspect(file, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			fn, ok := info.Defs[n.Name].(*types.Func)
+			return !ok || !isFifoPop(fn)
+		case *ast.CallExpr:
+			if fn := framework.Callee(info, n); fn != nil && isCondWait(fn) {
+				pass.Reportf(n.Pos(),
+					"sync.Cond.Wait outside comm.Fifo.Pop; a second waiter is a blocker callers in other packages cannot see — wait on a comm.Fifo instead")
+			}
+		}
+		return true
+	})
+}
+
 // isConnLike reports whether t looks like a network connection: net.Conn
 // itself, an interface that embeds it, or a concrete *net.TCPConn.
 func isConnLike(t types.Type) bool {
@@ -394,60 +440,75 @@ func (w *walker) reportBlocking(pos token.Pos, what string, held []heldLock) {
 		"%s while holding %s; a blocked goroutine wedges every contender — release the lock around blocking operations", what, held[len(held)-1].recv)
 }
 
-// computeBlockers marks functions that may block, including through
-// static in-package calls and imported facts.
-func computeBlockers(pass *framework.Pass, cg *callgraph.Result) map[*types.Func]bool {
-	info := pass.TypesInfo
+// computeBlockers marks the declared functions that may block: directly,
+// or through a static call to another function of the package.
+func computeBlockers(info *types.Info, decls []*ast.FuncDecl) map[*types.Func]bool {
 	blocks := make(map[*types.Func]bool)
-	for _, fn := range cg.Funcs {
-		decl := cg.Nodes[fn].Decl
-		direct := false
-		ast.Inspect(decl.Body, func(n ast.Node) bool {
+	calls := make(map[*types.Func][]*types.Func)
+	for _, decl := range decls {
+		fn, ok := info.Defs[decl.Name].(*types.Func)
+		if !ok {
+			continue
+		}
+		inspectCaller(decl.Body, func(n ast.Node) {
 			switch n := n.(type) {
 			case *ast.SendStmt, *ast.SelectStmt:
-				direct = true
+				blocks[fn] = true
 			case *ast.UnaryExpr:
 				if n.Op == token.ARROW {
-					direct = true
+					blocks[fn] = true
 				}
 			case *ast.RangeStmt:
 				if tv, ok := info.Types[n.X]; ok {
 					if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-						direct = true
+						blocks[fn] = true
 					}
 				}
 			case *ast.CallExpr:
 				if g := framework.Callee(info, n); g != nil {
 					if isCondWait(g) || intrinsicBlocker(g) != "" {
-						direct = true
+						blocks[fn] = true
+					} else {
+						calls[fn] = append(calls[fn], g)
 					}
 				}
 			}
-			return !direct
 		})
-		if direct {
-			blocks[fn] = true
-		}
 	}
+	isBlocker := func(g *types.Func) bool { return blocks[g] }
 	for changed := true; changed; {
 		changed = false
-		for _, fn := range cg.Funcs {
-			if blocks[fn] {
-				continue
-			}
-			for _, c := range cg.Nodes[fn].Calls {
-				if c.Dynamic || c.Go {
-					continue
-				}
-				if blocks[c.Callee] || pass.ImportObjectFact(c.Callee, &BlocksFact{}) {
-					blocks[fn] = true
-					changed = true
-					break
-				}
+		for fn, callees := range calls {
+			if !blocks[fn] && slices.ContainsFunc(callees, isBlocker) {
+				blocks[fn] = true
+				changed = true
 			}
 		}
 	}
 	return blocks
+}
+
+// inspectCaller visits the nodes of root that run on the caller's
+// goroutine: a go statement's arguments and function value are evaluated
+// there, but the call it launches runs elsewhere. Deferred and
+// immediately called literals run in the caller and are visited.
+func inspectCaller(root ast.Node, visit func(ast.Node)) {
+	ast.Inspect(root, func(n ast.Node) bool {
+		g, ok := n.(*ast.GoStmt)
+		if !ok {
+			if n != nil {
+				visit(n)
+			}
+			return true
+		}
+		if _, lit := ast.Unparen(g.Call.Fun).(*ast.FuncLit); !lit {
+			inspectCaller(g.Call.Fun, visit)
+		}
+		for _, arg := range g.Call.Args {
+			inspectCaller(arg, visit)
+		}
+		return false
+	})
 }
 
 // checkLoopGoroutines flags `go func(){…}` inside a loop capturing a

@@ -48,9 +48,9 @@ var (
 	nonBlocking = map[string]bool{"Close": true, "Addr": true, "LocalAddr": true, "RemoteAddr": true}
 )
 
-func run(pass *framework.Pass) (any, error) {
+func run(pass *framework.Pass) error {
 	if !deadlinePkgs[pass.Pkg.Name()] {
-		return nil, nil
+		return nil
 	}
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
@@ -59,7 +59,7 @@ func run(pass *framework.Pass) (any, error) {
 			}
 		}
 	}
-	return nil, nil
+	return nil
 }
 
 // birth is where a tracked variable last received a fresh conn or listener.

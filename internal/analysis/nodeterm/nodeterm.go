@@ -61,9 +61,9 @@ var seededConstructors = map[string]bool{
 	"NewChaCha8": true,
 }
 
-func run(pass *framework.Pass) (any, error) {
+func run(pass *framework.Pass) error {
 	if !Packages[pass.Pkg.Name()] {
-		return nil, nil
+		return nil
 	}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -78,7 +78,7 @@ func run(pass *framework.Pass) (any, error) {
 			return true
 		})
 	}
-	return nil, nil
+	return nil
 }
 
 func checkMapRange(pass *framework.Pass, rng *ast.RangeStmt) {
