@@ -2,7 +2,7 @@
 // and checks its diagnostics against `// want "regexp"` comments, the same
 // contract as golang.org/x/tools/go/analysis/analysistest:
 //
-//	for j, it := range m { // want `map iteration order`
+//	m.ch <- v // want `channel send while holding m\.mu`
 //
 // A line may carry several quoted expectations. Every reported diagnostic
 // must match an expectation on its line and every expectation must be
@@ -41,7 +41,7 @@ type expectation struct {
 	matched bool
 }
 
-// Run loads the fixture package at dir (e.g. "testdata/nodeterm"), runs
+// Run loads the fixture package at dir (e.g. "testdata/locksafe"), runs
 // the analyzer over it, and reports mismatches between diagnostics and
 // want comments.
 func Run(t *testing.T, dir string, a *framework.Analyzer) {

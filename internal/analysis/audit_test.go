@@ -45,10 +45,6 @@ type mutant struct {
 }
 
 const (
-	sag      = "internal/core/sag.go"
-	topk     = "internal/sparse/topk.go"
-	chunk    = "internal/sparse/chunk.go"
-	dsa      = "internal/sparsecoll/topkdsa.go"
 	runtime  = "internal/comm/runtime.go"
 	lane     = "internal/comm/lane.go"
 	tcp      = "internal/tcpnet/tcpnet.go"
@@ -56,11 +52,6 @@ const (
 )
 
 const (
-	// rsagMerge is the first statement of runRSAG's loop body after the
-	// exchange; several mutants are seeded in front of it.
-	rsagMerge = "merged := s.ar.MergeAdd(mine, got)"
-	// rsagTail ends that loop body: drops collected, intermediates recycled.
-	rsagTail = "s.addDrops(dropped, share) s.ar.Recycle(merged) s.ar.Recycle(dropped)"
 	// failUnlock ends the critical section of tcpnet's peer.fail.
 	failUnlock = "pr.mu.Unlock() pr.recvq.Close()"
 	setConn    = "conn.SetDeadline(deadline)"
@@ -68,48 +59,6 @@ const (
 )
 
 var mutants = []mutant{
-	// nodeterm: one per finding in its package doc.
-	{"nodeterm", "map-range-in-rsag", sag, rsagMerge,
-		"for range map[int]bool{1: true} {\n}\n" + rsagMerge, "", `map iteration order`},
-	{"nodeterm", "time-now-in-rsag", sag, rsagMerge,
-		"_ = time.Now()\n" + rsagMerge, `import "time"`, `time\.Now is wall-clock`},
-	{"nodeterm", "global-rand-in-rsag", sag, rsagMerge,
-		"_ = rand.Intn(2)\n" + rsagMerge, `import "math/rand"`, `rand\.Intn draws from the globally seeded`},
-	{"nodeterm", "two-case-select-in-rsag", sag, rsagMerge,
-		"select {\ncase <-make(chan int):\ncase <-make(chan int):\n}\n" + rsagMerge, "", `select over 2 communication cases`},
-
-	// floatcmp: raw operator (in sparse and, since it shares nodeterm's
-	// package list, in core), ordered slices call.
-	{"floatcmp", "raw-ge-in-ThresholdDense", topk,
-		"nk := 0 for i := lo; i < hi; i++ { if v := dense[i]; v != 0 && absKey(v) >= thrKey {",
-		"nk := 0\nfor i := lo; i < hi; i++ {\nif v := dense[i]; v != 0 && (v >= thr || -v >= thr) {", "", `raw float32 >=`},
-	{"floatcmp", "raw-gt-in-rsag", sag, rsagMerge,
-		"if mine.Len() > 1 && mine.Val[0] > mine.Val[1] {\nshare = 0\n}\n" + rsagMerge, "", `raw float32 >`},
-	{"floatcmp", "slices-sort-values", chunk, "slices.Sort(c.Idx)", "slices.Sort(c.Val)", "", `slices\.Sort on \[\]float32`},
-
-	// arenasafe: every escape route, use after Recycle, double Recycle.
-	{"arenasafe", "field-escape", dsa,
-		"items := collective.BruckAllGatherAlloc(ep, t.world, me, &dsaBlock{block: me, c: mine}, t.size, t.ar)",
-		"blk := &dsaBlock{block: me}\nblk.c = mine\nitems := collective.BruckAllGatherAlloc(ep, t.world, me, blk, t.size, t.ar)", "", `mine escapes into field c`},
-	{"arenasafe", "package-var-escape", sag, rsagTail,
-		"s.addDrops(dropped, share)\nlast = merged\ns.ar.Recycle(dropped)", "var last *sparse.Chunk", `merged escapes into package variable last`},
-	{"arenasafe", "channel-send", sag, rsagTail,
-		"s.addDrops(dropped, share)\nleak <- merged\ns.ar.Recycle(dropped)", "var leak = make(chan *sparse.Chunk, 8)", `merged escapes on a channel send`},
-	{"arenasafe", "goroutine-capture", sag, rsagTail,
-		"go s.addDrops(dropped, share)\ns.ar.Recycle(merged)", "", `dropped is shared with a goroutine`},
-	{"arenasafe", "use-after-recycle", sag, rsagTail,
-		"s.ar.Recycle(merged)\ns.ar.Recycle(dropped)\ns.addDrops(dropped, share)", "", `dropped is used after Recycle`},
-	{"arenasafe", "recycle-sent-chunk", sag, rsagTail,
-		"s.addDrops(dropped, share)\ns.ar.Recycle(merged)\ns.ar.Recycle(dropped)\ns.ar.Recycle(mine)\n_ = mine.Len()", "", `mine is used after Recycle`},
-	{"arenasafe", "recycle-twice", sag, rsagTail,
-		"s.addDrops(dropped, share)\ns.ar.Recycle(merged)\ns.ar.Recycle(dropped)\ns.ar.Recycle(merged)", "", `merged is recycled twice`},
-	{"arenasafe", "gap-field-escape-through-append", sag, rsagTail,
-		"s.addDrops(dropped, share)\ns.undo = append(s.undo, merged)\ns.ar.Recycle(dropped)", "", ""},
-	{"arenasafe", "gap-field-escape-through-index", sag, rsagTail,
-		"s.addDrops(dropped, share)\ns.undo[0] = merged\ns.ar.Recycle(dropped)", "", ""},
-	{"arenasafe", "gap-never-recycled", sag, rsagTail,
-		"s.addDrops(dropped, share)\ns.ar.Recycle(dropped)", "", ""},
-
 	// locksafe: leaked locks, then each way of blocking under one.
 	{"locksafe", "peer-fail-no-unlock", endpoint, `pr.mu.Lock() if pr.cause == "" { pr.cause = cause } pr.mu.Unlock()`,
 		`pr.mu.Lock(); if pr.cause == "" { pr.cause = cause }`, "", `pr\.mu\.Lock is not released`},

@@ -11,8 +11,8 @@
 //
 // Nothing carries information between packages: there are no facts and no
 // shared passes. An analyzer that must know something about a callee in
-// another package names it (locksafe's comm.Fifo.Pop, arenasafe's
-// sparse.Arena); imported packages are seen only through their types.
+// another package names it (locksafe's comm.Fifo.Pop); imported packages
+// are seen only through their types.
 //
 // # Suppression directives
 //
@@ -38,7 +38,7 @@ import (
 
 // An Analyzer describes one static-analysis pass.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics (e.g. "nodeterm").
+	// Name identifies the analyzer in diagnostics (e.g. "locksafe").
 	Name string
 	// Doc is the one-paragraph description `spardl-vet -list` prints.
 	Doc string

@@ -55,20 +55,6 @@ func ReceiverNamed(fn *types.Func) *types.Named {
 	return named
 }
 
-// IsNamedType reports whether t (through one pointer) is the named type
-// pkgPath.name.
-func IsNamedType(t types.Type, pkgPath, name string) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == pkgPath && obj.Name() == name
-}
-
 // HasMethods reports whether t's method set (through a pointer for
 // concrete types) carries every named method — how analyzers recognize a
 // conn (Read, Write, SetDeadline) or a listener without naming net types.
@@ -83,10 +69,4 @@ func HasMethods(t types.Type, names ...string) bool {
 		}
 	}
 	return true
-}
-
-// IsFloat32 reports whether t's underlying type is float32.
-func IsFloat32(t types.Type) bool {
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Kind() == types.Float32
 }

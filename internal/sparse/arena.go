@@ -35,9 +35,11 @@ package sparse
 // within the same epoch, keeping the peak slab footprint low for merge-
 // heavy schedules. It is an assertion by the caller that no reference to
 // the chunk survives — never recycle a chunk that was sent, or one that
-// aliases another chunk's storage. Recycling the same chunk twice panics;
-// recycling a foreign, heap-allocated, or stale (pre-Reset) chunk is a
-// no-op, so call sites can recycle unconditionally.
+// aliases another chunk's storage. A recycled chunk reads as empty at
+// once: Recycle truncates its Idx and Val, so a use after Recycle sees no
+// entries instead of whatever the next Get writes there. Recycling the same
+// chunk twice panics; recycling a foreign, heap-allocated, or stale
+// (pre-Reset) chunk is a no-op, so call sites can recycle unconditionally.
 //
 // # What outlives Reset
 //
@@ -241,8 +243,6 @@ func (a *Arena) Get(capacity int) *Chunk {
 	if l := a.freeChunks[class]; len(l) > 0 {
 		c := l[len(l)-1]
 		a.freeChunks[class] = l[:len(l)-1]
-		c.Idx = c.Idx[:0]
-		c.Val = c.Val[:0]
 		c.recycled = false
 		return c
 	}
@@ -268,7 +268,8 @@ func (a *Arena) Wrap(idx []int32, val []float32) *Chunk {
 }
 
 // Recycle returns a chunk to the arena for reuse within the current epoch.
-// The caller asserts no reference to c survives. Double-recycling panics;
+// The caller asserts no reference to c survives; c reads as empty from
+// here on. Double-recycling panics;
 // chunks the arena does not currently own (heap chunks, foreign arenas,
 // pre-Reset epochs, Wrap headers) are ignored.
 func (a *Arena) Recycle(c *Chunk) {
@@ -279,6 +280,7 @@ func (a *Arena) Recycle(c *Chunk) {
 		panic("sparse: chunk recycled twice")
 	}
 	c.recycled = true
+	c.Idx, c.Val = c.Idx[:0], c.Val[:0]
 	if c.dense {
 		a.freeDense[c.class] = append(a.freeDense[c.class], c)
 	} else {

@@ -293,10 +293,10 @@ func TestArenaConcurrentWorkers(t *testing.T) {
 				got := <-chans[w]
 				merged := a.MergeAdd(mine, got)
 				kept, dropped := a.TopKChunk(merged, 32)
-				a.Recycle(merged)
 				if kept.Len()+dropped.Len() != merged.Len() {
 					t.Errorf("worker %d epoch %d: top-k split lost entries", w, e)
 				}
+				a.Recycle(merged)
 				a.Recycle(kept)
 				a.Recycle(dropped)
 				epochDone[e].Done()

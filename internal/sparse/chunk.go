@@ -151,7 +151,8 @@ func FromMap(m map[int32]float32) *Chunk {
 		Idx: make([]int32, 0, len(m)),
 		Val: make([]float32, 0, len(m)),
 	}
-	//spardl:nondeterministic-ok keys are sorted below before any order-sensitive use
+	// Map order does not matter: the keys are sorted below before any
+	// order-sensitive use.
 	for i := range m {
 		c.Idx = append(c.Idx, i)
 	}

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -45,16 +46,31 @@ func TestTopKChunkNaNInfTotalOrder(t *testing.T) {
 	}
 }
 
+// TestTopKDenseNaNInfTotalOrder holds every selection over a dense block to
+// the key order — top-k, and Ok-Topk's threshold pruning from the vector
+// and from a chunk: NaN ranks above ±Inf above every finite value. A raw
+// float compare keeps ±Inf but drops the NaN (every ordered comparison
+// against NaN is false).
 func TestTopKDenseNaNInfTotalOrder(t *testing.T) {
 	dense := []float32{0.5, 0, nan32(), -2, float32(math.Inf(-1)), 0, 4, -0.25}
-	out := TopKDense(dense, 0, len(dense), 3)
-	if out.Len() != 3 {
-		t.Fatalf("selected %d entries, want exactly 3", out.Len())
-	}
 	wantIdx := []int32{2, 4, 6}
-	for i, idx := range out.Idx {
-		if idx != wantIdx[i] {
-			t.Fatalf("selected indices %v, want %v", out.Idx, wantIdx)
+	thresholdChunk, _ := ThresholdChunk(FromDense(dense, 0, len(dense)), 4)
+	for _, sel := range []struct {
+		name string
+		out  *Chunk
+	}{
+		{"TopKDense", TopKDense(dense, 0, len(dense), 3)},
+		{"ThresholdDense", ThresholdDense(dense, 0, len(dense), 4)},
+		{"ThresholdChunk", thresholdChunk},
+	} {
+		if !slices.Equal(sel.out.Idx, wantIdx) {
+			t.Errorf("%s selected indices %v, want %v", sel.name, sel.out.Idx, wantIdx)
+			continue
+		}
+		for i, idx := range sel.out.Idx {
+			if math.Float32bits(sel.out.Val[i]) != math.Float32bits(dense[idx]) {
+				t.Errorf("%s index %d carries %v, want %v", sel.name, idx, sel.out.Val[i], dense[idx])
+			}
 		}
 	}
 }
