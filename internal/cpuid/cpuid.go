@@ -1,0 +1,10 @@
+// Package cpuid is the repository's one CPU feature probe. It runs CPUID
+// once, at start-up, and every package with an assembly fast path (nn's
+// MatMul and elementwise passes, sparse's warm top-k filter) reads the
+// answer here instead of asking the CPU itself.
+package cpuid
+
+// HasAVX2 reports whether the CPU executes AVX2 and the OS saves the YMM
+// registers across context switches. It is set before any importing
+// package's init runs, and is false on every GOARCH but amd64.
+var HasAVX2 bool

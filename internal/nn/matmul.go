@@ -31,7 +31,7 @@ type kernels struct {
 	reluGrad func(grad, g, x []float32)
 }
 
-// avx2 is set once, by matmul_amd64.go's init, when CPUID and XGETBV say
+// avx2 is set once, by matmul_amd64.go's init, when cpuid.HasAVX2 says
 // the CPU has AVX2 and the OS saves YMM state; nil selects the Go loops.
 // Tests clear it to hold both paths to the same oracle on one host.
 var avx2 *kernels

@@ -27,14 +27,17 @@ package sparse
 // and the one that decides whether a selection is warm: one histogram
 // bucket, 3–6 % in magnitude. BenchmarkTopKDenseWarm holds the numbers
 // (n = 2²⁰ in 14 blocks, k = 748 each, per worker and sync, the fastest of
-// three runs): the histogram select takes 3.2 ms; the filter given the right
-// keys buffers 1.42k entries and takes 1.3 ms; it still hits when the keys
-// have since fallen by 3 % (1.2 ms) and misses at 5 %, which costs the
-// wasted pass on top of the histogram select, 4.0 ms or 1.25× — the worst
-// case. Two buckets would turn that miss into a hit but buffer 2.0k entries
-// on every such call (1.7 ms, the rose-5pct row); in the measured runs a
-// block's key falls by more than 5 % on 3 selections in 100, so the wider
-// margin would pay 0.4 ms on each call to save 2.7 ms on one in thirty.
+// five runs with the AVX2 filter on a shared 2-core x86-64 host): the
+// histogram select takes 3.8 ms; the filter given the right keys buffers
+// 1.42k entries and takes 0.58 ms; it still hits when the keys have since
+// fallen by 3 % (0.51 ms) and misses at 5 %, which costs the wasted pass on
+// top of the histogram select — the worst case. Two buckets would turn that
+// miss into a hit but buffer 2.0k entries on every such call (0.70 ms, the
+// rose-5pct row); in the measured runs a block's key falls by more than 5 %
+// on 3 selections in 100. With the Go loop (1.3 ms against 1.7) the wider
+// margin paid 0.4 ms on each call to save 2.7 ms on one in thirty; with the
+// AVX2 filter it pays 0.12 ms to save 3.6 ms, about even. The constants
+// here were chosen on the Go loop's numbers and not retuned.
 const warmMargin = 1 << histShift
 
 // warmFloor is the narrowest band: an eighth of a bucket, 0.4–0.8 %. A whole
@@ -44,8 +47,8 @@ const warmMargin = 1 << histShift
 // piles up just under its key — the stationary rows, 150 synchronizations
 // of one gradient: the key moves by under 0.2 % a synchronization, the
 // bucket below it holds 5.7k entries, which overflow the candidate buffer on
-// every selection (2.7 ms, what the cliff costs), and the learned band holds
-// 1.6k (1.4 ms). The band is twice the drift, so that a key falling as far
+// every selection (1.7 ms, what the cliff costs), and the learned band holds
+// 1.6k (0.59 ms). The band is twice the drift, so that a key falling as far
 // as it lately has finds as much room again; the floor keeps a key that
 // stood still from paying a second pass for its first small step. The drift
 // forgets an eighth of itself per selection. Counted on the benchmark's
@@ -62,11 +65,11 @@ const warmFloor = warmMargin / 8
 // warmScratch sizes the candidate buffer at warmScratch·k entries. The
 // filter's usual 1.4k–2k candidates never fill it. A threshold that rose
 // does — the residual doubles over the first two synchronizations, and 22k
-// entries pass (rose-2x, 3.5 ms) — and so does a residual whose kept
+// entries pass (rose-2x, 2.2 ms) — and so does a residual whose kept
 // entries are zeroed for good (cliff: everything sits at or below the last
-// threshold, 5k pass, 2.7 ms against 3.8 ms cold); tighten then cuts the
+// threshold, 5k pass, 1.5 ms against 3.8 ms cold); tighten then cuts the
 // buffer back to k. A buffer of 8k holds the cliff case without tightening
-// and measures the same, because the time goes to buffering and ranking the
+// and measured the same on the Go loop, because the time goes to buffering and ranking the
 // candidates, not to tightening, so the smaller buffer stays — and the
 // stationary residual, which used to fill it at 5.7k on every selection of
 // every synchronization, no longer comes near it.
@@ -138,6 +141,41 @@ func (a *Arena) SelectStats() SelectStats {
 
 var candIdxPool SlicePool[int32]
 
+// warmFilter is topKDenseWarm's pass over the whole groups of eight of g,
+// a block from entry first on: it buffers in idx and val, in index order,
+// every entry whose key is at least low, and returns how many entries it
+// read and how many it kept. It stops at the tail, or at a group that
+// holds a candidate when fewer than eight slots of idx and val remain, and
+// leaves both to topKDenseWarm. It is warmFilterGo, or on amd64, when
+// cpuid.HasAVX2, the same pass in assembly (topk_warm_amd64.s); tests set
+// it back to warmFilterGo to hold the two to each other.
+var warmFilter = warmFilterGo
+
+// warmFilterGo is warmFilter in Go: the path on every CPU without AVX2.
+func warmFilterGo(idx []int32, val []float32, g []float32, first int32, low uint32) (read, kept int) {
+	for ; read+8 <= len(g); read += 8 {
+		// low−1−key is the complement of key−low, so the sign bit of
+		// key−low is set exactly when key < low, whatever low; the AND has
+		// it set when that holds for all eight, which is the common case.
+		b := (*[8]float32)(g[read:])
+		if int32((absKey(b[0])-low)&(absKey(b[1])-low)&(absKey(b[2])-low)&(absKey(b[3])-low)&
+			(absKey(b[4])-low)&(absKey(b[5])-low)&(absKey(b[6])-low)&(absKey(b[7])-low)) < 0 {
+			continue
+		}
+		if kept+8 > len(idx) {
+			break
+		}
+		// Every entry is written; only a candidate advances kept and so
+		// keeps its slot. Which entries pass is close to random, and a
+		// branch on it costs more than the stores.
+		for j, v := range b {
+			idx[kept], val[kept] = first+int32(read+j), v
+			kept += int((low - 1 - absKey(v)) >> 31) // 1 when key >= low
+		}
+	}
+	return read, kept
+}
+
 // hint returns the table entry for (lo, hi, k), adding one with no key if
 // the shape is new. The match is exact — a lossy index would let two of a
 // reducer's blocks evict each other on every call. A reducer walks its
@@ -191,24 +229,16 @@ func (a *Arena) topKDenseWarm(dense []float32, lo, hi, k int, hint, band uint32)
 	n := 0
 	block := dense[lo:hi]
 	for i := 0; i < len(block); i += 8 {
-		g := block[i:min(i+8, len(block))]
-		if len(g) == 8 {
-			// Keys are below 2³¹ and low is at most 2³¹, so key−low has its
-			// sign bit set exactly when key < low; the AND has it set when
-			// that holds for all eight, which is the common case.
-			b := (*[8]float32)(g)
-			if int32((absKey(b[0])-low)&(absKey(b[1])-low)&(absKey(b[2])-low)&(absKey(b[3])-low)&
-				(absKey(b[4])-low)&(absKey(b[5])-low)&(absKey(b[6])-low)&(absKey(b[7])-low)) < 0 {
-				continue
-			}
+		read, kept := warmFilter(idx[n:], val[n:], block[i:], int32(lo+i), low)
+		if i, n = i+read, n+kept; i >= len(block) {
+			break
 		}
+		// What warmFilter leaves: the tail, or a group that holds a
+		// candidate when the buffer has fewer than eight free slots.
 		if n+8 > len(idx) {
 			low, n, tightened = tighten(idx[:n], val[:n], k), k, true
 		}
-		// Every entry is written; only a candidate advances n and so keeps
-		// its slot. Which entries pass is close to random, and a branch on
-		// it costs more than the stores.
-		for j, v := range g {
+		for j, v := range block[i:min(i+8, len(block))] {
 			idx[n], val[n] = int32(lo+i+j), v
 			n += int((low - 1 - absKey(v)) >> 31) // 1 when key >= low
 		}

@@ -1,0 +1,12 @@
+package sparse
+
+import "spardl/internal/cpuid"
+
+// warmFilterAVX2 is warmFilter in assembly, in topk_warm_amd64.s.
+func warmFilterAVX2(idx []int32, val []float32, g []float32, first int32, low uint32) (read, kept int)
+
+func init() {
+	if cpuid.HasAVX2 {
+		warmFilter = warmFilterAVX2
+	}
+}
