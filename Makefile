@@ -38,7 +38,9 @@ bench-dense:
 # Block selection: one worker's selections by the cold select and by the
 # warm filter given right, stale and out-of-reach keys, on a fresh, a cliff
 # and a stationary residual (cand/k is what the filter buffers — the rows
-# behind warmMargin, warmFloor and warmScratch), and the short-block shape.
+# behind warmMargin, warmFloor and warmScratch), with a gradient added
+# before the filter and in its pass (exact/add-then-select, exact/fused),
+# and the short-block shape.
 bench-select:
 	go test -run '^$$' -bench 'BenchmarkTopKDenseWarm|BenchmarkTopKDenseShort' -benchmem ./internal/sparse
 

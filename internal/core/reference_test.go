@@ -364,7 +364,7 @@ func TestDenseReceivedChunksTakeRangeUndo(t *testing.T) {
 		}
 		s.ar.Reset()
 		s.undo = s.ar.Chunks(8)
-		copy(s.residual, grads[0][rank])
+		s.grad = grads[0][rank] // onto the zero residual, block by block
 		var sel []int32
 		s.runSRS(ep, &sel)
 		if rank == 0 {

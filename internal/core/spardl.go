@@ -38,17 +38,28 @@ type SparDL struct {
 	groupRanks []int             // global ranks of my position-group, by team
 
 	// residual is the reducer's one length-n vector. Between calls it is
-	// the stored residual. During ReduceInto it is worked on in place: the
-	// prologue adds the gradient (it is then the G_copy of Algorithm 1,
-	// line 3), blocks absorb received contributions and are sparsified
-	// where they lie, and discarded values are collected into it, so that
-	// when the collective ends it holds ξ, everything discarded along the
-	// way. Each of those writes is preceded by save, which makes the
-	// vector restorable to G_copy in O(k); finishResidual does that.
+	// the stored residual. During ReduceInto it is worked on in place: each
+	// block takes its gradient at its first use (it is then that block of
+	// the G_copy of Algorithm 1, line 3), blocks absorb received
+	// contributions and are sparsified where they lie, and discarded values
+	// are collected into it, so that when the collective ends it holds ξ,
+	// everything discarded along the way. Each write after a block's
+	// gradient is preceded by save, which makes the vector restorable to
+	// G_copy in O(k); finishResidual does that.
 	residual []float32
-	undo     []*sparse.Chunk // values overwritten since the prologue, oldest first
-	hctl     *HController
-	nts      []int // recorded N_t series (Fig. 7)
+	undo     []*sparse.Chunk // values overwritten since the gradient was added, oldest first
+
+	// grad is ReduceInto's gradient while the call lasts, and gradIn says
+	// per block how the block got it: a block selected before any received
+	// chunk lands in it gets it inside the selection, in the same read
+	// (sparse.Arena.TopKDenseAdd); one a chunk lands in first, by AddInto
+	// just before. Either way every element is residual + gradient before
+	// anything else touches it.
+	grad   []float32
+	gradIn []gradState
+
+	hctl *HController
+	nts  []int // recorded N_t series (Fig. 7)
 
 	// Steady-state allocation machinery: every chunk, pointer slice and undo
 	// record built during a ReduceInto comes from the arena (epoch-reset at the
@@ -57,6 +68,15 @@ type SparDL struct {
 	ar     *sparse.Arena
 	selBuf []int32 // LRES: indices this worker selected, reused across calls
 }
+
+// gradState is how a block of the working vector got its gradient.
+type gradState uint8
+
+const (
+	gradPending gradState = iota // not yet
+	gradAdded                    // by AddInto, before a received chunk landed in the block
+	gradFused                    // by the block's selection, in the same pass
+)
 
 // New builds the SparDL reducer for one worker of a P-worker cluster
 // synchronizing length-n gradients with global selection size k.
@@ -93,6 +113,7 @@ func New(p, rank, n, k int, opts Options) (*SparDL, error) {
 		part:     sparse.NewPartition(n, m),
 		bags:     sendBags(m),
 		residual: make([]float32, n),
+		gradIn:   make([]gradState, m),
 		ar:       sparse.NewArena(),
 	}
 	s.teamRanks = make([]int, m)
@@ -194,6 +215,9 @@ func (s *SparDL) EffectiveK() int { return s.blockK * s.m }
 // synchronization whose result overwrites out (len n). At steady state the
 // call is allocation-free: chunks and undo records come from the reducer's
 // arena (epoch-reset here), and the only dense vector is the residual.
+// There is no pass over the vector to add the gradient: phase 1 reads grad
+// block by block, each block at its first use, and every sum is what it
+// would be had the gradient been added up front.
 func (s *SparDL) ReduceInto(ep comm.Endpoint, grad, out []float32) {
 	if len(grad) != s.n || len(out) != s.n {
 		panic(fmt.Sprintf("core: gradient/output length %d/%d, expected %d", len(grad), len(out), s.n))
@@ -207,10 +231,14 @@ func (s *SparDL) ReduceInto(ep comm.Endpoint, grad, out []float32) {
 	// per level; beyond this capacity the appends would only leave the
 	// arena for the heap.
 	s.undo = s.ar.Chunks(2*s.m + 32)
-	// Plus the fresh gradients onto the stored residuals. The vector now
-	// equals the G_copy of Algorithm 1, line 3, which is not stored
-	// anywhere: finishResidual reconstructs it from the undo records.
-	sparse.AddInto(s.residual, grad)
+	// Plus the fresh gradients onto the stored residuals, block by block
+	// at first use (addGrad, sparsifyDenseBlock): no pass over the vector
+	// up front. Once every block has it, the vector equals the G_copy of
+	// Algorithm 1, line 3, which is not stored anywhere: finishResidual
+	// reconstructs it from the undo records. The simulator charges the add
+	// here, as one scan of the vector.
+	s.grad = grad
+	clear(s.gradIn)
 	sparsecoll.ChargeScan(ep, s.n)
 
 	localSel := s.selBuf[:0] // indices this worker selected for transmission (LRES)
@@ -220,7 +248,7 @@ func (s *SparDL) ReduceInto(ep comm.Endpoint, grad, out []float32) {
 	if s.m == 1 {
 		// Single-member teams (d = P): the "reserved block" is the whole
 		// vector; only the local top-k applies before team synchronization.
-		reserved = s.sparsifyDenseBlock(ep, 0, s.n, &localSel)
+		reserved = s.sparsifyDenseBlock(ep, 0, &localSel)
 	} else if s.opts.Eager {
 		reserved = s.runSRSEager(ep, &localSel)
 	} else {
@@ -263,6 +291,7 @@ func (s *SparDL) ReduceInto(ep comm.Endpoint, grad, out []float32) {
 
 	s.finishResidual(ep, finalChunks, localSel)
 	s.selBuf = localSel[:0]
+	s.grad = nil
 }
 
 // runSRS is the transmission-with-sparsification process of Section III-B
@@ -282,9 +311,7 @@ func (s *SparDL) runSRS(ep comm.Endpoint, localSel *[]int32) *sparse.Chunk {
 		bag := s.bags[l-i] // bag number l-i+1
 		payload := s.ar.Chunks(len(bag))
 		for _, r := range bag {
-			b := (pos + r) % m
-			lo, hi := s.part.Bounds(b)
-			kept := s.sparsifyDenseBlock(ep, lo, hi, localSel)
+			kept := s.sparsifyDenseBlock(ep, (pos+r)%m, localSel)
 			if kept.Len() > 0 {
 				payload = append(payload, kept)
 			}
@@ -296,12 +323,12 @@ func (s *SparDL) runSRS(ep comm.Endpoint, localSel *[]int32) *sparse.Chunk {
 		in, _ := ep.Recv(source)
 		for _, c := range in.([]*sparse.Chunk) {
 			sparsecoll.ChargeMerge(ep, c.Len())
+			s.addGrad(s.part.BlockOf(c.IdxAt(0)))
 			s.save(c)
 			c.AddToDense(s.residual)
 		}
 	}
-	lo, hi := s.part.Bounds(pos)
-	return s.sparsifyDenseBlock(ep, lo, hi, localSel)
+	return s.sparsifyDenseBlock(ep, pos, localSel)
 }
 
 // runSRSEager is the unoptimized variant (the ablation baseline for the
@@ -311,8 +338,7 @@ func (s *SparDL) runSRSEager(ep comm.Endpoint, localSel *[]int32) *sparse.Chunk 
 	m, pos := s.m, s.pos
 	blocks := s.ar.Chunks(m)
 	for b := 0; b < m; b++ {
-		lo, hi := s.part.Bounds(b)
-		blocks = append(blocks, s.sparsifyDenseBlock(ep, lo, hi, localSel))
+		blocks = append(blocks, s.sparsifyDenseBlock(ep, b, localSel))
 	}
 	l := len(s.bags)
 	for i := 1; i <= l; i++ {
@@ -349,13 +375,20 @@ func (s *SparDL) runSRSEager(ep comm.Endpoint, localSel *[]int32) *sparse.Chunk 
 	return blocks[pos]
 }
 
-// sparsifyDenseBlock selects the top blockK entries of the working vector
-// over [lo, hi) and zeroes them there: they leave with the returned chunk,
-// and every value left behind in the range is this worker's discard ξ. A
-// kept entry's ξ is set to zero rather than computed as v − v, which is NaN
-// for a kept ±Inf and would poison the stored residual for good.
-func (s *SparDL) sparsifyDenseBlock(ep comm.Endpoint, lo, hi int, localSel *[]int32) *sparse.Chunk {
-	kept := s.ar.TopKDense(s.residual, lo, hi, s.blockK)
+// sparsifyDenseBlock selects the top blockK entries of block b of the
+// working vector and zeroes them there: they leave with the returned
+// chunk, and every value left behind in the block is this worker's
+// discard ξ. A kept entry's ξ is set to zero rather than computed as
+// v − v, which is NaN for a kept ±Inf and would poison the stored residual
+// for good. A block that does not hold its gradient yet takes it in the
+// selection's own pass.
+func (s *SparDL) sparsifyDenseBlock(ep comm.Endpoint, b int, localSel *[]int32) *sparse.Chunk {
+	lo, hi := s.part.Bounds(b)
+	var add []float32
+	if s.gradIn[b] == gradPending {
+		add, s.gradIn[b] = s.grad, gradFused
+	}
+	kept := s.ar.TopKDenseAdd(s.residual, add, lo, hi, s.blockK)
 	sparsecoll.ChargeScan(ep, hi-lo)
 	s.save(kept)
 	kept.ClearInDense(s.residual)
@@ -365,9 +398,20 @@ func (s *SparDL) sparsifyDenseBlock(ep comm.Endpoint, lo, hi int, localSel *[]in
 	return kept
 }
 
+// addGrad adds the gradient into block b unless the block holds it
+// already: a received chunk is about to land there before the block's
+// selection could add it.
+func (s *SparDL) addGrad(b int) {
+	if s.gradIn[b] == gradPending {
+		lo, hi := s.part.Bounds(b)
+		sparse.AddInto(s.residual[lo:hi], s.grad[lo:hi])
+		s.gradIn[b] = gradAdded
+	}
+}
+
 // save records the working vector's current values at c's entries. Every
-// write into the vector after the prologue is preceded by a save of the
-// entries it is about to touch, so replaying the records newest-first
+// write into the vector after a block's gradient is preceded by a save of
+// the entries it is about to touch, so replaying the records newest-first
 // restores G_copy exactly, however often an index was written.
 func (s *SparDL) save(c *sparse.Chunk) {
 	s.undo = append(s.undo, s.ar.Gather(c, s.residual))

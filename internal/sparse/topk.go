@@ -200,21 +200,35 @@ const histSelectMin = 2048
 // the block's threshold fell by more than that. What is remembered decides
 // which of these run, never what they return.
 func (a *Arena) TopKDense(dense []float32, lo, hi, k int) *Chunk {
+	return a.TopKDenseAdd(dense, nil, lo, hi, k)
+}
+
+// TopKDenseAdd is AddInto(dense[lo:hi], add[lo:hi]) followed by TopKDense:
+// the same sums left in dense, the same selection, remembered key and
+// SelectStats. A warm selection adds in the filter's first pass, so the
+// block is read once for both; the second pass and the cold select, cold
+// or fallen back to, read the summed block. A nil add adds nothing.
+func (a *Arena) TopKDenseAdd(dense, add []float32, lo, hi, k int) *Chunk {
 	if hi-lo <= 0 || k <= 0 {
+		if add != nil && hi > lo {
+			AddInto(dense[lo:hi], add[lo:hi])
+		}
 		return a.Get(0)
 	}
-	if a == nil {
-		out, _ := a.selectCold(dense, lo, hi, k)
-		return out
+	var h *selHint
+	if a != nil {
+		h = a.hint(lo, hi, k)
 	}
-	h := a.hint(lo, hi, k)
-	if h.key == 0 {
+	switch {
+	case h == nil: // a nil arena remembers nothing
+	case h.key == 0:
 		a.sel.Cold++
-	} else {
+	default:
 		band := h.band()
-		out, thr, tightened := a.topKDenseWarm(dense, lo, hi, k, h.key, band)
+		out, thr, tightened := a.topKDenseWarm(dense, add, lo, hi, k, h.key, band)
+		add = nil // the pass read the whole block and left it summed
 		if out == nil && band < warmMargin {
-			out, thr, tightened = a.topKDenseWarm(dense, lo, hi, k, h.key, warmMargin)
+			out, thr, tightened = a.topKDenseWarm(dense, nil, lo, hi, k, h.key, warmMargin)
 			if out != nil {
 				a.sel.Widened++
 			}
@@ -229,8 +243,13 @@ func (a *Arena) TopKDense(dense []float32, lo, hi, k int) *Chunk {
 		}
 		a.sel.Fallback++
 	}
+	if add != nil {
+		AddInto(dense[lo:hi], add[lo:hi])
+	}
 	out, thr := a.selectCold(dense, lo, hi, k)
-	h.key, h.drift = thr, noDrift
+	if h != nil {
+		h.key, h.drift = thr, noDrift
+	}
 	return out
 }
 

@@ -263,7 +263,7 @@ func checkWarm(t *testing.T, ar *Arena, dense []float32, lo, hi, k int, hint, ex
 		t.Fatalf("n=%d k=%d remembered key %#x: TopKDense kept %d entries and left key %#x behind", hi-lo, k, hint, want.Len(), key)
 	}
 	for _, band := range []uint32{warmMargin, warmFloor} {
-		got, _, _ := ar.topKDenseWarm(dense, lo, hi, k, hint, band)
+		got, _, _ := ar.topKDenseWarm(dense, nil, lo, hi, k, hint, band)
 		switch {
 		case got != nil && !sameChunkBits(got, want):
 			t.Fatalf("n=%d k=%d remembered key %#x band %#x: warm filter kept %v, quickselect %v", hi-lo, k, hint, band, got.Idx, want.Idx)
@@ -332,7 +332,7 @@ func TestTopKDenseHistMatchesSelect(t *testing.T) {
 				// Given the right key the filter must suffice, and where more
 				// entries pass it than its buffer holds, so must tightening,
 				// in the same pass.
-				got, thr, tightened := ar.topKDenseWarm(vec, lo, lo+n, k, exact, warmMargin)
+				got, thr, tightened := ar.topKDenseWarm(vec, nil, lo, lo+n, k, exact, warmMargin)
 				if got == nil || thr != exact {
 					t.Fatalf("%s n=%d k=%d: warm filter given the k-th key %#x fell back or found %#x", fam.name, n, k, exact, thr)
 				}

@@ -176,6 +176,42 @@ func warmFilterGo(idx []int32, val []float32, g []float32, first int32, low uint
 	return read, kept
 }
 
+// addFilter is warmFilter on the sums add + g: each whole group of eight
+// of g gets the same group of add, in AddInto's order, is filtered on its
+// sums and is stored back summed. It stops where warmFilter stops, before
+// it stores the group there, so that g from read on still lacks add; and
+// topKDenseWarm, which sums that group itself once it has made room, gives
+// a block its addend in the same read that selects from it. AddInto runs
+// it with a low no key reaches. It is addFilterGo, or addFilterAVX2 where
+// warmFilter is warmFilterAVX2 outside -race builds (the race detector
+// must see the reads of a caller's gradient and a peer's chunk, and it
+// does not see assembly's); tests set it back to addFilterGo.
+var addFilter = addFilterGo
+
+// addFilterGo is addFilter in Go: the path on every CPU without AVX2, and
+// in -race builds.
+func addFilterGo(idx []int32, val []float32, g, add []float32, first int32, low uint32) (read, kept int) {
+	for ; read+8 <= len(g); read += 8 {
+		b, a := (*[8]float32)(g[read:]), (*[8]float32)(add[read:])
+		s0, s1, s2, s3 := a[0]+b[0], a[1]+b[1], a[2]+b[2], a[3]+b[3]
+		s4, s5, s6, s7 := a[4]+b[4], a[5]+b[5], a[6]+b[6], a[7]+b[7]
+		cand := int32((absKey(s0)-low)&(absKey(s1)-low)&(absKey(s2)-low)&(absKey(s3)-low)&
+			(absKey(s4)-low)&(absKey(s5)-low)&(absKey(s6)-low)&(absKey(s7)-low)) >= 0
+		if cand && kept+8 > len(idx) {
+			break
+		}
+		b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7] = s0, s1, s2, s3, s4, s5, s6, s7
+		if !cand {
+			continue
+		}
+		for j, v := range b {
+			idx[kept], val[kept] = first+int32(read+j), v
+			kept += int((low - 1 - absKey(v)) >> 31) // 1 when key >= low
+		}
+	}
+	return read, kept
+}
+
 // hint returns the table entry for (lo, hi, k), adding one with no key if
 // the shape is new. The match is exact — a lossy index would let two of a
 // reducer's blocks evict each other on every call. A reducer walks its
@@ -219,8 +255,10 @@ func warmLow(hint, band uint32) uint32 {
 // selection from the same block, and the band to look in. It returns nil
 // when fewer than k entries have a key within band of hint, and otherwise
 // the exact selection, its k-th key, and whether the candidate buffer filled
-// on the way.
-func (a *Arena) topKDenseWarm(dense []float32, lo, hi, k int, hint, band uint32) (out *Chunk, thr uint32, tightened bool) {
+// on the way. A non-nil add is added into the block in the same pass, by
+// addFilter: the block is left summed, and selected from as summed, either
+// way.
+func (a *Arena) topKDenseWarm(dense, add []float32, lo, hi, k int, hint, band uint32) (out *Chunk, thr uint32, tightened bool) {
 	low := warmLow(hint, band)
 	// Eight entries of slack: a group of eight is buffered without asking,
 	// entry by entry, whether there is room.
@@ -228,17 +266,29 @@ func (a *Arena) topKDenseWarm(dense []float32, lo, hi, k int, hint, band uint32)
 	val := densePool.Get(warmScratch*k + 8)
 	n := 0
 	block := dense[lo:hi]
+	if add != nil {
+		add = add[lo:hi]
+	}
 	for i := 0; i < len(block); i += 8 {
-		read, kept := warmFilter(idx[n:], val[n:], block[i:], int32(lo+i), low)
+		var read, kept int
+		if add != nil {
+			read, kept = addFilter(idx[n:], val[n:], block[i:], add[i:], int32(lo+i), low)
+		} else {
+			read, kept = warmFilter(idx[n:], val[n:], block[i:], int32(lo+i), low)
+		}
 		if i, n = i+read, n+kept; i >= len(block) {
 			break
 		}
-		// What warmFilter leaves: the tail, or a group that holds a
-		// candidate when the buffer has fewer than eight free slots.
+		// What the filter leaves, not yet summed: the tail, or a group that
+		// holds a candidate when the buffer has fewer than eight free slots.
 		if n+8 > len(idx) {
 			low, n, tightened = tighten(idx[:n], val[:n], k), k, true
 		}
-		for j, v := range block[i:min(i+8, len(block))] {
+		g := block[i:min(i+8, len(block))]
+		if add != nil {
+			AddInto(g, add[i:i+len(g)])
+		}
+		for j, v := range g {
 			idx[n], val[n] = int32(lo+i+j), v
 			n += int((low - 1 - absKey(v)) >> 31) // 1 when key >= low
 		}

@@ -22,7 +22,10 @@ func scaleKey(key uint32, f float64) uint32 {
 // error feedback on a repeated gradient: it has piled up just under keys that
 // no longer move, and is selected from with the band the arena learned on the
 // way and, stationary/fixed, with all of warmMargin. cand/k is how many
-// entries passed the filter at its initial setting.
+// entries passed the filter at its initial setting. exact/add-then-select
+// and exact/fused add a gradient to every block first — a zero one, so that
+// the keys stay right — by AddInto before the filter, and in the filter's
+// own pass (addFilter): the read of the vector the fused pass saves.
 func BenchmarkTopKDenseWarm(b *testing.B) {
 	const n, m, k, statSyncs = 1 << 20, 14, 748, 150
 	part := NewPartition(n, m)
@@ -79,20 +82,24 @@ func BenchmarkTopKDenseWarm(b *testing.B) {
 		keys  []uint32 // remembered per block; nil is the histogram select
 		scale float64  // applied to the remembered keys
 		bands []uint32 // per block; nil is warmMargin
+		add   string   // how a zero gradient is added: "", "then-select" or "fused"
 	}{
-		{"cold", gauss, nil, 0, nil},
-		{"exact", gauss, gaussKeys, 1, nil},
-		{"rose-5pct", gauss, gaussKeys, 1 / 1.05, nil},
-		{"rose-2x", gauss, gaussKeys, 0.5, nil}, // the second sync: the residual doubled
-		{"fell-3pct", gauss, gaussKeys, 1 / 0.97, nil},
-		{"fell-5pct", gauss, gaussKeys, 1 / 0.95, nil},
-		{"all-equal", equal, kthKeys(equal), 1, nil},
-		{"cliff/cold", cliff, nil, 0, nil},
-		{"cliff", cliff, cliffKeys, 1, nil},
-		{"stationary/cold", stat, nil, 0, nil},
-		{"stationary/fixed", stat, statKeys, 1, nil},
-		{"stationary", stat, statKeys, 1, statBands},
+		{"cold", gauss, nil, 0, nil, ""},
+		{"exact", gauss, gaussKeys, 1, nil, ""},
+		{"exact/add-then-select", gauss, gaussKeys, 1, nil, "then-select"},
+		{"exact/fused", gauss, gaussKeys, 1, nil, "fused"},
+		{"rose-5pct", gauss, gaussKeys, 1 / 1.05, nil, ""},
+		{"rose-2x", gauss, gaussKeys, 0.5, nil, ""}, // the second sync: the residual doubled
+		{"fell-3pct", gauss, gaussKeys, 1 / 0.97, nil, ""},
+		{"fell-5pct", gauss, gaussKeys, 1 / 0.95, nil, ""},
+		{"all-equal", equal, kthKeys(equal), 1, nil, ""},
+		{"cliff/cold", cliff, nil, 0, nil, ""},
+		{"cliff", cliff, cliffKeys, 1, nil, ""},
+		{"stationary/cold", stat, nil, 0, nil, ""},
+		{"stationary/fixed", stat, statKeys, 1, nil, ""},
+		{"stationary", stat, statKeys, 1, statBands, ""},
 	} {
+		zeros := make([]float32, n)
 		b.Run(c.name, func(b *testing.B) {
 			hits, cand := 0, 0
 			for i := 0; i < b.N; i++ {
@@ -107,7 +114,14 @@ func BenchmarkTopKDenseWarm(b *testing.B) {
 						if i == 0 {
 							cand += countKeysFrom(c.dense[lo:hi], warmLow(hint, band))
 						}
-						if out, _, _ := ar.topKDenseWarm(c.dense, lo, hi, k, hint, band); out != nil {
+						var add []float32
+						switch c.add {
+						case "then-select":
+							AddInto(c.dense[lo:hi], zeros[lo:hi])
+						case "fused":
+							add = zeros
+						}
+						if out, _, _ := ar.topKDenseWarm(c.dense, add, lo, hi, k, hint, band); out != nil {
 							hits++
 							continue
 						}

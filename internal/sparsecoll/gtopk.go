@@ -58,10 +58,11 @@ func NewGTopk(p, rank, n, k int) Reducer {
 
 // ReduceInto implements Reducer; steady state is allocation-free.
 func (g *GTopk) ReduceInto(ep comm.Endpoint, grad, out []float32) {
-	g.begin(grad)
+	g.ar.Reset()
 	p, me := ep.P(), ep.Rank()
 
-	local := g.ar.TopKDense(g.residual, 0, g.n, g.k)
+	// The gradient onto the stored residual, in the selection's pass.
+	local := g.ar.TopKDenseAdd(g.residual, grad, 0, g.n, g.k)
 	ChargeScan(ep, g.n)
 
 	// Reduction tree: at level dist, workers whose rank is an odd multiple

@@ -85,11 +85,14 @@ func ChargeMerge(ep comm.Endpoint, n int) {
 // base is the state every sparse baseline (TopkA, TopkDSA, gTopk, Ok-Topk)
 // embeds: the problem size, the chunk arena, the simulator accounting, and
 // the reducer's one length-n vector. Between calls that vector is the
-// stored residual; begin adds the gradient onto it and the method then
-// works on it in place — select from it, zero what left with the
-// selection — so what remains when the call returns is the next residual.
-// No baseline writes the vector between its prologue and that final
-// zeroing, so unlike core.SparDL none needs an undo log.
+// stored residual. The gradient is added onto it — by the local
+// selection's own pass for TopkA, TopkDSA and gTopk
+// (sparse.Arena.TopKDenseAdd), by begin for Ok-Topk, whose threshold
+// estimate reads the sum first — and the method then works on it in
+// place — select from it, zero what left with the selection — so what
+// remains when the call returns is the next residual. No baseline writes
+// the vector between its selection and that final zeroing, so unlike
+// core.SparDL none needs an undo log.
 type base struct {
 	name     string
 	n, k     int
@@ -125,9 +128,9 @@ func (b *base) RestoreResidual(res []float32) {
 	copy(b.residual, res)
 }
 
-// begin starts a synchronization: a new arena epoch, then the gradient
-// onto the stored residual. The vector now holds what Algorithm 1 calls
-// G_copy.
+// begin starts an Ok-Topk synchronization: a new arena epoch, then the
+// gradient onto the stored residual. The vector now holds what Algorithm
+// 1 calls G_copy.
 func (b *base) begin(grad []float32) {
 	b.ar.Reset()
 	sparse.AddInto(b.residual, grad)

@@ -27,11 +27,12 @@ func NewTopkA(p, rank, n, k int) Reducer {
 
 // ReduceInto implements Reducer; steady state is allocation-free.
 func (t *TopkA) ReduceInto(ep comm.Endpoint, grad, out []float32) {
-	t.begin(grad)
+	t.ar.Reset()
 
-	// LRES: the selection leaves the vector; everything not selected
-	// locally stays behind as residual.
-	local := t.ar.TopKDense(t.residual, 0, t.n, t.k)
+	// The gradient onto the stored residual, in the selection's pass. LRES:
+	// the selection leaves the vector; everything not selected locally
+	// stays behind as residual.
+	local := t.ar.TopKDenseAdd(t.residual, grad, 0, t.n, t.k)
 	ChargeScan(ep, t.n)
 	local.ClearInDense(t.residual)
 

@@ -49,11 +49,12 @@ func (t *TopkDSA) blockBytes(it any) int {
 
 // ReduceInto implements Reducer; steady state is allocation-free.
 func (t *TopkDSA) ReduceInto(ep comm.Endpoint, grad, out []float32) {
-	t.begin(grad)
+	t.ar.Reset()
 	p, me := ep.P(), ep.Rank()
 
+	// The gradient onto the stored residual in the selection's pass, and
 	// LRES, as TopkA: what the local selection leaves behind is the residual.
-	local := t.ar.TopKDense(t.residual, 0, t.n, t.k)
+	local := t.ar.TopKDenseAdd(t.residual, grad, 0, t.n, t.k)
 	ChargeScan(ep, t.n)
 	local.ClearInDense(t.residual)
 
