@@ -12,9 +12,8 @@ test:
 race:
 	go test -race ./...
 
-# The repo's own analyzer suite over every package (under a second).
 vet:
-	go run ./cmd/spardl-vet ./...
+	go vet ./...
 
 bench:
 	go test -run '^$$' -bench 'BenchmarkReduceOnce$$' -benchmem -benchtime 20x .

@@ -3,6 +3,7 @@ package comm_test
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -38,7 +39,10 @@ var contractBackends = []struct {
 
 // runBounded runs worker on a fresh fabric under a deadline — the failure
 // contract is "unwind with a cause", never hang — and returns the report or
-// the value Run panicked with.
+// the value Run panicked with. A Run still blocked at the deadline is a
+// deadlock whose wedged goroutines leave the package's other tests nothing
+// to stand on, so it ends the test binary: a panic naming the test, with
+// every goroutine's stack.
 func runBounded(t *testing.T, b comm.Backend, p int, worker func(rank int, ep comm.Endpoint)) (rep *comm.Report, panicked any) {
 	t.Helper()
 	done := make(chan struct{})
@@ -51,8 +55,8 @@ func runBounded(t *testing.T, b comm.Backend, p int, worker func(rank int, ep co
 	case <-done:
 		return rep, panicked
 	case <-time.After(30 * time.Second):
-		t.Fatalf("%s: Run hung past its deadline", b.Name())
-		return nil, nil
+		buf := make([]byte, 1<<20)
+		panic(fmt.Sprintf("%s: %s: Run hung past its deadline; goroutines:\n%s", t.Name(), b.Name(), buf[:runtime.Stack(buf, true)]))
 	}
 }
 

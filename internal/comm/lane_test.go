@@ -1,10 +1,46 @@
 package comm
 
 import (
+	"fmt"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
 )
+
+// within runs f on a goroutine of its own and waits at most d for it to
+// return. A call still blocked after d is a deadlock — a lock held across a
+// wait — and its wedged goroutines leave the rest of the package's tests
+// nothing to stand on, so within ends the test binary: a panic naming the
+// test, with every goroutine's stack, instead of go test's -timeout minutes
+// later. A panic in f fails the test with f's stack. f must not call t's
+// Fatal methods.
+func within(t *testing.T, d time.Duration, f func()) {
+	t.Helper()
+	done := make(chan string, 1) // f's panic and stack, if it panicked
+	go func() {
+		defer func() {
+			if r := recover(); r != nil {
+				done <- fmt.Sprintf("%v\n%s", r, debug.Stack())
+			}
+			close(done)
+		}()
+		f()
+	}()
+	select {
+	case p, panicked := <-done:
+		if panicked {
+			t.Fatalf("panic: %s", p)
+		}
+	case <-time.After(d):
+		buf := make([]byte, 1<<20)
+		panic(fmt.Sprintf("%s: still blocked after %v; goroutines:\n%s", t.Name(), d, buf[:runtime.Stack(buf, true)]))
+	}
+}
+
+// guard is how long a lane or queue call that must not wait may take.
+const guard = 10 * time.Second
 
 func TestFifoOrderAndDrainAfterClose(t *testing.T) {
 	q := NewFifo[int]()
@@ -30,7 +66,9 @@ func TestFifoOrderAndDrainAfterClose(t *testing.T) {
 
 func TestFifoTryPopNeverBlocks(t *testing.T) {
 	q := NewFifo[string]()
-	if _, ok := q.TryPop(); ok {
+	var ok bool
+	within(t, guard, func() { _, ok = q.TryPop() })
+	if ok {
 		t.Fatal("TryPop on an empty open queue reported an item")
 	}
 	q.Push("x")
@@ -102,7 +140,9 @@ func TestStreamLaneRunsBodiesInOrder(t *testing.T) {
 			t.Fatalf("launch %d refused before shutdown", i)
 		}
 	}
-	exposed, busy, err := l.Join()
+	var exposed, busy time.Duration
+	var err any
+	within(t, guard, func() { exposed, busy, err = l.Join() })
 	if err != nil {
 		t.Fatalf("join returned err %v", err)
 	}
@@ -114,7 +154,7 @@ func TestStreamLaneRunsBodiesInOrder(t *testing.T) {
 			t.Fatalf("bodies ran out of launch order: got[%d] = %d", i, v)
 		}
 	}
-	l.Shutdown()
+	within(t, guard, l.Shutdown)
 	if l.Launch(func() {}) {
 		t.Fatal("launch accepted after Shutdown")
 	}
@@ -143,7 +183,8 @@ func TestStreamLanePanicOrdering(t *testing.T) {
 		mu.Unlock()
 	}), 3)
 	l.Launch(func() { panic("boom") })
-	_, _, err := l.Join()
+	var err any
+	within(t, guard, func() { _, _, err = l.Join() })
 	if err != "boom" {
 		t.Fatalf("Join err = %v, want boom", err)
 	}
@@ -158,10 +199,11 @@ func TestStreamLanePanicOrdering(t *testing.T) {
 	if len(got) != 1 || got[0].cause != "worker 3 (comm stream): boom" {
 		t.Fatalf("Sever calls %+v, want one with cause %q", got, "worker 3 (comm stream): boom")
 	}
-	if _, _, err := l.Join(); err != nil {
+	within(t, guard, func() { _, _, err = l.Join() })
+	if err != nil {
 		t.Fatalf("second Join returned stale err %v", err)
 	}
-	l.Shutdown()
+	within(t, guard, l.Shutdown)
 }
 
 // TestCauseFailNotesBeforePoison pins the one way a fabric fails: poison
@@ -172,21 +214,19 @@ func TestCauseFailNotesBeforePoison(t *testing.T) {
 	if got := c.String(); got != "" {
 		t.Fatalf("healthy Cause = %q, want empty", got)
 	}
-	runs := 0
-	c.Fail("first", func() {
-		runs++
-		if got := c.String(); got != "first" {
-			t.Fatalf("poison ran with cause %q recorded, want %q", got, "first")
-		}
+	var seen []string // the cause each poison saw recorded
+	within(t, guard, func() {
+		c.Fail("first", func() { seen = append(seen, c.String()) })
+		c.Fail("second", func() { seen = append(seen, c.String()) })
 	})
-	c.Fail("second", func() {
-		runs++
-		if got := c.String(); got != "first" {
-			t.Fatalf("a second Fail replaced the root cause: %q", got)
-		}
-	})
-	if runs != 2 {
-		t.Fatalf("poison ran %d times over two Fails, want 2", runs)
+	if len(seen) != 2 {
+		t.Fatalf("poison ran %d times over two Fails, want 2", len(seen))
+	}
+	if seen[0] != "first" {
+		t.Fatalf("poison ran with cause %q recorded, want %q", seen[0], "first")
+	}
+	if seen[1] != "first" {
+		t.Fatalf("a second Fail replaced the root cause: %q", seen[1])
 	}
 }
 
@@ -218,11 +258,15 @@ func TestStreamLanePoisonFirstCauseWinsUnderCascade(t *testing.T) {
 			}
 		}()
 		l.Launch(func() { panic(boom) })
-		if _, _, err := l.Join(); err != boom {
+		var err any
+		within(t, guard, func() {
+			_, _, err = l.Join()
+			wg.Wait()
+			l.Shutdown()
+		})
+		if err != boom {
 			t.Fatalf("iter %d: Join err = %v, want the body's panic", iter, err)
 		}
-		wg.Wait()
-		l.Shutdown()
 		if got := cause.String(); got != root {
 			t.Fatalf("iter %d: recorded cause %q; the cascade masked the root", iter, got)
 		}
@@ -233,13 +277,14 @@ func TestStreamLanePoisonFirstCauseWinsUnderCascade(t *testing.T) {
 // with no pending work returns zeros without ever starting the goroutine.
 func TestStreamLaneJoinWithoutLaunch(t *testing.T) {
 	l := NewStreamLane(severFunc(func(string) {}), 0)
-	exposed, busy, err := l.Join()
+	var busy time.Duration
+	var err any
+	within(t, guard, func() { _, busy, err = l.Join() })
 	if busy != 0 || err != nil {
 		t.Fatalf("idle Join returned busy=%v err=%v", busy, err)
 	}
-	_ = exposed
 	if l.tasks != nil {
 		t.Fatal("idle Join started the stream goroutine")
 	}
-	l.Shutdown() // must be a no-op without a started stream
+	within(t, guard, l.Shutdown) // must be a no-op without a started stream
 }

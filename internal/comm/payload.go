@@ -54,17 +54,15 @@ type PayloadCodec struct {
 	Match func(v any) bool
 	// Append encodes v's body onto dst and returns the extended slice.
 	Append func(dst []byte, v any) []byte
-	// Decode parses a body produced by Append. It must not retain body:
-	// byte-level backends recycle receive buffers after decoding.
-	Decode func(body []byte) (any, error)
-	// DecodeArena, when non-nil, is the zero-copy variant used by
-	// arena-backed transports (tcpnet's receive path): body is storage the
-	// supplied arena owns, alive at least as long as anything decoded this
-	// epoch, so the decoded value may alias body and should draw its own
-	// allocations from a. Codecs without it fall back to Decode — correct,
-	// just not allocation-free. (Vec is the first built-in payload that
-	// takes the same liberty: its arena decode is a view of body.)
-	DecodeArena func(a *sparse.Arena, body []byte) (any, error)
+	// Decode parses a body produced by Append. With a nil arena it must
+	// not retain body — byte-level backends recycle receive buffers after
+	// decoding — and allocates from the heap. With a non-nil arena
+	// (tcpnet's zero-copy receive path) body is storage the arena owns,
+	// alive at least as long as anything decoded this epoch, so the decoded
+	// value may alias body and draws its own allocations from a. (Vec is
+	// the first built-in payload that takes the same liberty: its arena
+	// decode is a view of body.)
+	Decode func(a *sparse.Arena, body []byte) (any, error)
 }
 
 var payloadCodecs []PayloadCodec
@@ -164,7 +162,7 @@ func UnmarshalPayloadArena(a *sparse.Arena, buf []byte) (any, error) {
 // receive paths: buf must be storage the arena owns (alive through the
 // current epoch plus quarantine), decoded values MAY alias buf, and
 // container and chunk allocations are drawn from the arena via each
-// codec's DecodeArena.
+// codec's Decode.
 func ReadPayloadArena(a *sparse.Arena, buf []byte) (v any, rest []byte, err error) {
 	if len(buf) == 0 {
 		return nil, nil, fmt.Errorf("comm: empty payload")
@@ -240,12 +238,7 @@ func ReadPayloadArena(a *sparse.Arena, buf []byte) (v any, rest []byte, err erro
 		if n > len(body) {
 			return nil, nil, fmt.Errorf("comm: registered payload length %d exceeds %d remaining bytes", n, len(body))
 		}
-		var v any
-		if a != nil && c.DecodeArena != nil {
-			v, err = c.DecodeArena(a, body[:n])
-		} else {
-			v, err = c.Decode(body[:n])
-		}
+		v, err := c.Decode(a, body[:n])
 		if err != nil {
 			return nil, nil, fmt.Errorf("comm: payload tag 0x%02x: %w", tag, err)
 		}

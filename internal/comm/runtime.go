@@ -42,7 +42,7 @@ type Link interface {
 	// Next blocks until the next frame from rank from arrives. A non-nil
 	// arena owns f.Buf for at least the current and the next Rotate epoch:
 	// the payload is decoded in place and may alias it — registered codecs
-	// through DecodeArena and, first among the built-in payloads, a Vec,
+	// through their Decode and, first among the built-in payloads, a Vec,
 	// which is nothing but a view of those bytes. A nil arena means
 	// f.Buf is a FrameBufs buffer the caller recycles after decoding. The
 	// error names why the link is severed.

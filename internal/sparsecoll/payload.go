@@ -26,12 +26,7 @@ func init() {
 			dst = binary.AppendUvarint(dst, uint64(b.block))
 			return comm.AppendPayload(dst, b.c)
 		},
-		Decode: func(body []byte) (any, error) {
-			return decodeDSABlock(nil, body)
-		},
-		DecodeArena: func(a *sparse.Arena, body []byte) (any, error) {
-			return decodeDSABlock(a, body)
-		},
+		Decode: decodeDSABlock,
 	})
 	comm.RegisterPayload(comm.PayloadCodec{
 		Tag:   comm.TagOkItem,
@@ -39,12 +34,7 @@ func init() {
 		Append: func(dst []byte, v any) []byte {
 			return wire.AppendChunkSlice(dst, v.(*okItem).chunks)
 		},
-		Decode: func(body []byte) (any, error) {
-			return decodeOkItem(nil, body)
-		},
-		DecodeArena: func(a *sparse.Arena, body []byte) (any, error) {
-			return decodeOkItem(a, body)
-		},
+		Decode: decodeOkItem,
 	})
 }
 

@@ -50,7 +50,7 @@ func deliverPair(t *testing.T, inj chaos.Injector) (*link, *frameReader) {
 	if err := l.register(1, server); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { l.Sever("test done") })
+	t.Cleanup(func() { within(t, guard, func() { l.Sever("test done") }) })
 	client.SetReadDeadline(time.Now().Add(5 * time.Second))
 	return l, newFrameReader(client, func(n int) []byte { return make([]byte, n) })
 }
@@ -92,7 +92,9 @@ func TestDeliverChaosPerFrame(t *testing.T) {
 		for i := 0; i < frames; i++ {
 			f := frame(i)
 			buf, tail := string(f.Buf), string(f.Tail)
-			if err := l.Deliver(1, f); err != nil {
+			var err error
+			within(t, guard, func() { err = l.Deliver(1, f) })
+			if err != nil {
 				t.Fatalf("frame %d: %v", i, err)
 			}
 			if string(f.Buf) != buf || string(f.Tail) != tail {
@@ -133,10 +135,14 @@ func TestDeliverChaosPerFrame(t *testing.T) {
 		t.Run(tc.name+" severs before the frame", func(t *testing.T) {
 			inj := &scriptedInjector{verdict: map[int]chaos.Action{1: tc.act}}
 			l, fr := deliverPair(t, inj)
-			if err := l.Deliver(1, frame(4)); err != nil {
-				t.Fatalf("healthy frame 0: %v", err)
+			var healthy, err error
+			within(t, guard, func() {
+				healthy = l.Deliver(1, frame(4))
+				err = l.Deliver(1, frame(tc.frame))
+			})
+			if healthy != nil {
+				t.Fatalf("healthy frame 0: %v", healthy)
 			}
-			err := l.Deliver(1, frame(tc.frame))
 			cause := tc.act.Fault.Severed()
 			if err == nil || !strings.Contains(err.Error(), cause) || l.root.String() != cause {
 				t.Fatalf("Deliver = %v, root cause %q; want the schedule's cause %q", err, l.root.String(), cause)
@@ -230,7 +236,10 @@ func TestLocalElasticCrashShrinks(t *testing.T) {
 	}
 	c := &elasticCounter{iters: 6, accAt: map[int]map[int]float64{}}
 	b := LocalChaosBackend(10*time.Second, sched).(localBackend)
-	_, recs, err := b.RunElastic(3, comm.ElasticOptions{MinP: 2, MaxRestarts: 1}, c.worker)
+	var recs []comm.Recovery
+	within(t, guard, func() {
+		_, recs, err = b.RunElastic(3, comm.ElasticOptions{MinP: 2, MaxRestarts: 1}, c.worker)
+	})
 	if err != nil {
 		t.Fatalf("elastic run failed: %v", err)
 	}
@@ -273,24 +282,17 @@ func TestLocalElasticPartitionFailsFast(t *testing.T) {
 	}
 	c := &elasticCounter{iters: 4, accAt: map[int]map[int]float64{}}
 	b := LocalChaosBackend(10*time.Second, sched).(localBackend)
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := b.RunElastic(3, comm.ElasticOptions{MinP: 2, MaxRestarts: 2}, c.worker)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("persistent partition must fail the run")
-		}
-		if !strings.Contains(err.Error(), "partition") {
-			t.Fatalf("error does not name the partition: %v", err)
-		}
-		if !strings.Contains(err.Error(), "giving up after 2 re-rendezvous") {
-			t.Fatalf("error does not report the exhausted restart budget: %v", err)
-		}
-	case <-time.After(60 * time.Second):
-		t.Fatal("partitioned fleet hung instead of failing fast")
+	within(t, guard, func() {
+		_, _, err = b.RunElastic(3, comm.ElasticOptions{MinP: 2, MaxRestarts: 2}, c.worker)
+	})
+	if err == nil {
+		t.Fatal("persistent partition must fail the run")
+	}
+	if !strings.Contains(err.Error(), "partition") {
+		t.Fatalf("error does not name the partition: %v", err)
+	}
+	if !strings.Contains(err.Error(), "giving up after 2 re-rendezvous") {
+		t.Fatalf("error does not report the exhausted restart budget: %v", err)
 	}
 }
 

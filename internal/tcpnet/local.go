@@ -77,7 +77,6 @@ func (b localBackend) fleet(p int) comm.Fleet {
 			cfg := cfg
 			cfg.Rank, cfg.Injector = rank, injs[members[rank]]
 			if rank == 0 {
-				//spardl:netdeadline-ok handed live to rank 0, whose lead sets the listener's deadline before its first Accept
 				cfg.listener = ln
 			}
 			ep, err := Start(cfg)

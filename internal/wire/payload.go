@@ -26,8 +26,7 @@ func init() {
 			out, _ := AppendEncode(dst, c, lo, hi)
 			return out
 		},
-		Decode: func(body []byte) (any, error) { return Decode(body) },
-		DecodeArena: func(a *sparse.Arena, body []byte) (any, error) {
+		Decode: func(a *sparse.Arena, body []byte) (any, error) {
 			return DecodeArena(a, body)
 		},
 	})
@@ -37,10 +36,7 @@ func init() {
 		Append: func(dst []byte, v any) []byte {
 			return AppendChunkSlice(dst, v.([]*sparse.Chunk))
 		},
-		Decode: func(body []byte) (any, error) {
-			return DecodeChunkSlice(nil, body)
-		},
-		DecodeArena: func(a *sparse.Arena, body []byte) (any, error) {
+		Decode: func(a *sparse.Arena, body []byte) (any, error) {
 			return DecodeChunkSlice(a, body)
 		},
 	})

@@ -1,8 +1,12 @@
 package spardl_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -65,5 +69,97 @@ func TestPackageMapMatchesGoList(t *testing.T) {
 		if n == 0 {
 			t.Errorf("README's Package map names %s, which go list does not report", name)
 		}
+	}
+}
+
+// TestReadmeIdentsResolve holds README's inline code to the module: a
+// backticked `pkg.Ident` whose pkg is the name of a module package (other
+// than main) must name an exported top-level declaration — type, func, var
+// or const — in that package's non-test files, whatever their build tags.
+// Fenced code blocks are not read; in `pkg.Type.Method` only the Type is
+// checked.
+func TestReadmeIdentsResolve(t *testing.T) {
+	out, err := exec.Command("go", "list", "-f", "{{.Name}} {{.Dir}}", "./...").Output()
+	if err != nil {
+		t.Fatalf("go list ./...: %v", err)
+	}
+	exported := map[string]map[string]bool{} // package name → its exported declarations
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		name, dir, _ := strings.Cut(line, " ")
+		if name == "main" {
+			continue
+		}
+		if exported[name] == nil {
+			exported[name] = map[string]bool{}
+		}
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		decls := exported[name]
+		add := func(id *ast.Ident) {
+			if id.IsExported() {
+				decls[id.Name] = true
+			}
+		}
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil {
+						add(d.Name)
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch s := spec.(type) {
+						case *ast.TypeSpec:
+							add(s.Name)
+						case *ast.ValueSpec:
+							for _, id := range s.Names {
+								add(id)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	span := regexp.MustCompile("`[^`]+`")
+	ref := regexp.MustCompile(`\b(\w+)\.([A-Z]\w*)`)
+	fenced, refs := false, 0
+	for i, line := range strings.Split(string(readme), "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			fenced = !fenced
+			continue
+		}
+		if fenced {
+			continue
+		}
+		for _, code := range span.FindAllString(line, -1) {
+			for _, m := range ref.FindAllStringSubmatch(code, -1) {
+				decls, isPkg := exported[m[1]]
+				if !isPkg {
+					continue
+				}
+				refs++
+				if !decls[m[2]] {
+					t.Errorf("README.md:%d: %s names no exported declaration of package %s", i+1, m[0], m[1])
+				}
+			}
+		}
+	}
+	if refs == 0 {
+		t.Error("README.md has no backticked pkg.Ident at all: the reference pattern is broken")
 	}
 }
