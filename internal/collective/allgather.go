@@ -1,16 +1,11 @@
 // Package collective implements the classical collective-communication
-// algorithms the paper builds on (Section II): Bruck all-gather, recursive
-// doubling all-gather, ring and Rabenseifner all-reduce, and direct-send
-// reduce-scatter. The all-gather schedules are generic over opaque items so
-// the sparse methods (package sparsecoll and core) can reuse them for COO
-// chunks, while the dense versions serve as baselines.
+// algorithms the paper builds on (Section II): Bruck all-gather, and ring
+// and Rabenseifner all-reduce. The all-gather schedule is generic over
+// opaque items so the sparse methods (package sparsecoll and core) can reuse
+// it for COO chunks, while the dense versions serve as baselines.
 package collective
 
-import (
-	"fmt"
-
-	"spardl/internal/comm"
-)
+import "spardl/internal/comm"
 
 // Allocator supplies the []any item slices an all-gather schedule moves
 // around — in practice a *sparse.Arena, whose epoch quarantine makes the
@@ -42,9 +37,8 @@ func WorldRanks(p int) []int {
 // choose the accounting: the sparse methods pass wire.Transport.ItemBytes
 // for items that are bare *sparse.Chunk (COO or negotiated-codec sizing),
 // or their own function for wrapped items. A SizeFunc must be
-// deterministic in the item alone — Bruck and recursive doubling re-size
-// the same item on every forwarding hop, and workers must agree on the
-// charged volume.
+// deterministic in the item alone — Bruck re-sizes the same item on every
+// forwarding hop, and workers must agree on the charged volume.
 type SizeFunc func(item any) int
 
 // BruckAllGather runs the Bruck all-gather schedule among the group members
@@ -96,49 +90,6 @@ func BruckAllGatherAlloc(ep comm.Endpoint, ranks []int, pos int, own any, size S
 	result := allocAnys(alloc, g)[:g]
 	for j, it := range held {
 		result[(pos+j)%g] = it
-	}
-	return result
-}
-
-// RecursiveDoublingAllGather runs the recursive doubling all-gather among
-// the group in ranks, which must have power-of-two size (the algorithm's
-// classical limitation, Section II). At step t each worker exchanges its
-// entire accumulated set with the member at distance 2^t.
-func RecursiveDoublingAllGather(ep comm.Endpoint, ranks []int, pos int, own any, size SizeFunc) []any {
-	g := len(ranks)
-	if g == 0 || ranks[pos] != ep.Rank() {
-		panic("collective: endpoint is not the claimed group member")
-	}
-	if g&(g-1) != 0 {
-		panic(fmt.Sprintf("collective: recursive doubling needs power-of-two group, got %d", g))
-	}
-	result := make([]any, g)
-	result[pos] = own
-	for dist := 1; dist < g; dist *= 2 {
-		peer := pos ^ dist
-		// After t = log₂(dist) completed steps a worker holds exactly its
-		// aligned 2^t block of member positions, [pos&^(dist-1), …+dist).
-		// Iterating that block arithmetically — rather than tracking a
-		// `have` set and ranging over the received map — makes pack and
-		// unpack order rank-order deterministic, so the byte stream a
-		// byte-level backend serializes is bit-identical across runs.
-		base := pos &^ (dist - 1)
-		out := make(map[int]any, dist)
-		bytes := 0
-		for j := base; j < base+dist; j++ {
-			out[j] = result[j]
-			bytes += size(result[j])
-		}
-		in, _ := ep.SendRecv(ranks[peer], out, bytes)
-		m := in.(map[int]any)
-		peerBase := peer &^ (dist - 1)
-		for j := peerBase; j < peerBase+dist; j++ {
-			it, ok := m[j]
-			if !ok {
-				panic(fmt.Sprintf("collective: recursive doubling peer %d omitted member %d", ranks[peer], j))
-			}
-			result[j] = it
-		}
 	}
 	return result
 }

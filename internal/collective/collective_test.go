@@ -62,36 +62,6 @@ func TestBruckAllGatherSubgroup(t *testing.T) {
 	})
 }
 
-func TestRecursiveDoublingAllGather(t *testing.T) {
-	for _, p := range []int{1, 2, 4, 8, 16} {
-		rep := simnet.Run(p, unit, func(rank int, ep *simnet.Endpoint) {
-			got := RecursiveDoublingAllGather(ep, WorldRanks(p), rank, []byte{byte(rank)}, itemBytes)
-			for j, it := range got {
-				if it.([]byte)[0] != byte(j) {
-					t.Errorf("P=%d rank %d: item %d wrong", p, rank, j)
-				}
-			}
-		})
-		if want := ceilLog2(p); rep.MaxRounds() != want {
-			t.Fatalf("P=%d: rounds=%d want %d", p, rep.MaxRounds(), want)
-		}
-		if rep.MaxBytesRecv() != int64(p-1) {
-			t.Fatalf("P=%d: bytes=%d want %d", p, rep.MaxBytesRecv(), p-1)
-		}
-	}
-}
-
-func TestRecursiveDoublingRejectsNonPowerOfTwo(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for P=6")
-		}
-	}()
-	simnet.Run(6, unit, func(rank int, ep *simnet.Endpoint) {
-		RecursiveDoublingAllGather(ep, WorldRanks(6), rank, []byte{0}, itemBytes)
-	})
-}
-
 func randomVectors(p, n int, seed int64) ([][]float32, []float32) {
 	rng := rand.New(rand.NewSource(seed))
 	vecs := make([][]float32, p)

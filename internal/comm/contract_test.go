@@ -125,10 +125,10 @@ func contractFIFO(t *testing.T, b comm.Backend) {
 				t.Errorf("rank %d: from %d at step %d: got %v", rank, next, i, got)
 			}
 		}
-		ep.Send(next, map[int]any{1: 2.5, 7: []float32{1, 2}}, 4)
+		ep.Send(next, []any{2.5, []float32{1, 2}}, 4)
 		got, _ := ep.Recv(prev)
-		if m := got.(map[int]any); m[1].(float64) != 2.5 || len(m[7].([]float32)) != 2 {
-			t.Errorf("rank %d: map payload mangled: %v", rank, m)
+		if l := got.([]any); l[0].(float64) != 2.5 || len(l[1].([]float32)) != 2 {
+			t.Errorf("rank %d: nested payload mangled: %v", rank, l)
 		}
 		if st := ep.Stats(); st.Rounds != 2*burst+1 || st.MsgsSent != 2*burst+1 || st.BytesRecv == 0 || st.BytesSent == 0 {
 			t.Errorf("rank %d: stats after %d receives and sends: %+v", rank, 2*burst+1, st)

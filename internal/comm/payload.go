@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 
 	"spardl/internal/sparse"
 )
@@ -14,8 +13,7 @@ import (
 // Every payload a collective in this repository sends is one of a small,
 // closed set of shapes: a scalar (int, float64), a dense vector
 // ([]float32, or the all-reduce schedules' Vec — see vec.go), a container
-// of further payloads ([]any from Bruck,
-// map[int]any from recursive doubling), or a domain type registered by its
+// of further payloads ([]any from Bruck), or a domain type registered by its
 // owning package (sparse chunks via the wire codecs, the all-gather item
 // wrappers of sparsecoll).
 // The encoding is self-describing — a one-byte tag followed by the body —
@@ -26,12 +24,11 @@ import (
 
 // Built-in payload tags.
 const (
-	tagFloat64   byte = 0x01
-	tagInt       byte = 0x02
-	tagFloat32s  byte = 0x05
-	tagAnySlice  byte = 0x06
-	tagIntAnyMap byte = 0x07
-	tagVec       byte = 0x08 // tagFloat32s' body; decodes to a view, not a slice
+	tagFloat64  byte = 0x01
+	tagInt      byte = 0x02
+	tagFloat32s byte = 0x05
+	tagAnySlice byte = 0x06
+	tagVec      byte = 0x08 // tagFloat32s' body; decodes to a view, not a slice
 )
 
 // Registered payload tags. Each constant is claimed by exactly one
@@ -103,21 +100,6 @@ func AppendPayload(dst []byte, v any) []byte {
 	case []any:
 		dst = append(dst, tagAnySlice)
 		return AppendPayloadList(dst, len(x), func(i int) any { return x[i] })
-	case map[int]any:
-		// Sorted keys keep the encoding deterministic: equal maps must
-		// produce equal bytes regardless of Go's map iteration order.
-		keys := make([]int, 0, len(x))
-		for k := range x {
-			keys = append(keys, k)
-		}
-		sort.Ints(keys)
-		dst = append(dst, tagIntAnyMap)
-		dst = binary.AppendUvarint(dst, uint64(len(keys)))
-		for _, k := range keys {
-			dst = binary.AppendVarint(dst, int64(k))
-			dst = AppendPayload(dst, x[k])
-		}
-		return dst
 	}
 	for i := range payloadCodecs {
 		c := &payloadCodecs[i]
@@ -204,24 +186,6 @@ func ReadPayloadArena(a *sparse.Arena, buf []byte) (v any, rest []byte, err erro
 		out, rest, err := ReadPayloadListArena(a, body)
 		if err != nil {
 			return nil, nil, err
-		}
-		return out, rest, nil
-	case tagIntAnyMap:
-		count, rest, err := readCount(body, "map")
-		if err != nil {
-			return nil, nil, err
-		}
-		out := make(map[int]any, count)
-		for i := 0; i < count; i++ {
-			k, n := binary.Varint(rest)
-			if n <= 0 {
-				return nil, nil, fmt.Errorf("comm: bad map key varint")
-			}
-			rest = rest[n:]
-			out[int(k)], rest, err = ReadPayloadArena(a, rest)
-			if err != nil {
-				return nil, nil, err
-			}
 		}
 		return out, rest, nil
 	}

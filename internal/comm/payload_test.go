@@ -15,7 +15,6 @@ func TestBuiltinPayloadRoundtrip(t *testing.T) {
 		[]float32{},
 		[]float32{1.5, -2.25, 3e-38},
 		[]any{1, 2.5, []float32{9}},
-		map[int]any{-3: 1, 7: []float32{42}},
 	}
 	for _, v := range cases {
 		buf := MarshalPayload(v)

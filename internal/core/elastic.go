@@ -22,9 +22,6 @@ func (s *SparDL) RestoreResidual(res []float32) {
 func (o Options) FitTeams(p int) Options {
 	o = o.withDefaults()
 	d := o.Teams
-	if d > p {
-		d = p
-	}
 	for d > 1 && (p%d != 0 || (o.Variant == RSAG && d&(d-1) != 0)) {
 		d--
 	}

@@ -19,16 +19,13 @@ type HController struct {
 	l    float64 // L(k,d,p) = dk/P, the target gradient count
 }
 
-// NewHController builds the controller for a cluster of p workers with d
+// NewHController builds the controller for a cluster of p workers with d > 1
 // teams and a global selection size k. Initial h = k/P and initial step =
 // +0.01·k(d-1)/P, as in Algorithm 2.
 func NewHController(p, d, k int) *HController {
 	lo := float64(k) / float64(p)
 	hi := float64(d) * float64(k) / float64(p)
 	step := 0.01 * float64(k) * float64(d-1) / float64(p)
-	if step <= 0 {
-		step = 1 // degenerate d=1; keep the controller well-formed
-	}
 	return &HController{h: lo, step: step, lo: lo, hi: hi, l: hi}
 }
 

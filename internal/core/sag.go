@@ -17,7 +17,7 @@ import (
 // data and perform identical drops, so each collects a 1/2^(t+1) share.
 // (The paper states the ½ rule for one exchange, which is exact for d = 2;
 // the generalization keeps the cluster-wide conservation law exact for all
-// d — see DESIGN.md §7.)
+// d.)
 func (s *SparDL) runRSAG(ep comm.Endpoint, mine *sparse.Chunk) *sparse.Chunk {
 	share := float32(0.5)
 	for dist := 1; dist < s.d; dist *= 2 {
@@ -72,9 +72,8 @@ func (s *SparDL) runBSAG(ep comm.Endpoint, mine *sparse.Chunk) *sparse.Chunk {
 
 	kept, dropped2 := s.ar.TopKChunk(merged, s.blockK)
 	sparsecoll.ChargeScan(ep, nt)
-	// All d members of the position group hold the identical merged set and
-	// drop identically; each collects a 1/d share (Section III-D).
-	s.addDrops(dropped2, 1/float32(s.d))
+	// The final drops are not collected: they miss the final index set,
+	// where finishResidual restores G_copy whatever ξ holds.
 	s.ar.Recycle(merged)
 	s.ar.Recycle(dropped2)
 

@@ -419,9 +419,8 @@ func (s *SparDL) save(c *sparse.Chunk) {
 
 // addDrops accumulates a dropped chunk into ξ with the given share. The
 // share is 1 when this worker is the unique holder of the dropped partial
-// sums, 1/2^(t+1) at R-SAG level t (2^(t+1) workers hold identical data
-// and drop identically), and 1/d after B-SAG's final selection (all d
-// members of the position group hold identical data).
+// sums, and 1/2^(t+1) at R-SAG level t (2^(t+1) workers hold identical data
+// and drop identically).
 func (s *SparDL) addDrops(dropped *sparse.Chunk, share float32) {
 	s.save(dropped)
 	if dropped.IsDense() {

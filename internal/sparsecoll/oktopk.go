@@ -23,8 +23,8 @@ import (
 //     the final all-gather — the "several extra communication operations to
 //     balance the uneven distribution" of Section I-B. These keep the
 //     bandwidth inside Table I's [2(P-1)/P·kβ, 6(P-1)/P·kβ] envelope but
-//     push real traffic above the lower bound whenever the distribution
-//     drifts between re-balancings.
+//     push real traffic above the lower bound whenever the selections are
+//     uneven across blocks.
 //  5. Bruck all-gather of the (uneven) reduced blocks.
 //
 // Residuals: local + end-procedure (PRES), as in the original.
@@ -38,19 +38,15 @@ type OkTopk struct {
 	// rather than the threshold value keeps the controller stable even
 	// when residual feedback piles mass right below the cut.
 	target float64
-	iter   int
 	size   collective.SizeFunc // itemBytes, bound once so the hot path builds no closure
 }
 
-// RebalanceEvery matches the original implementation's cadence: local
-// selections are re-balanced every 64 iterations (Section I-B), so between
-// re-balancings the per-worker distribution drifts.
-const RebalanceEvery = 64
-
 // overSelect models the conservative threshold choice of the real system:
 // because threshold pruning cannot hit k exactly and under-selection would
-// hurt convergence, the estimated threshold is set low enough to guarantee
-// top-k coverage until the next re-balancing, over-selecting on average.
+// hurt convergence, the original sets its threshold low enough to cover
+// the top k until it next re-estimates it, over-selecting on average. This
+// re-implementation re-estimates the threshold on every call and keeps the
+// over-selection.
 // This is precisely the behaviour the SparDL paper criticizes ("the
 // bandwidth cost of Ok-Topk may be higher than 6(P-1)/P·kβ"); the value
 // puts the measured volume in the upper half of Table I's envelope, where
@@ -87,7 +83,6 @@ func countBytes(any) int { return 4 }
 func (o *OkTopk) ReduceInto(ep comm.Endpoint, grad, out []float32) {
 	o.begin(grad)
 	p, me := ep.P(), ep.Rank()
-	o.iter++
 
 	// Estimate the pruning threshold at the target-th largest local
 	// magnitude: under near-iid gradients the union of per-worker

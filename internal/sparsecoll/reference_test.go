@@ -156,7 +156,6 @@ func (r *refOkTopk) ReduceInto(ep comm.Endpoint, grad, out []float32) {
 	o := r.OkTopk
 	r.accumulate(o.ar, grad)
 	p, me := ep.P(), ep.Rank()
-	o.iter++
 	thr := sparse.KthLargestAbs(r.acc, int(o.target+0.5))
 	ChargeScan(ep, o.n)
 	if thr <= 0 {
