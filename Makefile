@@ -20,7 +20,7 @@ bench:
 
 # Training compute: the three MatMul kernels every model goes through and
 # one ResMLP worker step (the compute half of train-live-resmlp), each on
-# every path the host has (avx2/..., go/...: the portable loops).
+# every path the host has (avx512/..., avx2/..., go/...: the portable loops).
 bench-nn:
 	go test -run '^$$' -bench 'BenchmarkMatMulKernels|BenchmarkResMLPStep' -benchmem ./internal/nn
 

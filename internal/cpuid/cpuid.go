@@ -8,3 +8,8 @@ package cpuid
 // registers across context switches. It is set before any importing
 // package's init runs, and is false on every GOARCH but amd64.
 var HasAVX2 bool
+
+// HasAVX512 reports whether, on top of HasAVX2, the CPU executes AVX-512
+// Foundation and the OS saves the opmask and ZMM registers. Like HasAVX2
+// it is set before any importing package's init runs.
+var HasAVX512 bool

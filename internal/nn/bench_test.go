@@ -9,7 +9,8 @@ import (
 // BenchmarkMatMulKernels times the three kernels behind MatMul at the
 // ResMLP layer shape, for a training batch (32 rows) and an evaluation
 // batch (1024), on a dense a and on one with the ≈ 50 % zeros a ReLU
-// leaves, on every path this host has (avx2, then go: the portable loops).
+// leaves, on every path this host has (avx512, avx2, then go: the portable
+// loops).
 func BenchmarkMatMulKernels(b *testing.B) {
 	for _, p := range hostPaths() {
 		for _, rows := range []int{32, 1024} {

@@ -15,15 +15,20 @@ import "sync"
 // ops and the optimizer — run eight float32 lanes wide (matmul_amd64.s): a
 // lane is one iteration of the Go loop it replaces, with the same operands
 // in the same order and no fused multiply-add, so both paths give the same
-// bits. The Go loops run everywhere else.
+// bits. With AVX-512 the forward and dB products run as panels of four
+// output rows by 32 columns, and dA's interleaved pass is sixteen rows
+// wide. The Go loops run everywhere else.
 
-// kernels is the AVX2 pass set; the fields are matmul_amd64.s's routines:
-// the three MatMul passes here, then the momentum update (sgd.go) and the
-// elementwise passes of Add, AddRow and ReLU (ops.go).
+// kernels is one assembly pass set; the fields are matmul_amd64.s's
+// routines: the three MatMul passes here, then the momentum update
+// (sgd.go) and the elementwise passes of Add, AddRow and ReLU (ops.go).
+// The AVX-512 set is the AVX2 set with panel4 and dots16 added.
 type kernels struct {
+	panel4   func(dst, coef, src []float32, c, nt, rs, ts int) // nil: accumRows does every row
 	rows4    func(dst, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32)
 	row1     func(dst, b []float32, a float32)
-	dots     func(s *[32]float32, t, b0, b1, b2, b3 []float32)
+	dots     func(s, t, b0, b1, b2, b3 []float32) // eight rows per pass
+	dots16   func(s, t, b0, b1, b2, b3 []float32) // sixteen; nil on AVX2
 	sgd      func(w, vel, g []float32, mu, scale, lr float32)
 	add      func(dst, a, b []float32)
 	acc      func(dst, src []float32)
@@ -31,25 +36,44 @@ type kernels struct {
 	reluGrad func(grad, g, x []float32)
 }
 
-// avx2 is set once, by matmul_amd64.go's init, when cpuid.HasAVX2 says
-// the CPU has AVX2 and the OS saves YMM state; nil selects the Go loops.
-// Tests clear it to hold both paths to the same oracle on one host.
-var avx2 *kernels
+// hostKernels lists the kernel sets this CPU runs, fastest first (AVX-512,
+// then AVX2); matmul_amd64.go's init fills it from cpuid, and it stays
+// empty on every other CPU and GOARCH.
+var hostKernels []*kernels
+
+// simd is the kernel set in use: hostKernels[0], or nil for the Go loops.
+// Tests swap it to hold every path to the same oracle on one host.
+var simd *kernels
 
 // matmulInto computes dst = a·b for a [r×k], b [k×c]; dst must be zeroed,
-// length r·c.
+// length r·c. With AVX-512, rows go four at a time through panel4, whose
+// coefficient for output row i and term t is a[i·k+t].
 func matmulInto(dst, a, b []float32, r, k, c int) {
-	for i := 0; i < r; i++ {
+	i := 0
+	if simd != nil && simd.panel4 != nil {
+		for ; i+4 <= r; i += 4 {
+			simd.panel4(dst[i*c:(i+4)*c], a[i*k:(i+4)*k], b[:k*c], c, k, k, 1)
+		}
+	}
+	for ; i < r; i++ {
 		accumRows(dst[i*c:(i+1)*c], a[i*k:(i+1)*k], 1, b)
 	}
 }
 
 // matmulGradB accumulates bGrad += aᵀ·outGrad for a [r×k], outGrad [r×c].
+// Output row kk takes column kk of a as its coefficients, so the four
+// rows of a panel read adjacent elements of each row of a.
 func matmulGradB(bGrad, a, outGrad []float32, r, k, c int) {
 	if r == 0 {
 		return
 	}
-	for kk := 0; kk < k; kk++ {
+	kk := 0
+	if simd != nil && simd.panel4 != nil {
+		for ; kk+4 <= k; kk += 4 {
+			simd.panel4(bGrad[kk*c:(kk+4)*c], a[kk:r*k], outGrad[:r*c], c, r, 1, k)
+		}
+	}
+	for ; kk < k; kk++ {
 		accumRows(bGrad[kk*c:(kk+1)*c], a[kk:r*k], k, outGrad) // column kk of a
 	}
 }
@@ -74,8 +98,8 @@ func accumRows(dst, coef []float32, stride int, src []float32) {
 		g = 0
 		b0, b1, b2, b3 := src[at[0]:][:c], src[at[1]:][:c], src[at[2]:][:c], src[at[3]:][:c]
 		a0, a1, a2, a3 := av[0], av[1], av[2], av[3]
-		if avx2 != nil {
-			avx2.rows4(dst, b0, b1, b2, b3, a0, a1, a2, a3)
+		if simd != nil {
+			simd.rows4(dst, b0, b1, b2, b3, a0, a1, a2, a3)
 			continue
 		}
 		for j := range dst {
@@ -84,8 +108,8 @@ func accumRows(dst, coef []float32, stride int, src []float32) {
 	}
 	for t := 0; t < g; t++ {
 		a0, b0 := av[t], src[at[t]:][:c]
-		if avx2 != nil {
-			avx2.row1(dst, b0, a0)
+		if simd != nil {
+			simd.row1(dst, b0, a0)
 			continue
 		}
 		for j := range dst {
@@ -95,13 +119,16 @@ func accumRows(dst, coef []float32, stride int, src []float32) {
 }
 
 // matmulGradA accumulates aGrad += outGrad·bᵀ for outGrad [r×c], b [k×c].
-// With AVX2, whole blocks of eight rows go through gradA8; the rows past
-// them take gradARow, which is the portable kernel.
+// With AVX-512, whole blocks of sixteen rows go through gradABlocks; with
+// AVX2, so do whole blocks of eight of the rows left. The rows past them
+// take gradARow, which is the portable kernel.
 func matmulGradA(aGrad, outGrad, b []float32, r, k, c int) {
 	i := 0
-	if avx2 != nil && r >= 8 {
-		i = r &^ 7
-		gradA8(aGrad[:i*k], outGrad[:i*c], b, i, k, c)
+	if simd != nil {
+		if simd.dots16 != nil {
+			i = gradABlocks(aGrad, outGrad, b, r, k, c, 16, simd.dots16)
+		}
+		i += gradABlocks(aGrad[i*k:], outGrad[i*c:], b, r-i, k, c, 8, simd.dots)
 	}
 	for ; i < r; i++ {
 		gradARow(aGrad[i*k:(i+1)*k], outGrad[i*c:(i+1)*c], b, 0, c)
@@ -138,48 +165,53 @@ func gradARow(g, o, b []float32, kk0, c int) {
 	}
 }
 
-// gradAScratch is gradA8's working memory: the interleaved block and the
-// 32 sums of one pass, pooled so a backward pass allocates nothing.
+// gradAScratch is gradABlocks' working memory: the interleaved block and
+// the sums of one pass, pooled so a backward pass allocates nothing.
 type gradAScratch struct {
 	t []float32
-	s [32]float32
+	s [64]float32
 }
 
 var gradAPool = sync.Pool{New: func() any { return new(gradAScratch) }}
 
-// gradA8 is matmulGradA for r a multiple of eight, on AVX2. Each block of
-// eight outGrad rows is interleaved into t (t[8j+l] = row l's element j),
-// so one pass of avx2.dots over j yields four columns of aGrad for all
-// eight rows: lane l of sum q is exactly gradARow's accumulator for row
+// gradABlocks is matmulGradA for the first r rounded down to a multiple
+// of w rows, which it returns; dots is the w-row pass (8 or 16). Each
+// block of w outGrad rows is interleaved into t (t[w·j+l] = row l's
+// element j), so one pass of dots over j yields four columns of aGrad for
+// all w rows: lane l of sum q is exactly gradARow's accumulator for row
 // i+l and column kk+q. Columns past a multiple of four take gradARow.
-func gradA8(aGrad, outGrad, b []float32, r, k, c int) {
-	sc := gradAPool.Get().(*gradAScratch)
-	if cap(sc.t) < 8*c {
-		sc.t = make([]float32, 8*c)
+func gradABlocks(aGrad, outGrad, b []float32, r, k, c, w int, dots func(s, t, b0, b1, b2, b3 []float32)) int {
+	if r -= r % w; r == 0 {
+		return 0
 	}
-	t, s := sc.t[:8*c], &sc.s
+	sc := gradAPool.Get().(*gradAScratch)
+	if cap(sc.t) < w*c {
+		sc.t = make([]float32, w*c)
+	}
+	t, s := sc.t[:w*c], sc.s[:4*w]
 	k4 := k &^ 3
-	for i := 0; i < r; i += 8 {
-		for l := 0; l < 8; l++ {
+	for i := 0; i < r; i += w {
+		for l := 0; l < w; l++ {
 			for j, v := range outGrad[(i+l)*c : (i+l+1)*c] {
-				t[8*j+l] = v
+				t[w*j+l] = v
 			}
 		}
 		for kk := 0; kk < k4; kk += 4 {
-			avx2.dots(s, t, b[kk*c:][:c], b[(kk+1)*c:][:c], b[(kk+2)*c:][:c], b[(kk+3)*c:][:c])
-			for l := 0; l < 8; l++ {
+			dots(s, t, b[kk*c:][:c], b[(kk+1)*c:][:c], b[(kk+2)*c:][:c], b[(kk+3)*c:][:c])
+			for l := 0; l < w; l++ {
 				g := aGrad[(i+l)*k+kk:][:4]
 				g[0] += s[l]
-				g[1] += s[8+l]
-				g[2] += s[16+l]
-				g[3] += s[24+l]
+				g[1] += s[w+l]
+				g[2] += s[2*w+l]
+				g[3] += s[3*w+l]
 			}
 		}
 		if k4 < k {
-			for l := 0; l < 8; l++ {
+			for l := 0; l < w; l++ {
 				gradARow(aGrad[(i+l)*k:(i+l+1)*k], outGrad[(i+l)*c:(i+l+1)*c], b, k4, c)
 			}
 		}
 	}
 	gradAPool.Put(sc)
+	return r
 }

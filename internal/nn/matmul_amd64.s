@@ -1,11 +1,169 @@
 #include "textflag.h"
 
-// The AVX2 passes behind matmul.go's kernels, the elementwise ops of
-// ops.go and the momentum update of sgd.go. Every lane does what one
+// The AVX2 and AVX-512 passes behind matmul.go's kernels, the elementwise
+// ops of ops.go and the momentum update of sgd.go. Every lane does what one
 // iteration of the Go loop it replaces does, in the same order: each
 // product is its own VMULPS (rounded), then its own VADDPS or VSUBPS
 // (rounded) — never a fused multiply-add, which rounds once and changes
 // bits.
+
+// The AVX-512 passes keep to Z0–Z15 and K1–K6 and end in VZEROUPPER, like
+// the AVX2 ones, so no later SSE code pays for dirty upper halves.
+
+// func panel4x32AVX512(dst, coef, src []float32, c, nt, rs, ts int)
+// For r < 4 and j < c: dst[r·c+j] += coef[r·rs+t·ts]·src[t·c+j] for t
+// ascending from 0 to nt, where the coefficient is not ±0. Each panel of
+// 32 columns keeps its 4 × 32 sums in Z0–Z7, loaded from dst and stored
+// back once. VCMPPS turns a coefficient into a mask, all ones unless it
+// is ±0 (NEQ_UQ: a NaN is kept, as the Go loop keeps it), and the add is
+// merge-masked by it, so a skipped term leaves the sum's bits alone even
+// when its product is NaN or the sum is −0. The last panel's columns past
+// c are masked off (K5, K6) in every load and store, which also keeps
+// them from faulting.
+TEXT ·panel4x32AVX512(SB), NOSPLIT, $0-104
+	MOVQ   dst_base+0(FP), DI
+	MOVQ   coef_base+24(FP), SI
+	MOVQ   src_base+48(FP), R8
+	MOVQ   c+72(FP), BX
+	MOVQ   nt+80(FP), DX
+	MOVQ   rs+88(FP), R9
+	MOVQ   ts+96(FP), R10
+	SHLQ   $2, BX               // bytes per row of dst and of src
+	SHLQ   $2, R9
+	SHLQ   $2, R10
+	LEAQ   (R9)(R9*2), R11      // the fourth row's coefficient offset
+	VPXORD Z10, Z10, Z10
+	XORQ   AX, AX               // the panel's byte offset in a row
+	CMPQ   AX, BX
+	JGE    paneldone
+
+panel:
+	MOVQ  BX, CX
+	SUBQ  AX, CX
+	SHRQ  $2, CX                // columns left
+	MOVL  $-1, R12
+	CMPQ  CX, $32
+	JGE   panelmask
+	MOVL  $1, R12
+	SHLL  CX, R12
+	DECL  R12                   // the low CX bits
+
+panelmask:
+	KMOVW R12, K5
+	SHRL  $16, R12
+	KMOVW R12, K6
+	LEAQ  (DI)(AX*1), R12       // dst rows 0 and 1
+	LEAQ  (R12)(BX*2), R13      // dst rows 2 and 3
+	VMOVUPS.Z (R12), K5, Z0
+	VMOVUPS.Z 64(R12), K6, Z1
+	VMOVUPS.Z (R12)(BX*1), K5, Z2
+	VMOVUPS.Z 64(R12)(BX*1), K6, Z3
+	VMOVUPS.Z (R13), K5, Z4
+	VMOVUPS.Z 64(R13), K6, Z5
+	VMOVUPS.Z (R13)(BX*1), K5, Z6
+	VMOVUPS.Z 64(R13)(BX*1), K6, Z7
+	LEAQ  (R8)(AX*1), R13       // src row t
+	MOVQ  SI, CX                // coefficient of row 0 for t
+	MOVQ  DX, R12               // terms left
+	TESTQ R12, R12
+	JZ    panelstore
+
+panelterm:
+	VMOVUPS.Z    (R13), K5, Z8
+	VMOVUPS.Z    64(R13), K6, Z9
+	VBROADCASTSS (CX), Z11
+	VCMPPS       $4, Z10, Z11, K1
+	VMULPS       Z8, Z11, Z12
+	VMULPS       Z9, Z11, Z13
+	VADDPS       Z12, Z0, K1, Z0
+	VADDPS       Z13, Z1, K1, Z1
+	VBROADCASTSS (CX)(R9*1), Z11
+	VCMPPS       $4, Z10, Z11, K2
+	VMULPS       Z8, Z11, Z12
+	VMULPS       Z9, Z11, Z13
+	VADDPS       Z12, Z2, K2, Z2
+	VADDPS       Z13, Z3, K2, Z3
+	VBROADCASTSS (CX)(R9*2), Z11
+	VCMPPS       $4, Z10, Z11, K3
+	VMULPS       Z8, Z11, Z12
+	VMULPS       Z9, Z11, Z13
+	VADDPS       Z12, Z4, K3, Z4
+	VADDPS       Z13, Z5, K3, Z5
+	VBROADCASTSS (CX)(R11*1), Z11
+	VCMPPS       $4, Z10, Z11, K4
+	VMULPS       Z8, Z11, Z12
+	VMULPS       Z9, Z11, Z13
+	VADDPS       Z12, Z6, K4, Z6
+	VADDPS       Z13, Z7, K4, Z7
+	ADDQ         BX, R13
+	ADDQ         R10, CX
+	DECQ         R12
+	JNZ          panelterm
+
+panelstore:
+	LEAQ    (DI)(AX*1), R12
+	LEAQ    (R12)(BX*2), R13
+	VMOVUPS Z0, K5, (R12)
+	VMOVUPS Z1, K6, 64(R12)
+	VMOVUPS Z2, K5, (R12)(BX*1)
+	VMOVUPS Z3, K6, 64(R12)(BX*1)
+	VMOVUPS Z4, K5, (R13)
+	VMOVUPS Z5, K6, 64(R13)
+	VMOVUPS Z6, K5, (R13)(BX*1)
+	VMOVUPS Z7, K6, 64(R13)(BX*1)
+	ADDQ    $128, AX
+	CMPQ    AX, BX
+	JLT     panel
+
+paneldone:
+	VZEROUPPER
+	RET
+
+// func dots16AVX512(s, t, b0, b1, b2, b3 []float32)
+// dotsAVX2 at sixteen rows: s[16q+l] = Σⱼ t[16j+l]·bq[j], j ascending
+// from +0 up to len(b0).
+TEXT ·dots16AVX512(SB), NOSPLIT, $0-144
+	MOVQ   s_base+0(FP), DI
+	MOVQ   t_base+24(FP), SI
+	MOVQ   b0_base+48(FP), R8
+	MOVQ   b0_len+56(FP), CX
+	MOVQ   b1_base+72(FP), R9
+	MOVQ   b2_base+96(FP), R10
+	MOVQ   b3_base+120(FP), R11
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	XORQ   AX, AX
+	CMPQ   AX, CX
+	JGE    dots16done
+
+dots16loop:
+	VMOVUPS      (SI), Z4
+	VBROADCASTSS (R8)(AX*4), Z5
+	VMULPS       Z5, Z4, Z5
+	VADDPS       Z5, Z0, Z0
+	VBROADCASTSS (R9)(AX*4), Z6
+	VMULPS       Z6, Z4, Z6
+	VADDPS       Z6, Z1, Z1
+	VBROADCASTSS (R10)(AX*4), Z7
+	VMULPS       Z7, Z4, Z7
+	VADDPS       Z7, Z2, Z2
+	VBROADCASTSS (R11)(AX*4), Z8
+	VMULPS       Z8, Z4, Z8
+	VADDPS       Z8, Z3, Z3
+	ADDQ         $64, SI
+	INCQ         AX
+	CMPQ         AX, CX
+	JLT          dots16loop
+
+dots16done:
+	VMOVUPS Z0, (DI)
+	VMOVUPS Z1, 64(DI)
+	VMOVUPS Z2, 128(DI)
+	VMOVUPS Z3, 192(DI)
+	VZEROUPPER
+	RET
 
 // func rows4AVX2(dst, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32)
 // dst[j] = dst[j] + a0·b0[j] + a1·b1[j] + a2·b2[j] + a3·b3[j], j < len(dst).
@@ -97,18 +255,18 @@ row1done:
 	VZEROUPPER
 	RET
 
-// func dotsAVX2(s *[32]float32, t, b0, b1, b2, b3 []float32)
+// func dotsAVX2(s, t, b0, b1, b2, b3 []float32)
 // s[8q+l] = Σⱼ t[8j+l]·bq[j], j ascending from +0 up to len(b0): lane l
 // of accumulator q is one dot product, row l of an eight-row block
 // interleaved into t against column q of a four-column group.
-TEXT ·dotsAVX2(SB), NOSPLIT, $0-128
-	MOVQ   s+0(FP), DI
-	MOVQ   t_base+8(FP), SI
-	MOVQ   b0_base+32(FP), R8
-	MOVQ   b0_len+40(FP), CX
-	MOVQ   b1_base+56(FP), R9
-	MOVQ   b2_base+80(FP), R10
-	MOVQ   b3_base+104(FP), R11
+TEXT ·dotsAVX2(SB), NOSPLIT, $0-144
+	MOVQ   s_base+0(FP), DI
+	MOVQ   t_base+24(FP), SI
+	MOVQ   b0_base+48(FP), R8
+	MOVQ   b0_len+56(FP), CX
+	MOVQ   b1_base+72(FP), R9
+	MOVQ   b2_base+96(FP), R10
+	MOVQ   b3_base+120(FP), R11
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2

@@ -74,26 +74,27 @@ func sameBits(x, y []float32) int {
 	return -1
 }
 
-// hostPaths lists the kernel sets this host runs: the AVX2 passes when the
-// CPU has them, then the portable Go loops (nil), which run everywhere.
+// hostPaths lists the kernel sets this host runs: the AVX-512 and AVX2
+// passes when the CPU has them, then the portable Go loops (nil), which
+// run everywhere.
 func hostPaths() []*kernels {
-	if avx2 == nil {
-		return []*kernels{nil}
-	}
-	return []*kernels{avx2, nil}
+	return append(slices.Clone(hostKernels), nil)
 }
 
 func pathName(k *kernels) string {
-	if k == nil {
+	switch {
+	case k == nil:
 		return "go"
+	case k.panel4 != nil:
+		return "avx512"
 	}
 	return "avx2"
 }
 
 // onPath runs f with the kernels dispatching to path k.
 func onPath(k *kernels, f func()) {
-	defer func(saved *kernels) { avx2 = saved }(avx2)
-	avx2 = k
+	defer func(saved *kernels) { simd = saved }(simd)
+	simd = k
 	f()
 }
 
@@ -168,7 +169,8 @@ func heavyTailed(rng *rand.Rand, n int) []float32 {
 
 var kernelDims = []int{1, 2, 3, 4, 5, 7, 8, 31, 32, 33, 50, 192}
 
-// rowDims add the row counts around the AVX2 dA path's blocks of eight.
+// rowDims add the row counts around the dA paths' blocks of eight (AVX2)
+// and sixteen (AVX-512).
 var rowDims = append([]int{9, 15, 16, 17}, kernelDims...)
 
 func TestMatMulKernelsMatchReference(t *testing.T) {
@@ -249,6 +251,35 @@ func TestMatMulSkipsPoisonedRows(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMatMulSkipKeepsNegativeZero pre-loads the gradients with −0, which
+// a skipped term must leave as it is: adding even a +0 product turns it
+// into +0. Columns 0, 3, 5 and 6 of a are all zero, which leaves their
+// rows of dB at −0 in every position of a four-row panel; the other
+// columns skip some terms and not others.
+func TestMatMulSkipKeepsNegativeZero(t *testing.T) {
+	negZeros := func(n int) []float32 {
+		v := make([]float32, n)
+		for i := range v {
+			v[i] = float32(math.Copysign(0, -1))
+		}
+		return v
+	}
+	rng := rand.New(rand.NewSource(42))
+	for _, r := range []int{4, 7, 32} {
+		for _, k := range []int{4, 9} {
+			for _, c := range []int{5, 33, 64} {
+				a := heavyTailed(rng, r*k)
+				for i := range a {
+					if kk := i % k; kk%3 == 0 || kk == 5 || rng.Intn(2) == 0 {
+						a[i] = 0
+					}
+				}
+				checkKernels(t, rng.Intn(8), r, k, c, a, heavyTailed(rng, k*c), heavyTailed(rng, r*c), negZeros(r*k), negZeros(k*c))
+			}
+		}
 	}
 }
 

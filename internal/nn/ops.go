@@ -73,8 +73,8 @@ func AddRow(a, b *Tensor) *Tensor {
 // addInto sets dst[i] = a[i] + b[i] for every i < len(dst).
 func addInto(dst, a, b []float32) {
 	a, b = a[:len(dst)], b[:len(dst)]
-	if avx2 != nil {
-		avx2.add(dst, a, b)
+	if simd != nil {
+		simd.add(dst, a, b)
 		return
 	}
 	for i := range dst {
@@ -85,8 +85,8 @@ func addInto(dst, a, b []float32) {
 // accumInto adds src[i] into dst[i] for every i < len(dst).
 func accumInto(dst, src []float32) {
 	src = src[:len(dst)]
-	if avx2 != nil {
-		avx2.acc(dst, src)
+	if simd != nil {
+		simd.acc(dst, src)
 		return
 	}
 	for i := range dst {
@@ -146,8 +146,8 @@ func positive(x float32) uint32 {
 // reluInto sets dst[i] to src[i] where src[i] > 0 and to +0 elsewhere.
 func reluInto(dst, src []float32) {
 	dst = dst[:len(src)]
-	if avx2 != nil {
-		avx2.relu(dst, src)
+	if simd != nil {
+		simd.relu(dst, src)
 		return
 	}
 	for i, v := range src {
@@ -160,8 +160,8 @@ func reluInto(dst, src []float32) {
 // −0 or a NaN payload there is left untouched.
 func reluGradInto(grad, g, x []float32) {
 	grad, g = grad[:len(x)], g[:len(x)]
-	if avx2 != nil {
-		avx2.reluGrad(grad, g, x)
+	if simd != nil {
+		simd.reluGrad(grad, g, x)
 		return
 	}
 	for i, v := range x {

@@ -151,8 +151,8 @@ func (s *SGD) StepScaled(params []*Tensor, grad []float32, scale float32) {
 // vel = v, w −= lr·v, for every i < len(w).
 func momentumStep(w, vel, g []float32, mu, scale, lr float32) {
 	vel, g = vel[:len(w)], g[:len(w)]
-	if avx2 != nil {
-		avx2.sgd(w, vel, g, mu, scale, lr)
+	if simd != nil {
+		simd.sgd(w, vel, g, mu, scale, lr)
 		return
 	}
 	for i, gv := range g {
