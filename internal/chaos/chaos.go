@@ -100,6 +100,12 @@ func (f Fault) Severed() string {
 	return fmt.Sprintf("worker %d: chaos: link to worker %d severed by schedule (%s)", f.Rank, f.Peer, f)
 }
 
+// Corrupted is the root cause a Corrupt fault records when it flips a
+// payload from worker Rank to worker Peer — one text on every substrate.
+func (f Fault) Corrupted() string {
+	return fmt.Sprintf("worker %d: chaos: payload to worker %d corrupted by schedule (%s)", f.Rank, f.Peer, f)
+}
+
 // Schedule is a reproducible set of faults. The zero value (and nil) is a
 // healthy cluster.
 type Schedule struct {

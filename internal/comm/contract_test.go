@@ -399,20 +399,37 @@ func contractVec(t *testing.T, b comm.Backend) {
 }
 
 // contractVecCorrupt: chaos corrupts the first frame 0 → 1, a dense vector.
-// The flipped tag must fail worker 1's decode and poison the fabric with
-// that as the cause — not hang, and not deliver flipped values.
+// The flipped tag must fail worker 1's decode — not hang, and not deliver
+// flipped values — and poison the fabric with the schedule entry as the
+// cause.
 func contractVecCorrupt(t *testing.T, newChaos func(*chaos.Schedule) comm.Backend) {
 	sched, err := chaos.Parse("corrupt:rank=0,peer=1,frame=0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	var own any
 	_, panicked := runBounded(t, newChaos(sched), 2, func(rank int, ep comm.Endpoint) {
-		in, _ := ep.SendRecv(1-rank, comm.Vec{F: make([]float32, 64)}, 256)
+		var in any
+		if rank == 1 {
+			witness(&own, func() { in, _ = ep.SendRecv(0, comm.Vec{F: make([]float32, 64)}, 256) })
+		} else {
+			in, _ = ep.SendRecv(1, comm.Vec{F: make([]float32, 64)}, 256)
+		}
 		in.(comm.Vec).AddTo(make([]float32, 64))
 		ep.SyncClock()
 	})
-	if msg := fmt.Sprint(panicked); panicked == nil || !strings.Contains(msg, "worker 1") || !strings.Contains(msg, "decode from worker 0 failed") {
-		t.Fatalf("corrupted dense frame: Run ended with %v", panicked)
+	checkCorruptCause(t, own, panicked, sched.Faults[0])
+}
+
+// checkCorruptCause: worker 1's own failure is the decode of the flipped
+// frame, and Run reports the schedule entry behind it.
+func checkCorruptCause(t *testing.T, own, panicked any, f chaos.Fault) {
+	t.Helper()
+	if !strings.Contains(fmt.Sprint(own), "decode from worker 0 failed") {
+		t.Fatalf("corrupted dense frame: worker 1 died with %v", own)
+	}
+	if fmt.Sprint(panicked) != f.Corrupted() {
+		t.Fatalf("corrupted dense frame: Run ended with %v, want %q", panicked, f.Corrupted())
 	}
 }
 
@@ -421,7 +438,7 @@ func contractVecCorrupt(t *testing.T, newChaos func(*chaos.Schedule) comm.Backen
 // must flip the bytes in flight and never the vector they came from. Frame
 // 0 → 1 is 1024 elements, so the second flipped byte (payload offset
 // payLen/2) lands inside element 511, not in the header. Worker 1's decode
-// must fail with the scheduled corruption as the cause, and worker 0's
+// must fail, with the scheduled corruption as the cause, and worker 0's
 // vector must be bit-identical after Send returns.
 func contractVecCorruptSender(t *testing.T, newChaos func(*chaos.Schedule) comm.Backend) {
 	const n = 1024
@@ -430,9 +447,11 @@ func contractVecCorruptSender(t *testing.T, newChaos func(*chaos.Schedule) comm.
 		t.Fatal(err)
 	}
 	var flipped []int
+	var own any
 	_, panicked := runBounded(t, newChaos(sched), 2, func(rank int, ep comm.Endpoint) {
 		if rank == 1 {
-			in, _ := ep.Recv(0)
+			var in any
+			witness(&own, func() { in, _ = ep.Recv(0) })
 			in.(comm.Vec).AddTo(make([]float32, n))
 			return
 		}
@@ -451,7 +470,5 @@ func contractVecCorruptSender(t *testing.T, newChaos func(*chaos.Schedule) comm.
 	if len(flipped) > 0 {
 		t.Errorf("the corrupt verdict flipped the sender's own elements %v", flipped)
 	}
-	if msg := fmt.Sprint(panicked); panicked == nil || !strings.Contains(msg, "worker 1") || !strings.Contains(msg, "decode from worker 0 failed") {
-		t.Fatalf("corrupted dense frame: Run ended with %v", panicked)
-	}
+	checkCorruptCause(t, own, panicked, sched.Faults[0])
 }

@@ -65,12 +65,14 @@ type Link interface {
 // byte fabrics' Deliver apply it, so a fault kind means the same thing on
 // each. A delay sleeps the sending goroutine before the frame is sent. A
 // corruption returns a copy of the payload — Buf then Tail — flipped by
-// chaos.CorruptBytes, never touching the caller's Buf or the borrowed Tail.
+// chaos.CorruptBytes, never touching the caller's Buf or the borrowed Tail,
+// and first notes the schedule entry in root: the flipped tag fails the
+// receiver's decode, and that panic is the fault's cascade, not its cause.
 // A drop, a partition, and a corruption with nothing to flip (a barrier
 // token or an empty payload: on a byte stream a flipped header tears the
 // stream) return the schedule's sever cause instead, and the link must
 // fail before the frame's first byte.
-func Afflict(act chaos.Action, f Frame) (Frame, string) {
+func Afflict(act chaos.Action, f Frame, root *Cause) (Frame, string) {
 	if act.Delay > 0 {
 		time.Sleep(act.Delay)
 	}
@@ -79,6 +81,7 @@ func Afflict(act chaos.Action, f Frame) (Frame, string) {
 		return f, act.Fault.Severed()
 	}
 	if act.Corrupt {
+		root.note(act.Fault.Corrupted())
 		buf := append(append(make([]byte, 0, n), f.Buf...), f.Tail...)
 		chaos.CorruptBytes(buf)
 		f.Buf, f.Tail = buf, nil

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"spardl/internal/comm"
@@ -300,6 +302,37 @@ func TestSparDLNames(t *testing.T) {
 		if r.Name() != tc.want {
 			t.Fatalf("Name() = %q, want %q", r.Name(), tc.want)
 		}
+	}
+}
+
+// TestOptionStrings pins every ResidualMode and Variant name. Name never
+// prints the defaults, GRES and Auto, so nothing else reads theirs.
+func TestOptionStrings(t *testing.T) {
+	for _, tc := range []struct {
+		v    fmt.Stringer
+		want string
+	}{
+		{GRES, "GRES"}, {PRES, "PRES"}, {LRES, "LRES"}, {ResidualMode(9), "ResidualMode(9)"},
+		{Auto, "Auto"}, {RSAG, "R-SAG"}, {BSAG, "B-SAG"}, {Variant(9), "Variant(9)"},
+	} {
+		if got := tc.v.String(); got != tc.want {
+			t.Errorf("String() = %q, want %q", got, tc.want)
+		}
+	}
+}
+
+// TestNewFactoryPanicsOnUnfixableOptions: FitTeams re-fits the team count,
+// but no team count fixes an unknown variant, so the factory must panic
+// with New's error instead of handing the trainer a nil reducer.
+func TestNewFactoryPanicsOnUnfixableOptions(t *testing.T) {
+	var r sparsecoll.Reducer
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		r = NewFactory(Options{Variant: Variant(9)})(4, 0, 100, 10)
+		return nil
+	}()
+	if !strings.Contains(fmt.Sprint(got), "unknown SAG variant") {
+		t.Fatalf("NewFactory returned %v and panicked with %v", r, got)
 	}
 }
 

@@ -78,7 +78,7 @@ type link struct {
 func (l *link) Deliver(to int, fr comm.Frame) error {
 	if l.inj != nil {
 		var cause string
-		if fr, cause = comm.Afflict(l.inj.Outbound(l.ids[to]), fr); cause != "" {
+		if fr, cause = comm.Afflict(l.inj.Outbound(l.ids[to]), fr, l.f.root); cause != "" {
 			l.Sever(cause)
 			return errors.New(cause)
 		}

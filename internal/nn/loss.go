@@ -5,6 +5,45 @@ import (
 	"math"
 )
 
+// Mean is the float64 numerator and the count behind one mean of a loss.
+// Sums and counts of disjoint rows add, so shards of one batch can be
+// scored apart and folded into the whole batch's loss by MeanLoss.
+type Mean struct {
+	Sum   float64
+	Count int
+}
+
+// Means returns the means behind a loss node's value — one for
+// CrossEntropy and MSE, one per step for LSTMLM's per-step average — and
+// nil on any other tensor. MeanLoss(t.Means()) is t.Data[0], bit for bit.
+func (t *Tensor) Means() []Mean { return t.means }
+
+// setMean records a one-mean loss node's numerator and count.
+func (t *Tensor) setMean(sum float64, count int) {
+	t.mean[0] = Mean{Sum: sum, Count: count}
+	t.means = t.mean[:]
+}
+
+// MeanLoss is the loss value behind means: one mean is its Sum / Count
+// rounded to float32 (a Count of 0 divides by 1, as CrossEntropy does);
+// several are the float32 average of their values, added in order, as
+// LSTMLM averages its steps.
+func MeanLoss(means []Mean) float32 {
+	var loss float32
+	for i, m := range means {
+		v := float32(m.Sum / float64(max(m.Count, 1)))
+		if i == 0 {
+			loss = v
+		} else {
+			loss += v
+		}
+	}
+	if len(means) > 1 {
+		loss *= 1 / float32(len(means))
+	}
+	return loss
+}
+
 // CrossEntropy computes the mean softmax cross-entropy of logits [B×C]
 // against integer labels (len B), as a 1×1 tensor. Labels set to -1 are
 // ignored (weight 0), which implements masked language-model losses.
@@ -46,6 +85,7 @@ func CrossEntropy(logits *Tensor, labels []int) *Tensor {
 		}
 		total += -math.Log(p)
 	}
+	out.setMean(total, active)
 	if active == 0 {
 		active = 1
 	}
@@ -102,6 +142,7 @@ func MSE(pred *Tensor, targets []float32) *Tensor {
 		d := float64(pred.Data[b] - targets[b])
 		total += d * d
 	}
+	out.setMean(total, pred.R)
 	out.Data[0] = float32(total / float64(pred.R))
 	out.back = func() {
 		if !pred.needGrad {

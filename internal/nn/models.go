@@ -29,6 +29,31 @@ func (b *Batch) Size() int {
 	return len(b.Labels)
 }
 
+// Rows returns rows [lo, hi) of the batch as a batch that shares its
+// storage.
+func (b *Batch) Rows(lo, hi int) *Batch {
+	r := &Batch{Features: b.Features}
+	if b.X != nil {
+		r.X = b.X[lo*b.Features : hi*b.Features]
+	}
+	if b.Tokens != nil {
+		r.Tokens = b.Tokens[lo:hi]
+	}
+	if b.Labels != nil {
+		r.Labels = b.Labels[lo:hi]
+	}
+	if b.Targets != nil {
+		r.Targets = b.Targets[lo:hi]
+	}
+	if b.NextTokens != nil {
+		r.NextTokens = b.NextTokens[lo:hi]
+	}
+	if b.MaskLabels != nil {
+		r.MaskLabels = b.MaskLabels[lo:hi]
+	}
+	return r
+}
+
 // Model is a trainable network: the trainer packs Params' gradients into
 // one slab (PackParams) for the communication layer and applies the
 // synchronized update.
@@ -252,6 +277,7 @@ func (m *LSTMLM) Loss(batch *Batch) (*Tensor, float64) {
 	ids := make([]int, b)
 	labels := make([]int, b)
 	var loss *Tensor
+	means := make([]Mean, steps)
 	for t := 0; t < steps; t++ {
 		for i := range ids {
 			ids[i] = batch.Tokens[i][t]
@@ -260,6 +286,7 @@ func (m *LSTMLM) Loss(batch *Batch) (*Tensor, float64) {
 		x := Embed(m.embed, append([]int(nil), ids...))
 		h, c = m.cell.Step(x, h, c)
 		stepLoss := CrossEntropy(m.head.Apply(h), append([]int(nil), labels...))
+		means[t] = stepLoss.mean[0]
 		if loss == nil {
 			loss = stepLoss
 		} else {
@@ -267,6 +294,7 @@ func (m *LSTMLM) Loss(batch *Batch) (*Tensor, float64) {
 		}
 	}
 	loss = Scale(loss, 1/float32(steps))
+	loss.means = means
 	return loss, float64(loss.Data[0])
 }
 

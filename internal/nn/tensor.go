@@ -26,6 +26,11 @@ type Tensor struct {
 	needGrad bool
 	prev     []*Tensor
 	back     func()
+
+	// means is a loss node's value as MeanLoss reads it (see Means); a
+	// one-mean loss points it at mean, so recording it allocates nothing.
+	means []Mean
+	mean  [1]Mean
 }
 
 // Zeros allocates an R×C tensor that does not require gradients.

@@ -300,6 +300,20 @@ func TestDenseReducer(t *testing.T) {
 	}
 }
 
+// TestDenseChargesMerge: the dense baseline books one merge of its n
+// elements per sync and no other compute, so its simulated time is
+// comparable with the sparse methods' selection and merge charges.
+func TestDenseChargesMerge(t *testing.T) {
+	const p, n = 4, 500
+	_, _, rep := runMethod(NewDense, p, n, 0, 1, 3)
+	want := DefaultCompCost.PerEntryMerge * n
+	for w, st := range rep.PerWorker {
+		if st.CompTime != want {
+			t.Fatalf("worker %d: compute %g s, want one merge of %d elements, %g s", w, st.CompTime, n, want)
+		}
+	}
+}
+
 func ceilLog2(p int) int {
 	l := 0
 	for 1<<l < p {

@@ -60,9 +60,9 @@ func deliverPair(t *testing.T, inj chaos.Injector) (*link, *frameReader) {
 // payloads alike — at the frame's ordinal, for the receiver's stable ID; a
 // corruption flips exactly payload byte 0 and byte len/2 on the wire,
 // across the Buf/Tail seam, while the caller's Buf and Tail come back
-// untouched; and a drop, a corrupted token and a corrupted empty payload
-// sever the connection before the frame's first byte, naming the
-// schedule's fault.
+// untouched, and the schedule's entry is noted as the root cause; and a
+// drop, a corrupted token and a corrupted empty payload sever the
+// connection before the frame's first byte, naming the schedule's fault.
 func TestDeliverChaosPerFrame(t *testing.T) {
 	big := make([]byte, 300) // a two-byte length varint
 	for i := range big {
@@ -120,6 +120,9 @@ func TestDeliverChaosPerFrame(t *testing.T) {
 			if peer != 9 {
 				t.Fatalf("frame %d consulted peer %d, want stable ID 9", i, peer)
 			}
+		}
+		if got, want := l.root.String(), corrupt.Fault.Corrupted(); got != want {
+			t.Fatalf("root cause after a corrupted payload: %q, want the schedule's %q", got, want)
 		}
 	})
 

@@ -418,7 +418,7 @@ func (l *link) Deliver(to int, f comm.Frame) error {
 	pr := l.peers[to]
 	w, cause := f, ""
 	if l.inj != nil {
-		w, cause = comm.Afflict(l.inj.Outbound(l.idOf(to)), f)
+		w, cause = comm.Afflict(l.inj.Outbound(l.idOf(to)), f, l.root)
 	}
 	var err error
 	if cause != "" {

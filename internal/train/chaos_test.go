@@ -88,8 +88,23 @@ func TestChaosSuiteAcrossBackends(t *testing.T) {
 		// re-fires, and the rewound retry reproduces the healthy trajectory.
 		{name: "transient-drop", schedule: "drop:rank=1,peer=2,frame=3",
 			recs: 1, lost: [][]int{nil}, healthy: true},
+		// Link 2→0 carries, per iteration, one reducer data frame, rank 2's
+		// eval message at every second iteration, then the barrier token:
+		// frame 2 is iteration 1's data frame and frame 3 its eval message.
+		// A corrupted payload fails rank 0's decode, and the cause is the
+		// schedule entry, not that decode.
 		{name: "transient-corrupt", schedule: "corrupt:rank=2,peer=0,frame=3",
 			recs: 1, lost: [][]int{nil}, healthy: true},
+		{name: "transient-corrupt-data", schedule: "corrupt:rank=2,peer=0,frame=2",
+			recs: 1, lost: [][]int{nil}, healthy: true},
+		// The eval exchange commits with its iteration: a lost eval message
+		// (link 1→0: frame 5 is iteration 1's) re-runs the iteration, eval
+		// included, and a crash at an eval iteration's barrier, after the
+		// crasher sent its eval message, resumes at that iteration.
+		{name: "eval-drop", schedule: "drop:rank=1,peer=0,frame=5",
+			recs: 1, lost: [][]int{nil}, resume: []int{1}, healthy: true},
+		{name: "eval-crash", schedule: "crash:rank=3,iter=3",
+			recs: 1, lost: [][]int{{3}}, resume: []int{3}},
 		// A partition re-fires on every generation: the restart budget
 		// exhausts and the error names the injected fault, not the cascade.
 		{name: "persistent-partition", schedule: "partition:rank=0,peer=2,frame=0",
@@ -157,8 +172,17 @@ func TestChaosSuiteAcrossBackends(t *testing.T) {
 						t.Fatalf("%s: cause does not name the injected fault: %q", bk.name, rec.Cause)
 					}
 				}
-				if len(r.res.Points) == 0 || r.res.Points[len(r.res.Points)-1].Iter != 8 {
-					t.Fatalf("%s: run did not complete training: %+v", bk.name, r.res.Points)
+				// Every eval point once, none missing or repeated, and those
+				// before the first recovery's resume point as the healthy
+				// run recorded them.
+				if len(r.res.Points) != len(healthy.res.Points) {
+					t.Fatalf("%s: points %+v, healthy %+v", bk.name, r.res.Points, healthy.res.Points)
+				}
+				for j, pt := range r.res.Points {
+					h := healthy.res.Points[j]
+					if pt.Iter != h.Iter || tc.resume != nil && pt.Iter <= tc.resume[0] && (pt.Loss != h.Loss || pt.Metric != h.Metric) {
+						t.Fatalf("%s: point %d is %+v, healthy %+v", bk.name, j, pt, h)
+					}
 				}
 				if tc.healthy {
 					comparePoints(t, bk.name+" vs healthy", r.res, healthy.res)
@@ -167,9 +191,7 @@ func TestChaosSuiteAcrossBackends(t *testing.T) {
 
 			// The cross-substrate identity: recovered runs walk bit-identical
 			// trajectories and identical recovery records, root cause included,
-			// on both backends; failed runs name the same root cause. (Frame 3
-			// of transient-corrupt's link is a barrier token, so its corruption
-			// severs the link on both substrates too.)
+			// on both backends; failed runs name the same root cause.
 			lv, tcp := runs[0], runs[1]
 			if tc.failWith != "" {
 				_, a, _ := strings.Cut(lv.err.Error(), "root cause: ")

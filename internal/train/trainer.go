@@ -2,11 +2,11 @@ package train
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
 	"spardl/internal/comm"
-	"spardl/internal/data"
 	"spardl/internal/nn"
 	"spardl/internal/pipeline"
 	"spardl/internal/simnet"
@@ -23,10 +23,12 @@ type Config struct {
 	Iters   int
 	Seed    int64
 	// EvalEvery controls metric sampling (iterations); 0 disables interior
-	// evaluation and records only the final point.
+	// evaluation and records only the final point. An evaluation is part
+	// of its iteration: every rank scores its rows of the held-out batch
+	// before the iteration's barrier (see session.evaluate).
 	EvalEvery int
 	// EvalBatch is the held-out batch size (default 256 for dense tasks,
-	// 64 for sequence tasks).
+	// 64 for sequence tasks), drawn once per run.
 	EvalBatch int
 	// Backend selects the communication substrate the workers run on.
 	// nil (the default) uses the α-β simulator with the Network profile;
@@ -127,11 +129,11 @@ func Run(cfg Config) *Result {
 // other mutable field is guarded by mu, because rank 0 changes hands
 // across elastic generations.
 type session struct {
-	cfg      Config
-	n, k     int
-	elastic  bool // workers snapshot at every barrier so a later generation can resume
-	evalData data.Dataset
-	stats    [][]iterStat // [worker ID][iteration]
+	cfg     Config
+	n, k    int
+	elastic bool         // workers snapshot at every barrier so a later generation can resume
+	held    *nn.Batch    // the held-out batch, drawn once; every rank reads its own rows
+	stats   [][]iterStat // [worker ID][iteration]
 
 	mu  sync.Mutex
 	res *Result
@@ -169,7 +171,7 @@ func newSession(cfg Config) (*session, error) {
 	n := nn.ParamCount(cfg.Case.NewModel(cfg.Seed).Params())
 	k := min(max(int(cfg.KRatio*float64(n)), 1), n)
 	s := &session{cfg: cfg, n: n, k: k, res: &Result{N: n, K: k},
-		evalData: cfg.Case.NewData(cfg.Seed), stats: make([][]iterStat, cfg.P),
+		held: cfg.Case.NewData(cfg.Seed).EvalBatch(cfg.EvalBatch), stats: make([][]iterStat, cfg.P),
 		resumeAt: map[int]int{}, firstRound: map[int]float64{}}
 	for w := range s.stats {
 		s.stats[w] = make([]iterStat, cfg.Iters)
@@ -255,7 +257,7 @@ func (s *session) work(m comm.Membership, ep comm.Endpoint, st *replica) {
 		s.res.Method, s.res.Buckets = method, buckets
 		if m.Gen > 0 {
 			// Drop points recorded for iterations now being re-run with
-			// the new membership: the old rank 0 can have evaluated
+			// the new membership: the old rank 0 can have recorded
 			// iteration `resume` (it passed that barrier locally) even
 			// though the fleet as a whole did not.
 			for len(s.res.Points) > 0 && s.res.Points[len(s.res.Points)-1].Iter > resume {
@@ -276,6 +278,7 @@ func (s *session) work(m comm.Membership, ep comm.Endpoint, st *replica) {
 	}
 	global := make([]float32, n)
 	invP := float32(1) / float32(m.P)
+	rows := s.held.Rows(m.Rank*s.held.Size()/m.P, (m.Rank+1)*s.held.Size()/m.P)
 	for it := resume; it < cfg.Iters; it++ {
 		batch := ds.TrainBatch(m.Rank, it, c.BatchSize)
 		clear(st.grad) // every parameter's gradient: they are packed
@@ -320,7 +323,12 @@ func (s *session) work(m comm.Membership, ep comm.Endpoint, st *replica) {
 		if s.elastic {
 			st.snapshot(it, reducer, n)
 		}
-		ep.SyncClock() // may panic mid-recovery; the iteration commits only past here
+		evalAt := it+1 == cfg.Iters || cfg.EvalEvery > 0 && (it+1)%cfg.EvalEvery == 0
+		var pt Point
+		if evalAt {
+			pt = s.evaluate(ep, m, st.model, rows)
+		}
+		ep.SyncClock() // may panic mid-recovery; the iteration commits, eval included, only past here
 		st.barriers = it + 1
 		s.stats[m.ID][it] = stat
 
@@ -332,24 +340,76 @@ func (s *session) work(m comm.Membership, ep comm.Endpoint, st *replica) {
 			s.firstRound[m.Gen] = time.Since(genStart).Seconds()
 			s.mu.Unlock()
 		}
-		if cfg.EvalEvery > 0 && (it+1)%cfg.EvalEvery == 0 {
-			p := evalPoint(st.model, s.evalData, cfg, it+1, offset+ep.Clock())
+		if evalAt {
+			pt.Iter, pt.Time = it+1, offset+ep.Clock()
 			s.mu.Lock()
-			s.res.Points = append(s.res.Points, p)
+			s.res.Points = append(s.res.Points, pt)
 			s.mu.Unlock()
 		}
 	}
 	if m.Rank == 0 {
-		p := evalPoint(st.model, s.evalData, cfg, cfg.Iters, offset+ep.Clock())
+		// The last iteration recorded the final point. Every generation
+		// runs it: nothing communicates after its barrier, so no
+		// generation fails once every survivor has passed it.
 		s.mu.Lock()
-		if len(s.res.Points) == 0 || s.res.Points[len(s.res.Points)-1].Iter != cfg.Iters {
-			s.res.Points = append(s.res.Points, p)
-		}
+		p := s.res.Points[len(s.res.Points)-1]
 		s.res.FinalMetric = p.Metric
 		s.res.FinalLoss = p.Loss
 		s.res.TotalTime = p.Time
 		s.mu.Unlock()
 	}
+}
+
+// evaluate scores rows [r·B/P, (r+1)·B/P) of the B-row held-out batch on
+// rank r. Ranks 1…P−1 send rank 0 their correct count and the means behind
+// their loss (nn.Tensor.Means) in one message; rank 0 adds them to its own
+// in rank order and returns the whole batch's Loss (nn.MeanLoss) and
+// Metric, the other ranks a zero Point. An empty shard sends zeros
+// without running the model. The exchange runs after the iteration's
+// statistics are taken, so it moves Point.Time and TotalTime — by
+// (P−1)·α per point on simnet, where rank 0 receives the messages one
+// after another — and none of the per-iteration averages.
+func (s *session) evaluate(ep comm.Endpoint, m comm.Membership, model nn.Model, rows *nn.Batch) Point {
+	var means []nn.Mean
+	correct := 0
+	if rows.Size() > 0 {
+		loss, metric := model.Loss(rows)
+		means = loss.Means()
+		if s.cfg.Case.Accuracy { // metric is correct / means[0].Count
+			correct = int(math.Round(metric * float64(means[0].Count)))
+		}
+	}
+	if m.Rank != 0 {
+		msg := make([]any, 1, 1+2*len(means))
+		msg[0] = correct
+		for _, mn := range means {
+			msg = append(msg, mn.Sum, mn.Count)
+		}
+		ep.Send(0, msg, 8*len(msg))
+		return Point{}
+	}
+	means = append([]nn.Mean(nil), means...)
+	for r := 1; r < m.P; r++ {
+		v, _ := ep.Recv(r)
+		msg := v.([]any)
+		correct += msg[0].(int)
+		for i := 0; 2*i+1 < len(msg); i++ {
+			if i == len(means) {
+				means = append(means, nn.Mean{})
+			}
+			means[i].Sum += msg[2*i+1].(float64)
+			means[i].Count += msg[2*i+2].(int)
+		}
+	}
+	loss := float64(nn.MeanLoss(means))
+	metric := loss
+	if s.cfg.Case.Accuracy {
+		metric = 0
+		if means[0].Count > 0 {
+			metric = float64(correct) / float64(means[0].Count)
+		}
+	}
+	return Point{Loss: loss, Metric: metric}
 }
 
 // result folds the per-iteration statistics into the Result: for every
@@ -391,12 +451,6 @@ func (s *session) result() *Result {
 	res.PerUpdateTime = res.TotalTime / iters
 	res.BytesPerIter = bytesSum / int64(s.cfg.Iters)
 	return res
-}
-
-func evalPoint(model nn.Model, ds data.Dataset, cfg Config, iter int, clock float64) Point {
-	batch := ds.EvalBatch(cfg.EvalBatch)
-	loss, metric := model.Loss(batch)
-	return Point{Iter: iter, Time: clock, Loss: float64(loss.Data[0]), Metric: metric}
 }
 
 // String renders a compact one-line summary for logs.
