@@ -35,7 +35,7 @@ import (
 // tcpnet frame is one write on the sending goroutine, so no count depends
 // on how frames happen to batch: over 20 runs (10 at GOMAXPROCS 2, 5 each
 // at 1 and 4) every wall-clock row stayed within 4 of its committed count,
-// the widest spread being livenet's Ok-Topk (660–667).
+// the widest spread being livenet's Ok-Topk (605–610).
 //
 // Under -race sync.Pool drops Puts at random, so pooled slabs reallocate
 // and no count means anything; the gate skips there.
@@ -78,10 +78,10 @@ var allocRows = []allocRow{
 	{"simnet", "oktopk", allocP, sparsecoll.NewOkTopk, false, 82},
 	{"simnet", "dense", allocP, sparsecoll.NewDense, false, 122},
 
-	{"livenet", "spardl/d=1", allocP, spardlRow(1, core.Auto), false, 504},
-	{"livenet", "spardl/d=2", allocP, spardlRow(2, core.Auto), false, 280},
-	{"livenet", "bsag/d=4", allocP, spardlRow(4, core.BSAG), false, 225},
-	{"livenet", "oktopk", allocP, sparsecoll.NewOkTopk, false, 664},
+	{"livenet", "spardl/d=1", allocP, spardlRow(1, core.Auto), false, 481},
+	{"livenet", "spardl/d=2", allocP, spardlRow(2, core.Auto), false, 265},
+	{"livenet", "bsag/d=4", allocP, spardlRow(4, core.BSAG), false, 217},
+	{"livenet", "oktopk", allocP, sparsecoll.NewOkTopk, false, 609},
 	{"livenet", "dense", allocP, sparsecoll.NewDense, false, 96},
 	{"tcpnet", "spardl/d=1", allocP, spardlRow(1, core.Auto), false, 99},
 	{"tcpnet", "spardl/d=2", allocP, spardlRow(2, core.Auto), false, 66},

@@ -49,12 +49,9 @@ type reduceBaseline struct {
 // given backend and returns the run report (cluster-wide received bytes:
 // α-β accounted on the simulator, real serialized bytes on livenet).
 func runReduceOnce(b spardl.Backend, p, n, k int, mode spardl.WireMode, grads [][]float32) *spardl.Report {
+	build := spardl.Tuned(spardl.NewFactory(spardl.Options{}), mode)
 	return b.Run(p, func(rank int, ep spardl.CommEndpoint) {
-		r, err := spardl.New(p, rank, n, k, spardl.Options{})
-		if err != nil {
-			panic(err)
-		}
-		r.SetWire(mode)
+		r := build(p, rank, n, k)
 		g := make([]float32, n)
 		copy(g, grads[rank])
 		r.ReduceInto(ep, g, make([]float32, n))

@@ -16,8 +16,8 @@
 // reference — except a dense vector, Vec, which every fabric copies or
 // serializes inside Send so its sender may overwrite it immediately).
 // Everything that runs on the wall clock shares the link
-// endpoint (NewLinkEndpoint), which owns statistics, Compute, Send/Recv marshalling through the
-// payload registry, the Overlap/Join communication stream (StreamLane and
+// endpoint (NewLinkEndpoint), which owns statistics, Compute, Send/Recv marshalling of the
+// closed payload set (payload.go), the Overlap/Join communication stream (StreamLane and
 // the one nesting-rejecting stream view), and the SyncClock token barrier
 // with its scheduled-crash ordinal and storage rotation. It is written
 // against Link — deliver these bytes to rank r, hand me the next frame

@@ -104,7 +104,7 @@ func TestBackendContract(t *testing.T) {
 
 // contractFIFO: delivery is FIFO per ordered pair — interleaved bursts to
 // two different receivers each arrive in send order — every Recv is one
-// round, every Send one message, and the registry's payload shapes survive
+// round, every Send one message, and nested payload shapes survive
 // the trip.
 func contractFIFO(t *testing.T, b comm.Backend) {
 	const p, burst = 3, 32

@@ -210,7 +210,7 @@ func (e *linkEndpoint) poisoned(op string, err error) string {
 	return fmt.Sprintf("%s: %s on poisoned fabric: %v", e.name, op, err)
 }
 
-// Send serializes payload through the payload registry and hands the bytes
+// Send serializes payload (AppendPayload) and hands the bytes
 // to the link. The accounted α-β size rides along for the receiver; stats
 // count the real serialized size. A dense vector's frame is reserved whole
 // (its size is known), so encoding it never regrows the buffer. On a

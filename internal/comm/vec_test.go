@@ -87,7 +87,7 @@ func checkAgainstReference(t *testing.T, frame []byte) {
 	for _, a := range []*sparse.Arena{nil, sparse.NewArena()} {
 		what := fmt.Sprintf("tag 0x%02x n=%d arena=%v", tag, len(ref), a != nil)
 		read := func() any {
-			v, rest, err := ReadPayloadArena(a, frame)
+			v, rest, err := readPayloadArena(a, frame)
 			if err != nil || len(rest) != len(refRest) {
 				t.Fatalf("%s: decode left %d bytes (reference %d), err %v", what, len(rest), len(refRest), err)
 			}
@@ -255,7 +255,8 @@ func TestVecRejectsMalformedFrames(t *testing.T) {
 // FuzzVecRoundTrip feeds raw bytes to the decoder. Nothing may panic; on a
 // dense-vector tag the decoder must accept exactly what the reference
 // accepts, read the same values every way, and re-encode them to the
-// reference's bytes.
+// reference's bytes; on a chunk or chunk-bag tag the heap and arena
+// decodes must agree entry for entry on valid chunks.
 func FuzzVecRoundTrip(f *testing.F) {
 	for _, n := range []int{0, 1, 7, 8, 9, 67} {
 		for _, tag := range []byte{tagFloat32s, tagVec} {
@@ -266,11 +267,24 @@ func FuzzVecRoundTrip(f *testing.F) {
 		}
 	}
 	f.Add([]byte{tagVec, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
+	deltaC, _, _, denseC, emptyC := pinChunks()
+	for _, v := range []any{deltaC, denseC, emptyC, []*sparse.Chunk{deltaC, denseC, emptyC}} {
+		good := MarshalPayload(v)
+		f.Add(good)
+		f.Add(good[:len(good)/2])
+		f.Add(append(good, good...))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _, err := ReadPayloadArena(nil, data)
-		_, _, errArena := ReadPayloadArena(sparse.NewArena(), data)
+		v, _, err := readPayloadArena(nil, data)
+		vArena, _, errArena := readPayloadArena(sparse.NewArena(), data)
 		if (err == nil) != (errArena == nil) {
 			t.Fatalf("arena decode disagrees with heap decode: %v vs %v", errArena, err)
+		}
+		if len(data) > 0 && (data[0] == tagChunk || data[0] == tagChunks) {
+			if err == nil {
+				checkChunks(t, v, vArena)
+			}
+			return
 		}
 		if len(data) == 0 || (data[0] != tagVec && data[0] != tagFloat32s) {
 			return
@@ -291,6 +305,28 @@ func FuzzVecRoundTrip(f *testing.F) {
 			t.Fatalf("re-encoding %d elements differs from the reference", len(ref))
 		}
 	})
+}
+
+// checkChunks requires a decoded chunk or chunk bag to hold valid chunks,
+// the same from the heap and the arena decode.
+func checkChunks(t *testing.T, heap, arena any) {
+	t.Helper()
+	hs, ok := heap.([]*sparse.Chunk)
+	as, _ := arena.([]*sparse.Chunk)
+	if !ok {
+		hs, as = []*sparse.Chunk{heap.(*sparse.Chunk)}, []*sparse.Chunk{arena.(*sparse.Chunk)}
+	}
+	if len(hs) != len(as) {
+		t.Fatalf("heap decode holds %d chunks, arena decode %d", len(hs), len(as))
+	}
+	for i, c := range hs {
+		if err := c.Validate(); err != nil {
+			t.Fatalf("chunk %d decoded invalid: %v", i, err)
+		}
+		if err := sameChunk(as[i], c); err != nil {
+			t.Fatalf("chunk %d: arena decode differs from heap decode: %v", i, err)
+		}
+	}
 }
 
 var vecSink []byte

@@ -1,9 +1,9 @@
 // Package livenet is the hardware-honest comm backend: a real concurrent
 // in-memory transport. P workers run as goroutines and exchange messages
 // over per-pair FIFO queues of *bytes* — every payload is serialized at
-// the sender through the comm payload registry (sparse chunks go through
-// the wire codecs, so the bytes crossing a queue are exactly the
-// Encode/Decode stream) and parsed back at the receiver. Nothing travels
+// the sender by comm's payload codec (sparse chunks go through the wire
+// codecs, so the bytes crossing a queue are exactly wire's stream) and
+// parsed back at the receiver. Nothing travels
 // by reference, which is what makes the backend's numbers real: encoding
 // cost, decoding cost, allocation pressure and wall-clock time are all
 // actually paid.

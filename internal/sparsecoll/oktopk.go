@@ -66,13 +66,11 @@ func NewOkTopk(p, rank, n, k int) Reducer {
 	return o
 }
 
-// okItem is an item of the final all-gather: a worker's reduced block plus
-// any overflow chunk the balancing step shifted to it.
-type okItem struct{ chunks []*sparse.Chunk }
-
-// itemBytes charges an item the sum of its chunks — a function of the
-// chunks alone, so the owner and every forwarding hop charge the same.
-func (o *OkTopk) itemBytes(it any) int { return o.tx.SliceBytes(it.(*okItem).chunks) }
+// itemBytes charges an item of the final all-gather — a worker's reduced
+// block plus any overflow chunk the balancing step shifted to it, as a
+// []*sparse.Chunk — the sum of its chunks: a function of the chunks alone,
+// so the owner and every forwarding hop charge the same.
+func (o *OkTopk) itemBytes(it any) int { return o.tx.SliceBytes(it.([]*sparse.Chunk)) }
 
 // countBytes sizes the 4-byte per-worker selection counts of the
 // balancing all-gather. (A capture-free closure literal would compile to
@@ -146,27 +144,27 @@ func (o *OkTopk) ReduceInto(ep comm.Endpoint, grad, out []float32) {
 		prev := (me + p - 1) % p
 		myOverflow := countItems[me].(int) > limit
 		prevOverflow := countItems[prev].(int) > limit
-		own := &okItem{chunks: o.ar.Chunks(2)}
+		own := o.ar.Chunks(2)
 		if myOverflow {
 			// Keep the `limit` largest entries, ship the rest onward.
 			kept, extra := o.ar.TopKChunk(mine, limit)
 			ChargeScan(ep, mine.Len())
-			own.chunks = append(own.chunks, kept)
+			own = append(own, kept)
 			ep.Send((me+1)%p, extra, o.tx.ChunkBytes(extra))
 		} else {
-			own.chunks = append(own.chunks, mine)
+			own = append(own, mine)
 		}
 		if prevOverflow {
 			// The predecessor's overflow joins this worker's item as it is.
 			in, _ := ep.Recv(prev)
-			own.chunks = append(own.chunks, in.(*sparse.Chunk))
+			own = append(own, in.(*sparse.Chunk))
 		}
 
 		// 5. All-gather the (re-balanced) blocks.
 		items := collective.BruckAllGatherAlloc(ep, world, me, own, o.size, o.ar)
 		all := o.ar.Chunks(2 * len(items))
 		for _, it := range items {
-			all = append(all, it.(*okItem).chunks...)
+			all = append(all, it.([]*sparse.Chunk)...)
 		}
 		mergedTotal := 0
 		for _, c := range all {

@@ -93,12 +93,13 @@ func (r *refTopkDSA) ReduceInto(ep comm.Endpoint, grad, out []float32) {
 	}
 	ChargeMerge(ep, total)
 	mine := t.ar.MergeAddAll(got)
-	items := collective.BruckAllGatherAlloc(ep, t.world, me, &dsaBlock{block: me, c: mine}, t.size, t.ar)
+	items := collective.BruckAllGatherAlloc(ep, t.world, me, []any{me, mine}, t.size, t.ar)
 	var chunks []*sparse.Chunk
 	total = 0
 	for _, it := range items {
-		chunks = append(chunks, it.(*dsaBlock).c)
-		total += it.(*dsaBlock).c.Len()
+		c := it.([]any)[1].(*sparse.Chunk)
+		chunks = append(chunks, c)
+		total += c.Len()
 	}
 	ChargeMerge(ep, total)
 	scatterInto(out, chunks)
@@ -189,22 +190,22 @@ func (r *refOkTopk) ReduceInto(ep comm.Endpoint, grad, out []float32) {
 	}
 	limit := 2*(total/p) + 1
 	prev := (me + p - 1) % p
-	own := &okItem{}
+	var own []*sparse.Chunk
 	if countItems[me].(int) > limit {
 		kept, extra := o.ar.TopKChunk(mine, limit)
 		ChargeScan(ep, mine.Len())
-		own.chunks = append(own.chunks, kept)
+		own = append(own, kept)
 		ep.Send((me+1)%p, extra, o.tx.ChunkBytes(extra))
 	} else {
-		own.chunks = append(own.chunks, mine)
+		own = append(own, mine)
 	}
 	if countItems[prev].(int) > limit {
 		in, _ := ep.Recv(prev)
-		own.chunks = append(own.chunks, in.(*sparse.Chunk))
+		own = append(own, in.(*sparse.Chunk))
 	}
 	var all []*sparse.Chunk
 	for _, it := range collective.BruckAllGatherAlloc(ep, o.world, me, own, o.size, o.ar) {
-		all = append(all, it.(*okItem).chunks...)
+		all = append(all, it.([]*sparse.Chunk)...)
 	}
 	selected := 0
 	for _, c := range all {

@@ -32,19 +32,14 @@ func NewTopkDSA(p, rank, n, k int) Reducer {
 	return t
 }
 
-// dsaBlock is an all-gather item: the reduced chunk of one gradient block.
-type dsaBlock struct {
-	block int
-	c     *sparse.Chunk
-}
-
-// blockBytes charges a reduced block in sparse form until the dense
+// blockBytes charges an all-gather item — the reduced chunk of one
+// gradient block, as []any{block, chunk} — in sparse form until the dense
 // encoding of its index range is cheaper (the "switch to dense
 // transmission" of TopkDSA). It is a function of the chunk and the block
 // span alone, so the owner and every forwarding hop charge the same.
 func (t *TopkDSA) blockBytes(it any) int {
-	b := it.(*dsaBlock)
-	return min(t.tx.ChunkBytes(b.c), collective.DenseBytes(t.part.Size(b.block)))
+	b := it.([]any)
+	return min(t.tx.ChunkBytes(b[1].(*sparse.Chunk)), collective.DenseBytes(t.part.Size(b[0].(int))))
 }
 
 // ReduceInto implements Reducer; steady state is allocation-free.
@@ -83,11 +78,12 @@ func (t *TopkDSA) ReduceInto(ep comm.Endpoint, grad, out []float32) {
 
 	// All-gather the uneven reduced blocks (SGA allowed; dense switch per
 	// block caps the wire size).
-	items := collective.BruckAllGatherAlloc(ep, t.world, me, &dsaBlock{block: me, c: mine}, t.size, t.ar)
+	own := append(t.ar.Anys(2), me, mine)
+	items := collective.BruckAllGatherAlloc(ep, t.world, me, own, t.size, t.ar)
 	chunks := t.ar.Chunks(len(items))
 	total = 0
 	for _, it := range items {
-		c := it.(*dsaBlock).c
+		c := it.([]any)[1].(*sparse.Chunk)
 		chunks = append(chunks, c)
 		total += c.Len()
 	}

@@ -1,10 +1,10 @@
 // Package tcpnet is the distributed comm backend: each of the P workers is
 // a separate OS process (or, in tests, any mix of processes and
 // goroutines) exchanging length-prefixed frames over real TCP sockets.
-// Every payload is serialized through the comm payload registry — sparse
-// chunks go through the wire codecs, so the bytes crossing a socket are
-// exactly the Encode/Decode stream livenet moves through its in-memory
-// queues — and parsed back at the receiver. tcpnet is the step from
+// Every payload is serialized by comm's payload codec — sparse chunks go
+// through the wire codecs, so the bytes crossing a socket are exactly the
+// stream livenet moves through its in-memory queues — and parsed back at
+// the receiver. tcpnet is the step from
 // "hardware-honest in one process" (livenet) to "actually distributed":
 // separate address spaces, a real kernel network stack, and processes that
 // can genuinely crash.

@@ -159,13 +159,8 @@ func Range(c *sparse.Chunk) (lo, hi int32) {
 	return c.IdxAt(0), c.IdxAt(c.Len()-1) + 1
 }
 
-// EncodeCOO encodes the chunk as index/value pairs over [lo, hi).
-func EncodeCOO(c *sparse.Chunk, lo, hi int32) []byte {
-	return AppendCOO(nil, c, lo, hi)
-}
-
-// AppendCOO appends the COO encoding to dst and returns the extended
-// buffer, so callers with pooled storage avoid the per-message allocation.
+// AppendCOO appends the chunk as index/value pairs over [lo, hi) to dst
+// and returns the extended buffer (a nil dst allocates).
 func AppendCOO(dst []byte, c *sparse.Chunk, lo, hi int32) []byte {
 	mustRange(c, lo, hi)
 	n := c.Len()
@@ -189,13 +184,8 @@ func appendZeros(dst []byte, n int) []byte {
 	return dst
 }
 
-// EncodeDelta encodes sorted indices as varint gaps (relative to lo) plus
-// packed values.
-func EncodeDelta(c *sparse.Chunk, lo, hi int32) []byte {
-	return AppendDelta(nil, c, lo, hi)
-}
-
-// AppendDelta appends the delta encoding to dst.
+// AppendDelta appends sorted indices as varint gaps (relative to lo) plus
+// packed values to dst.
 func AppendDelta(dst []byte, c *sparse.Chunk, lo, hi int32) []byte {
 	mustRange(c, lo, hi)
 	dst = appendHeader(dst, FormatDelta, c.Len(), lo, hi)
@@ -215,12 +205,8 @@ func AppendDelta(dst []byte, c *sparse.Chunk, lo, hi int32) []byte {
 	return dst
 }
 
-// EncodeBitmap encodes presence bits over [lo, hi) plus packed values.
-func EncodeBitmap(c *sparse.Chunk, lo, hi int32) []byte {
-	return AppendBitmap(nil, c, lo, hi)
-}
-
-// AppendBitmap appends the bitmap encoding to dst.
+// AppendBitmap appends presence bits over [lo, hi) plus packed values to
+// dst.
 func AppendBitmap(dst []byte, c *sparse.Chunk, lo, hi int32) []byte {
 	mustRange(c, lo, hi)
 	span := int(hi - lo)
@@ -237,12 +223,6 @@ func AppendBitmap(dst []byte, c *sparse.Chunk, lo, hi int32) []byte {
 		binary.LittleEndian.PutUint32(buf[off+4*i:], math.Float32bits(c.Val[i]))
 	}
 	return dst
-}
-
-// EncodeDense encodes a full-cover chunk as raw packed values over
-// [lo, hi).
-func EncodeDense(c *sparse.Chunk, lo, hi int32) []byte {
-	return AppendDense(nil, c, lo, hi)
 }
 
 // AppendDense appends the dense-block encoding to dst. The chunk must
@@ -311,13 +291,8 @@ func AppendEncode(dst []byte, c *sparse.Chunk, lo, hi int32) ([]byte, Format) {
 	return dst, format
 }
 
-// Decode reverses any of the four encodings into a heap chunk.
-func Decode(buf []byte) (*sparse.Chunk, error) {
-	return DecodeArena(nil, buf)
-}
-
 // DecodeArena reverses any of the four encodings, allocating the decoded
-// chunk from the receiver's arena (heap when a is nil). FormatDense
+// chunk from the receiver's arena (from the heap when a is nil). FormatDense
 // decodes straight into arena dense-block storage, so a stream that
 // switched representation at the sender stays dense on the receiver.
 func DecodeArena(a *sparse.Arena, buf []byte) (*sparse.Chunk, error) {

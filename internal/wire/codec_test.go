@@ -35,11 +35,11 @@ func TestRoundTripAllFormats(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	c := randomChunk(rng, 200, 1000)
 	for name, enc := range map[string][]byte{
-		"coo":    EncodeCOO(c, 0, 1000),
-		"delta":  EncodeDelta(c, 0, 1000),
-		"bitmap": EncodeBitmap(c, 0, 1000),
+		"coo":    AppendCOO(nil, c, 0, 1000),
+		"delta":  AppendDelta(nil, c, 0, 1000),
+		"bitmap": AppendBitmap(nil, c, 0, 1000),
 	} {
-		got, err := Decode(enc)
+		got, err := DecodeArena(nil, enc)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -60,12 +60,12 @@ func TestRoundTripDense(t *testing.T) {
 	denseRep := (*sparse.Arena)(nil).GetDense(40, 100)
 	copy(denseRep.Val, val)
 
-	encA := EncodeDense(cooRep, 40, 140)
-	encB := EncodeDense(denseRep, 40, 140)
+	encA := AppendDense(nil, cooRep, 40, 140)
+	encB := AppendDense(nil, denseRep, 40, 140)
 	if string(encA) != string(encB) {
 		t.Fatal("dense encoding depends on the input representation")
 	}
-	got, err := Decode(encA)
+	got, err := DecodeArena(nil, encA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestEncodePicksDenseAtFullCover(t *testing.T) {
 		t.Fatalf("full cover picked %v, want dense", f)
 	}
 	for _, other := range [][]byte{
-		EncodeCOO(c, 0, 64), EncodeDelta(c, 0, 64), EncodeBitmap(c, 0, 64),
+		AppendCOO(nil, c, 0, 64), AppendDelta(nil, c, 0, 64), AppendBitmap(nil, c, 0, 64),
 	} {
 		if len(buf) >= len(other) {
 			t.Fatalf("dense (%d bytes) not strictly smallest (other %d)", len(buf), len(other))
@@ -135,9 +135,9 @@ func TestDeltaBeatsCOOOnClusteredIndices(t *testing.T) {
 		val[i] = 1
 	}
 	c := &sparse.Chunk{Idx: idx, Val: val}
-	if len(EncodeDelta(c, 0, 2000)) >= COOBytes(c.Len(), 0, 2000) {
+	if len(AppendDelta(nil, c, 0, 2000)) >= COOBytes(c.Len(), 0, 2000) {
 		t.Fatalf("delta (%d) should beat COO (%d) on consecutive indices",
-			len(EncodeDelta(c, 0, 2000)), COOBytes(c.Len(), 0, 2000))
+			len(AppendDelta(nil, c, 0, 2000)), COOBytes(c.Len(), 0, 2000))
 	}
 }
 
@@ -147,9 +147,9 @@ func TestHeadersCarryCallerRange(t *testing.T) {
 	c := &sparse.Chunk{Idx: []int32{120, 130, 199}, Val: []float32{1, 2, 3}}
 	const lo, hi = 100, 300
 	for name, enc := range map[string][]byte{
-		"coo":    EncodeCOO(c, lo, hi),
-		"delta":  EncodeDelta(c, lo, hi),
-		"bitmap": EncodeBitmap(c, lo, hi),
+		"coo":    AppendCOO(nil, c, lo, hi),
+		"delta":  AppendDelta(nil, c, lo, hi),
+		"bitmap": AppendBitmap(nil, c, lo, hi),
 	} {
 		_, count, gotLo, gotHi, _, err := parseHeader(enc)
 		if err != nil {
@@ -158,7 +158,7 @@ func TestHeadersCarryCallerRange(t *testing.T) {
 		if count != c.Len() || gotLo != lo || gotHi != hi {
 			t.Fatalf("%s: header (%d, [%d,%d)), want (%d, [%d,%d))", name, count, gotLo, gotHi, c.Len(), lo, hi)
 		}
-		got, err := Decode(enc)
+		got, err := DecodeArena(nil, enc)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -174,43 +174,43 @@ func TestHeaderIsCompact(t *testing.T) {
 	if h := HeaderLen(c.Len(), 0, 10); h != 4 {
 		t.Fatalf("small header is %d bytes, want 4", h)
 	}
-	enc := EncodeCOO(c, 0, 10)
+	enc := AppendCOO(nil, c, 0, 10)
 	if len(enc) != 4+8 {
 		t.Fatalf("singleton COO message is %d bytes, want 12", len(enc))
 	}
 	// Large fields expand as needed.
 	big := &sparse.Chunk{Idx: []int32{1 << 30}, Val: []float32{1}}
-	enc = EncodeCOO(big, 0, 1<<30+1)
+	enc = AppendCOO(nil, big, 0, 1<<30+1)
 	if _, _, _, hi, _, err := parseHeader(enc); err != nil || hi != 1<<30+1 {
 		t.Fatalf("wide header round-trip: hi=%d err=%v", hi, err)
 	}
 }
 
 func TestDecodeErrors(t *testing.T) {
-	if _, err := Decode(nil); err == nil {
+	if _, err := DecodeArena(nil, nil); err == nil {
 		t.Fatal("nil buffer accepted")
 	}
-	if _, err := Decode(make([]byte, 3)); err == nil {
+	if _, err := DecodeArena(nil, make([]byte, 3)); err == nil {
 		t.Fatal("short buffer accepted")
 	}
-	bad := EncodeCOO(&sparse.Chunk{Idx: []int32{1}, Val: []float32{2}}, 0, 10)
+	bad := AppendCOO(nil, &sparse.Chunk{Idx: []int32{1}, Val: []float32{2}}, 0, 10)
 	bad[0] = 99
-	if _, err := Decode(bad); err == nil {
+	if _, err := DecodeArena(nil, bad); err == nil {
 		t.Fatal("unknown format accepted")
 	}
-	trunc := EncodeCOO(&sparse.Chunk{Idx: []int32{1, 2}, Val: []float32{3, 4}}, 0, 10)
-	if _, err := Decode(trunc[:len(trunc)-3]); err == nil {
+	trunc := AppendCOO(nil, &sparse.Chunk{Idx: []int32{1, 2}, Val: []float32{3, 4}}, 0, 10)
+	if _, err := DecodeArena(nil, trunc[:len(trunc)-3]); err == nil {
 		t.Fatal("truncated body accepted")
 	}
 	dense := (*sparse.Arena)(nil).GetDense(0, 16)
-	dtrunc := EncodeDense(dense, 0, 16)
-	if _, err := Decode(dtrunc[:len(dtrunc)-1]); err == nil {
+	dtrunc := AppendDense(nil, dense, 0, 16)
+	if _, err := DecodeArena(nil, dtrunc[:len(dtrunc)-1]); err == nil {
 		t.Fatal("truncated dense body accepted")
 	}
 	// Dense count must equal the header span.
 	mismatch := appendHeader(nil, FormatDense, 8, 0, 16)
 	mismatch = append(mismatch, make([]byte, 4*8)...)
-	if _, err := Decode(mismatch); err == nil {
+	if _, err := DecodeArena(nil, mismatch); err == nil {
 		t.Fatal("dense count != span accepted")
 	}
 }
@@ -220,26 +220,26 @@ func TestDecodeErrors(t *testing.T) {
 // loudly instead of silently consuming value bytes as varints.
 func TestDeltaIndexValueBoundary(t *testing.T) {
 	c := &sparse.Chunk{Idx: []int32{3, 7, 20, 21}, Val: []float32{1, 2, 3, 4}}
-	enc := EncodeDelta(c, 0, 64)
+	enc := AppendDelta(nil, c, 0, 64)
 	// Count 4 encodes as the single byte enc[1]; shrink it to 3: the fourth
 	// gap varint now sits in front of the (re-interpreted) value region.
 	enc[1] = 3
-	if _, err := Decode(enc); err == nil {
+	if _, err := DecodeArena(nil, enc); err == nil {
 		t.Fatal("short entry count silently consumed value bytes")
 	}
 	// Grow the count to 5: the varint region runs out.
 	enc[1] = 5
-	if _, err := Decode(enc); err == nil {
+	if _, err := DecodeArena(nil, enc); err == nil {
 		t.Fatal("long entry count accepted")
 	}
 	// Absurd count must be rejected before any allocation: rebuild the
 	// message with a fabricated huge count over the original body.
-	_, _, lo, hi, body, err := parseHeader(EncodeDelta(c, 0, 64))
+	_, _, lo, hi, body, err := parseHeader(AppendDelta(nil, c, 0, 64))
 	if err != nil {
 		t.Fatal(err)
 	}
 	huge := append(appendHeader(nil, FormatDelta, 1<<28, lo, hi), body...)
-	if _, err := Decode(huge); err == nil {
+	if _, err := DecodeArena(nil, huge); err == nil {
 		t.Fatal("absurd entry count accepted")
 	}
 }
@@ -254,7 +254,7 @@ func TestDeltaRejectsWrappingGap(t *testing.T) {
 	buf = append(buf, tmp[:n]...)
 	buf = append(buf, 1)                  // second gap
 	buf = append(buf, make([]byte, 8)...) // two packed values
-	if _, err := Decode(buf); err == nil {
+	if _, err := DecodeArena(nil, buf); err == nil {
 		t.Fatal("wrapping delta gap accepted")
 	}
 }
@@ -268,7 +268,7 @@ func TestEncodeRangePanicsOutside(t *testing.T) {
 	Encode(&sparse.Chunk{Idx: []int32{50}, Val: []float32{1}}, 0, 10)
 }
 
-// Property: Encode/Decode round-trips arbitrary chunks and never exceeds
+// Property: Encode/DecodeArena round-trips arbitrary chunks and never exceeds
 // the COO accounting baseline.
 func TestEncodeProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -276,7 +276,7 @@ func TestEncodeProperty(t *testing.T) {
 		space := 100 + rng.Intn(5000)
 		c := randomChunk(rng, 300, space)
 		buf, _ := Encode(c, 0, int32(space))
-		got, err := Decode(buf)
+		got, err := DecodeArena(nil, buf)
 		if err != nil {
 			return false
 		}
@@ -317,16 +317,16 @@ func TestAllFormatsProperty(t *testing.T) {
 			lo, hi = 0, hi+int32(rng.Intn(100))
 		}
 		encs := map[Format][]byte{
-			FormatCOO:    EncodeCOO(c, lo, hi),
-			FormatDelta:  EncodeDelta(c, lo, hi),
-			FormatBitmap: EncodeBitmap(c, lo, hi),
+			FormatCOO:    AppendCOO(nil, c, lo, hi),
+			FormatDelta:  AppendDelta(nil, c, lo, hi),
+			FormatBitmap: AppendBitmap(nil, c, lo, hi),
 		}
 		if c.Len() > 0 && c.Len() == int(hi-lo) {
-			encs[FormatDense] = EncodeDense(c, lo, hi)
+			encs[FormatDense] = AppendDense(nil, c, lo, hi)
 		}
 		smallest := -1
 		for f, enc := range encs {
-			got, err := Decode(enc)
+			got, err := DecodeArena(nil, enc)
 			if err != nil {
 				t.Fatalf("shape %d %v: %v", i, f, err)
 			}
@@ -353,8 +353,8 @@ func BenchmarkEncodeDecodeDelta(b *testing.B) {
 	c := randomChunk(rng, 10000, 1<<20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf := EncodeDelta(c, 0, 1<<20)
-		if _, err := Decode(buf); err != nil {
+		buf := AppendDelta(nil, c, 0, 1<<20)
+		if _, err := DecodeArena(nil, buf); err != nil {
 			b.Fatal(err)
 		}
 	}

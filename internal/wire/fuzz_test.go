@@ -9,36 +9,36 @@ import (
 	"spardl/internal/sparse"
 )
 
-// FuzzDecode checks that Decode never panics, never returns an invalid
-// chunk, and that anything it accepts re-encodes to a buffer Decode accepts
+// FuzzDecode checks that DecodeArena never panics, never returns an invalid
+// chunk, and that anything it accepts re-encodes to a buffer it accepts
 // again with identical content (decode/encode/decode fixpoint).
 func FuzzDecode(f *testing.F) {
 	c := &sparse.Chunk{Idx: []int32{2, 5, 9, 100}, Val: []float32{1, -2, 3.5, 0.25}}
-	f.Add(EncodeCOO(c, 0, 128))
-	f.Add(EncodeDelta(c, 0, 128))
-	f.Add(EncodeBitmap(c, 0, 128))
+	f.Add(AppendCOO(nil, c, 0, 128))
+	f.Add(AppendDelta(nil, c, 0, 128))
+	f.Add(AppendBitmap(nil, c, 0, 128))
 	dense := (*sparse.Arena)(nil).GetDense(16, 48)
 	for i := range dense.Val {
 		dense.Val[i] = float32(i) - 7.5
 	}
-	f.Add(EncodeDense(dense, 16, 64))
+	f.Add(AppendDense(nil, dense, 16, 64))
 	empty := &sparse.Chunk{}
-	f.Add(EncodeDelta(empty, 0, 0))
+	f.Add(AppendDelta(nil, empty, 0, 0))
 	f.Add([]byte{byte(FormatDelta), 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{byte(FormatDense), 0x08, 0x00, 0x08, 1, 2, 3, 4})
 	f.Add(bytes.Repeat([]byte{0x80}, 64))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := Decode(data)
+		got, err := DecodeArena(nil, data)
 		if err != nil {
 			return
 		}
 		if verr := got.Validate(); verr != nil {
-			t.Fatalf("Decode accepted an invalid chunk: %v", verr)
+			t.Fatalf("DecodeArena accepted an invalid chunk: %v", verr)
 		}
 		lo, hi := Range(got)
 		re, _ := Encode(got, lo, hi)
-		back, err := Decode(re)
+		back, err := DecodeArena(nil, re)
 		if err != nil {
 			t.Fatalf("re-encode of accepted chunk failed to decode: %v", err)
 		}
@@ -75,15 +75,15 @@ func FuzzDense(f *testing.F) {
 			twin.Idx = append(twin.Idx, lo+int32(i))
 			twin.Val = append(twin.Val, v)
 		}
-		encBlock := EncodeDense(block, lo, hi)
-		encTwin := EncodeDense(twin, lo, hi)
+		encBlock := AppendDense(nil, block, lo, hi)
+		encTwin := AppendDense(nil, twin, lo, hi)
 		if !bytes.Equal(encBlock, encTwin) {
 			t.Fatal("dense encoding differs between representations")
 		}
 		if want := DenseBytes(lo, hi); len(encBlock) != want {
 			t.Fatalf("DenseBytes %d != materialized %d", want, len(encBlock))
 		}
-		got, err := Decode(encBlock)
+		got, err := DecodeArena(nil, encBlock)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,9 +8,9 @@ import (
 
 // Mode selects what the simulator charges for a sparse message. It is an
 // accounting rule, not a format: on the byte-level backends (livenet,
-// tcpnet) every chunk is serialized by the one negotiated codec this
-// package registers with comm, whatever the mode says, and the real byte
-// counts are what their statistics report.
+// tcpnet) comm serializes every chunk with this package's one negotiated
+// codec, whatever the mode says, and the real byte counts are what their
+// statistics report.
 type Mode int
 
 const (

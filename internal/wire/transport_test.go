@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"spardl/internal/comm"
 	"spardl/internal/sparse"
 )
 
@@ -22,24 +21,13 @@ func TestTransportModes(t *testing.T) {
 			t.Fatalf("COO mode charges %d, want the 8B/entry baseline %d", got, c.WireBytes())
 		}
 
-		// Negotiated accounting is the size of the real encoding — which is
-		// also exactly what the comm registry frames for the chunk under
-		// either mode (tag byte + 4-byte body length + body).
+		// Negotiated accounting is the size of the real encoding.
 		neg := Transport{Mode: ModeNegotiated}
 		lo, hi := Range(c)
 		enc, _ := Encode(c, lo, hi)
 		if got := neg.ChunkBytes(c); got != len(enc) {
 			t.Fatalf("negotiated mode charges %d, want encoded size %d", got, len(enc))
 		}
-		framed := comm.MarshalPayload(c)
-		if len(framed) != 5+len(enc) {
-			t.Fatalf("registry framed %d bytes, want 5 + the %d-byte encoding", len(framed), len(enc))
-		}
-		back, err := comm.UnmarshalPayload(framed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertEqual(t, back.(*sparse.Chunk), c)
 
 		// All-gather items are the chunks themselves, sized as ChunkBytes.
 		for _, tx := range []Transport{coo, neg} {
@@ -70,19 +58,6 @@ func TestTransportSlices(t *testing.T) {
 		if total := tx.SliceBytes(cs); total != want {
 			t.Fatalf("%v: SliceBytes charged %d, want summed %d", mode, total, want)
 		}
-	}
-	// One SRS sending bag crosses a byte link as a chunk slice and comes
-	// back entry for entry.
-	v, err := comm.UnmarshalPayload(comm.MarshalPayload(cs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	back := v.([]*sparse.Chunk)
-	if len(back) != len(cs) {
-		t.Fatalf("got %d chunks back, want %d", len(back), len(cs))
-	}
-	for i := range cs {
-		assertEqual(t, back[i], cs[i])
 	}
 }
 
