@@ -16,8 +16,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"os/exec"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"testing"
@@ -237,159 +235,6 @@ func emitSteadyBaseline(path, name string, b spardl.Backend, p, n, k int) error 
 	return writeJSON(path, rec)
 }
 
-// runChaosBench measures elastic recovery under a deterministic fault
-// schedule: the same elastic training session runs on livenet (goroutines,
-// in-memory channels) and on loopback tcpnet (goroutines, real sockets)
-// under the identical schedule, and the report breaks each survived
-// recovery into its two halves — re-rendezvous latency (fault observed →
-// new fabric established) and first-round latency (worker bodies re-enter
-// → first post-recovery iteration completes). The final check pins the
-// tentpole property: both substrates finish with bit-identical metrics.
-func runChaosBench(w io.Writer, spec string, p, iters int) error {
-	sched, err := spardl.ParseChaos(spec)
-	if err != nil {
-		return err
-	}
-	c := spardl.CaseByID(1)
-	fmt.Fprintf(w, "## chaos recovery: elastic training under %q (P=%d, case %d, %d iters)\n\n", spec, p, c.ID, iters)
-	backends := []struct {
-		name string
-		b    spardl.Backend
-	}{
-		{"livenet", spardl.LiveChaosBackend(sched)},
-		{"tcpnet", spardl.TCPLocalChaosBackend(sched)},
-	}
-	var finals []*spardl.TrainResult
-	for _, bk := range backends {
-		cfg := spardl.TrainConfig{
-			Case: c, KRatio: 0.01, Factory: spardl.NewFactory(spardl.Options{}),
-			Iters: iters, Seed: 1, EvalEvery: max(1, iters/4),
-			P: p, Backend: bk.b,
-			Elastic: &spardl.ElasticTrainConfig{MinP: 1, MaxRestarts: 3},
-		}
-		t0 := time.Now()
-		res, recs, err := spardl.TrainElastic(cfg)
-		if err != nil {
-			return fmt.Errorf("%s: %w", bk.name, err)
-		}
-		fmt.Fprintf(w, "%s: %d recoveries, wall %.2fs, final=%.4f\n",
-			bk.name, len(recs), time.Since(t0).Seconds(), res.FinalMetric)
-		for _, r := range recs {
-			fmt.Fprintf(w, "  gen %d: p=%d lost=%v resume-iter=%d  rejoin %.1fms + first-round %.1fms = recovery %.1fms\n",
-				r.Gen, r.P, r.Lost, r.ResumeIter,
-				r.RejoinSeconds*1e3, r.FirstRoundSeconds*1e3,
-				(r.RejoinSeconds+r.FirstRoundSeconds)*1e3)
-			fmt.Fprintf(w, "         cause: %s\n", r.Cause)
-		}
-		finals = append(finals, res)
-	}
-	lv, tcp := finals[0], finals[1]
-	if lv.FinalMetric == tcp.FinalMetric && lv.FinalLoss == tcp.FinalLoss {
-		fmt.Fprintln(w, "\npost-recovery trajectories agree bit-exactly across substrates.")
-	} else {
-		fmt.Fprintf(w, "\nWARNING: substrates disagree: livenet final=%v loss=%v, tcpnet final=%v loss=%v\n",
-			lv.FinalMetric, lv.FinalLoss, tcp.FinalMetric, tcp.FinalLoss)
-	}
-	return nil
-}
-
-// envBenchOut hands a forked tcp-demo worker its per-rank result path.
-const envBenchOut = "SPARDL_BENCH_OUT"
-
-// tcpWorkerRecord is what one forked worker process reports.
-type tcpWorkerRecord struct {
-	WallNs    int64 `json:"wall_ns"`
-	BytesRecv int64 `json:"bytes_recv"` // real serialized bytes received by this rank
-}
-
-// runTCPWorkerBench is the forked child body of -backend tcp: one SparDL
-// synchronization over the process mesh, reporting measured wall time and
-// real received bytes for this rank.
-func runTCPWorkerBench(cfg spardl.TCPConfig, n, k int) {
-	ep, err := spardl.TCPStart(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer ep.Close()
-	defer func() {
-		if r := recover(); r != nil {
-			fmt.Fprintf(os.Stderr, "spardl-bench: rank %d failed: %v\n", ep.Rank(), r)
-			os.Exit(1)
-		}
-	}()
-	r, err := spardl.New(ep.P(), ep.Rank(), n, k, spardl.Options{})
-	if err != nil {
-		panic(err)
-	}
-	g := reduceGrads(ep.P(), n)[ep.Rank()]
-	out := make([]float32, n)
-	ep.SyncClock()
-	ep.ResetStats()
-	t0 := time.Now()
-	r.ReduceInto(ep, g, out)
-	rec := tcpWorkerRecord{WallNs: time.Since(t0).Nanoseconds(), BytesRecv: ep.Stats().BytesRecv}
-	ep.SyncClock()
-	data, err := json.Marshal(rec)
-	if err != nil {
-		panic(err)
-	}
-	if err := os.WriteFile(os.Getenv(envBenchOut), data, 0o644); err != nil {
-		panic(err)
-	}
-}
-
-// runTCPComparison is the parent side of -backend tcp: fork one worker
-// process per rank over loopback, aggregate their reports, and print the
-// measured cross-process numbers next to the α-β simulator's for the
-// identical workload — the project's distributed-honesty demo. The
-// simulator's bytes are shown under both accounting rules; the negotiated
-// one is the size of what the sockets carry.
-func runTCPComparison(w io.Writer, p, n, k int) error {
-	dir, err := os.MkdirTemp("", "spardl-tcp")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-
-	fmt.Fprintf(w, "## tcp vs simulated: one SparDL synchronization (P=%d processes, n=%d, k=%d)\n\n", p, n, k)
-	outs := make([]string, p)
-	for rank := range outs {
-		outs[rank] = filepath.Join(dir, fmt.Sprintf("rank%d.json", rank))
-	}
-	err = spardl.ForkTCPWorkers(p, func(rank int, cmd *exec.Cmd) {
-		cmd.Env = append(cmd.Env, envBenchOut+"="+outs[rank])
-	})
-	if err != nil {
-		return err
-	}
-
-	var wall, bytes int64
-	for _, path := range outs {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		var rec tcpWorkerRecord
-		if err := json.Unmarshal(data, &rec); err != nil {
-			return err
-		}
-		wall = max(wall, rec.WallNs)
-		bytes += rec.BytesRecv
-	}
-
-	grads := reduceGrads(p, n)
-	sim := spardl.SimBackend(spardl.Ethernet)
-	coo := runReduceOnce(sim, p, n, k, spardl.WireCOO, grads)
-	neg := runReduceOnce(sim, p, n, k, spardl.WireNegotiated, grads)
-	fmt.Fprintf(w, "%14s %16s %16s %22s %14s\n",
-		"sim clock", "tcp wall (max)", "sim bytes (coo)", "sim bytes (negotiated)", "tcp bytes")
-	fmt.Fprintf(w, "%12.3fms %14.3fms %16d %22d %14d\n",
-		coo.Time*1e3, float64(wall)/1e6, coo.TotalBytesRecv(), neg.TotalBytesRecv(), bytes)
-	fmt.Fprintln(w, "\nsim clock is virtual α-β seconds; tcp figures are measured across separate")
-	fmt.Fprintln(w, "worker processes exchanging every sparse message over loopback TCP sockets.")
-	return nil
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("spardl-bench: ")
@@ -403,11 +248,7 @@ func main() {
 		tcpBase    = flag.String("tcp-baseline", "", "write the steady-state loopback-TCP baseline (same record as -live-baseline, over real sockets) to this JSON file and exit")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof reads it)")
 		memprofile = flag.String("memprofile", "", "write an allocation profile taken at exit to this file (go tool pprof reads it)")
-		backend    = flag.String("backend", "", "\"tcp\" forks one OS process per worker over loopback TCP and prints the measured cross-process synchronization next to the simulated clock (at the -live-p/n/k sizes), then exits")
-		chaosSpec  = flag.String("chaos", "", "run an elastic training session under this deterministic fault schedule on livenet AND loopback tcpnet, reporting per-recovery rejoin/first-round latency and cross-substrate agreement, then exit (e.g. \"crash:rank=1,iter=2\")")
-		chaosP     = flag.Int("chaos-p", 4, "worker count for -chaos")
-		chaosIters = flag.Int("chaos-iters", 8, "training iterations for -chaos")
-		liveP      = flag.Int("live-p", 8, "worker count for -live-baseline / -tcp-baseline / -backend tcp")
+		liveP      = flag.Int("live-p", 8, "worker count for -live-baseline / -tcp-baseline")
 		liveN      = flag.Int("live-n", 1<<18, "gradient length for the same")
 		liveK      = flag.Int("live-k", 1<<18/100, "global sparse budget for the same")
 	)
@@ -437,25 +278,6 @@ func main() {
 		}()
 	}
 
-	// A process forked by -backend tcp below: run one rank of the demo.
-	if tcpCfg, isChild, err := spardl.TCPConfigFromEnv(); isChild {
-		if err != nil {
-			log.Fatal(err)
-		}
-		runTCPWorkerBench(tcpCfg, *liveN, *liveK)
-		return
-	}
-
-	if *backend != "" {
-		if *backend != "tcp" {
-			log.Fatalf("unknown backend %q (only \"tcp\" forks here; -live-baseline covers the in-process live backend)", *backend)
-		}
-		if err := runTCPComparison(os.Stdout, *liveP, *liveN, *liveK); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
 	if *baseline != "" {
 		if err := emitReduceBaseline(*baseline); err != nil {
 			log.Fatal(err)
@@ -472,13 +294,6 @@ func main() {
 
 	if *tcpBase != "" {
 		if err := emitSteadyBaseline(*tcpBase, "TCPReduceSteadyState", spardl.TCPLocalBackend(), *liveP, *liveN, *liveK); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	if *chaosSpec != "" {
-		if err := runChaosBench(os.Stdout, *chaosSpec, *chaosP, *chaosIters); err != nil {
 			log.Fatal(err)
 		}
 		return

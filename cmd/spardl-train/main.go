@@ -100,24 +100,21 @@ func forkTCPCluster(p int) error {
 	})
 }
 
-// runTCPWorker is the child-process body: mesh up, train this rank, print
-// on rank 0, and turn a poisoned fabric into a clean non-zero exit.
+// runTCPWorker is the child-process body: train this rank over the mesh,
+// print on rank 0, and turn a poisoned fabric into a clean non-zero exit.
 func runTCPWorker(tcpCfg spardl.TCPConfig, caseID int, kRatio float64, factory spardl.Factory, iters int, seed int64) {
 	c := spardl.CaseByID(caseID)
-	res, rank, err := spardl.TrainTCPRank(tcpCfg, spardl.TrainConfig{
+	res, _, err := spardl.TrainTCP(tcpCfg, spardl.TrainConfig{
 		Case: c, KRatio: kRatio,
 		Factory: factory, Iters: iters, Seed: seed,
 		EvalEvery: max(1, iters/10),
-	}, func(rank, p int) {
-		if rank == 0 {
-			fmt.Printf("case %d: %s (%s), %d worker processes over tcpnet, k/n=%g\n",
-				c.ID, c.Name, c.Task, p, kRatio)
-		}
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if rank == 0 {
+	if res.TotalTime > 0 {
+		fmt.Printf("case %d: %s (%s), %d worker processes over tcpnet, k/n=%g\n",
+			c.ID, c.Name, c.Task, tcpCfg.P, kRatio)
 		spardl.FprintTrajectory(os.Stdout, c, res)
 		// Each tcpnet process holds only its own rank's statistics, so the
 		// breakdown is labeled per-rank, matching cmd/spardl-worker — not

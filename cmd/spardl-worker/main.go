@@ -144,46 +144,29 @@ func run() int {
 
 	if *elastic {
 		tc.Elastic = &spardl.ElasticTrainConfig{MinP: *minP, MaxRestarts: *maxRestarts}
-		res, recs, err := spardl.TrainTCPElastic(cfg, tc)
-		gen, pNow := 0, cfg.P
-		for _, r := range recs {
-			gen, pNow = r.Gen, r.P
-			log.Printf("recovered gen=%d p=%d lost=%v resume-iter=%d rejoin=%.3fs cause=%q",
-				r.Gen, r.P, r.Lost, r.ResumeIter, r.RejoinSeconds, r.Cause)
-		}
-		if err != nil {
-			outcome, code := classify(err)
-			status(outcome, err.Error(), gen, pNow)
-			return code
-		}
-		// TotalTime is set only by the process holding rank 0 in the final
-		// generation — after a rank-0 failover that is the failed-over
-		// leader, whose trajectory covers its own evaluations.
-		if res.TotalTime > 0 {
-			spardl.FprintTrajectory(os.Stdout, c, res)
-		}
-		status("ok", "", gen, pNow)
-		return exitOK
 	}
-
-	// A poisoned fabric (lost peer, mid-collective failure) comes back as
-	// an error; exit with a clean one-line message.
-	res, myRank, err := spardl.TrainTCPRank(cfg, tc, func(rank, p int) {
-		if rank == 0 {
-			fmt.Printf("case %d: %s (%s), %d workers over tcpnet, k/n=%g\n",
-				c.ID, c.Name, c.Task, p, *kRatio)
-		}
-	})
+	res, recs, err := spardl.TrainTCP(cfg, tc)
+	gen, pNow := 0, cfg.P
+	for _, r := range recs {
+		gen, pNow = r.Gen, r.P
+		log.Printf("recovered gen=%d p=%d lost=%v resume-iter=%d rejoin=%.3fs cause=%q",
+			r.Gen, r.P, r.Lost, r.ResumeIter, r.RejoinSeconds, r.Cause)
+	}
 	if err != nil {
 		outcome, code := classify(err)
-		status(outcome, err.Error(), 0, cfg.P)
+		status(outcome, err.Error(), gen, pNow)
 		return code
 	}
-	if myRank == 0 {
+	// TotalTime is set only by the process holding rank 0 in the final
+	// generation — after a rank-0 failover that is the failed-over
+	// leader, whose trajectory covers its own evaluations.
+	if res.TotalTime > 0 {
+		fmt.Printf("case %d: %s (%s), %d workers over tcpnet, k/n=%g\n",
+			c.ID, c.Name, c.Task, pNow, *kRatio)
 		spardl.FprintTrajectory(os.Stdout, c, res)
 		fmt.Printf("wall-clock breakdown (this rank): comm %.4fs + comp %.4fs (modeled); rounds/iter: %d; real bytes/iter: %d\n",
 			res.CommTime, res.CompTime, res.MaxRounds, res.BytesPerIter)
 	}
-	status("ok", "", 0, cfg.P)
+	status("ok", "", gen, pNow)
 	return exitOK
 }

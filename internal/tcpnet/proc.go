@@ -12,9 +12,8 @@ import (
 )
 
 // Environment variables the process helpers use to hand a child worker its
-// cluster coordinates; cmd/spardl-train, cmd/spardl-bench and the
-// equivalence tests all speak this convention, and cmd/spardl-worker
-// accepts it as the flag fallback.
+// cluster coordinates; cmd/spardl-train and the equivalence tests speak
+// this convention, and cmd/spardl-worker accepts it as the flag fallback.
 const (
 	EnvRendezvous = "SPARDL_TCP_RENDEZVOUS"
 	EnvP          = "SPARDL_TCP_P"
@@ -91,20 +90,15 @@ func FromEnv() (cfg Config, ok bool, err error) {
 	return Config{Rendezvous: rdv, P: p, Rank: rank}, true, nil
 }
 
-// SelfBackend adapts an established endpoint to the comm.Backend contract
-// for the one rank this process runs. Run executes the worker function for
-// this rank only — the other P-1 ranks are separate processes running
-// their own SelfBackend — so the Report covers this rank alone; cluster-
-// wide aggregation is the parent process's job. A worker panic aborts the
+// NewProcBackend is the backend of a worker process: it hosts the one
+// rank this process runs, and the other P-1 ranks are separate processes
+// running their own. Run and RunElastic start with the rendezvous cfg
+// describes, so the Report covers this rank alone; cluster-wide
+// aggregation is the parent process's job. A worker panic aborts the
 // endpoint first (closing the sockets unblocks remote peers, exactly as a
-// process crash would) and then resurfaces. Run closes the endpoint.
-func SelfBackend(ep *Endpoint) comm.Backend { return &procBackend{ep: ep} }
-
-// NewProcBackend is SelfBackend for a worker process that has not joined
-// its cluster yet — Run and RunElastic start with the rendezvous cfg
-// describes — and is what makes a process elastic: after a poisoned
-// fabric, RunElastic re-rendezvouses this rank with the other survivors
-// (see rejoin.go; cmd/spardl-worker -elastic). cfg.Injector, when set, is
+// process crash would) and then resurfaces. After a poisoned fabric,
+// RunElastic re-rendezvouses this rank with the other survivors (see
+// rejoin.go; cmd/spardl-worker -elastic). cfg.Injector, when set, is
 // carried across generations so one-shot faults never re-fire. A
 // scheduled crash of this very process surfaces as an error after its
 // streams half-close.
@@ -123,24 +117,16 @@ type procBackend struct {
 // Name implements comm.Backend.
 func (*procBackend) Name() string { return "tcpnet" }
 
-// start joins the generation-0 cluster unless an established endpoint was
-// supplied.
+// start joins the generation-0 cluster of p workers.
 func (b *procBackend) start(p int) error {
-	if b.ep == nil {
-		b.cfg.P = p
-		cfg, err := b.cfg.withDefaults()
-		if err != nil {
-			return err
-		}
-		b.cfg = cfg
-		if b.ep, err = Start(cfg); err != nil {
-			return err
-		}
+	b.cfg.P = p
+	cfg, err := b.cfg.withDefaults()
+	if err != nil {
+		return err
 	}
-	if p != b.ep.P() {
-		return fmt.Errorf("tcpnet: backend built for P=%d, asked to run %d", b.ep.P(), p)
-	}
-	return nil
+	b.cfg = cfg
+	b.ep, err = Start(cfg)
+	return err
 }
 
 // Run implements comm.Backend for the single local rank, fail-fast.

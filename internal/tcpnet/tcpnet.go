@@ -59,7 +59,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
 	"slices"
 	"sort"
 	"time"
@@ -81,20 +80,6 @@ const protoVersion = 2
 // assignment mismatch — so callers (spardl-worker's exit codes) can tell
 // "the cluster never formed" apart from a mid-training poisoned fabric.
 var ErrRendezvous = errors.New("tcpnet: rendezvous failed")
-
-// EnvTimeout optionally overrides the default 30s rendezvous/mesh/drain
-// timeout with a time.ParseDuration string — "5m" for WAN clusters whose
-// workers come up minutes apart, "5s" for impatient local test sweeps.
-const EnvTimeout = "SPARDL_TCP_TIMEOUT"
-
-func defaultTimeout() time.Duration {
-	if s := os.Getenv(EnvTimeout); s != "" {
-		if d, err := time.ParseDuration(s); err == nil && d > 0 {
-			return d
-		}
-	}
-	return 30 * time.Second
-}
 
 // Frame kinds.
 const (
@@ -118,7 +103,7 @@ type Config struct {
 	// their own reachable address.
 	Host string
 	// Timeout bounds rendezvous and mesh establishment, and the graceful
-	// drain in Close. Zero defaults to SPARDL_TCP_TIMEOUT, or 30s.
+	// drain in Close. Zero means 30s.
 	Timeout time.Duration
 	// Gen is the fabric generation this worker is rendezvousing for.
 	// Generation 0 is the initial cluster; elastic re-rendezvous increments
@@ -157,7 +142,7 @@ func (c Config) withDefaults() (Config, error) {
 		return c, fmt.Errorf("tcpnet: rendezvous address required for P=%d", c.P)
 	}
 	if c.Timeout <= 0 {
-		c.Timeout = defaultTimeout()
+		c.Timeout = 30 * time.Second
 	}
 	if c.IDs != nil && len(c.IDs) != c.P {
 		return c, fmt.Errorf("tcpnet: ID map has %d entries for P=%d", len(c.IDs), c.P)

@@ -215,41 +215,16 @@ func LiveBackend() Backend { return livenet.NewBackend() }
 // rank 0 hosts the rendezvous, workers mesh up over real TCP sockets, and
 // every message crosses the kernel network stack through the same wire
 // codecs livenet uses.
-type (
-	// TCPConfig describes one worker process's cluster coordinates
-	// (rendezvous address, P, rank).
-	TCPConfig = tcpnet.Config
-	// TCPEndpoint is one worker process's comm.Endpoint over the mesh.
-	TCPEndpoint = tcpnet.Endpoint
-)
 
-// TCPStart performs rendezvous and full-mesh establishment for this
-// process's rank and returns its endpoint.
-func TCPStart(cfg TCPConfig) (*TCPEndpoint, error) { return tcpnet.Start(cfg) }
-
-// TCPSelfBackend adapts an established TCP endpoint to the Backend
-// contract for the one rank this process runs; the other ranks are
-// separate processes. Use it as TrainConfig.Backend inside a worker
-// process (cmd/spardl-worker does exactly this). Run closes the endpoint.
-func TCPSelfBackend(ep *TCPEndpoint) Backend { return tcpnet.SelfBackend(ep) }
+// TCPConfig describes one worker process's cluster coordinates
+// (rendezvous address, P, rank).
+type TCPConfig = tcpnet.Config
 
 // TCPLocalBackend runs P tcpnet workers as goroutines of this one process,
 // each with its own endpoint over real loopback TCP sockets — every byte
 // still crosses the kernel — so the socket data path is measurable with a
 // single command (spardl-bench -tcp-baseline) without forking processes.
 func TCPLocalBackend() Backend { return tcpnet.LocalBackend(0) }
-
-// ReserveTCPAddr picks a free loopback host:port for a rendezvous
-// listener — the parent-process half of the one-command local demo. The
-// port is released before it returns, so rank 0's bind can lose a race for
-// it (see tcpnet.ReserveLoopbackAddr).
-func ReserveTCPAddr() (string, error) { return tcpnet.ReserveLoopbackAddr() }
-
-// TCPChildEnv returns the environment entries that hand a spawned worker
-// process its cluster coordinates; TCPConfigFromEnv reads them back.
-func TCPChildEnv(rendezvous string, p, rank int) []string {
-	return tcpnet.ChildEnv(rendezvous, p, rank)
-}
 
 // TCPConfigFromEnv reads the spawned-worker convention; ok is false when
 // this process was not launched as a tcpnet worker.
@@ -258,14 +233,12 @@ func TCPConfigFromEnv() (cfg TCPConfig, ok bool, err error) { return tcpnet.From
 // Deterministic fault injection and elastic membership. A ChaosSchedule is
 // a seed-reproducible fault program ("crash:rank=1,iter=2;drop:rank=0,
 // peer=2,frame=5"); the same schedule replays bit-identically on livenet
-// and tcpnet, which is what the chaos suite pins. Elastic backends survive
-// scheduled crashes by re-rendezvousing the survivors — see TrainElastic.
+// and tcpnet, which is what the chaos suite pins. An elastic run
+// (TrainConfig.Elastic) survives scheduled crashes by re-rendezvousing the
+// survivors.
 type (
 	// ChaosSchedule is a parsed deterministic fault schedule.
 	ChaosSchedule = chaos.Schedule
-	// ElasticBackend is a Backend that survives worker loss by re-forming
-	// the fabric with the survivors (livenet and tcpnet implement it).
-	ElasticBackend = comm.ElasticBackend
 	// ElasticTrainConfig bounds an elastic run (TrainConfig.Elastic).
 	ElasticTrainConfig = train.ElasticConfig
 	// RecoveryStat is one survived membership change: the backend's
@@ -279,15 +252,7 @@ type (
 // partition).
 func ParseChaos(s string) (*ChaosSchedule, error) { return chaos.Parse(s) }
 
-// LiveChaosBackend is LiveBackend under a deterministic fault schedule.
-func LiveChaosBackend(sched *ChaosSchedule) Backend { return livenet.NewChaosBackend(sched) }
-
-// TCPLocalChaosBackend is TCPLocalBackend under a deterministic fault
-// schedule: the same schedule as LiveChaosBackend, replayed over real
-// loopback sockets.
-func TCPLocalChaosBackend(sched *ChaosSchedule) Backend { return tcpnet.LocalChaosBackend(0, sched) }
-
-// ErrTCPRendezvous classifies TCPStart failures: errors.Is(err,
+// ErrTCPRendezvous classifies TrainTCP failures: errors.Is(err,
 // ErrTCPRendezvous) means the cluster never formed (nothing listening,
 // timeout, torn check-ins past budget) as opposed to a mid-training fault.
 var ErrTCPRendezvous = tcpnet.ErrRendezvous
@@ -305,55 +270,32 @@ func IsPoisoned(err error) bool {
 		chaos.IsCrashed(s)
 }
 
-// TrainElastic runs one distributed S-SGD session with elastic membership:
-// cfg.Backend must be an ElasticBackend; on a scheduled crash the
-// survivors re-rendezvous, agree on the resume iteration, restore their
-// boundary snapshots and continue with the shrunk membership. The
-// trajectory is deterministic for a given seed, schedule and substrate.
-func TrainElastic(cfg TrainConfig) (*TrainResult, []RecoveryStat, error) {
-	return train.RunElastic(cfg)
-}
-
-// TrainTCPElastic is TrainTCPRank's elastic sibling for one worker
-// process: generation 0 is a normal rendezvous at tcp, and after a
-// poisoned fabric the survivors elect the lowest surviving ID as the new
-// rendezvous leader, re-mesh and resume (cmd/spardl-worker -elastic). In
-// multi-process mode each process owns its own TrainResult: after a rank-0
-// failover the new rank 0's trajectory covers its own post-recovery
-// evaluations (res.TotalTime > 0 marks the process that held rank 0 at the
-// end).
-func TrainTCPElastic(tcp TCPConfig, cfg TrainConfig) (*TrainResult, []RecoveryStat, error) {
+// TrainTCP runs this process's rank of a distributed training session over
+// tcpnet — the worker body of cmd/spardl-worker and of the children
+// cmd/spardl-train forks. It joins the mesh tcp describes (cfg.P and
+// cfg.Backend are set from tcp), trains, and tears the mesh down. With
+// cfg.Elastic set, a poisoned fabric makes the survivors elect the lowest
+// surviving ID as the new rendezvous leader, re-mesh and resume; the
+// recoveries come back in order. Each process owns its own TrainResult:
+// res.TotalTime > 0 marks the process that held rank 0 at the end, whose
+// trajectory covers its own evaluations. Every failure is an error, never
+// a panic: ErrTCPRendezvous and IsPoisoned classify it.
+func TrainTCP(tcp TCPConfig, cfg TrainConfig) (res *TrainResult, recs []RecoveryStat, err error) {
 	cfg.P = tcp.P
 	cfg.Backend = tcpnet.NewProcBackend(tcp)
-	return train.RunElastic(cfg)
-}
-
-// TrainTCPRank is the worker-process body shared by cmd/spardl-worker and
-// the children cmd/spardl-train forks: join the mesh described by tcp, run
-// one rank of the training session over it (cfg.P and cfg.Backend are set
-// from the established endpoint), and tear the endpoint down. onStart, if
-// non-nil, runs once the mesh is up (banner printing). The returned rank
-// tells the caller whether it owns the cluster's stdout (rank 0 carries
-// the trajectory); a poisoned fabric or worker panic comes back as an
-// error so CLI workers can exit cleanly instead of dumping a stack.
-func TrainTCPRank(tcp TCPConfig, cfg TrainConfig, onStart func(rank, p int)) (res *TrainResult, rank int, err error) {
-	ep, err := TCPStart(tcp)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer ep.Close()
-	rank = ep.Rank()
 	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("rank %d failed: %v", rank, r)
+		switch r := recover().(type) {
+		case nil:
+		case error:
+			err = r
+		default:
+			err = fmt.Errorf("rank %d failed: %v", tcp.Rank, r)
 		}
 	}()
-	if onStart != nil {
-		onStart(ep.Rank(), ep.P())
+	if cfg.Elastic != nil {
+		return train.RunElastic(cfg)
 	}
-	cfg.P = ep.P()
-	cfg.Backend = TCPSelfBackend(ep)
-	return Train(cfg), rank, nil
+	return train.Run(cfg), nil, nil
 }
 
 // ForkTCPWorkers is the one-command local demo helper: it reserves a
@@ -366,7 +308,7 @@ func TrainTCPRank(tcp TCPConfig, cfg TrainConfig, onStart func(rank, p int)) (re
 // never complete; otherwise ForkTCPWorkers waits for every worker and
 // returns the first failure.
 func ForkTCPWorkers(p int, configure func(rank int, cmd *exec.Cmd)) error {
-	addr, err := ReserveTCPAddr()
+	addr, err := tcpnet.ReserveLoopbackAddr()
 	if err != nil {
 		return err
 	}
@@ -377,7 +319,7 @@ func ForkTCPWorkers(p int, configure func(rank int, cmd *exec.Cmd)) error {
 	cmds := make([]*exec.Cmd, p)
 	for rank := 0; rank < p; rank++ {
 		cmd := exec.Command(self, os.Args[1:]...)
-		cmd.Env = append(os.Environ(), TCPChildEnv(addr, p, rank)...)
+		cmd.Env = append(os.Environ(), tcpnet.ChildEnv(addr, p, rank)...)
 		cmd.Stderr = os.Stderr
 		if configure != nil {
 			configure(rank, cmd)

@@ -1,9 +1,14 @@
 package spardl_test
 
 import (
+	"errors"
+	"math"
+	"sync"
 	"testing"
+	"time"
 
 	"spardl"
+	"spardl/internal/tcpnet"
 )
 
 // TestFacadeQuickstart is the README's quick-start path: eight workers
@@ -87,53 +92,91 @@ func TestFacadeParseFactory(t *testing.T) {
 	}
 }
 
-// TestFacadeTCP runs the quick-start workload over the tcpnet facade with
-// the P ranks as goroutines of this process (the separate-process axis is
-// pinned by internal/tcpnet's forked equivalence suite).
+// TestFacadeTCP drives spardl.TrainTCP, the one way a process joins a
+// tcpnet fleet, with the P ranks as goroutines of this process over
+// loopback (the separate-process axis is pinned by internal/tcpnet's forked
+// equivalence suite). Its error classes are spardl-worker's exit codes.
 func TestFacadeTCP(t *testing.T) {
-	const p, n, k = 4, 2000, 20
-	addr, err := spardl.ReserveTCPAddr()
-	if err != nil {
-		t.Fatal(err)
+	const p, iters = 3, 6
+	base := spardl.TrainConfig{
+		Case: spardl.CaseByID(1), KRatio: 0.01, Factory: spardl.NewFactory(spardl.Options{}),
+		Iters: iters, Seed: 1, EvalEvery: 2,
 	}
-	outs := make([][]float32, p)
-	done := make(chan error, p)
-	for rank := 0; rank < p; rank++ {
-		go func(rank int) {
-			ep, err := spardl.TCPStart(spardl.TCPConfig{Rendezvous: addr, P: p, Rank: rank})
-			if err != nil {
-				done <- err
-				return
-			}
-			defer ep.Close()
-			spardl.TCPSelfBackend(ep).Run(p, func(rank int, cep spardl.CommEndpoint) {
-				r, err := spardl.New(p, rank, n, k, spardl.Options{})
-				if err != nil {
-					done <- err
-					return
-				}
-				grad := make([]float32, n)
-				for i := range grad {
-					grad[i] = float32((rank+1)*(i%17)) / 100
-				}
-				outs[rank] = make([]float32, n)
-				r.ReduceInto(cep, grad, outs[rank])
-			})
-			done <- nil
-		}(rank)
-	}
-	for i := 0; i < p; i++ {
-		if err := <-done; err != nil {
+	// fleet runs one TrainTCP per rank with factory f and returns each
+	// rank's result and error.
+	fleet := func(t *testing.T, f spardl.Factory) ([]*spardl.TrainResult, []error) {
+		addr, err := tcpnet.ReserveLoopbackAddr()
+		if err != nil {
 			t.Fatal(err)
 		}
+		res, errs := make([]*spardl.TrainResult, p), make([]error, p)
+		var wg sync.WaitGroup
+		for rank := 0; rank < p; rank++ {
+			wg.Add(1)
+			go func(rank int) {
+				defer wg.Done()
+				cfg := base
+				cfg.Factory = f
+				res[rank], _, errs[rank] = spardl.TrainTCP(spardl.TCPConfig{Rendezvous: addr, P: p, Rank: rank}, cfg)
+			}(rank)
+		}
+		wg.Wait()
+		return res, errs
 	}
-	for w := 1; w < p; w++ {
-		for i := range outs[0] {
-			if outs[w][i] != outs[0][i] {
-				t.Fatalf("worker %d disagrees at %d", w, i)
+
+	t.Run("healthy", func(t *testing.T) {
+		res, errs := fleet(t, base.Factory)
+		for rank, err := range errs {
+			if err != nil {
+				t.Fatalf("rank %d: %v", rank, err)
 			}
 		}
-	}
+		live := base
+		live.P, live.Backend = p, spardl.LiveBackend()
+		want, got := spardl.Train(live), res[0]
+		if len(got.Points) != len(want.Points) {
+			t.Fatalf("tcp has %d points, live %d", len(got.Points), len(want.Points))
+		}
+		for i, w := range want.Points {
+			g := got.Points[i]
+			if g.Iter != w.Iter || math.Float64bits(g.Loss) != math.Float64bits(w.Loss) ||
+				math.Float64bits(g.Metric) != math.Float64bits(w.Metric) {
+				t.Fatalf("point %d: tcp %+v, live %+v", i, g, w)
+			}
+		}
+		if math.Float64bits(got.FinalMetric) != math.Float64bits(want.FinalMetric) ||
+			math.Float64bits(got.FinalLoss) != math.Float64bits(want.FinalLoss) {
+			t.Fatalf("final: tcp %v / %v, live %v / %v", got.FinalMetric, got.FinalLoss, want.FinalMetric, want.FinalLoss)
+		}
+	})
+
+	t.Run("nothing listening", func(t *testing.T) {
+		addr, err := tcpnet.ReserveLoopbackAddr()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = spardl.TrainTCP(spardl.TCPConfig{Rendezvous: addr, P: 2, Rank: 1, Timeout: 500 * time.Millisecond}, base)
+		if !errors.Is(err, spardl.ErrTCPRendezvous) {
+			t.Fatalf("want a rendezvous failure, got %v", err)
+		}
+	})
+
+	t.Run("panic on rank 2", func(t *testing.T) {
+		_, errs := fleet(t, func(p, rank, n, k int) spardl.Reducer {
+			if rank == 2 {
+				panic("factory refuses rank 2")
+			}
+			return base.Factory(p, rank, n, k)
+		})
+		for rank, err := range errs[:2] {
+			if !spardl.IsPoisoned(err) {
+				t.Errorf("survivor %d: want a poisoned fabric, got %v", rank, err)
+			}
+		}
+		if errs[2] == nil {
+			t.Error("rank 2 panicked but returned no error")
+		}
+	})
 }
 
 func TestFacadeTrain(t *testing.T) {
