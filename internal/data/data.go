@@ -5,7 +5,7 @@
 // every experiment is exactly reproducible and every worker holds a
 // disjoint shard (data-parallel S-SGD).
 //
-// The substitution rationale (DESIGN.md §2): the experiments compare
+// The substitution rationale: the experiments compare
 // communication methods on a fixed learning task, so what matters is that
 // the task is learnable but non-trivial, produces heavy-tailed gradient
 // distributions, and is identical across methods — not that it is the

@@ -31,8 +31,8 @@ func pick[T any](q Quality, quick, full T) T {
 type Experiment struct {
 	ID    string
 	Title string
-	// Paper summarizes what the original reports, for side-by-side reading
-	// in EXPERIMENTS.md.
+	// Paper summarizes what the original reports; cmd/spardl-bench prints
+	// it beside the measured tables.
 	Paper string
 	Run   func(q Quality) []*Table
 }

@@ -1,8 +1,7 @@
 // Package expt is the experiment harness: one runner per table and figure
 // of the paper's evaluation (Section IV), plus ablation studies of SparDL's
 // design choices. Runners produce plain-text tables whose rows correspond
-// to the series the paper plots; cmd/spardl-bench executes them by id and
-// EXPERIMENTS.md records paper-vs-measured outcomes.
+// to the series the paper plots; cmd/spardl-bench executes them by id.
 package expt
 
 import (

@@ -12,7 +12,7 @@ import (
 // gradient vectors use n = PaperParams·TimingScale entries while β is
 // multiplied by 1/TimingScale, which keeps every α-vs-β·n trade-off — and
 // therefore every per-update time — numerically identical to paper scale
-// (DESIGN.md §2) at laptop-sized memory and CPU budgets.
+// at laptop-sized memory and CPU budgets.
 const TimingScale = 0.002
 
 // TimingConfig measures steady-state per-update time without real training:

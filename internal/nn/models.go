@@ -299,7 +299,7 @@ func (m *LSTMLM) Loss(batch *Batch) (*Tensor, float64) {
 }
 
 // BERTLike is the stand-in for the paper's BERT masked-LM case (Case 7).
-// It is attention-free (see DESIGN.md): each position embeds its own
+// It is attention-free: each position embeds its own
 // (possibly masked) token plus its left neighbour — a bigram context —
 // followed by residual feed-forward blocks and a vocabulary head; the loss
 // is cross-entropy at masked positions only. The metric is the loss.

@@ -31,11 +31,6 @@ type Config struct {
 	// value yields a single bucket, which reproduces the monolithic
 	// schedule — and the monolithic model update — bit for bit.
 	BucketBytes int
-	// NoOverlap keeps the bucket schedule but runs every bucket's
-	// synchronization inline on the main clock instead of the
-	// communication stream: the serialized reference that isolates what
-	// overlap itself buys (Stats.OverlapSaved) from what bucketing changes.
-	NoOverlap bool
 }
 
 // Bucket is one fused group of consecutive tensors, in launch order:
@@ -151,9 +146,9 @@ func NewSchedule(base sparsecoll.Factory, p, rank, k int, segs []nn.Segment, rea
 
 // Run executes one iteration's synchronization: for each bucket in launch
 // order it advances the main clock to the bucket's ready point (the
-// backward slice that produces its gradients) and reduces the bucket — on
-// the communication stream (overlapped) or inline when Config.NoOverlap is
-// set. A one-tensor bucket is reduced straight from its tensor's gradient;
+// backward slice that produces its gradients) and reduces the bucket on the
+// communication stream, overlapped with the compute still ahead of it. A
+// one-tensor bucket is reduced straight from its tensor's gradient;
 // only a fused bucket materializes its segments into flat[Lo:Hi) first, so
 // the per-layer schedule leaves flat untouched. It returns with the streams
 // joined, the full global gradient assembled in out, and the main clock at
@@ -182,13 +177,9 @@ func (s *Schedule) Run(ep comm.Endpoint, segs []nn.Segment, flat, out []float32)
 			grad = flat[b.Lo:b.Hi]
 		}
 		r := s.Reducers[i]
-		if s.Config.NoOverlap {
+		ep.Overlap(func(ep comm.Endpoint) {
 			r.ReduceInto(ep, grad, out)
-		} else {
-			ep.Overlap(func(ep comm.Endpoint) {
-				r.ReduceInto(ep, grad, out)
-			})
-		}
+		})
 	}
 	ep.Join()
 }

@@ -300,7 +300,7 @@ func TestLocalElasticPartitionFailsFast(t *testing.T) {
 }
 
 // TestStartRendezvousErrClass pins the error classification Start promises
-// spardl-worker: a rendezvous that never forms wraps ErrRendezvous.
+// a spardl-train tcp rank: a rendezvous that never forms wraps ErrRendezvous.
 func TestStartRendezvousErrClass(t *testing.T) {
 	addr, err := ReserveLoopbackAddr()
 	if err != nil {

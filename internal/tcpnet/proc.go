@@ -13,7 +13,8 @@ import (
 
 // Environment variables the process helpers use to hand a child worker its
 // cluster coordinates; cmd/spardl-train and the equivalence tests speak
-// this convention, and cmd/spardl-worker accepts it as the flag fallback.
+// this convention, and a spardl-train tcp rank accepts it as the flag
+// fallback.
 const (
 	EnvRendezvous = "SPARDL_TCP_RENDEZVOUS"
 	EnvP          = "SPARDL_TCP_P"
@@ -98,7 +99,7 @@ func FromEnv() (cfg Config, ok bool, err error) {
 // endpoint first (closing the sockets unblocks remote peers, exactly as a
 // process crash would) and then resurfaces. After a poisoned fabric,
 // RunElastic re-rendezvouses this rank with the other survivors (see
-// rejoin.go; cmd/spardl-worker -elastic). cfg.Injector, when set, is
+// rejoin.go; spardl-train -backend tcp -elastic). cfg.Injector, when set, is
 // carried across generations so one-shot faults never re-fire. A
 // scheduled crash of this very process surfaces as an error after its
 // streams half-close.

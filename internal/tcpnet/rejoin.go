@@ -33,30 +33,17 @@ package tcpnet
 
 import (
 	"net"
-	"os"
 	"slices"
 	"strconv"
 	"time"
 )
 
-// EnvRejoinProbe and EnvRejoinSettle override the leader-election probe
-// window and the membership settle window with time.ParseDuration strings.
-const (
-	EnvRejoinProbe  = "SPARDL_TCP_REJOIN_PROBE"
-	EnvRejoinSettle = "SPARDL_TCP_REJOIN_SETTLE"
+// The leader-election probe window and the membership settle window.
+// Variables only so that the forked-process tests can shorten them.
+var (
+	rejoinProbe  = 2 * time.Second
+	rejoinSettle = 750 * time.Millisecond
 )
-
-func rejoinProbe() time.Duration  { return envDuration(EnvRejoinProbe, 2*time.Second) }
-func rejoinSettle() time.Duration { return envDuration(EnvRejoinSettle, 750*time.Millisecond) }
-
-func envDuration(name string, def time.Duration) time.Duration {
-	if s := os.Getenv(name); s != "" {
-		if d, err := time.ParseDuration(s); err == nil && d > 0 {
-			return d
-		}
-	}
-	return def
-}
 
 // rejoinAddr derives the per-identity rejoin address: base port + 1 + id.
 func rejoinAddr(rendezvous string, id int) (string, error) {
@@ -88,7 +75,7 @@ func rejoin(cfg Config, myID, gen int, members []int) (*Endpoint, error) {
 				return torn, nil, err
 			}
 			follower := torn
-			follower.Rendezvous, follower.Timeout = addr, rejoinProbe()
+			follower.Rendezvous, follower.Timeout = addr, rejoinProbe
 			if formed, addrs, err := checkIn(follower, dataAddr, deadline); err == nil {
 				formed.Timeout = cfg.Timeout
 				return formed, addrs, nil
@@ -99,6 +86,6 @@ func rejoin(cfg Config, myID, gen int, members []int) (*Endpoint, error) {
 			return torn, nil, err
 		}
 		torn.Rendezvous = addr
-		return lead(torn, rejoinSettle(), dataAddr, deadline)
+		return lead(torn, rejoinSettle, dataAddr, deadline)
 	})
 }

@@ -77,7 +77,7 @@ const protoVersion = 2
 
 // ErrRendezvous tags every Start failure that happened before the mesh came
 // up — an unreachable or timed-out rendezvous, a torn check-in budget, an
-// assignment mismatch — so callers (spardl-worker's exit codes) can tell
+// assignment mismatch — so callers (a spardl-train tcp rank's exit codes) can tell
 // "the cluster never formed" apart from a mid-training poisoned fabric.
 var ErrRendezvous = errors.New("tcpnet: rendezvous failed")
 

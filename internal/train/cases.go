@@ -42,7 +42,7 @@ type Case struct {
 
 // Cases mirrors Table II. Stand-in parameter counts keep the paper's size
 // ordering (VGG-11 < VGG-16 < VGG-19 < ResNet-50 < LSTM-IMDB < LSTM-PTB <
-// BERT) at roughly 1/200 scale; see DESIGN.md §2 for why co-scaling n and β
+// BERT) at roughly 1/200 scale; co-scaling n and β (Config.PaperScaleComm)
 // preserves every timing trade-off.
 var Cases = []*Case{
 	{

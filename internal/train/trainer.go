@@ -43,8 +43,8 @@ type Config struct {
 	ComputeSkew []float64
 	// PaperScaleComm scales the network's β by PaperParams/n, so that the
 	// communication cost of synchronizing the scaled stand-in model matches
-	// the paper-scale model exactly (the co-scaling argument of DESIGN.md
-	// §2: all α-vs-β·n trade-offs are preserved). The convergence
+	// the paper-scale model exactly (co-scaling n and β preserves every
+	// α-vs-β·n trade-off). The convergence
 	// experiments enable this; without it the stand-in's small gradients
 	// make communication unrealistically cheap next to ComputeTime.
 	PaperScaleComm bool
@@ -91,11 +91,10 @@ type Result struct {
 	// ExposedComm is the per-iteration synchronization time that actually
 	// delayed the worst worker — α-β charges plus the in-collective
 	// selection/merge compute. With the pipeline it is what outlived the
-	// overlapping backward pass; on serialized schedules (Pipeline nil or
-	// NoOverlap) the whole synchronization is exposed. OverlapSaved is the
-	// per-iteration clock time the pipeline hid under compute (zero when
-	// serialized); serialized − pipelined ≡ OverlapSaved per worker and
-	// iteration.
+	// overlapping backward pass; on the monolithic path (Pipeline nil) the
+	// whole synchronization is exposed. OverlapSaved is the per-iteration
+	// clock time the pipeline hid under compute (zero when monolithic);
+	// serialized − pipelined ≡ OverlapSaved per worker and iteration.
 	ExposedComm  float64
 	OverlapSaved float64
 	// Buckets is the pipeline's bucket count (0 on the monolithic path).
@@ -314,7 +313,7 @@ func (s *session) work(m comm.Membership, ep comm.Endpoint, st *replica) {
 			rounds:  after.Rounds - before.Rounds,
 			bytes:   after.BytesRecv - before.BytesRecv,
 		}
-		if sched == nil || cfg.Pipeline.NoOverlap {
+		if sched == nil {
 			// Serialized synchronization is exposed in full: the α-β
 			// charges plus the in-collective selection/merge compute —
 			// the same constituents the overlap stream hides or exposes.

@@ -24,7 +24,6 @@ package spardl
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"os/exec"
 	"strings"
@@ -43,41 +42,19 @@ import (
 	"spardl/internal/wire"
 )
 
-// Reducer synchronizes one worker's dense gradient with all peers:
-// ReduceInto writes the global sparse-summed gradient into a caller-owned
-// vector. Together with the per-reducer chunk arenas the reduce pipeline
-// allocates nothing once warm; see sparsecoll.Reducer.
-type Reducer = sparsecoll.Reducer
-
-// Factory builds one Reducer per worker.
+// Factory builds one reducer per worker: a reducer synchronizes one
+// worker's dense gradient with all peers, and its ReduceInto writes the
+// global sparse-summed gradient into a caller-owned vector. See
+// sparsecoll.Reducer.
 type Factory = sparsecoll.Factory
-
-// SparDL is the paper's framework: Spar-Reduce-Scatter, global residual
-// collection, and the R-SAG / B-SAG team synchronization algorithms.
-type SparDL = core.SparDL
 
 // Options configures SparDL (team count d, SAG variant, residual mode).
 type Options = core.Options
 
-// ResidualMode selects the residual collection algorithm.
-type ResidualMode = core.ResidualMode
-
-// Residual collection algorithms (Section III-C of the paper).
-const (
-	GRES = core.GRES // global residual collection (the paper's algorithm)
-	PRES = core.PRES // partial (local + end-procedure), as gTopk/Ok-Topk
-	LRES = core.LRES // local only, as DGC
-)
-
-// Variant selects the Spar-All-Gather algorithm.
-type Variant = core.Variant
-
-// Spar-All-Gather variants (Section III-D of the paper).
-const (
-	Auto = core.Auto // R-SAG when d is a power of two, else B-SAG
-	RSAG = core.RSAG
-	BSAG = core.BSAG
-)
+// BSAG forces the Bruck-based Spar-All-Gather (Options.Variant; Section
+// III-D of the paper). The zero Variant picks R-SAG when d is a power of
+// two, else B-SAG.
+const BSAG = core.BSAG
 
 // WireMode selects what the simulator charges for every sparse message;
 // Tuned applies it. The byte-level backends have one real wire format —
@@ -109,7 +86,7 @@ func Tuned(f Factory, mode WireMode) Factory {
 
 // New builds a SparDL reducer for one worker of a P-worker cluster
 // synchronizing length-n gradients with global selection size k.
-func New(p, rank, n, k int, opts Options) (*SparDL, error) {
+func New(p, rank, n, k int, opts Options) (*core.SparDL, error) {
 	return core.New(p, rank, n, k, opts)
 }
 
@@ -118,72 +95,57 @@ func New(p, rank, n, k int, opts Options) (*SparDL, error) {
 // with (so it survives an elastic shrink); it panics on invalid options.
 func NewFactory(opts Options) Factory { return core.NewFactory(opts) }
 
-// Baseline reducer factories (the methods of the paper's Table I).
-var (
-	TopkA   Factory = sparsecoll.NewTopkA
-	TopkDSA Factory = sparsecoll.NewTopkDSA
-	GTopk   Factory = sparsecoll.NewGTopk
-	OkTopk  Factory = sparsecoll.NewOkTopk
-	Dense   Factory = sparsecoll.NewDense
-)
-
-// Methods maps method names to factories for CLI-style selection. SparDL
-// variants are constructed via NewFactory instead.
-var Methods = map[string]Factory{
-	"topka":   TopkA,
-	"topkdsa": TopkDSA,
-	"gtopk":   GTopk,
-	"oktopk":  OkTopk,
-	"dense":   Dense,
-}
-
-// GTopkValid reports whether gTopk is constructible for P workers (the
-// algorithm is defined only for power-of-two P). CLI harnesses check it up
-// front so an unsupported configuration fails fast or is skipped instead
-// of panicking mid-run.
-func GTopkValid(p int) error { return sparsecoll.GTopkValid(p) }
+// OkTopk is the Ok-Topk baseline's reducer factory.
+var OkTopk Factory = sparsecoll.NewOkTopk
 
 // ParseFactory builds a reducer factory from CLI-style settings: method is
-// "spardl" or a Methods key; teams/variant/residual configure SparDL and
-// are ignored otherwise. Every configuration error — unknown names, gTopk
-// on non-power-of-two P, invalid team counts — comes back as an error
-// here, before any worker starts.
+// spardl, topka, topkdsa, gtopk, oktopk or dense (the methods of the
+// paper's Table I); teams/variant/residual configure SparDL and are
+// ignored otherwise. Every configuration error — unknown names, gTopk on
+// non-power-of-two P, invalid team counts — comes back as an error here,
+// before any worker starts.
 func ParseFactory(method string, p, teams int, variant, residual string) (Factory, error) {
-	if strings.EqualFold(method, "spardl") {
-		opts := Options{Teams: teams}
-		switch strings.ToLower(variant) {
-		case "", "auto":
-		case "rsag":
-			opts.Variant = RSAG
-		case "bsag":
-			opts.Variant = BSAG
-		default:
-			return nil, fmt.Errorf("unknown variant %q", variant)
-		}
-		switch strings.ToLower(residual) {
-		case "", "gres":
-		case "pres":
-			opts.Residual = PRES
-		case "lres":
-			opts.Residual = LRES
-		default:
-			return nil, fmt.Errorf("unknown residual mode %q", residual)
-		}
-		if err := opts.Validate(p); err != nil {
+	switch strings.ToLower(method) {
+	case "spardl":
+	case "topka":
+		return sparsecoll.NewTopkA, nil
+	case "topkdsa":
+		return sparsecoll.NewTopkDSA, nil
+	case "gtopk":
+		if err := sparsecoll.GTopkValid(p); err != nil {
 			return nil, err
 		}
-		return NewFactory(opts), nil
-	}
-	f, ok := Methods[strings.ToLower(method)]
-	if !ok {
+		return sparsecoll.NewGTopk, nil
+	case "oktopk":
+		return OkTopk, nil
+	case "dense":
+		return sparsecoll.NewDense, nil
+	default:
 		return nil, fmt.Errorf("unknown method %q", method)
 	}
-	if strings.EqualFold(method, "gtopk") {
-		if err := GTopkValid(p); err != nil {
-			return nil, err
-		}
+	opts := Options{Teams: teams}
+	switch strings.ToLower(variant) {
+	case "", "auto":
+	case "rsag":
+		opts.Variant = core.RSAG
+	case "bsag":
+		opts.Variant = core.BSAG
+	default:
+		return nil, fmt.Errorf("unknown variant %q", variant)
 	}
-	return f, nil
+	switch strings.ToLower(residual) {
+	case "", "gres":
+	case "pres":
+		opts.Residual = core.PRES
+	case "lres":
+		opts.Residual = core.LRES
+	default:
+		return nil, fmt.Errorf("unknown residual mode %q", residual)
+	}
+	if err := opts.Validate(p); err != nil {
+		return nil, err
+	}
+	return NewFactory(opts), nil
 }
 
 // Communication layer. Every collective is written against the backend-
@@ -198,13 +160,11 @@ type (
 	// Backend runs P workers over one communication substrate
 	// (SimBackend or LiveBackend); TrainConfig.Backend selects it.
 	Backend = comm.Backend
-	// Stats is one worker's traffic/time accounting.
-	Stats = comm.Stats
 )
 
 // SimBackend returns the deterministic α-β simulator backend for the
 // given network profile: virtual time, payloads by reference.
-func SimBackend(profile Profile) Backend { return simnet.Backend(profile) }
+func SimBackend(profile simnet.Profile) Backend { return simnet.Backend(profile) }
 
 // LiveBackend returns the real concurrent byte-level backend: P goroutines
 // over in-memory channels, every sparse message actually serialized
@@ -230,27 +190,16 @@ func TCPLocalBackend() Backend { return tcpnet.LocalBackend(0) }
 // this process was not launched as a tcpnet worker.
 func TCPConfigFromEnv() (cfg TCPConfig, ok bool, err error) { return tcpnet.FromEnv() }
 
-// Deterministic fault injection and elastic membership. A ChaosSchedule is
-// a seed-reproducible fault program ("crash:rank=1,iter=2;drop:rank=0,
-// peer=2,frame=5"); the same schedule replays bit-identically on livenet
-// and tcpnet, which is what the chaos suite pins. An elastic run
-// (TrainConfig.Elastic) survives scheduled crashes by re-rendezvousing the
-// survivors.
-type (
-	// ChaosSchedule is a parsed deterministic fault schedule.
-	ChaosSchedule = chaos.Schedule
-	// ElasticTrainConfig bounds an elastic run (TrainConfig.Elastic).
-	ElasticTrainConfig = train.ElasticConfig
-	// RecoveryStat is one survived membership change: the backend's
-	// re-rendezvous record plus the trainer's resume point and first-round
-	// latency.
-	RecoveryStat = train.RecoveryStat
-)
+// ElasticTrainConfig bounds an elastic run (TrainConfig.Elastic), which
+// survives a lost peer by re-rendezvousing the survivors.
+type ElasticTrainConfig = train.ElasticConfig
 
-// ParseChaos parses a fault-schedule string; see the chaos package grammar
-// (kind:key=value,... joined by ';', kinds crash/drop/delay/corrupt/
-// partition).
-func ParseChaos(s string) (*ChaosSchedule, error) { return chaos.Parse(s) }
+// ParseChaos parses a deterministic fault schedule, a seed-reproducible
+// fault program ("crash:rank=1,iter=2;drop:rank=0,peer=2,frame=5") that
+// replays bit-identically on livenet and tcpnet; see the chaos package
+// grammar (kind:key=value,... joined by ';', kinds crash/drop/delay/
+// corrupt/partition).
+func ParseChaos(s string) (*chaos.Schedule, error) { return chaos.Parse(s) }
 
 // ErrTCPRendezvous classifies TrainTCP failures: errors.Is(err,
 // ErrTCPRendezvous) means the cluster never formed (nothing listening,
@@ -271,16 +220,16 @@ func IsPoisoned(err error) bool {
 }
 
 // TrainTCP runs this process's rank of a distributed training session over
-// tcpnet — the worker body of cmd/spardl-worker and of the children
-// cmd/spardl-train forks. It joins the mesh tcp describes (cfg.P and
-// cfg.Backend are set from tcp), trains, and tears the mesh down. With
-// cfg.Elastic set, a poisoned fabric makes the survivors elect the lowest
-// surviving ID as the new rendezvous leader, re-mesh and resume; the
-// recoveries come back in order. Each process owns its own TrainResult:
-// res.TotalTime > 0 marks the process that held rank 0 at the end, whose
-// trajectory covers its own evaluations. Every failure is an error, never
-// a panic: ErrTCPRendezvous and IsPoisoned classify it.
-func TrainTCP(tcp TCPConfig, cfg TrainConfig) (res *TrainResult, recs []RecoveryStat, err error) {
+// tcpnet — the rank body of cmd/spardl-train -backend tcp, whether the
+// process was started by hand or forked. It joins the mesh tcp describes
+// (cfg.P and cfg.Backend are set from tcp), trains, and tears the mesh
+// down. With cfg.Elastic set, a poisoned fabric makes the survivors elect
+// the lowest surviving ID as the new rendezvous leader, re-mesh and
+// resume; the recoveries come back in order. Each process owns its own
+// TrainResult: res.TotalTime > 0 marks the process that held rank 0 at the
+// end, whose trajectory covers its own evaluations. Every failure is an
+// error, never a panic: ErrTCPRendezvous and IsPoisoned classify it.
+func TrainTCP(tcp TCPConfig, cfg TrainConfig) (res *TrainResult, recs []train.RecoveryStat, err error) {
 	cfg.P = tcp.P
 	cfg.Backend = tcpnet.NewProcBackend(tcp)
 	defer func() {
@@ -347,13 +296,11 @@ type (
 	// Endpoint is one worker's handle on the simulated fabric (virtual
 	// clock, traffic statistics).
 	Endpoint = simnet.Endpoint
-	// Profile is a network profile (latency α seconds, β seconds/byte).
-	Profile = simnet.Profile
 	// Report aggregates per-worker statistics of a cluster run.
 	Report = comm.Report
 )
 
-// Built-in network profiles.
+// Built-in network profiles (latency α seconds, β seconds/byte).
 var (
 	Ethernet = simnet.Ethernet
 	RDMA     = simnet.RDMA
@@ -361,7 +308,7 @@ var (
 
 // RunCluster executes worker(rank, endpoint) on p goroutines over a fresh
 // simulated fabric and reports per-worker α-β costs.
-func RunCluster(p int, profile Profile, worker func(rank int, ep *Endpoint)) *Report {
+func RunCluster(p int, profile simnet.Profile, worker func(rank int, ep *Endpoint)) *Report {
 	return simnet.Run(p, profile, worker)
 }
 
@@ -374,7 +321,7 @@ func RunCluster(p int, profile Profile, worker func(rank int, ep *Endpoint)) *Re
 type ReduceBench struct {
 	grads, bufs, outs [][]float32
 	eps               []*Endpoint
-	reducers          []*SparDL
+	reducers          []*core.SparDL
 }
 
 // NewReduceBench builds the workload: deterministic per-worker gradients,
@@ -385,7 +332,7 @@ func NewReduceBench(p, n, k int, mode WireMode) (*ReduceBench, error) {
 	rb := &ReduceBench{
 		grads: make([][]float32, p), bufs: make([][]float32, p),
 		outs: make([][]float32, p), eps: make([]*Endpoint, p),
-		reducers: make([]*SparDL, p),
+		reducers: make([]*core.SparDL, p),
 	}
 	fabric := simnet.New(p, Ethernet)
 	for w := 0; w < p; w++ {
@@ -425,7 +372,7 @@ func (rb *ReduceBench) Iterate() {
 	}
 }
 
-// SelectStats sums the workers' selection counts (see SparDL.SelectStats)
+// SelectStats sums the workers' selection counts (see core.SparDL.SelectStats)
 // over every synchronization so far, warm-up included.
 func (rb *ReduceBench) SelectStats() SelectStats {
 	var sum SelectStats
@@ -453,35 +400,11 @@ type (
 // Train runs one distributed S-SGD session on the simulated cluster.
 func Train(cfg TrainConfig) *TrainResult { return train.Run(cfg) }
 
-// FprintTrajectory writes the standard CLI trajectory table — iteration,
-// clock, held-out metric, and the one-line summary — shared by
-// spardl-train and spardl-worker so the two binaries' rank-0 output cannot
-// drift apart. Callers append their own per-backend breakdown line.
-func FprintTrajectory(w io.Writer, c *Case, res *TrainResult) {
-	metric := "loss"
-	if c.Accuracy {
-		metric = "accuracy"
-	}
-	fmt.Fprintf(w, "\n%-8s  %-12s  %-10s\n", "iter", "time(s)", metric)
-	for _, pt := range res.Points {
-		fmt.Fprintf(w, "%-8d  %-12.3f  %-10.4f\n", pt.Iter, pt.Time, pt.Metric)
-	}
-	fmt.Fprintf(w, "\n%s\n", res)
-}
-
-// Cases lists the paper's seven cases (Table II) as scaled stand-ins.
-func Cases() []*Case { return train.Cases }
-
 // CaseByID returns the case with the given Table II number (1-7).
 func CaseByID(id int) *Case { return train.CaseByID(id) }
 
-// Experiments.
-type (
-	// Experiment reproduces one table or figure of the paper.
-	Experiment = expt.Experiment
-	// ResultTable is a rendered experiment artifact.
-	ResultTable = expt.Table
-)
+// Experiment reproduces one table or figure of the paper.
+type Experiment = expt.Experiment
 
 // Experiment scale presets.
 const (

@@ -2,13 +2,23 @@ package spardl_test
 
 import (
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"math"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"spardl"
+	"spardl/internal/sparsecoll"
 	"spardl/internal/tcpnet"
+	"spardl/internal/train"
 )
 
 // TestFacadeQuickstart is the README's quick-start path: eight workers
@@ -39,22 +49,26 @@ func TestFacadeQuickstart(t *testing.T) {
 }
 
 func TestFacadeBaselines(t *testing.T) {
-	for name, f := range spardl.Methods {
-		if name == "gtopk" {
-			continue // power-of-two only; exercised below
+	for _, name := range []string{"topka", "topkdsa", "oktopk", "dense"} {
+		f, err := spardl.ParseFactory(name, 6, 1, "", "")
+		if err != nil {
+			t.Fatal(err)
 		}
-		r := f(6, 0, 100, 10)
-		if r.Name() == "" {
+		if r := f(6, 0, 100, 10); r.Name() == "" {
 			t.Fatalf("%s: empty reducer name", name)
 		}
 	}
-	if r := spardl.Methods["gtopk"](8, 0, 100, 10); r.Name() != "gTopk" {
+	f, err := spardl.ParseFactory("gtopk", 8, 1, "", "") // power-of-two P only
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := f(8, 0, 100, 10); r.Name() != "gTopk" {
 		t.Fatal("gtopk factory broken")
 	}
 }
 
 func TestFacadeCases(t *testing.T) {
-	if len(spardl.Cases()) != 7 {
+	if len(train.Cases) != 7 {
 		t.Fatalf("want 7 cases")
 	}
 	if spardl.CaseByID(2).Name != "VGG19/CIFAR100" {
@@ -95,7 +109,8 @@ func TestFacadeParseFactory(t *testing.T) {
 // TestFacadeTCP drives spardl.TrainTCP, the one way a process joins a
 // tcpnet fleet, with the P ranks as goroutines of this process over
 // loopback (the separate-process axis is pinned by internal/tcpnet's forked
-// equivalence suite). Its error classes are spardl-worker's exit codes.
+// equivalence suite). Its error classes are a spardl-train tcp rank's exit
+// codes.
 func TestFacadeTCP(t *testing.T) {
 	const p, iters = 3, 6
 	base := spardl.TrainConfig{
@@ -162,7 +177,7 @@ func TestFacadeTCP(t *testing.T) {
 	})
 
 	t.Run("panic on rank 2", func(t *testing.T) {
-		_, errs := fleet(t, func(p, rank, n, k int) spardl.Reducer {
+		_, errs := fleet(t, func(p, rank, n, k int) sparsecoll.Reducer {
 			if rank == 2 {
 				panic("factory refuses rank 2")
 			}
@@ -187,5 +202,61 @@ func TestFacadeTrain(t *testing.T) {
 	})
 	if res.Method != "SparDL(R-SAG,d=2)" || res.TotalTime <= 0 {
 		t.Fatalf("unexpected result: %+v", res)
+	}
+}
+
+// TestFacadeExportsHaveCallers holds the facade to its callers: every
+// exported top-level identifier of spardl.go must be named as spardl.X, in
+// code or in a comment, by some non-test Go file under cmd/ or examples/.
+// An export nothing names belongs in its internal package, not here.
+func TestFacadeExportsHaveCallers(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "spardl.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var exports []string
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				exports = append(exports, d.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					exports = append(exports, s.Name.Name)
+				case *ast.ValueSpec:
+					for _, id := range s.Names {
+						exports = append(exports, id.Name)
+					}
+				}
+			}
+		}
+	}
+	named := map[string]bool{}
+	ref := regexp.MustCompile(`\bspardl\.([A-Z]\w*)`)
+	for _, dir := range []string{"cmd", "examples"} {
+		err := filepath.WalkDir(dir, func(path string, e fs.DirEntry, err error) error {
+			if err != nil || e.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			src, err := os.ReadFile(path)
+			for _, m := range ref.FindAllSubmatch(src, -1) {
+				named[string(m[1])] = true
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range exports {
+		if ast.IsExported(id) && !named[id] {
+			t.Errorf("spardl.%s is exported, but no file under cmd/ or examples/ names it", id)
+		}
+	}
+	if len(named) == 0 {
+		t.Error("no spardl.X reference found under cmd/ or examples/: the walk is broken")
 	}
 }
