@@ -18,11 +18,12 @@ vet:
 bench:
 	go test -run '^$$' -bench 'BenchmarkReduceOnce$$' -benchmem -benchtime 20x .
 
-# Training compute: the three MatMul kernels every model goes through and
-# one ResMLP worker step (the compute half of train-live-resmlp), each on
-# every path the host has (avx512/..., avx2/..., go/...: the portable loops).
+# Training compute: the three MatMul kernels every model goes through, one
+# ResMLP worker step (the compute half of train-live-resmlp) and one rank's
+# held-out shard scored in training-batch chunks, each on every path the
+# host has (avx512/..., avx2/..., go/...: the portable loops).
 bench-nn:
-	go test -run '^$$' -bench 'BenchmarkMatMulKernels|BenchmarkResMLPStep' -benchmem ./internal/nn
+	go test -run '^$$' -bench 'BenchmarkMatMulKernels|BenchmarkResMLPStep|BenchmarkResMLPEval' -benchmem ./internal/nn
 
 # The dense path: the Vec codec — the encode and the three consumers a
 # received view has (accumulate, sum with an input, copy; 0 allocs/op) —

@@ -1,6 +1,9 @@
 package nn
 
-import "math/rand"
+import (
+	"fmt"
+	"math/rand"
+)
 
 // Linear is a dense layer y = x·W + b.
 type Linear struct {
@@ -15,8 +18,31 @@ func NewLinear(rng *rand.Rand, in, out int) *Linear {
 	}
 }
 
-// Apply runs the layer on x [B×in].
-func (l *Linear) Apply(x *Tensor) *Tensor { return AddRow(MatMul(x, l.W), l.B) }
+// Apply runs the layer on x [B×in] as one node: the product, then the
+// bias added to each of its rows in place — the bits of
+// AddRow(MatMul(x, W), B) without the product's node and gradient.
+func (l *Linear) Apply(x *Tensor) *Tensor {
+	w, b := l.W, l.B
+	if x.C != w.R || b.R != 1 || b.C != w.C {
+		panic(fmt.Sprintf("nn: Linear shape mismatch %dx%d · %dx%d + %dx%d", x.R, x.C, w.R, w.C, b.R, b.C))
+	}
+	out := newResult(x.R, w.C, &linearOp, x, w, b)
+	clear(out.Data)
+	matmulInto(out.Data, x.Data, w.Data, x.R, x.C, w.C)
+	for i := 0; i < len(out.Data); i += w.C {
+		accumInto(out.Data[i:i+w.C], b.Data)
+	}
+	return out
+}
+
+var linearOp = op{back: linearBack, readsInputs: true}
+
+// linearBack runs the bias gradient, then MatMul's dA and dB, all from
+// out.Grad.
+func linearBack(out *Tensor) {
+	biasBack(out.prev[2], out.Grad)
+	matmulBack(out)
+}
 
 // Params returns the trainable tensors.
 func (l *Linear) Params() []*Tensor { return []*Tensor{l.W, l.B} }

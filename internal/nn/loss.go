@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Mean is the float64 numerator and the count behind one mean of a loss.
@@ -16,12 +17,19 @@ type Mean struct {
 // Means returns the means behind a loss node's value — one for
 // CrossEntropy and MSE, one per step for LSTMLM's per-step average — and
 // nil on any other tensor. MeanLoss(t.Means()) is t.Data[0], bit for bit.
-func (t *Tensor) Means() []Mean { return t.means }
+func (t *Tensor) Means() []Mean {
+	if len(t.means) == 0 {
+		return nil
+	}
+	return t.means
+}
 
-// setMean records a one-mean loss node's numerator and count.
-func (t *Tensor) setMean(sum float64, count int) {
-	t.mean[0] = Mean{Sum: sum, Count: count}
-	t.means = t.mean[:]
+// setMeans records a loss node's means, in its own storage.
+func (t *Tensor) setMeans(means ...Mean) {
+	if t.means == nil {
+		t.means = t.mean[:0]
+	}
+	t.means = append(t.means[:0], means...)
 }
 
 // MeanLoss is the loss value behind means: one mean is its Sum / Count
@@ -51,8 +59,10 @@ func CrossEntropy(logits *Tensor, labels []int) *Tensor {
 	if len(labels) != logits.R {
 		panic(fmt.Sprintf("nn: CrossEntropy %d labels for %d rows", len(labels), logits.R))
 	}
-	out := newResult(1, 1, logits)
-	probs := make([]float32, logits.R*logits.C)
+	out := newResult(1, 1, &crossEntropyOp, logits)
+	out.ints = append(out.ints[:0], labels...)
+	out.aux = slices.Grow(out.aux[:0], logits.R*logits.C)[:logits.R*logits.C]
+	probs := out.aux
 	active := 0
 	var total float64
 	for b := 0; b < logits.R; b++ {
@@ -85,49 +95,60 @@ func CrossEntropy(logits *Tensor, labels []int) *Tensor {
 		}
 		total += -math.Log(p)
 	}
-	out.setMean(total, active)
+	out.setMeans(Mean{Sum: total, Count: active})
 	if active == 0 {
 		active = 1
 	}
+	out.s = float32(active)
 	out.Data[0] = float32(total / float64(active))
-	out.back = func() {
-		if !logits.needGrad {
-			return
+	return out
+}
+
+var crossEntropyOp = op{back: crossEntropyBack}
+
+// crossEntropyBack reads the probabilities (aux), labels (ints) and label
+// count (s) CrossEntropy stored on its node.
+func crossEntropyBack(out *Tensor) {
+	logits := out.prev[0]
+	if !logits.needGrad {
+		return
+	}
+	logits.ensureGrad()
+	g := out.Grad[0] / out.s
+	for b, label := range out.ints {
+		if label < 0 {
+			continue
 		}
-		logits.ensureGrad()
-		g := out.Grad[0] / float32(active)
-		for b := 0; b < logits.R; b++ {
-			if labels[b] < 0 {
-				continue
+		prow := out.aux[b*logits.C : (b+1)*logits.C]
+		grow := logits.Grad[b*logits.C : (b+1)*logits.C]
+		for j := range prow {
+			delta := prow[j]
+			if j == label {
+				delta -= 1
 			}
-			prow := probs[b*logits.C : (b+1)*logits.C]
-			grow := logits.Grad[b*logits.C : (b+1)*logits.C]
-			for j := range prow {
-				delta := prow[j]
-				if j == labels[b] {
-					delta -= 1
-				}
-				grow[j] += g * delta
-			}
+			grow[j] += g * delta
 		}
 	}
-	return out
 }
 
 // Argmax returns the per-row argmax of a [B×C] tensor.
 func Argmax(t *Tensor) []int {
 	out := make([]int, t.R)
-	for b := 0; b < t.R; b++ {
-		row := t.Data[b*t.C : (b+1)*t.C]
-		best := 0
-		for j, v := range row {
-			if v > row[best] {
-				best = j
-			}
-		}
-		out[b] = best
+	for b := range out {
+		out[b] = argmaxRow(t.Data[b*t.C : (b+1)*t.C])
 	}
 	return out
+}
+
+// argmaxRow is the index of row's first largest element.
+func argmaxRow(row []float32) int {
+	best := 0
+	for j, v := range row {
+		if v > row[best] {
+			best = j
+		}
+	}
+	return best
 }
 
 // MSE computes the mean squared error between pred [B×1] and targets
@@ -136,23 +157,29 @@ func MSE(pred *Tensor, targets []float32) *Tensor {
 	if pred.C != 1 || len(targets) != pred.R {
 		panic(fmt.Sprintf("nn: MSE shape mismatch %dx%d vs %d targets", pred.R, pred.C, len(targets)))
 	}
-	out := newResult(1, 1, pred)
+	out := newResult(1, 1, &mseOp, pred)
+	out.aux = append(out.aux[:0], targets...)
 	var total float64
 	for b := 0; b < pred.R; b++ {
 		d := float64(pred.Data[b] - targets[b])
 		total += d * d
 	}
-	out.setMean(total, pred.R)
+	out.setMeans(Mean{Sum: total, Count: pred.R})
 	out.Data[0] = float32(total / float64(pred.R))
-	out.back = func() {
-		if !pred.needGrad {
-			return
-		}
-		pred.ensureGrad()
-		g := out.Grad[0] * 2 / float32(pred.R)
-		for b := 0; b < pred.R; b++ {
-			pred.Grad[b] += g * (pred.Data[b] - targets[b])
-		}
-	}
 	return out
+}
+
+var mseOp = op{back: mseBack, readsInputs: true}
+
+// mseBack reads the targets (aux) MSE stored on its node.
+func mseBack(out *Tensor) {
+	pred := out.prev[0]
+	if !pred.needGrad {
+		return
+	}
+	pred.ensureGrad()
+	g := out.Grad[0] * 2 / float32(pred.R)
+	for b, target := range out.aux {
+		pred.Grad[b] += g * (pred.Data[b] - target)
+	}
 }

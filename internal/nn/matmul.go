@@ -1,7 +1,5 @@
 package nn
 
-import "sync"
-
 // The three matrix products behind MatMul — forward, dA and dB — as
 // register-blocked kernels. Blocking only changes how many independent
 // output elements are in flight: every output element still sees the
@@ -118,17 +116,23 @@ func accumRows(dst, coef []float32, stride int, src []float32) {
 	}
 }
 
-// matmulGradA accumulates aGrad += outGrad·bᵀ for outGrad [r×c], b [k×c].
-// With AVX-512, whole blocks of sixteen rows go through gradABlocks; with
-// AVX2, so do whole blocks of eight of the rows left. The rows past them
-// take gradARow, which is the portable kernel.
+// matmulGradA accumulates aGrad += outGrad·bᵀ for outGrad [r×c], b [k×c],
+// with scratch of its own.
 func matmulGradA(aGrad, outGrad, b []float32, r, k, c int) {
+	matmulGradAWith(new([]float32), aGrad, outGrad, b, r, k, c)
+}
+
+// matmulGradAWith is matmulGradA with gradABlocks' working memory in *sc,
+// grown when too small. With AVX-512, whole blocks of sixteen rows go
+// through gradABlocks; with AVX2, so do whole blocks of eight of the rows
+// left. The rows past them take gradARow, which is the portable kernel.
+func matmulGradAWith(sc *[]float32, aGrad, outGrad, b []float32, r, k, c int) {
 	i := 0
 	if simd != nil {
 		if simd.dots16 != nil {
-			i = gradABlocks(aGrad, outGrad, b, r, k, c, 16, simd.dots16)
+			i = gradABlocks(sc, aGrad, outGrad, b, r, k, c, 16, simd.dots16)
 		}
-		i += gradABlocks(aGrad[i*k:], outGrad[i*c:], b, r-i, k, c, 8, simd.dots)
+		i += gradABlocks(sc, aGrad[i*k:], outGrad[i*c:], b, r-i, k, c, 8, simd.dots)
 	}
 	for ; i < r; i++ {
 		gradARow(aGrad[i*k:(i+1)*k], outGrad[i*c:(i+1)*c], b, 0, c)
@@ -165,30 +169,21 @@ func gradARow(g, o, b []float32, kk0, c int) {
 	}
 }
 
-// gradAScratch is gradABlocks' working memory: the interleaved block and
-// the sums of one pass, pooled so a backward pass allocates nothing.
-type gradAScratch struct {
-	t []float32
-	s [64]float32
-}
-
-var gradAPool = sync.Pool{New: func() any { return new(gradAScratch) }}
-
 // gradABlocks is matmulGradA for the first r rounded down to a multiple
 // of w rows, which it returns; dots is the w-row pass (8 or 16). Each
 // block of w outGrad rows is interleaved into t (t[w·j+l] = row l's
 // element j), so one pass of dots over j yields four columns of aGrad for
 // all w rows: lane l of sum q is exactly gradARow's accumulator for row
-// i+l and column kk+q. Columns past a multiple of four take gradARow.
-func gradABlocks(aGrad, outGrad, b []float32, r, k, c, w int, dots func(s, t, b0, b1, b2, b3 []float32)) int {
+// i+l and column kk+q. Columns past a multiple of four take gradARow. t
+// and the sums s of one pass are the first w·c and next 4·w values of *sc.
+func gradABlocks(sc *[]float32, aGrad, outGrad, b []float32, r, k, c, w int, dots func(s, t, b0, b1, b2, b3 []float32)) int {
 	if r -= r % w; r == 0 {
 		return 0
 	}
-	sc := gradAPool.Get().(*gradAScratch)
-	if cap(sc.t) < w*c {
-		sc.t = make([]float32, w*c)
+	if cap(*sc) < w*c+4*w {
+		*sc = make([]float32, w*c+4*w)
 	}
-	t, s := sc.t[:w*c], sc.s[:4*w]
+	t, s := (*sc)[:w*c], (*sc)[w*c:w*c+4*w]
 	k4 := k &^ 3
 	for i := 0; i < r; i += w {
 		for l := 0; l < w; l++ {
@@ -212,6 +207,5 @@ func gradABlocks(aGrad, outGrad, b []float32, r, k, c, w int, dots func(s, t, b0
 			}
 		}
 	}
-	gradAPool.Put(sc)
 	return r
 }

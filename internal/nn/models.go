@@ -62,7 +62,8 @@ type Model interface {
 	// Loss runs the forward pass and returns the scalar loss node plus a
 	// task metric: classification models report accuracy in [0,1];
 	// regression and language models report the loss value itself (the
-	// quantity the paper plots for those cases).
+	// quantity the paper plots for those cases). The graph lives on the
+	// model's tape: it is valid until the model's next Loss.
 	Loss(batch *Batch) (*Tensor, float64)
 }
 
@@ -71,6 +72,7 @@ type Model interface {
 type MLPClassifier struct {
 	layers []*Linear
 	params []*Tensor
+	tape   *tape
 }
 
 // NewMLPClassifier builds an MLP with the given layer dimensions
@@ -82,6 +84,7 @@ func NewMLPClassifier(rng *rand.Rand, dims []int) *MLPClassifier {
 		m.layers = append(m.layers, l)
 		m.params = append(m.params, l.Params()...)
 	}
+	m.tape = newTape(m.params)
 	return m
 }
 
@@ -90,7 +93,8 @@ func (m *MLPClassifier) Params() []*Tensor { return m.params }
 
 // Loss implements Model.
 func (m *MLPClassifier) Loss(batch *Batch) (*Tensor, float64) {
-	h := FromSlice(batch.Size(), batch.Features, batch.X)
+	m.tape.rewind()
+	h := m.tape.input(batch.Size(), batch.Features, batch.X)
 	for i, l := range m.layers {
 		h = l.Apply(h)
 		if i+1 < len(m.layers) {
@@ -101,14 +105,13 @@ func (m *MLPClassifier) Loss(batch *Batch) (*Tensor, float64) {
 }
 
 func accuracy(logits *Tensor, labels []int) float64 {
-	pred := Argmax(logits)
 	correct, total := 0, 0
 	for i, l := range labels {
 		if l < 0 {
 			continue
 		}
 		total++
-		if pred[i] == l {
+		if argmaxRow(logits.Data[i*logits.C:(i+1)*logits.C]) == l {
 			correct++
 		}
 	}
@@ -124,6 +127,7 @@ func accuracy(logits *Tensor, labels []int) float64 {
 type MLPRegressor struct {
 	layers []*Linear
 	params []*Tensor
+	tape   *tape
 }
 
 // NewMLPRegressor builds the regression MLP (dims[len-1] must be 1).
@@ -134,6 +138,7 @@ func NewMLPRegressor(rng *rand.Rand, dims []int) *MLPRegressor {
 		m.layers = append(m.layers, l)
 		m.params = append(m.params, l.Params()...)
 	}
+	m.tape = newTape(m.params)
 	return m
 }
 
@@ -142,7 +147,8 @@ func (m *MLPRegressor) Params() []*Tensor { return m.params }
 
 // Loss implements Model. The metric is the MSE itself.
 func (m *MLPRegressor) Loss(batch *Batch) (*Tensor, float64) {
-	h := FromSlice(batch.Size(), batch.Features, batch.X)
+	m.tape.rewind()
+	h := m.tape.input(batch.Size(), batch.Features, batch.X)
 	for i, l := range m.layers {
 		h = l.Apply(h)
 		if i+1 < len(m.layers) {
@@ -161,6 +167,7 @@ type ResMLPClassifier struct {
 	blocks [][2]*Linear
 	head   *Linear
 	params []*Tensor
+	tape   *tape
 }
 
 // NewResMLPClassifier builds the network with the given width and number of
@@ -177,6 +184,7 @@ func NewResMLPClassifier(rng *rand.Rand, in, width, blocks, classes int) *ResMLP
 	}
 	m.head = NewLinear(rng, width, classes)
 	m.params = append(m.params, m.head.Params()...)
+	m.tape = newTape(m.params)
 	return m
 }
 
@@ -185,7 +193,8 @@ func (m *ResMLPClassifier) Params() []*Tensor { return m.params }
 
 // Loss implements Model.
 func (m *ResMLPClassifier) Loss(batch *Batch) (*Tensor, float64) {
-	h := m.proj.Apply(FromSlice(batch.Size(), batch.Features, batch.X))
+	m.tape.rewind()
+	h := m.proj.Apply(m.tape.input(batch.Size(), batch.Features, batch.X))
 	for _, blk := range m.blocks {
 		inner := blk[1].Apply(ReLU(blk[0].Apply(ReLU(h))))
 		h = Add(h, inner)
@@ -202,6 +211,8 @@ type LSTMClassifier struct {
 	head   *Linear
 	hidden int
 	params []*Tensor
+	tape   *tape
+	ids    []int // one timestep's tokens
 }
 
 // NewLSTMClassifier builds the model.
@@ -215,6 +226,7 @@ func NewLSTMClassifier(rng *rand.Rand, vocab, dim, hidden, classes int) *LSTMCla
 	m.params = append(m.params, m.embed)
 	m.params = append(m.params, m.cell.Params()...)
 	m.params = append(m.params, m.head.Params()...)
+	m.tape = newTape(m.params)
 	return m
 }
 
@@ -223,18 +235,16 @@ func (m *LSTMClassifier) Params() []*Tensor { return m.params }
 
 // Loss implements Model.
 func (m *LSTMClassifier) Loss(batch *Batch) (*Tensor, float64) {
+	m.tape.rewind()
 	b := batch.Size()
 	steps := len(batch.Tokens[0])
-	h, c := Zeros(b, m.hidden), Zeros(b, m.hidden)
-	ids := make([]int, b)
+	h, c := m.tape.zeros(b, m.hidden), m.tape.zeros(b, m.hidden)
 	for t := 0; t < steps; t++ {
-		for i := range ids {
-			ids[i] = batch.Tokens[i][t]
+		m.ids = m.ids[:0]
+		for i := 0; i < b; i++ {
+			m.ids = append(m.ids, batch.Tokens[i][t])
 		}
-		// Embed retains the id slice for its backward pass, so each
-		// timestep needs its own copy.
-		x := Embed(m.embed, append([]int(nil), ids...))
-		h, c = m.cell.Step(x, h, c)
+		h, c = m.cell.Step(Embed(m.embed, m.ids), h, c)
 	}
 	logits := m.head.Apply(h)
 	return CrossEntropy(logits, batch.Labels), accuracy(logits, batch.Labels)
@@ -250,6 +260,10 @@ type LSTMLM struct {
 	head   *Linear
 	hidden int
 	params []*Tensor
+	tape   *tape
+	// One timestep's tokens and next tokens, and every step's mean.
+	ids, labels []int
+	means       []Mean
 }
 
 // NewLSTMLM builds the model.
@@ -263,6 +277,7 @@ func NewLSTMLM(rng *rand.Rand, vocab, dim, hidden int) *LSTMLM {
 	m.params = append(m.params, m.embed)
 	m.params = append(m.params, m.cell.Params()...)
 	m.params = append(m.params, m.head.Params()...)
+	m.tape = newTape(m.params)
 	return m
 }
 
@@ -271,22 +286,21 @@ func (m *LSTMLM) Params() []*Tensor { return m.params }
 
 // Loss implements Model.
 func (m *LSTMLM) Loss(batch *Batch) (*Tensor, float64) {
+	m.tape.rewind()
 	b := batch.Size()
 	steps := len(batch.Tokens[0])
-	h, c := Zeros(b, m.hidden), Zeros(b, m.hidden)
-	ids := make([]int, b)
-	labels := make([]int, b)
+	h, c := m.tape.zeros(b, m.hidden), m.tape.zeros(b, m.hidden)
 	var loss *Tensor
-	means := make([]Mean, steps)
+	m.means = m.means[:0]
 	for t := 0; t < steps; t++ {
-		for i := range ids {
-			ids[i] = batch.Tokens[i][t]
-			labels[i] = batch.NextTokens[i][t]
+		m.ids, m.labels = m.ids[:0], m.labels[:0]
+		for i := 0; i < b; i++ {
+			m.ids = append(m.ids, batch.Tokens[i][t])
+			m.labels = append(m.labels, batch.NextTokens[i][t])
 		}
-		x := Embed(m.embed, append([]int(nil), ids...))
-		h, c = m.cell.Step(x, h, c)
-		stepLoss := CrossEntropy(m.head.Apply(h), append([]int(nil), labels...))
-		means[t] = stepLoss.mean[0]
+		h, c = m.cell.Step(Embed(m.embed, m.ids), h, c)
+		stepLoss := CrossEntropy(m.head.Apply(h), m.labels)
+		m.means = append(m.means, stepLoss.means[0])
 		if loss == nil {
 			loss = stepLoss
 		} else {
@@ -294,7 +308,7 @@ func (m *LSTMLM) Loss(batch *Batch) (*Tensor, float64) {
 		}
 	}
 	loss = Scale(loss, 1/float32(steps))
-	loss.means = means
+	loss.setMeans(m.means...)
 	return loss, float64(loss.Data[0])
 }
 
@@ -308,6 +322,8 @@ type BERTLike struct {
 	blocks              [][2]*Linear
 	head                *Linear
 	params              []*Tensor
+	tape                *tape
+	cur, prev, labels   []int // the batch's positions, flattened
 }
 
 // NewBERTLike builds the model with the given width and block count.
@@ -326,6 +342,7 @@ func NewBERTLike(rng *rand.Rand, vocab, dim, blocks int) *BERTLike {
 	}
 	m.head = NewLinear(rng, dim, vocab)
 	m.params = append(m.params, m.head.Params()...)
+	m.tape = newTape(m.params)
 	return m
 }
 
@@ -334,11 +351,10 @@ func (m *BERTLike) Params() []*Tensor { return m.params }
 
 // Loss implements Model.
 func (m *BERTLike) Loss(batch *Batch) (*Tensor, float64) {
+	m.tape.rewind()
 	b := batch.Size()
 	steps := len(batch.Tokens[0])
-	cur := make([]int, 0, b*steps)
-	prev := make([]int, 0, b*steps)
-	labels := make([]int, 0, b*steps)
+	cur, prev, labels := m.cur[:0], m.prev[:0], m.labels[:0]
 	for i := 0; i < b; i++ {
 		for t := 0; t < steps; t++ {
 			cur = append(cur, batch.Tokens[i][t])
@@ -350,6 +366,7 @@ func (m *BERTLike) Loss(batch *Batch) (*Tensor, float64) {
 			labels = append(labels, batch.MaskLabels[i][t])
 		}
 	}
+	m.cur, m.prev, m.labels = cur, prev, labels
 	h := Add(Embed(m.embedCur, cur), Embed(m.embedPrev, prev))
 	for _, blk := range m.blocks {
 		inner := blk[1].Apply(ReLU(blk[0].Apply(ReLU(h))))

@@ -360,22 +360,26 @@ func (s *session) work(m comm.Membership, ep comm.Endpoint, st *replica) {
 }
 
 // evaluate scores rows [r·B/P, (r+1)·B/P) of the B-row held-out batch on
-// rank r. Ranks 1…P−1 send rank 0 their correct count and the means behind
-// their loss (nn.Tensor.Means) in one message; rank 0 adds them to its own
-// in rank order and returns the whole batch's Loss (nn.MeanLoss) and
-// Metric, the other ranks a zero Point. An empty shard sends zeros
-// without running the model. The exchange runs after the iteration's
-// statistics are taken, so it moves Point.Time and TotalTime — by
-// (P−1)·α per point on simnet, where rank 0 receives the messages one
-// after another — and none of the per-iteration averages.
+// rank r, in chunks of the case's training batch size, so the model's
+// tape holds no buffer larger than a training step's. Each chunk's correct
+// count and the means behind its loss (nn.Tensor.Means) are added to the
+// shard's in row order; ranks 1…P−1 send rank 0 theirs in one message,
+// and rank 0 adds them to its own in rank order and returns the whole
+// batch's Loss (nn.MeanLoss) and Metric, the other ranks a zero Point. An
+// empty shard sends zeros without running the model. The exchange runs
+// after the iteration's statistics are taken, so it moves Point.Time and
+// TotalTime — by (P−1)·α per point on simnet, where rank 0 receives the
+// messages one after another — and none of the per-iteration averages.
 func (s *session) evaluate(ep comm.Endpoint, m comm.Membership, model nn.Model, rows *nn.Batch) Point {
 	var means []nn.Mean
 	correct := 0
-	if rows.Size() > 0 {
-		loss, metric := model.Loss(rows)
-		means = loss.Means()
-		if s.cfg.Case.Accuracy { // metric is correct / means[0].Count
-			correct = int(math.Round(metric * float64(means[0].Count)))
+	for lo, step := 0, s.cfg.Case.BatchSize; lo < rows.Size(); lo += step {
+		loss, metric := model.Loss(rows.Rows(lo, min(lo+step, rows.Size())))
+		for i, mn := range loss.Means() {
+			means = addMean(means, i, mn)
+		}
+		if s.cfg.Case.Accuracy { // metric is correct / the chunk's count
+			correct += int(math.Round(metric * float64(loss.Means()[0].Count)))
 		}
 	}
 	if m.Rank != 0 {
@@ -387,17 +391,12 @@ func (s *session) evaluate(ep comm.Endpoint, m comm.Membership, model nn.Model, 
 		ep.Send(0, msg, 8*len(msg))
 		return Point{}
 	}
-	means = append([]nn.Mean(nil), means...)
 	for r := 1; r < m.P; r++ {
 		v, _ := ep.Recv(r)
 		msg := v.([]any)
 		correct += msg[0].(int)
 		for i := 0; 2*i+1 < len(msg); i++ {
-			if i == len(means) {
-				means = append(means, nn.Mean{})
-			}
-			means[i].Sum += msg[2*i+1].(float64)
-			means[i].Count += msg[2*i+2].(int)
+			means = addMean(means, i, nn.Mean{Sum: msg[2*i+1].(float64), Count: msg[2*i+2].(int)})
 		}
 	}
 	loss := float64(nn.MeanLoss(means))
@@ -409,6 +408,16 @@ func (s *session) evaluate(ep comm.Endpoint, m comm.Membership, model nn.Model, 
 		}
 	}
 	return Point{Loss: loss, Metric: metric}
+}
+
+// addMean adds mn into means[i], which is means' length or less.
+func addMean(means []nn.Mean, i int, mn nn.Mean) []nn.Mean {
+	if i == len(means) {
+		means = append(means, nn.Mean{})
+	}
+	means[i].Sum += mn.Sum
+	means[i].Count += mn.Count
+	return means
 }
 
 // result folds the per-iteration statistics into the Result: for every
