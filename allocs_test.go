@@ -141,7 +141,7 @@ func allocReducer(row allocRow, rank int) (r sparsecoll.Reducer, grad, out []flo
 // simAllocs is one simnet row: persistent endpoints and reducers, one
 // fleet-wide sync per AllocsPerRun call.
 func simAllocs(row allocRow) float64 {
-	fabric := simnet.New(row.p, simnet.Ethernet)
+	fabric := simnet.New(row.p, comm.Ethernet)
 	eps := make([]comm.Node, row.p)
 	reducers := make([]sparsecoll.Reducer, row.p)
 	grads, outs := make([][]float32, row.p), make([][]float32, row.p)

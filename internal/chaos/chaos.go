@@ -1,11 +1,12 @@
 // Package chaos defines a deterministic, seed-reproducible fault schedule
 // for the live communication backends. A Schedule names exactly which
 // faults fire where — a frame dropped on one directed link, a payload
-// corrupted in flight, a worker crashing at an iteration boundary, an
-// asymmetric partition opening between two peers, or extra latency on a
-// link — and both livenet and tcpnet consult the same Injector once per
-// outbound frame in their Deliver, and give its verdict one meaning
-// (comm.Afflict), so one schedule replays identically on either substrate.
+// corrupted in flight, a worker crashing at an iteration boundary, or an
+// asymmetric partition opening between two peers — and both livenet and
+// tcpnet consult the same Injector once per outbound frame in their
+// Deliver, and give its verdict one meaning (comm.Afflict), so one
+// schedule replays identically on either substrate. Latency is no fault:
+// a slow link is a comm.Profile, which comm.Shaped makes a fabric pay.
 //
 // Determinism is structural, not sampled: every fault is keyed by the
 // per-link frame ordinal or the per-worker iteration ordinal, both of
@@ -20,20 +21,16 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // Kind enumerates the fault types a schedule can carry.
 type Kind int
 
 const (
-	// Delay adds latency before one frame on a directed link. Benign: the
-	// run must still complete with bit-identical results.
-	Delay Kind = iota
 	// Drop discards one frame on a directed link and severs the link — on
 	// a stream transport a missing frame tears the stream anyway, so both
 	// backends treat a drop as link death with the fault as root cause.
-	Drop
+	Drop Kind = iota
 	// Corrupt flips bits in one frame's payload before delivery; the
 	// receiver's decode path must fail cleanly and poison the fabric.
 	Corrupt
@@ -50,8 +47,6 @@ const (
 // String implements fmt.Stringer.
 func (k Kind) String() string {
 	switch k {
-	case Delay:
-		return "delay"
 	case Drop:
 		return "drop"
 	case Corrupt:
@@ -74,10 +69,9 @@ func (k Kind) String() string {
 type Fault struct {
 	Kind  Kind
 	Rank  int
-	Peer  int           // link faults; ignored for Crash
-	Frame int           // link faults: the frame ordinal hit (Partition: first severed)
-	Iter  int           // Crash: the iteration boundary to die at
-	Dur   time.Duration // Delay only
+	Peer  int // link faults; ignored for Crash
+	Frame int // link faults: the frame ordinal hit (Partition: first severed)
+	Iter  int // Crash: the iteration boundary to die at
 }
 
 // String renders the fault in the compact form Parse reads.
@@ -85,8 +79,6 @@ func (f Fault) String() string {
 	switch f.Kind {
 	case Crash:
 		return fmt.Sprintf("crash:rank=%d,iter=%d", f.Rank, f.Iter)
-	case Delay:
-		return fmt.Sprintf("delay:rank=%d,peer=%d,frame=%d,dur=%s", f.Rank, f.Peer, f.Frame, f.Dur)
 	case Partition:
 		return fmt.Sprintf("partition:rank=%d,peer=%d,frame=%d", f.Rank, f.Peer, f.Frame)
 	default:
@@ -131,7 +123,7 @@ func (s *Schedule) String() string {
 
 // Parse reads the compact schedule format String writes:
 //
-//	seed=7;crash:rank=2,iter=3;drop:rank=0,peer=1,frame=4;delay:rank=1,peer=0,frame=0,dur=5ms
+//	seed=7;crash:rank=2,iter=3;drop:rank=0,peer=1,frame=4;corrupt:rank=1,peer=0,frame=0
 //
 // An empty string parses to nil (no chaos).
 func Parse(s string) (*Schedule, error) {
@@ -159,8 +151,6 @@ func Parse(s string) (*Schedule, error) {
 		}
 		var f Fault
 		switch kindStr {
-		case "delay":
-			f.Kind = Delay
 		case "drop":
 			f.Kind = Drop
 		case "corrupt":
@@ -194,12 +184,6 @@ func Parse(s string) (*Schedule, error) {
 				case "iter":
 					f.Iter = n
 				}
-			case "dur":
-				d, err := time.ParseDuration(val)
-				if err != nil {
-					return nil, fmt.Errorf("chaos: bad dur %q: %w", val, err)
-				}
-				f.Dur = d
 			default:
 				return nil, fmt.Errorf("chaos: unknown fault field %q", key)
 			}
@@ -233,10 +217,9 @@ func (s *Schedule) CrashIters() map[int]int {
 
 // Action is the injector's verdict for one outbound frame.
 type Action struct {
-	Delay   time.Duration // sleep before handling the frame
-	Drop    bool          // discard the frame and sever the link
-	Corrupt bool          // flip bits in the payload before delivery
-	Fault   *Fault        // the schedule entry behind a Drop/Corrupt/Partition verdict
+	Drop    bool   // discard the frame and sever the link
+	Corrupt bool   // flip bits in the payload before delivery
+	Fault   *Fault // the schedule entry behind a Drop/Corrupt/Partition verdict
 }
 
 // Injector is the per-worker view of a schedule both live backends accept:
@@ -342,8 +325,6 @@ func (w *worker) Outbound(peer int) Action {
 			continue
 		}
 		switch f.Kind {
-		case Delay:
-			act.Delay += f.Dur
 		case Drop:
 			act.Drop = true
 			act.Fault = f

@@ -1,17 +1,17 @@
 package chaos
 
 import (
+	"strings"
 	"testing"
-	"time"
 )
 
 func TestParseStringRoundTrip(t *testing.T) {
-	in := "seed=7;crash:rank=2,iter=3;drop:rank=0,peer=1,frame=4;delay:rank=1,peer=0,frame=0,dur=5ms;corrupt:rank=3,peer=2,frame=1;partition:rank=0,peer=3,frame=9"
+	in := "seed=7;crash:rank=2,iter=3;drop:rank=0,peer=1,frame=4;corrupt:rank=3,peer=2,frame=1;partition:rank=0,peer=3,frame=9"
 	s, err := Parse(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Seed != 7 || len(s.Faults) != 5 {
+	if s.Seed != 7 || len(s.Faults) != 4 {
 		t.Fatalf("parsed %+v", s)
 	}
 	s2, err := Parse(s.String())
@@ -20,9 +20,6 @@ func TestParseStringRoundTrip(t *testing.T) {
 	}
 	if s2.String() != s.String() {
 		t.Fatalf("round trip drifted: %q vs %q", s.String(), s2.String())
-	}
-	if s.Faults[2].Dur != 5*time.Millisecond {
-		t.Fatalf("delay duration lost: %+v", s.Faults[2])
 	}
 }
 
@@ -34,17 +31,21 @@ func TestParseEmptyAndErrors(t *testing.T) {
 		"boom:rank=0",              // unknown kind
 		"drop:rank=0",              // link fault without peer
 		"crash:rank",               // not key=value
-		"delay:rank=0,peer=1,dur=", // bad duration
+		"drop:rank=0,peer=1,dur=1", // unknown field
 		"seed=x",                   // bad seed
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted garbage", bad)
 		}
 	}
+	// Latency is a link's α-β profile (comm.Shaped), not a fault kind.
+	if _, err := Parse("delay:rank=1,peer=0,frame=2"); err == nil || !strings.Contains(err.Error(), `unknown fault kind "delay"`) {
+		t.Errorf("delay must be an unknown fault kind, got %v", err)
+	}
 }
 
 func TestWorkerInjectorReplay(t *testing.T) {
-	s, err := Parse("drop:rank=0,peer=1,frame=2;corrupt:rank=0,peer=2,frame=0;delay:rank=0,peer=1,frame=1,dur=3ms")
+	s, err := Parse("drop:rank=0,peer=1,frame=2;corrupt:rank=0,peer=2,frame=0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,12 +59,11 @@ func TestWorkerInjectorReplay(t *testing.T) {
 	if w.CrashIter() != -1 {
 		t.Fatalf("no crash scheduled, got iter %d", w.CrashIter())
 	}
-	// Link 0→1: frame 0 clean, frame 1 delayed, frame 2 dropped.
-	if a := w.Outbound(1); a.Drop || a.Corrupt || a.Delay != 0 {
-		t.Fatalf("frame 0: %+v", a)
-	}
-	if a := w.Outbound(1); a.Delay != 3*time.Millisecond || a.Drop {
-		t.Fatalf("frame 1: %+v", a)
+	// Link 0→1: frames 0 and 1 clean, frame 2 dropped.
+	for i := 0; i < 2; i++ {
+		if a := w.Outbound(1); a.Drop || a.Corrupt {
+			t.Fatalf("frame %d: %+v", i, a)
+		}
 	}
 	a := w.Outbound(1)
 	if !a.Drop || a.Fault == nil || a.Fault.Kind != Drop {

@@ -5,10 +5,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"spardl/internal/comm"
 	"spardl/internal/simnet"
 )
 
-var unit = simnet.Profile{Name: "unit", Alpha: 1, Beta: 1}
+var unit = comm.Profile{Name: "unit", Alpha: 1, Beta: 1}
 
 func itemBytes(it any) int { return len(it.([]byte)) }
 

@@ -32,7 +32,7 @@ func TestDenseOutputCoverage(t *testing.T) {
 		ps   []int
 		ns   func(p int) []int
 	}{
-		{"simnet", func() comm.Backend { return simnet.Backend(simnet.Ethernet) },
+		{"simnet", func() comm.Backend { return simnet.Backend(comm.Ethernet) },
 			[]int{1, 2, 3, 4, 5, 6, 7, 8, 9},
 			func(p int) []int { return []int{0, 1, p - 1, p, p + 1, 1000, 1<<12 + 3} }},
 		{"livenet", livenet.NewBackend,

@@ -61,7 +61,7 @@ func TestDenseEquivalence(t *testing.T) {
 		name string
 		new  func() comm.Backend
 	}{
-		{"simnet", func() comm.Backend { return simnet.Backend(simnet.Ethernet) }},
+		{"simnet", func() comm.Backend { return simnet.Backend(comm.Ethernet) }},
 		{"livenet", livenet.NewBackend},
 		{"tcpnet-local", func() comm.Backend { return tcpnet.LocalBackend(30 * time.Second) }},
 	}

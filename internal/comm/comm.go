@@ -27,6 +27,11 @@
 // behind a rendezvous. RunWorkers is the one worker run loop (recover,
 // record the cause, poison, report) and serves simnet too.
 //
+// # Link model
+//
+// Profile.Arrive is the one α-β receive rule. simnet's Recv charges it to
+// a virtual clock; Shaped makes a link endpoint's Recv park until it.
+//
 // # Determinism contract
 //
 // The algorithms drive all ordering: every Recv names its source rank, and

@@ -31,7 +31,7 @@ var contractBackends = []struct {
 	// never become bytes that could be corrupted.
 	chaos func(*chaos.Schedule) comm.Backend
 }{
-	{"simnet", func() comm.Backend { return simnet.Backend(simnet.Profile{Name: "unit", Alpha: 1e-3, Beta: 1e-6}) }, false, nil},
+	{"simnet", func() comm.Backend { return simnet.Backend(comm.Profile{Name: "unit", Alpha: 1e-3, Beta: 1e-6}) }, false, nil},
 	{"livenet", livenet.NewBackend, true, livenet.NewChaosBackend},
 	{"tcpnet-local", func() comm.Backend { return tcpnet.LocalBackend(10 * time.Second) }, true,
 		func(s *chaos.Schedule) comm.Backend { return tcpnet.LocalChaosBackend(10*time.Second, s) }},

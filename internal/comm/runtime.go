@@ -41,11 +41,11 @@ type Link interface {
 	Deliver(to int, f Frame) error
 	// Next blocks until the next frame from rank from arrives. A non-nil
 	// arena owns f.Buf for at least the current and the next Rotate epoch:
-	// the payload is decoded in place and may alias it — registered codecs
-	// through their Decode and, first among the built-in payloads, a Vec,
-	// which is nothing but a view of those bytes. A nil arena means
-	// f.Buf is a FrameBufs buffer the caller recycles after decoding. The
-	// error names why the link is severed.
+	// the payload is decoded in place and may alias it — a sparse chunk
+	// through wire.DecodeArena and, above all, a Vec, which is nothing but
+	// a view of those bytes. A nil arena means f.Buf is a FrameBufs buffer
+	// the caller recycles after decoding. The error names why the link is
+	// severed.
 	Next(from int) (f Frame, arena *sparse.Arena, err error)
 	// Rotate starts a new storage epoch. The barrier calls it once every
 	// peer's token is in — tokens are FIFO behind data, so every frame of
@@ -63,19 +63,15 @@ type Link interface {
 
 // Afflict gives one chaos verdict its meaning for one outbound frame; both
 // byte fabrics' Deliver apply it, so a fault kind means the same thing on
-// each. A delay sleeps the sending goroutine before the frame is sent. A
-// corruption returns a copy of the payload — Buf then Tail — flipped by
-// chaos.CorruptBytes, never touching the caller's Buf or the borrowed Tail,
-// and first notes the schedule entry in root: the flipped tag fails the
-// receiver's decode, and that panic is the fault's cascade, not its cause.
-// A drop, a partition, and a corruption with nothing to flip (a barrier
-// token or an empty payload: on a byte stream a flipped header tears the
-// stream) return the schedule's sever cause instead, and the link must
-// fail before the frame's first byte.
+// each. A corruption returns a copy of the payload — Buf then Tail —
+// flipped by chaos.CorruptBytes, never touching the caller's Buf or the
+// borrowed Tail, and first notes the schedule entry in root: the flipped
+// tag fails the receiver's decode, and that panic is the fault's cascade,
+// not its cause. A drop, a partition, and a corruption with nothing to
+// flip (a barrier token or an empty payload: on a byte stream a flipped
+// header tears the stream) return the schedule's sever cause instead, and
+// the link must fail before the frame's first byte.
 func Afflict(act chaos.Action, f Frame, root *Cause) (Frame, string) {
-	if act.Delay > 0 {
-		time.Sleep(act.Delay)
-	}
 	n := len(f.Buf) + len(f.Tail)
 	if act.Drop || act.Corrupt && n == 0 {
 		return f, act.Fault.Severed()
@@ -141,7 +137,8 @@ type linkEndpoint struct {
 	inj     chaos.Injector // nil = healthy; only its crash iteration is consulted
 	onCrash func(iter int)
 	start   time.Time
-	iters   int // SyncClock barriers passed on this fabric (the crash ordinal)
+	iters   int      // SyncClock barriers passed on this fabric (the crash ordinal)
+	net     *Profile // set by Shaped
 
 	mu    sync.Mutex // guards stats (worker goroutine + stream goroutine)
 	stats Stats
@@ -243,8 +240,8 @@ func (e *linkEndpoint) Send(to int, payload any, bytes int) {
 
 // Recv blocks until a frame from worker `from` arrives, decodes it, and
 // returns the payload plus the sender's accounted byte count. The blocking
-// wait and the decode are both measured as communication wall time. A lost
-// peer surfaces here as a panic with the recorded cause — never a hang.
+// wait, a Shaped park and the decode count as communication wall time. A
+// lost peer surfaces here as a panic with the recorded cause — never a hang.
 func (e *linkEndpoint) Recv(from int) (payload any, bytes int) {
 	e.checkPeer("recv from", from)
 	t0 := time.Now()
@@ -254,6 +251,10 @@ func (e *linkEndpoint) Recv(from int) (payload any, bytes int) {
 	}
 	if f.Token {
 		panic(fmt.Sprintf("%s: worker %d sent a barrier token where data was expected (schedule mismatch)", e.name, from))
+	}
+	if e.net != nil { // Shaped: park until the frame has arrived
+		now := e.Clock()
+		time.Sleep(time.Duration((e.net.Arrive(now, f.Accounted) - now) * float64(time.Second)))
 	}
 	// With an arena, f.Buf is storage the link filled in place and the
 	// decoded value may alias it; both stay readable until the rotation

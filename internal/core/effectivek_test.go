@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"spardl/internal/comm"
 	"spardl/internal/simnet"
 )
 
@@ -44,7 +45,7 @@ func TestEffectiveKPinsSelectionDrift(t *testing.T) {
 // and never the raw k.
 func TestSmallKSelectionBoundedByEffectiveK(t *testing.T) {
 	const p, n, k = 8, 512, 3
-	unit := simnet.Profile{Name: "unit", Alpha: 1, Beta: 0}
+	unit := comm.Profile{Name: "unit", Alpha: 1, Beta: 0}
 	outs := make([][]float32, p)
 	var effective int
 	simnet.Run(p, unit, func(rank int, ep *simnet.Endpoint) {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"spardl/internal/comm"
 	"spardl/internal/simnet"
 	"spardl/internal/sparsecoll"
 	"spardl/internal/wire"
@@ -36,7 +37,7 @@ func TestSparDLOverSegmentWithTeams(t *testing.T) {
 
 	// Bucketed run: two SegmentReducers per worker over one flat vector.
 	bucketed := make([][]float32, iterations)
-	simnet.Run(p, simnet.Ethernet, func(rank int, ep *simnet.Endpoint) {
+	simnet.Run(p, comm.Ethernet, func(rank int, ep *simnet.Endpoint) {
 		k0 := k * cut / n
 		buckets := []*sparsecoll.SegmentReducer{
 			sparsecoll.NewSegment(factory, p, rank, 0, cut, k0),
@@ -58,7 +59,7 @@ func TestSparDLOverSegmentWithTeams(t *testing.T) {
 	// Standalone runs on each sub-vector must agree bit-for-bit.
 	for _, seg := range []struct{ lo, hi, k int }{{0, cut, k * cut / n}, {cut, n, k - k*cut/n}} {
 		alone := make([][]float32, iterations)
-		simnet.Run(p, simnet.Ethernet, func(rank int, ep *simnet.Endpoint) {
+		simnet.Run(p, comm.Ethernet, func(rank int, ep *simnet.Endpoint) {
 			r := factory(p, rank, seg.hi-seg.lo, seg.k)
 			for it := 0; it < iterations; it++ {
 				flat := grad(n, rank, it)
@@ -86,7 +87,7 @@ func TestSparDLOverSegmentWithTeams(t *testing.T) {
 func TestSparDLSegmentTinyBucket(t *testing.T) {
 	const p, n = 8, 5 // n < P: some SRS blocks are empty
 	outs := make([][]float32, p)
-	simnet.Run(p, simnet.Ethernet, func(rank int, ep *simnet.Endpoint) {
+	simnet.Run(p, comm.Ethernet, func(rank int, ep *simnet.Endpoint) {
 		r := sparsecoll.NewSegment(NewFactory(Options{}), p, rank, 0, n, 2)
 		g := make([]float32, n)
 		for i := range g {

@@ -13,7 +13,7 @@ import (
 	"spardl/internal/wire"
 )
 
-var unit = simnet.Profile{Name: "unit", Alpha: 1, Beta: 1}
+var unit = comm.Profile{Name: "unit", Alpha: 1, Beta: 1}
 
 func zeroCompCost(t *testing.T) {
 	t.Helper()

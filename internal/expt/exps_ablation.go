@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"spardl/internal/collective"
+	"spardl/internal/comm"
 	"spardl/internal/core"
 	"spardl/internal/simnet"
 	"spardl/internal/sparse"
@@ -20,7 +21,7 @@ func init() {
 		Run: func(q Quality) []*Table {
 			c := train.CaseByID(1)
 			cfg := TimingConfig{
-				Case: c, P: 14, KRatio: 1e-2, Network: simnet.Ethernet,
+				Case: c, P: 14, KRatio: 1e-2, Network: comm.Ethernet,
 				Iters: pick(q, 5, 20), Warmup: 2, Seed: 31,
 			}
 			lazy := MeasureTiming(cfg, NamedFactory{"lazy", sparDL(core.Options{})}, 0)
@@ -85,7 +86,7 @@ func init() {
 			for _, p := range []int{11, 13, 14, 16} {
 				blockBytes := 8 * 100
 				run := func(direct bool) (int, float64, int64) {
-					rep := simnet.Run(p, simnet.Profile{Name: "a", Alpha: 1, Beta: 0}, func(rank int, ep *simnet.Endpoint) {
+					rep := simnet.Run(p, comm.Profile{Name: "a", Alpha: 1, Beta: 0}, func(rank int, ep *simnet.Endpoint) {
 						own := &sparse.Chunk{Idx: make([]int32, 100), Val: make([]float32, 100)}
 						if direct {
 							for j := 0; j < p; j++ {
@@ -120,7 +121,7 @@ func init() {
 		Run: func(q Quality) []*Table {
 			c := train.CaseByID(2)
 			cfg := TimingConfig{
-				Case: c, P: 14, KRatio: 1e-2, Network: simnet.Ethernet,
+				Case: c, P: 14, KRatio: 1e-2, Network: comm.Ethernet,
 				Iters: pick(q, 4, 10), Warmup: 1, Seed: 33,
 			}
 			methods := []NamedFactory{

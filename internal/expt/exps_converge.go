@@ -5,8 +5,8 @@ import (
 	"math"
 	"sync"
 
+	"spardl/internal/comm"
 	"spardl/internal/core"
-	"spardl/internal/simnet"
 	"spardl/internal/sparsecoll"
 	"spardl/internal/train"
 )
@@ -17,7 +17,7 @@ import (
 func runConvergence(caseID, p int, kRatio float64, nf NamedFactory, iters, evalEvery int, seed int64) *train.Result {
 	return train.Run(train.Config{
 		Case: train.CaseByID(caseID), P: p, KRatio: kRatio,
-		Network: simnet.Ethernet, Factory: nf.Factory,
+		Network: comm.Ethernet, Factory: nf.Factory,
 		Iters: iters, Seed: seed, EvalEvery: evalEvery,
 		PaperScaleComm: true,
 	})
@@ -97,7 +97,7 @@ func init() {
 			iters := pick(q, 100, 1200)
 			train.Run(train.Config{
 				Case: train.CaseByID(1), P: p, KRatio: 1e-2,
-				Network: simnet.Ethernet, Factory: factory, Iters: iters, Seed: 7,
+				Network: comm.Ethernet, Factory: factory, Iters: iters, Seed: 7,
 				PaperScaleComm: true,
 			})
 			nts := reds[0].BsagCounts()

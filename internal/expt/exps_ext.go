@@ -3,8 +3,8 @@ package expt
 import (
 	"fmt"
 
+	"spardl/internal/comm"
 	"spardl/internal/core"
-	"spardl/internal/simnet"
 	"spardl/internal/sparsecoll"
 	"spardl/internal/train"
 )
@@ -31,7 +31,7 @@ func init() {
 				}
 				skew[13] = straggler
 				cfg := TimingConfig{
-					Case: c, P: 14, KRatio: 1e-2, Network: simnet.Ethernet,
+					Case: c, P: 14, KRatio: 1e-2, Network: comm.Ethernet,
 					Iters: pick(q, 6, 20), Warmup: 3, Seed: 41, ComputeSkew: skew,
 				}
 				tab := &Table{

@@ -3,9 +3,9 @@ package expt
 import (
 	"fmt"
 
+	"spardl/internal/comm"
 	"spardl/internal/core"
 	"spardl/internal/pipeline"
-	"spardl/internal/simnet"
 	"spardl/internal/train"
 )
 
@@ -37,10 +37,10 @@ func init() {
 			c := train.CaseByID(2) // VGG-19/CIFAR-100, the Fig. 8/18 headline case
 			for _, net := range []struct {
 				name    string
-				profile simnet.Profile
+				profile comm.Profile
 			}{
-				{"Ethernet", simnet.Ethernet},
-				{"RDMA", simnet.RDMA},
+				{"Ethernet", comm.Ethernet},
+				{"RDMA", comm.RDMA},
 			} {
 				for _, ratio := range []float64{1e-3, 1e-2} {
 					tab := &Table{

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"spardl/internal/comm"
 	"spardl/internal/core"
 	"spardl/internal/simnet"
 	"spardl/internal/sparsecoll"
@@ -22,7 +23,7 @@ func ceilLog2(p int) int {
 // elements: one element = 4 bytes, an index or a value) for the worst
 // worker, after a warmup iteration so adaptive methods are in steady state.
 func costProbe(p, n, k int, nf NamedFactory) (rounds int, elems int64) {
-	rep := simnet.Run(p, simnet.Profile{Name: "probe", Alpha: 1, Beta: 1}, func(rank int, ep *simnet.Endpoint) {
+	rep := simnet.Run(p, comm.Profile{Name: "probe", Alpha: 1, Beta: 1}, func(rank int, ep *simnet.Endpoint) {
 		r := nf.Factory(p, rank, n, k)
 		g := make([]float32, n)
 		syntheticGrad(g, 1, rank, 0)
@@ -133,7 +134,7 @@ func init() {
 			for _, caseID := range []int{2, 4, 5, 6} {
 				c := train.CaseByID(caseID)
 				cfg := TimingConfig{
-					Case: c, P: 14, KRatio: 1e-2, Network: simnet.Ethernet,
+					Case: c, P: 14, KRatio: 1e-2, Network: comm.Ethernet,
 					Iters: pick(q, 8, 30), Warmup: pick(q, 5, 10), Seed: 8,
 				}
 				results := measureAll(cfg, paperBaselines(), 0)
@@ -160,7 +161,7 @@ func init() {
 			for _, caseID := range []int{3, 7} {
 				c := train.CaseByID(caseID)
 				cfg := TimingConfig{
-					Case: c, P: 14, KRatio: 1e-2, Network: simnet.Ethernet,
+					Case: c, P: 14, KRatio: 1e-2, Network: comm.Ethernet,
 					Iters: pick(q, 8, 30), Warmup: pick(q, 5, 10), Seed: 10,
 				}
 				methods := []NamedFactory{
@@ -194,7 +195,7 @@ func init() {
 			epochIters := func(p int) int { return epochExamples / (p * c.BatchSize) }
 			epochTime := func(p int, nf NamedFactory) float64 {
 				cfg := TimingConfig{
-					Case: c, P: p, KRatio: 1e-2, Network: simnet.Ethernet,
+					Case: c, P: p, KRatio: 1e-2, Network: comm.Ethernet,
 					Iters: pick(q, 6, 12), Warmup: 4, Seed: 12,
 				}
 				r := MeasureTiming(cfg, nf, 0)
@@ -253,7 +254,7 @@ func init() {
 				series := make([][]float64, len(configs))
 				for i, nc := range configs {
 					cfg := TimingConfig{
-						Case: c, P: p, KRatio: 1e-2, Network: simnet.Ethernet,
+						Case: c, P: p, KRatio: 1e-2, Network: comm.Ethernet,
 						Iters: epochs * c.ItersPerEpoch, Warmup: 0, Seed: 15,
 					}
 					series[i] = MeasureTiming(cfg, nc, c.ItersPerEpoch).PerEpoch
@@ -279,7 +280,7 @@ func init() {
 			var tables []*Table
 			cfgFor := func(id int) TimingConfig {
 				return TimingConfig{
-					Case: train.CaseByID(id), P: 5, KRatio: 1e-2, Network: simnet.RDMA,
+					Case: train.CaseByID(id), P: 5, KRatio: 1e-2, Network: comm.RDMA,
 					Iters: pick(q, 8, 30), Warmup: pick(q, 5, 10), Seed: 18,
 				}
 			}
@@ -357,7 +358,7 @@ func dImpactTable(q Quality, p int) *Table {
 	var base float64
 	for _, nc := range dConfigs(p) {
 		cfg := TimingConfig{
-			Case: c, P: p, KRatio: 1e-2, Network: simnet.Ethernet,
+			Case: c, P: p, KRatio: 1e-2, Network: comm.Ethernet,
 			Iters: pick(q, 2, 6) * c.ItersPerEpoch, Warmup: c.ItersPerEpoch, Seed: 14,
 		}
 		r := MeasureTiming(cfg, nc, 0)

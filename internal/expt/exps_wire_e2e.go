@@ -3,6 +3,7 @@ package expt
 import (
 	"fmt"
 
+	"spardl/internal/comm"
 	"spardl/internal/core"
 	"spardl/internal/simnet"
 	"spardl/internal/sparsecoll"
@@ -28,7 +29,7 @@ func wiredBaselines(mode wire.Mode) []NamedFactory {
 // iteration) and returns the worst-worker rounds and the cluster-wide
 // received volume.
 func wireE2EProbe(p, n, k int, nf NamedFactory) (rounds int, total int64) {
-	rep := simnet.Run(p, simnet.Ethernet, func(rank int, ep *simnet.Endpoint) {
+	rep := simnet.Run(p, comm.Ethernet, func(rank int, ep *simnet.Endpoint) {
 		r := nf.Factory(p, rank, n, k)
 		g := make([]float32, n)
 		syntheticGrad(g, 5, rank, 0)
@@ -81,11 +82,11 @@ func init() {
 			// Fig. 8-style per-update timing under both accounting modes.
 			for _, net := range []struct {
 				name    string
-				profile simnet.Profile
+				profile comm.Profile
 				p       int
 			}{
-				{"Ethernet", simnet.Ethernet, 14},
-				{"RDMA", simnet.RDMA, 5},
+				{"Ethernet", comm.Ethernet, 14},
+				{"RDMA", comm.RDMA, 5},
 			} {
 				c := train.CaseByID(2) // VGG-19/CIFAR-100, the Fig. 8/18 headline case
 				tab := &Table{

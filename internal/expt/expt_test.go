@@ -5,8 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"spardl/internal/comm"
 	"spardl/internal/core"
-	"spardl/internal/simnet"
 	"spardl/internal/sparsecoll"
 	"spardl/internal/train"
 	"spardl/internal/wire"
@@ -14,7 +14,7 @@ import (
 
 func coreOptions() core.Options { return core.Options{} }
 
-func unitProfile() simnet.Profile { return simnet.Profile{Name: "unit", Alpha: 1e-4, Beta: 1e-8} }
+func unitProfile() comm.Profile { return comm.Profile{Name: "unit", Alpha: 1e-4, Beta: 1e-8} }
 
 // caseForTest is a tiny synthetic case: timing mode only reads PaperParams
 // and ComputeTime.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 
+	"spardl/internal/comm"
 	"spardl/internal/simnet"
 	"spardl/internal/train"
 )
@@ -22,7 +23,7 @@ type TimingConfig struct {
 	Case    *train.Case
 	P       int
 	KRatio  float64
-	Network simnet.Profile
+	Network comm.Profile
 	Iters   int // measured iterations
 	Warmup  int // iterations excluded from the averages
 	Seed    int64
@@ -43,7 +44,7 @@ type TimingResult struct {
 }
 
 // scaledProfile compensates the network profile for the model-size scale.
-func scaledProfile(p simnet.Profile) simnet.Profile {
+func scaledProfile(p comm.Profile) comm.Profile {
 	p.Beta /= TimingScale
 	return p
 }

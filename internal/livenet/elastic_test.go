@@ -130,19 +130,22 @@ func TestRunElasticPersistentFaultFailsFastWithCause(t *testing.T) {
 	}
 }
 
+// Latency is benign: on a shaped link every Recv parks for α, and the run
+// completes with no recovery and the same sums.
 func TestRunElasticDelayIsBenign(t *testing.T) {
-	sched, err := chaos.Parse("delay:rank=0,peer=1,frame=0,dur=2ms")
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := comm.Profile{Name: "slow", Alpha: 2e-3}
 	w := newElasticWorkload(2, 3)
-	_, recs, runErr := RunElastic(2, sched, comm.ElasticOptions{}, w.run)
+	rep, recs, runErr := comm.Shaped(NewBackend(), net).(comm.ElasticBackend).RunElastic(2, comm.ElasticOptions{}, w.run)
 	if runErr != nil || len(recs) != 0 {
-		t.Fatalf("delay must be benign: err=%v recs=%+v", runErr, recs)
+		t.Fatalf("latency must be benign: err=%v recs=%+v", runErr, recs)
 	}
 	for id := 0; id < 2; id++ {
 		if got := w.states[id].acc; got != 3*3 {
 			t.Errorf("worker %d acc = %d, want %d", id, got, 3*3)
+		}
+		// One frame per iteration, each parked for α.
+		if got := rep.PerWorker[id].CommTime; got < 3*net.Alpha {
+			t.Errorf("worker %d CommTime %.4fs, below three parks of %gs", id, got, net.Alpha)
 		}
 	}
 }

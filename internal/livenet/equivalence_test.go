@@ -60,7 +60,7 @@ func TestBackendEquivalence(t *testing.T) {
 
 	for _, m := range methods {
 		t.Run(m.name+"/coo", func(t *testing.T) {
-			sim, _ := runReducer(simnet.Backend(simnet.Ethernet), m.f, m.p, m.n, m.k, iters)
+			sim, _ := runReducer(simnet.Backend(comm.Ethernet), m.f, m.p, m.n, m.k, iters)
 			live, _ := runReducer(livenet.NewBackend(), m.f, m.p, m.n, m.k, iters)
 			for it := 0; it < iters; it++ {
 				for rank := 0; rank < m.p; rank++ {

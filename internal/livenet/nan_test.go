@@ -74,7 +74,7 @@ func TestNaNInfSelectionDeterminism(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			for _, red := range reducers {
 				t.Run(red.name, func(t *testing.T) {
-					sim := run(simnet.Backend(simnet.Ethernet), red.f, mode)
+					sim := run(simnet.Backend(comm.Ethernet), red.f, mode)
 					live := run(livenet.NewBackend(), red.f, mode)
 					for it := 0; it < iters; it++ {
 						for rank := 0; rank < p; rank++ {

@@ -140,7 +140,7 @@ func sameFloats(a, b []float32) bool {
 func TestRunMatchesCopyAll(t *testing.T) {
 	const iters = 10
 	factory := core.NewFactory(core.Options{})
-	for _, backend := range []comm.Backend{simnet.Backend(simnet.Ethernet), livenet.NewBackend()} {
+	for _, backend := range []comm.Backend{simnet.Backend(comm.Ethernet), livenet.NewBackend()} {
 		for _, bucketBytes := range []int{0, 2048, 1 << 30} {
 			cfg := Config{BucketBytes: bucketBytes}
 			name := fmt.Sprintf("%s/bucketBytes=%d/noOverlap=false", backend.Name(), bucketBytes)

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"spardl/internal/comm"
 	"spardl/internal/nn"
 	"spardl/internal/simnet"
 	"spardl/internal/sparsecoll"
@@ -105,7 +106,7 @@ func TestScheduleRunAssemblesGlobalGradient(t *testing.T) {
 	const p, k = 4, 40
 	outs := make([][]float32, p)
 	var stats []simnet.Stats
-	rep := simnet.Run(p, simnet.Ethernet, func(rank int, ep *simnet.Endpoint) {
+	rep := simnet.Run(p, comm.Ethernet, func(rank int, ep *simnet.Endpoint) {
 		rng := rand.New(rand.NewSource(21)) // same seed ⇒ identical replicas
 		m := nn.NewMLPClassifier(rng, []int{32, 64, 48, 10})
 		segs := nn.GradSegments(m.Params())

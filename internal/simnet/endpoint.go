@@ -94,15 +94,14 @@ func (e *Endpoint) Send(to int, payload any, bytes int) {
 }
 
 // Recv blocks until a message from worker `from` arrives, then advances the
-// virtual clock: clock = max(clock, senderClockAtSend) + α + β·bytes.
+// virtual clock: clock = Arrive(max(clock, senderClockAtSend), bytes).
 func (e *Endpoint) Recv(from int) (payload any, bytes int) {
 	m := e.fabric.pop(from, e.rank)
 	before := e.clock
 	if m.sentAt > e.clock {
 		e.clock = m.sentAt
 	}
-	prof := e.fabric.profile
-	e.clock += prof.Alpha + prof.Beta*float64(m.bytes)
+	e.clock = e.fabric.profile.Arrive(e.clock, m.bytes)
 	e.stats.Rounds++
 	e.stats.BytesRecv += int64(m.bytes)
 	e.stats.CommTime += e.clock - before

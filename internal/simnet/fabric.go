@@ -4,10 +4,11 @@
 //
 // Workers run as goroutines and exchange messages point-to-point. Payloads
 // move by reference (no serialization), but every receive advances the
-// receiving worker's *virtual clock* by α + β·bytes, and message causality
-// is preserved: a message cannot be received before the sender's clock at
-// the moment of sending. The fabric therefore yields, per worker, exactly
-// the quantities the paper's cost model tracks:
+// receiving worker's *virtual clock* by α + β·bytes (comm.Profile.Arrive,
+// which comm.Shaped makes the wall-clock fabrics pay), and message
+// causality is preserved: a message cannot be received before the
+// sender's clock at the moment of sending. The fabric therefore yields,
+// per worker, exactly the quantities the paper's cost model tracks:
 //
 //   - transmission rounds (the "x" in xα + yβ): one per Recv;
 //   - received volume (the "y"): total bytes across Recvs.
@@ -22,23 +23,8 @@ import (
 	"spardl/internal/comm"
 )
 
-// Profile describes a network: per-message latency Alpha (seconds) and
-// per-byte transfer cost Beta (seconds/byte).
-type Profile struct {
-	Name  string
-	Alpha float64
-	Beta  float64
-}
-
-// Ethernet approximates the paper's commodity Ethernet cluster ("connected
-// to an Ethernet with default setting"): 300µs effective per-message
-// latency (TCP/IP stack included) and ~1 Gb/s effective per-worker
-// bandwidth.
-var Ethernet = Profile{Name: "ethernet", Alpha: 300e-6, Beta: 8e-9}
-
-// RDMA approximates the paper's InfiniBand/RDMA cluster (Section IV-J):
-// 5µs latency, ~20 Gb/s effective bandwidth.
-var RDMA = Profile{Name: "rdma", Alpha: 5e-6, Beta: 0.4e-9}
+// Ethernet is comm.Ethernet, under the name the benchmark harness uses.
+var Ethernet = comm.Ethernet
 
 // message is a point-to-point datagram with an accounted wire size,
 // stamped with the sender's clock at the moment of sending.
@@ -54,14 +40,14 @@ type message struct {
 // cost of a transfer is charged entirely at the receiver by the α-β model.
 type Fabric struct {
 	p       int
-	profile Profile
+	profile comm.Profile
 	queues  []*comm.Fifo[message] // from*p + to
 	root    comm.Cause            // why the fabric was poisoned, if it was
 }
 
 // New creates a fabric for p workers. It panics on p <= 0 (a configuration
 // bug, not a runtime condition).
-func New(p int, profile Profile) *Fabric {
+func New(p int, profile comm.Profile) *Fabric {
 	if p <= 0 {
 		panic("simnet: need at least one worker")
 	}
@@ -74,9 +60,6 @@ func New(p int, profile Profile) *Fabric {
 
 // P returns the number of workers on the fabric.
 func (f *Fabric) P() int { return f.p }
-
-// Profile returns the network profile in use.
-func (f *Fabric) Profile() Profile { return f.profile }
 
 // Endpoint returns worker rank's endpoint. Each rank must be used by a
 // single goroutine.

@@ -15,7 +15,7 @@ func almostEq(a, b float64) bool { return math.Abs(a-b) < 1e-12 }
 // finishes before the compute does costs no wall-clock at all — it is fully
 // credited to OverlapSaved.
 func TestOverlapHidesCommUnderCompute(t *testing.T) {
-	prof := Profile{Name: "unit", Alpha: 1, Beta: 0}
+	prof := comm.Profile{Name: "unit", Alpha: 1, Beta: 0}
 	rep := Run(2, prof, func(rank int, ep *Endpoint) {
 		ep.Compute(4)
 		ep.Overlap(func(ep comm.Endpoint) {
@@ -38,7 +38,7 @@ func TestOverlapHidesCommUnderCompute(t *testing.T) {
 // only the excess is exposed; saved + exposed together equal the stream's
 // busy time, and the final clock is computeEnd + exposed.
 func TestOverlapExposesCommBeyondCompute(t *testing.T) {
-	prof := Profile{Name: "unit", Alpha: 1, Beta: 1}
+	prof := comm.Profile{Name: "unit", Alpha: 1, Beta: 1}
 	rep := Run(2, prof, func(rank int, ep *Endpoint) {
 		ep.Compute(4)
 		ep.Overlap(func(ep comm.Endpoint) {
@@ -61,7 +61,7 @@ func TestOverlapExposesCommBeyondCompute(t *testing.T) {
 // serially (no Overlap) must cost exactly OverlapSaved more clock time than
 // the pipelined run — per worker, not just in aggregate.
 func TestOverlapSavedReconcilesWithSerialRun(t *testing.T) {
-	prof := Profile{Name: "unit", Alpha: 1, Beta: 0.5}
+	prof := comm.Profile{Name: "unit", Alpha: 1, Beta: 0.5}
 	// Two buckets launched at different backward points, second iteration
 	// included to cover stream state across Join boundaries.
 	worker := func(overlap bool) func(rank int, ep *Endpoint) {
@@ -113,7 +113,7 @@ func TestOverlapSavedReconcilesWithSerialRun(t *testing.T) {
 // message causality — it cannot complete before the sender's (stream) clock
 // at the moment of sending.
 func TestOverlapStreamWaitsForStragglerSender(t *testing.T) {
-	prof := Profile{Name: "unit", Alpha: 1, Beta: 0}
+	prof := comm.Profile{Name: "unit", Alpha: 1, Beta: 0}
 	rep := Run(2, prof, func(rank int, ep *Endpoint) {
 		// Worker 1 is a straggler: its bucket launches 4 seconds later.
 		if rank == 1 {

@@ -8,9 +8,9 @@ type Report = comm.Report
 
 // Backend adapts the simulator to the backend-neutral comm.Backend
 // contract, fixing the network profile at construction.
-func Backend(profile Profile) comm.Backend { return backend{profile} }
+func Backend(profile comm.Profile) comm.Backend { return backend{profile} }
 
-type backend struct{ profile Profile }
+type backend struct{ profile comm.Profile }
 
 // Name implements comm.Backend.
 func (b backend) Name() string { return "simnet/" + b.profile.Name }
@@ -23,7 +23,7 @@ func (b backend) Run(p int, worker func(rank int, ep comm.Endpoint)) *Report {
 // Run executes worker(rank, endpoint) on p goroutines over a fresh fabric
 // and waits for all of them. If any worker panics, the fabric is poisoned
 // (so blocked peers unwind too) and Run re-panics with the first failure.
-func Run(p int, profile Profile, worker func(rank int, ep *Endpoint)) *Report {
+func Run(p int, profile comm.Profile, worker func(rank int, ep *Endpoint)) *Report {
 	f := New(p, profile)
 	rep, _ := comm.RunWorkers(p, nil, &f.root,
 		func(rank int) comm.Node { return f.Endpoint(rank) },

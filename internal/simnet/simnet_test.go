@@ -3,11 +3,13 @@ package simnet
 import (
 	"math"
 	"testing"
+
+	"spardl/internal/comm"
 )
 
 // unit profile makes costs easy to reason about: one second per round plus
 // one second per byte.
-var unit = Profile{Name: "unit", Alpha: 1, Beta: 1}
+var unit = comm.Profile{Name: "unit", Alpha: 1, Beta: 1}
 
 func TestPingPongTiming(t *testing.T) {
 	rep := Run(2, unit, func(rank int, ep *Endpoint) {
@@ -97,12 +99,12 @@ func TestSyncClock(t *testing.T) {
 }
 
 func TestProfilesSane(t *testing.T) {
-	for _, p := range []Profile{Ethernet, RDMA} {
+	for _, p := range []comm.Profile{comm.Ethernet, comm.RDMA} {
 		if p.Alpha <= 0 || p.Beta <= 0 {
 			t.Fatalf("profile %s has non-positive parameters", p.Name)
 		}
 	}
-	if RDMA.Alpha >= Ethernet.Alpha || RDMA.Beta >= Ethernet.Beta {
+	if comm.RDMA.Alpha >= comm.Ethernet.Alpha || comm.RDMA.Beta >= comm.Ethernet.Beta {
 		t.Fatal("RDMA must be strictly faster than Ethernet")
 	}
 }

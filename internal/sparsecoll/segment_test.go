@@ -36,7 +36,7 @@ func TestSegmentMatchesStandaloneRun(t *testing.T) {
 	for name, base := range map[string]Factory{"topka": NewTopkA, "gtopk": NewGTopk} {
 		seg := make([][]float32, iterations)
 		alone := make([][]float32, iterations)
-		simnet.Run(p, simnet.Ethernet, func(rank int, ep *simnet.Endpoint) {
+		simnet.Run(p, comm.Ethernet, func(rank int, ep *simnet.Endpoint) {
 			r := NewSegment(base, p, rank, lo, hi, k)
 			out := make([]float32, n)
 			for it := 0; it < iterations; it++ {
@@ -48,7 +48,7 @@ func TestSegmentMatchesStandaloneRun(t *testing.T) {
 				ep.SyncClock()
 			}
 		})
-		simnet.Run(p, simnet.Ethernet, func(rank int, ep *simnet.Endpoint) {
+		simnet.Run(p, comm.Ethernet, func(rank int, ep *simnet.Endpoint) {
 			r := base(p, rank, hi-lo, k)
 			for it := 0; it < iterations; it++ {
 				flat := segGrad(n, rank, it)
@@ -87,7 +87,7 @@ func TestSegmentLeavesRestOfOutputUntouched(t *testing.T) {
 		}
 		return false
 	}
-	for _, b := range []comm.Backend{simnet.Backend(simnet.Ethernet), livenet.NewBackend()} {
+	for _, b := range []comm.Backend{simnet.Backend(comm.Ethernet), livenet.NewBackend()} {
 		outs := make([][]float32, p)
 		b.Run(p, func(rank int, ep comm.Endpoint) {
 			out := make([]float32, n)
@@ -137,7 +137,7 @@ func TestTunedLeavesDenseUnchanged(t *testing.T) {
 		t.Fatalf("dense reducer renamed: %q", r.Name())
 	}
 	outs := make([][]float32, 2)
-	simnet.Run(2, simnet.Ethernet, func(rank int, ep *simnet.Endpoint) {
+	simnet.Run(2, comm.Ethernet, func(rank int, ep *simnet.Endpoint) {
 		outs[rank] = reduce(f(2, rank, 100, 10), ep, segGrad(100, rank, 0))
 	})
 	for i := range outs[0] {

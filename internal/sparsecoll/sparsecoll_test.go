@@ -11,7 +11,7 @@ import (
 	"spardl/internal/wire"
 )
 
-var unit = simnet.Profile{Name: "unit", Alpha: 1, Beta: 1}
+var unit = comm.Profile{Name: "unit", Alpha: 1, Beta: 1}
 
 // zeroCompCost silences selection/merge compute charges for tests that
 // assert pure α-β communication costs. It restores the default on cleanup.
@@ -186,7 +186,7 @@ func TestGTopkLosesInProcedureResiduals(t *testing.T) {
 
 func TestGTopkLatency(t *testing.T) {
 	zeroCompCost(t)
-	alphaOnly := simnet.Profile{Name: "alpha", Alpha: 1, Beta: 0}
+	alphaOnly := comm.Profile{Name: "alpha", Alpha: 1, Beta: 0}
 	const p, n, k = 8, 1000, 50
 	grads := makeGradients(1, p, n, 3)
 	rep := simnet.Run(p, alphaOnly, func(rank int, ep *simnet.Endpoint) {

@@ -70,11 +70,11 @@ func TestChaosSuiteAcrossBackends(t *testing.T) {
 		lost     [][]int // per-recovery departed IDs (nil slice = none)
 		resume   []int   // per-recovery expected ResumeIter
 		healthy  bool    // final trajectory must equal the healthy run's
+		shaped   bool    // links pay comm.Ethernet's α-β cost (comm.Shaped)
 	}{
-		// A delayed frame is pure latency: no poison, no recovery, and the
-		// trajectory is untouched.
-		{name: "benign-delay", schedule: "delay:rank=1,peer=0,frame=2,dur=2ms",
-			recs: 0, healthy: true},
+		// Latency is benign: every data frame parks for its α-β cost, with
+		// no poison, no recovery and the healthy trajectory.
+		{name: "benign-delay", shaped: true, recs: 0, healthy: true},
 		// A scheduled crash shrinks the fleet; the crash's outbound drain
 		// pins the resume point at the crash iteration on both substrates.
 		{name: "crash", schedule: "crash:rank=3,iter=4",
@@ -127,6 +127,11 @@ func TestChaosSuiteAcrossBackends(t *testing.T) {
 			}{
 				{"livenet", livenet.NewChaosBackend(sched)},
 				{"tcpnet", tcpnet.LocalChaosBackend(20*time.Second, sched)},
+			}
+			if tc.shaped {
+				for i := range backends {
+					backends[i].b = comm.Shaped(backends[i].b, comm.Ethernet)
+				}
 			}
 			runs := make([]chaosRun, len(backends))
 			for i, bk := range backends {

@@ -25,7 +25,7 @@ func TestShardedEvalMatchesOneShard(t *testing.T) {
 		b     comm.Backend
 		cases []int
 	}{
-		{"simnet", simnet.Backend(simnet.Ethernet), all},
+		{"simnet", simnet.Backend(comm.Ethernet), all},
 		{"livenet", livenet.NewBackend(), all},
 		{"tcpnet-local", tcpnet.LocalBackend(20 * time.Second), []int{3}},
 	} {

@@ -15,10 +15,12 @@ import (
 
 // Config describes one distributed training run.
 type Config struct {
-	Case    *Case
-	P       int     // number of workers
-	KRatio  float64 // k/n density (the paper's sparsification knob); 1 = dense k
-	Network simnet.Profile
+	Case   *Case
+	P      int     // number of workers
+	KRatio float64 // k/n density (the paper's sparsification knob); 1 = dense k
+	// Network is the α-β profile simnet charges when Backend is nil; a
+	// wall-clock Backend ignores it and pays one only under comm.Shaped.
+	Network comm.Profile
 	Factory sparsecoll.Factory
 	Iters   int
 	Seed    int64
@@ -34,7 +36,7 @@ type Config struct {
 	// nil (the default) uses the α-β simulator with the Network profile;
 	// livenet.NewBackend() runs the same iterations over the real
 	// concurrent byte-level transport, in which case every time-valued
-	// result field holds measured wall seconds and Network is ignored.
+	// result field holds measured wall seconds.
 	Backend comm.Backend
 	// ComputeSkew optionally assigns per-worker compute-speed multipliers
 	// (len P) to model a heterogeneous cluster — the paper's future-work

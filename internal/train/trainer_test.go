@@ -4,8 +4,8 @@ import (
 	"reflect"
 	"testing"
 
+	"spardl/internal/comm"
 	"spardl/internal/core"
-	"spardl/internal/simnet"
 	"spardl/internal/sparsecoll"
 )
 
@@ -14,7 +14,7 @@ func baseConfig() Config {
 		Case:      CaseByID(1),
 		P:         4,
 		KRatio:    0.01,
-		Network:   simnet.Ethernet,
+		Network:   comm.Ethernet,
 		Factory:   core.NewFactory(core.Options{}),
 		Iters:     40,
 		Seed:      7,

@@ -164,7 +164,7 @@ type (
 
 // SimBackend returns the deterministic α-β simulator backend for the
 // given network profile: virtual time, payloads by reference.
-func SimBackend(profile simnet.Profile) Backend { return simnet.Backend(profile) }
+func SimBackend(profile comm.Profile) Backend { return simnet.Backend(profile) }
 
 // LiveBackend returns the real concurrent byte-level backend: P goroutines
 // over in-memory channels, every sparse message actually serialized
@@ -197,8 +197,8 @@ type ElasticTrainConfig = train.ElasticConfig
 // ParseChaos parses a deterministic fault schedule, a seed-reproducible
 // fault program ("crash:rank=1,iter=2;drop:rank=0,peer=2,frame=5") that
 // replays bit-identically on livenet and tcpnet; see the chaos package
-// grammar (kind:key=value,... joined by ';', kinds crash/drop/delay/
-// corrupt/partition).
+// grammar (kind:key=value,... joined by ';', kinds crash/drop/corrupt/
+// partition).
 func ParseChaos(s string) (*chaos.Schedule, error) { return chaos.Parse(s) }
 
 // ErrTCPRendezvous classifies TrainTCP failures: errors.Is(err,
@@ -302,13 +302,13 @@ type (
 
 // Built-in network profiles (latency α seconds, β seconds/byte).
 var (
-	Ethernet = simnet.Ethernet
-	RDMA     = simnet.RDMA
+	Ethernet = comm.Ethernet
+	RDMA     = comm.RDMA
 )
 
 // RunCluster executes worker(rank, endpoint) on p goroutines over a fresh
 // simulated fabric and reports per-worker α-β costs.
-func RunCluster(p int, profile simnet.Profile, worker func(rank int, ep *Endpoint)) *Report {
+func RunCluster(p int, profile comm.Profile, worker func(rank int, ep *Endpoint)) *Report {
 	return simnet.Run(p, profile, worker)
 }
 
