@@ -209,7 +209,8 @@ func steadyRun(b spardl.Backend, f spardl.Factory, grads [][]float32, k, warmup,
 
 // emitSteadyBaseline measures SparDL's steady state on a byte-level backend
 // — every message truly serialized, and on tcpnet crossing the kernel
-// through real loopback sockets — and writes the JSON record to path.
+// through real loopback sockets — and writes the JSON record to path. The
+// sizes are those of the committed BENCH_live.json and BENCH_tcp.json.
 //
 // The workload runs as reps independent fleets and the record keeps the
 // minimum ns/op and allocs/op: a lock-stepped fleet's wall clock is at the
@@ -217,7 +218,8 @@ func steadyRun(b spardl.Backend, f spardl.Factory, grads [][]float32, k, warmup,
 // interference touched least — the standard robust estimator for a
 // wall-clock gate. Serialized bytes are deterministic and identical across
 // reps.
-func emitSteadyBaseline(path, name string, b spardl.Backend, p, n, k int) error {
+func emitSteadyBaseline(path, name string, b spardl.Backend) error {
+	const p, n, k = 8, 1 << 18, 1 << 18 / 100
 	const warmup, iters, reps = 3, 10, 3
 	grads := reduceGrads(p, n)
 	rec := steadyBaseline{Benchmark: name, P: p, N: n, K: k,
@@ -244,13 +246,10 @@ func main() {
 		full       = flag.Bool("full", false, "paper-faithful scale (longer runs) instead of quick mode")
 		out        = flag.String("o", "", "also write results to this file")
 		baseline   = flag.String("reduce-baseline", "", "write the BenchmarkReduceOnce perf baseline (ns/op, bytes-on-wire) to this JSON file and exit")
-		liveBase   = flag.String("live-baseline", "", "write the steady-state livenet baseline (real ns/op + serialized bytes + whole-process allocs/op, at the -live-p/n/k sizes) to this JSON file and exit")
+		liveBase   = flag.String("live-baseline", "", "write the steady-state livenet baseline (real ns/op + serialized bytes + whole-process allocs/op, P=8, n=2^18, k=n/100) to this JSON file and exit")
 		tcpBase    = flag.String("tcp-baseline", "", "write the steady-state loopback-TCP baseline (same record as -live-baseline, over real sockets) to this JSON file and exit")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof reads it)")
 		memprofile = flag.String("memprofile", "", "write an allocation profile taken at exit to this file (go tool pprof reads it)")
-		liveP      = flag.Int("live-p", 8, "worker count for -live-baseline / -tcp-baseline")
-		liveN      = flag.Int("live-n", 1<<18, "gradient length for the same")
-		liveK      = flag.Int("live-k", 1<<18/100, "global sparse budget for the same")
 	)
 	flag.Parse()
 
@@ -286,14 +285,14 @@ func main() {
 	}
 
 	if *liveBase != "" {
-		if err := emitSteadyBaseline(*liveBase, "LiveReduceSteadyState", spardl.LiveBackend(), *liveP, *liveN, *liveK); err != nil {
+		if err := emitSteadyBaseline(*liveBase, "LiveReduceSteadyState", spardl.LiveBackend()); err != nil {
 			log.Fatal(err)
 		}
 		return
 	}
 
 	if *tcpBase != "" {
-		if err := emitSteadyBaseline(*tcpBase, "TCPReduceSteadyState", spardl.TCPLocalBackend(), *liveP, *liveN, *liveK); err != nil {
+		if err := emitSteadyBaseline(*tcpBase, "TCPReduceSteadyState", spardl.TCPLocalBackend()); err != nil {
 			log.Fatal(err)
 		}
 		return

@@ -67,7 +67,7 @@ var (
 	p        = flag.Int("p", 14, "number of workers")
 	kRatio   = flag.Float64("k", 0.01, "sparsity ratio k/n")
 	d        = flag.Int("d", 1, "SparDL team count (must divide p)")
-	variant  = flag.String("variant", "auto", "SparDL SAG variant: auto | rsag | bsag")
+	variant  = flag.String("variant", "auto", "SparDL SAG variant: auto (R-SAG at a power-of-two d, else B-SAG) | bsag")
 	residual = flag.String("residual", "gres", "SparDL residuals: gres | pres | lres")
 	iters    = flag.Int("iters", 120, "training iterations")
 	network  = flag.String("network", "ethernet", "network profile: ethernet | rdma")

@@ -19,45 +19,31 @@ func main() {
 	)
 	fmt.Printf("selecting the optimal team count d for %s on %d workers\n\n", c.Name, p)
 
-	type candidate struct {
-		label string
-		opts  spardl.Options
-	}
-	var candidates []candidate
+	// Every divisor d of P is a candidate; the reducer's name says which
+	// Spar-All-Gather the default Variant picked for it.
+	var best spardl.Options
+	bestName, bestTime := "", 0.0
+	fmt.Printf("%-20s %s\n", "config", "first-epoch time")
 	for d := 1; d <= p; d++ {
 		if p%d != 0 {
 			continue
 		}
 		opts := spardl.Options{Teams: d}
-		label := fmt.Sprintf("d=%d", d)
-		if d > 1 {
-			if d&(d-1) == 0 {
-				label += " (R-SAG)"
-			} else {
-				label += " (B-SAG)"
-			}
-		}
-		candidates = append(candidates, candidate{label, opts})
-	}
-
-	best, bestTime := candidates[0], 0.0
-	fmt.Printf("%-16s %s\n", "config", "first-epoch time")
-	for _, cand := range candidates {
 		res := spardl.Train(spardl.TrainConfig{
 			Case: c, P: p, KRatio: kRatio,
-			Network: spardl.Ethernet, Factory: spardl.NewFactory(cand.opts),
+			Network: spardl.Ethernet, Factory: spardl.NewFactory(opts),
 			Iters: epochIters, Seed: 3,
 		})
-		fmt.Printf("%-16s %.3fs\n", cand.label, res.TotalTime)
+		fmt.Printf("%-20s %.3fs\n", res.Method, res.TotalTime)
 		if bestTime == 0 || res.TotalTime < bestTime {
-			best, bestTime = cand, res.TotalTime
+			best, bestName, bestTime = opts, res.Method, res.TotalTime
 		}
 	}
 
-	fmt.Printf("\noptimal configuration: %s — continuing training with it\n\n", best.label)
+	fmt.Printf("\noptimal configuration: %s — continuing training with it\n\n", bestName)
 	res := spardl.Train(spardl.TrainConfig{
 		Case: c, P: p, KRatio: kRatio,
-		Network: spardl.Ethernet, Factory: spardl.NewFactory(best.opts),
+		Network: spardl.Ethernet, Factory: spardl.NewFactory(best),
 		Iters: 3 * epochIters, Seed: 3, EvalEvery: epochIters,
 	})
 	for _, pt := range res.Points {

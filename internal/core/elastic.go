@@ -16,13 +16,12 @@ func (s *SparDL) RestoreResidual(res []float32) {
 
 // FitTeams returns the options re-fitted for a p-worker cluster after an
 // elastic membership change: the team count drops to the largest d ≤
-// min(Teams, p) that divides p — and stays a power of two under a forced
-// R-SAG — with everything else carried over. d = 1 is always reachable, so
-// the result always passes Validate(p) for p ≥ 1.
+// min(Teams, p) that divides p, with everything else carried over. d = 1
+// is always reachable, so the result always passes Validate(p) for p ≥ 1.
 func (o Options) FitTeams(p int) Options {
 	o = o.withDefaults()
 	d := o.Teams
-	for d > 1 && (p%d != 0 || (o.Variant == RSAG && d&(d-1) != 0)) {
+	for d > 1 && p%d != 0 {
 		d--
 	}
 	o.Teams = d

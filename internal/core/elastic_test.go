@@ -11,12 +11,10 @@ func TestFitTeamsShrinksToValidDivisor(t *testing.T) {
 		wantD int
 	}{
 		{Options{Teams: 4}, 6, 3},                // 4∤6 → largest divisor ≤ 4
-		{Options{Teams: 4, Variant: RSAG}, 6, 2}, // 3 divides 6 but R-SAG needs pow2
 		{Options{Teams: 8}, 3, 3},                // shrink below old d entirely
-		{Options{Teams: 8, Variant: RSAG}, 6, 2}, // pow2 ∧ divisor
 		{Options{}, 5, 1},                        // default d=1 carries over
 		{Options{Teams: 3, Variant: BSAG}, 7, 1}, // prime P → only d=1 fits
-		{Options{Teams: 4, Variant: RSAG}, 4, 4}, // unchanged when still valid
+		{Options{Teams: 4}, 4, 4},                // unchanged when still valid
 	}
 	for _, c := range cases {
 		fitted := c.opts.FitTeams(c.p)

@@ -140,37 +140,43 @@ type noResidual struct{ sparsecoll.Reducer }
 func (noResidual) Residual() []float32 { return nil }
 
 // ledgerRows is the ledger's grid at P = 1 … maxP: SparDL GRES at every
-// team count d | P, under every SAG variant Validate accepts, lazy and
-// eager; SparDL PRES and LRES at every d; every baseline wherever it is
-// defined. P = 1 is the only row that reaches Ok-Topk's single-worker
-// branch.
+// team count d | P, under every SAG algorithm that d runs, lazy and eager;
+// SparDL PRES and LRES at every d; every baseline wherever it is defined.
+// P = 1 is the only row that reaches Ok-Topk's single-worker branch.
 func ledgerRows(maxP int) []ledgerRow {
 	var rows []ledgerRow
-	spardl := func(p int, opts Options, law ledgerLaw) {
-		if opts.Validate(p) == nil {
-			name := fmt.Sprintf("P=%d/d=%d/%s/%s", p, opts.Teams, opts.Variant, opts.Residual)
-			if opts.Eager {
-				name += "/eager"
-			}
-			rows = append(rows, ledgerRow{name, p, NewFactory(opts), law})
+	spardl := func(p int, sag string, opts Options, law ledgerLaw) {
+		name := fmt.Sprintf("P=%d/d=%d/%s/%s", p, opts.Teams, sag, opts.Residual)
+		if opts.Eager {
+			name += "/eager"
 		}
+		rows = append(rows, ledgerRow{name, p, NewFactory(opts), law})
 	}
 	for p := 1; p <= maxP; p++ {
 		for d := 1; d <= p; d++ {
 			if p%d != 0 {
 				continue
 			}
-			variants := []Variant{Auto}
-			if d > 1 {
-				variants = []Variant{RSAG, BSAG}
+			// Auto runs R-SAG at a power-of-two d > 1; at any other d > 1
+			// it runs B-SAG, which the forced row already covers.
+			type sag struct {
+				name string
+				v    Variant
 			}
-			for _, v := range variants {
-				for _, eager := range []bool{false, true} {
-					spardl(p, Options{Teams: d, Variant: v, Eager: eager}, lawConserves)
+			sags := []sag{{"Auto", Auto}}
+			if d > 1 {
+				sags = []sag{{"B-SAG", BSAG}}
+				if d&(d-1) == 0 {
+					sags = append(sags, sag{"R-SAG", Auto})
 				}
 			}
-			spardl(p, Options{Teams: d, Residual: PRES}, lawPRES)
-			spardl(p, Options{Teams: d, Residual: LRES}, lawLRES)
+			for _, s := range sags {
+				for _, eager := range []bool{false, true} {
+					spardl(p, s.name, Options{Teams: d, Variant: s.v, Eager: eager}, lawConserves)
+				}
+			}
+			spardl(p, "Auto", Options{Teams: d, Residual: PRES}, lawPRES)
+			spardl(p, "Auto", Options{Teams: d, Residual: LRES}, lawLRES)
 		}
 		baseline := func(name string, f sparsecoll.Factory, law ledgerLaw) {
 			rows = append(rows, ledgerRow{fmt.Sprintf("P=%d/%s", p, name), p, f, law})

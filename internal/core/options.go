@@ -48,9 +48,8 @@ const (
 	// Auto follows the paper's rule: R-SAG when the team count is a power
 	// of two, B-SAG otherwise (Section III-D).
 	Auto Variant = iota
-	// RSAG forces recursive-doubling Spar-All-Gather (requires d = 2^i).
-	RSAG
-	// BSAG forces Bruck-based Spar-All-Gather (any d).
+	// BSAG forces Bruck-based Spar-All-Gather at every d, the power-of-two
+	// ones included (Fig. 14 times B-SAG d=4 against d=3).
 	BSAG
 )
 
@@ -59,8 +58,6 @@ func (v Variant) String() string {
 	switch v {
 	case Auto:
 		return "Auto"
-	case RSAG:
-		return "R-SAG"
 	case BSAG:
 		return "B-SAG"
 	}
@@ -91,15 +88,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// variantFor resolves the effective SAG variant for d teams.
-func (o Options) variantFor(d int) Variant {
-	if o.Variant != Auto {
-		return o.Variant
-	}
-	if d&(d-1) == 0 {
-		return RSAG
-	}
-	return BSAG
+// rsag reports whether the teams synchronize by recursive-doubling R-SAG:
+// Auto's choice at a power-of-two d > 1. Every other d > 1 runs B-SAG.
+func (o Options) rsag() bool {
+	d := o.Teams
+	return d > 1 && o.Variant == Auto && d&(d-1) == 0
 }
 
 // Validate reports configuration errors for a P-worker cluster. Every
@@ -109,7 +102,7 @@ func (o Options) variantFor(d int) Variant {
 func (o Options) Validate(p int) error {
 	o = o.withDefaults()
 	switch o.Variant {
-	case Auto, RSAG, BSAG:
+	case Auto, BSAG:
 	default:
 		return fmt.Errorf("core: unknown SAG variant %s", o.Variant)
 	}
@@ -124,12 +117,6 @@ func (o Options) Validate(p int) error {
 	}
 	if p%d != 0 {
 		return fmt.Errorf("core: team count d=%d must divide P=%d", d, p)
-	}
-	if d > 1 && o.variantFor(d) == RSAG && d&(d-1) != 0 {
-		// The recursive-doubling exchange indexes the position group by
-		// team XOR 2^t, which walks out of range for non-pow2 d — exactly
-		// the class of reduce-time panic this validation front-loads.
-		return fmt.Errorf("core: R-SAG requires a power-of-two team count, got d=%d", d)
 	}
 	return nil
 }

@@ -44,7 +44,7 @@ func TestNoReachablePanicSweep(t *testing.T) {
 				}
 				continue
 			}
-			for _, v := range []Variant{Auto, RSAG, BSAG} {
+			for _, v := range []Variant{Auto, BSAG} {
 				opts := Options{Teams: d, Variant: v}
 				t.Run(fmt.Sprintf("spardl/P=%d/d=%d/%s", p, d, v), func(t *testing.T) {
 					if _, err := New(p, 0, n, k, opts); err != nil {

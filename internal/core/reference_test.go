@@ -64,7 +64,7 @@ func (r *refSparDL) ReduceInto(ep comm.Endpoint, grad, out []float32) {
 		reserved = r.srs(ep, &localSel)
 	}
 	if s.d > 1 {
-		if s.variant == RSAG {
+		if s.rsag {
 			reserved = r.rsag(ep, reserved)
 		} else {
 			reserved = r.bsag(ep, reserved)

@@ -28,7 +28,7 @@ type SparDL struct {
 	team    int // this worker's team, ranks [team·m, (team+1)·m)
 	pos     int // this worker's position inside the team
 	opts    Options
-	variant Variant        // resolved SAG variant (meaningful when d > 1)
+	rsag    bool           // teams synchronize by R-SAG, else B-SAG (meaningful when d > 1)
 	blockK  int            // per-block selection size L(k,d,P) = dk/P = k/m
 	tx      wire.Transport // what the simulator is charged for every sparse message
 
@@ -109,7 +109,7 @@ func New(p, rank, n, k int, opts Options) (*SparDL, error) {
 	s := &SparDL{
 		n: n, k: k, p: p, rank: rank,
 		d: d, m: m, team: rank / m, pos: rank % m,
-		opts: opts, variant: opts.variantFor(d), blockK: blockK,
+		opts: opts, rsag: opts.rsag(), blockK: blockK,
 		part:     sparse.NewPartition(n, m),
 		bags:     sendBags(m),
 		residual: make([]float32, n),
@@ -124,7 +124,7 @@ func New(p, rank, n, k int, opts Options) (*SparDL, error) {
 	for t := range s.groupRanks {
 		s.groupRanks[t] = t*m + s.pos
 	}
-	if d > 1 && s.variant == BSAG {
+	if d > 1 && !s.rsag {
 		s.hctl = NewHController(p, d, k)
 	}
 	return s, nil
@@ -162,7 +162,11 @@ func sendBags(m int) [][]int {
 func (s *SparDL) Name() string {
 	name := "SparDL"
 	if s.d > 1 {
-		name = fmt.Sprintf("SparDL(%s,d=%d)", s.variant, s.d)
+		sag := "B-SAG"
+		if s.rsag {
+			sag = "R-SAG"
+		}
+		name = fmt.Sprintf("SparDL(%s,d=%d)", sag, s.d)
 	}
 	if s.opts.Residual != GRES {
 		name += "-" + s.opts.Residual.String()
@@ -257,7 +261,7 @@ func (s *SparDL) ReduceInto(ep comm.Endpoint, grad, out []float32) {
 
 	// Phase 2: Spar-All-Gather across teams.
 	if s.d > 1 {
-		if s.variant == RSAG {
+		if s.rsag {
 			reserved = s.runRSAG(ep, reserved)
 		} else {
 			reserved = s.runBSAG(ep, reserved)

@@ -157,7 +157,7 @@ func TestSparDLRSAGConsistencyAndConservation(t *testing.T) {
 	for _, tc := range []struct{ p, d int }{{8, 2}, {8, 4}, {14, 2}, {12, 4}} {
 		const n, k, iters = 1680, 168, 3
 		seed := int64(30 + tc.d)
-		opts := Options{Teams: tc.d, Variant: RSAG}
+		opts := Options{Teams: tc.d}
 		outs, _, _ := runSparDL(t, tc.p, n, k, iters, seed, opts)
 		assertConsistent(t, outs)
 	}
@@ -171,7 +171,7 @@ func TestSparDLRSAGCost(t *testing.T) {
 		m := p / d
 		n := 200 * m
 		k := 10 * m * d // blockK = dk/P = 10d exactly
-		_, _, rep := runSparDL(t, p, n, k, 1, 4, Options{Teams: d, Variant: RSAG})
+		_, _, rep := runSparDL(t, p, n, k, 1, 4, Options{Teams: d})
 		if want := 2*ceilLog2(m) + ceilLog2(d); rep.MaxRounds() != want {
 			t.Fatalf("P=%d d=%d rounds=%d want %d", p, d, rep.MaxRounds(), want)
 		}
@@ -254,7 +254,7 @@ func TestPRESAndLRESLoseMass(t *testing.T) {
 func TestSparDLWireModes(t *testing.T) {
 	configs := []Options{
 		{},
-		{Teams: 2, Variant: RSAG},
+		{Teams: 2},
 		{Teams: 3, Variant: BSAG},
 	}
 	for _, opts := range configs {
@@ -313,7 +313,7 @@ func TestOptionStrings(t *testing.T) {
 		want string
 	}{
 		{GRES, "GRES"}, {PRES, "PRES"}, {LRES, "LRES"}, {ResidualMode(9), "ResidualMode(9)"},
-		{Auto, "Auto"}, {RSAG, "R-SAG"}, {BSAG, "B-SAG"}, {Variant(9), "Variant(9)"},
+		{Auto, "Auto"}, {BSAG, "B-SAG"}, {Variant(9), "Variant(9)"},
 	} {
 		if got := tc.v.String(); got != tc.want {
 			t.Errorf("String() = %q, want %q", got, tc.want)
@@ -339,9 +339,6 @@ func TestNewFactoryPanicsOnUnfixableOptions(t *testing.T) {
 func TestNewValidation(t *testing.T) {
 	if _, err := New(14, 0, 100, 10, Options{Teams: 3}); err == nil {
 		t.Fatal("d=3 must not divide P=14")
-	}
-	if _, err := New(12, 0, 100, 10, Options{Teams: 3, Variant: RSAG}); err == nil {
-		t.Fatal("forced R-SAG with d=3 must fail")
 	}
 	if _, err := New(12, 0, 100, 10, Options{Teams: 3}); err != nil {
 		t.Fatalf("auto variant with d=3 should pick B-SAG: %v", err)

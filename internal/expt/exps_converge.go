@@ -117,7 +117,7 @@ func init() {
 			m2, sd2 := meanStd(half)
 			tab.Notes = append(tab.Notes,
 				fmt.Sprintf("overall mean N_t = %.0f (σ=%.0f); second-half mean = %.0f (σ=%.0f) — stable within successive iterations", mean, sd, m2, sd2),
-				fmt.Sprintf("target L(k,d,P) = dk/P = %d", dTimesKOverP(reds[0])),
+				fmt.Sprintf("target L(k,d,P) = dk/P = %d", reds[0].BlockK()),
 			)
 			return []*Table{tab}
 		},
@@ -186,7 +186,7 @@ func init() {
 				"Fig. 13(a) — SparDL with R-SAG (P=14, VGG-16/CIFAR-10, k/n=1e-3)",
 				1, 14, 1e-3, []NamedFactory{
 					{"d=1", sparDL(core.Options{})},
-					{"R-SAG d=2", sparDL(core.Options{Teams: 2, Variant: core.RSAG})},
+					{"R-SAG d=2", sparDL(core.Options{Teams: 2})},
 				}, iters, c.ItersPerEpoch/2, 13)
 			b := convergenceTable(
 				"Fig. 13(b) — SparDL with B-SAG (P=14, VGG-16/CIFAR-10, k/n=1e-3)",
@@ -241,7 +241,7 @@ func init() {
 			subs := []sub{
 				{"Fig. 17(a) — VGG-19, SparDL", 2, core.Options{}},
 				{"Fig. 17(b) — VGG-16, SparDL", 1, core.Options{}},
-				{"Fig. 17(c) — VGG-16, SparDL(R-SAG d=2)", 1, core.Options{Teams: 2, Variant: core.RSAG}},
+				{"Fig. 17(c) — VGG-16, SparDL(R-SAG d=2)", 1, core.Options{Teams: 2}},
 				{"Fig. 17(d) — VGG-16, SparDL(B-SAG d=7)", 1, core.Options{Teams: 7, Variant: core.BSAG}},
 			}
 			var tables []*Table
@@ -286,6 +286,3 @@ func meanStd(xs []int) (mean, sd float64) {
 	sd = math.Sqrt(sd / float64(len(xs)))
 	return mean, sd
 }
-
-// dTimesKOverP recovers L(k,d,P) from a SparDL reducer for reporting.
-func dTimesKOverP(s *core.SparDL) int { return s.BlockK() }

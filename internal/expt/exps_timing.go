@@ -2,7 +2,6 @@ package expt
 
 import (
 	"fmt"
-	"math"
 
 	"spardl/internal/comm"
 	"spardl/internal/core"
@@ -19,22 +18,36 @@ func ceilLog2(p int) int {
 	return l
 }
 
-// costProbe measures one synchronization's α-rounds and β-volume (in wire
-// elements: one element = 4 bytes, an index or a value) for the worst
-// worker, after a warmup iteration so adaptive methods are in steady state.
-func costProbe(p, n, k int, nf NamedFactory) (rounds int, elems int64) {
-	rep := simnet.Run(p, comm.Profile{Name: "probe", Alpha: 1, Beta: 1}, func(rank int, ep *simnet.Endpoint) {
+// costProbe runs one synchronization of synthetic gradients on simnet after
+// a warmup one, so adaptive methods are in steady state, and returns the
+// report of the second alone: its rounds and bytes received.
+func costProbe(p, n, k int, seed int64, nf NamedFactory) *comm.Report {
+	return simnet.Run(p, comm.Ethernet, func(rank int, ep *simnet.Endpoint) {
 		r := nf.Factory(p, rank, n, k)
 		g := make([]float32, n)
-		syntheticGrad(g, 1, rank, 0)
+		syntheticGrad(g, seed, rank, 0)
 		out := make([]float32, n)
 		r.ReduceInto(ep, g, out)
 		ep.SyncClock()
 		ep.ResetStats()
-		syntheticGrad(g, 1, rank, 1)
+		syntheticGrad(g, seed, rank, 1)
 		r.ReduceInto(ep, g, out)
 	})
-	return rep.MaxRounds(), rep.MaxBytesRecv() / 4
+}
+
+// speedupTable measures each method's steady-state per-update time under
+// cfg and SparDL's communication speedup over it; SparDL comes last.
+func speedupTable(title string, cfg TimingConfig, methods []NamedFactory) *Table {
+	results := measureAll(cfg, methods, 0)
+	tab := &Table{
+		Title:   title,
+		Columns: []string{"method", "comm(s)", "comp(s)", "per-update(s)", "SparDL comm speedup"},
+	}
+	spardlComm := results[len(results)-1].Comm
+	for _, r := range results {
+		tab.AddRow(r.Method, r.Comm, r.Comp, r.PerUpdate, fmt.Sprintf("%.1fx", r.Comm/spardlComm))
+	}
+	return tab
 }
 
 func init() {
@@ -87,7 +100,7 @@ func init() {
 					lgm := ceilLog2(p / d)
 					want := 2*lgm + ceilLog2(d)
 					elems := 4*kf*(pf-float64(d))/pf + 2*kf*float64(d)/pf*float64(ceilLog2(d))
-					specs = append(specs, spec{NamedFactory{"SparDL(R-SAG,d=2)", sparDL(core.Options{Teams: 2, Variant: core.RSAG})},
+					specs = append(specs, spec{NamedFactory{"SparDL(R-SAG,d=2)", sparDL(core.Options{Teams: 2})},
 						fmt.Sprintf("%d", want), want, want, elems - 4*pf, elems + 1,
 						fmt.Sprintf("2k((2P-2d)/P+(d/P)logd)=%.0f", elems)})
 				}
@@ -103,7 +116,8 @@ func init() {
 				}
 
 				for _, s := range specs {
-					rounds, elems := costProbe(p, n, k, s.nf)
+					rep := costProbe(p, n, k, 1, s.nf)
+					rounds, elems := rep.MaxRounds(), rep.MaxBytesRecv()/4
 					ok := rounds >= s.roundsLo && rounds <= s.roundsHi &&
 						float64(elems) >= s.elemsLo && float64(elems) <= s.elemsHi
 					tab.AddRow(s.nf.Name, p, rounds, s.rounds, elems, s.elems, ok)
@@ -137,16 +151,8 @@ func init() {
 					Case: c, P: 14, KRatio: 1e-2, Network: comm.Ethernet,
 					Iters: pick(q, 8, 30), Warmup: pick(q, 5, 10), Seed: 8,
 				}
-				results := measureAll(cfg, paperBaselines(), 0)
-				tab := &Table{
-					Title:   fmt.Sprintf("Fig. 8 — %s (P=14, k/n=1e-2, Ethernet)", c.Name),
-					Columns: []string{"method", "comm(s)", "comp(s)", "per-update(s)", "SparDL comm speedup"},
-				}
-				spardlComm := results[len(results)-1].Comm
-				for _, r := range results {
-					tab.AddRow(r.Method, r.Comm, r.Comp, r.PerUpdate, fmt.Sprintf("%.1fx", r.Comm/spardlComm))
-				}
-				tables = append(tables, tab)
+				tables = append(tables, speedupTable(
+					fmt.Sprintf("Fig. 8 — %s (P=14, k/n=1e-2, Ethernet)", c.Name), cfg, paperBaselines()))
 			}
 			return tables
 		},
@@ -164,20 +170,11 @@ func init() {
 					Case: c, P: 14, KRatio: 1e-2, Network: comm.Ethernet,
 					Iters: pick(q, 8, 30), Warmup: pick(q, 5, 10), Seed: 10,
 				}
-				methods := []NamedFactory{
-					{"OkTopk", sparsecoll.NewOkTopk},
-					{"SparDL", sparDL(core.Options{})},
-				}
-				results := measureAll(cfg, methods, 0)
-				tab := &Table{
-					Title:   fmt.Sprintf("Fig. 10 — %s (P=14, k/n=1e-2, Ethernet)", c.Name),
-					Columns: []string{"method", "comm(s)", "comp(s)", "per-update(s)", "SparDL comm speedup"},
-				}
-				spardlComm := results[1].Comm
-				for _, r := range results {
-					tab.AddRow(r.Method, r.Comm, r.Comp, r.PerUpdate, fmt.Sprintf("%.1fx", r.Comm/spardlComm))
-				}
-				tables = append(tables, tab)
+				tables = append(tables, speedupTable(
+					fmt.Sprintf("Fig. 10 — %s (P=14, k/n=1e-2, Ethernet)", c.Name), cfg, []NamedFactory{
+						{"OkTopk", sparsecoll.NewOkTopk},
+						{"SparDL", sparDL(core.Options{})},
+					}))
 			}
 			return tables
 		},
@@ -277,37 +274,19 @@ func init() {
 		Title: "Fig. 18: per-update time on an RDMA network, 5 workers",
 		Paper: "VGG-19: SparDL communication 4.0/3.4/3.0× faster than TopkDSA/TopkA/Ok-Topk. BERT: 4.2× faster than Ok-Topk.",
 		Run: func(q Quality) []*Table {
-			var tables []*Table
 			cfgFor := func(id int) TimingConfig {
 				return TimingConfig{
 					Case: train.CaseByID(id), P: 5, KRatio: 1e-2, Network: comm.RDMA,
 					Iters: pick(q, 8, 30), Warmup: pick(q, 5, 10), Seed: 18,
 				}
 			}
-			vgg := measureAll(cfgFor(2), paperBaselines(), 0)
-			tab := &Table{
-				Title:   "Fig. 18(a) — VGG-19/CIFAR-100 (P=5, RDMA)",
-				Columns: []string{"method", "comm(s)", "comp(s)", "per-update(s)", "SparDL comm speedup"},
+			return []*Table{
+				speedupTable("Fig. 18(a) — VGG-19/CIFAR-100 (P=5, RDMA)", cfgFor(2), paperBaselines()),
+				speedupTable("Fig. 18(b) — BERT/Wikipedia (P=5, RDMA)", cfgFor(7), []NamedFactory{
+					{"OkTopk", sparsecoll.NewOkTopk},
+					{"SparDL", sparDL(core.Options{})},
+				}),
 			}
-			base := vgg[len(vgg)-1].Comm
-			for _, r := range vgg {
-				tab.AddRow(r.Method, r.Comm, r.Comp, r.PerUpdate, fmt.Sprintf("%.1fx", r.Comm/base))
-			}
-			tables = append(tables, tab)
-
-			bert := measureAll(cfgFor(7), []NamedFactory{
-				{"OkTopk", sparsecoll.NewOkTopk},
-				{"SparDL", sparDL(core.Options{})},
-			}, 0)
-			tab2 := &Table{
-				Title:   "Fig. 18(b) — BERT/Wikipedia (P=5, RDMA)",
-				Columns: []string{"method", "comm(s)", "comp(s)", "per-update(s)", "SparDL comm speedup"},
-			}
-			for _, r := range bert {
-				tab2.AddRow(r.Method, r.Comm, r.Comp, r.PerUpdate, fmt.Sprintf("%.1fx", r.Comm/bert[1].Comm))
-			}
-			tables = append(tables, tab2)
-			return tables
 		},
 	})
 }
@@ -318,7 +297,7 @@ func dConfigs(p int) []NamedFactory {
 	case 14:
 		return []NamedFactory{
 			{"1", sparDL(core.Options{})},
-			{"R2", sparDL(core.Options{Teams: 2, Variant: core.RSAG})},
+			{"R2", sparDL(core.Options{Teams: 2})},
 			{"B2", sparDL(core.Options{Teams: 2, Variant: core.BSAG})},
 			{"B7", sparDL(core.Options{Teams: 7, Variant: core.BSAG})},
 			{"B14", sparDL(core.Options{Teams: 14, Variant: core.BSAG})},
@@ -326,8 +305,8 @@ func dConfigs(p int) []NamedFactory {
 	case 12:
 		return []NamedFactory{
 			{"1", sparDL(core.Options{})},
-			{"R2", sparDL(core.Options{Teams: 2, Variant: core.RSAG})},
-			{"R4", sparDL(core.Options{Teams: 4, Variant: core.RSAG})},
+			{"R2", sparDL(core.Options{Teams: 2})},
+			{"R4", sparDL(core.Options{Teams: 4})},
 			{"B2", sparDL(core.Options{Teams: 2, Variant: core.BSAG})},
 			{"B3", sparDL(core.Options{Teams: 3, Variant: core.BSAG})},
 			{"B4", sparDL(core.Options{Teams: 4, Variant: core.BSAG})},
@@ -367,9 +346,6 @@ func dImpactTable(q Quality, p int) *Table {
 			base = perEpoch
 		}
 		tab.AddRow(nc.Name, perEpoch, fmt.Sprintf("%.2fx", base/perEpoch))
-	}
-	if math.IsNaN(base) {
-		panic("unreachable")
 	}
 	return tab
 }

@@ -5,43 +5,10 @@ import (
 
 	"spardl/internal/comm"
 	"spardl/internal/core"
-	"spardl/internal/simnet"
 	"spardl/internal/sparsecoll"
 	"spardl/internal/train"
 	"spardl/internal/wire"
 )
-
-// wiredBaselines returns the paper's Fig. 8 method set charged by the given
-// accounting mode.
-func wiredBaselines(mode wire.Mode) []NamedFactory {
-	tuned := func(f sparsecoll.Factory) sparsecoll.Factory {
-		return sparsecoll.Tuned(f, mode)
-	}
-	return []NamedFactory{
-		{"TopkDSA", tuned(sparsecoll.NewTopkDSA)},
-		{"TopkA", tuned(sparsecoll.NewTopkA)},
-		{"OkTopk", tuned(sparsecoll.NewOkTopk)},
-		{"SparDL", tuned(sparDL(core.Options{}))},
-	}
-}
-
-// wireE2EProbe measures one steady-state synchronization (after a warmup
-// iteration) and returns the worst-worker rounds and the cluster-wide
-// received volume.
-func wireE2EProbe(p, n, k int, nf NamedFactory) (rounds int, total int64) {
-	rep := simnet.Run(p, comm.Ethernet, func(rank int, ep *simnet.Endpoint) {
-		r := nf.Factory(p, rank, n, k)
-		g := make([]float32, n)
-		syntheticGrad(g, 5, rank, 0)
-		out := make([]float32, n)
-		r.ReduceInto(ep, g, out)
-		ep.SyncClock()
-		ep.ResetStats()
-		syntheticGrad(g, 5, rank, 1)
-		r.ReduceInto(ep, g, out)
-	})
-	return rep.MaxRounds(), rep.TotalBytesRecv()
-}
 
 func init() {
 	register(&Experiment{
@@ -67,7 +34,8 @@ func init() {
 				var cooTotal int64
 				for _, mode := range []wire.Mode{wire.ModeCOO, wire.ModeNegotiated} {
 					nf := NamedFactory{"SparDL", sparsecoll.Tuned(sparDL(core.Options{}), mode)}
-					rounds, total := wireE2EProbe(p, n, k, nf)
+					rep := costProbe(p, n, k, 5, nf)
+					rounds, total := rep.MaxRounds(), rep.TotalBytesRecv()
 					saving := "-"
 					if mode == wire.ModeCOO {
 						cooTotal = total
@@ -100,7 +68,8 @@ func init() {
 						Case: c, P: net.p, KRatio: 1e-2, Network: net.profile,
 						Iters: pick(q, 6, 24), Warmup: pick(q, 3, 8), Seed: 88,
 					}
-					for _, nf := range wiredBaselines(mode) {
+					for _, nf := range paperBaselines() {
+						nf.Factory = sparsecoll.Tuned(nf.Factory, mode)
 						r := MeasureTiming(cfg, nf, 0)
 						saving := "-"
 						if mode == wire.ModeCOO {

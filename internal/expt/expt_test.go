@@ -77,7 +77,8 @@ func TestSGAGrowthShowsDilemma(t *testing.T) {
 }
 
 func TestCostProbeSparDL(t *testing.T) {
-	rounds, elems := costProbe(8, 8000, 80, NamedFactory{"SparDL", sparDL(coreOptions())})
+	rep := costProbe(8, 8000, 80, 1, NamedFactory{"SparDL", sparDL(coreOptions())})
+	rounds, elems := rep.MaxRounds(), rep.MaxBytesRecv()/4
 	if rounds != 6 { // 2·log₂8
 		t.Fatalf("rounds = %d, want 6", rounds)
 	}
@@ -110,7 +111,7 @@ func TestQuickExperimentsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test")
 	}
-	for _, id := range []string{"table1", "ablation-sga", "ablation-allgather", "ablation-dense"} {
+	for _, id := range []string{"table1", "fig10", "fig18", "ablation-sga", "ablation-allgather", "ablation-dense"} {
 		e, err := ByID(id)
 		if err != nil {
 			t.Fatal(err)
@@ -144,8 +145,8 @@ func TestWireE2ENegotiatedBeatsCOO(t *testing.T) {
 	}{{1 << 15, 1e-2}, {1 << 17, 1e-3}} {
 		n, ratio := tc.n, tc.ratio
 		k := int(ratio * float64(n))
-		_, coo := wireE2EProbe(p, n, k, NamedFactory{"SparDL", sparDL(core.Options{})})
-		_, neg := wireE2EProbe(p, n, k, NamedFactory{"SparDL", sparsecoll.Tuned(sparDL(core.Options{}), wire.ModeNegotiated)})
+		coo := costProbe(p, n, k, 5, NamedFactory{"SparDL", sparDL(core.Options{})}).TotalBytesRecv()
+		neg := costProbe(p, n, k, 5, NamedFactory{"SparDL", sparsecoll.Tuned(sparDL(core.Options{}), wire.ModeNegotiated)}).TotalBytesRecv()
 		if neg >= coo {
 			t.Fatalf("k/n=%g: negotiated %d not below COO %d", ratio, neg, coo)
 		}

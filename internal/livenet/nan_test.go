@@ -62,7 +62,7 @@ func TestNaNInfSelectionDeterminism(t *testing.T) {
 		f    sparsecoll.Factory
 	}{
 		{"spardl", core.NewFactory(core.Options{})},
-		{"spardl-d2-rsag", core.NewFactory(core.Options{Teams: 2, Variant: core.RSAG})},
+		{"spardl-d2-rsag", core.NewFactory(core.Options{Teams: 2})},
 		{"spardl-d4-bsag", core.NewFactory(core.Options{Teams: 4, Variant: core.BSAG})},
 		{"topka", sparsecoll.NewTopkA},
 		{"topkdsa", sparsecoll.NewTopkDSA},

@@ -151,32 +151,3 @@ func TestOverlapSavedReconcilesWithSerializedSchedule(t *testing.T) {
 		t.Fatalf("OverlapSaved %.6fs does not reconcile with serialized−pipelined %.6fs", got, want)
 	}
 }
-
-// TestStragglerExposedCommShrinksUnderPipeline: with a heterogeneous
-// cluster the straggler has more compute to hide communication under —
-// enabling the pipeline must never increase the exposed communication time.
-func TestStragglerExposedCommShrinksUnderPipeline(t *testing.T) {
-	skew := []float64{1, 1, 1, 2}
-
-	mono := pipeConfig()
-	mono.ComputeSkew = skew
-	a := Run(mono)
-
-	piped := pipeConfig()
-	piped.ComputeSkew = skew
-	piped.Pipeline = &pipeline.Config{}
-	b := Run(piped)
-
-	if b.ExposedComm > a.ExposedComm {
-		t.Fatalf("straggler exposed comm grew under pipeline: %.6fs vs %.6fs",
-			b.ExposedComm, a.ExposedComm)
-	}
-	if b.ExposedComm >= 0.9*a.ExposedComm {
-		t.Fatalf("straggler exposed comm barely moved: %.6fs vs %.6fs",
-			b.ExposedComm, a.ExposedComm)
-	}
-	// The iteration is still gated by the straggler's compute.
-	if b.TotalTime < float64(piped.Iters)*CaseByID(1).ComputeTime*2 {
-		t.Fatalf("total time %.6f below the straggler's compute floor", b.TotalTime)
-	}
-}

@@ -38,11 +38,6 @@ type Config struct {
 	// concurrent byte-level transport, in which case every time-valued
 	// result field holds measured wall seconds.
 	Backend comm.Backend
-	// ComputeSkew optionally assigns per-worker compute-speed multipliers
-	// (len P) to model a heterogeneous cluster — the paper's future-work
-	// extension (Section VI): synchronous all-reduce waits for the slowest
-	// worker, so skew>1 stragglers stretch every iteration.
-	ComputeSkew []float64
 	// PaperScaleComm scales the network's β by PaperParams/n, so that the
 	// communication cost of synchronizing the scaled stand-in model matches
 	// the paper-scale model exactly (co-scaling n and β preserves every
@@ -220,10 +215,6 @@ func (s *session) work(m comm.Membership, ep comm.Endpoint, st *replica) {
 		// every substrate.
 		resume = agreeMinIter(ep, m.P, m.Rank, st.barriers)
 	}
-	skew := 1.0
-	if cfg.ComputeSkew != nil {
-		skew = cfg.ComputeSkew[m.ID]
-	}
 
 	// Monolithic path: one reducer over the whole flattened gradient.
 	// Pipeline path: one SegmentReducer per bucket, launched at each
@@ -237,7 +228,7 @@ func (s *session) work(m comm.Membership, ep comm.Endpoint, st *replica) {
 		method = reducer.Name()
 	} else {
 		segs = nn.GradSegments(st.model.Params())
-		ready := nn.GradReadyTimes(st.model.Params(), c.ComputeTime*skew)
+		ready := nn.GradReadyTimes(st.model.Params(), c.ComputeTime)
 		sched = pipeline.NewSchedule(cfg.Factory, m.P, m.Rank, s.k, segs, ready, *cfg.Pipeline)
 		method, buckets = sched.Reducers[0].BaseName(), len(sched.Buckets)
 	}
@@ -288,7 +279,7 @@ func (s *session) work(m comm.Membership, ep comm.Endpoint, st *replica) {
 
 		before := ep.Stats()
 		if sched == nil {
-			ep.Compute(c.ComputeTime * skew) // simulated forward+backward time
+			ep.Compute(c.ComputeTime) // simulated forward+backward time
 			// In-place synchronization of the gradient slab backward
 			// left behind into the per-worker result vector: the reduce
 			// pipeline allocates nothing at steady state (arena chunks +
@@ -319,7 +310,7 @@ func (s *session) work(m comm.Membership, ep comm.Endpoint, st *replica) {
 			// Serialized synchronization is exposed in full: the α-β
 			// charges plus the in-collective selection/merge compute —
 			// the same constituents the overlap stream hides or exposes.
-			stat.exposed = stat.comm + (stat.comp - c.ComputeTime*skew)
+			stat.exposed = stat.comm + (stat.comp - c.ComputeTime)
 		}
 		if s.elastic {
 			st.snapshot(it, reducer, n)

@@ -126,3 +126,27 @@ func TestCaseStandInSizeOrdering(t *testing.T) {
 		}
 	}
 }
+
+func TestPaperScaleCommMakesCommRealistic(t *testing.T) {
+	base := baseConfig()
+	base.Iters = 10
+	plain := Run(base)
+
+	scaled := baseConfig()
+	scaled.Iters = 10
+	scaled.PaperScaleComm = true
+	paper := Run(scaled)
+
+	ratio := float64(CaseByID(1).PaperParams) / float64(plain.N)
+	if ratio < 10 {
+		t.Skip("stand-in unexpectedly large")
+	}
+	// β grows by PaperParams/n, so comm time must grow substantially (not
+	// exactly linearly: the α term is unchanged).
+	if paper.CommTime < 5*plain.CommTime {
+		t.Fatalf("PaperScaleComm had little effect: %.6fs vs %.6fs", paper.CommTime, plain.CommTime)
+	}
+	if paper.CompTime != plain.CompTime {
+		t.Fatalf("compute time must be unaffected: %.6f vs %.6f", paper.CompTime, plain.CompTime)
+	}
+}

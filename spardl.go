@@ -51,11 +51,6 @@ type Factory = sparsecoll.Factory
 // Options configures SparDL (team count d, SAG variant, residual mode).
 type Options = core.Options
 
-// BSAG forces the Bruck-based Spar-All-Gather (Options.Variant; Section
-// III-D of the paper). The zero Variant picks R-SAG when d is a power of
-// two, else B-SAG.
-const BSAG = core.BSAG
-
 // WireMode selects what the simulator charges for every sparse message;
 // Tuned applies it. The byte-level backends have one real wire format —
 // the negotiated codec — and ignore it.
@@ -126,8 +121,6 @@ func ParseFactory(method string, p, teams int, variant, residual string) (Factor
 	opts := Options{Teams: teams}
 	switch strings.ToLower(variant) {
 	case "", "auto":
-	case "rsag":
-		opts.Variant = core.RSAG
 	case "bsag":
 		opts.Variant = core.BSAG
 	default:
