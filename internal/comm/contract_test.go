@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -90,7 +91,7 @@ func TestBackendContract(t *testing.T) {
 			t.Run("worker panic: first cause wins, peers unwind", func(t *testing.T) { contractWorkerPanic(t, bk.new()) })
 			t.Run("stream-body panic: first cause wins, peers unwind", func(t *testing.T) { contractStreamPanic(t, bk.new()) })
 			t.Run("stream control cannot nest", func(t *testing.T) { contractNesting(t, bk.new()) })
-			t.Run("barrier tokens are invisible in Stats", func(t *testing.T) { contractBarrier(t, bk.new()) })
+			t.Run("barrier tokens are invisible in Stats", func(t *testing.T) { contractBarrier(t, bk.new(), bk.wall) })
 			t.Run("exposed + saved = stream busy at every Join", func(t *testing.T) { contractOverlap(t, bk.new(), bk.wall) })
 			t.Run("Report aggregates per-worker stats and clocks", func(t *testing.T) { contractReport(t, bk.new()) })
 			t.Run("dense vectors: copied at Send, read in place at Recv", func(t *testing.T) { contractVec(t, bk.new()) })
@@ -236,17 +237,91 @@ func contractNesting(t *testing.T, b comm.Backend) {
 	})
 }
 
-// contractBarrier: SyncClock synchronizes without charging anything.
-func contractBarrier(t *testing.T, b comm.Backend) {
-	rep := mustRun(t, b, 5, func(rank int, ep comm.Endpoint) {
-		for i := 0; i < 3; i++ {
-			ep.SyncClock()
+// barrierSizes are the worker counts the barrier rows run: P = 1, the
+// pair, and rank 0 with two, four and seven peers.
+var barrierSizes = []int{1, 2, 3, 5, 8}
+
+// contractBarrier: SyncClock synchronizes without charging anything, and no
+// rank returns from it before the last one has entered. At barrier i, rank
+// i mod P sleeps before it enters — rank 0 and every other rank in turn.
+// On the link runtime (link) it also holds the barrier's token count and
+// the epoch stamp that fences the links carrying no tokens.
+func contractBarrier(t *testing.T, b comm.Backend, link bool) {
+	if link {
+		t.Run("2(P-1) token frames through rank 0", func(t *testing.T) { contractBarrierTokens(t, b) })
+		t.Run("a leftover frame is a schedule mismatch at the next Recv", func(t *testing.T) { contractEpochStamp(t, b) })
+	}
+	const late = 5 * time.Millisecond
+	for _, p := range barrierSizes {
+		entered := make([]atomic.Int32, p)
+		rep := mustRun(t, b, p, func(rank int, ep comm.Endpoint) {
+			for i := range entered {
+				if rank == i%p {
+					time.Sleep(late)
+				}
+				entered[i].Add(1)
+				ep.SyncClock()
+				if n := entered[i].Load(); n != int32(p) {
+					t.Errorf("P=%d barrier %d: rank %d passed with %d of %d ranks entered", p, i, rank, n, p)
+				}
+			}
+		})
+		for w, s := range rep.PerWorker {
+			if s.Rounds != 0 || s.BytesRecv != 0 || s.BytesSent != 0 || s.MsgsSent != 0 || s.CommTime != 0 {
+				t.Errorf("P=%d worker %d: SyncClock charged stats %+v", p, w, s)
+			}
+		}
+	}
+}
+
+// contractBarrierTokens: on the link runtime a barrier is a fan-in to rank
+// 0 and a fan-out from it, 2(P−1) token frames, not one per ordered pair.
+func contractBarrierTokens(t *testing.T, b comm.Backend) {
+	const barriers = 3
+	for _, p := range barrierSizes {
+		var tokens atomic.Int64
+		mustRun(t, b, p, func(rank int, ep comm.Endpoint) {
+			comm.CountTokens(ep, &tokens)
+			for i := 0; i < barriers; i++ {
+				ep.SyncClock()
+			}
+		})
+		if got, want := tokens.Load(), int64(barriers*2*(p-1)); got != want {
+			t.Errorf("P=%d: %d barriers delivered %d tokens, want %d", p, barriers, got, want)
+		}
+	}
+}
+
+// contractEpochStamp: link 1→2 carries no barrier token, so the epoch stamp
+// is what fences it. Rank 1 sends rank 2 one frame too many before the
+// first barrier; rank 2's next Recv from it, after that barrier, must panic
+// with a schedule mismatch naming both barrier counts, not hand over the
+// stale frame.
+func contractEpochStamp(t *testing.T, b comm.Backend) {
+	var own any
+	var got any
+	_, panicked := runBounded(t, b, 3, func(rank int, ep comm.Endpoint) {
+		if rank == 1 {
+			ep.Send(2, 1, 8)
+			ep.Send(2, 2, 8) // the extra frame
+		}
+		if rank == 2 {
+			ep.Recv(1)
+		}
+		ep.SyncClock()
+		switch rank {
+		case 1:
+			ep.Send(2, 3, 8)
+		case 2:
+			witness(&own, func() { got, _ = ep.Recv(1) })
 		}
 	})
-	for w, s := range rep.PerWorker {
-		if s.Rounds != 0 || s.BytesRecv != 0 || s.BytesSent != 0 || s.MsgsSent != 0 || s.CommTime != 0 {
-			t.Errorf("worker %d: SyncClock charged stats %+v", w, s)
-		}
+	msg := fmt.Sprint(own)
+	if own == nil || !strings.Contains(msg, "schedule mismatch") || !strings.Contains(msg, "barrier 0") || !strings.Contains(msg, "barrier 1") {
+		t.Fatalf("rank 2's Recv after the barrier returned %v, died with %v; want a schedule mismatch naming barriers 0 and 1", got, own)
+	}
+	if !strings.Contains(fmt.Sprint(panicked), "schedule mismatch") {
+		t.Fatalf("Run ended with %v, want the schedule mismatch", panicked)
 	}
 }
 

@@ -15,11 +15,15 @@ import (
 // sender's own memory (a Vec's elements), valid only until Deliver returns
 // — and a received frame has none. Accounted carries the sender's α-β
 // byte accounting to the receiver (Recv's second result);
-// len(Buf)+len(Tail) is what the transport really moved.
+// len(Buf)+len(Tail) is what the transport really moved. Epoch stamps a
+// payload with the number of SyncClock barriers its sender had passed, so
+// Recv can tell a frame left over from an earlier iteration; it rides
+// outside every byte counter.
 type Frame struct {
 	Buf       []byte
 	Tail      []byte
 	Accounted int
+	Epoch     int
 	Token     bool
 }
 
@@ -47,9 +51,10 @@ type Link interface {
 	// the caller recycles after decoding. The error names why the link is
 	// severed.
 	Next(from int) (f Frame, arena *sparse.Arena, err error)
-	// Rotate starts a new storage epoch. The barrier calls it once every
-	// peer's token is in — tokens are FIFO behind data, so every frame of
-	// the finished iteration has been received and decoded.
+	// Rotate starts a new storage epoch. The barrier calls it once this
+	// rank has passed it: the worker has received and decoded every frame
+	// of the finished iteration, and no peer can send a frame of the
+	// iteration after next before this rank's next barrier token is in.
 	Rotate()
 	// Sever records cause as the fabric's root cause unless one is already
 	// recorded, then fails the link: blocked and future Deliver/Next calls
@@ -222,7 +227,7 @@ func (e *linkEndpoint) Send(to int, payload any, bytes int) {
 	if isVec {
 		reserve = vecFrameMax(len(v.F))
 	}
-	f := Frame{Buf: FrameBufs.Get(reserve)[:0], Accounted: bytes}
+	f := Frame{Buf: FrameBufs.Get(reserve)[:0], Accounted: bytes, Epoch: e.iters}
 	if isVec && vecZeroCopy {
 		f.Buf, f.Tail = appendVecHeader(f.Buf, len(v.F)), f32Bytes(v.F)
 	} else {
@@ -242,6 +247,9 @@ func (e *linkEndpoint) Send(to int, payload any, bytes int) {
 // returns the payload plus the sender's accounted byte count. The blocking
 // wait, a Shaped park and the decode count as communication wall time. A
 // lost peer surfaces here as a panic with the recorded cause — never a hang.
+// A frame stamped with another barrier count than this worker's is a
+// schedule mismatch: the sender's iteration sent a frame this one's did not
+// receive, and Recv panics naming both counts.
 func (e *linkEndpoint) Recv(from int) (payload any, bytes int) {
 	e.checkPeer("recv from", from)
 	t0 := time.Now()
@@ -251,6 +259,10 @@ func (e *linkEndpoint) Recv(from int) (payload any, bytes int) {
 	}
 	if f.Token {
 		panic(fmt.Sprintf("%s: worker %d sent a barrier token where data was expected (schedule mismatch)", e.name, from))
+	}
+	if f.Epoch != e.iters {
+		panic(fmt.Sprintf("%s: worker %d sent a frame after barrier %d that worker %d received after barrier %d (schedule mismatch)",
+			e.name, from, f.Epoch, e.m.Rank, e.iters))
 	}
 	if e.net != nil { // Shaped: park until the frame has arrived
 		now := e.Clock()
@@ -283,9 +295,16 @@ func (e *linkEndpoint) SendRecv(peer int, payload any, bytes int) (got any, gotB
 	return e.Recv(peer)
 }
 
-// SyncClock barriers all workers: each sends a token to every peer and
-// waits for every peer's token, without touching statistics — the live
-// analogue of simnet's cost-free clock alignment between iterations.
+// SyncClock barriers all workers through rank 0, without touching
+// statistics — the live analogue of simnet's cost-free clock alignment
+// between iterations. Every other rank sends rank 0 one token and waits for
+// rank 0's; rank 0 takes the P − 1 tokens, then releases every rank: 2(P−1)
+// frames in two hops. No rank passes before the last one has entered.
+//
+// A token is FIFO behind its link's data, so a data frame found where a
+// token is due, or a token where data is due, is a schedule mismatch on
+// the links to and from rank 0. Links between two other ranks carry no
+// tokens; there the epoch stamp on every data frame is the fence (Recv).
 //
 // The barrier is also where scheduled crashes fire: a worker whose
 // injector names this iteration dies before sending any token, so no peer
@@ -299,27 +318,37 @@ func (e *linkEndpoint) SyncClock() {
 		}
 		panic(chaos.Crashed{ID: e.m.ID, Iter: e.iters})
 	}
-	for r := 0; r < e.m.P; r++ {
-		if r != e.m.Rank {
-			if err := e.link.Deliver(r, Frame{Token: true}); err != nil {
-				panic(e.poisoned("barrier", err))
-			}
+	if e.m.Rank == 0 {
+		for r := 1; r < e.m.P; r++ {
+			e.awaitToken(r)
 		}
-	}
-	for r := 0; r < e.m.P; r++ {
-		if r == e.m.Rank {
-			continue
+		for r := 1; r < e.m.P; r++ {
+			e.sendToken(r)
 		}
-		f, _, err := e.link.Next(r)
-		if err != nil {
-			panic(e.poisoned("barrier", err))
-		}
-		if !f.Token {
-			panic(fmt.Sprintf("%s: worker %d sent data where a barrier token was expected (schedule mismatch)", e.name, r))
-		}
+	} else {
+		e.sendToken(0)
+		e.awaitToken(0)
 	}
 	e.link.Rotate()
 	e.iters++
+}
+
+// sendToken delivers one barrier token to rank to.
+func (e *linkEndpoint) sendToken(to int) {
+	if err := e.link.Deliver(to, Frame{Token: true}); err != nil {
+		panic(e.poisoned("barrier", err))
+	}
+}
+
+// awaitToken takes rank from's next frame, which must be a barrier token.
+func (e *linkEndpoint) awaitToken(from int) {
+	f, _, err := e.link.Next(from)
+	if err != nil {
+		panic(e.poisoned("barrier", err))
+	}
+	if !f.Token {
+		panic(fmt.Sprintf("%s: worker %d sent data where a barrier token was expected (schedule mismatch)", e.name, from))
+	}
 }
 
 // Overlap enqueues body on the worker's communication stream — a real

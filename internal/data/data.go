@@ -23,19 +23,64 @@ import (
 type Dataset interface {
 	Name() string
 	// TrainBatch returns the step-th training batch of the given worker's
-	// shard. Different workers see disjoint example streams.
+	// shard. Different workers see disjoint example streams. A TrainBatch
+	// is valid until that dataset's next one, which reuses its storage.
 	TrainBatch(worker, step, batchSize int) *nn.Batch
-	// EvalBatch returns a held-out batch for metric reporting.
+	// EvalBatch returns a held-out batch for metric reporting; it shares
+	// nothing with the dataset.
 	EvalBatch(batchSize int) *nn.Batch
 }
 
-// rngFor derives a deterministic stream for (seed, worker, step); workers
-// use disjoint streams and eval uses worker = -1.
-func rngFor(seed int64, worker, step int) *rand.Rand {
+// seedFor derives the deterministic stream of (seed, worker, step);
+// workers use disjoint streams and eval uses worker = -1.
+func seedFor(seed int64, worker, step int) int64 {
 	h := seed
 	h = h*1000003 + int64(worker+7)
 	h = h*1000003 + int64(step+13)
-	return rand.New(rand.NewSource(h))
+	return h
+}
+
+// scratch is a dataset's one training batch and random stream, which every
+// TrainBatch reuses: a reseeded rand.Rand draws what a new one would,
+// without allocating its state.
+type scratch struct {
+	rng *rand.Rand
+	b   nn.Batch
+}
+
+// next reseeds the stream for (seed, worker, step) and returns it with the
+// batch to fill.
+func (s *scratch) next(seed int64, worker, step int) (*rand.Rand, *nn.Batch) {
+	h := seedFor(seed, worker, step)
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(h))
+	} else {
+		s.rng.Seed(h)
+	}
+	return s.rng, &s.b
+}
+
+// evalStream returns the held-out set's stream and a batch of its own.
+func evalStream(seed int64) (*rand.Rand, *nn.Batch) {
+	return rand.New(rand.NewSource(seedFor(seed, -1, 0))), &nn.Batch{}
+}
+
+// resize returns s with length n, reusing its storage when it fits.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// resizeRows returns s as rows rows of cols elements each, reusing its
+// storage when it fits.
+func resizeRows(s [][]int, rows, cols int) [][]int {
+	s = resize(s, rows)
+	for i := range s {
+		s[i] = resize(s[i], cols)
+	}
+	return s
 }
 
 // GaussianClasses is the image-classification stand-in (CIFAR-10/100,
@@ -49,6 +94,7 @@ type GaussianClasses struct {
 	noise    float32
 	protos   []float32 // classes×features
 	seed     int64
+	train    scratch
 }
 
 // NewGaussianClasses builds the dataset.
@@ -64,9 +110,8 @@ func NewGaussianClasses(name string, classes, features int, noise float32, seed 
 // Name implements Dataset.
 func (g *GaussianClasses) Name() string { return g.name }
 
-func (g *GaussianClasses) batch(rng *rand.Rand, batchSize int) *nn.Batch {
-	x := make([]float32, batchSize*g.features)
-	labels := make([]int, batchSize)
+func (g *GaussianClasses) batch(rng *rand.Rand, into *nn.Batch, batchSize int) *nn.Batch {
+	x, labels := resize(into.X, batchSize*g.features), resize(into.Labels, batchSize)
 	for b := 0; b < batchSize; b++ {
 		c := rng.Intn(g.classes)
 		labels[b] = c
@@ -74,17 +119,20 @@ func (g *GaussianClasses) batch(rng *rand.Rand, batchSize int) *nn.Batch {
 			x[b*g.features+j] = g.protos[c*g.features+j] + g.noise*float32(rng.NormFloat64())
 		}
 	}
-	return &nn.Batch{X: x, Features: g.features, Labels: labels}
+	*into = nn.Batch{X: x, Features: g.features, Labels: labels}
+	return into
 }
 
 // TrainBatch implements Dataset.
 func (g *GaussianClasses) TrainBatch(worker, step, batchSize int) *nn.Batch {
-	return g.batch(rngFor(g.seed, worker, step), batchSize)
+	rng, into := g.train.next(g.seed, worker, step)
+	return g.batch(rng, into, batchSize)
 }
 
 // EvalBatch implements Dataset.
 func (g *GaussianClasses) EvalBatch(batchSize int) *nn.Batch {
-	return g.batch(rngFor(g.seed, -1, 0), batchSize)
+	rng, into := evalStream(g.seed)
+	return g.batch(rng, into, batchSize)
 }
 
 // HouseRegression is the image-regression stand-in (Case 4): targets are a
@@ -93,6 +141,7 @@ type HouseRegression struct {
 	features int
 	w        []float32
 	seed     int64
+	train    scratch
 }
 
 // NewHouseRegression builds the dataset.
@@ -108,9 +157,8 @@ func NewHouseRegression(features int, seed int64) *HouseRegression {
 // Name implements Dataset.
 func (h *HouseRegression) Name() string { return "House" }
 
-func (h *HouseRegression) batch(rng *rand.Rand, batchSize int) *nn.Batch {
-	x := make([]float32, batchSize*h.features)
-	y := make([]float32, batchSize)
+func (h *HouseRegression) batch(rng *rand.Rand, into *nn.Batch, batchSize int) *nn.Batch {
+	x, y := resize(into.X, batchSize*h.features), resize(into.Targets, batchSize)
 	for b := 0; b < batchSize; b++ {
 		var lin float32
 		for j := 0; j < h.features; j++ {
@@ -123,17 +171,20 @@ func (h *HouseRegression) batch(rng *rand.Rand, batchSize int) *nn.Batch {
 		inter := x[b*h.features] * x[b*h.features+1]
 		y[b] = float32(math.Tanh(float64(lin*0.3))) + 0.5*inter + 0.1*float32(rng.NormFloat64())
 	}
-	return &nn.Batch{X: x, Features: h.features, Targets: y}
+	*into = nn.Batch{X: x, Features: h.features, Targets: y}
+	return into
 }
 
 // TrainBatch implements Dataset.
 func (h *HouseRegression) TrainBatch(worker, step, batchSize int) *nn.Batch {
-	return h.batch(rngFor(h.seed, worker, step), batchSize)
+	rng, into := h.train.next(h.seed, worker, step)
+	return h.batch(rng, into, batchSize)
 }
 
 // EvalBatch implements Dataset.
 func (h *HouseRegression) EvalBatch(batchSize int) *nn.Batch {
-	return h.batch(rngFor(h.seed, -1, 0), batchSize)
+	rng, into := evalStream(h.seed)
+	return h.batch(rng, into, batchSize)
 }
 
 // SentimentSeq is the text-classification stand-in (IMDB): sequences where
@@ -144,6 +195,7 @@ type SentimentSeq struct {
 	posSet       map[int]bool
 	negSet       map[int]bool
 	seed         int64
+	train        scratch
 }
 
 // NewSentimentSeq builds the dataset; 10% of the vocabulary is positive
@@ -165,11 +217,9 @@ func NewSentimentSeq(vocab, steps int, seed int64) *SentimentSeq {
 // Name implements Dataset.
 func (s *SentimentSeq) Name() string { return "IMDB" }
 
-func (s *SentimentSeq) batch(rng *rand.Rand, batchSize int) *nn.Batch {
-	tokens := make([][]int, batchSize)
-	labels := make([]int, batchSize)
-	for b := range tokens {
-		seq := make([]int, s.steps)
+func (s *SentimentSeq) batch(rng *rand.Rand, into *nn.Batch, batchSize int) *nn.Batch {
+	tokens, labels := resizeRows(into.Tokens, batchSize, s.steps), resize(into.Labels, batchSize)
+	for b, seq := range tokens {
 		score := 0
 		for t := range seq {
 			tok := rng.Intn(s.vocab)
@@ -181,7 +231,7 @@ func (s *SentimentSeq) batch(rng *rand.Rand, batchSize int) *nn.Batch {
 				score--
 			}
 		}
-		tokens[b] = seq
+		labels[b] = 0
 		if score > 0 {
 			labels[b] = 1
 		} else if score == 0 {
@@ -193,9 +243,9 @@ func (s *SentimentSeq) batch(rng *rand.Rand, batchSize int) *nn.Batch {
 				seq[rng.Intn(s.steps)] = firstKey(s.negSet)
 			}
 		}
-		_ = labels
 	}
-	return &nn.Batch{Tokens: tokens, Labels: labels}
+	*into = nn.Batch{Tokens: tokens, Labels: labels}
+	return into
 }
 
 func firstKey(m map[int]bool) int {
@@ -210,12 +260,14 @@ func firstKey(m map[int]bool) int {
 
 // TrainBatch implements Dataset.
 func (s *SentimentSeq) TrainBatch(worker, step, batchSize int) *nn.Batch {
-	return s.batch(rngFor(s.seed, worker, step), batchSize)
+	rng, into := s.train.next(s.seed, worker, step)
+	return s.batch(rng, into, batchSize)
 }
 
 // EvalBatch implements Dataset.
 func (s *SentimentSeq) EvalBatch(batchSize int) *nn.Batch {
-	return s.batch(rngFor(s.seed, -1, 0), batchSize)
+	rng, into := evalStream(s.seed)
+	return s.batch(rng, into, batchSize)
 }
 
 // MarkovLM is the language-modelling stand-in (PTB): sequences drawn from a
@@ -226,6 +278,7 @@ type MarkovLM struct {
 	vocab, steps int
 	cum          []float32 // vocab×vocab cumulative transition rows
 	seed         int64
+	train        scratch
 }
 
 // NewMarkovLM builds the chain. Each state transitions mostly to a handful
@@ -271,12 +324,17 @@ func (m *MarkovLM) next(rng *rand.Rand, state int) int {
 	return lo
 }
 
-func (m *MarkovLM) batch(rng *rand.Rand, batchSize int) *nn.Batch {
-	tokens := make([][]int, batchSize)
-	next := make([][]int, batchSize)
+func (m *MarkovLM) batch(rng *rand.Rand, into *nn.Batch, batchSize int) *nn.Batch {
+	tokens, next := m.draw(rng, into.Tokens, into.NextTokens, batchSize)
+	*into = nn.Batch{Tokens: tokens, NextTokens: next}
+	return into
+}
+
+// draw fills batchSize sequences and their next-token targets into tokens
+// and next, reusing their storage when it fits.
+func (m *MarkovLM) draw(rng *rand.Rand, tokens, next [][]int, batchSize int) ([][]int, [][]int) {
+	tokens, next = resizeRows(tokens, batchSize, m.steps), resizeRows(next, batchSize, m.steps)
 	for b := range tokens {
-		tokens[b] = make([]int, m.steps)
-		next[b] = make([]int, m.steps)
 		state := rng.Intn(m.vocab)
 		for t := 0; t < m.steps; t++ {
 			tokens[b][t] = state
@@ -284,17 +342,19 @@ func (m *MarkovLM) batch(rng *rand.Rand, batchSize int) *nn.Batch {
 			next[b][t] = state
 		}
 	}
-	return &nn.Batch{Tokens: tokens, NextTokens: next}
+	return tokens, next
 }
 
 // TrainBatch implements Dataset.
 func (m *MarkovLM) TrainBatch(worker, step, batchSize int) *nn.Batch {
-	return m.batch(rngFor(m.seed, worker, step), batchSize)
+	rng, into := m.train.next(m.seed, worker, step)
+	return m.batch(rng, into, batchSize)
 }
 
 // EvalBatch implements Dataset.
 func (m *MarkovLM) EvalBatch(batchSize int) *nn.Batch {
-	return m.batch(rngFor(m.seed, -1, 0), batchSize)
+	rng, into := evalStream(m.seed)
+	return m.batch(rng, into, batchSize)
 }
 
 // MaskedLM is the BERT/Wikipedia stand-in (Case 7): Markov-chain sequences
@@ -304,6 +364,8 @@ type MaskedLM struct {
 	chain  *MarkovLM
 	MaskID int
 	seed   int64
+	train  scratch
+	next   [][]int // the chain's next-token rows behind train, which a masked batch does not carry
 }
 
 // NewMaskedLM builds the dataset. The mask id is vocab-1 and never occurs
@@ -315,11 +377,11 @@ func NewMaskedLM(vocab, steps int, seed int64) *MaskedLM {
 // Name implements Dataset.
 func (m *MaskedLM) Name() string { return "Wikipedia" }
 
-func (m *MaskedLM) batch(rng *rand.Rand, batchSize int) *nn.Batch {
-	base := m.chain.batch(rng, batchSize)
-	maskLabels := make([][]int, batchSize)
-	for b, seq := range base.Tokens {
-		maskLabels[b] = make([]int, len(seq))
+func (m *MaskedLM) batch(rng *rand.Rand, into *nn.Batch, next *[][]int, batchSize int) *nn.Batch {
+	tokens, nextRows := m.chain.draw(rng, into.Tokens, *next, batchSize)
+	*next = nextRows
+	maskLabels := resizeRows(into.MaskLabels, batchSize, m.chain.steps)
+	for b, seq := range tokens {
 		for t := range seq {
 			maskLabels[b][t] = -1
 			// Never mask position 0: the bigram model needs an unmasked
@@ -331,17 +393,19 @@ func (m *MaskedLM) batch(rng *rand.Rand, batchSize int) *nn.Batch {
 			}
 		}
 	}
-	base.MaskLabels = maskLabels
-	base.NextTokens = nil
-	return base
+	*into = nn.Batch{Tokens: tokens, MaskLabels: maskLabels}
+	return into
 }
 
 // TrainBatch implements Dataset.
 func (m *MaskedLM) TrainBatch(worker, step, batchSize int) *nn.Batch {
-	return m.batch(rngFor(m.seed, worker, step), batchSize)
+	rng, into := m.train.next(m.seed, worker, step)
+	return m.batch(rng, into, &m.next, batchSize)
 }
 
 // EvalBatch implements Dataset.
 func (m *MaskedLM) EvalBatch(batchSize int) *nn.Batch {
-	return m.batch(rngFor(m.seed, -1, 0), batchSize)
+	rng, into := evalStream(m.seed)
+	var next [][]int
+	return m.batch(rng, into, &next, batchSize)
 }

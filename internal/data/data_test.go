@@ -2,33 +2,62 @@ package data
 
 import (
 	"reflect"
+	"slices"
 	"testing"
+
+	"spardl/internal/nn"
 )
 
 func TestDeterminism(t *testing.T) {
-	sets := []Dataset{
-		NewGaussianClasses("c10", 10, 16, 0.5, 1),
-		NewHouseRegression(16, 2),
-		NewSentimentSeq(50, 12, 3),
-		NewMarkovLM(40, 10, 4),
-		NewMaskedLM(40, 10, 5),
+	sets := func() []Dataset {
+		return []Dataset{
+			NewGaussianClasses("c10", 10, 16, 0.5, 1),
+			NewHouseRegression(16, 2),
+			NewSentimentSeq(50, 12, 3),
+			NewMarkovLM(40, 10, 4),
+			NewMaskedLM(40, 10, 5),
+		}
 	}
-	for _, ds := range sets {
-		a := ds.TrainBatch(2, 7, 8)
-		b := ds.TrainBatch(2, 7, 8)
-		if !reflect.DeepEqual(a, b) {
+	ones, twos := sets(), sets()
+	for i, ds := range ones {
+		// A TrainBatch is valid until the dataset's next one, so each
+		// comparison keeps a deep copy of the first.
+		a := clone(ds.TrainBatch(2, 7, 8))
+		if !reflect.DeepEqual(a, twos[i].TrainBatch(2, 7, 8)) {
 			t.Fatalf("%s: TrainBatch not deterministic", ds.Name())
 		}
-		if reflect.DeepEqual(ds.TrainBatch(0, 7, 8), ds.TrainBatch(1, 7, 8)) {
+		if reflect.DeepEqual(a, ds.TrainBatch(1, 7, 8)) {
 			t.Fatalf("%s: different workers received identical batches", ds.Name())
 		}
-		if reflect.DeepEqual(ds.TrainBatch(0, 7, 8), ds.TrainBatch(0, 8, 8)) {
+		if reflect.DeepEqual(a, ds.TrainBatch(2, 8, 8)) {
 			t.Fatalf("%s: different steps received identical batches", ds.Name())
 		}
-		if !reflect.DeepEqual(ds.EvalBatch(8), ds.EvalBatch(8)) {
-			t.Fatalf("%s: EvalBatch not deterministic", ds.Name())
+		// Reused storage, shrunk and regrown, leaves nothing behind.
+		ds.TrainBatch(1, 3, 16)
+		ds.TrainBatch(0, 4, 3)
+		if !reflect.DeepEqual(a, ds.TrainBatch(2, 7, 8)) {
+			t.Fatalf("%s: a reused TrainBatch differs from a fresh one", ds.Name())
+		}
+		if e := ds.EvalBatch(8); !reflect.DeepEqual(e, twos[i].EvalBatch(8)) || e == ds.EvalBatch(8) {
+			t.Fatalf("%s: EvalBatch not deterministic or not its own", ds.Name())
 		}
 	}
+}
+
+// clone deep-copies a batch's slices.
+func clone(b *nn.Batch) *nn.Batch {
+	rows := func(s [][]int) [][]int {
+		if s == nil {
+			return nil
+		}
+		out := make([][]int, len(s))
+		for i := range s {
+			out[i] = slices.Clone(s[i])
+		}
+		return out
+	}
+	return &nn.Batch{X: slices.Clone(b.X), Features: b.Features, Tokens: rows(b.Tokens), Labels: slices.Clone(b.Labels),
+		Targets: slices.Clone(b.Targets), NextTokens: rows(b.NextTokens), MaskLabels: rows(b.MaskLabels)}
 }
 
 func TestGaussianClassesShapesAndBalance(t *testing.T) {

@@ -74,9 +74,9 @@ func TestDeliverChaosPerFrame(t *testing.T) {
 		f := []comm.Frame{
 			{Buf: []byte{0xAA}, Accounted: 1},
 			{Token: true},
-			{Buf: big[:7], Tail: big[7:], Accounted: 300},
-			{Buf: []byte{}, Accounted: 0},
-			{Buf: []byte{1, 2}, Tail: []byte{3, 4, 5}, Accounted: 5},
+			{Buf: big[:7], Tail: big[7:], Accounted: 300, Epoch: 1},
+			{Buf: []byte{}, Accounted: 0, Epoch: 1},
+			{Buf: []byte{1, 2}, Tail: []byte{3, 4, 5}, Accounted: 5, Epoch: 128}, // a two-byte epoch
 		}[i]
 		if f.Buf != nil {
 			f.Buf = append([]byte{}, f.Buf...)
@@ -108,9 +108,9 @@ func TestDeliverChaosPerFrame(t *testing.T) {
 			if _, bad := inj.verdict[i]; bad {
 				chaos.CorruptBytes(want)
 			}
-			if got.kind == frameSync != f.Token || string(got.buf) != string(want) || got.accounted != f.Accounted {
-				t.Fatalf("frame %d: wire carried kind %d %v (accounted %d), want token=%v %v (accounted %d)",
-					i, got.kind, got.buf, got.accounted, f.Token, want, f.Accounted)
+			if got.kind == frameSync != f.Token || string(got.buf) != string(want) || got.accounted != f.Accounted || got.epoch != f.Epoch {
+				t.Fatalf("frame %d: wire carried kind %d %v (accounted %d, epoch %d), want token=%v %v (accounted %d, epoch %d)",
+					i, got.kind, got.buf, got.accounted, got.epoch, f.Token, want, f.Accounted, f.Epoch)
 			}
 		}
 		if len(inj.calls) != frames {

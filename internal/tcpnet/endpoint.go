@@ -17,11 +17,13 @@ import (
 
 // message is one received frame on its way from the reader goroutine to
 // Next. accounted carries the sender's α-β byte accounting (returned by
-// Recv); len(buf) is what the transport really moved.
+// Recv) and epoch its barrier count (comm.Frame.Epoch); len(buf) is what
+// the transport really moved.
 type message struct {
 	kind      byte
 	buf       []byte
 	accounted int
+	epoch     int
 }
 
 // maxFrameBytes bounds a single data frame's payload. Legitimate frames
@@ -242,12 +244,12 @@ func (l *link) reader(pr *peer) {
 	}
 }
 
-// frameHdrMax bounds one frame's header: kind byte plus two uvarints
-// (accounted size, payload length).
-const frameHdrMax = 1 + 2*binary.MaxVarintLen64
+// frameHdrMax bounds one frame's header: kind byte plus three uvarints
+// (epoch, accounted size, payload length).
+const frameHdrMax = 1 + 3*binary.MaxVarintLen64
 
 // appendFrameHeader appends f's wire header onto dst: frameSync for a
-// barrier token, otherwise frameData and the uvarint accounted and
+// barrier token, otherwise frameData and the uvarint epoch, accounted and
 // payload-length (Buf then Tail) fields. It is the single encoder Deliver
 // and the round-trip fuzzer share.
 func appendFrameHeader(dst []byte, f comm.Frame) []byte {
@@ -255,6 +257,7 @@ func appendFrameHeader(dst []byte, f comm.Frame) []byte {
 		return append(dst, frameSync)
 	}
 	dst = append(dst, frameData)
+	dst = binary.AppendUvarint(dst, uint64(f.Epoch))
 	dst = binary.AppendUvarint(dst, uint64(f.Accounted))
 	return binary.AppendUvarint(dst, uint64(len(f.Buf)+len(f.Tail)))
 }
@@ -299,6 +302,10 @@ func (fr *frameReader) next() (message, error) {
 		}
 		return message{kind: kind}, nil
 	}
+	epoch, err := fr.readUvarint()
+	if err != nil {
+		return message{}, frameErr(err)
+	}
 	acc, err := fr.readUvarint()
 	if err != nil {
 		return message{}, frameErr(err)
@@ -323,7 +330,7 @@ func (fr *frameReader) next() (message, error) {
 			return message{}, frameErr(err)
 		}
 	}
-	return message{kind: kind, buf: buf, accounted: int(acc)}, nil
+	return message{kind: kind, buf: buf, accounted: int(acc), epoch: int(epoch)}, nil
 }
 
 func (fr *frameReader) readByte() (byte, error) {
@@ -450,7 +457,7 @@ func (l *link) Next(from int) (comm.Frame, *sparse.Arena, error) {
 	if !ok {
 		return comm.Frame{}, nil, errors.New(pr.why())
 	}
-	return comm.Frame{Buf: m.buf, Accounted: m.accounted, Token: m.kind == frameSync}, l.decodeArena, nil
+	return comm.Frame{Buf: m.buf, Accounted: m.accounted, Epoch: m.epoch, Token: m.kind == frameSync}, l.decodeArena, nil
 }
 
 // Rotate implements comm.Link: a fresh epoch in every receive arena. The

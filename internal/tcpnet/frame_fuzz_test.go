@@ -24,22 +24,22 @@ func heapAlloc(n int) []byte { return make([]byte, n) }
 // and from one that returns a byte per call, and must get the same frames:
 // how much of a payload the sticky buffer stages is the reader's business.
 func FuzzFrame(f *testing.F) {
-	f.Add([]byte{}, uint16(0), true)
-	f.Add([]byte("hello"), uint16(1234), true)
-	f.Add(bytes.Repeat([]byte{0xab}, 70000), uint16(9), true) // spans the sticky buffer
+	f.Add([]byte{}, uint16(0), uint32(0), true)
+	f.Add([]byte("hello"), uint16(1234), uint32(1), true)
+	f.Add(bytes.Repeat([]byte{0xab}, 70000), uint16(9), uint32(300), true) // spans the sticky buffer; a two-byte epoch
 	for _, n := range []int{readerStickyBytes - 1, readerStickyBytes, readerStickyBytes + 1, 4 * readerStickyBytes} {
-		f.Add(bytes.Repeat([]byte{0xcd}, n), uint16(n), true) // a payload around and past the buffer
+		f.Add(bytes.Repeat([]byte{0xcd}, n), uint16(n), uint32(n), true) // a payload around and past the buffer
 	}
-	f.Add(burstThenLarge(), uint16(0), false)
-	f.Add([]byte{frameSync}, uint16(0), false)
-	f.Add([]byte{frameData, 0x05, 0x03, 'a', 'b', 'c'}, uint16(0), false)
-	f.Add([]byte{frameData, 0x01}, uint16(0), false)                               // torn header
-	f.Add([]byte{frameData, 0x01, 0x80, 0x80, 0x80, 0x80, 0x40}, uint16(0), false) // over-cap length
-	f.Add([]byte{0x7f}, uint16(0), false)                                          // unknown kind
+	f.Add(burstThenLarge(), uint16(0), uint32(0), false)
+	f.Add([]byte{frameSync}, uint16(0), uint32(0), false)
+	f.Add([]byte{frameData, 0x02, 0x05, 0x03, 'a', 'b', 'c'}, uint16(0), uint32(0), false)
+	f.Add([]byte{frameData, 0x00, 0x01}, uint16(0), uint32(0), false)                               // torn header
+	f.Add([]byte{frameData, 0x00, 0x01, 0x80, 0x80, 0x80, 0x80, 0x40}, uint16(0), uint32(0), false) // over-cap length
+	f.Add([]byte{0x7f}, uint16(0), uint32(0), false)                                                // unknown kind
 
-	f.Fuzz(func(t *testing.T, body []byte, accounted uint16, roundTrip bool) {
+	f.Fuzz(func(t *testing.T, body []byte, accounted uint16, epoch uint32, roundTrip bool) {
 		if roundTrip {
-			fuzzRoundTrip(t, body, int(accounted))
+			fuzzRoundTrip(t, body, int(accounted), int(epoch))
 			return
 		}
 		fuzzAdversarial(t, body)
@@ -47,14 +47,14 @@ func FuzzFrame(f *testing.F) {
 }
 
 // fuzzRoundTrip encodes a data frame followed by a sync frame and checks
-// both survive the reader byte-for-byte. The body is split between the
-// frame's Buf and Tail at a point the fuzzer picks, as Deliver writes a
-// dense payload. The trailing sync frame proves the reader consumed
-// exactly the data frame — an over-read would eat the sync byte and
-// misparse.
-func fuzzRoundTrip(t *testing.T, body []byte, accounted int) {
+// both survive the reader byte-for-byte, the epoch stamp included. The body
+// is split between the frame's Buf and Tail at a point the fuzzer picks, as
+// Deliver writes a dense payload. The trailing sync frame proves the reader
+// consumed exactly the data frame — an over-read would eat the sync byte
+// and misparse.
+func fuzzRoundTrip(t *testing.T, body []byte, accounted, epoch int) {
 	cut := accounted % (len(body) + 1)
-	wire := appendFrameHeader(nil, comm.Frame{Buf: body[:cut], Tail: body[cut:], Accounted: accounted})
+	wire := appendFrameHeader(nil, comm.Frame{Buf: body[:cut], Tail: body[cut:], Accounted: accounted, Epoch: epoch})
 	wire = append(wire, body...)
 	wire = appendFrameHeader(wire, comm.Frame{Token: true})
 
@@ -67,9 +67,9 @@ func fuzzRoundTrip(t *testing.T, body []byte, accounted int) {
 			t.Fatalf("chunked=%v: decoded %d frames, want a data and a sync frame", chunked, len(frames))
 		}
 		out, sync := frames[0], frames[1]
-		if out.kind != frameData || out.accounted != accounted || !bytes.Equal(out.buf, body) {
-			t.Fatalf("chunked=%v: round trip mismatch: kind=%d accounted=%d len=%d, want kind=%d accounted=%d len=%d",
-				chunked, out.kind, out.accounted, len(out.buf), frameData, accounted, len(body))
+		if out.kind != frameData || out.accounted != accounted || out.epoch != epoch || !bytes.Equal(out.buf, body) {
+			t.Fatalf("chunked=%v: round trip mismatch: kind=%d accounted=%d epoch=%d len=%d, want kind=%d accounted=%d epoch=%d len=%d",
+				chunked, out.kind, out.accounted, out.epoch, len(out.buf), frameData, accounted, epoch, len(body))
 		}
 		if sync.kind != frameSync {
 			t.Fatalf("chunked=%v: trailing frame kind=%d (reader over- or under-read the data frame)", chunked, sync.kind)
@@ -103,7 +103,7 @@ func fuzzAdversarial(t *testing.T, stream []byte) {
 			len(chunked), chunkedErr, len(frames), err)
 	}
 	for i, m := range frames {
-		if c := chunked[i]; c.kind != m.kind || c.accounted != m.accounted || !bytes.Equal(c.buf, m.buf) {
+		if c := chunked[i]; c.kind != m.kind || c.accounted != m.accounted || c.epoch != m.epoch || !bytes.Equal(c.buf, m.buf) {
 			t.Fatalf("frame %d differs between one-byte and whole reads", i)
 		}
 	}
@@ -135,14 +135,14 @@ func burstThenLarge() []byte {
 	var wire []byte
 	for i := 0; i < 40; i++ {
 		body := bytes.Repeat([]byte{byte(i)}, 7*i)
-		wire = appendFrameHeader(wire, comm.Frame{Buf: body, Accounted: i})
+		wire = appendFrameHeader(wire, comm.Frame{Buf: body, Accounted: i, Epoch: i / 8})
 		wire = append(wire, body...)
 		if i%8 == 7 {
 			wire = appendFrameHeader(wire, comm.Frame{Token: true})
 		}
 	}
 	large := bytes.Repeat([]byte{0xef}, 4*readerStickyBytes)
-	wire = appendFrameHeader(wire, comm.Frame{Buf: large[:9], Tail: large[9:], Accounted: len(large)})
+	wire = appendFrameHeader(wire, comm.Frame{Buf: large[:9], Tail: large[9:], Accounted: len(large), Epoch: 5})
 	return append(wire, large...)
 }
 
@@ -160,8 +160,8 @@ func TestFrameReaderBurstThenLarge(t *testing.T) {
 		}
 		i := 0
 		for n := 0; n < 40; n++ {
-			if m := frames[i]; m.kind != frameData || m.accounted != n || !bytes.Equal(m.buf, bytes.Repeat([]byte{byte(n)}, 7*n)) {
-				t.Fatalf("chunked=%v: short frame %d decoded as kind=%d accounted=%d len=%d", chunked, n, m.kind, m.accounted, len(m.buf))
+			if m := frames[i]; m.kind != frameData || m.accounted != n || m.epoch != n/8 || !bytes.Equal(m.buf, bytes.Repeat([]byte{byte(n)}, 7*n)) {
+				t.Fatalf("chunked=%v: short frame %d decoded as kind=%d accounted=%d epoch=%d len=%d", chunked, n, m.kind, m.accounted, m.epoch, len(m.buf))
 			}
 			i++
 			if n%8 == 7 {
@@ -171,8 +171,8 @@ func TestFrameReaderBurstThenLarge(t *testing.T) {
 				i++
 			}
 		}
-		if last := frames[i]; last.accounted != 4*readerStickyBytes || !bytes.Equal(last.buf, bytes.Repeat([]byte{0xef}, 4*readerStickyBytes)) {
-			t.Fatalf("chunked=%v: the large frame decoded as accounted=%d len=%d", chunked, last.accounted, len(last.buf))
+		if last := frames[i]; last.accounted != 4*readerStickyBytes || last.epoch != 5 || !bytes.Equal(last.buf, bytes.Repeat([]byte{0xef}, 4*readerStickyBytes)) {
+			t.Fatalf("chunked=%v: the large frame decoded as accounted=%d epoch=%d len=%d", chunked, last.accounted, last.epoch, len(last.buf))
 		}
 	}
 }
@@ -183,6 +183,7 @@ func TestFrameReaderBurstThenLarge(t *testing.T) {
 func TestFrameCapRejectedBeforeAllocation(t *testing.T) {
 	var hdr []byte
 	hdr = append(hdr, frameData)
+	hdr = binary.AppendUvarint(hdr, 0)
 	hdr = binary.AppendUvarint(hdr, 1)
 	hdr = binary.AppendUvarint(hdr, uint64(maxFrameBytes)+1)
 	allocated := false
@@ -201,7 +202,7 @@ func TestFrameCapRejectedBeforeAllocation(t *testing.T) {
 // TestTornFrameIsUnexpectedEOF pins the crash-vs-disconnect distinction: a
 // stream ending inside a frame is a torn frame, never a clean EOF.
 func TestTornFrameIsUnexpectedEOF(t *testing.T) {
-	full := appendFrameHeader(nil, comm.Frame{Buf: []byte("abcdef"), Accounted: 3})
+	full := appendFrameHeader(nil, comm.Frame{Buf: []byte("abcdef"), Accounted: 3, Epoch: 200})
 	full = append(full, "abcdef"...)
 	for cut := 1; cut < len(full); cut++ {
 		fr := newFrameReader(bytes.NewReader(full[:cut]), heapAlloc)

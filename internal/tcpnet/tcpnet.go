@@ -70,10 +70,11 @@ import (
 // Protocol constants. The magic/version prefix guards both the rendezvous
 // hello and the mesh handshake against foreign connections. Version 2 added
 // generation numbers to every hello, assignment and handshake, and the
-// stable-ID map to the assignment — the elastic re-rendezvous protocol.
+// stable-ID map to the assignment — the elastic re-rendezvous protocol;
+// version 3 stamps every data frame with its sender's barrier count.
 var magic = [4]byte{'S', 'P', 'D', 'L'}
 
-const protoVersion = 2
+const protoVersion = 3
 
 // ErrRendezvous tags every Start failure that happened before the mesh came
 // up — an unreachable or timed-out rendezvous, a torn check-in budget, an
@@ -83,7 +84,7 @@ var ErrRendezvous = errors.New("tcpnet: rendezvous failed")
 
 // Frame kinds.
 const (
-	frameData byte = 0 // payload frame: uvarint accounted, uvarint len, bytes
+	frameData byte = 0 // payload frame: uvarint epoch, uvarint accounted, uvarint len, bytes
 	frameSync byte = 1 // SyncClock barrier token, no body
 )
 

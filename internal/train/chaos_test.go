@@ -86,8 +86,15 @@ func TestChaosSuiteAcrossBackends(t *testing.T) {
 		// One-shot link faults poison the fabric once; the full membership
 		// re-forms, the injector state carries over so the fault never
 		// re-fires, and the rewound retry reproduces the healthy trajectory.
-		{name: "transient-drop", schedule: "drop:rank=1,peer=2,frame=3",
-			recs: 1, lost: [][]int{nil}, healthy: true},
+		// Barrier tokens travel only to and from rank 0: link 1→0 carries,
+		// per iteration, two reducer data frames, rank 1's eval message at
+		// every second iteration, then the token, so frame 6 is iteration
+		// 1's token. Link 1→3 carries no token, one data frame per
+		// iteration: frame 1 is iteration 1's.
+		{name: "transient-drop", schedule: "drop:rank=1,peer=0,frame=6",
+			recs: 1, lost: [][]int{nil}, resume: []int{1}, healthy: true},
+		{name: "transient-drop-data", schedule: "drop:rank=1,peer=3,frame=1",
+			recs: 1, lost: [][]int{nil}, resume: []int{1}, healthy: true},
 		// Link 2→0 carries, per iteration, one reducer data frame, rank 2's
 		// eval message at every second iteration, then the barrier token:
 		// frame 2 is iteration 1's data frame and frame 3 its eval message.

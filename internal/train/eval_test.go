@@ -41,11 +41,41 @@ func TestShardedEvalMatchesOneShard(t *testing.T) {
 	}
 }
 
+// TestShardedEvalAfterShrink: after a shrink the generation has fewer
+// workers than Config.P, and the shards must follow the generation's P —
+// the held-out batch is still scored whole, on both in-process fabrics.
+func TestShardedEvalAfterShrink(t *testing.T) {
+	for _, fb := range []struct {
+		name string
+		b    comm.Backend
+	}{
+		{"simnet", simnet.Backend(comm.Ethernet)},
+		{"livenet", livenet.NewBackend()},
+	} {
+		t.Run(fb.name, func(t *testing.T) {
+			for id := 1; id <= 7; id++ {
+				for _, p := range []int{2, 3} {
+					for _, rows := range []int{1, 5, 0} {
+						checkGenerationEval(t, fb.b, id, 4, p, rows)
+					}
+				}
+			}
+		})
+	}
+}
+
 // checkShardedEval trains case id for one iteration at P = p and compares
 // the final point with rank 0's replica scoring the whole held-out batch.
 func checkShardedEval(t *testing.T, b comm.Backend, id, p, rows int) {
 	t.Helper()
-	s, err := newSession(Config{Case: CaseByID(id), P: p, KRatio: 0.01,
+	checkGenerationEval(t, b, id, p, p, rows)
+}
+
+// checkGenerationEval is checkShardedEval for a generation of p workers in
+// a session configured for cfgP ≥ p.
+func checkGenerationEval(t *testing.T, b comm.Backend, id, cfgP, p, rows int) {
+	t.Helper()
+	s, err := newSession(Config{Case: CaseByID(id), P: cfgP, KRatio: 0.01,
 		Factory: core.NewFactory(core.Options{}), Iters: 1, Seed: 17, EvalBatch: rows})
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +89,7 @@ func checkShardedEval(t *testing.T, b comm.Backend, id, p, rows int) {
 	loss, metric := reps[0].model.Loss(s.held)
 	if want := float64(loss.Data[0]); math.Float64bits(got.FinalLoss) != math.Float64bits(want) ||
 		math.Float64bits(got.FinalMetric) != math.Float64bits(metric) {
-		t.Errorf("P=%d rows=%d: sharded loss %v metric %v, one shard %v %v",
-			p, s.held.Size(), got.FinalLoss, got.FinalMetric, want, metric)
+		t.Errorf("case %d Config.P=%d P=%d rows=%d: sharded loss %v metric %v, one shard %v %v",
+			id, cfgP, p, s.held.Size(), got.FinalLoss, got.FinalMetric, want, metric)
 	}
 }
