@@ -20,26 +20,22 @@ func init() {
 		Paper: "Section III-B 'Optimization for SRS': deferring sparsification to just before transmission removes unnecessary top-k passes, reducing per-iteration time and discarding fewer gradients.",
 		Run: func(q Quality) []*Table {
 			c := train.CaseByID(1)
-			cfg := TimingConfig{
-				Case: c, P: 14, KRatio: 1e-2, Network: comm.Ethernet,
-				Iters: pick(q, 5, 20), Warmup: 2, Seed: 31,
-			}
-			lazy := MeasureTiming(cfg, NamedFactory{"lazy", sparDL(core.Options{})}, 0)
-			eager := MeasureTiming(cfg, NamedFactory{"eager", sparDL(core.Options{Eager: true})}, 0)
+			lazy := runConvergence(1, 14, 1e-2, comm.Ethernet, NamedFactory{"lazy", sparDL(core.Options{})}, pick(q, 5, 20), 0, 31)
+			eager := runConvergence(1, 14, 1e-2, comm.Ethernet, NamedFactory{"eager", sparDL(core.Options{Eager: true})}, pick(q, 5, 20), 0, 31)
 			tab := &Table{
 				Title:   "SRS sparsification timing ablation (P=14, VGG-16-like)",
 				Columns: []string{"variant", "comm(s)", "comp(s)", "per-update(s)"},
 				Notes: []string{
-					"in this cost model both variants scan each dense block once, so their times are near-equal;",
+					"in this cost model both variants scan each dense block once, so lazy is at most marginally faster in any column;",
 					"the optimization's second benefit — fewer discarded gradients — shows in the convergence table below",
 				},
 			}
-			tab.AddRow("SparDL (lazy, paper)", lazy.Comm, lazy.Comp, lazy.PerUpdate)
-			tab.AddRow("SparDL-eager (ablation)", eager.Comm, eager.Comp, eager.PerUpdate)
+			tab.AddRow("SparDL (lazy, paper)", lazy.CommTime, lazy.CompTime, lazy.PerUpdateTime)
+			tab.AddRow("SparDL-eager (ablation)", eager.CommTime, eager.CompTime, eager.PerUpdateTime)
 
 			iters := c.ItersPerEpoch * pick(q, 3, 10)
-			rl := runConvergence(1, 14, 1e-3, NamedFactory{"lazy", sparDL(core.Options{})}, iters, 0, 31)
-			re := runConvergence(1, 14, 1e-3, NamedFactory{"eager", sparDL(core.Options{Eager: true})}, iters, 0, 31)
+			rl := runConvergence(1, 14, 1e-3, comm.Ethernet, NamedFactory{"lazy", sparDL(core.Options{})}, iters, 0, 31)
+			re := runConvergence(1, 14, 1e-3, comm.Ethernet, NamedFactory{"eager", sparDL(core.Options{Eager: true})}, iters, 0, 31)
 			conv := &Table{
 				Title:   "Convergence after equal iterations (k/n=1e-3)",
 				Columns: []string{"variant", "final-acc", "comp(s)/update"},
@@ -119,11 +115,6 @@ func init() {
 		Title: "Ablation: sparse methods vs dense all-reduce",
 		Paper: "Section I motivation: S-SGD's dense synchronization dominates iteration time; top-k sparsification to ~1% density removes most of it.",
 		Run: func(q Quality) []*Table {
-			c := train.CaseByID(2)
-			cfg := TimingConfig{
-				Case: c, P: 14, KRatio: 1e-2, Network: comm.Ethernet,
-				Iters: pick(q, 4, 10), Warmup: 1, Seed: 33,
-			}
 			methods := []NamedFactory{
 				{"Dense", sparsecoll.NewDense},
 				{"TopkA", sparsecoll.NewTopkA},
@@ -133,10 +124,13 @@ func init() {
 				Title:   "Per-update time, dense vs sparse (VGG-19-like, P=14, k/n=1e-2)",
 				Columns: []string{"method", "comm(s)", "per-update(s)", "vs dense comm"},
 			}
-			results := measureAll(cfg, methods, 0)
-			dense := results[0].Comm
-			for _, r := range results {
-				tab.AddRow(r.Method, r.Comm, r.PerUpdate, fmt.Sprintf("%.1fx", dense/r.Comm))
+			var dense float64
+			for _, nf := range methods {
+				r := runConvergence(2, 14, 1e-2, comm.Ethernet, nf, pick(q, 4, 10), 0, 33)
+				if nf.Name == "Dense" {
+					dense = r.CommTime
+				}
+				tab.AddRow(r.Method, r.CommTime, r.PerUpdateTime, fmt.Sprintf("%.1fx", dense/r.CommTime))
 			}
 			return []*Table{tab}
 		},

@@ -14,10 +14,10 @@ import (
 // runConvergence trains one case with one method and returns the result.
 // Communication β is scaled to paper-size gradients (PaperScaleComm), so
 // the time axis of convergence curves matches the timing experiments.
-func runConvergence(caseID, p int, kRatio float64, nf NamedFactory, iters, evalEvery int, seed int64) *train.Result {
+func runConvergence(caseID, p int, kRatio float64, network comm.Profile, nf NamedFactory, iters, evalEvery int, seed int64) *train.Result {
 	return train.Run(train.Config{
 		Case: train.CaseByID(caseID), P: p, KRatio: kRatio,
-		Network: comm.Ethernet, Factory: nf.Factory,
+		Network: network, Factory: nf.Factory,
 		Iters: iters, Seed: seed, EvalEvery: evalEvery,
 		PaperScaleComm: true,
 	})
@@ -43,7 +43,7 @@ func convergenceTable(title string, caseID, p int, kRatio float64, methods []Nam
 	c := train.CaseByID(caseID)
 	results := make([]*train.Result, len(methods))
 	for i, nf := range methods {
-		results[i] = runConvergence(caseID, p, kRatio, nf, iters, evalEvery, seed)
+		results[i] = runConvergence(caseID, p, kRatio, comm.Ethernet, nf, iters, evalEvery, seed)
 	}
 	// Common target: the worst final metric across methods.
 	target := results[0].FinalMetric
@@ -215,7 +215,7 @@ func init() {
 				}
 				var baseTime float64
 				for _, ratio := range []float64{1e-1, 1e-2, 1e-3, 1e-4, 1e-5} {
-					r := runConvergence(caseID, 14, ratio, NamedFactory{"SparDL", sparDL(core.Options{})}, iters, 0, 16)
+					r := runConvergence(caseID, 14, ratio, comm.Ethernet, NamedFactory{"SparDL", sparDL(core.Options{})}, iters, 0, 16)
 					if ratio == 1e-1 {
 						baseTime = r.TotalTime
 					}
@@ -259,7 +259,7 @@ func init() {
 				for _, mode := range []core.ResidualMode{core.GRES, core.PRES, core.LRES} {
 					opts := s.opts
 					opts.Residual = mode
-					r := runConvergence(s.caseID, 14, 1e-3,
+					r := runConvergence(s.caseID, 14, 1e-3, comm.Ethernet,
 						NamedFactory{mode.String(), sparDL(opts)}, iters, c.ItersPerEpoch, 17)
 					row := []any{mode.String()}
 					for _, pt := range r.Points {

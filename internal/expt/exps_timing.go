@@ -2,9 +2,11 @@ package expt
 
 import (
 	"fmt"
+	"strings"
 
 	"spardl/internal/comm"
 	"spardl/internal/core"
+	"spardl/internal/nn"
 	"spardl/internal/simnet"
 	"spardl/internal/sparsecoll"
 	"spardl/internal/train"
@@ -18,34 +20,50 @@ func ceilLog2(p int) int {
 	return l
 }
 
-// costProbe runs one synchronization of synthetic gradients on simnet after
-// a warmup one, so adaptive methods are in steady state, and returns the
-// report of the second alone: its rounds and bytes received.
-func costProbe(p, n, k int, seed int64, nf NamedFactory) *comm.Report {
+// modelGrad returns rank's gradient of case c's freshly initialized
+// stand-in model on its iter-th training batch, at the model's own n: the
+// trainer's first step, without the update.
+func modelGrad(c *train.Case, seed int64, rank, iter int) []float32 {
+	m := c.NewModel(seed)
+	_, grad := nn.PackParams(m.Params())
+	loss, _ := m.Loss(c.NewData(seed).TrainBatch(rank, iter, c.BatchSize))
+	loss.Backward()
+	return grad
+}
+
+// modelN is the length of case c's gradient.
+func modelN(c *train.Case) int { return nn.ParamCount(c.NewModel(0).Params()) }
+
+// costProbe runs one synchronization of case c's model gradients on simnet
+// after a warmup one, so adaptive methods are in steady state, and returns
+// the report of the second alone: its rounds and bytes received.
+func costProbe(c *train.Case, p, k int, seed int64, nf NamedFactory) *comm.Report {
 	return simnet.Run(p, comm.Ethernet, func(rank int, ep *simnet.Endpoint) {
-		r := nf.Factory(p, rank, n, k)
-		g := make([]float32, n)
-		syntheticGrad(g, seed, rank, 0)
-		out := make([]float32, n)
+		g := modelGrad(c, seed, rank, 0)
+		r := nf.Factory(p, rank, len(g), k)
+		out := make([]float32, len(g))
 		r.ReduceInto(ep, g, out)
 		ep.SyncClock()
 		ep.ResetStats()
-		syntheticGrad(g, seed, rank, 1)
-		r.ReduceInto(ep, g, out)
+		r.ReduceInto(ep, modelGrad(c, seed, rank, 1), out)
 	})
 }
 
-// speedupTable measures each method's steady-state per-update time under
-// cfg and SparDL's communication speedup over it; SparDL comes last.
-func speedupTable(title string, cfg TimingConfig, methods []NamedFactory) *Table {
-	results := measureAll(cfg, methods, 0)
+// speedupTable trains caseID with each method on simnet under network
+// (paper-scale β, k/n = 1e-2) and reports its per-update breakdown and
+// SparDL's communication speedup over it; SparDL comes last.
+func speedupTable(title string, caseID, p int, network comm.Profile, iters int, seed int64, methods []NamedFactory) *Table {
 	tab := &Table{
 		Title:   title,
 		Columns: []string{"method", "comm(s)", "comp(s)", "per-update(s)", "SparDL comm speedup"},
 	}
-	spardlComm := results[len(results)-1].Comm
+	results := make([]*train.Result, len(methods))
+	for i, nf := range methods {
+		results[i] = runConvergence(caseID, p, 1e-2, network, nf, iters, 0, seed)
+	}
+	spardlComm := results[len(results)-1].CommTime
 	for _, r := range results {
-		tab.AddRow(r.Method, r.Comm, r.Comp, r.PerUpdate, fmt.Sprintf("%.1fx", r.Comm/spardlComm))
+		tab.AddRow(r.Method, r.CommTime, r.CompTime, r.PerUpdateTime, fmt.Sprintf("%.1fx", r.CommTime/spardlComm))
 	}
 	return tab
 }
@@ -56,18 +74,20 @@ func init() {
 		Title: "Table I: communication complexity of sparse all-reduce methods",
 		Paper: "Latency/bandwidth formulas: TopkA logP·α, 2(P-1)kβ; TopkDSA (P+2logP)α, [4(P-1)k/P, (P-1)(2k+n)/P]β; gTopk 2logP·α, 4logP·kβ; Ok-Topk 2(P+logP)α, [2(P-1)k/P, 6(P-1)k/P]β; SparDL 2logP·α, 4k(P-1)/P·β; R-SAG/B-SAG per Eqs. 7/10.",
 		Run: func(q Quality) []*Table {
+			c := train.CaseByID(1) // VGG-16, the case of Section IV-F
+			n := modelN(c)
+			k := n / 100
 			tab := &Table{
-				Title:   "Table I verification (measured worst-worker cost vs formula)",
-				Columns: []string{"method", "P", "rounds", "formula-rounds", "elems", "formula-elems", "within-envelope"},
+				Title:   fmt.Sprintf("Table I verification on %s's gradient (n=%d, k=%d; measured worst-worker cost vs formula)", c.Name, n, k),
+				Columns: []string{"method", "P", "rounds", "formula-rounds", "elems", "formula-elems", "envelope"},
 				Notes: []string{
 					"elems = 4-byte wire units, so one COO entry counts 2 (index+value), matching Table I's kβ accounting",
-					"measured after one warmup iteration; adaptive methods (Ok-Topk, B-SAG) report data-dependent volumes inside their envelope",
+					"measured after one warmup iteration; adaptive methods (Ok-Topk, B-SAG) report data-dependent volumes",
+					"Ok-Topk's lands above 6(P-1)k/P here: the overshoot the SparDL paper warns of",
 					"TopkDSA/Ok-Topk direct-send rounds are P-1 here; Table I's P counts the local copy too",
 				},
 			}
 			for _, p := range []int{12, 14, 16} {
-				n := 200 * p * 10
-				k := n / 100
 				lg := ceilLog2(p)
 				kf := float64(k)
 				pf := float64(p)
@@ -116,11 +136,23 @@ func init() {
 				}
 
 				for _, s := range specs {
-					rep := costProbe(p, n, k, 1, s.nf)
+					rep := costProbe(c, p, k, 1, s.nf)
 					rounds, elems := rep.MaxRounds(), rep.MaxBytesRecv()/4
-					ok := rounds >= s.roundsLo && rounds <= s.roundsHi &&
-						float64(elems) >= s.elemsLo && float64(elems) <= s.elemsHi
-					tab.AddRow(s.nf.Name, p, rounds, s.rounds, elems, s.elems, ok)
+					var outside []string
+					if rounds < s.roundsLo || rounds > s.roundsHi {
+						outside = append(outside, "rounds")
+					}
+					if float64(elems) < s.elemsLo {
+						outside = append(outside, "elems below")
+					}
+					if float64(elems) > s.elemsHi {
+						outside = append(outside, "elems above")
+					}
+					verdict := "inside"
+					if outside != nil {
+						verdict = strings.Join(outside, ", ")
+					}
+					tab.AddRow(s.nf.Name, p, rounds, s.rounds, elems, s.elems, verdict)
 				}
 			}
 			return []*Table{tab}
@@ -146,13 +178,9 @@ func init() {
 		Run: func(q Quality) []*Table {
 			var tables []*Table
 			for _, caseID := range []int{2, 4, 5, 6} {
-				c := train.CaseByID(caseID)
-				cfg := TimingConfig{
-					Case: c, P: 14, KRatio: 1e-2, Network: comm.Ethernet,
-					Iters: pick(q, 8, 30), Warmup: pick(q, 5, 10), Seed: 8,
-				}
 				tables = append(tables, speedupTable(
-					fmt.Sprintf("Fig. 8 — %s (P=14, k/n=1e-2, Ethernet)", c.Name), cfg, paperBaselines()))
+					fmt.Sprintf("Fig. 8 — %s (P=14, k/n=1e-2, Ethernet)", train.CaseByID(caseID).Name),
+					caseID, 14, comm.Ethernet, pick(q, 8, 30), 8, paperBaselines()))
 			}
 			return tables
 		},
@@ -165,13 +193,9 @@ func init() {
 		Run: func(q Quality) []*Table {
 			var tables []*Table
 			for _, caseID := range []int{3, 7} {
-				c := train.CaseByID(caseID)
-				cfg := TimingConfig{
-					Case: c, P: 14, KRatio: 1e-2, Network: comm.Ethernet,
-					Iters: pick(q, 8, 30), Warmup: pick(q, 5, 10), Seed: 10,
-				}
 				tables = append(tables, speedupTable(
-					fmt.Sprintf("Fig. 10 — %s (P=14, k/n=1e-2, Ethernet)", c.Name), cfg, []NamedFactory{
+					fmt.Sprintf("Fig. 10 — %s (P=14, k/n=1e-2, Ethernet)", train.CaseByID(caseID).Name),
+					caseID, 14, comm.Ethernet, pick(q, 8, 30), 10, []NamedFactory{
 						{"OkTopk", sparsecoll.NewOkTopk},
 						{"SparDL", sparDL(core.Options{})},
 					}))
@@ -189,14 +213,9 @@ func init() {
 			// Reference: one epoch with TopkDSA at P=8. An epoch is a fixed
 			// dataset pass: iterations scale inversely with P.
 			epochExamples := c.ItersPerEpoch * 8 * c.BatchSize
-			epochIters := func(p int) int { return epochExamples / (p * c.BatchSize) }
 			epochTime := func(p int, nf NamedFactory) float64 {
-				cfg := TimingConfig{
-					Case: c, P: p, KRatio: 1e-2, Network: comm.Ethernet,
-					Iters: pick(q, 6, 12), Warmup: 4, Seed: 12,
-				}
-				r := MeasureTiming(cfg, nf, 0)
-				return r.PerUpdate * float64(epochIters(p))
+				r := runConvergence(c.ID, p, 1e-2, comm.Ethernet, nf, pick(q, 6, 12), 0, 12)
+				return r.PerUpdateTime * float64(epochExamples/(p*c.BatchSize))
 			}
 			ref := epochTime(8, NamedFactory{"TopkDSA", sparsecoll.NewTopkDSA})
 			tab := &Table{
@@ -240,26 +259,27 @@ func init() {
 		Paper: "The optimal d (B7 at P=14, B6 at P=12) is steadily fastest in each of the first ten epochs, so users can pick d after one epoch.",
 		Run: func(q Quality) []*Table {
 			var tables []*Table
+			c := train.CaseByID(1)
+			epochs := pick(q, 4, 10)
 			for _, p := range []int{14, 12} {
-				epochs := pick(q, 4, 10)
-				c := train.CaseByID(1)
 				configs := dConfigs(p)
 				tab := &Table{
 					Title:   fmt.Sprintf("Fig. 15 — per-epoch time (s) across epochs, P=%d (VGG-16/CIFAR-10)", p),
 					Columns: append([]string{"epoch"}, configNames(configs)...),
 				}
-				series := make([][]float64, len(configs))
+				// One point per epoch; an epoch's time is the clock between two.
+				points := make([][]train.Point, len(configs))
 				for i, nc := range configs {
-					cfg := TimingConfig{
-						Case: c, P: p, KRatio: 1e-2, Network: comm.Ethernet,
-						Iters: epochs * c.ItersPerEpoch, Warmup: 0, Seed: 15,
-					}
-					series[i] = MeasureTiming(cfg, nc, c.ItersPerEpoch).PerEpoch
+					points[i] = runConvergence(c.ID, p, 1e-2, comm.Ethernet, nc, epochs*c.ItersPerEpoch, c.ItersPerEpoch, 15).Points
 				}
 				for e := 0; e < epochs; e++ {
 					row := []any{e + 1}
 					for i := range configs {
-						row = append(row, series[i][e])
+						prev := 0.0
+						if e > 0 {
+							prev = points[i][e-1].Time
+						}
+						row = append(row, points[i][e].Time-prev)
 					}
 					tab.AddRow(row...)
 				}
@@ -274,15 +294,10 @@ func init() {
 		Title: "Fig. 18: per-update time on an RDMA network, 5 workers",
 		Paper: "VGG-19: SparDL communication 4.0/3.4/3.0× faster than TopkDSA/TopkA/Ok-Topk. BERT: 4.2× faster than Ok-Topk.",
 		Run: func(q Quality) []*Table {
-			cfgFor := func(id int) TimingConfig {
-				return TimingConfig{
-					Case: train.CaseByID(id), P: 5, KRatio: 1e-2, Network: comm.RDMA,
-					Iters: pick(q, 8, 30), Warmup: pick(q, 5, 10), Seed: 18,
-				}
-			}
+			iters := pick(q, 8, 30)
 			return []*Table{
-				speedupTable("Fig. 18(a) — VGG-19/CIFAR-100 (P=5, RDMA)", cfgFor(2), paperBaselines()),
-				speedupTable("Fig. 18(b) — BERT/Wikipedia (P=5, RDMA)", cfgFor(7), []NamedFactory{
+				speedupTable("Fig. 18(a) — VGG-19/CIFAR-100 (P=5, RDMA)", 2, 5, comm.RDMA, iters, 18, paperBaselines()),
+				speedupTable("Fig. 18(b) — BERT/Wikipedia (P=5, RDMA)", 7, 5, comm.RDMA, iters, 18, []NamedFactory{
 					{"OkTopk", sparsecoll.NewOkTopk},
 					{"SparDL", sparDL(core.Options{})},
 				}),
@@ -325,9 +340,8 @@ func configNames(cfgs []NamedFactory) []string {
 	return names
 }
 
-// dImpactTable measures steady-state per-epoch time for each d at one P
-// (Fig. 14): warmup lets the B-SAG controller settle, mirroring the paper's
-// averaged epochs.
+// dImpactTable measures the per-epoch time of each d at one P (Fig. 14):
+// the per-update time averaged over every iteration of the run.
 func dImpactTable(q Quality, p int) *Table {
 	c := train.CaseByID(1) // VGG-16 on CIFAR-10, as in Section IV-F
 	tab := &Table{
@@ -336,12 +350,8 @@ func dImpactTable(q Quality, p int) *Table {
 	}
 	var base float64
 	for _, nc := range dConfigs(p) {
-		cfg := TimingConfig{
-			Case: c, P: p, KRatio: 1e-2, Network: comm.Ethernet,
-			Iters: pick(q, 2, 6) * c.ItersPerEpoch, Warmup: c.ItersPerEpoch, Seed: 14,
-		}
-		r := MeasureTiming(cfg, nc, 0)
-		perEpoch := r.PerUpdate * float64(c.ItersPerEpoch)
+		r := runConvergence(c.ID, p, 1e-2, comm.Ethernet, nc, pick(q, 2, 6)*c.ItersPerEpoch, 0, 14)
+		perEpoch := r.PerUpdateTime * float64(c.ItersPerEpoch)
 		if nc.Name == "1" {
 			base = perEpoch
 		}

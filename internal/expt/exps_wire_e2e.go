@@ -20,9 +20,10 @@ func init() {
 
 			// Sparsity sweep: cluster-wide bytes per synchronization.
 			const p = 14
-			n := pick(q, 1<<17, 1<<18)
+			c := train.CaseByID(2) // VGG-19/CIFAR-100, the Fig. 8/18 headline case
+			n := modelN(c)
 			sweep := &Table{
-				Title:   fmt.Sprintf("SparDL bytes on the wire per synchronization (P=%d, n=%d)", p, n),
+				Title:   fmt.Sprintf("SparDL bytes on the wire per synchronization (P=%d, %s's gradient, n=%d)", p, c.Name, n),
 				Columns: []string{"k/n", "wire", "rounds", "total BytesRecv", "saving vs COO"},
 				Notes: []string{
 					"total BytesRecv sums all workers for one steady-state synchronization",
@@ -34,7 +35,7 @@ func init() {
 				var cooTotal int64
 				for _, mode := range []wire.Mode{wire.ModeCOO, wire.ModeNegotiated} {
 					nf := NamedFactory{"SparDL", sparsecoll.Tuned(sparDL(core.Options{}), mode)}
-					rep := costProbe(p, n, k, 5, nf)
+					rep := costProbe(c, p, k, 5, nf)
 					rounds, total := rep.MaxRounds(), rep.TotalBytesRecv()
 					saving := "-"
 					if mode == wire.ModeCOO {
@@ -56,7 +57,6 @@ func init() {
 				{"Ethernet", comm.Ethernet, 14},
 				{"RDMA", comm.RDMA, 5},
 			} {
-				c := train.CaseByID(2) // VGG-19/CIFAR-100, the Fig. 8/18 headline case
 				tab := &Table{
 					Title: fmt.Sprintf("Fig. 8/18-style per-update time — %s (P=%d, %s, k/n=1e-2)",
 						c.Name, net.p, net.name),
@@ -64,20 +64,16 @@ func init() {
 				}
 				cooBytes := map[string]int64{}
 				for _, mode := range []wire.Mode{wire.ModeCOO, wire.ModeNegotiated} {
-					cfg := TimingConfig{
-						Case: c, P: net.p, KRatio: 1e-2, Network: net.profile,
-						Iters: pick(q, 6, 24), Warmup: pick(q, 3, 8), Seed: 88,
-					}
 					for _, nf := range paperBaselines() {
 						nf.Factory = sparsecoll.Tuned(nf.Factory, mode)
-						r := MeasureTiming(cfg, nf, 0)
+						r := runConvergence(c.ID, net.p, 1e-2, net.profile, nf, pick(q, 6, 24), 0, 88)
 						saving := "-"
 						if mode == wire.ModeCOO {
-							cooBytes[nf.Name] = r.BytesRecvd
+							cooBytes[nf.Name] = r.BytesPerIter
 						} else if base := cooBytes[nf.Name]; base > 0 {
-							saving = fmt.Sprintf("%.0f%%", 100*(1-float64(r.BytesRecvd)/float64(base)))
+							saving = fmt.Sprintf("%.0f%%", 100*(1-float64(r.BytesPerIter)/float64(base)))
 						}
-						tab.AddRow(nf.Name, mode.String(), r.Comm, r.PerUpdate, r.BytesRecvd, saving)
+						tab.AddRow(nf.Name, mode.String(), r.CommTime, r.PerUpdateTime, r.BytesPerIter, saving)
 					}
 				}
 				tables = append(tables, tab)

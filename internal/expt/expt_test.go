@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"spardl/internal/comm"
 	"spardl/internal/core"
 	"spardl/internal/sparsecoll"
 	"spardl/internal/train"
@@ -14,20 +13,12 @@ import (
 
 func coreOptions() core.Options { return core.Options{} }
 
-func unitProfile() comm.Profile { return comm.Profile{Name: "unit", Alpha: 1e-4, Beta: 1e-8} }
-
-// caseForTest is a tiny synthetic case: timing mode only reads PaperParams
-// and ComputeTime.
-func caseForTest() *train.Case {
-	return &train.Case{ID: 99, Name: "test", PaperParams: 400_000, ComputeTime: 0.01, BatchSize: 8, ItersPerEpoch: 4}
-}
-
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"table1", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12a", "fig12b",
 		"fig13", "fig14", "fig15", "fig16", "fig17", "fig18",
 		"ablation-lazy", "ablation-sga", "ablation-allgather", "ablation-dense",
-		"ext-hetero", "ext-pipeline", "ext-wire", "ext-wire-e2e",
+		"ext-pipeline", "ext-wire", "ext-wire-e2e",
 	}
 	for _, id := range want {
 		if _, err := ByID(id); err != nil {
@@ -77,31 +68,23 @@ func TestSGAGrowthShowsDilemma(t *testing.T) {
 }
 
 func TestCostProbeSparDL(t *testing.T) {
-	rep := costProbe(8, 8000, 80, 1, NamedFactory{"SparDL", sparDL(coreOptions())})
+	const p = 8
+	c := train.CaseByID(1)
+	n := modelN(c)
+	k := n / 100
+	rep := costProbe(c, p, k, 1, NamedFactory{"SparDL", sparDL(coreOptions())})
 	rounds, elems := rep.MaxRounds(), rep.MaxBytesRecv()/4
 	if rounds != 6 { // 2·log₂8
 		t.Fatalf("rounds = %d, want 6", rounds)
 	}
-	want := int64(4 * 80 * 7 / 8)
+	s, err := core.New(p, 0, n, k, coreOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 4k(P−1)/P at the k SparDL really sends: a COO entry is 2 elements.
+	want := int64(4 * s.EffectiveK() * (p - 1) / p)
 	if elems != want {
-		t.Fatalf("elems = %d, want %d", elems, want)
-	}
-}
-
-func TestMeasureTimingBasics(t *testing.T) {
-	cfg := TimingConfig{
-		Case: caseForTest(), P: 4, KRatio: 1e-2, Network: unitProfile(),
-		Iters: 3, Warmup: 1, Seed: 1,
-	}
-	r := MeasureTiming(cfg, NamedFactory{"SparDL", sparDL(coreOptions())}, 2)
-	if r.Method != "SparDL" {
-		t.Fatalf("method %q", r.Method)
-	}
-	if r.PerUpdate <= 0 || r.Comm <= 0 || r.Comp < cfg.Case.ComputeTime {
-		t.Fatalf("bad timing result: %+v", r)
-	}
-	if len(r.PerEpoch) != 2 {
-		t.Fatalf("want 2 epochs, got %d", len(r.PerEpoch))
+		t.Fatalf("elems = %d, want %d (n=%d, k=%d, EffectiveK=%d)", elems, want, n, k, s.EffectiveK())
 	}
 }
 
@@ -132,21 +115,19 @@ func TestQuickExperimentsSmoke(t *testing.T) {
 }
 
 // Acceptance check for the negotiated accounting: at k/n ≤ 1e-2 SparDL's
-// cluster-wide received volume must be strictly lower than the COO
-// accounting.
+// cluster-wide received volume on a model gradient must be strictly lower
+// than the COO accounting.
 func TestWireE2ENegotiatedBeatsCOO(t *testing.T) {
-	// At 1e-3 the per-block chunks need a realistic n: below a handful of
-	// entries per message the 13-byte self-describing header outweighs the
-	// varint savings (the sweep table reports this regime honestly).
+	// At 1e-3 the per-block chunks hold only a few entries each, where a
+	// message's 1-byte format tag and uvarint counts eat into the varint
+	// savings (the sweep table reports this regime honestly).
 	const p = 14
-	for _, tc := range []struct {
-		n     int
-		ratio float64
-	}{{1 << 15, 1e-2}, {1 << 17, 1e-3}} {
-		n, ratio := tc.n, tc.ratio
+	c := train.CaseByID(2)
+	n := modelN(c)
+	for _, ratio := range []float64{1e-2, 1e-3} {
 		k := int(ratio * float64(n))
-		coo := costProbe(p, n, k, 5, NamedFactory{"SparDL", sparDL(core.Options{})}).TotalBytesRecv()
-		neg := costProbe(p, n, k, 5, NamedFactory{"SparDL", sparsecoll.Tuned(sparDL(core.Options{}), wire.ModeNegotiated)}).TotalBytesRecv()
+		coo := costProbe(c, p, k, 5, NamedFactory{"SparDL", sparDL(core.Options{})}).TotalBytesRecv()
+		neg := costProbe(c, p, k, 5, NamedFactory{"SparDL", sparsecoll.Tuned(sparDL(core.Options{}), wire.ModeNegotiated)}).TotalBytesRecv()
 		if neg >= coo {
 			t.Fatalf("k/n=%g: negotiated %d not below COO %d", ratio, neg, coo)
 		}
@@ -199,6 +180,10 @@ func TestPipelineExperimentCutsExposedComm(t *testing.T) {
 	}
 }
 
+// Every row's rounds and volume sit inside Table I's envelope except
+// Ok-Topk's volume, which lands above 6(P−1)k/P on case 1's gradient at all
+// three P: the overshoot the SparDL paper warns of. That is pinned as
+// measured, so a change that moves the row back inside fails here too.
 func TestTable1AllWithinEnvelope(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table1 verification")
@@ -209,8 +194,12 @@ func TestTable1AllWithinEnvelope(t *testing.T) {
 	}
 	tab := e.Run(Quick)[0]
 	for _, row := range tab.Rows {
-		if row[len(row)-1] != "true" {
-			t.Fatalf("cost outside Table I envelope: %v", row)
+		want := "inside"
+		if row[0] == "OkTopk" {
+			want = "elems above"
+		}
+		if got := row[len(row)-1]; got != want {
+			t.Errorf("Table I envelope: %s, want %s: %v", got, want, row)
 		}
 	}
 }
