@@ -1,7 +1,7 @@
 # Developer entry points. CI runs the same commands (see
 # .github/workflows/ci.yml).
 
-.PHONY: build test race vet bench bench-nn bench-dense bench-select bench-add bench-e2e bench-smoke fmt
+.PHONY: build test race vet bench-nn bench-dense bench-select bench-add bench-e2e bench-smoke fmt
 
 build:
 	go build ./...
@@ -14,9 +14,6 @@ race:
 
 vet:
 	go vet ./...
-
-bench:
-	go test -run '^$$' -bench 'BenchmarkReduceOnce$$' -benchmem -benchtime 20x .
 
 # Training compute: the three MatMul kernels every model goes through, one
 # ResMLP worker step (the compute half of train-live-resmlp) and one rank's

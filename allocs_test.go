@@ -24,18 +24,18 @@ import (
 // A row fails when its count moves by P or more either way: an allocation
 // every rank makes adds at least P, and the scheduling jitter is below P. A
 // drop fails too, so the committed counts stay tight ceilings — lower the
-// row. simnet rows hold persistent endpoints and reducers and count one
-// fleet-wide sync per testing.AllocsPerRun call, the form
-// ReduceBench.Iterate uses; the warm-up is part of the row: B-SAG's N_t
-// history grows at fixed sync counts.
+// row. simnet rows hold persistent endpoints and reducers, as a training
+// loop does, and count one fleet-wide sync per testing.AllocsPerRun call;
+// the warm-up is part of the row: B-SAG's N_t history grows at fixed sync
+// counts.
 //
 // livenet and tcpnet-local rows run inside Backend.Run. Rank 0 reads
 // runtime.MemStats around allocLiveRuns syncs while every other rank waits
-// at a SyncClock barrier, as spardl-bench's -live-baseline does. Each
-// tcpnet frame is one write on the sending goroutine, so no count depends
-// on how frames happen to batch: over 20 runs (10 at GOMAXPROCS 2, 5 each
-// at 1 and 4) every wall-clock row stayed within 4 of its committed count,
-// the widest spread being livenet's Ok-Topk (605–610).
+// at a SyncClock barrier. Each tcpnet frame is one write on the sending
+// goroutine, so no count depends on how frames happen to batch: over 20
+// runs (10 at GOMAXPROCS 2, 5 each at 1 and 4) every wall-clock row stayed
+// within 4 of its committed count, the widest spread being livenet's
+// Ok-Topk (605–610).
 //
 // Under -race sync.Pool drops Puts at random, so pooled slabs reallocate
 // and no count means anything; the gate skips there.

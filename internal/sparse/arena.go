@@ -5,10 +5,10 @@ package sparse
 // working set of chunks per synchronization step — selections, merge
 // results, send bags, decoded messages — and allocating them fresh each
 // iteration made the memory allocator, not the collective schedule, the
-// dominant cost of a Reduce (see BENCH_reduce.json history). An Arena
-// amortizes all of that: chunk headers, Idx/Val storage, chunk-pointer
-// slices and encode byte buffers are carved from reusable slabs by a bump
-// pointer, so a steady-state Reduce performs no heap allocation at all.
+// dominant cost of a Reduce. An Arena amortizes all of that: chunk
+// headers, Idx/Val storage, chunk-pointer slices and encode byte buffers
+// are carved from reusable slabs by a bump pointer, so a steady-state
+// Reduce performs no heap allocation at all.
 //
 // # Ownership and epochs
 //

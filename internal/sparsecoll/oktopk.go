@@ -21,10 +21,10 @@ import (
 //  4. Extra balancing traffic: workers all-gather their block counts, and
 //     oversized blocks ship overflow entries to the successor worker before
 //     the final all-gather — the "several extra communication operations to
-//     balance the uneven distribution" of Section I-B. These keep the
-//     bandwidth inside Table I's [2(P-1)/P·kβ, 6(P-1)/P·kβ] envelope but
-//     push real traffic above the lower bound whenever the selections are
-//     uneven across blocks.
+//     balance the uneven distribution" of Section I-B. These push traffic
+//     above Table I's 2(P-1)/P·kβ bound when selections are uneven across
+//     blocks; on case 1's gradient table1 measures 5347/5443/5795 elements
+//     at P = 12/14/16, above the 6(P-1)/P·kβ bound (4636/4697/4742).
 //  5. Bruck all-gather of the (uneven) reduced blocks.
 //
 // Residuals: local + end-procedure (PRES), as in the original.
@@ -48,9 +48,9 @@ type OkTopk struct {
 // re-implementation re-estimates the threshold on every call and keeps the
 // over-selection.
 // This is precisely the behaviour the SparDL paper criticizes ("the
-// bandwidth cost of Ok-Topk may be higher than 6(P-1)/P·kβ"); the value
-// puts the measured volume in the upper half of Table I's envelope, where
-// the paper's measurements sit.
+// bandwidth cost of Ok-Topk may be higher than 6(P-1)/P·kβ"); with this
+// value table1 measures the volume above that bound on case 1's gradient
+// (see step 4 above).
 const overSelect = 1.8
 
 // NewOkTopk builds the Ok-Topk reducer for one worker of a P-worker

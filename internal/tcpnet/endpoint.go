@@ -265,8 +265,8 @@ func appendFrameHeader(dst []byte, f comm.Frame) []byte {
 // readerStickyBytes sizes the frame reader's sticky buffer, which exists
 // for small-frame traffic: one read drains a burst of headers and short
 // payloads in a single syscall. A SparDL sync on sync-tcp-small receives
-// ≈ 3.7 KB per rank and BENCH_tcp's frames are ≈ 4 KB, so 8 KiB holds a
-// whole burst. A payload that starts in the buffer has at most this many
+// ≈ 3.7 KB per rank, and one at P = 8, n = 2¹⁸ sends ≈ 4 KB frames, so
+// 8 KiB holds a whole burst. A payload that starts in the buffer has at most this many
 // of its bytes memcpy'd out of it; the rest — all but a sliver of a dense
 // all-reduce's 128–512 KiB frames — is read straight into its arena slab.
 const readerStickyBytes = 8 << 10

@@ -14,7 +14,7 @@ import (
 // loopback TCP sockets. The transport cannot tell goroutines from
 // processes — every byte still crosses the kernel through a genuine
 // socket pair — so this is the single-command way to measure the socket
-// data path (spardl-bench -tcp-baseline) or exercise it under the race
+// data path (bench/'s sync-tcp-* workloads) or exercise it under the race
 // detector without forking worker processes. timeout bounds rendezvous,
 // mesh establishment and graceful close; zero means the package default.
 func LocalBackend(timeout time.Duration) comm.Backend { return localBackend{timeout: timeout} }

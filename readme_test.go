@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -161,5 +162,67 @@ func TestReadmeIdentsResolve(t *testing.T) {
 	}
 	if refs == 0 {
 		t.Error("README.md has no backticked pkg.Ident at all: the reference pattern is broken")
+	}
+}
+
+// TestCitedFilesExist holds every *.md or *.json path that README.md, the
+// verify skill, CI's workflow, the Makefile or a comment in a non-test Go
+// file cites to the tree: it must resolve from the repo root or from the
+// citing file's directory. bench/ is skipped: the end-to-end benchmark
+// changes only together with its own records.
+func TestCitedFilesExist(t *testing.T) {
+	type text struct {
+		path string
+		line int
+		s    string
+	}
+	var texts []text
+	for _, path := range []string{"README.md", ".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml", "Makefile"} {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		texts = append(texts, text{path, 1, string(src)})
+	}
+	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case e.IsDir() && path != "." && (path == "bench" || strings.HasPrefix(path, ".")):
+			return filepath.SkipDir
+		case e.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, g := range f.Comments {
+			for _, c := range g.List {
+				texts = append(texts, text{path, fset.Position(c.Pos()).Line, c.Text})
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cite := regexp.MustCompile(`[\w./-]*\w\.(?:md|json)\b`)
+	cites := 0
+	for _, x := range texts {
+		for i, line := range strings.Split(x.s, "\n") {
+			for _, p := range cite.FindAllString(line, -1) {
+				cites++
+				_, errRoot := os.Stat(p)
+				_, errDir := os.Stat(filepath.Join(filepath.Dir(x.path), p))
+				if errRoot != nil && errDir != nil {
+					t.Errorf("%s:%d cites %s, which does not exist", x.path, x.line+i, p)
+				}
+			}
+		}
+	}
+	if cites == 0 {
+		t.Error("no *.md or *.json cite found: the pattern is broken")
 	}
 }

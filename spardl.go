@@ -35,11 +35,9 @@ import (
 	"spardl/internal/livenet"
 	"spardl/internal/pipeline"
 	"spardl/internal/simnet"
-	"spardl/internal/sparse"
 	"spardl/internal/sparsecoll"
 	"spardl/internal/tcpnet"
 	"spardl/internal/train"
-	"spardl/internal/wire"
 )
 
 // Factory builds one reducer per worker: a reducer synchronizes one
@@ -50,34 +48,6 @@ type Factory = sparsecoll.Factory
 
 // Options configures SparDL (team count d, SAG variant, residual mode).
 type Options = core.Options
-
-// WireMode selects what the simulator charges for every sparse message;
-// Tuned applies it. The byte-level backends have one real wire format —
-// the negotiated codec — and ignore it.
-type WireMode = wire.Mode
-
-// Simulator accounting modes.
-const (
-	// WireCOO is the paper's accounting baseline: 8 bytes per entry.
-	WireCOO = wire.ModeCOO
-	// WireNegotiated charges the smallest self-describing encoding
-	// (COO / delta-varint / bitmap / dense) per message — what the real
-	// backends move.
-	WireNegotiated = wire.ModeNegotiated
-)
-
-// SelectStats counts how a reducer's top-k selections — at every block
-// length — found their thresholds: cold, warm hit (of which tightened,
-// widened), fallback. Observability only — the selections are exact and
-// identical whichever way they went.
-type SelectStats = sparse.SelectStats
-
-// Tuned wraps a factory — SparDL's or a baseline's — with a simulator
-// accounting mode (the zero value is the default). It is the one way to
-// choose that accounting.
-func Tuned(f Factory, mode WireMode) Factory {
-	return sparsecoll.Tuned(f, mode)
-}
 
 // New builds a SparDL reducer for one worker of a P-worker cluster
 // synchronizing length-n gradients with global selection size k.
@@ -150,19 +120,12 @@ type (
 	// accepts: *Endpoint (the simulator's) and the live backends' endpoints
 	// all satisfy it.
 	CommEndpoint = comm.Endpoint
-	// Backend runs P workers over one communication substrate
-	// (SimBackend or LiveBackend); TrainConfig.Backend selects it.
-	Backend = comm.Backend
 )
-
-// SimBackend returns the deterministic α-β simulator backend for the
-// given network profile: virtual time, payloads by reference.
-func SimBackend(profile comm.Profile) Backend { return simnet.Backend(profile) }
 
 // LiveBackend returns the real concurrent byte-level backend: P goroutines
 // over in-memory channels, every sparse message actually serialized
 // through the wire codecs, wall-clock time and real byte counts.
-func LiveBackend() Backend { return livenet.NewBackend() }
+func LiveBackend() comm.Backend { return livenet.NewBackend() }
 
 // Distributed TCP backend (tcpnet): each worker is a separate OS process;
 // rank 0 hosts the rendezvous, workers mesh up over real TCP sockets, and
@@ -172,12 +135,6 @@ func LiveBackend() Backend { return livenet.NewBackend() }
 // TCPConfig describes one worker process's cluster coordinates
 // (rendezvous address, P, rank).
 type TCPConfig = tcpnet.Config
-
-// TCPLocalBackend runs P tcpnet workers as goroutines of this one process,
-// each with its own endpoint over real loopback TCP sockets — every byte
-// still crosses the kernel — so the socket data path is measurable with a
-// single command (spardl-bench -tcp-baseline) without forking processes.
-func TCPLocalBackend() Backend { return tcpnet.LocalBackend(0) }
 
 // TCPConfigFromEnv reads the spawned-worker convention; ok is false when
 // this process was not launched as a tcpnet worker.
@@ -289,8 +246,6 @@ type (
 	// Endpoint is one worker's handle on the simulated fabric (virtual
 	// clock, traffic statistics).
 	Endpoint = simnet.Endpoint
-	// Report aggregates per-worker statistics of a cluster run.
-	Report = comm.Report
 )
 
 // Built-in network profiles (latency α seconds, β seconds/byte).
@@ -301,78 +256,8 @@ var (
 
 // RunCluster executes worker(rank, endpoint) on p goroutines over a fresh
 // simulated fabric and reports per-worker α-β costs.
-func RunCluster(p int, profile comm.Profile, worker func(rank int, ep *Endpoint)) *Report {
+func RunCluster(p int, profile comm.Profile, worker func(rank int, ep *Endpoint)) *comm.Report {
 	return simnet.Run(p, profile, worker)
-}
-
-// ReduceBench is the canonical steady-state hot-path workload: one SparDL
-// synchronization per Iterate over a persistent fabric with persistent
-// reducers and gradient/result buffers, exactly as a training loop holds
-// them. BenchmarkReduceOnce and spardl-bench's -reduce-baseline both run
-// THIS harness, so the committed BENCH_reduce.json, CI's perf-baseline
-// gate and `make bench` measure the identical workload by construction.
-type ReduceBench struct {
-	grads, bufs, outs [][]float32
-	eps               []*Endpoint
-	reducers          []*core.SparDL
-}
-
-// NewReduceBench builds the workload: deterministic per-worker gradients,
-// one reducer per worker, everything preallocated. It runs two warm-up
-// synchronizations so the arenas and pools are filled through a full
-// double-buffer (quarantine) cycle before the first timed Iterate.
-func NewReduceBench(p, n, k int, mode WireMode) (*ReduceBench, error) {
-	rb := &ReduceBench{
-		grads: make([][]float32, p), bufs: make([][]float32, p),
-		outs: make([][]float32, p), eps: make([]*Endpoint, p),
-		reducers: make([]*core.SparDL, p),
-	}
-	fabric := simnet.New(p, Ethernet)
-	for w := 0; w < p; w++ {
-		rb.grads[w] = make([]float32, n)
-		for i := range rb.grads[w] {
-			rb.grads[w][i] = float32((i*7+w)%101) / 100
-		}
-		rb.bufs[w] = make([]float32, n)
-		rb.outs[w] = make([]float32, n)
-		rb.eps[w] = fabric.Endpoint(w)
-		r, err := New(p, w, n, k, Options{})
-		if err != nil {
-			return nil, err
-		}
-		r.SetWire(mode)
-		rb.reducers[w] = r
-	}
-	rb.Iterate()
-	rb.Iterate()
-	return rb, nil
-}
-
-// Iterate runs one cluster-wide steady-state synchronization: the shared
-// run loop over the persistent endpoints, so the fabric, endpoints and
-// reducers stay alive across iterations — the allocation-free hot path the
-// benchmarks measure.
-func (rb *ReduceBench) Iterate() {
-	var root comm.Cause
-	comm.RunWorkers(len(rb.eps), nil, &root,
-		func(rank int) comm.Node { return rb.eps[rank] },
-		func(rank int, ep CommEndpoint) {
-			copy(rb.bufs[rank], rb.grads[rank])
-			rb.reducers[rank].ReduceInto(ep, rb.bufs[rank], rb.outs[rank])
-		})
-	if cause := root.String(); cause != "" {
-		panic(cause)
-	}
-}
-
-// SelectStats sums the workers' selection counts (see core.SparDL.SelectStats)
-// over every synchronization so far, warm-up included.
-func (rb *ReduceBench) SelectStats() SelectStats {
-	var sum SelectStats
-	for _, r := range rb.reducers {
-		sum.Add(r.SelectStats())
-	}
-	return sum
 }
 
 // Distributed training.
