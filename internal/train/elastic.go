@@ -8,13 +8,9 @@ import (
 	"spardl/internal/sparsecoll"
 )
 
-// ElasticConfig bounds an elastic training run (Config.Elastic).
-type ElasticConfig struct {
-	// MinP is the smallest membership worth continuing with (default 1).
-	MinP int
-	// MaxRestarts bounds re-rendezvous attempts (default 1).
-	MaxRestarts int
-}
+// ElasticConfig bounds an elastic training run (Config.Elastic); it is the
+// backend's own comm.ElasticOptions, passed through unchanged.
+type ElasticConfig = comm.ElasticOptions
 
 // RecoveryStat is one survived membership change, as seen by the trainer:
 // the backend's re-rendezvous record plus the training-level half of the
@@ -72,10 +68,9 @@ func RunElastic(cfg Config) (*Result, []RecoveryStat, error) {
 		return nil, nil, err
 	}
 	s.elastic = true
-	opts := comm.ElasticOptions{}
+	var opts ElasticConfig
 	if cfg.Elastic != nil {
-		opts.MinP = cfg.Elastic.MinP
-		opts.MaxRestarts = cfg.Elastic.MaxRestarts
+		opts = *cfg.Elastic
 	}
 	replicas := make([]*replica, cfg.P) // keyed by stable ID; each touched by its own worker only
 	_, recoveries, err := eb.RunElastic(cfg.P, opts, func(m comm.Membership, ep comm.Endpoint) {

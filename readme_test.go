@@ -73,12 +73,28 @@ func TestPackageMapMatchesGoList(t *testing.T) {
 	}
 }
 
-// TestReadmeIdentsResolve holds README's inline code to the module: a
-// backticked `pkg.Ident` whose pkg is the name of a module package (other
-// than main) must name an exported top-level declaration — type, func, var
-// or const — in that package's non-test files, whatever their build tags.
-// Fenced code blocks are not read; in `pkg.Type.Method` only the Type is
-// checked.
+// docFiles is README.md and every *.md file under docs/: the documents the
+// drift tests hold to the tree.
+func docFiles(t *testing.T) []string {
+	files := []string{"README.md"}
+	err := filepath.WalkDir("docs", func(path string, e fs.DirEntry, err error) error {
+		if err == nil && !e.IsDir() && strings.HasSuffix(path, ".md") {
+			files = append(files, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestReadmeIdentsResolve holds README's and docs/'s inline code to the
+// module: a backticked `pkg.Ident` whose pkg is the name of a module
+// package (other than main) must name an exported top-level declaration —
+// type, func, var or const — in that package's non-test files, whatever
+// their build tags. Fenced code blocks are not read; in `pkg.Type.Method`
+// only the Type is checked.
 func TestReadmeIdentsResolve(t *testing.T) {
 	out, err := exec.Command("go", "list", "-f", "{{.Name}} {{.Dir}}", "./...").Output()
 	if err != nil {
@@ -132,44 +148,48 @@ func TestReadmeIdentsResolve(t *testing.T) {
 			}
 		}
 	}
-	readme, err := os.ReadFile("README.md")
-	if err != nil {
-		t.Fatal(err)
-	}
 	span := regexp.MustCompile("`[^`]+`")
 	ref := regexp.MustCompile(`\b(\w+)\.([A-Z]\w*)`)
-	fenced, refs := false, 0
-	for i, line := range strings.Split(string(readme), "\n") {
-		if strings.HasPrefix(strings.TrimSpace(line), "```") {
-			fenced = !fenced
-			continue
+	for _, path := range docFiles(t) {
+		doc, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if fenced {
-			continue
-		}
-		for _, code := range span.FindAllString(line, -1) {
-			for _, m := range ref.FindAllStringSubmatch(code, -1) {
-				decls, isPkg := exported[m[1]]
-				if !isPkg {
-					continue
-				}
-				refs++
-				if !decls[m[2]] {
-					t.Errorf("README.md:%d: %s names no exported declaration of package %s", i+1, m[0], m[1])
+		fenced, refs := false, 0
+		for i, line := range strings.Split(string(doc), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced = !fenced
+				continue
+			}
+			if fenced {
+				continue
+			}
+			for _, code := range span.FindAllString(line, -1) {
+				for _, m := range ref.FindAllStringSubmatch(code, -1) {
+					decls, isPkg := exported[m[1]]
+					if !isPkg {
+						continue
+					}
+					refs++
+					if !decls[m[2]] {
+						t.Errorf("%s:%d: %s names no exported declaration of package %s", path, i+1, m[0], m[1])
+					}
 				}
 			}
 		}
-	}
-	if refs == 0 {
-		t.Error("README.md has no backticked pkg.Ident at all: the reference pattern is broken")
+		if path == "README.md" && refs == 0 {
+			t.Error("README.md has no backticked pkg.Ident at all: the reference pattern is broken")
+		}
 	}
 }
 
-// TestCitedFilesExist holds every *.md or *.json path that README.md, the
-// verify skill, CI's workflow, the Makefile or a comment in a non-test Go
-// file cites to the tree: it must resolve from the repo root or from the
-// citing file's directory. bench/ is skipped: the end-to-end benchmark
-// changes only together with its own records.
+// TestCitedFilesExist holds every *.md or *.json path that README.md, a
+// note under docs/, the verify skill, CI's workflow, the Makefile or a
+// comment in a non-test Go file cites to the tree: it must resolve from the
+// repo root or from the citing file's directory. A section cite —
+// `<file>.md "<Heading>"` or `<file>.md's "<Heading>"`, README standing
+// for README.md — must name a heading of that file. bench/ is skipped: the
+// end-to-end benchmark changes only together with its own records.
 func TestCitedFilesExist(t *testing.T) {
 	type text struct {
 		path string
@@ -177,7 +197,7 @@ func TestCitedFilesExist(t *testing.T) {
 		s    string
 	}
 	var texts []text
-	for _, path := range []string{"README.md", ".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml", "Makefile"} {
+	for _, path := range append(docFiles(t), ".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml", "Makefile") {
 		src, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -209,20 +229,59 @@ func TestCitedFilesExist(t *testing.T) {
 		t.Fatal(err)
 	}
 	cite := regexp.MustCompile(`[\w./-]*\w\.(?:md|json)\b`)
-	cites := 0
+	section := regexp.MustCompile(`\b(README|[\w./-]*\w\.md)(?:'s)? "([^"]+)"`)
+	cites, sections := 0, 0
 	for _, x := range texts {
 		for i, line := range strings.Split(x.s, "\n") {
 			for _, p := range cite.FindAllString(line, -1) {
 				cites++
-				_, errRoot := os.Stat(p)
-				_, errDir := os.Stat(filepath.Join(filepath.Dir(x.path), p))
-				if errRoot != nil && errDir != nil {
+				if resolveCite(x.path, p) == "" {
 					t.Errorf("%s:%d cites %s, which does not exist", x.path, x.line+i, p)
+				}
+			}
+			for _, m := range section.FindAllStringSubmatch(line, -1) {
+				file := m[1]
+				if file == "README" {
+					file = "README.md"
+				}
+				found := resolveCite(x.path, file)
+				if found == "" {
+					continue // reported above
+				}
+				sections++
+				if !hasHeading(t, found, m[2]) {
+					t.Errorf("%s:%d cites %s %q, which has no such heading", x.path, x.line+i, file, m[2])
 				}
 			}
 		}
 	}
-	if cites == 0 {
-		t.Error("no *.md or *.json cite found: the pattern is broken")
+	if cites == 0 || sections == 0 {
+		t.Errorf("%d file cites, %d section cites found: a pattern is broken", cites, sections)
 	}
+}
+
+// resolveCite is the path a cite in the file at from names, tried from the
+// repo root and then from from's directory, or "" if neither exists.
+func resolveCite(from, cite string) string {
+	for _, p := range []string{cite, filepath.Join(filepath.Dir(from), cite)} {
+		if _, err := os.Stat(p); err == nil {
+			return p
+		}
+	}
+	return ""
+}
+
+// hasHeading reports whether the Markdown file at path has a heading,
+// of any level, whose text is exactly heading.
+func hasHeading(t *testing.T, path, heading string) bool {
+	src, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(src), "\n") {
+		if strings.HasPrefix(line, "#") && strings.TrimSpace(strings.TrimLeft(line, "#")) == heading {
+			return true
+		}
+	}
+	return false
 }
