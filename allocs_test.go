@@ -35,8 +35,10 @@ import (
 // goroutine, so no count depends on how frames happen to batch. Each
 // committed count is the median of 30 runs, 10 at each of GOMAXPROCS 1, 2
 // and 4, so one more allocation per rank fails it. Over those runs every
-// wall-clock row stayed within 2 of its count except livenet's Ok-Topk
-// (602–611): a spread that wide cannot hold +P, so that row catches a
+// wall-clock row stayed within 2 of its count except livenet's Ok-Topk,
+// whose count is instead the midpoint of its 30-run range: 604–612, lower
+// at GOMAXPROCS 1 (604–608) than at 4 (608–612). A spread that wide
+// leaves 3 to spare either side of the ±P band, so that row catches a
 // per-rank allocation only on some runs.
 //
 // Under -race sync.Pool drops Puts at random, so pooled slabs reallocate

@@ -63,16 +63,14 @@ func init() {
 							Pipeline:       sched.cfg,
 						}
 						r := train.Run(cfg)
-						buckets := r.Buckets
 						if sched.cfg == nil {
-							buckets = 1
 							monoExposed = r.ExposedComm
 						}
 						delta := "-"
 						if sched.cfg != nil && monoExposed > 0 {
 							delta = fmt.Sprintf("%+.0f%%", 100*(r.ExposedComm/monoExposed-1))
 						}
-						tab.AddRow(sched.name, buckets, r.CommTime, r.ExposedComm, r.OverlapSaved, r.PerUpdateTime, delta)
+						tab.AddRow(sched.name, r.Buckets, r.CommTime, r.ExposedComm, r.OverlapSaved, r.PerUpdateTime, delta)
 					}
 					tables = append(tables, tab)
 				}

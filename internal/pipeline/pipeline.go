@@ -28,8 +28,8 @@ type Config struct {
 	// BucketBytes is the fusion target: tensors are fused, back-to-front,
 	// until a bucket holds at least this many bytes of float32 gradient.
 	// 0 fuses nothing (one bucket per tensor, "per-layer"); a very large
-	// value yields a single bucket, which reproduces the monolithic
-	// schedule — and the monolithic model update — bit for bit.
+	// value yields a single bucket, the paper's monolithic schedule, which
+	// the trainer plans when it is given no Config.
 	BucketBytes int
 }
 
@@ -150,7 +150,10 @@ func NewSchedule(base sparsecoll.Factory, p, rank, k int, segs []nn.Segment, rea
 // communication stream, overlapped with the compute still ahead of it. A
 // one-tensor bucket is reduced straight from its tensor's gradient;
 // only a fused bucket materializes its segments into flat[Lo:Hi) first, so
-// the per-layer schedule leaves flat untouched. It returns with the streams
+// the per-layer schedule leaves flat untouched. A segment whose gradient
+// already lives at flat[Lo:Hi) — flat is the packed gradient slab
+// (nn.PackParams), as the trainer passes it — is not copied, so a bucket
+// of packed tensors is reduced in place. It returns with the streams
 // joined, the full global gradient assembled in out, and the main clock at
 // max(compute end, communication end) — exactly the pipelined iteration
 // time. The gradients must not change until Run returns.
@@ -171,8 +174,10 @@ func (s *Schedule) Run(ep comm.Endpoint, segs []nn.Segment, flat, out []float32)
 		}
 		grad := segs[b.First].Param.Grad
 		if b.First != b.Last {
-			for si := b.First; si <= b.Last; si++ {
-				segs[si].CopyGrad(flat)
+			for _, sg := range segs[b.First : b.Last+1] {
+				if sg.Len() > 0 && &sg.Param.Grad[0] != &flat[sg.Lo] {
+					sg.CopyGrad(flat)
+				}
 			}
 			grad = flat[b.Lo:b.Hi]
 		}

@@ -52,8 +52,8 @@ func TestPlanSingleBucket(t *testing.T) {
 	if b.Lo != 0 || b.Hi != n || b.First != 0 || b.Last != len(segs)-1 {
 		t.Fatalf("single bucket %+v does not span the model (n=%d)", b, n)
 	}
-	// The whole budget lands on the single bucket — the bit-identity with
-	// the monolithic path depends on this being exact.
+	// The whole budget lands on the single bucket — the monolithic
+	// schedule keeps the paper's global k only if this is exact.
 	if b.K != 50 {
 		t.Fatalf("single-bucket budget %d, want 50", b.K)
 	}

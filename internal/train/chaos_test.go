@@ -9,6 +9,7 @@ import (
 	"spardl/internal/comm"
 	"spardl/internal/core"
 	"spardl/internal/livenet"
+	"spardl/internal/pipeline"
 	"spardl/internal/tcpnet"
 )
 
@@ -56,10 +57,20 @@ func runBounded(t *testing.T, name string, cfg Config) chaosRun {
 	}
 }
 
+// perLayer sets cfg to bucketed training, one bucket per tensor.
+func perLayer(cfg Config) Config {
+	cfg.Pipeline = &pipeline.Config{}
+	return cfg
+}
+
 func TestChaosSuiteAcrossBackends(t *testing.T) {
 	healthy := runBounded(t, "healthy", chaosSuiteConfig(livenet.NewBackend()))
 	if healthy.err != nil {
 		t.Fatal(healthy.err)
+	}
+	healthyPerLayer := runBounded(t, "healthy per-layer", perLayer(chaosSuiteConfig(livenet.NewBackend())))
+	if healthyPerLayer.err != nil {
+		t.Fatal(healthyPerLayer.err)
 	}
 
 	cases := []struct {
@@ -71,6 +82,7 @@ func TestChaosSuiteAcrossBackends(t *testing.T) {
 		resume   []int   // per-recovery expected ResumeIter
 		healthy  bool    // final trajectory must equal the healthy run's
 		shaped   bool    // links pay comm.Ethernet's α-β cost (comm.Shaped)
+		perLayer bool    // bucketed training, one bucket per tensor
 	}{
 		// Latency is benign: every data frame parks for its α-β cost, with
 		// no poison, no recovery and the healthy trajectory.
@@ -120,6 +132,15 @@ func TestChaosSuiteAcrossBackends(t *testing.T) {
 		// recovery resuming from its own pinned barrier.
 		{name: "double-crash", schedule: "crash:rank=1,iter=2;crash:rank=3,iter=5",
 			recs: 2, lost: [][]int{{1}, {3}}, resume: []int{2, 7}},
+		// Bucketed training recovers the same way: every bucket's residual
+		// is snapshotted at its range of the one residual vector. On the
+		// per-layer schedule link 2→0 carries several data frames per
+		// iteration, and frame 16 falls in iteration 2, so the retry
+		// restores every bucket's residual from a snapshot.
+		{name: "per-layer-crash", schedule: "crash:rank=3,iter=3", perLayer: true,
+			recs: 1, lost: [][]int{{3}}, resume: []int{3}},
+		{name: "per-layer-corrupt", schedule: "corrupt:rank=2,peer=0,frame=16", perLayer: true,
+			recs: 1, lost: [][]int{nil}, resume: []int{2}, healthy: true},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -142,7 +163,15 @@ func TestChaosSuiteAcrossBackends(t *testing.T) {
 			}
 			runs := make([]chaosRun, len(backends))
 			for i, bk := range backends {
-				runs[i] = runBounded(t, bk.name, chaosSuiteConfig(bk.b))
+				cfg := chaosSuiteConfig(bk.b)
+				if tc.perLayer {
+					cfg = perLayer(cfg)
+				}
+				runs[i] = runBounded(t, bk.name, cfg)
+			}
+			healthy := healthy
+			if tc.perLayer {
+				healthy = healthyPerLayer
 			}
 
 			for i, bk := range backends {

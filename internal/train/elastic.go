@@ -5,7 +5,7 @@ import (
 
 	"spardl/internal/comm"
 	"spardl/internal/nn"
-	"spardl/internal/sparsecoll"
+	"spardl/internal/pipeline"
 )
 
 // ElasticConfig bounds an elastic training run (Config.Elastic); it is the
@@ -53,9 +53,6 @@ type snap struct {
 // contributed to completed iterations is already folded into the shared
 // model that survivors carry forward.
 func RunElastic(cfg Config) (*Result, []RecoveryStat, error) {
-	if cfg.Pipeline != nil {
-		return nil, nil, fmt.Errorf("train: elastic membership does not support the pipeline path yet")
-	}
 	if cfg.Backend == nil {
 		return nil, nil, fmt.Errorf("train: elastic membership requires a live backend")
 	}
@@ -89,8 +86,9 @@ func RunElastic(cfg Config) (*Result, []RecoveryStat, error) {
 	return s.result(), stats, nil
 }
 
-// snapshot stores the boundary state after completing iteration it.
-func (st *replica) snapshot(it int, reducer sparsecoll.Reducer, n int) {
+// snapshot stores the boundary state after completing iteration it. Each
+// bucket's residual goes to its [Lo, Hi) of the one n-vector.
+func (st *replica) snapshot(it int, sched *pipeline.Schedule, n int) {
 	s := &st.snaps[it%3]
 	s.Iter = it
 	if s.Params == nil {
@@ -105,22 +103,23 @@ func (st *replica) snapshot(it int, reducer sparsecoll.Reducer, n int) {
 	} else {
 		s.Velocity = nil
 	}
-	if rc, ok := reducer.(sparsecoll.ResidualCarrier); ok {
-		r := rc.Residual()
-		if s.Residual == nil {
-			s.Residual = make([]float32, len(r))
-		}
-		copy(s.Residual, r)
-	} else {
+	if sched.Reducers[0].Residual() == nil { // every bucket runs the same method
 		s.Residual = nil
+	} else {
+		if s.Residual == nil {
+			s.Residual = make([]float32, n)
+		}
+		for _, r := range sched.Reducers {
+			copy(s.Residual[r.Lo:r.Hi], r.Residual())
+		}
 	}
 	st.haveSnap[it%3] = true
 }
 
 // restore rewinds the carried state to "after completing iteration
 // resume−1": either a ring snapshot or, for resume 0, the deterministic
-// fresh start.
-func (st *replica) restore(c *Case, seed int64, resume int, reducer sparsecoll.Reducer) {
+// fresh start, which renews the model.
+func (st *replica) restore(c *Case, seed int64, resume int, sched *pipeline.Schedule) {
 	if resume == 0 {
 		st.reset(c, seed)
 		return
@@ -132,8 +131,10 @@ func (st *replica) restore(c *Case, seed int64, resume int, reducer sparsecoll.R
 	}
 	nn.LoadParams(st.model.Params(), s.Params)
 	st.opt.RestoreVelocity(s.Velocity)
-	if rr, ok := reducer.(sparsecoll.ResidualRestorer); ok && s.Residual != nil {
-		rr.RestoreResidual(s.Residual)
+	if s.Residual != nil {
+		for _, r := range sched.Reducers {
+			r.RestoreResidual(s.Residual[r.Lo:r.Hi])
+		}
 	}
 }
 

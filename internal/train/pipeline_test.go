@@ -23,8 +23,9 @@ func pipeConfig() Config {
 }
 
 // TestSingleBucketIsBitIdenticalToMonolithic: a pipeline whose single
-// bucket spans the whole model must reproduce the monolithic path exactly —
-// same per-iteration virtual time, same trajectory, same final replica.
+// bucket spans the whole model must reproduce the monolithic schedule
+// (Pipeline nil) exactly — same per-iteration virtual time, same
+// trajectory, same final replica, same exposed time.
 func TestSingleBucketIsBitIdenticalToMonolithic(t *testing.T) {
 	mono := pipeConfig()
 	mono.EvalEvery = 2
@@ -32,8 +33,8 @@ func TestSingleBucketIsBitIdenticalToMonolithic(t *testing.T) {
 	piped.Pipeline = &pipeline.Config{BucketBytes: 1 << 40}
 
 	a, b := Run(mono), Run(piped)
-	if b.Buckets != 1 {
-		t.Fatalf("bucket count %d, want 1", b.Buckets)
+	if a.Buckets != 1 || b.Buckets != 1 {
+		t.Fatalf("bucket counts %d (nil) and %d, want 1", a.Buckets, b.Buckets)
 	}
 	if !reflect.DeepEqual(a.Points, b.Points) {
 		t.Fatalf("trajectories diverged:\n%v\n%v", a.Points, b.Points)
@@ -54,13 +55,13 @@ func TestSingleBucketIsBitIdenticalToMonolithic(t *testing.T) {
 			a.BytesPerIter, b.BytesPerIter, a.MaxRounds, b.MaxRounds)
 	}
 	// The single bucket launches exactly at compute end: nothing can hide,
-	// and both paths must account the same exposed synchronization time
-	// (α-β charges + in-collective selection compute).
+	// and both configurations must book the same exposed synchronization
+	// time (α-β charges + in-collective selection compute).
 	if b.OverlapSaved != 0 || b.ExposedComm < b.CommTime {
 		t.Fatalf("single bucket should expose all comm: exposed %v comm %v saved %v",
 			b.ExposedComm, b.CommTime, b.OverlapSaved)
 	}
-	if math.Abs(a.ExposedComm-b.ExposedComm) > 1e-12 {
+	if a.ExposedComm != b.ExposedComm {
 		t.Fatalf("exposed accounting differs: %v vs %v", a.ExposedComm, b.ExposedComm)
 	}
 }

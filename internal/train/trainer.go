@@ -56,9 +56,9 @@ type Config struct {
 	// fused into buckets (pipeline.Config.BucketBytes) that launch their
 	// sparse all-reduce on the communication stream as soon as their
 	// backward slices finish, overlapping communication with the remaining
-	// backward compute. nil keeps the monolithic schedule. A single bucket
-	// spanning the whole model reproduces the monolithic path bit for bit
-	// (same top-k, same update, same virtual time).
+	// backward compute. nil keeps the paper's monolithic schedule, which is
+	// the same pipeline planned as one bucket spanning the whole model: it
+	// launches when the backward pass ends, so nothing overlaps.
 	Pipeline *pipeline.Config
 }
 
@@ -87,14 +87,14 @@ type Result struct {
 	BytesPerIter  int64
 	// ExposedComm is the per-iteration synchronization time that actually
 	// delayed the worst worker — α-β charges plus the in-collective
-	// selection/merge compute. With the pipeline it is what outlived the
-	// overlapping backward pass; on the monolithic path (Pipeline nil) the
-	// whole synchronization is exposed. OverlapSaved is the per-iteration
-	// clock time the pipeline hid under compute (zero when monolithic);
-	// serialized − pipelined ≡ OverlapSaved per worker and iteration.
+	// selection/merge compute — as the endpoint's Join books it: what
+	// outlived the overlapping backward pass, all of it when monolithic
+	// (Pipeline nil). OverlapSaved is the per-iteration clock time hidden
+	// under compute (zero when monolithic); serialized − pipelined ≡
+	// OverlapSaved per worker and iteration.
 	ExposedComm  float64
 	OverlapSaved float64
-	// Buckets is the pipeline's bucket count (0 on the monolithic path).
+	// Buckets is the schedule's bucket count (1 when monolithic).
 	Buckets int
 }
 
@@ -216,26 +216,21 @@ func (s *session) work(m comm.Membership, ep comm.Endpoint, st *replica) {
 		resume = agreeMinIter(ep, m.P, m.Rank, st.barriers)
 	}
 
-	// Monolithic path: one reducer over the whole flattened gradient.
-	// Pipeline path: one SegmentReducer per bucket, launched at each
-	// bucket's backward-ready point on the communication stream.
-	var reducer sparsecoll.Reducer
-	var sched *pipeline.Schedule
-	var segs []nn.Segment
-	method, buckets := "", 0
-	if cfg.Pipeline == nil {
-		reducer = cfg.Factory(m.P, m.Rank, n, s.k)
-		method = reducer.Name()
-	} else {
-		segs = nn.GradSegments(st.model.Params())
-		ready := nn.GradReadyTimes(st.model.Params(), c.ComputeTime)
-		sched = pipeline.NewSchedule(cfg.Factory, m.P, m.Rank, s.k, segs, ready, *cfg.Pipeline)
-		method, buckets = sched.Reducers[0].BaseName(), len(sched.Buckets)
+	// One SegmentReducer per bucket, launched at each bucket's
+	// backward-ready point on the communication stream. The monolithic
+	// schedule is the one bucket that spans the model.
+	pcfg := pipeline.Config{BucketBytes: math.MaxInt}
+	if cfg.Pipeline != nil {
+		pcfg = *cfg.Pipeline
 	}
+	params := st.model.Params()
+	sched := pipeline.NewSchedule(cfg.Factory, m.P, m.Rank, s.k, nn.GradSegments(params),
+		nn.GradReadyTimes(params, c.ComputeTime), pcfg)
 	if m.Gen > 0 {
-		st.restore(c, cfg.Seed, resume, reducer)
+		st.restore(c, cfg.Seed, resume, sched)
 		st.barriers = resume
 	}
+	segs := nn.GradSegments(st.model.Params()) // restore may have renewed the model
 
 	s.mu.Lock()
 	if m.Gen != s.gen {
@@ -246,7 +241,7 @@ func (s *session) work(m comm.Membership, ep comm.Endpoint, st *replica) {
 		s.resumeAt[m.Gen] = resume // agreed, so the same from every worker
 	}
 	if m.Rank == 0 {
-		s.res.Method, s.res.Buckets = method, buckets
+		s.res.Method, s.res.Buckets = sched.Reducers[0].BaseName(), len(sched.Buckets)
 		if m.Gen > 0 {
 			// Drop points recorded for iterations now being re-run with
 			// the new membership: the old rank 0 can have recorded
@@ -264,10 +259,6 @@ func (s *session) work(m comm.Membership, ep comm.Endpoint, st *replica) {
 		s.mu.Unlock()
 	}()
 
-	var flat []float32 // the pipeline's gather buffer for fused buckets
-	if sched != nil {
-		flat = make([]float32, n)
-	}
 	global := make([]float32, n)
 	invP := float32(1) / float32(m.P)
 	rows := s.held.Rows(m.Rank*s.held.Size()/m.P, (m.Rank+1)*s.held.Size()/m.P)
@@ -278,27 +269,16 @@ func (s *session) work(m comm.Membership, ep comm.Endpoint, st *replica) {
 		loss.Backward()
 
 		before := ep.Stats()
-		if sched == nil {
-			ep.Compute(c.ComputeTime) // simulated forward+backward time
-			// In-place synchronization of the gradient slab backward
-			// left behind into the per-worker result vector: the reduce
-			// pipeline allocates nothing at steady state (arena chunks +
-			// persistent dense scratch).
-			reducer.ReduceInto(ep, st.grad, global)
-		} else {
-			// Schedule.Run charges the forward+backward compute itself,
-			// bucket by bucket, overlapping each bucket's all-reduce
-			// with the compute still ahead of it.
-			sched.Run(ep, segs, flat, global)
-		}
+		// Run charges the forward+backward compute itself, bucket by
+		// bucket, and reduces the packed gradient slab in place: st.grad
+		// is its flat, so no gradient is copied.
+		sched.Run(ep, segs, st.grad, global)
 		after := ep.Stats()
 
 		st.opt.StepScaled(st.model.Params(), global, invP) // the average of the P summed gradients
 
 		stat := iterStat{
-			ran: m.Gen + 1,
-			// CompTime already includes the model compute: both paths
-			// charge it through ep.Compute after `before` was taken.
+			ran:     m.Gen + 1,
 			comm:    after.CommTime - before.CommTime,
 			comp:    after.CompTime - before.CompTime,
 			exposed: after.ExposedComm - before.ExposedComm,
@@ -306,14 +286,8 @@ func (s *session) work(m comm.Membership, ep comm.Endpoint, st *replica) {
 			rounds:  after.Rounds - before.Rounds,
 			bytes:   after.BytesRecv - before.BytesRecv,
 		}
-		if sched == nil {
-			// Serialized synchronization is exposed in full: the α-β
-			// charges plus the in-collective selection/merge compute —
-			// the same constituents the overlap stream hides or exposes.
-			stat.exposed = stat.comm + (stat.comp - c.ComputeTime)
-		}
 		if s.elastic {
-			st.snapshot(it, reducer, n)
+			st.snapshot(it, sched, n)
 		}
 		evalAt := it+1 == cfg.Iters || cfg.EvalEvery > 0 && (it+1)%cfg.EvalEvery == 0
 		var pt Point
